@@ -172,20 +172,42 @@ class _Geometry:
         self.h = maze.cell_size
         self.nx = maze.nx
         self.ny = maze.ny
+        self.contact_eps = 1e-3 * self.h
         self.wall = maze.wall_mask()
-        self.negative_cells = sorted(maze.electrode_cells(Polarity.NEGATIVE))
+        self.negative = np.zeros_like(self.wall)
+        for ix, iy in maze.electrode_cells(Polarity.NEGATIVE):
+            self.negative[iy, ix] = True
         self.positive_cells = sorted(maze.electrode_cells(Polarity.POSITIVE))
+        self._edges = np.arange(max(self.nx, self.ny) + 1) * self.h  # cell boundaries, mm
 
-    def wall_cells_near(self, x: float, y: float, reach_mm: float):
+    def cells_near(
+        self, mask: np.ndarray, x: float, y: float, radius: float
+    ) -> list[tuple[int, int]]:
+        """Cells of mask that may lie within contact distance (radius +
+        contact_eps) of (x, y), in row-major order.
+
+        The clamped distances are computed in bulk and compared against a
+        slightly widened limit, so the result is a superset of the cells
+        within contact distance: callers re-check each one exactly with
+        closest_point_on_cell. Only the window radius + h around the centre
+        is searched; it holds every cell within contact distance.
+        """
         h = self.h
-        ix0 = max(int(math.floor((x - reach_mm) / h)), 0)
-        ix1 = min(int(math.ceil((x + reach_mm) / h)), self.nx - 1)
-        iy0 = max(int(math.floor((y - reach_mm) / h)), 0)
-        iy1 = min(int(math.ceil((y + reach_mm) / h)), self.ny - 1)
-        for iy in range(iy0, iy1 + 1):
-            for ix in range(ix0, ix1 + 1):
-                if self.wall[iy, ix]:
-                    yield ix, iy
+        reach = radius + h
+        ix0 = max(int(math.floor((x - reach) / h)), 0)
+        ix1 = min(int(math.ceil((x + reach) / h)), self.nx - 1)
+        iy0 = max(int(math.floor((y - reach) / h)), 0)
+        iy1 = min(int(math.ceil((y + reach) / h)), self.ny - 1)
+        window = mask[iy0 : iy1 + 1, ix0 : ix1 + 1]
+        if not window.any():
+            return []
+        e = self._edges
+        dx = x - np.minimum(np.maximum(x, e[ix0 : ix1 + 1]), e[ix0 + 1 : ix1 + 2])
+        dy = y - np.minimum(np.maximum(y, e[iy0 : iy1 + 1]), e[iy0 + 1 : iy1 + 2])
+        limit = (radius + self.contact_eps) * (1.0 + 1e-6)
+        near = (dy[:, None] ** 2 + dx[None, :] ** 2 <= limit * limit) & window
+        iys, ixs = np.nonzero(near)
+        return list(zip((ixs + ix0).tolist(), (iys + iy0).tolist()))
 
     def closest_point_on_cell(self, ix: int, iy: int, x: float, y: float) -> tuple[float, float]:
         h = self.h
@@ -195,9 +217,9 @@ class _Geometry:
 
 
 def _contact_normals(geom: _Geometry, x: float, y: float, radius: float) -> list[tuple[float, float]]:
-    eps = 1e-3 * geom.h
+    eps = geom.contact_eps
     normals: list[tuple[float, float]] = []
-    for ix, iy in geom.wall_cells_near(x, y, radius + geom.h):
+    for ix, iy in geom.cells_near(geom.wall, x, y, radius):
         px, py = geom.closest_point_on_cell(ix, iy, x, y)
         d = math.hypot(x - px, y - py)
         if 1e-12 < d <= radius + eps:
@@ -237,7 +259,7 @@ def _resolve_overlap(geom: _Geometry, x: float, y: float, radius: float) -> tupl
     for _ in range(16):
         worst_pen = 0.0
         worst_n: tuple[float, float] | None = None
-        for ix, iy in geom.wall_cells_near(x, y, radius + h):
+        for ix, iy in geom.cells_near(geom.wall, x, y, radius):
             px, py = geom.closest_point_on_cell(ix, iy, x, y)
             d = math.hypot(x - px, y - py)
             if d <= 1e-12:
@@ -266,20 +288,16 @@ def _disk_fits(geom: _Geometry, x: float, y: float, radius: float) -> bool:
         return False
     if x + radius > geom.nx * h + 1e-9 or y + radius > geom.ny * h + 1e-9:
         return False
-    for ix, iy in geom.wall_cells_near(x, y, radius + h):
+    for ix, iy in geom.cells_near(geom.wall, x, y, radius):
         px, py = geom.closest_point_on_cell(ix, iy, x, y)
         if math.hypot(x - px, y - py) < radius - 1e-9:
             return False
     return True
 
 
-def _disk_overlaps_cells(
-    geom: _Geometry, x: float, y: float, radius: float, cells: list[tuple[int, int]]
-) -> bool:
-    h = geom.h
-    for ix, iy in cells:
-        px = min(max(x, ix * h), (ix + 1) * h)
-        py = min(max(y, iy * h), (iy + 1) * h)
+def _disk_overlaps_negative(geom: _Geometry, x: float, y: float, radius: float) -> bool:
+    for ix, iy in geom.cells_near(geom.negative, x, y, radius):
+        px, py = geom.closest_point_on_cell(ix, iy, x, y)
         if math.hypot(x - px, y - py) <= radius:
             return True
     return False
@@ -289,38 +307,27 @@ def _disk_overlaps_cells(
 # Stepping
 
 
+def _force_at(
+    field: VectorField, geom: _Geometry, x: float, y: float, radius: float, gain: float
+) -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """Raw disk-integrated force and the wall-contact normals at one position."""
+    raw = disk_integrate(field, (x, y), radius, wall_mask=geom.wall, gain=gain)
+    return raw, _contact_normals(geom, x, y, radius)
+
+
 def _effective_force(
-    field: VectorField,
-    geom: _Geometry,
-    x: float,
-    y: float,
-    radius: float,
-    gain: float,
+    raw: np.ndarray,
+    normals: list[tuple[float, float]],
     noise: tuple[float, float] = (0.0, 0.0),
 ) -> tuple[float, float]:
-    f = disk_integrate(field, (x, y), radius, wall_mask=geom.wall, gain=gain)
-    fx, fy = f[0] + noise[0], f[1] + noise[1]
-    normals = _contact_normals(geom, x, y, radius)
-    return _project_out(fx, fy, normals)
+    return _project_out(raw[0] + noise[0], raw[1] + noise[1], normals)
 
 
-def step(
-    state: DropletState,
-    params: DynamicsParams,
-    maze: MazeSpec,
-    field: VectorField,
-    *,
-    _geom: _Geometry | None = None,
-    _noise: tuple[float, float] = (0.0, 0.0),
+def _advance(
+    state: DropletState, params: DynamicsParams, geom: _Geometry, fx: float, fy: float
 ) -> DropletState:
-    """One stick-slip update. Requires params.dt > 0."""
-    if params.dt <= 0:
-        raise ValueError("step needs an explicit positive dt; use simulate for auto-dt")
-    geom = _geom if _geom is not None else _Geometry(maze)
+    """One stick-slip update under the effective (wall-projected) force."""
     dt = params.dt
-    fx, fy = _effective_force(
-        field, geom, state.x, state.y, state.radius, params.force_gain, _noise
-    )
     fmag = math.hypot(fx, fy)
 
     thr = params.static_threshold
@@ -359,6 +366,17 @@ def step(
         t=state.t + dt,
         pinned_impulse=impulse,
     )
+
+
+def step(
+    state: DropletState, params: DynamicsParams, maze: MazeSpec, field: VectorField
+) -> DropletState:
+    """One stick-slip update. Requires params.dt > 0."""
+    if params.dt <= 0:
+        raise ValueError("step needs an explicit positive dt; use simulate for auto-dt")
+    geom = _Geometry(maze)
+    raw, normals = _force_at(field, geom, state.x, state.y, state.radius, params.force_gain)
+    return _advance(state, params, geom, *_effective_force(raw, normals))
 
 
 def _estimate_channel_width_cells(maze: MazeSpec) -> float:
@@ -430,12 +448,11 @@ def _auto_dt(
 ) -> float:
     """dt such that the fastest force sample along the oracle route moves the
     disk at most half a cell per step."""
-    from .oracle import extract_path
+    from .oracle import UnreachableError, extract_path
 
     try:
-        path = extract_path(labels, start)
-        cells = path.cells
-    except Exception:
+        cells = extract_path(labels, start).cells
+    except UnreachableError:
         cells = [start]
     h = geom.h
     fmax = 0.0
@@ -496,18 +513,22 @@ def simulate(
     rng = random.Random(run.noise_seed) if run.noise_amplitude > 0 else None
 
     state = DropletState(x=x0, y=y0, radius=radius)
-    fx0, fy0 = _effective_force(field, geom, x0, y0, radius, run.force_gain)
+    # Each position's disk sum and contact normals serve twice: projected
+    # as they are for the recorded force, and with noise added for the
+    # step taken from there.
+    raw, normals = _force_at(field, geom, x0, y0, radius, run.force_gain)
+    fx, fy = _effective_force(raw, normals)
     times = [0.0]
     xs = [x0]
     ys = [y0]
     speeds = [0.0]
-    forces = [math.hypot(fx0, fy0)]
+    forces = [math.hypot(fx, fy)]
     history: deque[tuple[float, float]] = deque(maxlen=run.lock_window + 1)
     history.append((x0, y0))
     termination = Termination.MAX_STEPS
     path_length = 0.0
 
-    if _disk_overlaps_cells(geom, x0, y0, radius, geom.negative_cells):
+    if _disk_overlaps_negative(geom, x0, y0, radius):
         termination = Termination.REACHED_TARGET
         steps = 0
     else:
@@ -520,17 +541,18 @@ def simulate(
                     rng.gauss(0.0, run.noise_amplitude),
                 )
             prev = state
-            state = step(prev, run, maze, field, _geom=geom, _noise=noise)
+            state = _advance(prev, run, geom, *_effective_force(raw, normals, noise))
             steps += 1
             path_length += math.hypot(state.x - prev.x, state.y - prev.y)
-            fx, fy = _effective_force(field, geom, state.x, state.y, radius, run.force_gain)
+            raw, normals = _force_at(field, geom, state.x, state.y, radius, run.force_gain)
+            fx, fy = _effective_force(raw, normals)
             times.append(state.t)
             xs.append(state.x)
             ys.append(state.y)
             speeds.append(state.speed)
             forces.append(math.hypot(fx, fy))
             history.append((state.x, state.y))
-            if _disk_overlaps_cells(geom, state.x, state.y, radius, geom.negative_cells):
+            if _disk_overlaps_negative(geom, state.x, state.y, radius):
                 termination = Termination.REACHED_TARGET
                 break
             if len(history) > run.lock_window:
@@ -539,7 +561,6 @@ def simulate(
                     termination = Termination.LOCKED
                     break
 
-    fx, fy = _effective_force(field, geom, state.x, state.y, radius, run.force_gain)
     return Trajectory(
         times=np.array(times),
         xs=np.array(xs),
@@ -551,7 +572,7 @@ def simulate(
         dt=dt,
         radius_mm=radius,
         start_cell=start_cell,
-        final_effective_force=math.hypot(fx, fy),
+        final_effective_force=forces[-1],
     )
 
 

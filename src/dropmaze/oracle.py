@@ -16,7 +16,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -152,7 +152,23 @@ class Streamline:
         return out
 
 
-def _bilinear(j: VectorField, x_mm: float, y_mm: float) -> tuple[float, float]:
+class _ListField(NamedTuple):
+    """A vector field's components as nested lists, for per-point sampling:
+    element reads give Python floats, which are cheaper to read and to
+    compute with than numpy scalars and round the same way."""
+
+    vx: list[list[float]]
+    vy: list[list[float]]
+    cell_size: float
+    nx: int
+    ny: int
+
+    @classmethod
+    def of(cls, j: VectorField) -> "_ListField":
+        return cls(j.vx.tolist(), j.vy.tolist(), j.cell_size, j.nx, j.ny)
+
+
+def _bilinear(j: _ListField, x_mm: float, y_mm: float) -> tuple[float, float]:
     h = j.cell_size
     u = x_mm / h - 0.5
     v = y_mm / h - 0.5
@@ -163,12 +179,12 @@ def _bilinear(j: VectorField, x_mm: float, y_mm: float) -> tuple[float, float]:
     i1 = min(i0 + 1, j.nx - 1)
     k1 = min(k0 + 1, j.ny - 1)
 
-    def sample(comp: np.ndarray) -> float:
-        return float(
-            comp[k0, i0] * (1 - tu) * (1 - tv)
-            + comp[k0, i1] * tu * (1 - tv)
-            + comp[k1, i0] * (1 - tu) * tv
-            + comp[k1, i1] * tu * tv
+    def sample(comp: list[list[float]]) -> float:
+        return (
+            comp[k0][i0] * (1 - tu) * (1 - tv)
+            + comp[k0][i1] * tu * (1 - tv)
+            + comp[k1][i0] * (1 - tu) * tv
+            + comp[k1][i1] * tu * tv
         )
 
     return sample(j.vx), sample(j.vy)
@@ -182,13 +198,17 @@ def streamline(
     target_cells: Iterable[tuple[int, int]] | None = None,
     channel_mask: np.ndarray | None = None,
     min_speed_rel: float = 1e-9,
+    *,
+    _lists: _ListField | None = None,
 ) -> Streamline:
     """Integrate along the normalized field from start_mm.
 
     Stops on reaching a target cell, on the local field magnitude falling
     below min_speed_rel of the grid maximum, on leaving the grid, or after
-    max_steps.
+    max_steps. _lists is j as a _ListField, for callers tracing many
+    streamlines through one field.
     """
+    grid = _lists if _lists is not None else _ListField.of(j)
     h = j.cell_size
     if step_mm is None:
         step_mm = h / 4.0
@@ -202,7 +222,7 @@ def streamline(
     floor = min_speed_rel * j_scale
 
     def direction(px: float, py: float) -> tuple[float, float, float]:
-        vx, vy = _bilinear(j, px, py)
+        vx, vy = _bilinear(grid, px, py)
         s = math.hypot(vx, vy)
         if s <= floor:
             return 0.0, 0.0, s
@@ -321,16 +341,17 @@ def trace_route_streamline(
     seeds = ring[::stride]
 
     h = maze.cell_size
+    grid = _ListField.of(j)
     traces: list[tuple[tuple[int, ...], float, Streamline]] = []
     for ix, iy in seeds:
         start = ((ix + 0.5) * h, (iy + 0.5) * h)
-        vx, vy = _bilinear(j, *start)
+        vx, vy = _bilinear(grid, *start)
         weight = math.hypot(vx, vy)
         if weight <= 0:
             continue
         tr = streamline(
             j, start, step_mm=step_mm, max_steps=max_steps,
-            target_cells=neg_cells, channel_mask=channel,
+            target_cells=neg_cells, channel_mask=channel, _lists=grid,
         )
         traces.append((region_sequence(tr.cells(h), seg), weight, tr))
     if not traces:
@@ -529,25 +550,25 @@ class CorridorSegmentation:
 
 
 def _wall_distance(channel: np.ndarray) -> np.ndarray:
-    """4-connected BFS distance (cells) from the nearest non-channel cell."""
-    ny, nx = channel.shape
-    dist = np.full(channel.shape, -1, dtype=np.int32)
-    queue: deque[tuple[int, int]] = deque()
-    for iy in range(ny):
-        for ix in range(nx):
-            if not channel[iy, ix]:
-                dist[iy, ix] = 0
-                queue.append((ix, iy))
-    # Grid rim counts as wall.
-    if not queue:
-        return np.ones_like(dist)
-    while queue:
-        ix, iy = queue.popleft()
-        for dx, dy in _DESCENT_ORDER:
-            jx, jy = ix + dx, iy + dy
-            if 0 <= jx < nx and 0 <= jy < ny and dist[jy, jx] < 0:
-                dist[jy, jx] = dist[iy, ix] + 1
-                queue.append((jx, jy))
+    """Taxicab distance (cells) from the nearest non-channel cell; cells
+    beyond the grid rim do not count as walls. An all-channel grid has no
+    wall to measure from and gets ones.
+
+    Each round of 4-neighbour erosion peels one layer off the channel, so
+    a cell's distance is the number of rounds it stays inside.
+    """
+    if channel.all():
+        return np.ones(channel.shape, dtype=np.int32)
+    dist = np.zeros(channel.shape, dtype=np.int32)
+    inside = channel.astype(bool)
+    while inside.any():
+        dist += inside
+        eroded = inside.copy()
+        eroded[1:, :] &= inside[:-1, :]
+        eroded[:-1, :] &= inside[1:, :]
+        eroded[:, 1:] &= inside[:, :-1]
+        eroded[:, :-1] &= inside[:, 1:]
+        inside = eroded
     return dist
 
 

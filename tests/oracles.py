@@ -2,12 +2,14 @@
 
 Everything here is deliberately written the slow, obvious way and shares no
 code with the package internals: dense Gaussian elimination for the
-potential, exhaustive BFS for shortest distances, and a two-resistor
-Kirchhoff split for branch currents.
+potential, exhaustive BFS for shortest distances, a two-resistor
+Kirchhoff split for branch currents, cell-by-cell scans for the droplet's
+wall queries, and element-wise numpy sampling for streamlines.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -123,3 +125,142 @@ def two_branch_current_ratio(len_a_mm, len_b_mm):
     i_a = r_b / (r_a + r_b)
     i_b = r_a / (r_a + r_b)
     return i_a / i_b
+
+
+def bfs_wall_distance(channel):
+    """4-connected BFS distance (cells) from the nearest non-channel cell;
+    the grid rim is not a wall, and an all-channel grid gets ones."""
+    channel = np.asarray(channel, dtype=bool)
+    ny, nx = channel.shape
+    dist = np.full((ny, nx), -1, dtype=np.int32)
+    queue = deque()
+    for iy in range(ny):
+        for ix in range(nx):
+            if not channel[iy, ix]:
+                dist[iy, ix] = 0
+                queue.append((ix, iy))
+    if not queue:
+        return np.ones_like(dist)
+    while queue:
+        ix, iy = queue.popleft()
+        for dx, dy in ((1, 0), (0, -1), (-1, 0), (0, 1)):
+            jx, jy = ix + dx, iy + dy
+            if 0 <= jx < nx and 0 <= jy < ny and dist[jy, jx] < 0:
+                dist[jy, jx] = dist[iy, ix] + 1
+                queue.append((jx, jy))
+    return dist
+
+
+# Droplet wall queries, scanning every cell of the window around the disk
+# one by one. `wall` is a boolean (ny, nx) mask, `h` the cell size in mm.
+
+
+def scan_wall_cells(wall, h, x, y, reach):
+    """Wall cells of the square window reach mm around (x, y), row by row."""
+    ny, nx = wall.shape
+    ix0 = max(int(math.floor((x - reach) / h)), 0)
+    ix1 = min(int(math.ceil((x + reach) / h)), nx - 1)
+    iy0 = max(int(math.floor((y - reach) / h)), 0)
+    iy1 = min(int(math.ceil((y + reach) / h)), ny - 1)
+    for iy in range(iy0, iy1 + 1):
+        for ix in range(ix0, ix1 + 1):
+            if wall[iy, ix]:
+                yield ix, iy
+
+
+def closest_point_on_cell(h, ix, iy, x, y):
+    return min(max(x, ix * h), (ix + 1) * h), min(max(y, iy * h), (iy + 1) * h)
+
+
+def scan_contact_normals(wall, h, x, y, radius):
+    ny, nx = wall.shape
+    eps = 1e-3 * h
+    normals = []
+    for ix, iy in scan_wall_cells(wall, h, x, y, radius + h):
+        px, py = closest_point_on_cell(h, ix, iy, x, y)
+        d = math.hypot(x - px, y - py)
+        if 1e-12 < d <= radius + eps:
+            normals.append(((x - px) / d, (y - py) / d))
+    if x - radius <= eps:
+        normals.append((1.0, 0.0))
+    if nx * h - x - radius <= eps:
+        normals.append((-1.0, 0.0))
+    if y - radius <= eps:
+        normals.append((0.0, 1.0))
+    if ny * h - y - radius <= eps:
+        normals.append((0.0, -1.0))
+    return normals
+
+
+def scan_resolve_overlap(wall, h, x, y, radius):
+    ny, nx = wall.shape
+    x = min(max(x, radius), nx * h - radius)
+    y = min(max(y, radius), ny * h - radius)
+    for _ in range(16):
+        worst_pen = 0.0
+        worst_n = None
+        for ix, iy in scan_wall_cells(wall, h, x, y, radius + h):
+            px, py = closest_point_on_cell(h, ix, iy, x, y)
+            d = math.hypot(x - px, y - py)
+            if d <= 1e-12:
+                dx, dy = x - (ix + 0.5) * h, y - (iy + 0.5) * h
+                n = math.hypot(dx, dy)
+                nx_, ny_ = (dx / n, dy / n) if n > 1e-12 else (1.0, 0.0)
+                pen = radius
+            else:
+                pen = radius - d
+                nx_, ny_ = (x - px) / d, (y - py) / d
+            if pen > worst_pen:
+                worst_pen = pen
+                worst_n = (nx_, ny_)
+        if worst_n is None or worst_pen <= 1e-9 * h:
+            break
+        x += worst_n[0] * (worst_pen + 1e-9 * h)
+        y += worst_n[1] * (worst_pen + 1e-9 * h)
+    return x, y
+
+
+def scan_disk_fits(wall, h, x, y, radius):
+    ny, nx = wall.shape
+    if x - radius < -1e-9 or y - radius < -1e-9:
+        return False
+    if x + radius > nx * h + 1e-9 or y + radius > ny * h + 1e-9:
+        return False
+    for ix, iy in scan_wall_cells(wall, h, x, y, radius + h):
+        px, py = closest_point_on_cell(h, ix, iy, x, y)
+        if math.hypot(x - px, y - py) < radius - 1e-9:
+            return False
+    return True
+
+
+def scan_disk_overlaps_cells(h, x, y, radius, cells):
+    """Whether the disk reaches any of the listed cells (all of them scanned)."""
+    for ix, iy in cells:
+        px, py = closest_point_on_cell(h, ix, iy, x, y)
+        if math.hypot(x - px, y - py) <= radius:
+            return True
+    return False
+
+
+def array_bilinear(j, x_mm, y_mm):
+    """Bilinear sample of a VectorField read element by element from its
+    numpy arrays."""
+    h = j.cell_size
+    u = x_mm / h - 0.5
+    v = y_mm / h - 0.5
+    i0 = min(max(int(math.floor(u)), 0), j.nx - 2) if j.nx > 1 else 0
+    k0 = min(max(int(math.floor(v)), 0), j.ny - 2) if j.ny > 1 else 0
+    tu = min(max(u - i0, 0.0), 1.0)
+    tv = min(max(v - k0, 0.0), 1.0)
+    i1 = min(i0 + 1, j.nx - 1)
+    k1 = min(k0 + 1, j.ny - 1)
+
+    def sample(comp):
+        return float(
+            comp[k0, i0] * (1 - tu) * (1 - tv)
+            + comp[k0, i1] * tu * (1 - tv)
+            + comp[k1, i0] * (1 - tu) * tv
+            + comp[k1, i1] * tu * tv
+        )
+
+    return sample(j.vx), sample(j.vy)

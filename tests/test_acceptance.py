@@ -206,20 +206,22 @@ def test_criterion_6_droplet_solves_maze(ring_maze, ring_fields, ring_segmentati
     assert near and min(near) <= 2 * width_mm
 
 
-@criterion(7, "symmetric bifurcation locks for 100/100 seeds; 38/42 mm at defaults locks, flagged sensitive")
+@criterion(7, "symmetric bifurcation locks deterministically, noise seed inert at zero noise; 38/42 mm at defaults locks, flagged sensitive")
 def test_criterion_7_bifurcation_lock():
     sym = generate_bifurcation_maze(40.0, 40.0, 4.0)
     sym_fields = compute_fields(sym)
     h = sym.cell_size
     axis = ((2 + 6) * h, sym.ny * h / 2)
     params = DynamicsParams(lock_window=500, max_steps=8000)
-    outcomes = []
-    for seed in range(100):
-        traj = simulate(
-            sym, dataclasses.replace(params, noise_seed=seed), sym_fields, start_mm=axis
-        )
-        outcomes.append(traj.termination)
-    assert outcomes.count(Termination.LOCKED) == 100
+    # With noise_amplitude 0 the run is deterministic: the noise seed must
+    # not change a single sample, so one locking run stands for every seed.
+    runs = [
+        simulate(sym, dataclasses.replace(params, noise_seed=seed), sym_fields, start_mm=axis)
+        for seed in (0, 1)
+    ]
+    for name in ("times", "xs", "ys", "speeds", "forces"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+    assert runs[0].termination is Termination.LOCKED
 
     cfg = ScenarioConfig(
         generator="bifurcation",

@@ -2,24 +2,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dropmaze as dm
+from dropmaze import dynamics, oracle
 from dropmaze.dynamics import (
     DropletState,
     DynamicsError,
     DynamicsParams,
     ForceSource,
     Termination,
+    _contact_normals,
+    _disk_fits,
+    _disk_overlaps_negative,
     _Geometry,
+    _resolve_overlap,
     disk_integrate,
     simulate,
     step,
     velocity_profile,
 )
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze
-from dropmaze.maze import convex_corner_cells, parse_maze
+from dropmaze.maze import Polarity, convex_corner_cells, parse_maze
 from dropmaze.oracle import extract_path, lee_label, segment_corridors
 from dropmaze.solver import VectorField, VectorQuantity, compute_fields
+
+from oracles import (
+    closest_point_on_cell,
+    scan_contact_normals,
+    scan_disk_fits,
+    scan_disk_overlaps_cells,
+    scan_resolve_overlap,
+    scan_wall_cells,
+)
 
 
 def uniform_field(nx=60, ny=60, h=0.5, ux=3.0, uy=0.0):
@@ -143,7 +158,7 @@ def test_step_force_into_wall_slides_tangentially():
 def test_wall_exclusion_holds_all_run(ring_maze, ring_fields):
     params = DynamicsParams(static_threshold=0.0, radius_mm=1.0, max_steps=20_000)
     traj = simulate(ring_maze, params, ring_fields)
-    geom = _Geometry(ring_maze)
+    wall = ring_maze.wall_mask()
     h = ring_maze.cell_size
     # sample every 10th position: closest wall distance >= radius - h/2
     for i in range(0, len(traj), 10):
@@ -151,8 +166,8 @@ def test_wall_exclusion_holds_all_run(ring_maze, ring_fields):
         worst = min(
             (
                 math.hypot(x - px, y - py)
-                for ix, iy in geom.wall_cells_near(x, y, traj.radius_mm + 2 * h)
-                for px, py in [geom.closest_point_on_cell(ix, iy, x, y)]
+                for ix, iy in scan_wall_cells(wall, h, x, y, traj.radius_mm + 2 * h)
+                for px, py in [closest_point_on_cell(h, ix, iy, x, y)]
             ),
             default=np.inf,
         )
@@ -342,3 +357,101 @@ def test_grad_speed_force_source_runs(ring_maze, ring_fields):
     )
     traj = simulate(ring_maze, params, ring_fields)
     assert len(traj) > 1  # the alternative force field drives motion too
+
+
+# ---------------------------------------------------------------------------
+# The prefiltered wall queries against the cell-by-cell scans.
+
+
+@pytest.fixture(scope="module")
+def query_mazes(ring_maze):
+    out = {}
+    bifurcation = generate_bifurcation_maze(38.0, 42.0, 4.0)
+    for name, maze in (("ring", ring_maze), ("bifurcation", bifurcation)):
+        cells = {
+            "negative": sorted(maze.electrode_cells(Polarity.NEGATIVE)),
+            "wall": [(int(x), int(y)) for y, x in zip(*np.nonzero(maze.wall_mask()))],
+            "channel": [(int(x), int(y)) for y, x in zip(*np.nonzero(maze.channel_mask()))],
+        }
+        out[name] = (_Geometry(maze), cells)
+    return out
+
+
+_DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)) + tuple(
+    (sx * math.sqrt(0.5), sy * math.sqrt(0.5)) for sx in (1, -1) for sy in (1, -1)
+)
+# Offsets (in cells) of the disk edge from the point it should touch: exact
+# touch, round-off either side, the contact tolerance and its edges, and
+# clear gaps or overlaps.
+_JITTER = (0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-3, 1e-3 + 1e-12, 1e-3 - 1e-12, -1e-3, 0.3, -0.3)
+
+
+@settings(max_examples=1000)
+@given(
+    name=st.sampled_from(("ring", "bifurcation")),
+    radius=st.sampled_from((0.4, 1.0, 1.5, 2.25)),
+    kind=st.sampled_from(("free", "channel", "wall", "negative", "rim")),
+    u=st.floats(0.0, 1.0),
+    v=st.floats(0.0, 1.0),
+    k=st.integers(0, 10**6),
+    direction=st.sampled_from(_DIRECTIONS),
+    jitter=st.sampled_from(_JITTER),
+)
+def test_wall_queries_match_cell_scan(query_mazes, name, radius, kind, u, v, k, direction, jitter):
+    geom, cells = query_mazes[name]
+    h = geom.h
+    width, height = geom.nx * h, geom.ny * h
+    reach = radius + jitter * h
+    if kind == "free":
+        x, y = u * width, v * height
+    elif kind == "channel":
+        ix, iy = cells["channel"][k % len(cells["channel"])]
+        x, y = (ix + u) * h, (iy + v) * h
+    elif kind == "rim":
+        x = reach if k % 2 else width - reach
+        y = v * height
+        if k % 4 >= 2:
+            x, y = u * width, (reach if k % 2 else height - reach)
+    else:
+        # a corner, an edge point or an inner point of a wall or electrode
+        # cell, with the disk centre `reach` away from it along `direction`
+        ix, iy = cells[kind][k % len(cells[kind])]
+        px = (ix + (round(u) if k % 3 == 0 else u)) * h
+        py = (iy + (round(v) if k % 3 != 2 else v)) * h
+        x, y = px + reach * direction[0], py + reach * direction[1]
+
+    wall = geom.wall
+    assert _contact_normals(geom, x, y, radius) == scan_contact_normals(wall, h, x, y, radius)
+    assert _resolve_overlap(geom, x, y, radius) == scan_resolve_overlap(wall, h, x, y, radius)
+    assert _disk_fits(geom, x, y, radius) == scan_disk_fits(wall, h, x, y, radius)
+    assert _disk_overlaps_negative(geom, x, y, radius) == scan_disk_overlaps_cells(
+        h, x, y, radius, cells["negative"]
+    )
+
+
+def test_simulate_evaluates_force_once_per_position(straight_maze, monkeypatch):
+    fields = compute_fields(straight_maze)
+    auto = simulate(straight_maze, DynamicsParams(static_threshold=0.0), fields)
+    params = DynamicsParams(static_threshold=0.0, dt=auto.dt, noise_amplitude=2e-4, noise_seed=3)
+    calls = 0
+    integrate = dynamics.disk_integrate
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "disk_integrate", counting)
+    traj = simulate(straight_maze, params, fields)
+    steps = len(traj) - 1
+    assert steps > 50
+    assert calls == steps + 1
+
+
+def test_auto_dt_propagates_unexpected_errors(straight_maze, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken path extraction")
+
+    monkeypatch.setattr(oracle, "extract_path", broken)
+    with pytest.raises(RuntimeError, match="broken path extraction"):
+        simulate(straight_maze, DynamicsParams(static_threshold=0.0))

@@ -1,0 +1,79 @@
+"""Golden bundles: two committed example configs must keep producing the
+same bytes in every artifact.
+
+The digests were recorded before the droplet and streamline integrators
+were optimised, so they pin the outputs of the original per-cell code.
+report.json is hashed after dropping its timestamp, serialised the way
+export_bundle writes it. A change that alters any number on purpose
+updates these digests and says so in CHANGES.md.
+
+The run goes through `dropmaze simulate` in a child interpreter with one
+BLAS thread, as the benchmark runs it: the solver's dot products come
+from OpenBLAS, whose threaded reduction order, and so the last bits of
+the potential, depends on the thread count.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dropmaze
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+EXIT_CODES = {"bifurcation_lock": 2, "ring_m2": 0}
+RUN_CLI = "import sys; from dropmaze.cli import main; sys.exit(main(sys.argv[1:]))"
+
+GOLDEN = {
+    "bifurcation_lock": {
+        "comparison.json": "8ea745534ffdc621fc865a2ea143ad0dbbe84ff919409a0e9e4bebd169b388cb",
+        "current.csv": "0a361db01a0f4ff53f68f41cd9e5da6595933b35f6980aeb0cdb6e2a9579fc56",
+        "joule.pgm": "e7741d68330462f8353d955bd175882e877e2a053abc20ad2e1e1bc7e8390977",
+        "path.csv": "19d450d4a427acfa00bc9cc0ca80e222630af11154ade9bac4148002b8b85d73",
+        "potential.csv": "2d712ef446b7020735d24647be6322fd71e8948419a65b66d2dcfd6769de887f",
+        "potential.pgm": "8e23517a71d32e24552a48e4b0ed570b936643e6558952d542471ab11c9d672f",
+        "report.json": "bf7a4bff37b2a8038fd3162e8cc84c6b4e42442fe06223c5f4dd01e163450f6d",
+        "trajectory.csv": "a6ffc785cd9f41309538676a77c1839d3b55b4ed8815477c57cd23d0183a1a45",
+    },
+    "ring_m2": {
+        "comparison.json": "2c281c6831ea72a719623b78337cb5a0147238eaddb5f950ec41fb914fd94cb5",
+        "current.csv": "a985ff9bc0261f23b94c2675329cd82029879cd28e05a62666920b895c4609b7",
+        "joule.pgm": "db99568128f4041fa4aec36fa578586ff0248726f9af5b44166268ad08323c45",
+        "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
+        "potential.csv": "ae873406e0c9043c99784100e5d520a23e65da64c789448594953f1cd7b87624",
+        "potential.pgm": "e01b83fa94d79d1f3144caf7b2472cae2ddf37179eac82a28deaece887fa1fba",
+        "report.json": "9eef652299c981ffadef989aadc729c2afaf7a9bdf380c01065a0977c16b4881",
+        "trajectory.csv": "9b8009aa88d71de16b9a1cf63bb0030e2a255c19e3c9616e1efeef792e41b680",
+    },
+}
+
+
+def _digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "report.json":
+        report = json.loads(data)
+        report.pop("timestamp")
+        data = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bundle_matches_golden_digests(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(dropmaze.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    args = ["simulate", "--config", str(CONFIGS / f"{name}.cfg"), "--out", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == EXIT_CODES[name], done.stderr
+    digests = {p.name: _digest(p) for p in sorted(tmp_path.iterdir())}
+    assert digests == GOLDEN[name]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dropmaze as dm
+from dropmaze import oracle
 from dropmaze.maze import parse_maze
 from dropmaze.oracle import (
     StreamTermination,
@@ -17,9 +18,11 @@ from dropmaze.oracle import (
     trace_route_streamline,
 )
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze
+from dropmaze.scenario import build_maze
 from dropmaze.solver import compute_fields
 
-from oracles import bfs_distances
+from conftest import ring_config
+from oracles import array_bilinear, bfs_distances, bfs_wall_distance
 
 
 def test_lee_corridor_labels():
@@ -238,3 +241,52 @@ def test_compare_trajectory_bounded_by_channel_width(straight_maze):
     seg = segment_corridors(straight_maze)
     m = dm.compare_trajectory(traj, path, seg)
     assert m.max_lateral_deviation_mm <= 4 * straight_maze.cell_size
+
+
+@pytest.mark.parametrize(
+    "maze",
+    [
+        pytest.param(lambda: generate_bifurcation_maze(38.0, 42.0, 4.0), id="bifurcation"),
+        pytest.param(lambda: build_maze(ring_config(cell_size_mm=0.25)), id="ring_m2_0.25mm"),
+        pytest.param(lambda: build_maze(ring_config(coat_corners=True)), id="ring_coated"),
+    ],
+)
+def test_wall_distance_matches_bfs(maze):
+    channel = maze().channel_mask()
+    dist = oracle._wall_distance(channel)
+    assert dist.dtype == np.int32
+    assert np.array_equal(dist, bfs_wall_distance(channel))
+
+
+@given(st.integers(0, 10_000))
+def test_wall_distance_matches_bfs_on_random_masks(seed):
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+    channel = rng.random(shape) < rng.choice([0.5, 0.9, 1.0])
+    assert np.array_equal(oracle._wall_distance(channel), bfs_wall_distance(channel))
+
+
+def test_list_backed_streamlines_match_array_sampler(ring_maze, ring_fields, monkeypatch):
+    """Every fan streamline is point-for-point the one the numpy-element
+    sampler traces."""
+    traced = []
+    real_streamline = oracle.streamline
+
+    def recording(*args, **kwargs):
+        result = real_streamline(*args, **kwargs)
+        traced.append(result.points)
+        return result
+
+    monkeypatch.setattr(oracle, "streamline", recording)
+    bif = generate_bifurcation_maze(38.0, 42.0, 4.0)
+    for j, maze in ((ring_fields.j, ring_maze), (compute_fields(bif).j, bif)):
+        traced.clear()
+        trace_route_streamline(j, maze)
+        fan = list(traced)
+        traced.clear()
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_bilinear", lambda grid, x, y, j=j: array_bilinear(j, x, y))
+            trace_route_streamline(j, maze)
+        assert len(fan) == len(traced) >= 8
+        assert sum(len(points) for points in fan) > 1000
+        assert all(np.array_equal(a, b) for a, b in zip(fan, traced))
