@@ -43,7 +43,6 @@ from .solver import (
     maze_dirichlet,
     solve_maze,
     solve_potential,
-    speed_field,
 )
 
 __version__ = "0.1.0"

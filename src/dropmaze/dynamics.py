@@ -24,6 +24,15 @@ from typing import Iterator
 import numpy as np
 
 from .maze import MazeSpec, Polarity
+from .oracle import (
+    CorridorSegmentation,
+    LeeLabels,
+    UnreachableError,
+    bfs,
+    extract_path,
+    lee_label,
+    segment_corridors,
+)
 from .solver import (
     MM_TO_M,
     FieldBundle,
@@ -379,62 +388,40 @@ def step(
     return _advance(state, params, geom, *_effective_force(raw, normals))
 
 
-def _estimate_channel_width_cells(maze: MazeSpec) -> float:
-    from .oracle import _wall_distance, thin_mask
+def droplet_radius_mm(
+    params: DynamicsParams, seg: CorridorSegmentation | None, cell_size: float
+) -> float:
+    """The droplet radius: params.radius_mm, or when that is 0 a default
+    scaled to the corridor width. seg is read only for the default."""
+    if params.radius_mm > 0:
+        return params.radius_mm
+    # Large enough that corridors keep the disk near their centreline
+    # (the droplet in a narrow channel is comparable to its width).
+    return 0.375 * seg.width_cells * cell_size
 
-    channel = maze.channel_mask()
-    skel = thin_mask(channel)
-    dist = _wall_distance(channel)
-    on_skel = dist[skel]
-    return 2.0 * float(np.median(on_skel)) if on_skel.size else 1.0
 
-
-def _find_start(
-    geom: _Geometry,
-    maze: MazeSpec,
-    radius: float,
-    labels: np.ndarray | None = None,
-) -> tuple[int, int]:
+def find_start(maze: MazeSpec, radius: float, labels: LeeLabels) -> tuple[int, int]:
     """Nearest channel cell to the positive electrode whose disk fits
     without covering the pinned electrode cells.
 
     Among equally near candidates the downstream one (smallest wavefront
-    label) wins: the droplet detaches on the side the current pulls it."""
-    channel = maze.channel_mask()
-    pos = set(geom.positive_cells)
-    dist = np.full(channel.shape, -1, dtype=np.int32)
-    queue: deque[tuple[int, int]] = deque()
-    for ix, iy in geom.positive_cells:
-        dist[iy, ix] = 0
-        queue.append((ix, iy))
-    order: list[tuple[int, int]] = []
-    while queue:
-        ix, iy = queue.popleft()
-        order.append((ix, iy))
-        for dx, dy in ((1, 0), (0, -1), (-1, 0), (0, 1)):
-            jx, jy = ix + dx, iy + dy
-            if 0 <= jx < maze.nx and 0 <= jy < maze.ny and channel[jy, jx] and dist[jy, jx] < 0:
-                dist[jy, jx] = dist[iy, ix] + 1
-                queue.append((jx, jy))
+    label) wins: the droplet detaches on the side the current pulls it;
+    remaining ties go to the lowest row, then the lowest column."""
+    geom = _Geometry(maze)
+    pos = geom.positive_cells
+    dist, _ = bfs(maze.channel_mask(), pos)
+    iys, ixs = np.nonzero(dist > 0)
+    lab = np.maximum(labels.labels[iys, ixs], 0)
     h = geom.h
-    best: tuple[int, int, int, int] | None = None  # (e1_dist, label, iy, ix)
-    for ix, iy in order:
-        if best is not None and dist[iy, ix] > best[0]:
-            break
-        if (ix, iy) in pos:
-            continue
+    for k in np.lexsort((ixs, iys, lab, dist[iys, ixs])).tolist():
+        ix, iy = int(ixs[k]), int(iys[k])
         x, y = (ix + 0.5) * h, (iy + 0.5) * h
         if not _disk_fits(geom, x, y, radius):
             continue
         if any(math.hypot((jx + 0.5) * h - x, (jy + 0.5) * h - y) <= radius for jx, jy in pos):
             continue
-        lab = int(labels[iy, ix]) if labels is not None and labels[iy, ix] >= 0 else 0
-        key = (int(dist[iy, ix]), lab, iy, ix)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise DynamicsError("no start position: channels are narrower than the droplet")
-    return best[3], best[2]
+        return ix, iy
+    raise DynamicsError("no start position: channels are narrower than the droplet")
 
 
 def _auto_dt(
@@ -448,8 +435,6 @@ def _auto_dt(
 ) -> float:
     """dt such that the fastest force sample along the oracle route moves the
     disk at most half a cell per step."""
-    from .oracle import UnreachableError, extract_path
-
     try:
         cells = extract_path(labels, start).cells
     except UnreachableError:
@@ -476,33 +461,35 @@ def simulate(
     params: DynamicsParams,
     fields: FieldBundle | None = None,
     start_mm: tuple[float, float] | None = None,
+    *,
+    seg: CorridorSegmentation | None = None,
+    labels: LeeLabels | None = None,
 ) -> Trajectory:
     """Run the droplet from beside the positive electrode until it reaches
     the negative electrode, locks, or exhausts max_steps.
 
     start_mm overrides the default placement (useful to put the droplet
     exactly on a symmetry axis); by default the droplet sits on the centre
-    of the nearest downstream channel cell whose disk fits."""
-    from .oracle import lee_label
-
+    of the nearest downstream channel cell whose disk fits. seg and labels
+    are the maze's segment_corridors and lee_label results, computed here
+    when not given."""
     if fields is None:
         fields = compute_fields(maze)
     field = select_force_field(fields, params.force_source)
     geom = _Geometry(maze)
-    labels = lee_label(maze)
+    if labels is None:
+        labels = lee_label(maze)
+    if seg is None and params.radius_mm <= 0:
+        seg = segment_corridors(maze)
 
-    radius = params.radius_mm
-    if radius <= 0:
-        # Large enough that corridors keep the disk near their centreline
-        # (the droplet in a narrow channel is comparable to its width).
-        radius = 0.375 * _estimate_channel_width_cells(maze) * maze.cell_size
+    radius = droplet_radius_mm(params, seg, maze.cell_size)
     if start_mm is not None:
         x0, y0 = float(start_mm[0]), float(start_mm[1])
         if not _disk_fits(geom, x0, y0, radius):
             raise DynamicsError(f"droplet of radius {radius} mm does not fit at {start_mm}")
         start_cell = (int(x0 // geom.h), int(y0 // geom.h))
     else:
-        start_cell = _find_start(geom, maze, radius, labels.labels)
+        start_cell = find_start(maze, radius, labels)
         x0, y0 = maze.cell_center_mm(*start_cell)
 
     dt = params.dt
@@ -582,9 +569,6 @@ class VelocityProfile:
     speeds: np.ndarray
     peak_speed: float
     dwell_segments: tuple[tuple[int, int], ...]  # inclusive sample index ranges
-
-    def dwell_times(self) -> list[tuple[float, float]]:
-        return [(float(self.times[i0]), float(self.times[i1])) for i0, i1 in self.dwell_segments]
 
 
 def velocity_profile(traj: Trajectory, dwell_fraction: float = 0.01) -> VelocityProfile:

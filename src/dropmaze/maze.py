@@ -162,9 +162,6 @@ class MazeSpec:
     def cell_center_mm(self, ix: int, iy: int) -> tuple[float, float]:
         return ((ix + 0.5) * self.cell_size, (iy + 0.5) * self.cell_size)
 
-    def cell_at_mm(self, x: float, y: float) -> tuple[int, int]:
-        return (int(x / self.cell_size), int(y / self.cell_size))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MazeSpec):
             return NotImplemented

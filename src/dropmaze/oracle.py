@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -66,6 +67,51 @@ class Path:
 _DESCENT_ORDER = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 
+def bfs(
+    passable: np.ndarray,
+    sources: Iterable[tuple[int, int]],
+    max_depth: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """4-connected breadth-first search from sources through passable cells.
+
+    Returns (dist, owner), both (ny, nx) int32 and -1 where unreached: the
+    distance in cells from the nearest source, and the index in `sources`
+    of the first-listed source at that distance. Sources are reached at
+    distance 0 whether or not they are passable, and cells at max_depth
+    are not expanded.
+    """
+    ny, nx = passable.shape
+    free = np.asarray(passable, dtype=bool).tobytes()
+    # Flat C-int buffers: element reads are plain Python ints, and numpy
+    # wraps the buffers as the result without a copy.
+    dist = array("i", [-1]) * (nx * ny)
+    owner = array("i", [-1]) * (nx * ny)
+    queue: deque[int] = deque()
+    for k, (ix, iy) in enumerate(sources):
+        i = iy * nx + ix
+        dist[i] = 0
+        owner[i] = k
+        queue.append(i)
+    limit = nx * ny if max_depth is None else max_depth
+    steps = [(dx, dy, dy * nx + dx) for dx, dy in _DESCENT_ORDER]
+    while queue:
+        i = queue.popleft()
+        d = dist[i] + 1
+        if d > limit:
+            continue
+        iy, ix = divmod(i, nx)
+        for dx, dy, di in steps:
+            j = i + di
+            if 0 <= ix + dx < nx and 0 <= iy + dy < ny and free[j] and dist[j] < 0:
+                dist[j] = d
+                owner[j] = owner[i]
+                queue.append(j)
+    return (
+        np.frombuffer(dist, dtype=np.intc).reshape(ny, nx),
+        np.frombuffer(owner, dtype=np.intc).reshape(ny, nx),
+    )
+
+
 def lee_label(
     maze: MazeSpec, destination: Iterable[tuple[int, int]] | None = None
 ) -> LeeLabels:
@@ -84,24 +130,7 @@ def lee_label(
         if not (0 <= ix < maze.nx and 0 <= iy < maze.ny) or not channel[iy, ix]:
             raise ValueError(f"destination cell {(ix, iy)} is not a channel cell")
 
-    labels = np.full(channel.shape, -1, dtype=np.int32)
-    queue: deque[tuple[int, int]] = deque()
-    for ix, iy in sorted(dest):
-        labels[iy, ix] = 0
-        queue.append((ix, iy))
-    while queue:
-        ix, iy = queue.popleft()
-        nxt = labels[iy, ix] + 1
-        for dx, dy in _DESCENT_ORDER:
-            jx, jy = ix + dx, iy + dy
-            if (
-                0 <= jx < maze.nx
-                and 0 <= jy < maze.ny
-                and channel[jy, jx]
-                and labels[jy, jx] < 0
-            ):
-                labels[jy, jx] = nxt
-                queue.append((jx, jy))
+    labels, _ = bfs(channel, sorted(dest))
     labels.setflags(write=False)
     return LeeLabels(labels, dest, maze.cell_size)
 
@@ -318,20 +347,7 @@ def trace_route_streamline(
     neg_cells = maze.electrode_cells(Polarity.NEGATIVE)
 
     # Ring of seed cells two steps out from the positive electrode.
-    dist = np.full(channel.shape, -1, dtype=np.int32)
-    queue: deque[tuple[int, int]] = deque()
-    for ix, iy in sorted(pos_cells):
-        dist[iy, ix] = 0
-        queue.append((ix, iy))
-    while queue:
-        ix, iy = queue.popleft()
-        if dist[iy, ix] >= 3:
-            continue
-        for dx, dy in _DESCENT_ORDER:
-            jx, jy = ix + dx, iy + dy
-            if 0 <= jx < maze.nx and 0 <= jy < maze.ny and channel[jy, jx] and dist[jy, jx] < 0:
-                dist[jy, jx] = dist[iy, ix] + 1
-                queue.append((jx, jy))
+    dist, _ = bfs(channel, sorted(pos_cells), max_depth=2)
     ring = sorted((int(x), int(y)) for y, x in zip(*np.nonzero(dist == 2)))
     if not ring:
         ring = sorted((int(x), int(y)) for y, x in zip(*np.nonzero(dist == 1)))
@@ -537,9 +553,6 @@ class CorridorSegmentation:
     skeleton: np.ndarray  # bool (ny, nx)
     width_cells: float
 
-    def region_at(self, ix: int, iy: int) -> int:
-        return int(self.region[iy, ix])
-
     def cells_of(self, region_ids: Iterable[int]) -> set[tuple[int, int]]:
         wanted = set(region_ids)
         out: set[tuple[int, int]] = set()
@@ -723,20 +736,10 @@ def segment_corridors(
     is_node_arr = np.array(is_node, dtype=bool)
 
     def _grow(seeds: list[tuple[int, int]], depth_limit: int | None) -> None:
-        depth = {c: 0 for c in seeds}
-        queue = deque(seeds)
-        while queue:
-            ix, iy = queue.popleft()
-            d = depth[(ix, iy)]
-            if depth_limit is not None and d >= depth_limit:
-                continue
-            rid = region[iy, ix]
-            for dx, dy in _DESCENT_ORDER:
-                jx, jy = ix + dx, iy + dy
-                if 0 <= jx < nx and 0 <= jy < ny and channel[jy, jx] and region[jy, jx] < 0:
-                    region[jy, jx] = rid
-                    depth[(jx, jy)] = d + 1
-                    queue.append((jx, jy))
+        dist, owner = bfs(channel & (region < 0), seeds, depth_limit)
+        grown = dist > 0
+        seed_rid = np.array([region[iy, ix] for ix, iy in seeds], dtype=np.int32)
+        region[grown] = seed_rid[owner[grown]]
 
     def _seeds(want_node: bool) -> list[tuple[int, int]]:
         out = [

@@ -23,6 +23,8 @@ from .dynamics import (
     Termination,
     Trajectory,
     disk_integrate,
+    droplet_radius_mm,
+    find_start,
     select_force_field,
     simulate,
     velocity_profile,
@@ -38,6 +40,7 @@ from .maze import (
 from .oracle import (
     ComparisonMetrics,
     CorridorSegmentation,
+    LeeLabels,
     Path as OraclePath,
     compare_trajectory,
     extract_path,
@@ -253,19 +256,18 @@ def build_maze(cfg: ScenarioConfig) -> MazeSpec:
     return spec
 
 
-def resolve_start(cfg: ScenarioConfig, maze: MazeSpec) -> tuple[float, float] | None:
+def resolve_start(
+    cfg: ScenarioConfig, maze: MazeSpec, seg: CorridorSegmentation, labels: LeeLabels
+) -> tuple[float, float] | None:
     """auto -> default placement; axis -> default x, vertically centred
-    (the mirror axis of the built-in symmetric mazes); "x,y" -> explicit mm."""
+    (the mirror axis of the built-in symmetric mazes); "x,y" -> explicit mm.
+
+    seg and labels are the maze's segment_corridors and lee_label results."""
     if cfg.start == "auto":
         return None
     if cfg.start == "axis":
-        from .dynamics import _estimate_channel_width_cells, _find_start, _Geometry
-
-        radius = cfg.dynamics.radius_mm
-        if radius <= 0:
-            radius = 0.375 * _estimate_channel_width_cells(maze) * maze.cell_size
-        labels = lee_label(maze)
-        cell = _find_start(_Geometry(maze), maze, radius, labels.labels)
+        radius = droplet_radius_mm(cfg.dynamics, seg, maze.cell_size)
+        cell = find_start(maze, radius, labels)
         x = (cell[0] + 0.5) * maze.cell_size
         return (x, maze.ny * maze.cell_size / 2.0)
     try:
@@ -285,15 +287,13 @@ class CornerForceStats:
 
 
 def corner_force_stats(
-    maze: MazeSpec, fields: FieldBundle, params: DynamicsParams
+    maze: MazeSpec, fields: FieldBundle, params: DynamicsParams, seg: CorridorSegmentation
 ) -> CornerForceStats:
     """Max disk-integrated force magnitude over channel cells within one
-    channel width of a convex wall corner; the probe disk has half the
-    channel width (radius = width/4)."""
-    from .dynamics import _estimate_channel_width_cells
-
+    channel width (seg.width_cells) of a convex wall corner; the probe disk
+    has half the channel width (radius = width/4)."""
     corners = convex_corner_cells(maze)
-    width_mm = _estimate_channel_width_cells(maze) * maze.cell_size
+    width_mm = seg.width_cells * maze.cell_size
     radius = width_mm / 4.0
     field_arr = select_force_field(fields, params.force_source)
     wall = maze.wall_mask()
@@ -394,15 +394,10 @@ def run_oracle_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> d
     The start cell is the droplet's default placement so the oracle route
     is the one a simulate run gets compared against.
     """
-    from .dynamics import _estimate_channel_width_cells, _find_start, _Geometry
-
     maze, components, fields = prepare_fields(cfg)
     seg = segment_corridors(maze)
     labels = lee_label(maze)
-    radius = cfg.dynamics.radius_mm
-    if radius <= 0:
-        radius = 0.375 * _estimate_channel_width_cells(maze) * maze.cell_size
-    start = _find_start(_Geometry(maze), maze, radius, labels.labels)
+    start = find_start(maze, droplet_radius_mm(cfg.dynamics, seg, maze.cell_size), labels)
     path = extract_path(labels, start)
     p_seq = region_sequence(path.cells, seg)
     stream = trace_route_streamline(fields.j, maze, seg=seg)
@@ -431,16 +426,16 @@ def run_oracle_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> d
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """solve -> fields -> simulate -> oracle -> compare, all in memory."""
     maze, components, fields = prepare_fields(cfg)
-    start_mm = resolve_start(cfg, maze)
-    traj = simulate(maze, cfg.dynamics, fields, start_mm=start_mm)
-
     seg = segment_corridors(maze)
     labels = lee_label(maze)
+    start_mm = resolve_start(cfg, maze, seg, labels)
+    traj = simulate(maze, cfg.dynamics, fields, start_mm=start_mm, seg=seg, labels=labels)
+
     path = extract_path(labels, traj.start_cell)
     comparison = compare_trajectory(traj, path, seg)
     stream = trace_route_streamline(fields.j, maze, seg=seg)
     stream_seq = region_sequence(stream.cells(maze.cell_size), seg)
-    corner = corner_force_stats(maze, fields, cfg.dynamics)
+    corner = corner_force_stats(maze, fields, cfg.dynamics, seg)
 
     thr = cfg.dynamics.static_threshold
     sensitive = (

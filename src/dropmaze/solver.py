@@ -369,10 +369,6 @@ def joule_heating(j: VectorField, sigma: np.ndarray) -> ScalarField:
     return ScalarField(p, j.cell_size, Quantity.JOULE_POWER)
 
 
-def speed_field(j: VectorField) -> ScalarField:
-    return ScalarField(j.magnitude(), j.cell_size, Quantity.SPEED_OF_J)
-
-
 def grad_speed_of_j(
     j: VectorField, sigma: np.ndarray, valid_mask: np.ndarray | None = None
 ) -> VectorField:

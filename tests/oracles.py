@@ -4,7 +4,8 @@ Everything here is deliberately written the slow, obvious way and shares no
 code with the package internals: dense Gaussian elimination for the
 potential, exhaustive BFS for shortest distances, a two-resistor
 Kirchhoff split for branch currents, cell-by-cell scans for the droplet's
-wall queries, and element-wise numpy sampling for streamlines.
+wall queries and start cell, and element-wise numpy sampling for
+streamlines.
 """
 
 from __future__ import annotations
@@ -231,6 +232,46 @@ def scan_disk_fits(wall, h, x, y, radius):
         if math.hypot(x - px, y - py) < radius - 1e-9:
             return False
     return True
+
+
+def bfs_order_find_start(channel, wall, h, positive_cells, radius, labels):
+    """The droplet's default start cell, scanning channel cells in
+    breadth-first order out from the positive electrode: among the nearest
+    cells whose disk fits without covering an electrode cell, the smallest
+    (label, iy, ix), with unreachable labels counting as 0. None when no
+    cell qualifies."""
+    channel = np.asarray(channel, dtype=bool)
+    ny, nx = channel.shape
+    pos = set(positive_cells)
+    dist = np.full((ny, nx), -1, dtype=np.int64)
+    queue = deque()
+    for ix, iy in sorted(pos):
+        dist[iy, ix] = 0
+        queue.append((ix, iy))
+    order = []
+    while queue:
+        ix, iy = queue.popleft()
+        order.append((ix, iy))
+        for dx, dy in ((1, 0), (0, -1), (-1, 0), (0, 1)):
+            jx, jy = ix + dx, iy + dy
+            if 0 <= jx < nx and 0 <= jy < ny and channel[jy, jx] and dist[jy, jx] < 0:
+                dist[jy, jx] = dist[iy, ix] + 1
+                queue.append((jx, jy))
+    best = None
+    for ix, iy in order:
+        if best is not None and dist[iy, ix] > best[0]:
+            break
+        if (ix, iy) in pos:
+            continue
+        x, y = (ix + 0.5) * h, (iy + 0.5) * h
+        if not scan_disk_fits(wall, h, x, y, radius):
+            continue
+        if any(math.hypot((jx + 0.5) * h - x, (jy + 0.5) * h - y) <= radius for jx, jy in pos):
+            continue
+        key = (int(dist[iy, ix]), max(int(labels[iy, ix]), 0), iy, ix)
+        if best is None or key < best:
+            best = key
+    return None if best is None else (best[3], best[2])
 
 
 def scan_disk_overlaps_cells(h, x, y, radius, cells):

@@ -18,6 +18,8 @@ from dropmaze.dynamics import (
     _Geometry,
     _resolve_overlap,
     disk_integrate,
+    droplet_radius_mm,
+    find_start,
     simulate,
     step,
     velocity_profile,
@@ -28,6 +30,7 @@ from dropmaze.oracle import extract_path, lee_label, segment_corridors
 from dropmaze.solver import VectorField, VectorQuantity, compute_fields
 
 from oracles import (
+    bfs_order_find_start,
     closest_point_on_cell,
     scan_contact_normals,
     scan_disk_fits,
@@ -452,6 +455,67 @@ def test_auto_dt_propagates_unexpected_errors(straight_maze, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken path extraction")
 
-    monkeypatch.setattr(oracle, "extract_path", broken)
+    monkeypatch.setattr(dynamics, "extract_path", broken)
     with pytest.raises(RuntimeError, match="broken path extraction"):
         simulate(straight_maze, DynamicsParams(static_threshold=0.0))
+
+
+# An open room whose negative electrode is walled off: every Lee label is
+# -1, so start cells equally near the positive electrode tie on the label
+# and the row, then the column, decides.
+ROOM_TEXT = """cell_size_mm = 0.5
+
+#########
+#.......#
+#.......#
+#.......#
+#...S...#
+#.......#
+#.......#
+#.......#
+#########
+#T#######
+"""
+
+
+@pytest.fixture(scope="module")
+def placement_mazes(ring_maze):
+    bifurcation = generate_bifurcation_maze(38.0, 42.0, 4.0)
+    return {"ring": ring_maze, "bifurcation": bifurcation, "room": parse_maze(ROOM_TEXT)}
+
+
+@pytest.mark.parametrize("name", ["ring", "bifurcation", "room"])
+def test_find_start_matches_bfs_order_scan(placement_mazes, name):
+    maze = placement_mazes[name]
+    labels = lee_label(maze)
+    default = droplet_radius_mm(DynamicsParams(), segment_corridors(maze), maze.cell_size)
+    pos = sorted(maze.electrode_cells(Polarity.POSITIVE))
+    wants = []
+    for radius in (0.3, 0.5, 1.0, 1.25, default, 1.9, 3.0):
+        want = bfs_order_find_start(
+            maze.channel_mask(), maze.wall_mask(), maze.cell_size, pos, radius, labels.labels
+        )
+        wants.append(want)
+        if want is None:
+            with pytest.raises(DynamicsError):
+                find_start(maze, radius, labels)
+        else:
+            assert find_start(maze, radius, labels) == want
+    assert wants[0] is not None and wants[-1] is None
+
+
+def test_simulate_with_precomputed_analyses_is_unchanged(placement_mazes):
+    maze = placement_mazes["bifurcation"]
+    fields = compute_fields(maze)
+    params = DynamicsParams()
+    plain = simulate(maze, params, fields)
+    given = simulate(
+        maze, params, fields, seg=segment_corridors(maze), labels=lee_label(maze)
+    )
+    assert len(plain) > 500
+    for a, b in ((plain.times, given.times), (plain.xs, given.xs), (plain.ys, given.ys),
+                 (plain.speeds, given.speeds), (plain.forces, given.forces)):
+        assert np.array_equal(a, b)
+    assert (plain.start_cell, plain.radius_mm, plain.dt, plain.termination) == (
+        given.start_cell, given.radius_mm, given.dt, given.termination
+    )

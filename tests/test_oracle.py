@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 import dropmaze as dm
 from dropmaze import oracle
-from dropmaze.maze import parse_maze
+from dropmaze.maze import Polarity, parse_maze
 from dropmaze.oracle import (
     StreamTermination,
     UnreachableError,
+    bfs,
     extract_path,
     hot_region_route,
     lee_label,
@@ -264,6 +265,50 @@ def test_wall_distance_matches_bfs_on_random_masks(seed):
     shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
     channel = rng.random(shape) < rng.choice([0.5, 0.9, 1.0])
     assert np.array_equal(oracle._wall_distance(channel), bfs_wall_distance(channel))
+
+
+@pytest.mark.parametrize(
+    "maze",
+    [
+        pytest.param(lambda: generate_bifurcation_maze(38.0, 42.0, 4.0), id="bifurcation"),
+        pytest.param(lambda: build_maze(ring_config()), id="ring_m2"),
+    ],
+)
+def test_bfs_distances_match_reference(maze):
+    maze = maze()
+    channel = maze.channel_mask()
+    for polarity in (Polarity.NEGATIVE, Polarity.POSITIVE):
+        sources = sorted(maze.electrode_cells(polarity))
+        dist, owner = bfs(channel, sources)
+        want = bfs_distances(channel, sources)
+        assert dist.dtype == np.int32
+        assert np.array_equal(dist, want)
+        assert np.array_equal(owner >= 0, want >= 0)
+        for depth in (0, 2, 7):
+            capped, _ = bfs(channel, sources, max_depth=depth)
+            assert np.array_equal(capped, np.where(want <= depth, want, -1))
+
+
+@given(st.integers(0, 10_000))
+def test_bfs_matches_reference_on_random_masks(seed):
+    """Distances equal the reference BFS, and each reached cell's owner is
+    the first-listed source among those nearest to it."""
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+    passable = rng.random(shape) < rng.choice([0.5, 0.8, 1.0])
+    cells = [(ix, iy) for iy in range(shape[0]) for ix in range(shape[1])]
+    picks = rng.choice(len(cells), size=int(rng.integers(1, min(4, len(cells)) + 1)), replace=False)
+    sources = [cells[k] for k in picks]
+    want = bfs_distances(passable, sources)
+    per_source = np.array([bfs_distances(passable, [s]) for s in sources])
+    want_owner = np.where(want >= 0, np.argmax(per_source == want, axis=0), -1)
+    dist, owner = bfs(passable, sources)
+    assert np.array_equal(dist, want)
+    assert np.array_equal(owner, want_owner)
+    depth = int(rng.integers(0, 6))
+    dist, owner = bfs(passable, sources, max_depth=depth)
+    assert np.array_equal(dist, np.where(want <= depth, want, -1))
+    assert np.array_equal(owner, np.where(want <= depth, want_owner, -1))
 
 
 def test_list_backed_streamlines_match_array_sampler(ring_maze, ring_fields, monkeypatch):

@@ -1,8 +1,11 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
 import dropmaze as dm
+from dropmaze import oracle
 from dropmaze.dynamics import DynamicsParams, Termination
 from dropmaze.scenario import (
     ConfigError,
@@ -188,3 +191,33 @@ def test_scenario_echoes_config(ring_scenario):
     assert echo["generator"] == "ring"
     assert echo["seed"] == ring_scenario.config.seed
     assert echo["dynamics"]["static_threshold"] == pytest.approx(1.9e-3)
+
+
+def test_run_scenario_computes_each_analysis_once(monkeypatch):
+    """An axis-start run with the default radius labels the maze, segments
+    it and thins its channel once each."""
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "dropmaze"]
+    for name in ("lee_label", "segment_corridors", "thin_mask"):
+        original = getattr(oracle, name)
+        wrapper = counted(name, original)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    cfg = ScenarioConfig(
+        generator="bifurcation", len_a_mm=40.0, len_b_mm=40.0, start="axis",
+        dynamics=DynamicsParams(max_steps=200),
+    )
+    result = run_scenario(cfg)
+    assert cfg.dynamics.radius_mm == 0
+    assert result.trajectory.radius_mm == 0.375 * result.segmentation.width_cells * 0.5
+    assert calls == {"lee_label": 1, "segment_corridors": 1, "thin_mask": 1}
