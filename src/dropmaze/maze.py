@@ -346,21 +346,13 @@ def conductivity_grid(spec: MazeSpec) -> np.ndarray:
 
 def convex_corner_cells(spec: MazeSpec) -> list[tuple[int, int]]:
     """Wall cells forming a sharp (convex) corner: a wall with channel
-    neighbours in two perpendicular directions."""
+    neighbours in two perpendicular directions. Row-major order."""
     channel = spec.channel_mask()
-    ny, nx = channel.shape
-    out = []
-    for iy in range(ny):
-        for ix in range(nx):
-            if channel[iy, ix]:
-                continue
-            east = ix + 1 < nx and channel[iy, ix + 1]
-            west = ix - 1 >= 0 and channel[iy, ix - 1]
-            north = iy - 1 >= 0 and channel[iy - 1, ix]
-            south = iy + 1 < ny and channel[iy + 1, ix]
-            if (east or west) and (north or south):
-                out.append((ix, iy))
-    return out
+    padded = np.pad(channel, 1)
+    east_west = padded[1:-1, 2:] | padded[1:-1, :-2]
+    north_south = padded[:-2, 1:-1] | padded[2:, 1:-1]
+    iys, ixs = np.nonzero(~channel & east_west & north_south)
+    return list(zip(ixs.tolist(), iys.tolist()))
 
 
 def coat_sharp_corners(spec: MazeSpec, sigma_coating: float | None = None) -> MazeSpec:

@@ -119,26 +119,26 @@ def render_trajectory_overlay(
 
 def write_field_csv(path: str | Path, field: ScalarField | VectorField) -> None:
     """Scalar: x_mm,y_mm,<quantity>. Vector: x_mm,y_mm,<quantity>,vx,vy
-    (third column is the magnitude). Rows run left-to-right, top-to-bottom."""
+    (third column is the magnitude). Rows run left-to-right, top-to-bottom.
+
+    Values are written with repr, one grid row at a time, so only one
+    row's Python floats and strings exist at once."""
     h = field.cell_size
-    lines: list[str] = []
-    if isinstance(field, VectorField):
-        lines.append(f"x_mm,y_mm,{field.quantity.value},vx,vy")
-        mag = field.magnitude()
-        for iy in range(field.ny):
-            y = (iy + 0.5) * h
-            for ix in range(field.nx):
-                lines.append(
-                    f"{(ix + 0.5) * h!r},{y!r},{float(mag[iy, ix])!r},"
-                    f"{float(field.vx[iy, ix])!r},{float(field.vy[iy, ix])!r}"
-                )
-    else:
-        lines.append(f"x_mm,y_mm,{field.quantity.value}")
-        for iy in range(field.ny):
-            y = (iy + 0.5) * h
-            for ix in range(field.nx):
-                lines.append(f"{(ix + 0.5) * h!r},{y!r},{float(field.values[iy, ix])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    xs = [repr((ix + 0.5) * h) for ix in range(field.nx)]
+    with open(path, "w") as f:
+        if isinstance(field, VectorField):
+            f.write(f"x_mm,y_mm,{field.quantity.value},vx,vy\n")
+            mag = field.magnitude()
+            for iy in range(field.ny):
+                y = repr((iy + 0.5) * h)
+                rows = zip(xs, mag[iy].tolist(), field.vx[iy].tolist(), field.vy[iy].tolist())
+                f.write("".join([f"{x},{y},{m!r},{vx!r},{vy!r}\n" for x, m, vx, vy in rows]))
+        else:
+            f.write(f"x_mm,y_mm,{field.quantity.value}\n")
+            for iy in range(field.ny):
+                y = repr((iy + 0.5) * h)
+                rows = zip(xs, field.values[iy].tolist())
+                f.write("".join([f"{x},{y},{v!r}\n" for x, v in rows]))
 
 
 def read_field_csv(path: str | Path) -> ScalarField | VectorField:

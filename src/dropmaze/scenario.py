@@ -22,6 +22,7 @@ from .dynamics import (
     ForceSource,
     Termination,
     Trajectory,
+    disk_force_screen,
     disk_integrate,
     droplet_radius_mm,
     find_start,
@@ -286,27 +287,68 @@ class CornerForceStats:
     disk_radius_mm: float
 
 
+def _near_corners(
+    channel: np.ndarray, corners: list[tuple[int, int]], h: float, reach_mm: float
+) -> np.ndarray:
+    """Channel cells whose centre lies within reach_mm of a corner cell's
+    centre, by the test math.hypot(x - cx, y - cy) <= reach_mm.
+
+    A stencil offset whose length is clearly below or above reach_mm
+    decides every cell it reaches; the few within a rounding margin of it
+    are tested cell by cell."""
+    ny, nx = channel.shape
+    reach = int(math.ceil(reach_mm / h)) + 1
+    offsets = np.arange(-reach, reach + 1)
+    length = h * np.hypot(offsets[None, :], offsets[:, None])  # [dy, dx]
+    margin = 1e-9 * (max(nx, ny) * h + reach_mm)
+    sure = length <= reach_mm - margin
+    unsure = np.argwhere(abs(length - reach_mm) <= margin) - reach
+    unsure = [(int(dx), int(dy)) for dy, dx in unsure]
+    span = 2 * reach + 1
+    near = np.zeros((ny + 2 * reach, nx + 2 * reach), dtype=bool)
+    for cx, cy in corners:
+        near[cy : cy + span, cx : cx + span] |= sure
+    near = near[reach : reach + ny, reach : reach + nx] & channel
+    for cx, cy in corners:
+        ccx, ccy = (cx + 0.5) * h, (cy + 0.5) * h
+        for dx, dy in unsure:
+            ix, iy = cx + dx, cy + dy
+            if (
+                0 <= ix < nx
+                and 0 <= iy < ny
+                and channel[iy, ix]
+                and math.hypot((ix + 0.5) * h - ccx, (iy + 0.5) * h - ccy) <= reach_mm
+            ):
+                near[iy, ix] = True
+    return near
+
+
 def corner_force_stats(
     maze: MazeSpec, fields: FieldBundle, params: DynamicsParams, seg: CorridorSegmentation
 ) -> CornerForceStats:
     """Max disk-integrated force magnitude over channel cells within one
     channel width (seg.width_cells) of a convex wall corner; the probe disk
-    has half the channel width (radius = width/4)."""
+    has half the channel width (radius = width/4).
+
+    All probes are screened at once (disk_force_screen); only those whose
+    screened force, widened by its rounding bound, can reach the largest
+    screened lower bound are evaluated with disk_integrate, so the maximum
+    is the same float a probe-by-probe scan finds."""
     corners = convex_corner_cells(maze)
     width_mm = seg.width_cells * maze.cell_size
     radius = width_mm / 4.0
     field_arr = select_force_field(fields, params.force_source)
     wall = maze.wall_mask()
     h = maze.cell_size
-    channel_cells = np.nonzero(maze.channel_mask())
+    iys, ixs = np.nonzero(_near_corners(maze.channel_mask(), corners, h, width_mm))
     best = 0.0
-    corner_centers = [((cx + 0.5) * h, (cy + 0.5) * h) for cx, cy in corners]
-    for iy, ix in zip(*channel_cells):
-        x, y = (ix + 0.5) * h, (iy + 0.5) * h
-        if not any(math.hypot(x - cx, y - cy) <= width_mm for cx, cy in corner_centers):
-            continue
-        f = disk_integrate(field_arr, (x, y), radius, wall_mask=wall, gain=params.force_gain)
-        best = max(best, math.hypot(f[0], f[1]))
+    if len(ixs):
+        screened, bound = disk_force_screen(field_arr, (iys, ixs), radius, wall, params.force_gain)
+        keep = screened + bound >= (screened - bound).max()
+        for ix, iy in zip(ixs[keep].tolist(), iys[keep].tolist()):
+            x, y = (ix + 0.5) * h, (iy + 0.5) * h
+            f = disk_integrate(field_arr, (x, y), radius, wall_mask=wall, gain=params.force_gain)
+            best = max(best, math.hypot(f[0], f[1]))
     current = fields.report.current_in
     return CornerForceStats(
         max_force=best,

@@ -134,6 +134,53 @@ def _neighbor_sum(gx: np.ndarray, gy: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
+class _UnknownOperator:
+    """The reduced operator diag * u - _neighbor_sum(u) on the unknown
+    cells, evaluated on those cells only.
+
+    Each unknown cell sums its four neighbour terms in _neighbor_sum's
+    order (east, west, south, north, starting from 0.0), so every value is
+    bit-for-bit the whole-grid one. A neighbour past the rim enters with
+    conductance 0. Its product is a signed zero, and a sum that starts at
+    +0.0 is never -0.0, so adding one leaves the sum unchanged."""
+
+    def __init__(self, gx: np.ndarray, gy: np.ndarray, diag: np.ndarray, unknown: np.ndarray):
+        ny, nx = unknown.shape
+        self.cells = np.flatnonzero(unknown)
+        iy, ix = np.divmod(self.cells, nx)
+        n = len(self.cells)
+        # (neighbour inside the grid, face conductances, face row, face
+        # column, flat offset of the neighbour) for east, west, south, north
+        sides = (
+            (ix < nx - 1, gx, iy, ix, 1),
+            (ix > 0, gx, iy, ix - 1, -1),
+            (iy < ny - 1, gy, iy, ix, nx),
+            (iy > 0, gy, iy - 1, ix, -nx),
+        )
+        self.terms = []
+        for inside, faces, fy, fx, shift in sides:
+            g = np.zeros(n)
+            g[inside] = faces[fy[inside], fx[inside]]
+            self.terms.append((g, np.where(inside, self.cells + shift, self.cells)))
+        self.diag = diag.ravel()[self.cells]
+        self._sum, self._term, self._u = np.empty(n), np.empty(n), np.empty(n)
+
+    def apply(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write A u into out's unknown cells; its other cells, which the
+        caller keeps at 0.0, are not touched."""
+        flat = u.ravel()
+        acc, term = self._sum, self._term
+        acc.fill(0.0)
+        for g, neighbor in self.terms:
+            np.take(flat, neighbor, out=term)
+            acc += np.multiply(g, term, out=term)
+        np.take(flat, self.cells, out=self._u)
+        au = np.multiply(self.diag, self._u, out=self._u)
+        au -= acc
+        out.ravel()[self.cells] = au
+        return out
+
+
 def solve_potential(
     sigma: np.ndarray,
     dirichlet: Mapping[tuple[int, int], float],
@@ -174,11 +221,13 @@ def solve_potential(
 
     b = _neighbor_sum(gx, gy, np.where(dir_mask, dir_val, 0.0))
     b[~unknown] = 0.0
-
-    def matvec(u: np.ndarray) -> np.ndarray:
-        out = diag * u - _neighbor_sum(gx, gy, u)
-        out[~unknown] = 0.0
-        return out
+    # The iteration runs on preallocated buffers. Each in-place update does
+    # the same element-wise IEEE operations as the plain expression in its
+    # comment, so the iterates, and every dot product, are bit-for-bit
+    # those of the expressions. The operator writes only the unknown cells
+    # of its output, ap; the others stay 0.0, the value A u has there.
+    operator = _UnknownOperator(gx, gy, diag, unknown)
+    ap = np.zeros_like(sigma)
 
     def dot(a: np.ndarray, c: np.ndarray) -> float:
         return float(np.dot(a.ravel(), c.ravel()))
@@ -194,11 +243,12 @@ def solve_potential(
         r = b.copy()
         z = inv_diag * r
         p = z.copy()
+        step = np.empty_like(sigma)
         rz = dot(r, z)
         converged = False
         restarts = 0
         while iterations < max_iter:
-            ap = matvec(p)
+            operator.apply(p, ap)  # ap = A p
             pap = dot(p, ap)
             if pap <= 0.0:
                 # Round-off breakdown under extreme conductivity contrast:
@@ -206,25 +256,26 @@ def solve_potential(
                 if restarts >= 8:
                     break
                 restarts += 1
-                r = b - matvec(x)
-                z = inv_diag * r
-                p = z.copy()
+                np.subtract(b, operator.apply(x, ap), out=r)  # r = b - A x
+                np.multiply(inv_diag, r, out=z)  # z = inv_diag * r
+                np.copyto(p, z)
                 rz = dot(r, z)
                 if rz <= 0.0:
                     break
                 continue
             alpha = rz / pap
-            x += alpha * p
-            r -= alpha * ap
+            x += np.multiply(alpha, p, out=step)  # x += alpha * p
+            r -= np.multiply(alpha, ap, out=step)  # r -= alpha * ap
             iterations += 1
             if np.sqrt(dot(r, r)) / bnorm <= tol:
                 converged = True
                 break
-            z = inv_diag * r
+            np.multiply(inv_diag, r, out=z)  # z = inv_diag * r
             rz_new = dot(r, z)
-            p = z + (rz_new / rz) * p
+            p *= rz_new / rz  # p = z + (rz_new / rz) * p
+            p += z
             rz = rz_new
-        true_r = b - matvec(x)
+        true_r = np.subtract(b, operator.apply(x, ap), out=ap)  # b - A x
         final_residual = float(np.sqrt(dot(true_r, true_r)) / bnorm)
         converged = converged and final_residual <= tol
 

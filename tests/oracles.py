@@ -305,3 +305,155 @@ def array_bilinear(j, x_mm, y_mm):
         )
 
     return sample(j.vx), sample(j.vy)
+
+
+def allocating_pcg(sigma, dirichlet, tol=1e-9, max_iter=None):
+    """The Jacobi-PCG of solve_potential as first written, allocating a new
+    array for every intermediate: (phi, iterations, final_residual,
+    restarts)."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    ny, nx = sigma.shape
+    if max_iter is None:
+        max_iter = 50 * max(nx, ny)
+    dir_mask = np.zeros(sigma.shape, dtype=bool)
+    dir_val = np.zeros(sigma.shape)
+    for (ix, iy), v in dirichlet.items():
+        dir_mask[iy, ix] = True
+        dir_val[iy, ix] = v
+
+    a, c = sigma[:, :-1], sigma[:, 1:]
+    gx = np.zeros_like(a)
+    m = (a > 0) & (c > 0)
+    gx[m] = 2.0 * a[m] * c[m] / (a[m] + c[m])
+    a, c = sigma[:-1, :], sigma[1:, :]
+    gy = np.zeros_like(a)
+    m = (a > 0) & (c > 0)
+    gy[m] = 2.0 * a[m] * c[m] / (a[m] + c[m])
+
+    def neighbor_sum(f):
+        out = np.zeros_like(f)
+        out[:, :-1] += gx * f[:, 1:]
+        out[:, 1:] += gx * f[:, :-1]
+        out[:-1, :] += gy * f[1:, :]
+        out[1:, :] += gy * f[:-1, :]
+        return out
+
+    diag = neighbor_sum(np.ones_like(sigma))
+    unknown = (sigma > 0) & ~dir_mask & (diag > 0)
+    b = neighbor_sum(np.where(dir_mask, dir_val, 0.0))
+    b[~unknown] = 0.0
+
+    def matvec(u):
+        out = diag * u - neighbor_sum(u)
+        out[~unknown] = 0.0
+        return out
+
+    def dot(u, v):
+        return float(np.dot(u.ravel(), v.ravel()))
+
+    x = np.zeros_like(sigma)
+    bnorm = np.sqrt(dot(b, b))
+    iterations = 0
+    restarts = 0
+    final_residual = 0.0
+    if bnorm != 0.0:
+        inv_diag = np.where(unknown, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
+        r = b.copy()
+        z = inv_diag * r
+        p = z.copy()
+        rz = dot(r, z)
+        while iterations < max_iter:
+            ap = matvec(p)
+            pap = dot(p, ap)
+            if pap <= 0.0:
+                if restarts >= 8:
+                    break
+                restarts += 1
+                r = b - matvec(x)
+                z = inv_diag * r
+                p = z.copy()
+                rz = dot(r, z)
+                if rz <= 0.0:
+                    break
+                continue
+            alpha = rz / pap
+            x += alpha * p
+            r -= alpha * ap
+            iterations += 1
+            if np.sqrt(dot(r, r)) / bnorm <= tol:
+                break
+            z = inv_diag * r
+            rz_new = dot(r, z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        true_r = b - matvec(x)
+        final_residual = float(np.sqrt(dot(true_r, true_r)) / bnorm)
+    phi = np.where(dir_mask, dir_val, np.where(unknown, x, 0.0))
+    return phi, iterations, final_residual, restarts
+
+
+def write_field_csv_by_cell(path, field):
+    """The field CSV writer as first written: every line built cell by cell
+    from numpy scalars, joined in memory, written at once."""
+    h = field.cell_size
+    lines = []
+    if hasattr(field, "vx"):
+        lines.append(f"x_mm,y_mm,{field.quantity.value},vx,vy")
+        mag = field.magnitude()
+        for iy in range(field.ny):
+            y = (iy + 0.5) * h
+            for ix in range(field.nx):
+                lines.append(
+                    f"{(ix + 0.5) * h!r},{y!r},{float(mag[iy, ix])!r},"
+                    f"{float(field.vx[iy, ix])!r},{float(field.vy[iy, ix])!r}"
+                )
+    else:
+        lines.append(f"x_mm,y_mm,{field.quantity.value}")
+        for iy in range(field.ny):
+            y = (iy + 0.5) * h
+            for ix in range(field.nx):
+                lines.append(f"{(ix + 0.5) * h!r},{y!r},{float(field.values[iy, ix])!r}")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def convex_corner_cells_by_loop(channel):
+    """Wall cells with channel neighbours in two perpendicular directions,
+    found by visiting every cell in row-major order."""
+    channel = np.asarray(channel, dtype=bool)
+    ny, nx = channel.shape
+    out = []
+    for iy in range(ny):
+        for ix in range(nx):
+            if channel[iy, ix]:
+                continue
+            east = ix + 1 < nx and channel[iy, ix + 1]
+            west = ix - 1 >= 0 and channel[iy, ix - 1]
+            north = iy - 1 >= 0 and channel[iy - 1, ix]
+            south = iy + 1 < ny and channel[iy + 1, ix]
+            if (east or west) and (north or south):
+                out.append((ix, iy))
+    return out
+
+
+def brute_force_corner_force(maze, field, width_mm, gain, disk_integrate):
+    """Largest disk force magnitude over every channel cell within width_mm
+    of a convex corner, each probe integrated on its own with the given
+    disk_integrate (disk radius width_mm / 4). Returns the maximum and the
+    probe cells as (ix, iy) in row-major order."""
+    h = maze.cell_size
+    wall = maze.wall_mask()
+    corners = [
+        ((cx + 0.5) * h, (cy + 0.5) * h)
+        for cx, cy in convex_corner_cells_by_loop(maze.channel_mask())
+    ]
+    best = 0.0
+    probes = []
+    for iy, ix in zip(*np.nonzero(maze.channel_mask())):
+        x, y = (ix + 0.5) * h, (iy + 0.5) * h
+        if not any(math.hypot(x - cx, y - cy) <= width_mm for cx, cy in corners):
+            continue
+        probes.append((int(ix), int(iy)))
+        f = disk_integrate(field, (x, y), width_mm / 4.0, wall_mask=wall, gain=gain)
+        best = max(best, math.hypot(f[0], f[1]))
+    return best, probes

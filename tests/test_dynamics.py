@@ -451,6 +451,21 @@ def test_simulate_evaluates_force_once_per_position(straight_maze, monkeypatch):
     assert calls == steps + 1
 
 
+def test_simulate_builds_one_wall_geometry(straight_maze, monkeypatch):
+    """A run that places its own start shares one _Geometry with the start
+    search instead of building a second."""
+    built = []
+
+    class Counted(_Geometry):
+        def __init__(self, maze):
+            built.append(maze)
+            super().__init__(maze)
+
+    monkeypatch.setattr(dynamics, "_Geometry", Counted)
+    simulate(straight_maze, DynamicsParams(static_threshold=0.0, max_steps=5))
+    assert len(built) == 1
+
+
 def test_auto_dt_propagates_unexpected_errors(straight_maze, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken path extraction")

@@ -15,7 +15,7 @@ from dropmaze.maze import (
     validate_and_components,
 )
 
-from oracles import flood_fill_components
+from oracles import convex_corner_cells_by_loop, flood_fill_components
 
 
 def test_parse_minimal_strip():
@@ -250,3 +250,36 @@ def test_coat_sharp_corners_only_changes_corners():
     # the electrodes and physics are untouched
     assert coated.electrodes == spec.electrodes
     assert coated.applied_voltage == spec.applied_voltage
+
+
+class _Mask:
+    """Stands in for a MazeSpec where only the channel mask is read."""
+
+    def __init__(self, channel):
+        self.channel = channel
+
+    def channel_mask(self):
+        return self.channel
+
+
+@pytest.mark.parametrize("name", ["ring", "bifurcation", "ring_coated", "random"])
+def test_convex_corners_match_cell_loop(name, ring_maze):
+    if name == "random":
+        rng = np.random.default_rng(5)
+        shapes = (((1, 9), 0.5), ((9, 1), 0.5), ((13, 17), 0.4), ((40, 31), 0.6))
+        masks = [rng.random(shape) < p for shape, p in shapes]
+        # channel on every rim cell, so the shifts must not wrap around
+        masks.append(np.pad(rng.random((20, 24)) < 0.3, 1, constant_values=True))
+    else:
+        spec = {
+            "ring": ring_maze,
+            "bifurcation": dm.generate_bifurcation_maze(38.0, 42.0, 4.0),
+            "ring_coated": coat_sharp_corners(ring_maze),
+        }[name]
+        masks = [spec.channel_mask()]
+    for channel in masks:
+        want = convex_corner_cells_by_loop(channel)
+        got = convex_corner_cells(_Mask(channel))
+        assert got == want
+        assert all(type(v) is int for cell in got for v in cell)
+    assert want

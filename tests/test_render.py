@@ -11,6 +11,8 @@ from dropmaze.render import (
 )
 from dropmaze.solver import Quantity, ScalarField, VectorField, VectorQuantity
 
+from oracles import write_field_csv_by_cell
+
 
 def test_constant_field_renders_mid_gray(tmp_path):
     field = ScalarField(np.full((5, 7), 3.25), 0.5, Quantity.POTENTIAL)
@@ -128,3 +130,33 @@ def test_trajectory_overlay_has_red_dots(tmp_path, ring_maze, ring_fields):
     img = np.frombuffer(body, dtype=np.uint8).reshape(ring_maze.ny, ring_maze.nx, 3)
     reds = (img[:, :, 0] == 220) & (img[:, :, 1] == 30)
     assert reds.sum() > 50
+
+
+def _edge_values(shape, seed):
+    """Random values salted with signed zeros, subnormals, huge and tiny
+    magnitudes and values whose repr needs all 17 digits."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.1, 1 / 3]
+    flat = values.ravel()
+    flat[: len(special)] = special
+    rng.shuffle(flat)
+    return values
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector", "ring_phi", "ring_j"])
+def test_field_csv_bytes_match_cell_by_cell_writer(tmp_path, ring_fields, kind):
+    if kind == "scalar":
+        field = ScalarField(_edge_values((7, 9), 1), 0.3, Quantity.POTENTIAL)
+    elif kind == "vector":
+        vx, vy = _edge_values((6, 11), 2), _edge_values((6, 11), 3)
+        field = VectorField(vx, vy, 0.25, VectorQuantity.GRAD_SPEED_OF_J)
+    else:
+        field = ring_fields.phi if kind == "ring_phi" else ring_fields.j
+    write_field_csv(tmp_path / "new.csv", field)
+    write_field_csv_by_cell(tmp_path / "old.csv", field)
+    written = (tmp_path / "new.csv").read_bytes()
+    assert written == (tmp_path / "old.csv").read_bytes()
+    if kind in ("scalar", "vector"):
+        for text in (b",-0.0", b",5e-324", b",1e+300", b",0.3333333333333333"):
+            assert text in written

@@ -1,23 +1,34 @@
+import dataclasses
 import json
+import math
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import dropmaze as dm
-from dropmaze import oracle
-from dropmaze.dynamics import DynamicsParams, Termination
+from dropmaze import oracle, scenario
+from dropmaze.dynamics import (
+    DynamicsParams,
+    ForceSource,
+    Termination,
+    disk_force_screen,
+    select_force_field,
+)
 from dropmaze.scenario import (
     ConfigError,
     ScenarioConfig,
     UnsolvableMazeError,
     compare_bundles,
+    corner_force_stats,
     export_bundle,
     parse_config,
     run_scenario,
 )
 
-from conftest import ring_config, straight_channel_text
+from conftest import RING_DYNAMICS, ring_config, straight_channel_text
+from oracles import brute_force_corner_force
 
 BUNDLE_FILES = {
     "report.json",
@@ -221,3 +232,84 @@ def test_run_scenario_computes_each_analysis_once(monkeypatch):
     assert cfg.dynamics.radius_mm == 0
     assert result.trajectory.radius_mm == 0.375 * result.segmentation.width_cells * 0.5
     assert calls == {"lee_label": 1, "segment_corridors": 1, "thin_mask": 1}
+
+
+def _corner_case(name):
+    if name == "straight":
+        return dm.parse_maze(straight_channel_text()), RING_DYNAMICS
+    if name == "bifurcation_symmetric":
+        return dm.generate_bifurcation_maze(40.0, 40.0, 4.0), DynamicsParams()
+    cell = 0.3 if name == "ring_0.3mm" else 0.5
+    maze = dm.generate_ring_maze(2, [1, 1], 70.0, 4.0, 1, cell_size_mm=cell)
+    if name == "ring_coated":
+        maze = dm.coat_sharp_corners(maze)
+    params = RING_DYNAMICS
+    if name == "ring_grad_j":
+        params = DynamicsParams(force_source=ForceSource.DISK_MEAN_GRAD_SPEED_J)
+    return maze, params
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["ring_m2", "ring_coated", "straight", "bifurcation_symmetric", "ring_grad_j", "ring_0.3mm"],
+)
+def test_corner_force_stats_equals_probe_by_probe_scan(name, monkeypatch):
+    """The screened scan finds the same float as integrating every probe,
+    and integrates only the probes that can hold the maximum."""
+    maze, params = _corner_case(name)
+    fields = dm.compute_fields(maze)
+    if name == "bifurcation_symmetric":
+        # The solve is mirror-symmetric only to about 1e-9; make the field
+        # exactly so, which ties the force maxima of mirrored probes.
+        j = fields.j
+        mirrored = dm.VectorField(j.vx + j.vx[::-1], j.vy - j.vy[::-1], j.cell_size, j.quantity)
+        fields = dataclasses.replace(fields, j=mirrored)
+    seg = dm.segment_corridors(maze)
+    evaluated = []
+
+    def counted(*args, **kwargs):
+        evaluated.append(args[1])
+        return dm.disk_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "disk_integrate", counted)
+    stats = corner_force_stats(maze, fields, params, seg)
+    field = select_force_field(fields, params.force_source)
+    width_mm = seg.width_cells * maze.cell_size
+    want, probes = brute_force_corner_force(
+        maze, field, width_mm, params.force_gain, dm.disk_integrate
+    )
+    assert stats.max_force == want
+    corners = dm.convex_corner_cells(maze)
+    near = scenario._near_corners(maze.channel_mask(), corners, maze.cell_size, width_mm)
+    iys, ixs = np.nonzero(near)
+    assert list(zip(ixs.tolist(), iys.tolist())) == probes
+    if name == "straight":
+        assert (stats.n_corners, len(probes), stats.max_force) == (0, 0, 0.0)
+    else:
+        assert 1 <= len(evaluated) < len(probes) / 100
+    if name == "bifurcation_symmetric":
+        assert len(evaluated) > 1  # mirror images tie within the rounding bound
+        assert {round(y, 9) for _, y in evaluated} != {round(evaluated[0][1], 9)}
+
+
+@pytest.mark.parametrize("cell_size_mm", [0.5, 0.3])
+def test_disk_force_screen_is_within_its_bound(cell_size_mm):
+    """Every screened probe lies within its bound of disk_integrate's value,
+    and the bound is a rounding margin, far below the forces themselves.
+
+    The radius is three cells, so the cells three columns or rows away sit
+    on the disk's rim. Whether one counts is decided by the rounding of
+    its centre's distance, which at 0.3 mm differs from probe to probe."""
+    maze = dm.generate_ring_maze(2, [1, 1], 70.0, 4.0, 1, cell_size_mm=cell_size_mm)
+    field = dm.compute_fields(maze).j
+    wall = maze.wall_mask()
+    h = maze.cell_size
+    iys, ixs = np.nonzero(maze.channel_mask())
+    radius = 3 * h
+    screened, bound = disk_force_screen(field, (iys, ixs), radius, wall, 7.0)
+    exact = np.array([
+        math.hypot(*dm.disk_integrate(field, ((ix + 0.5) * h, (iy + 0.5) * h), radius, wall, 7.0))
+        for iy, ix in zip(iys.tolist(), ixs.tolist())
+    ])
+    assert (np.abs(screened - exact) <= bound).all()
+    assert (bound <= 1e-12 * screened.max()).all()

@@ -16,7 +16,7 @@ from dropmaze.solver import (
 )
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze
 
-from oracles import dense_solve_potential, two_branch_current_ratio
+from oracles import allocating_pcg, dense_solve_potential, two_branch_current_ratio
 
 
 def _strip(nx=20, ny=3, v=1.0):
@@ -280,3 +280,50 @@ def test_coated_maze_solve_converges(ring_maze):
     phi, rep = solve_maze(coated)
     assert rep.converged
     assert rep.current_imbalance() < 1e-4
+
+
+def _high_contrast_sigma(seed):
+    """Random conductivities spanning 24 decades with insulating holes,
+    pinned at 1 V on the left column and 0 V on the right."""
+    rng = np.random.default_rng(seed)
+    nx, ny = int(rng.integers(4, 16)), int(rng.integers(3, 12))
+    sigma = 10.0 ** rng.uniform(-12, 12, size=(ny, nx))
+    sigma[rng.random((ny, nx)) < 0.2] = 0.0
+    sigma[:, 0] = sigma[:, -1] = 1.0
+    dirichlet = {(0, iy): 1.0 for iy in range(ny)}
+    dirichlet.update({(nx - 1, iy): 0.0 for iy in range(ny)})
+    return sigma, dirichlet
+
+
+def _assert_same_solve(sigma, dirichlet, tol, max_iter):
+    phi_ref, iterations, final_residual, _ = allocating_pcg(sigma, dirichlet, tol, max_iter)
+    phi, report = solve_potential(sigma, dirichlet, 0.5, tol, max_iter)
+    assert np.array_equal(phi.values.view(np.int64), phi_ref.view(np.int64))
+    assert report.iterations == iterations
+    assert report.final_residual == final_residual
+
+
+@pytest.fixture(scope="module")
+def pcg_cases(ring_maze):
+    coated = coat_sharp_corners(ring_maze)
+    lock = generate_bifurcation_maze(38.0, 42.0, 4.0)
+    mazes = {"ring_m2": ring_maze, "ring_coated": coated, "bifurcation_lock": lock}
+    cases = {name: (conductivity_grid(spec), maze_dirichlet(spec)) for name, spec in mazes.items()}
+    cases["high_contrast"] = _high_contrast_sigma(199)
+    return cases
+
+
+@pytest.mark.parametrize("max_iter", [None, 1, 2, 17])
+@pytest.mark.parametrize("name", ["ring_m2", "ring_coated", "bifurcation_lock", "high_contrast"])
+def test_pcg_is_bit_identical_to_allocating_reference(pcg_cases, name, max_iter):
+    sigma, dirichlet = pcg_cases[name]
+    _assert_same_solve(sigma, dirichlet, 1e-9, max_iter)
+
+
+@pytest.mark.parametrize("seed, tol", [(26, 1e-9), (129, 1e-9), (71, 1e-14)])
+def test_pcg_restart_branch_is_bit_identical(seed, tol):
+    """Inputs whose curvature p.Ap rounds to <= 0: one restart, five, and
+    the cap of eight."""
+    sigma, dirichlet = _high_contrast_sigma(seed)
+    assert allocating_pcg(sigma, dirichlet, tol)[3] > 0
+    _assert_same_solve(sigma, dirichlet, tol, None)
