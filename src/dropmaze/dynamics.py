@@ -23,12 +23,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .maze import MazeSpec, Polarity
+from .maze import MazeSpec, Polarity, bfs
 from .oracle import (
     CorridorSegmentation,
     LeeLabels,
     UnreachableError,
-    bfs,
     extract_path,
     lee_label,
     segment_corridors,
@@ -628,14 +627,21 @@ class VelocityProfile:
     dwell_segments: tuple[tuple[int, int], ...]  # inclusive sample index ranges
 
 
-def velocity_profile(traj: Trajectory, dwell_fraction: float = 0.01) -> VelocityProfile:
-    """Per-sample speed plus maximal runs slower than dwell_fraction of the
-    peak (the pinning dwells)."""
+# A sample dwells when the droplet moves slower than this share of its
+# peak speed. A pinned droplet does not move at all, and on `ring_m1`,
+# `ring_m2` and `bifurcation_lock` every moving sample is faster than
+# 0.15 of the peak.
+_DWELL_FRACTION = 0.01
+
+
+def velocity_profile(traj: Trajectory) -> VelocityProfile:
+    """Per-sample speed plus maximal runs slower than _DWELL_FRACTION of
+    the peak (the pinning dwells)."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     speeds = traj.speeds
     peak = float(speeds.max())
-    slow = speeds < dwell_fraction * peak if peak > 0 else np.ones_like(speeds, dtype=bool)
+    slow = speeds < _DWELL_FRACTION * peak if peak > 0 else np.ones_like(speeds, dtype=bool)
     segments: list[tuple[int, int]] = []
     i = 0
     n = len(speeds)

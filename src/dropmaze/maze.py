@@ -8,9 +8,12 @@ conductivities S/m, voltages volts.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -308,26 +311,65 @@ class ComponentReport:
         return int(self.labels[iy, ix])
 
 
+def bfs(
+    passable: np.ndarray,
+    sources: Iterable[tuple[int, int]],
+    max_depth: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """4-connected breadth-first search from sources through passable cells.
+
+    Returns (dist, owner), both (ny, nx) int32 and -1 where unreached: the
+    distance in cells from the nearest source, and the index in `sources`
+    of the first-listed source at that distance. Sources are reached at
+    distance 0 whether or not they are passable, and cells at max_depth
+    are not expanded.
+    """
+    ny, nx = passable.shape
+    free = np.asarray(passable, dtype=bool).tobytes()
+    # Flat C-int buffers: element reads are plain Python ints, and numpy
+    # wraps the buffers as the result without a copy.
+    dist = array("i", [-1]) * (nx * ny)
+    owner = array("i", [-1]) * (nx * ny)
+    queue: deque[int] = deque()
+    for k, (ix, iy) in enumerate(sources):
+        i = iy * nx + ix
+        dist[i] = 0
+        owner[i] = k
+        queue.append(i)
+    limit = nx * ny if max_depth is None else max_depth
+    # East, north, west, south. A cell's owner does not depend on this
+    # order: each wavefront is queued in order of owner index.
+    steps = [(dx, dy, dy * nx + dx) for dx, dy in ((1, 0), (0, -1), (-1, 0), (0, 1))]
+    while queue:
+        i = queue.popleft()
+        d = dist[i] + 1
+        if d > limit:
+            continue
+        iy, ix = divmod(i, nx)
+        for dx, dy, di in steps:
+            j = i + di
+            if 0 <= ix + dx < nx and 0 <= iy + dy < ny and free[j] and dist[j] < 0:
+                dist[j] = d
+                owner[j] = owner[i]
+                queue.append(j)
+    return (
+        np.frombuffer(dist, dtype=np.intc).reshape(ny, nx),
+        np.frombuffer(owner, dtype=np.intc).reshape(ny, nx),
+    )
+
+
 def validate_and_components(spec: MazeSpec) -> ComponentReport:
     """Label 4-connected channel components; solvable iff some positive and
     negative electrode cells share a component."""
     channel = spec.channel_mask()
     labels = np.full(channel.shape, -1, dtype=np.int32)
     comp = 0
-    ny, nx = channel.shape
-    for iy0 in range(ny):
-        for ix0 in range(nx):
-            if not channel[iy0, ix0] or labels[iy0, ix0] >= 0:
-                continue
-            queue = deque([(ix0, iy0)])
-            labels[iy0, ix0] = comp
-            while queue:
-                ix, iy = queue.popleft()
-                for dx, dy in ((1, 0), (0, -1), (-1, 0), (0, 1)):
-                    jx, jy = ix + dx, iy + dy
-                    if 0 <= jx < nx and 0 <= jy < ny and channel[jy, jx] and labels[jy, jx] < 0:
-                        labels[jy, jx] = comp
-                        queue.append((jx, jy))
+    # Components are numbered in row-major order of their first cell.
+    for i in np.flatnonzero(channel).tolist():
+        if labels.flat[i] < 0:
+            iy, ix = divmod(i, spec.nx)
+            dist, _ = bfs(channel, [(ix, iy)])
+            labels[dist >= 0] = comp
             comp += 1
 
     pos_comps = {int(labels[iy, ix]) for ix, iy in spec.electrode_cells(Polarity.POSITIVE)}
@@ -355,18 +397,10 @@ def convex_corner_cells(spec: MazeSpec) -> list[tuple[int, int]]:
     return list(zip(ixs.tolist(), iys.tolist()))
 
 
-def coat_sharp_corners(spec: MazeSpec, sigma_coating: float | None = None) -> MazeSpec:
+def coat_sharp_corners(spec: MazeSpec) -> MazeSpec:
     """Return a copy with every convex wall corner turned into a coated
     (conductive) wall cell."""
     cells = np.array(spec.cells, dtype=np.int8)
     for ix, iy in convex_corner_cells(spec):
         cells[iy, ix] = CellKind.COATED_WALL
-    return MazeSpec(
-        cells=cells,
-        electrodes=spec.electrodes,
-        cell_size=spec.cell_size,
-        sigma_electrolyte=spec.sigma_electrolyte,
-        sigma_wall=spec.sigma_wall,
-        sigma_coating=spec.sigma_coating if sigma_coating is None else sigma_coating,
-        applied_voltage=spec.applied_voltage,
-    )
+    return dataclasses.replace(spec, cells=cells)

@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import enum
 import math
-from array import array
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
-from .maze import MazeSpec, Polarity
+from .maze import MazeSpec, Polarity, bfs
 from .solver import ScalarField, VectorField
 
 if TYPE_CHECKING:
@@ -34,10 +32,10 @@ class UnreachableError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LeeLabels:
-    """Wavefront distances in cells from the destination set; -1 unreachable."""
+    """Wavefront distances in cells from the negative electrode; -1
+    unreachable."""
 
     labels: np.ndarray  # (ny, nx) int32
-    destination: frozenset[tuple[int, int]]
     cell_size: float  # mm
 
     def label(self, ix: int, iy: int) -> int:
@@ -67,72 +65,12 @@ class Path:
 _DESCENT_ORDER = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 
-def bfs(
-    passable: np.ndarray,
-    sources: Iterable[tuple[int, int]],
-    max_depth: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """4-connected breadth-first search from sources through passable cells.
-
-    Returns (dist, owner), both (ny, nx) int32 and -1 where unreached: the
-    distance in cells from the nearest source, and the index in `sources`
-    of the first-listed source at that distance. Sources are reached at
-    distance 0 whether or not they are passable, and cells at max_depth
-    are not expanded.
-    """
-    ny, nx = passable.shape
-    free = np.asarray(passable, dtype=bool).tobytes()
-    # Flat C-int buffers: element reads are plain Python ints, and numpy
-    # wraps the buffers as the result without a copy.
-    dist = array("i", [-1]) * (nx * ny)
-    owner = array("i", [-1]) * (nx * ny)
-    queue: deque[int] = deque()
-    for k, (ix, iy) in enumerate(sources):
-        i = iy * nx + ix
-        dist[i] = 0
-        owner[i] = k
-        queue.append(i)
-    limit = nx * ny if max_depth is None else max_depth
-    steps = [(dx, dy, dy * nx + dx) for dx, dy in _DESCENT_ORDER]
-    while queue:
-        i = queue.popleft()
-        d = dist[i] + 1
-        if d > limit:
-            continue
-        iy, ix = divmod(i, nx)
-        for dx, dy, di in steps:
-            j = i + di
-            if 0 <= ix + dx < nx and 0 <= iy + dy < ny and free[j] and dist[j] < 0:
-                dist[j] = d
-                owner[j] = owner[i]
-                queue.append(j)
-    return (
-        np.frombuffer(dist, dtype=np.intc).reshape(ny, nx),
-        np.frombuffer(owner, dtype=np.intc).reshape(ny, nx),
-    )
-
-
-def lee_label(
-    maze: MazeSpec, destination: Iterable[tuple[int, int]] | None = None
-) -> LeeLabels:
-    """Breadth-first wavefront labels over 4-connected channel cells.
-
-    Destination defaults to the negative electrode cells.
-    """
-    if destination is None:
-        dest = maze.electrode_cells(Polarity.NEGATIVE)
-    else:
-        dest = frozenset(destination)
-    if not dest:
-        raise ValueError("destination set is empty")
-    channel = maze.channel_mask()
-    for ix, iy in dest:
-        if not (0 <= ix < maze.nx and 0 <= iy < maze.ny) or not channel[iy, ix]:
-            raise ValueError(f"destination cell {(ix, iy)} is not a channel cell")
-
-    labels, _ = bfs(channel, sorted(dest))
+def lee_label(maze: MazeSpec) -> LeeLabels:
+    """Breadth-first wavefront labels over 4-connected channel cells,
+    counted from the negative electrode cells."""
+    labels, _ = bfs(maze.channel_mask(), sorted(maze.electrode_cells(Polarity.NEGATIVE)))
     labels.setflags(write=False)
-    return LeeLabels(labels, dest, maze.cell_size)
+    return LeeLabels(labels, maze.cell_size)
 
 
 def extract_path(labels: LeeLabels, source: tuple[int, int]) -> Path:
@@ -181,20 +119,40 @@ class Streamline:
         return out
 
 
+# Field magnitudes at or below this share of the grid maximum count as no
+# current: the solve stops at a relative residual of 1e-9 by default, so
+# the field is not resolved below that (stagnation points, dead ends).
+_MIN_SPEED_REL = 1e-9
+# A streamline advances a quarter cell per step, so the fourth-order step
+# samples every cell it crosses several times and follows corridor bends.
+# Its budget is this many steps for each cell above the speed floor: a
+# trace as long as all those cells laid end to end. A trace that reaches
+# the target uses a small share of it (under a tenth on the example
+# configs); one that ping-pongs at a wall runs into it.
+_STEPS_PER_CELL = 4
+
+
 class _ListField(NamedTuple):
     """A vector field's components as nested lists, for per-point sampling:
     element reads give Python floats, which are cheaper to read and to
-    compute with than numpy scalars and round the same way."""
+    compute with than numpy scalars and round the same way. Also holds the
+    speed floor and the step budget, which every streamline through the
+    field shares."""
 
     vx: list[list[float]]
     vy: list[list[float]]
     cell_size: float
     nx: int
     ny: int
+    floor: float
+    max_steps: int
 
     @classmethod
     def of(cls, j: VectorField) -> "_ListField":
-        return cls(j.vx.tolist(), j.vy.tolist(), j.cell_size, j.nx, j.ny)
+        magnitude = j.magnitude()
+        floor = _MIN_SPEED_REL * float(np.max(magnitude))
+        max_steps = _STEPS_PER_CELL * int(np.count_nonzero(magnitude > floor))
+        return cls(j.vx.tolist(), j.vy.tolist(), j.cell_size, j.nx, j.ny, floor, max_steps)
 
 
 def _bilinear(j: _ListField, x_mm: float, y_mm: float) -> tuple[float, float]:
@@ -222,33 +180,28 @@ def _bilinear(j: _ListField, x_mm: float, y_mm: float) -> tuple[float, float]:
 def streamline(
     j: VectorField,
     start_mm: tuple[float, float],
-    step_mm: float | None = None,
-    max_steps: int = 200_000,
     target_cells: Iterable[tuple[int, int]] | None = None,
     channel_mask: np.ndarray | None = None,
-    min_speed_rel: float = 1e-9,
     *,
     _lists: _ListField | None = None,
 ) -> Streamline:
     """Integrate along the normalized field from start_mm.
 
     Stops on reaching a target cell, on the local field magnitude falling
-    below min_speed_rel of the grid maximum, on leaving the grid, or after
-    max_steps. _lists is j as a _ListField, for callers tracing many
-    streamlines through one field.
+    to the speed floor, on leaving the grid, or when the step budget is
+    spent (see _MIN_SPEED_REL and _STEPS_PER_CELL). _lists is j as a
+    _ListField, for callers tracing many streamlines through one field.
     """
     grid = _lists if _lists is not None else _ListField.of(j)
     h = j.cell_size
-    if step_mm is None:
-        step_mm = h / 4.0
+    step_mm = h / _STEPS_PER_CELL
     targets = frozenset(target_cells) if target_cells is not None else frozenset()
     x, y = float(start_mm[0]), float(start_mm[1])
     if channel_mask is not None:
         cx, cy = int(x // h), int(y // h)
         if not (0 <= cx < j.nx and 0 <= cy < j.ny) or not channel_mask[cy, cx]:
             raise ValueError(f"streamline start {start_mm} lies inside a wall")
-    j_scale = float(np.max(j.magnitude()))
-    floor = min_speed_rel * j_scale
+    floor = grid.floor
 
     def direction(px: float, py: float) -> tuple[float, float, float]:
         vx, vy = _bilinear(grid, px, py)
@@ -259,7 +212,7 @@ def streamline(
 
     pts = [(x, y)]
     termination = StreamTermination.MAX_STEPS
-    for _ in range(max_steps):
+    for _ in range(grid.max_steps):
         cx, cy = int(x // h), int(y // h)
         if not (0 <= cx < j.nx and 0 <= cy < j.ny):
             termination = StreamTermination.LEFT_DOMAIN
@@ -323,13 +276,14 @@ def streamline(
     return Streamline(np.array(pts), termination)
 
 
+# Each fan seed is a full trace, so a large electrode's seed ring is
+# thinned to at most this many seeds at an even stride. The rings of the
+# example configs have 8 to 12 cells and keep every one.
+_MAX_SEEDS = 24
+
+
 def trace_route_streamline(
-    j: VectorField,
-    maze: MazeSpec,
-    step_mm: float | None = None,
-    max_steps: int = 200_000,
-    seg: "CorridorSegmentation | None" = None,
-    max_seeds: int = 24,
+    j: VectorField, maze: MazeSpec, seg: "CorridorSegmentation | None" = None
 ) -> Streamline:
     """Streamline of the dominant current bundle from source to destination.
 
@@ -353,7 +307,7 @@ def trace_route_streamline(
         ring = sorted((int(x), int(y)) for y, x in zip(*np.nonzero(dist == 1)))
     if not ring:
         raise ValueError("no channel cells around the positive electrode")
-    stride = max(1, len(ring) // max_seeds)
+    stride = max(1, len(ring) // _MAX_SEEDS)
     seeds = ring[::stride]
 
     h = maze.cell_size
@@ -365,10 +319,7 @@ def trace_route_streamline(
         weight = math.hypot(vx, vy)
         if weight <= 0:
             continue
-        tr = streamline(
-            j, start, step_mm=step_mm, max_steps=max_steps,
-            target_cells=neg_cells, channel_mask=channel, _lists=grid,
-        )
+        tr = streamline(j, start, target_cells=neg_cells, channel_mask=channel, _lists=grid)
         traces.append((region_sequence(tr.cells(h), seg), weight, tr))
     if not traces:
         raise ValueError("no usable streamline seeds around the positive electrode")
@@ -553,13 +504,13 @@ class CorridorSegmentation:
     skeleton: np.ndarray  # bool (ny, nx)
     width_cells: float
 
-    def cells_of(self, region_ids: Iterable[int]) -> set[tuple[int, int]]:
-        wanted = set(region_ids)
-        out: set[tuple[int, int]] = set()
-        for rid in wanted:
-            ys, xs = np.nonzero(self.region == rid)
-            out.update((int(x), int(y)) for x, y in zip(xs, ys))
-        return out
+    def cell_overlap(self, regions_a: Iterable[int], regions_b: Iterable[int]) -> float:
+        """Jaccard overlap of the cells of two region sets. Regions are
+        disjoint, so both counts are sums of region sizes."""
+        a, b = set(regions_a), set(regions_b)
+        sizes = np.bincount(self.region[self.region >= 0], minlength=self.n_regions)
+        union = int(sizes[list(a | b)].sum())
+        return int(sizes[list(a & b)].sum()) / union if union else 0.0
 
 
 def _wall_distance(channel: np.ndarray) -> np.ndarray:
@@ -585,7 +536,13 @@ def _wall_distance(channel: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _chain_turn_split(chain: list[tuple[int, int]], window: int, min_turn_deg: float) -> list[int]:
+# A skeleton chain is cut where it turns by at least this much within a
+# window: a maze corner turns 90 degrees, a staircase diagonal's wiggle
+# averages out below it.
+_MIN_TURN_DEG = 60.0
+
+
+def _chain_turn_split(chain: list[tuple[int, int]], window: int) -> list[int]:
     """Indices where a chain bends sharply; staircase wiggle stays merged."""
     n = len(chain)
     if n < 2 * window + 3:
@@ -604,7 +561,7 @@ def _chain_turn_split(chain: list[tuple[int, int]], window: int, min_turn_deg: f
     cuts: list[int] = []
     i = window
     while i < n - window:
-        if turns[i] >= min_turn_deg:
+        if turns[i] >= _MIN_TURN_DEG:
             # take the local maximum of this bend
             k = i
             while k + 1 < n - window and turns[k + 1] >= turns[k]:
@@ -616,9 +573,7 @@ def _chain_turn_split(chain: list[tuple[int, int]], window: int, min_turn_deg: f
     return cuts
 
 
-def segment_corridors(
-    maze: MazeSpec, min_turn_deg: float = 60.0, window: int | None = None
-) -> CorridorSegmentation:
+def segment_corridors(maze: MazeSpec) -> CorridorSegmentation:
     """Partition channel cells into corridor regions and junction regions."""
     channel = maze.channel_mask()
     skel = thin_mask(channel)
@@ -627,11 +582,10 @@ def segment_corridors(
     dist = _wall_distance(channel)
     on_skel = dist[skel]
     width = 2.0 * float(np.median(on_skel)) if on_skel.size else 1.0
-    if window is None:
-        # Half a channel width: long enough to see a real corner, short
-        # enough that the steady curvature of an annular corridor never
-        # accumulates min_turn_deg within it.
-        window = max(2, int(round(width / 2)))
+    # Half a channel width: long enough to see a real corner, short enough
+    # that the steady curvature of an annular corridor never accumulates
+    # _MIN_TURN_DEG within it.
+    window = max(2, int(round(width / 2)))
 
     # Thinning wide channels leaves short hair branches; drop anything
     # shorter than one channel width so only real topology remains.
@@ -680,44 +634,29 @@ def segment_corridors(
         return out
 
     chains: list[list[tuple[int, int]]] = []
-    for ix0, iy0 in node_cells:
-        for sx, sy in neighbours(ix0, iy0):
-            if visited[sy, sx]:
-                continue
-            chain = [(sx, sy)]
-            visited[sy, sx] = True
-            cur = (sx, sy)
-            while True:
-                nxts = [
-                    (jx, jy)
-                    for jx, jy in neighbours(*cur)
-                    if not visited[jy, jx] and not node_mask[jy, jx]
-                ]
-                if not nxts:
-                    break
-                cur = nxts[0]
-                visited[cur[1], cur[0]] = True
-                chain.append(cur)
-            chains.append(chain)
-    # Leftover cycles with no junction at all.
-    rest = sorted((int(x), int(y)) for y, x in zip(*np.nonzero(skel & ~visited)))
-    for ix0, iy0 in rest:
-        if visited[iy0, ix0]:
-            continue
-        chain = [(ix0, iy0)]
-        visited[iy0, ix0] = True
-        cur = (ix0, iy0)
+
+    def walk(ix: int, iy: int) -> None:
+        chain = [(ix, iy)]
+        visited[iy, ix] = True
         while True:
-            nxts = [(jx, jy) for jx, jy in neighbours(*cur) if not visited[jy, jx]]
+            nxts = [(jx, jy) for jx, jy in neighbours(*chain[-1]) if not visited[jy, jx]]
             if not nxts:
                 break
-            cur = nxts[0]
-            visited[cur[1], cur[0]] = True
-            chain.append(cur)
+            visited[nxts[0][1], nxts[0][0]] = True
+            chain.append(nxts[0])
         chains.append(chain)
 
+    for ix0, iy0 in node_cells:
+        for sx, sy in neighbours(ix0, iy0):
+            if not visited[sy, sx]:
+                walk(sx, sy)
+    # Leftover cycles with no junction at all.
+    for ix0, iy0 in sorted((int(x), int(y)) for y, x in zip(*np.nonzero(skel & ~visited))):
+        if not visited[iy0, ix0]:
+            walk(ix0, iy0)
+
     for chain in chains:
-        cuts = _chain_turn_split(chain, window, min_turn_deg)
+        cuts = _chain_turn_split(chain, window)
         start = 0
         for cut in cuts + [len(chain)]:
             piece = chain[start:cut]
@@ -767,18 +706,17 @@ def segment_corridors(
 
 
 def region_sequence(
-    cells: Iterable[tuple[int, int]], seg: CorridorSegmentation, debounce: int | None = None
+    cells: Iterable[tuple[int, int]], seg: CorridorSegmentation
 ) -> tuple[int, ...]:
     """Ordered corridor regions visited; junction blobs are transparent.
 
     Consecutive duplicate cells collapse first, so sampling density does
-    not matter; a region then enters the sequence only after `debounce`
+    not matter; a region then enters the sequence only after a debounce of
     consecutive distinct cells, which suppresses grazing touches along
-    region boundaries. The default debounce scales with the channel width
-    (a real traversal of a corridor covers at least half a width of cells).
+    region boundaries. The debounce scales with the channel width (a real
+    traversal of a corridor covers at least half a width of cells).
     """
-    if debounce is None:
-        debounce = min(8, max(2, math.ceil(seg.width_cells / 2)))
+    debounce = min(8, max(2, math.ceil(seg.width_cells / 2)))
     seq: list[int] = []
     cand = -1
     count = 0
@@ -816,30 +754,26 @@ def region_cell_overlap(
     cells_a: Iterable[tuple[int, int]],
     cells_b: Iterable[tuple[int, int]],
     seg: CorridorSegmentation,
-    debounce_a: int | None = None,
-    debounce_b: int | None = None,
 ) -> float:
     """Jaccard overlap of the corridor-region cells two routes visit."""
-    ra = set(region_sequence(cells_a, seg, debounce_a))
-    rb = set(region_sequence(cells_b, seg, debounce_b))
-    a = seg.cells_of(ra)
-    b = seg.cells_of(rb)
-    union = a | b
-    if not union:
-        return 0.0
-    return len(a & b) / len(union)
+    return seg.cell_overlap(region_sequence(cells_a, seg), region_sequence(cells_b, seg))
+
+
+# A region carries current when it scores at least this share of the
+# brightest region's score. On the example ring mazes the regions on the
+# route score at least 0.83 of the brightest, those off it at most 0.11.
+_HOT_FRACTION = 0.25
 
 
 def hot_region_route(
-    power: ScalarField, seg: CorridorSegmentation, labels: LeeLabels, fraction: float = 0.25
+    power: ScalarField, seg: CorridorSegmentation, labels: LeeLabels
 ) -> tuple[int, ...]:
     """Corridor regions bright enough to be current carriers, ordered from
     the source side to the destination.
 
     A region scores its 90th-percentile power density, so a wide chamber
     with one strong filament through it still registers while corridors
-    off the conducting route (near-zero everywhere) do not. Hot regions are
-    those within `fraction` of the brightest score.
+    off the conducting route (near-zero everywhere) do not.
     """
     scores: dict[int, float] = {}
     lab_means: dict[int, float] = {}
@@ -856,7 +790,7 @@ def hot_region_route(
     if not scores:
         return ()
     peak = max(scores.values())
-    hot = [rid for rid, m in scores.items() if m >= fraction * peak]
+    hot = [rid for rid, m in scores.items() if m >= _HOT_FRACTION * peak]
     hot.sort(key=lambda rid: (-lab_means[rid], rid))
     return tuple(hot)
 
@@ -904,12 +838,11 @@ def compare_trajectory(
     traj_cells = [(int(x // h), int(y // h)) for x, y in points]
     t_seq = region_sequence(traj_cells, seg)
     p_seq = region_sequence(path.cells, seg)
-    overlap = region_cell_overlap(traj_cells, path.cells, seg)
     return ComparisonMetrics(
         max_lateral_deviation_mm=deviation,
         length_ratio=ratio,
         corridor_sequence_equal=t_seq == p_seq,
         trajectory_sequence=t_seq,
         path_sequence=p_seq,
-        cell_overlap=overlap,
+        cell_overlap=seg.cell_overlap(t_seq, p_seq),
     )

@@ -50,12 +50,16 @@ def _draw_stroke(gray: np.ndarray, x0: float, y0: float, dx: float, dy: float, l
             gray[py, px] = 255
 
 
+# One direction stroke per this many cells along each axis: strokes of
+# 0.8 times the spacing leave gaps between neighbours.
+_STROKE_EVERY = 8
+
+
 def render_field(
     field: ScalarField | VectorField,
     out_path: str | Path,
     style: str = "gray",
     maze: MazeSpec | None = None,
-    stroke_every: int = 8,
 ) -> None:
     """Write a field raster.
 
@@ -78,13 +82,13 @@ def render_field(
             raise ValueError("stroke rendering needs a vector field")
         gray = normalize_u8(mag) // 2  # dim background so strokes stand out
         peak = float(mag.max())
-        for iy in range(stroke_every // 2, field.ny, stroke_every):
-            for ix in range(stroke_every // 2, field.nx, stroke_every):
+        for iy in range(_STROKE_EVERY // 2, field.ny, _STROKE_EVERY):
+            for ix in range(_STROKE_EVERY // 2, field.nx, _STROKE_EVERY):
                 m = mag[iy, ix]
                 if peak <= 0 or m <= 1e-3 * peak:
                     continue
                 dx, dy = field.vx[iy, ix] / m, field.vy[iy, ix] / m
-                _draw_stroke(gray, ix, iy, dx, dy, 0.8 * stroke_every)
+                _draw_stroke(gray, ix, iy, dx, dy, 0.8 * _STROKE_EVERY)
         write_pgm(out_path, gray)
         return
     if style == "overlay":
@@ -97,14 +101,18 @@ def render_field(
     raise ValueError(f"unknown render style {style!r}")
 
 
-def render_trajectory_overlay(
-    maze: MazeSpec, traj: Trajectory, out_path: str | Path, max_dots: int = 600
-) -> None:
+# About this many trajectory samples are drawn, at an even stride: with
+# the automatic dt consecutive samples are at most half a cell apart, so
+# drawing every one would paint a solid line.
+_MAX_DOTS = 600
+
+
+def render_trajectory_overlay(maze: MazeSpec, traj: Trajectory, out_path: str | Path) -> None:
     """Maze raster with the droplet centre positions as red dots."""
     base = np.where(maze.wall_mask(), 40, 220).astype(np.uint8)
     rgb = np.stack([base, base, base], axis=-1)
     h = maze.cell_size
-    stride = max(1, len(traj) // max_dots)
+    stride = max(1, len(traj) // _MAX_DOTS)
     for i in range(0, len(traj), stride):
         ix = int(traj.xs[i] // h)
         iy = int(traj.ys[i] // h)

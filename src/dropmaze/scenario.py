@@ -46,7 +46,6 @@ from .oracle import (
     compare_trajectory,
     extract_path,
     lee_label,
-    region_cell_overlap,
     region_sequence,
     segment_corridors,
     trace_route_streamline,
@@ -454,9 +453,7 @@ def run_oracle_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> d
         "streamline_termination": stream.termination.value,
         "streamline_sequence": list(s_seq),
         "streamline_matches_path": s_seq == p_seq,
-        "streamline_path_overlap": region_cell_overlap(
-            stream.cells(maze.cell_size), path.cells, seg
-        ),
+        "streamline_path_overlap": seg.cell_overlap(s_seq, p_seq),
     }
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

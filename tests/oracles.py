@@ -4,8 +4,9 @@ Everything here is deliberately written the slow, obvious way and shares no
 code with the package internals: dense Gaussian elimination for the
 potential, exhaustive BFS for shortest distances, a two-resistor
 Kirchhoff split for branch currents, cell-by-cell scans for the droplet's
-wall queries and start cell, and element-wise numpy sampling for
-streamlines.
+wall queries and start cell, element-wise numpy sampling for
+streamlines, a row-major deque flood fill for channel components, and
+per-region cell scans for the corridor overlap.
 """
 
 from __future__ import annotations
@@ -117,6 +118,48 @@ def flood_fill_components(channel):
                         seen[jy, jx] = True
                         stack.append((jx, jy))
     return count
+
+
+def deque_components(channel):
+    """Component labels and count by the row-major deque flood fill that
+    `maze.validate_and_components` ran before it used `maze.bfs`."""
+    channel = np.asarray(channel, dtype=bool)
+    labels = np.full(channel.shape, -1, dtype=np.int32)
+    comp = 0
+    ny, nx = channel.shape
+    for iy0 in range(ny):
+        for ix0 in range(nx):
+            if not channel[iy0, ix0] or labels[iy0, ix0] >= 0:
+                continue
+            queue = deque([(ix0, iy0)])
+            labels[iy0, ix0] = comp
+            while queue:
+                ix, iy = queue.popleft()
+                for dx, dy in ((1, 0), (0, -1), (-1, 0), (0, 1)):
+                    jx, jy = ix + dx, iy + dy
+                    if 0 <= jx < nx and 0 <= jy < ny and channel[jy, jx] and labels[jy, jx] < 0:
+                        labels[jy, jx] = comp
+                        queue.append((jx, jy))
+            comp += 1
+    return labels, comp
+
+
+def region_overlap_by_scan(seq_a, seq_b, region):
+    """Jaccard overlap of the cells of two region sequences, as sets of
+    cells from one full-grid scan per region."""
+
+    def cells(seq):
+        out = set()
+        for rid in set(seq):
+            ys, xs = np.nonzero(region == rid)
+            out.update(zip(xs.tolist(), ys.tolist()))
+        return out
+
+    a, b = cells(seq_a), cells(seq_b)
+    union = a | b
+    if not union:
+        return 0.0
+    return len(a & b) / len(union)
 
 
 def two_branch_current_ratio(len_a_mm, len_b_mm):

@@ -160,9 +160,7 @@ def test_criterion_5_shortest_path_readout(ring_maze, ring_fields, ring_segmenta
         assert stream.termination is StreamTermination.REACHED
         assert hot == p_seq, f"hot ridge {hot} != path {p_seq}"
         assert s_seq == p_seq, f"streamline {s_seq} != path {p_seq}"
-        hot_cells = seg.cells_of(hot)
-        path_cells = seg.cells_of(set(p_seq))
-        overlap_hot = len(hot_cells & path_cells) / len(hot_cells | path_cells)
+        overlap_hot = seg.cell_overlap(hot, p_seq)
         overlap_stream = region_cell_overlap(stream.cells(maze.cell_size), path.cells, seg)
         assert overlap_hot >= 0.9
         assert overlap_stream >= 0.9

@@ -1,10 +1,14 @@
-"""Golden bundles: two committed example configs must keep producing the
+"""Golden bundles: three committed example configs must keep producing the
 same bytes in every artifact of `dropmaze simulate` and `dropmaze oracle`.
 
-The simulate digests were recorded before the droplet and streamline
-integrators were optimised, so they pin the outputs of the original
-per-cell code; the oracle digests were recorded before the per-maze
-analyses were computed once per run. report.json and oracle.json are
+The simulate digests of `bifurcation_lock` and `ring_m2` were recorded
+before the droplet and streamline integrators were optimised, so they pin
+the outputs of the original per-cell code; their oracle digests were
+recorded before the per-maze analyses were computed once per run. The
+`ring_coated` digests were recorded while the streamline fan still had a
+fixed budget of 200 000 steps, which three of its seeds used up; the
+chosen streamline reaches the target within a few hundred steps, so the
+budget derived from the field changes no byte. report.json and oracle.json are
 hashed after dropping their timestamp, serialised the way the pipelines
 write them. A change that alters any number on purpose updates these
 digests and says so in CHANGES.md.
@@ -32,6 +36,8 @@ EXIT_CODES = {
     ("simulate", "ring_m2"): 0,
     ("oracle", "bifurcation_lock"): 0,
     ("oracle", "ring_m2"): 0,
+    ("simulate", "ring_coated"): 0,
+    ("oracle", "ring_coated"): 0,
 }
 RUN_CLI = "import sys; from dropmaze.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -62,6 +68,20 @@ GOLDEN = {
     },
     ("oracle", "ring_m2"): {
         "oracle.json": "cea79277bde3b0acf5b1444da9ef54a09d4df5d9aa347abae9ea8014a3af9d14",
+        "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
+    },
+    ("simulate", "ring_coated"): {
+        "comparison.json": "b12834153949cdc785b0d8474fa6347cc700da00511d73b2231bfbd6af53539b",
+        "current.csv": "b8a54a4d83a39e603750c8dd853793696dcb2d0860991c807a005691009489bb",
+        "joule.pgm": "2376f390dff05cd96a50f870fc31271b6cdcb5270e19b0a76e261909e6580acf",
+        "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
+        "potential.csv": "e2a61d47ba5870f607bc403d6d506600b8c8b1390a832a3426917181084a8027",
+        "potential.pgm": "50762467b317a38559553d44dc04e701a4d3d28c11b2cbb00d6313ea72802a40",
+        "report.json": "27d2c7fc39d703b9c332f298c9d849035c7e7bc9550612d9c202c9444c4e840f",
+        "trajectory.csv": "6bba7824dd8f351a785391ed0e9fd5d15f3d7c1b62a0145934f06b6016de45f0",
+    },
+    ("oracle", "ring_coated"): {
+        "oracle.json": "43901055856e2a98fd59a115faa8585873e097b2c609e89c03267cdbafd7e842",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
     },
 }

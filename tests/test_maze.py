@@ -15,7 +15,11 @@ from dropmaze.maze import (
     validate_and_components,
 )
 
-from oracles import convex_corner_cells_by_loop, flood_fill_components
+from dropmaze.generators import generate_bifurcation_maze
+from dropmaze.scenario import build_maze
+
+from conftest import ring_config
+from oracles import convex_corner_cells_by_loop, deque_components, flood_fill_components
 
 
 def test_parse_minimal_strip():
@@ -152,6 +156,45 @@ def test_components_match_flood_fill_on_ring(ring_maze):
     assert rep.solvable
     assert rep.n_components == flood_fill_components(ring_maze.channel_mask())
     assert rep.n_components == 1
+
+
+@pytest.mark.parametrize(
+    "maze",
+    [
+        pytest.param(lambda: generate_bifurcation_maze(38.0, 42.0, 4.0), id="bifurcation_lock"),
+        pytest.param(lambda: build_maze(ring_config(cell_size_mm=0.25)), id="ring_m2_0.25mm"),
+        pytest.param(lambda: build_maze(ring_config(coat_corners=True)), id="ring_coated"),
+    ],
+)
+def test_component_labels_match_deque_flood_fill(maze):
+    maze = maze()
+    rep = validate_and_components(maze)
+    labels, count = deque_components(maze.channel_mask())
+    assert rep.labels.dtype == np.int32
+    assert np.array_equal(rep.labels, labels)
+    assert rep.n_components == count
+
+
+@given(st.integers(0, 10_000))
+def test_component_labels_match_deque_flood_fill_on_random_masks(seed):
+    """Sparse random masks break into many components, numbered in
+    row-major order of their first cell."""
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 30)), int(rng.integers(2, 30)))
+    cells = np.where(rng.random(shape) < rng.choice([0.3, 0.5, 0.7]), 0, 1).astype(np.int8)
+    flat = cells.reshape(-1)
+    pos, neg = rng.choice(flat.size, size=2, replace=False)
+    flat[[pos, neg]] = CellKind.CHANNEL
+    nx = shape[1]
+    spec = dm.MazeSpec(cells, (
+        dm.Electrode("E1", dm.Polarity.POSITIVE, frozenset({(int(pos % nx), int(pos // nx))})),
+        dm.Electrode("E2", dm.Polarity.NEGATIVE, frozenset({(int(neg % nx), int(neg // nx))})),
+    ))
+    rep = validate_and_components(spec)
+    labels, count = deque_components(spec.channel_mask())
+    assert np.array_equal(rep.labels, labels)
+    assert rep.n_components == count
+    assert rep.solvable == (labels.flat[pos] == labels.flat[neg])
 
 
 def test_conductivity_uniform():

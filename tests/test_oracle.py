@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,11 +23,21 @@ from dropmaze.oracle import (
     trace_route_streamline,
 )
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze
-from dropmaze.scenario import build_maze
+from dropmaze.scenario import build_maze, load_config, run_scenario
 from dropmaze.solver import compute_fields
 
 from conftest import ring_config
-from oracles import array_bilinear, bfs_distances, bfs_wall_distance
+from oracles import array_bilinear, bfs_distances, bfs_wall_distance, region_overlap_by_scan
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# The six example configs and ring_m2 at 0.25 mm cells (280 x 280).
+CORPUS = sorted(p.stem for p in CONFIGS.glob("*.cfg")) + ["ring_m2_0.25mm"]
+
+
+def corpus_maze(name):
+    if name == "ring_m2_0.25mm":
+        return build_maze(dataclasses.replace(load_config(CONFIGS / "ring_m2.cfg"), cell_size_mm=0.25))
+    return build_maze(load_config(CONFIGS / f"{name}.cfg"))
 
 
 def test_lee_corridor_labels():
@@ -37,12 +51,6 @@ def test_lee_unreachable_cell_unlabeled():
     labels = lee_label(spec)
     assert labels.label(0, 0) == -1
     assert labels.label(3, 0) == 1
-
-
-def test_lee_rejects_wall_destination():
-    spec = parse_maze("S.#.T")
-    with pytest.raises(ValueError, match="channel"):
-        lee_label(spec, destination=[(2, 0)])
 
 
 @given(st.integers(0, 10_000))
@@ -127,7 +135,6 @@ def test_streamline_stagnation_point_vanishes():
         fields.j,
         (wall_x - 0.6 * h, axis_y),
         channel_mask=spec.channel_mask(),
-        max_steps=4000,
     )
     assert sl.termination is StreamTermination.FIELD_VANISHED
     # it stalled at the junction instead of escaping into a branch
@@ -335,3 +342,137 @@ def test_list_backed_streamlines_match_array_sampler(ring_maze, ring_fields, mon
         assert len(fan) == len(traced) >= 8
         assert sum(len(points) for points in fan) > 1000
         assert all(np.array_equal(a, b) for a, b in zip(fan, traced))
+
+
+# A closed corridor loop cut off from the electrodes' corridor: its
+# skeleton is a cycle with no junction on it.
+LOOP_MAZE = "\n".join([
+    "##############",
+    "#S..........T#",
+    "##############",
+    "#............#",
+    "#............#",
+    "#..########..#",
+    "#..########..#",
+    "#............#",
+    "#............#",
+    "##############",
+])
+
+# SHA-256 of each array's dtype, shape and bytes, recorded before the two
+# chain walks of segment_corridors were merged into one.
+SEGMENTATION_DIGESTS = {
+    "bifurcation_lock": {
+        "region": "6916953c6cebb657f4d0c4217244aa1a69a90386e417f9efb8bead8cd719abe1",
+        "is_node": "89f56f26dfcc25eac3017f3d1affc4f60901427eee8c5fdf21901b04fff05d15",
+        "skeleton": "c7abf5ad877e11520682713fc2aa50f0a8162195a131c7299e8e3c5d813a9f7f",
+        "width_cells": 8.0,
+    },
+    "bifurcation_symmetric": {
+        "region": "f985d99b467e96d22dc0abaa0cf22407501390aa456b48d5c3d1f6e9cce95a6c",
+        "is_node": "89f56f26dfcc25eac3017f3d1affc4f60901427eee8c5fdf21901b04fff05d15",
+        "skeleton": "31e602d3a241b6da281149c29d4eca9e6c18f1f3e8e73386c33df21688c91faa",
+        "width_cells": 8.0,
+    },
+    "loop": {
+        "region": "5d56754f6fe7d12f723303b492685cfa82406287fbead57a63258d67ddb4fc0a",
+        "is_node": "637b19475c59ab43ac6999431b52fab1dd1793033b9e905c9baa9663e11b9578",
+        "skeleton": "3d0f1c0ce6e088c6dbb3faddb3ab084b2d490d4fc15783d54a3efb5fadd51f62",
+        "width_cells": 2.0,
+    },
+    "ring_coated": {
+        "region": "a653ec72b2bd124c3744a733381304ad0fd0af95841500ad90563c4adf4d9c36",
+        "is_node": "5b7c7259fd57e858fc063c45e735d464701a01288076a82f4276e3aa6b243736",
+        "skeleton": "0ce4a7903d9a0d24b373e374f33a1c48d2ac7e836b603a7fe5daa47dd18c1249",
+        "width_cells": 10.0,
+    },
+    "ring_insulated": {
+        "region": "a653ec72b2bd124c3744a733381304ad0fd0af95841500ad90563c4adf4d9c36",
+        "is_node": "5b7c7259fd57e858fc063c45e735d464701a01288076a82f4276e3aa6b243736",
+        "skeleton": "0ce4a7903d9a0d24b373e374f33a1c48d2ac7e836b603a7fe5daa47dd18c1249",
+        "width_cells": 10.0,
+    },
+    "ring_m1": {
+        "region": "e5255a7594f45aa000d5c8cf96a53bc62dbb40d01cc664883488917ee2d95f07",
+        "is_node": "c93ba005ce9b9f309ff6565461f4cb5b738a1732f672aaed6647837f6d2ccaf7",
+        "skeleton": "7c0455aa32313130f45eb036fb3eb07f8856b9ee3f1951487504c72e16eeb741",
+        "width_cells": 8.0,
+    },
+    "ring_m2": {
+        "region": "a653ec72b2bd124c3744a733381304ad0fd0af95841500ad90563c4adf4d9c36",
+        "is_node": "5b7c7259fd57e858fc063c45e735d464701a01288076a82f4276e3aa6b243736",
+        "skeleton": "0ce4a7903d9a0d24b373e374f33a1c48d2ac7e836b603a7fe5daa47dd18c1249",
+        "width_cells": 10.0,
+    },
+    "ring_m2_0.25mm": {
+        "region": "c90d715a98a266f66996c561338bac86d0496b751e40bed08ffcf534c1411d68",
+        "is_node": "a8bd9df6f2ef4371c7b7161501e474128853f2be2eb1efea4c076d480420d41d",
+        "skeleton": "6b0bc2f9a26bfc0b333f46ff61869f8b340bfd0abaf5e643ac1699489459f0d0",
+        "width_cells": 18.0,
+    },
+}
+
+
+def _array_digest(a):
+    a = np.asarray(a)
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENTATION_DIGESTS))
+def test_segmentation_matches_recorded_digests(name):
+    maze = parse_maze(LOOP_MAZE) if name == "loop" else corpus_maze(name)
+    seg = segment_corridors(maze)
+    assert {
+        "region": _array_digest(seg.region),
+        "is_node": _array_digest(seg.is_node),
+        "skeleton": _array_digest(seg.skeleton),
+        "width_cells": seg.width_cells,
+    } == SEGMENTATION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_fan_step_budget(name, monkeypatch):
+    """The fan's budget is 4 steps per cell whose |J| exceeds 1e-9 of the
+    peak. A seed that runs out stops at exactly that many steps, and every
+    seed that reaches the target uses under a fifth of it."""
+    maze = corpus_maze(name)
+    j = compute_fields(maze).j
+    magnitude = j.magnitude()
+    budget = 4 * int(np.count_nonzero(magnitude > 1e-9 * magnitude.max()))
+    fan = []
+    real_streamline = oracle.streamline
+
+    def recording(*args, **kwargs):
+        result = real_streamline(*args, **kwargs)
+        fan.append((len(result.points) - 1, result.termination))
+        return result
+
+    monkeypatch.setattr(oracle, "streamline", recording)
+    trace_route_streamline(j, maze)
+    reached = [n for n, end in fan if end is StreamTermination.REACHED]
+    ran_out = [n for n, end in fan if end is StreamTermination.MAX_STEPS]
+    assert reached and max(reached) < budget / 5
+    assert ran_out == [budget] * len(ran_out)
+    # The coated ring's three wall ping-pong seeds, and no other.
+    assert len(ran_out) == (3 if name == "ring_coated" else 0)
+
+
+@pytest.mark.parametrize("name", ["ring_m2", "bifurcation_lock"])
+def test_cell_overlap_equals_region_scan(name):
+    """Every overlap of the pipeline is the float that comparing the
+    visited regions' cell sets gives."""
+    result = run_scenario(load_config(CONFIGS / f"{name}.cfg"))
+    seg, path, h = result.segmentation, result.path, result.maze.cell_size
+    traj_cells = [(int(x // h), int(y // h)) for x, y in result.trajectory.positions_mm()]
+    stream = trace_route_streamline(result.fields.j, result.maze, seg=seg)
+    routes = [traj_cells, stream.cells(h), path.cells, [], path.cells[: len(path.cells) // 3]]
+    overlaps = set()
+    for a in routes:
+        for b in routes:
+            want = region_overlap_by_scan(region_sequence(a, seg), region_sequence(b, seg), seg.region)
+            assert region_cell_overlap(a, b, seg) == want
+            overlaps.add(want)
+    assert 0.0 in overlaps and 1.0 in overlaps and len(overlaps) > 2
+    assert result.comparison.cell_overlap == region_overlap_by_scan(
+        result.comparison.trajectory_sequence, result.comparison.path_sequence, seg.region
+    )
