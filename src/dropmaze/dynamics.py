@@ -15,6 +15,7 @@ disk_integrate (field value times square metres times force_gain).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import random
 from collections import deque
@@ -136,6 +137,15 @@ class Trajectory:
 # Disk integration
 
 
+@functools.lru_cache(maxsize=8)
+def _cell_centres(n: int, h: float) -> np.ndarray:
+    """(i + 0.5) * h for i in range(n): the same floats an np.arange
+    window of cell indices gives, element for element."""
+    centres = (np.arange(n) + 0.5) * h
+    centres.setflags(write=False)
+    return centres
+
+
 def disk_integrate(
     field: VectorField,
     center_mm: tuple[float, float],
@@ -156,16 +166,16 @@ def disk_integrate(
     iy1 = min(int(math.ceil((y + radius_mm) / h)) + 1, field.ny - 1)
     if ix1 < ix0 or iy1 < iy0:
         raise ValueError("disk lies entirely outside the grid")
-    ixs = np.arange(ix0, ix1 + 1)
-    iys = np.arange(iy0, iy1 + 1)
-    cx = (ixs + 0.5) * h
-    cy = (iys + 0.5) * h
+    rows, cols = slice(iy0, iy1 + 1), slice(ix0, ix1 + 1)
+    centres = _cell_centres(max(field.nx, field.ny), h)
+    cx = centres[cols]
+    cy = centres[rows]
     inside = (cx[None, :] - x) ** 2 + (cy[:, None] - y) ** 2 <= radius_mm**2
     if wall_mask is not None:
-        inside &= ~wall_mask[iy0 : iy1 + 1, ix0 : ix1 + 1]
+        inside &= ~wall_mask[rows, cols]
     area = (h * MM_TO_M) ** 2
-    fx = float(field.vx[iy0 : iy1 + 1, ix0 : ix1 + 1][inside].sum()) * area * gain
-    fy = float(field.vy[iy0 : iy1 + 1, ix0 : ix1 + 1][inside].sum()) * area * gain
+    fx = float(field.vx[rows, cols][inside].sum()) * area * gain
+    fy = float(field.vy[rows, cols][inside].sum()) * area * gain
     return np.array([fx, fy])
 
 
@@ -236,8 +246,15 @@ class _Geometry:
         self.contact_eps = 1e-3 * self.h
         self.wall = maze.wall_mask()
         self.negative = np.zeros_like(self.wall)
-        for ix, iy in maze.electrode_cells(Polarity.NEGATIVE):
+        negative_cells = maze.electrode_cells(Polarity.NEGATIVE)
+        for ix, iy in negative_cells:
             self.negative[iy, ix] = True
+        # Bounding box of the negative electrode, mm: (x0, y0, x1, y1).
+        ixs = [ix for ix, _ in negative_cells]
+        iys = [iy for _, iy in negative_cells]
+        self.negative_box = (
+            min(ixs) * self.h, min(iys) * self.h, (max(ixs) + 1) * self.h, (max(iys) + 1) * self.h
+        )
         self.positive_cells = sorted(maze.electrode_cells(Polarity.POSITIVE))
         self._edges = np.arange(max(self.nx, self.ny) + 1) * self.h  # cell boundaries, mm
 
@@ -277,10 +294,20 @@ class _Geometry:
         return px, py
 
 
-def _contact_normals(geom: _Geometry, x: float, y: float, radius: float) -> list[tuple[float, float]]:
+def _contact_normals(
+    geom: _Geometry,
+    x: float,
+    y: float,
+    radius: float,
+    near: list[tuple[int, int]] | None = None,
+) -> list[tuple[float, float]]:
+    """Unit normals of the walls and grid rim the disk touches. near is
+    geom.cells_near(geom.wall, x, y, radius) when the caller has it."""
     eps = geom.contact_eps
     normals: list[tuple[float, float]] = []
-    for ix, iy in geom.cells_near(geom.wall, x, y, radius):
+    if near is None:
+        near = geom.cells_near(geom.wall, x, y, radius)
+    for ix, iy in near:
         px, py = geom.closest_point_on_cell(ix, iy, x, y)
         d = math.hypot(x - px, y - py)
         if 1e-12 < d <= radius + eps:
@@ -312,15 +339,22 @@ def _project_out(fx: float, fy: float, normals: list[tuple[float, float]]) -> tu
     return fx, fy
 
 
-def _resolve_overlap(geom: _Geometry, x: float, y: float, radius: float) -> tuple[float, float]:
-    """Push the disk centre out of any wall overlap; clamp to the grid."""
+def _resolve_overlap(
+    geom: _Geometry, x: float, y: float, radius: float
+) -> tuple[float, float, list[tuple[int, int]] | None]:
+    """Push the disk centre out of any wall overlap; clamp to the grid.
+
+    Also returns the wall cells near the final position, as cells_near
+    gives them, so the contact normals there need no second query; None
+    when the last of the 16 pushes moved the disk past its last query."""
     h = geom.h
     x = min(max(x, radius), geom.nx * h - radius)
     y = min(max(y, radius), geom.ny * h - radius)
     for _ in range(16):
         worst_pen = 0.0
         worst_n: tuple[float, float] | None = None
-        for ix, iy in geom.cells_near(geom.wall, x, y, radius):
+        near = geom.cells_near(geom.wall, x, y, radius)
+        for ix, iy in near:
             px, py = geom.closest_point_on_cell(ix, iy, x, y)
             d = math.hypot(x - px, y - py)
             if d <= 1e-12:
@@ -337,10 +371,10 @@ def _resolve_overlap(geom: _Geometry, x: float, y: float, radius: float) -> tupl
                 worst_pen = pen
                 worst_n = (nx_, ny_)
         if worst_n is None or worst_pen <= 1e-9 * h:
-            break
+            return x, y, near
         x += worst_n[0] * (worst_pen + 1e-9 * h)
         y += worst_n[1] * (worst_pen + 1e-9 * h)
-    return x, y
+    return x, y, None
 
 
 def _disk_fits(geom: _Geometry, x: float, y: float, radius: float) -> bool:
@@ -357,6 +391,11 @@ def _disk_fits(geom: _Geometry, x: float, y: float, radius: float) -> bool:
 
 
 def _disk_overlaps_negative(geom: _Geometry, x: float, y: float, radius: float) -> bool:
+    # cells_near searches no further than radius + h from the centre.
+    reach = radius + geom.h
+    x0, y0, x1, y1 = geom.negative_box
+    if x + reach < x0 or x - reach > x1 or y + reach < y0 or y - reach > y1:
+        return False
     for ix, iy in geom.cells_near(geom.negative, x, y, radius):
         px, py = geom.closest_point_on_cell(ix, iy, x, y)
         if math.hypot(x - px, y - py) <= radius:
@@ -369,11 +408,18 @@ def _disk_overlaps_negative(geom: _Geometry, x: float, y: float, radius: float) 
 
 
 def _force_at(
-    field: VectorField, geom: _Geometry, x: float, y: float, radius: float, gain: float
+    field: VectorField,
+    geom: _Geometry,
+    x: float,
+    y: float,
+    radius: float,
+    gain: float,
+    near: list[tuple[int, int]] | None = None,
 ) -> tuple[np.ndarray, list[tuple[float, float]]]:
-    """Raw disk-integrated force and the wall-contact normals at one position."""
+    """Raw disk-integrated force and the wall-contact normals at one
+    position; near as for _contact_normals."""
     raw = disk_integrate(field, (x, y), radius, wall_mask=geom.wall, gain=gain)
-    return raw, _contact_normals(geom, x, y, radius)
+    return raw, _contact_normals(geom, x, y, radius, near)
 
 
 def _effective_force(
@@ -386,8 +432,9 @@ def _effective_force(
 
 def _advance(
     state: DropletState, params: DynamicsParams, geom: _Geometry, fx: float, fy: float
-) -> DropletState:
-    """One stick-slip update under the effective (wall-projected) force."""
+) -> tuple[DropletState, list[tuple[int, int]] | None]:
+    """One stick-slip update under the effective (wall-projected) force.
+    Also returns the wall cells near the new position (see _resolve_overlap)."""
     dt = params.dt
     fmag = math.hypot(fx, fy)
 
@@ -417,7 +464,7 @@ def _advance(
 
     nx_pos = state.x + vx * dt
     ny_pos = state.y + vy * dt
-    nx_pos, ny_pos = _resolve_overlap(geom, nx_pos, ny_pos, state.radius)
+    nx_pos, ny_pos, near = _resolve_overlap(geom, nx_pos, ny_pos, state.radius)
     return DropletState(
         x=nx_pos,
         y=ny_pos,
@@ -426,7 +473,7 @@ def _advance(
         vy=(ny_pos - state.y) / dt,
         t=state.t + dt,
         pinned_impulse=impulse,
-    )
+    ), near
 
 
 def step(
@@ -437,7 +484,7 @@ def step(
         raise ValueError("step needs an explicit positive dt; use simulate for auto-dt")
     geom = _Geometry(maze)
     raw, normals = _force_at(field, geom, state.x, state.y, state.radius, params.force_gain)
-    return _advance(state, params, geom, *_effective_force(raw, normals))
+    return _advance(state, params, geom, *_effective_force(raw, normals))[0]
 
 
 def droplet_radius_mm(
@@ -584,10 +631,10 @@ def simulate(
                     rng.gauss(0.0, run.noise_amplitude),
                 )
             prev = state
-            state = _advance(prev, run, geom, *_effective_force(raw, normals, noise))
+            state, near = _advance(prev, run, geom, *_effective_force(raw, normals, noise))
             steps += 1
             path_length += math.hypot(state.x - prev.x, state.y - prev.y)
-            raw, normals = _force_at(field, geom, state.x, state.y, radius, run.force_gain)
+            raw, normals = _force_at(field, geom, state.x, state.y, radius, run.force_gain, near)
             fx, fy = _effective_force(raw, normals)
             times.append(state.t)
             xs.append(state.x)

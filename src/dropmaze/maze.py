@@ -336,7 +336,16 @@ def bfs(
         dist[i] = 0
         owner[i] = k
         queue.append(i)
-    limit = nx * ny if max_depth is None else max_depth
+    _expand(free, nx, ny, dist, owner, queue, nx * ny if max_depth is None else max_depth)
+    return _as_grid(dist, ny, nx), _as_grid(owner, ny, nx)
+
+
+def _expand(
+    free: bytes, nx: int, ny: int, dist: array, owner: array, queue: deque[int], limit: int
+) -> None:
+    """Run bfs's search from the queued cells until the queue is empty,
+    filling dist and owner. Cells already reached (dist >= 0) are not
+    entered again."""
     # East, north, west, south. A cell's owner does not depend on this
     # order: each wavefront is queued in order of owner index.
     steps = [(dx, dy, dy * nx + dx) for dx, dy in ((1, 0), (0, -1), (-1, 0), (0, 1))]
@@ -352,25 +361,31 @@ def bfs(
                 dist[j] = d
                 owner[j] = owner[i]
                 queue.append(j)
-    return (
-        np.frombuffer(dist, dtype=np.intc).reshape(ny, nx),
-        np.frombuffer(owner, dtype=np.intc).reshape(ny, nx),
-    )
+
+
+def _as_grid(buffer: array, ny: int, nx: int) -> np.ndarray:
+    return np.frombuffer(buffer, dtype=np.intc).reshape(ny, nx)
 
 
 def validate_and_components(spec: MazeSpec) -> ComponentReport:
     """Label 4-connected channel components; solvable iff some positive and
     negative electrode cells share a component."""
     channel = spec.channel_mask()
-    labels = np.full(channel.shape, -1, dtype=np.int32)
+    ny, nx = channel.shape
+    free = channel.tobytes()
+    # One search per component over shared buffers, so each cell is
+    # visited once: a component's cells take its number as their owner.
+    dist = array("i", [-1]) * (nx * ny)
+    owner = array("i", [-1]) * (nx * ny)
     comp = 0
     # Components are numbered in row-major order of their first cell.
     for i in np.flatnonzero(channel).tolist():
-        if labels.flat[i] < 0:
-            iy, ix = divmod(i, spec.nx)
-            dist, _ = bfs(channel, [(ix, iy)])
-            labels[dist >= 0] = comp
+        if dist[i] < 0:
+            dist[i] = 0
+            owner[i] = comp
+            _expand(free, nx, ny, dist, owner, deque([i]), nx * ny)
             comp += 1
+    labels = _as_grid(owner, ny, nx)
 
     pos_comps = {int(labels[iy, ix]) for ix, iy in spec.electrode_cells(Polarity.POSITIVE)}
     neg_comps = {int(labels[iy, ix]) for ix, iy in spec.electrode_cells(Polarity.NEGATIVE)}

@@ -156,25 +156,24 @@ class _ListField(NamedTuple):
 
 
 def _bilinear(j: _ListField, x_mm: float, y_mm: float) -> tuple[float, float]:
-    h = j.cell_size
+    vx, vy, h, nx, ny = j[:5]
     u = x_mm / h - 0.5
     v = y_mm / h - 0.5
-    i0 = min(max(int(math.floor(u)), 0), j.nx - 2) if j.nx > 1 else 0
-    k0 = min(max(int(math.floor(v)), 0), j.ny - 2) if j.ny > 1 else 0
+    i0 = min(max(math.floor(u), 0), nx - 2) if nx > 1 else 0
+    k0 = min(max(math.floor(v), 0), ny - 2) if ny > 1 else 0
     tu = min(max(u - i0, 0.0), 1.0)
     tv = min(max(v - k0, 0.0), 1.0)
-    i1 = min(i0 + 1, j.nx - 1)
-    k1 = min(k0 + 1, j.ny - 1)
-
-    def sample(comp: list[list[float]]) -> float:
-        return (
-            comp[k0][i0] * (1 - tu) * (1 - tv)
-            + comp[k0][i1] * tu * (1 - tv)
-            + comp[k1][i0] * (1 - tu) * tv
-            + comp[k1][i1] * tu * tv
-        )
-
-    return sample(j.vx), sample(j.vy)
+    i1 = min(i0 + 1, nx - 1)
+    k1 = min(k0 + 1, ny - 1)
+    su = 1 - tu
+    sv = 1 - tv
+    # Each term is (value * weight) * weight: a precomputed product of the
+    # two weights would round differently.
+    vx0, vx1, vy0, vy1 = vx[k0], vx[k1], vy[k0], vy[k1]
+    return (
+        vx0[i0] * su * sv + vx0[i1] * tu * sv + vx1[i0] * su * tv + vx1[i1] * tu * tv,
+        vy0[i0] * su * sv + vy0[i1] * tu * sv + vy1[i0] * su * tv + vy1[i1] * tu * tv,
+    )
 
 
 def streamline(

@@ -4,9 +4,10 @@ Everything here is deliberately written the slow, obvious way and shares no
 code with the package internals: dense Gaussian elimination for the
 potential, exhaustive BFS for shortest distances, a two-resistor
 Kirchhoff split for branch currents, cell-by-cell scans for the droplet's
-wall queries and start cell, element-wise numpy sampling for
-streamlines, a row-major deque flood fill for channel components, and
-per-region cell scans for the corridor overlap.
+wall queries and start cell, the droplet's disk sum over np.arange
+windows, element-wise numpy sampling for streamlines, a row-major deque
+flood fill for channel components, and per-region cell scans for the
+corridor overlap.
 """
 
 from __future__ import annotations
@@ -315,6 +316,32 @@ def bfs_order_find_start(channel, wall, h, positive_cells, radius, labels):
         if best is None or key < best:
             best = key
     return None if best is None else (best[3], best[2])
+
+
+def arange_disk_integrate(field, center_mm, radius_mm, wall_mask=None, gain=1.0):
+    """`dynamics.disk_integrate` as it was before it sliced cached cell
+    centres: the window's centres come from np.arange on every call."""
+    h = field.cell_size
+    x, y = center_mm
+    if x + radius_mm < 0 or y + radius_mm < 0 or x - radius_mm > field.nx * h or y - radius_mm > field.ny * h:
+        raise ValueError("disk lies entirely outside the grid")
+    ix0 = max(int(math.floor((x - radius_mm) / h)) - 1, 0)
+    ix1 = min(int(math.ceil((x + radius_mm) / h)) + 1, field.nx - 1)
+    iy0 = max(int(math.floor((y - radius_mm) / h)) - 1, 0)
+    iy1 = min(int(math.ceil((y + radius_mm) / h)) + 1, field.ny - 1)
+    if ix1 < ix0 or iy1 < iy0:
+        raise ValueError("disk lies entirely outside the grid")
+    ixs = np.arange(ix0, ix1 + 1)
+    iys = np.arange(iy0, iy1 + 1)
+    cx = (ixs + 0.5) * h
+    cy = (iys + 0.5) * h
+    inside = (cx[None, :] - x) ** 2 + (cy[:, None] - y) ** 2 <= radius_mm**2
+    if wall_mask is not None:
+        inside &= ~wall_mask[iy0 : iy1 + 1, ix0 : ix1 + 1]
+    area = (h * 1e-3) ** 2
+    fx = float(field.vx[iy0 : iy1 + 1, ix0 : ix1 + 1][inside].sum()) * area * gain
+    fy = float(field.vy[iy0 : iy1 + 1, ix0 : ix1 + 1][inside].sum()) * area * gain
+    return np.array([fx, fy])
 
 
 def scan_disk_overlaps_cells(h, x, y, radius, cells):

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +29,11 @@ from dropmaze.dynamics import (
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze
 from dropmaze.maze import Polarity, convex_corner_cells, parse_maze
 from dropmaze.oracle import extract_path, lee_label, segment_corridors
+from dropmaze.scenario import build_maze, load_config
 from dropmaze.solver import VectorField, VectorQuantity, compute_fields
 
 from oracles import (
+    arange_disk_integrate,
     bfs_order_find_start,
     closest_point_on_cell,
     scan_contact_normals,
@@ -38,6 +42,9 @@ from oracles import (
     scan_resolve_overlap,
     scan_wall_cells,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def uniform_field(nx=60, ny=60, h=0.5, ux=3.0, uy=0.0):
@@ -425,11 +432,139 @@ def test_wall_queries_match_cell_scan(query_mazes, name, radius, kind, u, v, k, 
 
     wall = geom.wall
     assert _contact_normals(geom, x, y, radius) == scan_contact_normals(wall, h, x, y, radius)
-    assert _resolve_overlap(geom, x, y, radius) == scan_resolve_overlap(wall, h, x, y, radius)
+    rx, ry, near = _resolve_overlap(geom, x, y, radius)
+    assert (rx, ry) == scan_resolve_overlap(wall, h, x, y, radius)
+    # The push's last query, when it was made where the push stopped,
+    # gives the contact normals there.
+    if near is not None:
+        assert near == geom.cells_near(wall, rx, ry, radius)
+    assert _contact_normals(geom, rx, ry, radius, near) == scan_contact_normals(wall, h, rx, ry, radius)
     assert _disk_fits(geom, x, y, radius) == scan_disk_fits(wall, h, x, y, radius)
     assert _disk_overlaps_negative(geom, x, y, radius) == scan_disk_overlaps_cells(
         h, x, y, radius, cells["negative"]
     )
+
+
+def test_overlap_push_cap_leaves_normals_to_their_own_query(query_mazes):
+    """Deep inside a wall block the 16 pushes run out before the disk is
+    free: the last query then lies behind the last move, so none is
+    handed on."""
+    geom, cells = query_mazes["bifurcation"]
+    h = geom.h
+    x, y = (geom.nx - 0.5) * h, (geom.ny - 0.5) * h
+    assert geom.wall[geom.ny - 1, geom.nx - 1]
+    rx, ry, near = _resolve_overlap(geom, x, y, 1.0)
+    assert near is None
+    assert (rx, ry) == scan_resolve_overlap(geom.wall, h, x, y, 1.0)
+    assert _contact_normals(geom, rx, ry, 1.0, near) == scan_contact_normals(geom.wall, h, rx, ry, 1.0)
+
+
+@pytest.mark.parametrize("name", ["ring_m2", "bifurcation_lock"])
+def test_one_wall_query_per_droplet_position(name, monkeypatch):
+    """At an explicit dt, each step queries the wall cells at the position
+    it ends on once, inside the overlap push; that query also gives the
+    contact normals there. Every other query is at a position an overlap
+    push then moved from."""
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    maze = build_maze(cfg)
+    fields = compute_fields(maze)
+    dt = simulate(maze, replace(cfg.dynamics, max_steps=0), fields).dt
+    steps_queries = [[]]  # wall queries (x, y, inside the push) per step
+    pushing = False
+    real_near = _Geometry.cells_near
+    real_resolve = dynamics._resolve_overlap
+
+    def cells_near(self, mask, x, y, radius):
+        if mask is self.wall:
+            steps_queries[-1].append((x, y, pushing))
+        return real_near(self, mask, x, y, radius)
+
+    def resolve(*args):
+        nonlocal pushing
+        steps_queries.append([])
+        pushing = True
+        try:
+            return real_resolve(*args)
+        finally:
+            pushing = False
+
+    monkeypatch.setattr(_Geometry, "cells_near", cells_near)
+    monkeypatch.setattr(dynamics, "_resolve_overlap", resolve)
+    traj = simulate(maze, replace(cfg.dynamics, dt=dt), fields)
+    steps = len(traj) - 1
+    assert steps > 500 and len(steps_queries) == steps + 1
+    pushes = 0
+    for k, queries in enumerate(steps_queries[1:], start=1):
+        end = (traj.xs[k], traj.ys[k])
+        assert all(inside for _, _, inside in queries)
+        assert queries[-1][:2] == end
+        assert all((qx, qy) != end for qx, qy, _ in queries[:-1])
+        pushes += len(queries) - 1
+    assert sum(len(queries) for queries in steps_queries[1:]) == steps + pushes
+    assert pushes > 0
+
+
+def test_far_target_check_makes_no_wall_query(straight_maze, monkeypatch):
+    """The target check queries the electrode cells only once the disk's
+    search window reaches the electrode's bounding box."""
+    geom = _Geometry(straight_maze)
+    calls = []
+    real_near = _Geometry.cells_near
+
+    def cells_near(self, *args):
+        calls.append(args)
+        return real_near(self, *args)
+
+    monkeypatch.setattr(_Geometry, "cells_near", cells_near)
+    # The negative electrode is the column of cells from x = 30 to 30.5 mm.
+    assert sorted({ix for ix, _ in straight_maze.electrode_cells(Polarity.NEGATIVE)}) == [60]
+    assert not _disk_overlaps_negative(geom, 10.0, 2.5, 1.0)
+    assert not _disk_overlaps_negative(geom, 28.4, 2.5, 1.0)
+    assert calls == []
+    assert not _disk_overlaps_negative(geom, 28.9, 2.5, 1.0)
+    assert len(calls) == 1
+    assert _disk_overlaps_negative(geom, 29.1, 2.5, 1.0)
+    assert len(calls) == 2
+
+
+@settings(max_examples=400)
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    h=st.sampled_from((0.1, 0.25, 0.3, 0.37, 0.5, 1.0)),
+    seed=st.integers(0, 10_000),
+    u=st.floats(-0.2, 1.2),
+    v=st.floats(-0.2, 1.2),
+    radius_cells=st.floats(0.1, 6.0),
+    wall_share=st.sampled_from((0.0, 0.3, 0.7)),
+    gain=st.sampled_from((1.0, 2.5)),
+    snap=st.booleans(),
+)
+def test_disk_integrate_matches_arange_windows(
+    shape, h, seed, u, v, radius_cells, wall_share, gain, snap
+):
+    """Bit for bit, on grids of many sizes (the cell centres are cached
+    per size), for disks inside the grid, clipped at its rim or off it,
+    with and without wall cells in the window. A snapped disk sits on a
+    cell centre with a radius of whole cells, so other cell centres lie
+    on its rim, where the last bit of a centre decides membership."""
+    rng = np.random.default_rng(seed)
+    field = VectorField(
+        rng.normal(size=shape), rng.normal(size=shape), h, VectorQuantity.CURRENT_DENSITY
+    )
+    wall = rng.random(shape) < wall_share
+    center = (u * shape[1] * h, v * shape[0] * h)
+    radius = radius_cells * h
+    if snap:
+        center = tuple((math.floor(c / h) + 0.5) * h for c in center)
+        radius = max(round(radius_cells), 1) * h
+    for mask in (None, wall):
+        try:
+            want = arange_disk_integrate(field, center, radius, mask, gain)
+        except ValueError:
+            with pytest.raises(ValueError):
+                disk_integrate(field, center, radius, wall_mask=mask, gain=gain)
+            continue
+        assert np.array_equal(disk_integrate(field, center, radius, wall_mask=mask, gain=gain), want)
 
 
 def test_simulate_evaluates_force_once_per_position(straight_maze, monkeypatch):

@@ -197,6 +197,26 @@ def test_component_labels_match_deque_flood_fill_on_random_masks(seed):
     assert rep.solvable == (labels.flat[pos] == labels.flat[neg])
 
 
+def test_component_labels_match_deque_flood_fill_with_thousands_of_pockets():
+    """A 180x240 grid of sealed pockets, single cells and short runs, in
+    and around a few larger random channels."""
+    rng = np.random.default_rng(7)
+    cells = np.where(rng.random((180, 240)) < 0.45, 0, 1).astype(np.int8)
+    cells[::4, :] = CellKind.WALL
+    cells[1, :] = cells[-2, :] = CellKind.CHANNEL
+    spec = dm.MazeSpec(cells, (
+        dm.Electrode("E1", dm.Polarity.POSITIVE, frozenset({(0, 1)})),
+        dm.Electrode("E2", dm.Polarity.NEGATIVE, frozenset({(239, 178)})),
+    ))
+    rep = validate_and_components(spec)
+    labels, count = deque_components(spec.channel_mask())
+    assert count > 3000
+    assert rep.labels.dtype == np.int32
+    assert np.array_equal(rep.labels, labels)
+    assert rep.n_components == count
+    assert not rep.solvable
+
+
 def test_conductivity_uniform():
     spec = parse_maze("S..T\n....\n....\n....")
     sigma = conductivity_grid(spec)

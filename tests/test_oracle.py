@@ -320,7 +320,9 @@ def test_bfs_matches_reference_on_random_masks(seed):
 
 def test_list_backed_streamlines_match_array_sampler(ring_maze, ring_fields, monkeypatch):
     """Every fan streamline is point-for-point the one the numpy-element
-    sampler traces."""
+    sampler traces. The second fan counts its samples, so the comparison
+    fails rather than passes if streamline stops sampling through
+    _bilinear."""
     traced = []
     real_streamline = oracle.streamline
 
@@ -333,15 +335,43 @@ def test_list_backed_streamlines_match_array_sampler(ring_maze, ring_fields, mon
     bif = generate_bifurcation_maze(38.0, 42.0, 4.0)
     for j, maze in ((ring_fields.j, ring_maze), (compute_fields(bif).j, bif)):
         traced.clear()
-        trace_route_streamline(j, maze)
+        chosen = trace_route_streamline(j, maze)
         fan = list(traced)
         traced.clear()
+        samples = 0
+
+        def sampler(grid, x, y, j=j):
+            nonlocal samples
+            samples += 1
+            return array_bilinear(j, x, y)
+
         with monkeypatch.context() as m:
-            m.setattr(oracle, "_bilinear", lambda grid, x, y, j=j: array_bilinear(j, x, y))
-            trace_route_streamline(j, maze)
+            m.setattr(oracle, "_bilinear", sampler)
+            reference = trace_route_streamline(j, maze)
         assert len(fan) == len(traced) >= 8
         assert sum(len(points) for points in fan) > 1000
+        # A weight sample per seed and four samples per fourth-order step.
+        assert samples >= len(traced) + 4 * sum(len(points) - 1 for points in traced)
         assert all(np.array_equal(a, b) for a, b in zip(fan, traced))
+        assert np.array_equal(chosen.points, reference.points)
+
+
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    h=st.sampled_from((0.25, 0.5, 0.37, 1.0)),
+    seed=st.integers(0, 10_000),
+    u=st.floats(-0.3, 1.3),
+    v=st.floats(-0.3, 1.3),
+)
+def test_list_sampler_matches_array_sampler_bit_for_bit(shape, h, seed, u, v):
+    """Inside the grid, on its rim and beyond it (clamped), and on grids
+    one cell wide."""
+    rng = np.random.default_rng(seed)
+    j = dm.VectorField(
+        rng.normal(size=shape), rng.normal(size=shape), h, dm.VectorQuantity.CURRENT_DENSITY
+    )
+    x, y = u * shape[1] * h, v * shape[0] * h
+    assert oracle._bilinear(oracle._ListField.of(j), x, y) == array_bilinear(j, x, y)
 
 
 # A closed corridor loop cut off from the electrodes' corridor: its
