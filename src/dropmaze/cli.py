@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .dynamics import DynamicsError
 from .maze import GeometryError, MazeError, emit_maze, parse_maze
+from .oracle import UnreachableError
 from .render import read_field_csv, render_field
 from .scenario import (
     EXIT_CONFIG_ERROR,
@@ -182,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, MazeError, GeometryError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (UnsolvableMazeError, FieldSolveError, DynamicsError) as exc:
+    except (UnsolvableMazeError, FieldSolveError, DynamicsError, UnreachableError) as exc:
         print(f"unsolvable: {exc}", file=sys.stderr)
         return EXIT_UNSOLVABLE
     except ConvergenceError as exc:

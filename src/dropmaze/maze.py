@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ import numpy as np
 # residuals (bulk gold, 4.1e7 S/m, hits the double-precision accuracy
 # floor; set it explicitly if you want it and relax tol to 1e-8).
 SIGMA_NAOH_05M = 10.0  # S/m
-SIGMA_GOLD = 4.1e7  # S/m, bulk; reference value, not the default
 SIGMA_COATING_DEFAULT = 1.0e5  # S/m
 DEFAULT_CELL_SIZE_MM = 0.5
 DEFAULT_VOLTAGE = 5.0
@@ -211,6 +211,8 @@ def parse_maze(text: str) -> MazeSpec:
                 raise MazeFormatError(f"unknown header key {key!r}", i + 1)
             try:
                 params[key] = float(value.strip())
+                if not math.isfinite(params[key]):
+                    raise ValueError(value)
             except ValueError:
                 raise MazeFormatError(f"bad numeric value for {key!r}", i + 1) from None
             i += 1

@@ -342,8 +342,6 @@ def trace_route_streamline(
         pick = max(sorted(votes), key=lambda rid: votes[rid])
         alive = [t for t in alive if len(t[0]) > position and t[0][position] == pick]
         position += 1
-    if not alive:
-        return max(pool, key=lambda t: t[1])[2]
     exact = [t for t in alive if len(t[0]) == position]
     return max(exact if exact else alive, key=lambda t: t[1])[2]
 

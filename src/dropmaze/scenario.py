@@ -126,43 +126,42 @@ class ScenarioConfig:
         for a in self.artifacts:
             if a not in KNOWN_ARTIFACTS:
                 raise ConfigError(f"unknown artifact {a!r}")
+        if self.start not in ("auto", "axis"):
+            _start_point(self.start)
+
+
+def _finite(value: str) -> float:
+    """float() without nan and the infinities, which no parameter means."""
+    if not math.isfinite(number := float(value)):
+        raise ValueError(value)
+    return number
+
+
+def _start_point(start: str) -> tuple[float, float]:
+    try:
+        x, y = (_finite(v) for v in start.split(","))
+    except ValueError:
+        raise ConfigError(f"bad start {start!r}; use auto, axis, or x_mm,y_mm") from None
+    return x, y
 
 
 _DYNAMICS_KEYS = {
-    "mobility": float,
-    "static_threshold": float,
-    "dt": float,
-    "max_steps": int,
-    "lock_window": int,
-    "lock_epsilon_mm": float,
-    "force_gain": float,
-    "radius_mm": float,
-    "release_time": float,
-    "stall_fraction": float,
-    "noise_amplitude": float,
-    "noise_seed": int,
+    **dict.fromkeys(("max_steps", "lock_window", "noise_seed"), int),
+    **dict.fromkeys(
+        ("mobility", "static_threshold", "dt", "lock_epsilon_mm", "force_gain", "radius_mm",
+         "release_time", "stall_fraction", "noise_amplitude"),
+        _finite,
+    ),
 }
 
 _SCENARIO_KEYS = {
-    "maze_file": str,
-    "generator": str,
-    "rings": int,
-    "diameter_mm": float,
-    "channel_width_mm": float,
-    "wall_mm": float,
-    "exit_angle_deg": float,
-    "len_a_mm": float,
-    "len_b_mm": float,
-    "cell_size_mm": float,
-    "seed": int,
-    "sigma_electrolyte": float,
-    "sigma_wall": float,
-    "sigma_coating": float,
-    "voltage": float,
-    "tol": float,
-    "max_iter": int,
-    "start": str,
-    "out": str,
+    **dict.fromkeys(("maze_file", "generator", "start", "out"), str),
+    **dict.fromkeys(("rings", "seed", "max_iter"), int),
+    **dict.fromkeys(
+        ("diameter_mm", "channel_width_mm", "wall_mm", "exit_angle_deg", "len_a_mm", "len_b_mm",
+         "cell_size_mm", "sigma_electrolyte", "sigma_wall", "sigma_coating", "voltage", "tol"),
+        _finite,
+    ),
 }
 
 
@@ -258,23 +257,22 @@ def build_maze(cfg: ScenarioConfig) -> MazeSpec:
 
 def resolve_start(
     cfg: ScenarioConfig, maze: MazeSpec, seg: CorridorSegmentation, labels: LeeLabels
-) -> tuple[float, float] | None:
-    """auto -> default placement; axis -> default x, vertically centred
-    (the mirror axis of the built-in symmetric mazes); "x,y" -> explicit mm.
+) -> tuple[tuple[float, float], tuple[int, int]]:
+    """The start point (mm) the config's `start` names, and the cell
+    holding it: auto -> the centre of the default placement (find_start);
+    axis -> that cell's x, vertically centred (the mirror axis of the
+    built-in symmetric mazes); "x,y" -> the given point.
 
     seg and labels are the maze's segment_corridors and lee_label results."""
-    if cfg.start == "auto":
-        return None
-    if cfg.start == "axis":
-        radius = droplet_radius_mm(cfg.dynamics, seg, maze.cell_size)
-        cell = find_start(maze, radius, labels)
-        x = (cell[0] + 0.5) * maze.cell_size
-        return (x, maze.ny * maze.cell_size / 2.0)
-    try:
-        x, y = (float(v) for v in cfg.start.split(","))
-    except ValueError:
-        raise ConfigError(f"bad start {cfg.start!r}; use auto, axis, or x_mm,y_mm") from None
-    return (x, y)
+    h = maze.cell_size
+    if cfg.start in ("auto", "axis"):
+        cell = find_start(maze, droplet_radius_mm(cfg.dynamics, seg, h), labels)
+        x, y = maze.cell_center_mm(*cell)
+        if cfg.start == "axis":
+            y = maze.ny * h / 2.0
+    else:
+        x, y = _start_point(cfg.start)
+    return (x, y), (int(x // h), int(y // h))
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,7 +362,6 @@ class ScenarioResult:
     fields: FieldBundle
     segmentation: CorridorSegmentation
     path: OraclePath
-    streamline_sequence: tuple[int, ...]
     trajectory: Trajectory
     comparison: ComparisonMetrics
     corner_stats: CornerForceStats
@@ -415,13 +412,39 @@ def _report_head(cfg: ScenarioConfig, maze: MazeSpec, components, fields: FieldB
     }
 
 
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+
+
+def _route(cfg: ScenarioConfig, maze: MazeSpec, fields: FieldBundle):
+    """The route stage of `oracle` and `simulate`: the maze's segmentation
+    and Lee labels, the configured start (point, mm), the Lee path from
+    its cell, the fan streamline, and the oracle read-outs report.json
+    and oracle.json share."""
+    seg = segment_corridors(maze)
+    labels = lee_label(maze)
+    start_mm, start_cell = resolve_start(cfg, maze, seg, labels)
+    path = extract_path(labels, start_cell)
+    stream = trace_route_streamline(fields.j, maze, seg=seg)
+    p_seq = region_sequence(path.cells, seg)
+    s_seq = region_sequence(stream.cells(maze.cell_size), seg)
+    oracle = {
+        "path_cells": len(path.cells),
+        "path_length_mm": path.length_mm,
+        "path_sequence": list(p_seq),
+        "streamline_sequence": list(s_seq),
+        "streamline_matches_path": s_seq == p_seq,
+    }
+    return seg, labels, start_mm, path, stream, oracle
+
+
 def run_fields_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> dict:
     """The `solve` pipeline: fields and their exports, no droplet, no oracle."""
     maze, components, fields = prepare_fields(cfg)
     report = _report_head(cfg, maze, components, fields)
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "report.json", report)
     write_field_csv(out / "potential.csv", fields.phi)
     write_pgm(out / "potential.pgm", normalize_u8(fields.phi.values))
     write_field_csv(out / "current.csv", fields.j)
@@ -432,32 +455,21 @@ def run_fields_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> d
 def run_oracle_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> dict:
     """The `oracle` pipeline: Lee labels, path and streamline read-outs only.
 
-    The start cell is the droplet's default placement so the oracle route
-    is the one a simulate run gets compared against.
-    """
+    The route is the one a simulate run of the same config gets compared
+    against: the same start, path and streamline."""
     maze, components, fields = prepare_fields(cfg)
-    seg = segment_corridors(maze)
-    labels = lee_label(maze)
-    start = find_start(maze, droplet_radius_mm(cfg.dynamics, seg, maze.cell_size), labels)
-    path = extract_path(labels, start)
-    p_seq = region_sequence(path.cells, seg)
-    stream = trace_route_streamline(fields.j, maze, seg=seg)
-    s_seq = region_sequence(stream.cells(maze.cell_size), seg)
-
+    seg, _, _, path, stream, oracle = _route(cfg, maze, fields)
+    s_seq, p_seq = oracle["streamline_sequence"], oracle["path_sequence"]
     report = _report_head(cfg, maze, components, fields)
-    report["oracle"] = {
-        "start_cell": list(start),
-        "path_cells": len(path.cells),
-        "path_length_mm": path.length_mm,
-        "path_sequence": list(p_seq),
-        "streamline_termination": stream.termination.value,
-        "streamline_sequence": list(s_seq),
-        "streamline_matches_path": s_seq == p_seq,
-        "streamline_path_overlap": seg.cell_overlap(s_seq, p_seq),
-    }
+    report["oracle"] = dict(
+        oracle,
+        start_cell=list(path.cells[0]),
+        streamline_termination=stream.termination.value,
+        streamline_path_overlap=seg.cell_overlap(s_seq, p_seq),
+    )
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "oracle.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "oracle.json", report)
     write_path_csv(out / "path.csv", path)
     return report
 
@@ -465,15 +477,9 @@ def run_oracle_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> d
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """solve -> fields -> simulate -> oracle -> compare, all in memory."""
     maze, components, fields = prepare_fields(cfg)
-    seg = segment_corridors(maze)
-    labels = lee_label(maze)
-    start_mm = resolve_start(cfg, maze, seg, labels)
+    seg, labels, start_mm, path, _, oracle = _route(cfg, maze, fields)
     traj = simulate(maze, cfg.dynamics, fields, start_mm=start_mm, seg=seg, labels=labels)
-
-    path = extract_path(labels, traj.start_cell)
     comparison = compare_trajectory(traj, path, seg)
-    stream = trace_route_streamline(fields.j, maze, seg=seg)
-    stream_seq = region_sequence(stream.cells(maze.cell_size), seg)
     corner = corner_force_stats(maze, fields, cfg.dynamics, seg)
 
     thr = cfg.dynamics.static_threshold
@@ -501,13 +507,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 for i0, i1 in vp.dwell_segments
             ],
         },
-        "oracle": {
-            "path_cells": len(path.cells),
-            "path_length_mm": path.length_mm,
-            "path_sequence": list(comparison.path_sequence),
-            "streamline_sequence": list(stream_seq),
-            "streamline_matches_path": stream_seq == comparison.path_sequence,
-        },
+        "oracle": oracle,
         "comparison": {
             "max_lateral_deviation_mm": comparison.max_lateral_deviation_mm,
             "length_ratio": comparison.length_ratio,
@@ -528,7 +528,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         fields=fields,
         segmentation=seg,
         path=path,
-        streamline_sequence=stream_seq,
         trajectory=traj,
         comparison=comparison,
         corner_stats=corner,
@@ -586,10 +585,7 @@ def export_bundle(result: ScenarioResult, out_dir: str | Path | None = None) -> 
         written.append(p)
 
     if "report" in wanted:
-        emit(
-            "report.json",
-            lambda p: p.write_text(json.dumps(result.report, sort_keys=True, indent=2) + "\n"),
-        )
+        emit("report.json", lambda p: _write_json(p, result.report))
     if "fields" in wanted:
         emit("potential.csv", lambda p: write_field_csv(p, result.fields.phi))
         emit("potential.pgm", lambda p: write_pgm(p, normalize_u8(result.fields.phi.values)))
@@ -604,19 +600,13 @@ def export_bundle(result: ScenarioResult, out_dir: str | Path | None = None) -> 
     if "oracle" in wanted:
         emit("path.csv", lambda p: write_path_csv(p, result.path))
     if "comparison" in wanted:
-        comparison = {
-            "max_lateral_deviation_mm": result.comparison.max_lateral_deviation_mm,
-            "length_ratio": result.comparison.length_ratio,
-            "corridor_sequence_equal": result.comparison.corridor_sequence_equal,
-            "cell_overlap": result.comparison.cell_overlap,
-            "trajectory_sequence": list(result.comparison.trajectory_sequence),
-            "path_sequence": list(result.comparison.path_sequence),
-            "streamline_sequence": list(result.streamline_sequence),
-        }
-        emit(
-            "comparison.json",
-            lambda p: p.write_text(json.dumps(comparison, sort_keys=True, indent=2) + "\n"),
+        oracle = result.report["oracle"]
+        comparison = dict(
+            result.report["comparison"],
+            path_sequence=oracle["path_sequence"],
+            streamline_sequence=oracle["streamline_sequence"],
         )
+        emit("comparison.json", lambda p: _write_json(p, comparison))
     if "trace" in wanted:
         emit(
             "trace.ppm",

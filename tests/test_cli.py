@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 import dropmaze as dm
 from dropmaze.cli import main
@@ -25,6 +28,17 @@ len_b_mm = 40
 channel_width_mm = 4
 start = axis
 """
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Every float-valued config key.
+FLOAT_KEYS = (
+    "mobility", "static_threshold", "dt", "lock_epsilon_mm", "force_gain", "radius_mm",
+    "release_time", "stall_fraction", "noise_amplitude", "diameter_mm", "channel_width_mm",
+    "wall_mm", "exit_angle_deg", "len_a_mm", "len_b_mm", "cell_size_mm", "sigma_electrolyte",
+    "sigma_wall", "sigma_coating", "voltage", "tol",
+)
 
 
 def _write(tmp_path, name, text):
@@ -90,6 +104,33 @@ def test_unsolvable_exit_five(tmp_path):
     assert main(["simulate", "--config", cfg]) == 5
 
 
+@pytest.mark.parametrize(
+    "line",
+    [f"{key} = nan" for key in FLOAT_KEYS] + ["start = nan,1", "voltage = inf", "dt = -inf"],
+)
+def test_non_finite_config_value_exit_four(tmp_path, capsys, line):
+    cfg = _write(tmp_path, "bad.cfg", f"generator = bifurcation\n{line}\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert "config error: bad" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("header", ["cell_size_mm = nan", "voltage = inf"])
+def test_non_finite_maze_header_exit_four(tmp_path, capsys, header):
+    maze = _write(tmp_path, "bad.maze", straight_channel_text().replace("voltage = 5.0", header))
+    cfg = _write(tmp_path, "bad.cfg", f"maze_file = {maze}\n")
+    assert main(["simulate", "--config", cfg]) == 4
+    assert "(line 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_start_in_a_wall_exit_five(tmp_path, command):
+    """Both commands honour an explicit start; one inside a wall cannot start."""
+    maze = _write(tmp_path, "straight.maze", straight_channel_text())
+    cfg = _write(tmp_path, "wall.cfg", f"maze_file = {maze}\nstart = 5.25,0.25\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 5
+
+
 def test_nonconvergence_exit_six(tmp_path):
     maze = _write(tmp_path, "straight.maze", straight_channel_text(length_cells=120))
     cfg = _write(tmp_path, "tight.cfg", f"maze_file = {maze}\nmax_iter = 2\n")
@@ -119,6 +160,23 @@ def test_oracle_subcommand(tmp_path):
     oracle = json.loads((out / "oracle.json").read_text())["oracle"]
     assert oracle["streamline_matches_path"] is True
     assert oracle["path_sequence"] == oracle["streamline_sequence"]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
+def test_oracle_reports_the_route_simulate_compares_against(name, tmp_path):
+    """`oracle` reads the configured start, so its start cell, Lee path and
+    sequences are those in the report of `simulate` on the same config."""
+    cfg = str(CONFIGS / f"{name}.cfg")
+    sim, ora = tmp_path / "simulate", tmp_path / "oracle"
+    main(["simulate", "--config", cfg, "--out", str(sim)])
+    assert main(["oracle", "--config", cfg, "--out", str(ora)]) == 0
+    report = json.loads((sim / "report.json").read_text())
+    oracle = json.loads((ora / "oracle.json").read_text())["oracle"]
+    assert oracle["start_cell"] == report["trajectory"]["start_cell"]
+    for key in ("path_cells", "path_length_mm", "path_sequence", "streamline_sequence",
+                "streamline_matches_path"):
+        assert oracle[key] == report["oracle"][key], key
+    assert (ora / "path.csv").read_bytes() == (sim / "path.csv").read_bytes()
 
 
 def test_render_subcommand(tmp_path):

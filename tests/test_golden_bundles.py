@@ -3,8 +3,11 @@ same bytes in every artifact of `dropmaze simulate` and `dropmaze oracle`.
 
 The simulate digests of `bifurcation_lock` and `ring_m2` were recorded
 before the droplet and streamline integrators were optimised, so they pin
-the outputs of the original per-cell code; their oracle digests were
-recorded before the per-maze analyses were computed once per run. The
+the outputs of the original per-cell code. The `ring_m2` oracle digests
+were recorded before the per-maze analyses were computed once per run.
+The `bifurcation_lock` oracle digests were recorded when `oracle` began
+to read the configured start (`start = axis`) instead of placing its
+own: its path.csv is byte for byte the one `simulate` writes. The
 `ring_coated` digests were recorded while the streamline fan still had a
 fixed budget of 200 000 steps, which three of its seeds used up; the
 chosen streamline reaches the target within a few hundred steps, so the
@@ -63,8 +66,8 @@ GOLDEN = {
         "trajectory.csv": "9b8009aa88d71de16b9a1cf63bb0030e2a255c19e3c9616e1efeef792e41b680",
     },
     ("oracle", "bifurcation_lock"): {
-        "oracle.json": "2b820048127d76a8eb2db9ae158c579d977d9a2f383d0bc8452ed3544bf1cf01",
-        "path.csv": "ef9e480389fbbff16468d31d3bf19d359575462e7ce8bbc0ca917237e6533440",
+        "oracle.json": "7baac37f9832afd7ec4ec7c241adf4b9796f1927687d1054f2a0a945d1ebc7ec",
+        "path.csv": "19d450d4a427acfa00bc9cc0ca80e222630af11154ade9bac4148002b8b85d73",
     },
     ("oracle", "ring_m2"): {
         "oracle.json": "cea79277bde3b0acf5b1444da9ef54a09d4df5d9aa347abae9ea8014a3af9d14",
