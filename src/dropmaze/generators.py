@@ -168,12 +168,6 @@ class BifurcationLayout:
     def branch_b_cells(self) -> int:
         return 2 * self.down_cells + self.run_cells
 
-    def junction_center_mm(self, cell_size: float) -> tuple[float, float]:
-        return (
-            (self.riser_col + self.width_cells / 2) * cell_size,
-            (self.inlet_row + self.width_cells / 2) * cell_size,
-        )
-
 
 def bifurcation_layout(
     len_a_mm: float,

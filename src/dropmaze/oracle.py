@@ -272,7 +272,9 @@ def streamline(
         x += step_mm * dx
         y += step_mm * dy
         pts.append((x, y))
-    return Streamline(np.array(pts), termination)
+    points = np.array(pts)
+    points.setflags(write=False)
+    return Streamline(points, termination)
 
 
 # Each fan seed is a full trace, so a large electrode's seed ring is
@@ -692,7 +694,8 @@ def segment_corridors(maze: MazeSpec) -> CorridorSegmentation:
     _grow(_seeds(False), None)
     _grow(_seeds(True), None)  # leftover pockets (dead ends off junctions)
 
-    region.setflags(write=False)
+    for arr in (region, is_node_arr, skel):
+        arr.setflags(write=False)
     return CorridorSegmentation(
         region=region,
         is_node=is_node_arr,

@@ -43,6 +43,7 @@ from .oracle import (
     CorridorSegmentation,
     LeeLabels,
     Path as OraclePath,
+    Streamline,
     compare_trajectory,
     extract_path,
     lee_label,
@@ -373,9 +374,86 @@ class ScenarioResult:
         return _EXIT_FOR_TERMINATION[self.trajectory.termination]
 
 
-def prepare_fields(cfg: ScenarioConfig):
-    """Build the maze and solve it; shared head of every pipeline."""
+@dataclass(frozen=True, eq=False)
+class _MazeRoute:
+    """The route of a solved maze, whatever the droplet and its start:
+    its segmentation, Lee labels, fan streamline and the streamline's
+    corridor sequence."""
+
+    seg: CorridorSegmentation
+    labels: LeeLabels
+    stream: Streamline
+    stream_sequence: tuple[int, ...]
+
+
+@dataclass(eq=False)
+class SolvedMaze:
+    """One entry of the maze stage: a built maze, its number of channel
+    components, its converged fields, and its route once a pipeline has
+    asked for it."""
+
+    key: tuple
+    maze: MazeSpec
+    n_components: int
+    fields: FieldBundle
+    _route: _MazeRoute | None = None
+
+    def route(self) -> _MazeRoute:
+        """The maze's route, computed the first time it is asked for."""
+        route = self._route
+        if route is None:
+            seg = segment_corridors(self.maze)
+            stream = trace_route_streamline(self.fields.j, self.maze, seg=seg)
+            route = _MazeRoute(
+                seg, lee_label(self.maze), stream,
+                region_sequence(stream.cells(self.maze.cell_size), seg),
+            )
+            self._route = route
+        return route
+
+
+def _content(value) -> tuple:
+    """value in a form that compares equal only for the same bits: arrays
+    by dtype, shape and bytes, dataclasses field by field, other scalars
+    by type and repr (so -0.0 differs from 0.0)."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if dataclasses.is_dataclass(value):
+        return tuple(_content(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(_content(v) for v in value)
+    if isinstance(value, frozenset):
+        return tuple(sorted(_content(v) for v in value))
+    return (type(value).__name__, repr(value))
+
+
+# The maze stage's one entry: the last maze solved in this process.
+_solved: SolvedMaze | None = None
+
+
+def _forget_solved_maze() -> None:
+    """Empty the maze stage (for tests)."""
+    global _solved
+    _solved = None
+
+
+def prepare_fields(cfg: ScenarioConfig) -> SolvedMaze:
+    """The maze stage, shared head of every pipeline: build the maze, and
+    solve it unless it is the last maze solved in this process.
+
+    The key is the built maze's content with the solve's tol and max_iter,
+    which is all the fields and the route read; the droplet and the start
+    stay out of it. A new maze replaces the entry, and a maze that is
+    unsolvable or whose solve does not converge leaves the stage empty, so
+    the error is raised again on every run. Every array the entry holds
+    is read-only."""
+    global _solved
     maze = build_maze(cfg)
+    key = _content((maze, cfg.tol, cfg.max_iter))
+    solved = _solved
+    if solved is not None and solved.key == key:
+        return solved
+    _solved = solved = None  # the old maze's arrays go before the new ones come
     components = validate_and_components(maze)
     if not components.solvable:
         raise UnsolvableMazeError("no channel route connects the electrodes")
@@ -385,10 +463,12 @@ def prepare_fields(cfg: ScenarioConfig):
             f"solver did not converge: residual {fields.report.final_residual:.3e}"
             f" after {fields.report.iterations} iterations"
         )
-    return maze, components, fields
+    _solved = solved = SolvedMaze(key, maze, components.n_components, fields)
+    return solved
 
 
-def _report_head(cfg: ScenarioConfig, maze: MazeSpec, components, fields: FieldBundle) -> dict:
+def _report_head(cfg: ScenarioConfig, solved: SolvedMaze) -> dict:
+    maze, fields = solved.maze, solved.fields
     return {
         "tool": {"name": "dropmaze", "version": _VERSION},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -397,8 +477,8 @@ def _report_head(cfg: ScenarioConfig, maze: MazeSpec, components, fields: FieldB
             "nx": maze.nx,
             "ny": maze.ny,
             "cell_size_mm": maze.cell_size,
-            "n_components": components.n_components,
-            "solvable": components.solvable,
+            "n_components": solved.n_components,
+            "solvable": True,  # an unsolvable maze raised in prepare_fields
             "coated_cells": int((maze.cells == 2).sum()),
         },
         "solve": {
@@ -416,18 +496,15 @@ def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def _route(cfg: ScenarioConfig, maze: MazeSpec, fields: FieldBundle):
-    """The route stage of `oracle` and `simulate`: the maze's segmentation
-    and Lee labels, the configured start (point, mm), the Lee path from
-    its cell, the fan streamline, and the oracle read-outs report.json
-    and oracle.json share."""
-    seg = segment_corridors(maze)
-    labels = lee_label(maze)
-    start_mm, start_cell = resolve_start(cfg, maze, seg, labels)
-    path = extract_path(labels, start_cell)
-    stream = trace_route_streamline(fields.j, maze, seg=seg)
-    p_seq = region_sequence(path.cells, seg)
-    s_seq = region_sequence(stream.cells(maze.cell_size), seg)
+def _route(cfg: ScenarioConfig, solved: SolvedMaze):
+    """The route stage of `oracle` and `simulate`: the solved maze's
+    route, the configured start (point, mm), the Lee path from its cell,
+    and the oracle read-outs report.json and oracle.json share."""
+    route = solved.route()
+    start_mm, start_cell = resolve_start(cfg, solved.maze, route.seg, route.labels)
+    path = extract_path(route.labels, start_cell)
+    p_seq = region_sequence(path.cells, route.seg)
+    s_seq = route.stream_sequence
     oracle = {
         "path_cells": len(path.cells),
         "path_length_mm": path.length_mm,
@@ -435,13 +512,14 @@ def _route(cfg: ScenarioConfig, maze: MazeSpec, fields: FieldBundle):
         "streamline_sequence": list(s_seq),
         "streamline_matches_path": s_seq == p_seq,
     }
-    return seg, labels, start_mm, path, stream, oracle
+    return route, start_mm, path, oracle
 
 
 def run_fields_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> dict:
     """The `solve` pipeline: fields and their exports, no droplet, no oracle."""
-    maze, components, fields = prepare_fields(cfg)
-    report = _report_head(cfg, maze, components, fields)
+    solved = prepare_fields(cfg)
+    maze, fields = solved.maze, solved.fields
+    report = _report_head(cfg, solved)
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", report)
@@ -457,15 +535,15 @@ def run_oracle_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> d
 
     The route is the one a simulate run of the same config gets compared
     against: the same start, path and streamline."""
-    maze, components, fields = prepare_fields(cfg)
-    seg, _, _, path, stream, oracle = _route(cfg, maze, fields)
+    solved = prepare_fields(cfg)
+    route, _, path, oracle = _route(cfg, solved)
     s_seq, p_seq = oracle["streamline_sequence"], oracle["path_sequence"]
-    report = _report_head(cfg, maze, components, fields)
+    report = _report_head(cfg, solved)
     report["oracle"] = dict(
         oracle,
         start_cell=list(path.cells[0]),
-        streamline_termination=stream.termination.value,
-        streamline_path_overlap=seg.cell_overlap(s_seq, p_seq),
+        streamline_termination=route.stream.termination.value,
+        streamline_path_overlap=route.seg.cell_overlap(s_seq, p_seq),
     )
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -476,9 +554,11 @@ def run_oracle_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> d
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """solve -> fields -> simulate -> oracle -> compare, all in memory."""
-    maze, components, fields = prepare_fields(cfg)
-    seg, labels, start_mm, path, _, oracle = _route(cfg, maze, fields)
-    traj = simulate(maze, cfg.dynamics, fields, start_mm=start_mm, seg=seg, labels=labels)
+    solved = prepare_fields(cfg)
+    maze, fields = solved.maze, solved.fields
+    route, start_mm, path, oracle = _route(cfg, solved)
+    seg = route.seg
+    traj = simulate(maze, cfg.dynamics, fields, start_mm=start_mm, seg=seg, labels=route.labels)
     comparison = compare_trajectory(traj, path, seg)
     corner = corner_force_stats(maze, fields, cfg.dynamics, seg)
 
@@ -490,7 +570,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
     vp = velocity_profile(traj)
-    report = _report_head(cfg, maze, components, fields)
+    report = _report_head(cfg, solved)
     report.update({
         "trajectory": {
             "termination": traj.termination.value,

@@ -84,6 +84,9 @@ class VectorField:
             object.__setattr__(self, name, arr)
         if self.vx.shape != self.vy.shape:
             raise ValueError("vx and vy shapes differ")
+        for flux in (self.face_flux_x, self.face_flux_y):
+            if flux is not None:
+                flux.setflags(write=False)
 
     @property
     def nx(self) -> int:
@@ -449,6 +452,9 @@ class FieldBundle:
     grad_j: VectorField
     joule: ScalarField
     sigma: np.ndarray
+
+    def __post_init__(self):
+        self.sigma.setflags(write=False)
 
 
 def compute_fields(

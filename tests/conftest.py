@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,16 @@ settings.register_profile(
 settings.load_profile("suite")
 
 import dropmaze as dm
+from dropmaze import scenario
 from dropmaze.dynamics import DynamicsParams
 from dropmaze.scenario import ScenarioConfig, run_scenario
+
+
+@pytest.fixture(autouse=True)
+def _cold_maze_stage():
+    """Each test starts with an empty maze stage, so what it computes does
+    not depend on which tests ran before it."""
+    scenario._forget_solved_maze()
 
 # The acceptance ring maze: M2 scale, 4 mm channels at 0.5 mm cells, 5 V.
 RING_SEED = 1
@@ -77,3 +86,25 @@ def straight_channel_text(length_cells: int = 60, rows: int = 8, voltage: float 
 @pytest.fixture(scope="session")
 def straight_maze():
     return dm.parse_maze(straight_channel_text())
+
+
+def count_calls(monkeypatch, *functions) -> Counter:
+    """Calls of each function, by name, through every binding of it in a
+    dropmaze module (so both `oracle.lee_label` and `scenario.lee_label`)."""
+    calls = Counter()
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls[original.__name__] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "dropmaze"]
+    for original in functions:
+        wrapper = counted(original)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls

@@ -4,10 +4,11 @@ from pathlib import Path
 import pytest
 
 import dropmaze as dm
+from dropmaze import oracle, scenario, solver
 from dropmaze.cli import main
 from dropmaze.maze import parse_maze
 
-from conftest import straight_channel_text
+from conftest import count_calls, straight_channel_text
 
 RING_CFG = """\
 generator = ring
@@ -132,9 +133,13 @@ def test_start_in_a_wall_exit_five(tmp_path, command):
 
 
 def test_nonconvergence_exit_six(tmp_path):
+    """Every run reports the non-convergence; the maze stage keeps no failed
+    solve."""
     maze = _write(tmp_path, "straight.maze", straight_channel_text(length_cells=120))
-    cfg = _write(tmp_path, "tight.cfg", f"maze_file = {maze}\nmax_iter = 2\n")
-    assert main(["simulate", "--config", cfg]) == 6
+    for max_iter in (2, 1):
+        cfg = _write(tmp_path, "tight.cfg", f"maze_file = {maze}\nmax_iter = {max_iter}\n")
+        assert main(["simulate", "--config", cfg]) == 6
+        assert main(["simulate", "--config", cfg]) == 6
 
 
 def test_solve_subcommand_writes_fields(tmp_path):
@@ -217,3 +222,56 @@ def test_simulate_multiple_configs_with_jobs(tmp_path):
     assert code == 2  # worst outcome wins: one run locked
     assert (tmp_path / "batch" / "one" / "report.json").exists()
     assert (tmp_path / "batch" / "two" / "report.json").exists()
+
+
+ROUTE_FUNCTIONS = (oracle.segment_corridors, oracle.lee_label, oracle.trace_route_streamline)
+
+
+def _bundle(directory: Path) -> dict:
+    files = {p.name: p.read_bytes() for p in directory.iterdir()}
+    report = json.loads(files["report.json"])
+    del report["timestamp"]
+    files["report.json"] = report
+    return files
+
+
+def test_simulate_batch_sharing_a_maze_solves_and_routes_it_once(tmp_path, monkeypatch):
+    """Four configs on one maze, differing in the droplet and its start, solve
+    and route the maze once, and write the bytes each writes alone."""
+    droplets = [
+        "start = axis",
+        "start = axis\ndt = 0.003",
+        "start = axis\nnoise_amplitude = 7e-4\nnoise_seed = 3",
+        "start = auto\nradius_mm = 1.2",
+    ]
+    maze = SYM_CFG.replace("len_b_mm = 40", "len_b_mm = 42")
+    configs = [
+        _write(tmp_path, f"case{i}.cfg", f"{maze.replace('start = axis', d)}max_steps = 800\n")
+        for i, d in enumerate(droplets)
+    ]
+    calls = count_calls(monkeypatch, solver.compute_fields, *ROUTE_FUNCTIONS)
+    batch_code = main(["simulate", "--config", *configs, "--out", str(tmp_path / "batch")])
+    assert calls == {name: 1 for name in
+                     ("compute_fields", "segment_corridors", "lee_label", "trace_route_streamline")}
+    codes = []
+    for cfg in configs:
+        scenario._forget_solved_maze()
+        out = tmp_path / "cold" / Path(cfg).stem
+        codes.append(main(["simulate", "--config", cfg, "--out", str(out)]))
+    assert batch_code == max(codes)
+    bundles = {Path(c).stem: _bundle(tmp_path / "batch" / Path(c).stem) for c in configs}
+    for stem, bundle in bundles.items():
+        assert bundle == _bundle(tmp_path / "cold" / stem), stem
+    assert len({b["trajectory.csv"] for b in bundles.values()}) == len(configs)
+
+
+def test_solve_runs_no_route_function(tmp_path, monkeypatch):
+    """`solve` leaves the route alone; an `oracle` run on the same maze then
+    routes it without solving it again."""
+    cfg = _write(tmp_path, "sym.cfg", SYM_CFG)
+    calls = count_calls(monkeypatch, solver.compute_fields, *ROUTE_FUNCTIONS)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == 0
+    assert calls == {"compute_fields": 1}
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "oracle")]) == 0
+    assert calls == {"compute_fields": 1, "segment_corridors": 1, "lee_label": 1,
+                     "trace_route_streamline": 1}

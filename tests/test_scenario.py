@@ -2,13 +2,14 @@ import dataclasses
 import json
 import math
 import sys
-from collections import Counter
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 import dropmaze as dm
-from dropmaze import oracle, scenario
+from dropmaze import oracle, scenario, solver
 from dropmaze.dynamics import (
     DynamicsParams,
     ForceSource,
@@ -24,10 +25,11 @@ from dropmaze.scenario import (
     corner_force_stats,
     export_bundle,
     parse_config,
+    prepare_fields,
     run_scenario,
 )
 
-from conftest import RING_DYNAMICS, ring_config, straight_channel_text
+from conftest import RING_DYNAMICS, count_calls, ring_config, straight_channel_text
 from oracles import brute_force_corner_force
 
 BUNDLE_FILES = {
@@ -207,23 +209,7 @@ def test_scenario_echoes_config(ring_scenario):
 def test_run_scenario_computes_each_analysis_once(monkeypatch):
     """An axis-start run with the default radius labels the maze, segments
     it and thins its channel once each."""
-    calls = Counter()
-
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "dropmaze"]
-    for name in ("lee_label", "segment_corridors", "thin_mask"):
-        original = getattr(oracle, name)
-        wrapper = counted(name, original)
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, wrapper)
+    calls = count_calls(monkeypatch, oracle.lee_label, oracle.segment_corridors, oracle.thin_mask)
     cfg = ScenarioConfig(
         generator="bifurcation", len_a_mm=40.0, len_b_mm=40.0, start="axis",
         dynamics=DynamicsParams(max_steps=200),
@@ -313,3 +299,158 @@ def test_disk_force_screen_is_within_its_bound(cell_size_mm):
     ])
     assert (np.abs(screened - exact) <= bound).all()
     assert (bound <= 1e-12 * screened.max()).all()
+
+
+# A bifurcation maze small enough for the maze stage's tests to solve it
+# many times.
+_STAGE_BASE = dict(generator="bifurcation", len_a_mm=20.0, len_b_mm=24.0)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"tol": 1e-10},
+        {"max_iter": 100_000},
+        {"voltage": 4.0},
+        {"sigma_electrolyte": 12.0},
+        {"sigma_wall": 1e-3},
+        {"sigma_wall": -0.0},
+        {"sigma_coating": 2e5},
+        {"cell_size_mm": 0.25},
+        {"coat_corners": True},
+    ],
+    ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()),
+)
+def test_maze_stage_solves_again_when_the_maze_or_solve_changes(monkeypatch, change):
+    """A config that repeats the last maze reuses its solve; one that changes
+    the built maze or the solve's settings solves again, even where the
+    change compares equal (-0.0 == 0.0)."""
+    calls = count_calls(monkeypatch, solver.compute_fields)
+    base = ScenarioConfig(**_STAGE_BASE)
+    first = prepare_fields(base)
+    assert prepare_fields(dataclasses.replace(base, start="auto", seed=7)) is first
+    assert calls == {"compute_fields": 1}
+    changed = prepare_fields(ScenarioConfig(**_STAGE_BASE, **change))
+    assert calls == {"compute_fields": 2}
+    if "sigma_wall" in change:
+        want = change["sigma_wall"]
+        assert math.copysign(1.0, changed.maze.sigma_wall) == math.copysign(1.0, want)
+
+
+def _walled_cell(text: str) -> str:
+    """The maze text with one channel cell in the middle turned to wall."""
+    lines = text.splitlines()
+    row = len(lines) - 5
+    lines[row] = lines[row][:20] + "#" + lines[row][21:]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("edit", ["voltage", "cell"])
+def test_maze_stage_reads_the_maze_file_again(tmp_path, monkeypatch, edit):
+    """New bytes in the same maze file are a new maze: a new header value,
+    or a new cell grid of the same shape."""
+    text = straight_channel_text(length_cells=40)
+    edited = straight_channel_text(length_cells=40, voltage=4.0) if edit == "voltage" else (
+        _walled_cell(text))
+    maze_file = tmp_path / "straight.maze"
+    maze_file.write_text(text)
+    cfg = ScenarioConfig(maze_file=str(maze_file))
+    calls = count_calls(monkeypatch, solver.compute_fields)
+    prepare_fields(cfg)
+    prepare_fields(cfg)
+    maze_file.write_text(edited)
+    solved = prepare_fields(cfg)
+    assert calls == {"compute_fields": 2}
+    assert solved.maze == dm.parse_maze(edited)
+    assert solved.maze != dm.parse_maze(text)
+
+
+def test_maze_stage_drops_the_old_maze_before_solving_a_new_one(tmp_path, monkeypatch):
+    """On a miss the old entry goes first, so two mazes' fields never live
+    side by side; a failed solve leaves the stage empty."""
+    old = weakref.ref(prepare_fields(ScenarioConfig(**_STAGE_BASE)).fields)
+    alive_during_solve = []
+
+    def solve(*args, **kwargs):
+        alive_during_solve.append(old() is not None)
+        return original(*args, **kwargs)
+
+    original = solver.compute_fields
+    monkeypatch.setattr(scenario, "compute_fields", solve)
+    with pytest.raises(scenario.ConvergenceError):
+        prepare_fields(ScenarioConfig(**_STAGE_BASE, max_iter=1))
+    assert alive_during_solve == [False]
+    prepare_fields(ScenarioConfig(**_STAGE_BASE))
+    assert alive_during_solve == [False, False]
+
+
+def _stage_arrays(result):
+    fields, seg = result.fields, result.segmentation
+    stream = oracle.trace_route_streamline(fields.j, result.maze, seg=seg)
+    return {
+        "maze.cells": result.maze.cells,
+        "fields.sigma": fields.sigma,
+        "fields.phi": fields.phi.values,
+        "fields.j.vx": fields.j.vx,
+        "fields.j.vy": fields.j.vy,
+        "fields.j.face_flux_x": fields.j.face_flux_x,
+        "fields.j.face_flux_y": fields.j.face_flux_y,
+        "fields.grad_j.vx": fields.grad_j.vx,
+        "fields.joule": fields.joule.values,
+        "segmentation.region": seg.region,
+        "segmentation.is_node": seg.is_node,
+        "segmentation.skeleton": seg.skeleton,
+        "streamline.points": stream.points,
+    }
+
+
+def test_reused_arrays_are_read_only():
+    """The maze stage hands the same arrays to every run of a maze, so no
+    caller can write into them."""
+    arrays = _stage_arrays(run_scenario(ScenarioConfig(
+        **_STAGE_BASE, dynamics=DynamicsParams(max_steps=50))))
+    for name, arr in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+        assert not arr.flags.writeable, name
+
+
+def test_maze_stage_under_threads(tmp_path):
+    """Threads that alternate between two mazes each get the fields and
+    route of the maze they asked for."""
+    mazes = {}
+    for n in (30, 40):
+        (tmp_path / f"{n}.maze").write_text(straight_channel_text(length_cells=n))
+        mazes[n] = ScenarioConfig(maze_file=str(tmp_path / f"{n}.maze"))
+    want = {}
+    for n, cfg in mazes.items():
+        scenario._forget_solved_maze()
+        solved = prepare_fields(cfg)
+        want[n] = (solved.maze, solved.fields.phi.values.tobytes(),
+                   solved.route().stream.points.tobytes())
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(12):
+                n = (30, 40)[(i + offset) % 2]
+                solved = prepare_fields(mazes[n])
+                got = (solved.maze, solved.fields.phi.values.tobytes(),
+                       solved.route().stream.points.tobytes())
+                if got != want[n]:
+                    errors.append((offset, i))
+        except Exception as exc:  # reported below, with the thread's index
+            errors.append((offset, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
