@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .dynamics import DynamicsError
-from .maze import GeometryError, MazeError, emit_maze, parse_maze
+from .maze import GeometryError, MazeError, emit_maze, parse_maze, validate_and_components
 from .oracle import UnreachableError
 from .render import read_field_csv, render_field
 from .scenario import (
@@ -48,7 +48,10 @@ def _cmd_generate(args) -> int:
     cfg = _load(args.config, args.seed)
     if cfg.generator is None:
         raise ConfigError("generate needs a config with a generator, not a maze_file")
-    text = emit_maze(build_maze(cfg))
+    maze = build_maze(cfg)
+    if not validate_and_components(maze).solvable:
+        raise GeometryError("generated maze is not solvable; widen the geometry")
+    text = emit_maze(maze)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text)

@@ -18,7 +18,6 @@ import enum
 import functools
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -407,39 +406,18 @@ def _disk_overlaps_negative(geom: _Geometry, x: float, y: float, radius: float) 
 # Stepping
 
 
-def _force_at(
-    field: VectorField,
-    geom: _Geometry,
-    x: float,
-    y: float,
-    radius: float,
-    gain: float,
-    near: list[tuple[int, int]] | None = None,
-) -> tuple[np.ndarray, list[tuple[float, float]]]:
-    """Raw disk-integrated force and the wall-contact normals at one
-    position; near as for _contact_normals."""
-    raw = disk_integrate(field, (x, y), radius, wall_mask=geom.wall, gain=gain)
-    return raw, _contact_normals(geom, x, y, radius, near)
-
-
-def _effective_force(
-    raw: np.ndarray,
-    normals: list[tuple[float, float]],
-    noise: tuple[float, float] = (0.0, 0.0),
-) -> tuple[float, float]:
-    return _project_out(raw[0] + noise[0], raw[1] + noise[1], normals)
-
-
 def _advance(
-    state: DropletState, params: DynamicsParams, geom: _Geometry, fx: float, fy: float
-) -> tuple[DropletState, list[tuple[int, int]] | None]:
-    """One stick-slip update under the effective (wall-projected) force.
-    Also returns the wall cells near the new position (see _resolve_overlap)."""
+    x: float, y: float, radius: float, impulse: float,
+    params: DynamicsParams, geom: _Geometry, fx: float, fy: float,
+) -> tuple[float, float, list[tuple[int, int]] | None, float]:
+    """One stick-slip update of the disk at (x, y) under the effective
+    (wall-projected) force (fx, fy); impulse is what it has built up while
+    pinned. Returns the new position, the wall cells near it (see
+    _resolve_overlap) and the new impulse."""
     dt = params.dt
     fmag = math.hypot(fx, fy)
 
     thr = params.static_threshold
-    impulse = state.pinned_impulse
     if fmag >= thr:
         vx, vy = params.mobility * fx, params.mobility * fy
         impulse = 0.0
@@ -462,18 +440,8 @@ def _advance(
         vx *= f
         vy *= f
 
-    nx_pos = state.x + vx * dt
-    ny_pos = state.y + vy * dt
-    nx_pos, ny_pos, near = _resolve_overlap(geom, nx_pos, ny_pos, state.radius)
-    return DropletState(
-        x=nx_pos,
-        y=ny_pos,
-        radius=state.radius,
-        vx=(nx_pos - state.x) / dt,
-        vy=(ny_pos - state.y) / dt,
-        t=state.t + dt,
-        pinned_impulse=impulse,
-    ), near
+    x, y, near = _resolve_overlap(geom, x + vx * dt, y + vy * dt, radius)
+    return x, y, near, impulse
 
 
 def step(
@@ -483,8 +451,13 @@ def step(
     if params.dt <= 0:
         raise ValueError("step needs an explicit positive dt; use simulate for auto-dt")
     geom = _Geometry(maze)
-    raw, normals = _force_at(field, geom, state.x, state.y, state.radius, params.force_gain)
-    return _advance(state, params, geom, *_effective_force(raw, normals))[0]
+    x0, y0, radius, dt = state.x, state.y, state.radius, params.dt
+    raw = disk_integrate(field, (x0, y0), radius, wall_mask=geom.wall, gain=params.force_gain)
+    fx, fy = _project_out(*raw.tolist(), _contact_normals(geom, x0, y0, radius))
+    x, y, _, impulse = _advance(x0, y0, radius, state.pinned_impulse, params, geom, fx, fy)
+    return DropletState(
+        x, y, radius, vx=(x - x0) / dt, vy=(y - y0) / dt, t=state.t + dt, pinned_impulse=impulse
+    )
 
 
 def droplet_radius_mm(
@@ -601,55 +574,55 @@ def simulate(
     run = replace(params, dt=dt, radius_mm=radius)
 
     rng = random.Random(run.noise_seed) if run.noise_amplitude > 0 else None
+    gain, noise, lock_window = run.force_gain, run.noise_amplitude, run.lock_window
 
-    state = DropletState(x=x0, y=y0, radius=radius)
     # Each position's disk sum and contact normals serve twice: projected
     # as they are for the recorded force, and with noise added for the
     # step taken from there.
-    raw, normals = _force_at(field, geom, x0, y0, radius, run.force_gain)
-    fx, fy = _effective_force(raw, normals)
+    fx, fy = disk_integrate(field, (x0, y0), radius, wall_mask=geom.wall, gain=gain).tolist()
+    normals = _contact_normals(geom, x0, y0, radius)
     times = [0.0]
     xs = [x0]
     ys = [y0]
     speeds = [0.0]
-    forces = [math.hypot(fx, fy)]
-    history: deque[tuple[float, float]] = deque(maxlen=run.lock_window + 1)
-    history.append((x0, y0))
+    forces = [math.hypot(*_project_out(fx, fy, normals))]
+    x, y, t, impulse = x0, y0, 0.0, 0.0
     termination = Termination.MAX_STEPS
     path_length = 0.0
+    steps = 0
 
     if _disk_overlaps_negative(geom, x0, y0, radius):
         termination = Termination.REACHED_TARGET
-        steps = 0
     else:
-        steps = 0
         while steps < run.max_steps:
-            noise = (0.0, 0.0)
             if rng is not None:
-                noise = (
-                    rng.gauss(0.0, run.noise_amplitude),
-                    rng.gauss(0.0, run.noise_amplitude),
-                )
-            prev = state
-            state, near = _advance(prev, run, geom, *_effective_force(raw, normals, noise))
+                fx += rng.gauss(0.0, noise)
+                fy += rng.gauss(0.0, noise)
+            px, py = x, y
+            x, y, near, impulse = _advance(
+                x, y, radius, impulse, run, geom, *_project_out(fx, fy, normals)
+            )
             steps += 1
-            path_length += math.hypot(state.x - prev.x, state.y - prev.y)
-            raw, normals = _force_at(field, geom, state.x, state.y, radius, run.force_gain, near)
-            fx, fy = _effective_force(raw, normals)
-            times.append(state.t)
-            xs.append(state.x)
-            ys.append(state.y)
-            speeds.append(state.speed)
-            forces.append(math.hypot(fx, fy))
-            history.append((state.x, state.y))
-            if _disk_overlaps_negative(geom, state.x, state.y, radius):
+            t += dt
+            path_length += math.hypot(x - px, y - py)
+            fx, fy = disk_integrate(field, (x, y), radius, wall_mask=geom.wall, gain=gain).tolist()
+            normals = _contact_normals(geom, x, y, radius, near)
+            times.append(t)
+            xs.append(x)
+            ys.append(y)
+            speeds.append(math.hypot((x - px) / dt, (y - py) / dt))
+            forces.append(math.hypot(*_project_out(fx, fy, normals)))
+            if _disk_overlaps_negative(geom, x, y, radius):
                 termination = Termination.REACHED_TARGET
                 break
-            if len(history) > run.lock_window:
-                ox, oy = history[0]
-                if math.hypot(state.x - ox, state.y - oy) < run.lock_epsilon_mm:
-                    termination = Termination.LOCKED
-                    break
+            # Locked: no further than lock_epsilon_mm from where the disk
+            # was lock_window steps ago.
+            if steps >= lock_window and (
+                math.hypot(x - xs[-1 - lock_window], y - ys[-1 - lock_window])
+                < run.lock_epsilon_mm
+            ):
+                termination = Termination.LOCKED
+                break
 
     return Trajectory(
         times=np.array(times),

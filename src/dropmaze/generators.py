@@ -18,7 +18,6 @@ from .maze import (
     GeometryError,
     MazeSpec,
     Polarity,
-    validate_and_components,
 )
 
 
@@ -49,7 +48,8 @@ def generate_ring_maze(
     pins it) are kept 45..100 degrees apart so the shortest route is
     unambiguous and carries a dominant share of the current. The positive
     electrode sits in the central chamber, the negative electrode spans
-    the outermost channel.
+    the outermost channel. Solvability is the caller's check
+    (validate_and_components).
     """
     if rings < 1:
         raise GeometryError("rings must be >= 1")
@@ -127,7 +127,7 @@ def generate_ring_maze(
     if not neg:
         raise GeometryError("failed to place exit electrode in the outer channel")
 
-    spec = MazeSpec(
+    return MazeSpec(
         cells=cells,
         electrodes=(
             Electrode("E1", Polarity.POSITIVE, frozenset(pos)),
@@ -139,9 +139,6 @@ def generate_ring_maze(
         sigma_coating=sigma_coating,
         applied_voltage=applied_voltage,
     )
-    if not validate_and_components(spec).solvable:
-        raise GeometryError("generated ring maze is not solvable; widen the geometry")
-    return spec
 
 
 @dataclass(frozen=True)
@@ -231,7 +228,8 @@ def generate_bifurcation_maze(
 
     Branch centerline lengths match len_a_mm (upper) and len_b_mm (lower)
     to within one cell. Equal lengths give a grid that is invariant under
-    reflection across the inlet axis.
+    reflection across the inlet axis. Solvability is the caller's check
+    (validate_and_components).
     """
     lay = bifurcation_layout(len_a_mm, len_b_mm, channel_width_mm, cell_size_mm)
     w = lay.width_cells
@@ -252,7 +250,7 @@ def generate_bifurcation_maze(
 
     pos = frozenset((2, iy) for iy in range(r0, r0 + w))
     neg = frozenset((lay.nx - 3, iy) for iy in range(r0, r0 + w))
-    spec = MazeSpec(
+    return MazeSpec(
         cells=cells,
         electrodes=(
             Electrode("E1", Polarity.POSITIVE, pos),
@@ -264,6 +262,3 @@ def generate_bifurcation_maze(
         sigma_coating=sigma_coating,
         applied_voltage=applied_voltage,
     )
-    if not validate_and_components(spec).solvable:
-        raise GeometryError("generated bifurcation maze is not solvable")
-    return spec

@@ -408,33 +408,30 @@ def _minimal_skeleton(skel: np.ndarray) -> np.ndarray:
     changed = True
     while changed:
         changed = False
-        for iy in range(ny):
-            for ix in range(nx):
-                if not skel[iy, ix]:
-                    continue
-                nbrs = [
-                    (dx, dy)
-                    for dx, dy in _NBR8
-                    if 0 <= ix + dx < nx and 0 <= iy + dy < ny and skel[iy + dy, ix + dx]
-                ]
-                if not 2 <= len(nbrs) <= 6:
-                    continue
-                comp = {nbrs[0]}
-                frontier = [nbrs[0]]
-                rest = set(nbrs[1:])
-                while frontier:
-                    ax, ay = frontier.pop()
-                    found = {
-                        (bx, by)
-                        for bx, by in rest
-                        if abs(ax - bx) <= 1 and abs(ay - by) <= 1
-                    }
-                    rest -= found
-                    comp |= found
-                    frontier.extend(found)
-                if not rest:
-                    skel[iy, ix] = False
-                    changed = True
+        # Row-major over the pass's starting skeleton: a pass deletes
+        # only the cell it is visiting.
+        for iy, ix in np.argwhere(skel).tolist():
+            nbrs = [
+                (dx, dy)
+                for dx, dy in _NBR8
+                if 0 <= ix + dx < nx and 0 <= iy + dy < ny and skel[iy + dy, ix + dx]
+            ]
+            if not 2 <= len(nbrs) <= 6:
+                continue
+            frontier = [nbrs[0]]
+            rest = set(nbrs[1:])
+            while frontier:
+                ax, ay = frontier.pop()
+                found = {
+                    (bx, by)
+                    for bx, by in rest
+                    if abs(ax - bx) <= 1 and abs(ay - by) <= 1
+                }
+                rest -= found
+                frontier.extend(found)
+            if not rest:
+                skel[iy, ix] = False
+                changed = True
     return skel
 
 

@@ -326,12 +326,10 @@ def solve_maze(
     return solve_potential(sigma, maze_dirichlet(spec), spec.cell_size, tol, max_iter)
 
 
-def _masked_gradient(
-    values: np.ndarray, valid: np.ndarray, h_m: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences where both neighbours are valid, one-sided at a
-    valid/invalid interface, zero with no valid neighbour or off the mask."""
-    v = values
+def _masked_ddx(v: np.ndarray, valid: np.ndarray, h_m: float) -> np.ndarray:
+    """d/dx along rows: central differences where both neighbours are
+    valid, one-sided at a valid/invalid interface, zero with no valid
+    neighbour or off the mask."""
     has_l = np.zeros_like(valid)
     has_l[:, 1:] = valid[:, :-1]
     has_r = np.zeros_like(valid)
@@ -345,23 +343,15 @@ def _masked_gradient(
         (vr - vl) / (2.0 * h_m),
         np.where(has_r, (vr - v) / h_m, np.where(has_l, (v - vl) / h_m, 0.0)),
     )
+    return np.where(valid, ddx, 0.0)
 
-    has_u = np.zeros_like(valid)
-    has_u[1:, :] = valid[:-1, :]
-    has_d = np.zeros_like(valid)
-    has_d[:-1, :] = valid[1:, :]
-    vu = np.zeros_like(v)
-    vu[1:, :] = v[:-1, :]
-    vd = np.zeros_like(v)
-    vd[:-1, :] = v[1:, :]
-    ddy = np.where(
-        has_u & has_d,
-        (vd - vu) / (2.0 * h_m),
-        np.where(has_d, (vd - v) / h_m, np.where(has_u, (v - vu) / h_m, 0.0)),
-    )
-    ddx = np.where(valid, ddx, 0.0)
-    ddy = np.where(valid, ddy, 0.0)
-    return ddx, ddy
+
+def _masked_gradient(
+    values: np.ndarray, valid: np.ndarray, h_m: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dx, d/dy) by _masked_ddx; d/dy is d/dx of the transposed grid."""
+    ddy = _masked_ddx(values.T, valid.T, h_m).T
+    return _masked_ddx(values, valid, h_m), np.ascontiguousarray(ddy)
 
 
 def current_density(phi: ScalarField, sigma: np.ndarray) -> VectorField:

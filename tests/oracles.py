@@ -98,11 +98,15 @@ def bfs_distances(channel, sources):
     return dist
 
 
-def flood_fill_components(channel):
-    """Component count by plain flood fill."""
+def flood_fill_components(channel, diagonal=False):
+    """Component count by plain flood fill; diagonal neighbours connect
+    too when diagonal is true (8-connectivity)."""
     channel = np.asarray(channel, dtype=bool)
     ny, nx = channel.shape
     seen = np.zeros_like(channel)
+    steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    if diagonal:
+        steps += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     count = 0
     for iy in range(ny):
         for ix in range(nx):
@@ -113,7 +117,7 @@ def flood_fill_components(channel):
             seen[iy, ix] = True
             while stack:
                 cx, cy = stack.pop()
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                for dx, dy in steps:
                     jx, jy = cx + dx, cy + dy
                     if 0 <= jx < nx and 0 <= jy < ny and channel[jy, jx] and not seen[jy, jx]:
                         seen[jy, jx] = True

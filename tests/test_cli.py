@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import dropmaze as dm
-from dropmaze import oracle, scenario, solver
+from dropmaze import cli, oracle, scenario, solver
 from dropmaze.cli import main
 from dropmaze.maze import parse_maze
 
@@ -54,6 +54,18 @@ def test_generate_round_trips(tmp_path, capsys):
     assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
     spec = parse_maze(out.read_text())
     assert dm.validate_and_components(spec).solvable
+
+
+def test_generate_rejects_an_unsolvable_maze(tmp_path, monkeypatch, capsys):
+    """The generators leave the solvability check to their callers:
+    generate makes it and exits 4, writing nothing."""
+    sealed = parse_maze("S.#.T\nS.#.T\nS.#.T")
+    monkeypatch.setattr(cli, "build_maze", lambda cfg: sealed)
+    out = tmp_path / "ring.maze"
+    cfg = _write(tmp_path, "ring.cfg", RING_CFG)
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 4
+    assert "not solvable" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_seed_override_changes_maze(tmp_path):

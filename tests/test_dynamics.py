@@ -22,6 +22,7 @@ from dropmaze.dynamics import (
     disk_integrate,
     droplet_radius_mm,
     find_start,
+    select_force_field,
     simulate,
     step,
     velocity_profile,
@@ -344,6 +345,15 @@ def test_lock_dwell_spans_window():
     assert i1 - i0 >= params.lock_window - 5
 
 
+def test_pinned_droplet_locks_after_exactly_lock_window_steps(straight_maze):
+    """The lock check compares each position with the one lock_window
+    steps before it, from the first step that has one."""
+    traj = simulate(straight_maze, DynamicsParams(static_threshold=1e3, lock_window=50))
+    assert traj.termination is Termination.LOCKED
+    assert len(traj) == 50 + 1
+    assert traj.path_length_mm == 0.0
+
+
 def test_noise_hook_deterministic_per_seed(straight_maze):
     fields = compute_fields(straight_maze)
     noisy = DynamicsParams(static_threshold=0.0, noise_amplitude=2e-4, noise_seed=1)
@@ -565,6 +575,38 @@ def test_disk_integrate_matches_arange_windows(
                 disk_integrate(field, center, radius, wall_mask=mask, gain=gain)
             continue
         assert np.array_equal(disk_integrate(field, center, radius, wall_mask=mask, gain=gain), want)
+
+
+@pytest.mark.parametrize("name", ["ring_m2", "bifurcation_lock"])
+def test_step_reproduces_simulate_bit_for_bit(name):
+    """step and simulate share one integrator: steps chained from
+    simulate's start land on simulate's samples exactly, through free
+    runs, pins released by the impulse the state carries, and pushes out
+    of walls."""
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    maze = build_maze(cfg)
+    fields = compute_fields(maze)
+    dt = simulate(maze, replace(cfg.dynamics, max_steps=0), fields).dt
+    params = replace(cfg.dynamics, dt=dt)
+    assert params.noise_amplitude == 0
+    traj = simulate(maze, params, fields)
+    assert len(traj) > 500
+    assert 0.0 in traj.speeds[1:] and traj.speeds.max() > 0  # it pins and it runs
+    field = select_force_field(fields, params.force_source)
+    state = DropletState(x=traj.xs[0], y=traj.ys[0], radius=traj.radius_mm)
+    for k in range(1, len(traj)):
+        state = step(state, params, maze, field)
+        assert (state.x, state.y, state.t, state.speed) == (
+            traj.xs[k], traj.ys[k], traj.times[k], traj.speeds[k]
+        )
+
+
+def test_simulate_started_at_the_target_takes_no_step(straight_maze):
+    # The negative electrode is the column of cells from x = 30 to 30.5 mm.
+    traj = simulate(straight_maze, DynamicsParams(radius_mm=1.0), start_mm=(29.1, 2.5))
+    assert traj.termination is Termination.REACHED_TARGET
+    assert len(traj) == 1
+    assert (traj.xs[0], traj.ys[0], traj.path_length_mm) == (29.1, 2.5, 0.0)
 
 
 def test_simulate_evaluates_force_once_per_position(straight_maze, monkeypatch):

@@ -16,18 +16,26 @@ from dropmaze.oracle import (
     extract_path,
     hot_region_route,
     lee_label,
+    prune_spurs,
     region_cell_overlap,
     region_sequence,
     segment_corridors,
     streamline,
+    thin_mask,
     trace_route_streamline,
 )
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze
 from dropmaze.scenario import build_maze, load_config, run_scenario
-from dropmaze.solver import compute_fields
+from dropmaze.solver import VectorField, VectorQuantity, compute_fields
 
 from conftest import ring_config
-from oracles import array_bilinear, bfs_distances, bfs_wall_distance, region_overlap_by_scan
+from oracles import (
+    array_bilinear,
+    bfs_distances,
+    bfs_wall_distance,
+    flood_fill_components,
+    region_overlap_by_scan,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # The six example configs and ring_m2 at 0.25 mm cells (280 x 280).
@@ -150,6 +158,60 @@ def test_streamline_start_in_wall_rejected(ring_maze, ring_fields):
             ring_maze.cell_center_mm(int(ix), int(iy)),
             channel_mask=ring_maze.channel_mask(),
         )
+
+
+def _field(vx):
+    return VectorField(vx, np.zeros_like(vx), 0.5, VectorQuantity.CURRENT_DENSITY)
+
+
+def test_streamline_stops_where_the_current_ends():
+    vx = np.zeros((10, 20))
+    vx[:, :10] = 1.0  # current in columns 0-9 only (x < 5 mm)
+    sl = streamline(_field(vx), (1.25, 2.25))
+    assert sl.termination is StreamTermination.FIELD_VANISHED
+    # the bilinear speed reaches 0 at the centre of column 10
+    assert tuple(sl.points[-1]) == (5.25, 2.25)
+
+
+def test_streamline_leaves_an_unmasked_grid():
+    sl = streamline(_field(np.ones((10, 20))), (1.25, 2.25))
+    assert sl.termination is StreamTermination.LEFT_DOMAIN
+    assert tuple(sl.points[-1]) == (10.0, 2.25)
+
+
+def test_streamline_stalls_against_a_wall_at_normal_incidence():
+    channel = np.ones((10, 20), dtype=bool)
+    channel[:, 12:14] = False  # a wall across the grid, x in [6, 7) mm
+    sl = streamline(_field(np.ones((10, 20))), (1.25, 2.25), channel_mask=channel)
+    # sliding along the wall leaves no direction: the trace stops short of it
+    assert sl.termination is StreamTermination.FIELD_VANISHED
+    assert 6.0 - 0.5 <= sl.points[-1][0] < 6.0
+    assert np.all(sl.points[:, 1] == 2.25)
+
+
+def _endpoints(skel):
+    """Skeleton cells with exactly one 8-neighbour in the skeleton."""
+    ny, nx = skel.shape
+    p = np.pad(skel, 1).astype(int)
+    neighbours = sum(
+        p[1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
+        for dy in (-1, 0, 1)
+        for dx in (-1, 0, 1)
+        if dy or dx
+    )
+    return int(np.count_nonzero(skel & (neighbours == 1)))
+
+
+def test_prune_spurs_removes_short_branches_only():
+    mask = np.zeros((40, 40), dtype=bool)
+    for x, y, w, h in ((20, 4, 7, 14), (8, 2, 6, 8), (14, 7, 15, 6), (24, 27, 4, 11)):
+        mask[y : y + h, x : x + w] = True
+    skel = thin_mask(mask)
+    pruned = prune_spurs(skel, 6)
+    assert not np.any(pruned & ~skel)
+    assert int(skel.sum()) - int(pruned.sum()) == 6
+    assert flood_fill_components(skel, True) == flood_fill_components(pruned, True) == 2
+    assert (_endpoints(skel), _endpoints(pruned)) == (5, 4)
 
 
 def test_ring_streamline_matches_lee_path(ring_maze, ring_fields, ring_segmentation, ring_labels):
