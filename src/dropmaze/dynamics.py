@@ -27,6 +27,7 @@ from .maze import MazeSpec, Polarity, bfs
 from .oracle import (
     CorridorSegmentation,
     LeeLabels,
+    Path as OraclePath,
     UnreachableError,
     extract_path,
     lee_label,
@@ -508,13 +509,18 @@ def _auto_dt(
     start: tuple[int, int],
     radius: float,
     labels,
+    path: OraclePath | None,
 ) -> float:
-    """dt such that the fastest force sample along the oracle route moves the
-    disk at most half a cell per step."""
-    try:
-        cells = extract_path(labels, start).cells
-    except UnreachableError:
-        cells = [start]
+    """dt such that the fastest force sample along the oracle route (path,
+    the Lee path from start, extracted here when not given) moves the disk
+    at most half a cell per step."""
+    if path is not None:
+        cells = path.cells
+    else:
+        try:
+            cells = extract_path(labels, start).cells
+        except UnreachableError:
+            cells = [start]
     h = geom.h
     fmax = 0.0
     for ix, iy in cells:
@@ -540,6 +546,7 @@ def simulate(
     *,
     seg: CorridorSegmentation | None = None,
     labels: LeeLabels | None = None,
+    path: OraclePath | None = None,
 ) -> Trajectory:
     """Run the droplet from beside the positive electrode until it reaches
     the negative electrode, locks, or exhausts max_steps.
@@ -547,8 +554,9 @@ def simulate(
     start_mm overrides the default placement (useful to put the droplet
     exactly on a symmetry axis); by default the droplet sits on the centre
     of the nearest downstream channel cell whose disk fits. seg and labels
-    are the maze's segment_corridors and lee_label results, computed here
-    when not given."""
+    are the maze's segment_corridors and lee_label results, and path the
+    Lee path from the start cell; each is computed here when needed and
+    not given."""
     if fields is None:
         fields = compute_fields(maze)
     field = select_force_field(fields, params.force_source)
@@ -570,7 +578,7 @@ def simulate(
 
     dt = params.dt
     if dt <= 0:
-        dt = _auto_dt(field, geom, params, start_cell, radius, labels)
+        dt = _auto_dt(field, geom, params, start_cell, radius, labels, path)
     run = replace(params, dt=dt, radius_mm=radius)
 
     rng = random.Random(run.noise_seed) if run.noise_amplitude > 0 else None

@@ -284,9 +284,12 @@ _MAX_SEEDS = 24
 
 
 def trace_route_streamline(
-    j: VectorField, maze: MazeSpec, seg: "CorridorSegmentation | None" = None
-) -> Streamline:
-    """Streamline of the dominant current bundle from source to destination.
+    j: VectorField,
+    maze: MazeSpec,
+    seg: "CorridorSegmentation | None" = None,
+    tol: float = 1e-9,
+) -> tuple[Streamline, ...]:
+    """Streamlines of the dominant current bundle from source to destination.
 
     Traces a fan of forward streamlines seeded on a ring of cells around
     the positive electrode and returns one whose corridor sequence matches
@@ -294,6 +297,12 @@ def trace_route_streamline(
     minority of seeds peels off the main route, and the strays scatter
     over different wrong sequences, so the modal sequence is the dominant
     bundle's route.
+
+    Branches whose votes at a junction agree within relative tol (the
+    solve's own tolerance) are a tie that rounding alone would settle, as
+    on a mirror-symmetric maze. Each tied branch is then followed to the
+    end of the consensus, and one streamline per branch is returned, the
+    heaviest vote first; without a tie the tuple holds one streamline.
     """
     if seg is None:
         seg = segment_corridors(maze)
@@ -331,21 +340,27 @@ def trace_route_streamline(
     # at its seed: follow the majority branch region by region, dropping
     # traces as they diverge. Survivors took the dominant branch at every
     # split on the way.
-    alive = list(pool)
-    position = 0
-    while True:
+    chosen: list[Streamline] = []
+    branches = [(pool, 0)]
+    while branches:
+        alive, position = branches.pop()
         votes: dict[int, float] = {}
         for s, w, _ in alive:
             if len(s) > position:
                 votes[s[position]] = votes.get(s[position], 0.0) + w
         done_w = sum(w for s, w, _ in alive if len(s) <= position)
         if not votes or done_w >= max(votes.values()):
-            break
-        pick = max(sorted(votes), key=lambda rid: votes[rid])
-        alive = [t for t in alive if len(t[0]) > position and t[0][position] == pick]
-        position += 1
-    exact = [t for t in alive if len(t[0]) == position]
-    return max(exact if exact else alive, key=lambda t: t[1])[2]
+            exact = [t for t in alive if len(t[0]) == position]
+            chosen.append(max(exact if exact else alive, key=lambda t: t[1])[2])
+            continue
+        ranked = sorted(votes, key=lambda rid: (-votes[rid], rid))
+        top = votes[ranked[0]]
+        tied = [rid for rid in ranked if top - votes[rid] <= tol * top]
+        # Pushed in reverse, so the heaviest branch is finished first.
+        for pick in reversed(tied):
+            kept = [t for t in alive if len(t[0]) > position and t[0][position] == pick]
+            branches.append((kept, position + 1))
+    return tuple(chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -377,13 +377,13 @@ class ScenarioResult:
 @dataclass(frozen=True, eq=False)
 class _MazeRoute:
     """The route of a solved maze, whatever the droplet and its start:
-    its segmentation, Lee labels, fan streamline and the streamline's
-    corridor sequence."""
+    its segmentation, Lee labels, the fan's route streamlines (more than
+    one when the fan is tied) and their corridor sequences."""
 
     seg: CorridorSegmentation
     labels: LeeLabels
-    stream: Streamline
-    stream_sequence: tuple[int, ...]
+    streams: tuple[Streamline, ...]
+    stream_sequences: tuple[tuple[int, ...], ...]
 
 
 @dataclass(eq=False)
@@ -403,10 +403,12 @@ class SolvedMaze:
         route = self._route
         if route is None:
             seg = segment_corridors(self.maze)
-            stream = trace_route_streamline(self.fields.j, self.maze, seg=seg)
+            streams = trace_route_streamline(
+                self.fields.j, self.maze, seg=seg, tol=self.fields.report.tol
+            )
             route = _MazeRoute(
-                seg, lee_label(self.maze), stream,
-                region_sequence(stream.cells(self.maze.cell_size), seg),
+                seg, lee_label(self.maze), streams,
+                tuple(region_sequence(s.cells(self.maze.cell_size), seg) for s in streams),
             )
             self._route = route
         return route
@@ -499,20 +501,29 @@ def _write_json(path: Path, data: dict) -> None:
 def _route(cfg: ScenarioConfig, solved: SolvedMaze):
     """The route stage of `oracle` and `simulate`: the solved maze's
     route, the configured start (point, mm), the Lee path from its cell,
-    and the oracle read-outs report.json and oracle.json share."""
+    the fan streamline reported, and the oracle read-outs report.json and
+    oracle.json share.
+
+    When the fan is tied, the streamline reported is the tied branch that
+    follows the Lee path, if one does (the Lee descent's fixed order makes
+    that pick reproducible), else the heaviest; `streamline_tie` lists
+    every tied branch's sequence, and is empty without a tie."""
     route = solved.route()
     start_mm, start_cell = resolve_start(cfg, solved.maze, route.seg, route.labels)
     path = extract_path(route.labels, start_cell)
     p_seq = region_sequence(path.cells, route.seg)
-    s_seq = route.stream_sequence
+    seqs = route.stream_sequences
+    pick = seqs.index(p_seq) if p_seq in seqs else 0
+    s_seq = seqs[pick]
     oracle = {
         "path_cells": len(path.cells),
         "path_length_mm": path.length_mm,
         "path_sequence": list(p_seq),
         "streamline_sequence": list(s_seq),
         "streamline_matches_path": s_seq == p_seq,
+        "streamline_tie": [list(seq) for seq in seqs] if len(seqs) > 1 else [],
     }
-    return route, start_mm, path, oracle
+    return route, start_mm, path, route.streams[pick], oracle
 
 
 def run_fields_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> dict:
@@ -536,13 +547,13 @@ def run_oracle_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> d
     The route is the one a simulate run of the same config gets compared
     against: the same start, path and streamline."""
     solved = prepare_fields(cfg)
-    route, _, path, oracle = _route(cfg, solved)
+    route, _, path, stream, oracle = _route(cfg, solved)
     s_seq, p_seq = oracle["streamline_sequence"], oracle["path_sequence"]
     report = _report_head(cfg, solved)
     report["oracle"] = dict(
         oracle,
         start_cell=list(path.cells[0]),
-        streamline_termination=route.stream.termination.value,
+        streamline_termination=stream.termination.value,
         streamline_path_overlap=route.seg.cell_overlap(s_seq, p_seq),
     )
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
@@ -556,9 +567,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """solve -> fields -> simulate -> oracle -> compare, all in memory."""
     solved = prepare_fields(cfg)
     maze, fields = solved.maze, solved.fields
-    route, start_mm, path, oracle = _route(cfg, solved)
+    route, start_mm, path, _, oracle = _route(cfg, solved)
     seg = route.seg
-    traj = simulate(maze, cfg.dynamics, fields, start_mm=start_mm, seg=seg, labels=route.labels)
+    traj = simulate(
+        maze, cfg.dynamics, fields, start_mm=start_mm, seg=seg, labels=route.labels, path=path
+    )
     comparison = compare_trajectory(traj, path, seg)
     corner = corner_force_stats(maze, fields, cfg.dynamics, seg)
 

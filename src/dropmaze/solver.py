@@ -5,8 +5,9 @@ between two adjacent cells is g * (phi_a - phi_b) with g the harmonic mean
 of the two cell conductivities, so sigma = 0 cells are perfectly
 insulating and material jumps are handled like series resistors. Electrode
 cells are Dirichlet-pinned; the reduced symmetric system is solved with
-Jacobi-preconditioned conjugate gradients in a fixed evaluation order, so
-repeated solves are bit-identical.
+Jacobi-preconditioned conjugate gradients over the unknown cells only, in
+a fixed evaluation order and with numpy's own sums, so repeated solves are
+bit-identical whatever the BLAS thread count.
 
 Currents are reported per unit depth of the 2D sheet (A per metre of
 depth); current density is in A/m^2 with the cell size converted from mm.
@@ -137,21 +138,19 @@ def _neighbor_sum(gx: np.ndarray, gy: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-class _UnknownOperator:
+class _CompactOperator:
     """The reduced operator diag * u - _neighbor_sum(u) on the unknown
-    cells, evaluated on those cells only.
-
-    Each unknown cell sums its four neighbour terms in _neighbor_sum's
-    order (east, west, south, north, starting from 0.0), so every value is
-    bit-for-bit the whole-grid one. A neighbour past the rim enters with
-    conductance 0. Its product is a signed zero, and a sum that starts at
-    +0.0 is never -0.0, so adding one leaves the sum unchanged."""
+    cells only. A vector holds one entry per unknown cell, in row-major
+    order, plus a trailing 0.0 that every wall, pinned or off-grid
+    neighbour reads; the pinned neighbours' share is in b instead."""
 
     def __init__(self, gx: np.ndarray, gy: np.ndarray, diag: np.ndarray, unknown: np.ndarray):
         ny, nx = unknown.shape
         self.cells = np.flatnonzero(unknown)
-        iy, ix = np.divmod(self.cells, nx)
         n = len(self.cells)
+        slot = np.full(ny * nx, n)
+        slot[self.cells] = np.arange(n)
+        iy, ix = np.divmod(self.cells, nx)
         # (neighbour inside the grid, face conductances, face row, face
         # column, flat offset of the neighbour) for east, west, south, north
         sides = (
@@ -164,23 +163,21 @@ class _UnknownOperator:
         for inside, faces, fy, fx, shift in sides:
             g = np.zeros(n)
             g[inside] = faces[fy[inside], fx[inside]]
-            self.terms.append((g, np.where(inside, self.cells + shift, self.cells)))
+            neighbor = np.full(n, n)
+            neighbor[inside] = slot[self.cells[inside] + shift]
+            self.terms.append((g, neighbor))
         self.diag = diag.ravel()[self.cells]
-        self._sum, self._term, self._u = np.empty(n), np.empty(n), np.empty(n)
+        self._sum, self._term = np.empty(n), np.empty(n)
 
     def apply(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write A u into out's unknown cells; its other cells, which the
-        caller keeps at 0.0, are not touched."""
-        flat = u.ravel()
+        """out = A u, where u has the trailing 0.0 slot and out does not."""
         acc, term = self._sum, self._term
-        acc.fill(0.0)
-        for g, neighbor in self.terms:
-            np.take(flat, neighbor, out=term)
-            acc += np.multiply(g, term, out=term)
-        np.take(flat, self.cells, out=self._u)
-        au = np.multiply(self.diag, self._u, out=self._u)
-        au -= acc
-        out.ravel()[self.cells] = au
+        (g, neighbor), *rest = self.terms
+        np.multiply(g, np.take(u, neighbor, out=acc), out=acc)
+        for g, neighbor in rest:
+            acc += np.multiply(g, np.take(u, neighbor, out=term), out=term)
+        np.multiply(self.diag, u[:-1], out=out)
+        out -= acc
         return out
 
 
@@ -222,36 +219,40 @@ def solve_potential(
     diag = _neighbor_sum(gx, gy, np.ones_like(sigma))
     unknown = (sigma > 0) & ~dir_mask & (diag > 0)
 
-    b = _neighbor_sum(gx, gy, np.where(dir_mask, dir_val, 0.0))
-    b[~unknown] = 0.0
-    # The iteration runs on preallocated buffers. Each in-place update does
-    # the same element-wise IEEE operations as the plain expression in its
-    # comment, so the iterates, and every dot product, are bit-for-bit
-    # those of the expressions. The operator writes only the unknown cells
-    # of its output, ap; the others stay 0.0, the value A u has there.
-    operator = _UnknownOperator(gx, gy, diag, unknown)
-    ap = np.zeros_like(sigma)
+    operator = _CompactOperator(gx, gy, diag, unknown)
+    cells = operator.cells
+    n = len(cells)
+    b = _neighbor_sum(gx, gy, np.where(dir_mask, dir_val, 0.0)).ravel()[cells]
+    # The iteration runs on preallocated buffers of the unknowns. x_slot
+    # and p_slot carry the operator's trailing zero slot; x and p are
+    # their views without it. Inner products are numpy's pairwise sums,
+    # not np.dot, whose OpenBLAS reduction rounds by thread count.
+    prod = np.empty(n)
 
     def dot(a: np.ndarray, c: np.ndarray) -> float:
-        return float(np.dot(a.ravel(), c.ravel()))
+        return float(np.multiply(a, c, out=prod).sum())
 
-    x = np.zeros_like(sigma)
+    x_slot = np.zeros(n + 1)
+    x = x_slot[:-1]
     bnorm = np.sqrt(dot(b, b))
     iterations = 0
     if bnorm == 0.0:
         converged = True
         final_residual = 0.0
     else:
-        inv_diag = np.where(unknown, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
+        inv_diag = 1.0 / operator.diag
+        ap = np.empty(n)
         r = b.copy()
         z = inv_diag * r
-        p = z.copy()
-        step = np.empty_like(sigma)
+        p_slot = np.zeros(n + 1)
+        p = p_slot[:-1]
+        np.copyto(p, z)
+        step = np.empty(n)
         rz = dot(r, z)
         converged = False
         restarts = 0
         while iterations < max_iter:
-            operator.apply(p, ap)  # ap = A p
+            operator.apply(p_slot, ap)  # ap = A p
             pap = dot(p, ap)
             if pap <= 0.0:
                 # Round-off breakdown under extreme conductivity contrast:
@@ -259,7 +260,7 @@ def solve_potential(
                 if restarts >= 8:
                     break
                 restarts += 1
-                np.subtract(b, operator.apply(x, ap), out=r)  # r = b - A x
+                np.subtract(b, operator.apply(x_slot, ap), out=r)  # r = b - A x
                 np.multiply(inv_diag, r, out=z)  # z = inv_diag * r
                 np.copyto(p, z)
                 rz = dot(r, z)
@@ -278,11 +279,12 @@ def solve_potential(
             p *= rz_new / rz  # p = z + (rz_new / rz) * p
             p += z
             rz = rz_new
-        true_r = np.subtract(b, operator.apply(x, ap), out=ap)  # b - A x
+        true_r = np.subtract(b, operator.apply(x_slot, ap), out=ap)  # b - A x
         final_residual = float(np.sqrt(dot(true_r, true_r)) / bnorm)
         converged = converged and final_residual <= tol
 
-    phi = np.where(dir_mask, dir_val, np.where(unknown, x, 0.0))
+    phi = np.where(dir_mask, dir_val, 0.0)
+    phi.ravel()[cells] = x
     net_out = diag * phi - _neighbor_sum(gx, gy, phi)
     injections = net_out[dir_mask]
     current_in = float(injections[injections > 0].sum())

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -19,6 +22,9 @@ settings.load_profile("suite")
 
 import dropmaze as dm
 from dropmaze import scenario
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_RUN_CLI = "import sys; from dropmaze.cli import main; sys.exit(main(sys.argv[1:]))"
 from dropmaze.dynamics import DynamicsParams
 from dropmaze.scenario import ScenarioConfig, run_scenario
 
@@ -108,3 +114,29 @@ def count_calls(monkeypatch, *functions) -> Counter:
                 if value is original:
                     monkeypatch.setattr(module, attr, wrapper)
     return calls
+
+
+def run_cli(args: list[str], blas_threads: int) -> subprocess.CompletedProcess:
+    """`dropmaze <args>` in a child interpreter whose BLAS runs
+    blas_threads threads."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(dm.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(blas_threads)
+    return subprocess.run(
+        [sys.executable, "-c", _RUN_CLI, *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def bundle_bytes(path: Path) -> bytes:
+    """A bundle file's bytes; report.json and oracle.json without their
+    timestamp, serialised the way the pipelines write them."""
+    data = path.read_bytes()
+    if path.name in ("report.json", "oracle.json"):
+        report = json.loads(data)
+        report.pop("timestamp")
+        data = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+    return data

@@ -381,14 +381,10 @@ def array_bilinear(j, x_mm, y_mm):
     return sample(j.vx), sample(j.vy)
 
 
-def allocating_pcg(sigma, dirichlet, tol=1e-9, max_iter=None):
-    """The Jacobi-PCG of solve_potential as first written, allocating a new
-    array for every intermediate: (phi, iterations, final_residual,
-    restarts)."""
+def _pcg_system(sigma, dirichlet):
+    """Face conductances, diagonal, unknown mask, right-hand side and the
+    pinned values of solve_potential's reduced system, on the whole grid."""
     sigma = np.asarray(sigma, dtype=np.float64)
-    ny, nx = sigma.shape
-    if max_iter is None:
-        max_iter = 50 * max(nx, ny)
     dir_mask = np.zeros(sigma.shape, dtype=bool)
     dir_val = np.zeros(sigma.shape)
     for (ix, iy), v in dirichlet.items():
@@ -416,22 +412,18 @@ def allocating_pcg(sigma, dirichlet, tol=1e-9, max_iter=None):
     unknown = (sigma > 0) & ~dir_mask & (diag > 0)
     b = neighbor_sum(np.where(dir_mask, dir_val, 0.0))
     b[~unknown] = 0.0
+    return gx, gy, neighbor_sum, diag, unknown, b, dir_mask, dir_val
 
-    def matvec(u):
-        out = diag * u - neighbor_sum(u)
-        out[~unknown] = 0.0
-        return out
 
-    def dot(u, v):
-        return float(np.dot(u.ravel(), v.ravel()))
-
-    x = np.zeros_like(sigma)
+def _jacobi_pcg(matvec, dot, b, inv_diag, tol, max_iter):
+    """Jacobi-preconditioned CG with solve_potential's restart branch and
+    residual rule: (x, iterations, final_residual, restarts)."""
+    x = np.zeros_like(b)
     bnorm = np.sqrt(dot(b, b))
     iterations = 0
     restarts = 0
     final_residual = 0.0
     if bnorm != 0.0:
-        inv_diag = np.where(unknown, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
         r = b.copy()
         z = inv_diag * r
         p = z.copy()
@@ -462,7 +454,69 @@ def allocating_pcg(sigma, dirichlet, tol=1e-9, max_iter=None):
             rz = rz_new
         true_r = b - matvec(x)
         final_residual = float(np.sqrt(dot(true_r, true_r)) / bnorm)
+    return x, iterations, final_residual, restarts
+
+
+def allocating_pcg(sigma, dirichlet, tol=1e-9, max_iter=None):
+    """The Jacobi-PCG of solve_potential as first written, on whole-grid
+    vectors with np.dot products, allocating a new array for every
+    intermediate: (phi, iterations, final_residual, restarts)."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if max_iter is None:
+        max_iter = 50 * max(sigma.shape)
+    _, _, neighbor_sum, diag, unknown, b, dir_mask, dir_val = _pcg_system(sigma, dirichlet)
+
+    def matvec(u):
+        out = diag * u - neighbor_sum(u)
+        out[~unknown] = 0.0
+        return out
+
+    def dot(u, v):
+        return float(np.dot(u.ravel(), v.ravel()))
+
+    inv_diag = np.where(unknown, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
+    x, iterations, final_residual, restarts = _jacobi_pcg(matvec, dot, b, inv_diag, tol, max_iter)
     phi = np.where(dir_mask, dir_val, np.where(unknown, x, 0.0))
+    return phi, iterations, final_residual, restarts
+
+
+def compact_pcg(sigma, dirichlet, tol=1e-9, max_iter=None):
+    """The same Jacobi-PCG on vectors of the unknown cells only (row-major),
+    with np.sum(a * c) products. Each unknown sums its east, west, south
+    and north terms in that order; a neighbour that is not an unknown, or
+    lies past the rim, reads 0.0. Allocates a new array for every
+    intermediate: (phi, iterations, final_residual, restarts)."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    ny, nx = sigma.shape
+    if max_iter is None:
+        max_iter = 50 * max(nx, ny)
+    gx, gy, _, diag, unknown, b, dir_mask, dir_val = _pcg_system(sigma, dirichlet)
+    cells = [(int(iy), int(ix)) for iy, ix in np.argwhere(unknown)]
+    index = {cell: k for k, cell in enumerate(cells)}
+    n = len(cells)
+    g = np.zeros((4, n))
+    neighbor = np.full((4, n), n)
+    for k, (iy, ix) in enumerate(cells):
+        for side, (dy, dx) in enumerate(((0, 1), (0, -1), (1, 0), (-1, 0))):
+            jy, jx = iy + dy, ix + dx
+            if 0 <= jy < ny and 0 <= jx < nx:
+                g[side, k] = gx[iy, min(ix, jx)] if dy == 0 else gy[min(iy, jy), ix]
+                neighbor[side, k] = index.get((jy, jx), n)
+    d = diag[unknown]
+
+    def matvec(u):
+        padded = np.append(u, 0.0)
+        t = [g[side] * padded[neighbor[side]] for side in range(4)]
+        return d * u - (t[0] + t[1] + t[2] + t[3])
+
+    def dot(u, v):
+        return float(np.sum(u * v))
+
+    x, iterations, final_residual, restarts = _jacobi_pcg(
+        matvec, dot, b[unknown], 1.0 / d, tol, max_iter
+    )
+    phi = np.where(dir_mask, dir_val, 0.0)
+    phi[unknown] = x
     return phi, iterations, final_residual, restarts
 
 

@@ -35,7 +35,7 @@ from dropmaze.solver import (
     solve_potential,
 )
 
-from conftest import ring_config
+from conftest import CONFIGS, bundle_bytes, ring_config, run_cli
 from oracles import dense_solve_potential, two_branch_current_ratio
 
 
@@ -155,7 +155,7 @@ def test_criterion_5_shortest_path_readout(ring_maze, ring_fields, ring_segmenta
         path = extract_path(labels, start)
         p_seq = region_sequence(path.cells, seg)
         hot = hot_region_route(fields.joule, seg, labels)
-        stream = trace_route_streamline(fields.j, maze, seg=seg)
+        (stream,) = trace_route_streamline(fields.j, maze, seg=seg)
         s_seq = region_sequence(stream.cells(maze.cell_size), seg)
         assert stream.termination is StreamTermination.REACHED
         assert hot == p_seq, f"hot ridge {hot} != path {p_seq}"
@@ -280,3 +280,18 @@ def test_criterion_10_determinism(tmp_path):
             assert ra == rb
         else:
             assert fa.read_bytes() == fb.read_bytes(), f"{name} differs between runs"
+
+
+@criterion(10, "a scenario writes the same bundle at one and at two BLAS threads")
+def test_criterion_10_determinism_across_blas_threads(tmp_path):
+    bundles = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        done = run_cli(
+            ["simulate", "--config", str(CONFIGS / "ring_m2.cfg"), "--out", str(out)], threads
+        )
+        assert done.returncode == 0, done.stderr
+        bundles.append({p.name: bundle_bytes(p) for p in sorted(out.iterdir())})
+    assert bundles[0].keys() == bundles[1].keys() and len(bundles[0]) == 8
+    for name in bundles[0]:
+        assert bundles[0][name] == bundles[1][name], f"{name} differs between 1 and 2 threads"

@@ -11,29 +11,29 @@ own: its path.csv is byte for byte the one `simulate` writes. The
 `ring_coated` digests were recorded while the streamline fan still had a
 fixed budget of 200 000 steps, which three of its seeds used up; the
 chosen streamline reaches the target within a few hundred steps, so the
-budget derived from the field changes no byte. report.json and oracle.json are
-hashed after dropping their timestamp, serialised the way the pipelines
-write them. A change that alters any number on purpose updates these
-digests and says so in CHANGES.md.
+budget derived from the field changes no byte. All six were re-recorded
+once when the solver began to iterate on the unknown cells only and to
+sum with numpy: the potential's last bits moved (by at most 1e-12 V on
+these three configs), and report.json and oracle.json gained
+`streamline_tie`; every termination, step count and corridor sequence
+stayed the same. report.json and oracle.json are hashed after dropping
+their timestamp, serialised the way the pipelines write them. A change
+that alters any number on purpose updates these digests and says so in
+CHANGES.md.
 
 The run goes through `dropmaze simulate` in a child interpreter with one
-BLAS thread, as the benchmark runs it: the solver's dot products come
-from OpenBLAS, whose threaded reduction order, and so the last bits of
-the potential, depends on the thread count.
+BLAS thread, as the benchmark runs it. No output depends on that count:
+the solver sums with numpy, not BLAS, and criterion 10 checks that
+`ring_m2` writes the same bundle at one and at two threads.
 """
 
 import hashlib
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import dropmaze
+from conftest import CONFIGS, bundle_bytes, run_cli
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EXIT_CODES = {
     ("simulate", "bifurcation_lock"): 2,
     ("simulate", "ring_m2"): 0,
@@ -42,61 +42,55 @@ EXIT_CODES = {
     ("simulate", "ring_coated"): 0,
     ("oracle", "ring_coated"): 0,
 }
-RUN_CLI = "import sys; from dropmaze.cli import main; sys.exit(main(sys.argv[1:]))"
 
 GOLDEN = {
     ("simulate", "bifurcation_lock"): {
-        "comparison.json": "8ea745534ffdc621fc865a2ea143ad0dbbe84ff919409a0e9e4bebd169b388cb",
-        "current.csv": "0a361db01a0f4ff53f68f41cd9e5da6595933b35f6980aeb0cdb6e2a9579fc56",
+        "comparison.json": "df1085a5e0be95f3ae7373f3f380e5c72556d5a88a8db50dae6d2486a0791c1d",
+        "current.csv": "c3fb4eb3090553d51b9ba566426d12ed6250852d48cc6f0e5c9d9c43f40cc92d",
         "joule.pgm": "e7741d68330462f8353d955bd175882e877e2a053abc20ad2e1e1bc7e8390977",
         "path.csv": "19d450d4a427acfa00bc9cc0ca80e222630af11154ade9bac4148002b8b85d73",
-        "potential.csv": "2d712ef446b7020735d24647be6322fd71e8948419a65b66d2dcfd6769de887f",
+        "potential.csv": "2c0da97d3170e1a05ff3d34e1f4079d996408bb29035ecc3c16d9fc34f603a26",
         "potential.pgm": "8e23517a71d32e24552a48e4b0ed570b936643e6558952d542471ab11c9d672f",
-        "report.json": "bf7a4bff37b2a8038fd3162e8cc84c6b4e42442fe06223c5f4dd01e163450f6d",
-        "trajectory.csv": "a6ffc785cd9f41309538676a77c1839d3b55b4ed8815477c57cd23d0183a1a45",
+        "report.json": "8dadfd93216f99081dc4e96464eb274b03856f49504b608a5270f9220444f2ba",
+        "trajectory.csv": "39ed973c3bc1e6d05696e4d2c590784da96b216709ef5097805de369f3f0b330",
     },
     ("simulate", "ring_m2"): {
-        "comparison.json": "2c281c6831ea72a719623b78337cb5a0147238eaddb5f950ec41fb914fd94cb5",
-        "current.csv": "a985ff9bc0261f23b94c2675329cd82029879cd28e05a62666920b895c4609b7",
+        "comparison.json": "dac34d567dc3f03ddb65a3f5ed544eb107efeea893ff9ca70e061e48fd3a5fa6",
+        "current.csv": "5533537bb42f22251179645150bb1b2b48b20405f56bddde795163b338d81f9e",
         "joule.pgm": "db99568128f4041fa4aec36fa578586ff0248726f9af5b44166268ad08323c45",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
-        "potential.csv": "ae873406e0c9043c99784100e5d520a23e65da64c789448594953f1cd7b87624",
+        "potential.csv": "1c8617d89e351fc6b35a356ba4052f3be276cb07ffa9a86ca3bcbf3779129ef3",
         "potential.pgm": "e01b83fa94d79d1f3144caf7b2472cae2ddf37179eac82a28deaece887fa1fba",
-        "report.json": "9eef652299c981ffadef989aadc729c2afaf7a9bdf380c01065a0977c16b4881",
-        "trajectory.csv": "9b8009aa88d71de16b9a1cf63bb0030e2a255c19e3c9616e1efeef792e41b680",
+        "report.json": "3e15a2c900261f0de033864091e0199b51af87bb84478c7db40eff1628e84ea1",
+        "trajectory.csv": "f77687cfa8f88b0d5c15d417a8920a4a040aaccff284a5e0caca7c68e69ba222",
     },
     ("oracle", "bifurcation_lock"): {
-        "oracle.json": "7baac37f9832afd7ec4ec7c241adf4b9796f1927687d1054f2a0a945d1ebc7ec",
+        "oracle.json": "0deff45602936c054143474f9e95c564e9e5d65076caea5bf50ba2a0fc63c528",
         "path.csv": "19d450d4a427acfa00bc9cc0ca80e222630af11154ade9bac4148002b8b85d73",
     },
     ("oracle", "ring_m2"): {
-        "oracle.json": "cea79277bde3b0acf5b1444da9ef54a09d4df5d9aa347abae9ea8014a3af9d14",
+        "oracle.json": "b71cb8ee66aa91310076bf694591aa3aed771104f230b0cf12af3b5ee1ee59c3",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
     },
     ("simulate", "ring_coated"): {
-        "comparison.json": "b12834153949cdc785b0d8474fa6347cc700da00511d73b2231bfbd6af53539b",
-        "current.csv": "b8a54a4d83a39e603750c8dd853793696dcb2d0860991c807a005691009489bb",
+        "comparison.json": "c63a0cba8d07d216a79f84d8dd34a4444716a4c15120ce5cb2157289a1888583",
+        "current.csv": "c99e38598e905c7316f16e9b1818592609250958c9529a20e771a99f7ea7e06f",
         "joule.pgm": "2376f390dff05cd96a50f870fc31271b6cdcb5270e19b0a76e261909e6580acf",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
-        "potential.csv": "e2a61d47ba5870f607bc403d6d506600b8c8b1390a832a3426917181084a8027",
+        "potential.csv": "265ef233191de76d711ed89b35b58aef0e90d7ea680f618cecbae81b3524c592",
         "potential.pgm": "50762467b317a38559553d44dc04e701a4d3d28c11b2cbb00d6313ea72802a40",
-        "report.json": "27d2c7fc39d703b9c332f298c9d849035c7e7bc9550612d9c202c9444c4e840f",
-        "trajectory.csv": "6bba7824dd8f351a785391ed0e9fd5d15f3d7c1b62a0145934f06b6016de45f0",
+        "report.json": "b1ad71429367df79d54f12fd569c33744560a622d2e5fb0bfeda7dc1a1b1fc4d",
+        "trajectory.csv": "3c7208a253f5f50fc3160b251b9a097046e6d4692edc66c3f7c7102a839b573f",
     },
     ("oracle", "ring_coated"): {
-        "oracle.json": "43901055856e2a98fd59a115faa8585873e097b2c609e89c03267cdbafd7e842",
+        "oracle.json": "0d469e2f5b8c359a43014e6feadc109511098f26f3c9e52760baae6b493ad85b",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
     },
 }
 
 
 def _digest(path: Path) -> str:
-    data = path.read_bytes()
-    if path.name in ("report.json", "oracle.json"):
-        report = json.loads(data)
-        report.pop("timestamp")
-        data = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(bundle_bytes(path)).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -107,17 +101,8 @@ def _digest(path: Path) -> str:
     ],
 )
 def test_bundle_matches_golden_digests(command, name, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(dropmaze.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
-    )
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
     args = [command, "--config", str(CONFIGS / f"{name}.cfg"), "--out", str(tmp_path)]
-    done = subprocess.run(
-        [sys.executable, "-c", RUN_CLI, *args],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    done = run_cli(args, blas_threads=1)
     assert done.returncode == EXIT_CODES[command, name], done.stderr
     digests = {p.name: _digest(p) for p in sorted(tmp_path.iterdir())}
     assert digests == GOLDEN[command, name]

@@ -218,7 +218,7 @@ def test_ring_streamline_matches_lee_path(ring_maze, ring_fields, ring_segmentat
     seg = ring_segmentation
     start = sorted(ring_maze.electrode_cells(dm.Polarity.POSITIVE))[0]
     path = extract_path(ring_labels, start)
-    sl = trace_route_streamline(ring_fields.j, ring_maze, seg=seg)
+    (sl,) = trace_route_streamline(ring_fields.j, ring_maze, seg=seg)
     assert sl.termination is StreamTermination.REACHED
     s_seq = region_sequence(sl.cells(ring_maze.cell_size), seg)
     p_seq = region_sequence(path.cells, seg)
@@ -242,7 +242,7 @@ def test_streamline_lee_agreement_over_corpus():
         labels = lee_label(spec)
         start = sorted(spec.electrode_cells(dm.Polarity.POSITIVE))[0]
         path = extract_path(labels, start)
-        sl = trace_route_streamline(fields.j, spec, seg=seg)
+        (sl,) = trace_route_streamline(fields.j, spec, seg=seg)
         assert region_sequence(sl.cells(spec.cell_size), seg) == region_sequence(path.cells, seg)
 
 
@@ -397,7 +397,7 @@ def test_list_backed_streamlines_match_array_sampler(ring_maze, ring_fields, mon
     bif = generate_bifurcation_maze(38.0, 42.0, 4.0)
     for j, maze in ((ring_fields.j, ring_maze), (compute_fields(bif).j, bif)):
         traced.clear()
-        chosen = trace_route_streamline(j, maze)
+        (chosen,) = trace_route_streamline(j, maze)
         fan = list(traced)
         traced.clear()
         samples = 0
@@ -409,7 +409,7 @@ def test_list_backed_streamlines_match_array_sampler(ring_maze, ring_fields, mon
 
         with monkeypatch.context() as m:
             m.setattr(oracle, "_bilinear", sampler)
-            reference = trace_route_streamline(j, maze)
+            (reference,) = trace_route_streamline(j, maze)
         assert len(fan) == len(traced) >= 8
         assert sum(len(points) for points in fan) > 1000
         # A weight sample per seed and four samples per fourth-order step.
@@ -549,6 +549,38 @@ def test_fan_step_budget(name, monkeypatch):
     assert len(ran_out) == (3 if name == "ring_coated" else 0)
 
 
+def test_fan_reports_both_branches_of_a_mirrored_field():
+    """On an exactly mirror-symmetric field the two branches of the
+    symmetric bifurcation get votes that agree to rounding: the fan
+    returns one streamline per branch, each reaching the target. On the
+    solved field the votes differ in their last bits only, which a tol
+    below that spread lets settle the pick again."""
+    maze = corpus_maze("bifurcation_symmetric")
+    j = compute_fields(maze).j
+    mirrored = VectorField(j.vx + j.vx[::-1], j.vy - j.vy[::-1], j.cell_size, j.quantity)
+    seg = segment_corridors(maze)
+    streams = trace_route_streamline(mirrored, maze, seg=seg)
+    seqs = [region_sequence(s.cells(maze.cell_size), seg) for s in streams]
+    assert sorted(seqs) == [(4, 5, 6, 7, 11), (4, 8, 9, 10, 11)]
+    assert all(s.termination is StreamTermination.REACHED for s in streams)
+    assert len(trace_route_streamline(j, maze, seg=seg)) == 2
+    assert len(trace_route_streamline(j, maze, seg=seg, tol=1e-15)) == 1
+
+
+@pytest.mark.parametrize("name", ["bifurcation_symmetric", "bifurcation_lock"])
+def test_route_reports_a_tie_only_where_the_branches_are_equal(name):
+    """The oracle reads the symmetric maze's fan as a tie and reports the
+    tied branch on the Lee path; the lock maze, whose branches differ by
+    a few cells, has none."""
+    report = run_scenario(load_config(CONFIGS / f"{name}.cfg")).report["oracle"]
+    assert report["streamline_matches_path"]
+    if name == "bifurcation_symmetric":
+        assert report["streamline_tie"] == [[4, 5, 6, 7, 11], [4, 8, 9, 10, 11]]
+        assert report["streamline_sequence"] == report["path_sequence"] == [4, 8, 9, 10, 11]
+    else:
+        assert report["streamline_tie"] == []
+
+
 @pytest.mark.parametrize("name", ["ring_m2", "bifurcation_lock"])
 def test_cell_overlap_equals_region_scan(name):
     """Every overlap of the pipeline is the float that comparing the
@@ -556,7 +588,7 @@ def test_cell_overlap_equals_region_scan(name):
     result = run_scenario(load_config(CONFIGS / f"{name}.cfg"))
     seg, path, h = result.segmentation, result.path, result.maze.cell_size
     traj_cells = [(int(x // h), int(y // h)) for x, y in result.trajectory.positions_mm()]
-    stream = trace_route_streamline(result.fields.j, result.maze, seg=seg)
+    (stream,) = trace_route_streamline(result.fields.j, result.maze, seg=seg)
     routes = [traj_cells, stream.cells(h), path.cells, [], path.cells[: len(path.cells) // 3]]
     overlaps = set()
     for a in routes:

@@ -16,6 +16,7 @@ from dropmaze.dynamics import (
     Termination,
     disk_force_screen,
     select_force_field,
+    simulate,
 )
 from dropmaze.scenario import (
     ConfigError,
@@ -207,17 +208,28 @@ def test_scenario_echoes_config(ring_scenario):
 
 
 def test_run_scenario_computes_each_analysis_once(monkeypatch):
-    """An axis-start run with the default radius labels the maze, segments
-    it and thins its channel once each."""
-    calls = count_calls(monkeypatch, oracle.lee_label, oracle.segment_corridors, oracle.thin_mask)
+    """An axis-start run with the default radius and time step labels the
+    maze, segments it, thins its channel and extracts the Lee path once
+    each. simulate called alone extracts the path itself, for the same
+    time step."""
+    calls = count_calls(
+        monkeypatch, oracle.lee_label, oracle.segment_corridors, oracle.thin_mask,
+        oracle.extract_path,
+    )
     cfg = ScenarioConfig(
         generator="bifurcation", len_a_mm=40.0, len_b_mm=40.0, start="axis",
         dynamics=DynamicsParams(max_steps=200),
     )
     result = run_scenario(cfg)
-    assert cfg.dynamics.radius_mm == 0
+    assert cfg.dynamics.radius_mm == 0 and cfg.dynamics.dt == 0
     assert result.trajectory.radius_mm == 0.375 * result.segmentation.width_cells * 0.5
-    assert calls == {"lee_label": 1, "segment_corridors": 1, "thin_mask": 1}
+    assert calls == {"lee_label": 1, "segment_corridors": 1, "thin_mask": 1, "extract_path": 1}
+    alone = simulate(
+        result.maze, cfg.dynamics, result.fields, result.trajectory.positions_mm()[0],
+        seg=result.segmentation,
+    )
+    assert calls["extract_path"] == 2
+    assert alone.dt == result.trajectory.dt
 
 
 def _corner_case(name):
@@ -386,7 +398,7 @@ def test_maze_stage_drops_the_old_maze_before_solving_a_new_one(tmp_path, monkey
 
 def _stage_arrays(result):
     fields, seg = result.fields, result.segmentation
-    stream = oracle.trace_route_streamline(fields.j, result.maze, seg=seg)
+    (stream,) = oracle.trace_route_streamline(fields.j, result.maze, seg=seg)
     return {
         "maze.cells": result.maze.cells,
         "fields.sigma": fields.sigma,
@@ -427,7 +439,7 @@ def test_maze_stage_under_threads(tmp_path):
         scenario._forget_solved_maze()
         solved = prepare_fields(cfg)
         want[n] = (solved.maze, solved.fields.phi.values.tobytes(),
-                   solved.route().stream.points.tobytes())
+                   solved.route().streams[0].points.tobytes())
     errors = []
 
     def worker(offset):
@@ -436,7 +448,7 @@ def test_maze_stage_under_threads(tmp_path):
                 n = (30, 40)[(i + offset) % 2]
                 solved = prepare_fields(mazes[n])
                 got = (solved.maze, solved.fields.phi.values.tobytes(),
-                       solved.route().stream.points.tobytes())
+                       solved.route().streams[0].points.tobytes())
                 if got != want[n]:
                     errors.append((offset, i))
         except Exception as exc:  # reported below, with the thread's index
