@@ -41,14 +41,12 @@ from .solver import (
     grad_speed_of_j,
     joule_heating,
     maze_dirichlet,
-    solve_maze,
     solve_potential,
 )
 
 __version__ = "0.1.0"
 
 from .dynamics import (  # noqa: E402
-    DropletState,
     DynamicsError,
     DynamicsParams,
     ForceSource,
@@ -57,7 +55,6 @@ from .dynamics import (  # noqa: E402
     VelocityProfile,
     disk_integrate,
     simulate,
-    step,
     velocity_profile,
 )
 from .oracle import (  # noqa: E402
@@ -72,7 +69,6 @@ from .oracle import (  # noqa: E402
     extract_path,
     hot_region_route,
     lee_label,
-    region_cell_overlap,
     region_sequence,
     segment_corridors,
     streamline,

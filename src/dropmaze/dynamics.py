@@ -24,21 +24,8 @@ from typing import Iterator
 import numpy as np
 
 from .maze import MazeSpec, Polarity, bfs
-from .oracle import (
-    CorridorSegmentation,
-    LeeLabels,
-    Path as OraclePath,
-    UnreachableError,
-    extract_path,
-    lee_label,
-    segment_corridors,
-)
-from .solver import (
-    MM_TO_M,
-    FieldBundle,
-    VectorField,
-    compute_fields,
-)
+from .oracle import CorridorSegmentation, LeeLabels, Path as OraclePath
+from .solver import MM_TO_M, FieldBundle, VectorField
 
 
 class DynamicsError(RuntimeError):
@@ -83,29 +70,16 @@ class DynamicsParams:
     def __post_init__(self):
         if self.mobility <= 0:
             raise ValueError("mobility must be positive")
-        if self.static_threshold < 0:
-            raise ValueError("static_threshold must be >= 0")
-        if self.dt < 0:
-            raise ValueError("dt must be >= 0")
         if self.lock_window < 1:
             raise ValueError("lock_window must be >= 1")
+        for name in (
+            "static_threshold", "dt", "max_steps", "lock_epsilon_mm", "radius_mm", "release_time",
+            "noise_amplitude",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.stall_fraction <= 1.0:
             raise ValueError("stall_fraction must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class DropletState:
-    x: float
-    y: float
-    radius: float
-    vx: float = 0.0
-    vy: float = 0.0
-    t: float = 0.0
-    pinned_impulse: float = 0.0
-
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.vx, self.vy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,25 +419,7 @@ def _advance(
     return x, y, near, impulse
 
 
-def step(
-    state: DropletState, params: DynamicsParams, maze: MazeSpec, field: VectorField
-) -> DropletState:
-    """One stick-slip update. Requires params.dt > 0."""
-    if params.dt <= 0:
-        raise ValueError("step needs an explicit positive dt; use simulate for auto-dt")
-    geom = _Geometry(maze)
-    x0, y0, radius, dt = state.x, state.y, state.radius, params.dt
-    raw = disk_integrate(field, (x0, y0), radius, wall_mask=geom.wall, gain=params.force_gain)
-    fx, fy = _project_out(*raw.tolist(), _contact_normals(geom, x0, y0, radius))
-    x, y, _, impulse = _advance(x0, y0, radius, state.pinned_impulse, params, geom, fx, fy)
-    return DropletState(
-        x, y, radius, vx=(x - x0) / dt, vy=(y - y0) / dt, t=state.t + dt, pinned_impulse=impulse
-    )
-
-
-def droplet_radius_mm(
-    params: DynamicsParams, seg: CorridorSegmentation | None, cell_size: float
-) -> float:
+def droplet_radius_mm(params: DynamicsParams, seg: CorridorSegmentation, cell_size: float) -> float:
     """The droplet radius: params.radius_mm, or when that is 0 a default
     scaled to the corridor width. seg is read only for the default."""
     if params.radius_mm > 0:
@@ -480,14 +436,9 @@ def find_start(maze: MazeSpec, radius: float, labels: LeeLabels) -> tuple[int, i
     Among equally near candidates the downstream one (smallest wavefront
     label) wins: the droplet detaches on the side the current pulls it;
     remaining ties go to the lowest row, then the lowest column."""
-    return _start_cell(_Geometry(maze), maze.channel_mask(), radius, labels)
-
-
-def _start_cell(
-    geom: _Geometry, channel: np.ndarray, radius: float, labels: LeeLabels
-) -> tuple[int, int]:
+    geom = _Geometry(maze)
     pos = geom.positive_cells
-    dist, _ = bfs(channel, pos)
+    dist, _ = bfs(maze.channel_mask(), pos)
     iys, ixs = np.nonzero(dist > 0)
     lab = np.maximum(labels.labels[iys, ixs], 0)
     h = geom.h
@@ -503,27 +454,13 @@ def _start_cell(
 
 
 def _auto_dt(
-    field: VectorField,
-    geom: _Geometry,
-    params: DynamicsParams,
-    start: tuple[int, int],
-    radius: float,
-    labels,
-    path: OraclePath | None,
+    field: VectorField, geom: _Geometry, params: DynamicsParams, radius: float, path: OraclePath
 ) -> float:
-    """dt such that the fastest force sample along the oracle route (path,
-    the Lee path from start, extracted here when not given) moves the disk
-    at most half a cell per step."""
-    if path is not None:
-        cells = path.cells
-    else:
-        try:
-            cells = extract_path(labels, start).cells
-        except UnreachableError:
-            cells = [start]
+    """dt such that the fastest force sample along the oracle route (the
+    Lee path from the start) moves the disk at most half a cell per step."""
     h = geom.h
     fmax = 0.0
-    for ix, iy in cells:
+    for ix, iy in path.cells:
         x, y = (ix + 0.5) * h, (iy + 0.5) * h
         f = disk_integrate(field, (x, y), radius, wall_mask=geom.wall, gain=params.force_gain)
         fmax = max(fmax, math.hypot(f[0], f[1]))
@@ -541,45 +478,27 @@ def select_force_field(bundle: FieldBundle, source: ForceSource) -> VectorField:
 def simulate(
     maze: MazeSpec,
     params: DynamicsParams,
-    fields: FieldBundle | None = None,
-    start_mm: tuple[float, float] | None = None,
-    *,
-    seg: CorridorSegmentation | None = None,
-    labels: LeeLabels | None = None,
-    path: OraclePath | None = None,
+    fields: FieldBundle,
+    start_mm: tuple[float, float],
+    radius: float,
+    path: OraclePath,
 ) -> Trajectory:
-    """Run the droplet from beside the positive electrode until it reaches
-    the negative electrode, locks, or exhausts max_steps.
+    """Run a droplet of the given radius (mm) from start_mm until it
+    reaches the negative electrode, locks, or exhausts max_steps.
 
-    start_mm overrides the default placement (useful to put the droplet
-    exactly on a symmetry axis); by default the droplet sits on the centre
-    of the nearest downstream channel cell whose disk fits. seg and labels
-    are the maze's segment_corridors and lee_label results, and path the
-    Lee path from the start cell; each is computed here when needed and
-    not given."""
-    if fields is None:
-        fields = compute_fields(maze)
+    path is the Lee path from the cell holding start_mm; its first cell
+    is the trajectory's start_cell, and with params.dt = 0 the time step
+    is sized along it. scenario.resolve_start gives all three."""
     field = select_force_field(fields, params.force_source)
     geom = _Geometry(maze)
-    if labels is None:
-        labels = lee_label(maze)
-    if seg is None and params.radius_mm <= 0:
-        seg = segment_corridors(maze)
-
-    radius = droplet_radius_mm(params, seg, maze.cell_size)
-    if start_mm is not None:
-        x0, y0 = float(start_mm[0]), float(start_mm[1])
-        if not _disk_fits(geom, x0, y0, radius):
-            raise DynamicsError(f"droplet of radius {radius} mm does not fit at {start_mm}")
-        start_cell = (int(x0 // geom.h), int(y0 // geom.h))
-    else:
-        start_cell = _start_cell(geom, maze.channel_mask(), radius, labels)
-        x0, y0 = maze.cell_center_mm(*start_cell)
+    x0, y0 = float(start_mm[0]), float(start_mm[1])
+    if not _disk_fits(geom, x0, y0, radius):
+        raise DynamicsError(f"droplet of radius {radius} mm does not fit at {start_mm}")
 
     dt = params.dt
     if dt <= 0:
-        dt = _auto_dt(field, geom, params, start_cell, radius, labels, path)
-    run = replace(params, dt=dt, radius_mm=radius)
+        dt = _auto_dt(field, geom, params, radius, path)
+    run = replace(params, dt=dt)
 
     rng = random.Random(run.noise_seed) if run.noise_amplitude > 0 else None
     gain, noise, lock_window = run.force_gain, run.noise_amplitude, run.lock_window
@@ -642,7 +561,7 @@ def simulate(
         path_length_mm=path_length,
         dt=dt,
         radius_mm=radius,
-        start_cell=start_cell,
+        start_cell=path.cells[0],
         final_effective_force=forces[-1],
     )
 

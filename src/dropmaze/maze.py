@@ -309,9 +309,6 @@ class ComponentReport:
     n_components: int
     solvable: bool
 
-    def component_of(self, ix: int, iy: int) -> int:
-        return int(self.labels[iy, ix])
-
 
 def bfs(
     passable: np.ndarray,

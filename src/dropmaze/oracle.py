@@ -286,7 +286,7 @@ _MAX_SEEDS = 24
 def trace_route_streamline(
     j: VectorField,
     maze: MazeSpec,
-    seg: "CorridorSegmentation | None" = None,
+    seg: CorridorSegmentation,
     tol: float = 1e-9,
 ) -> tuple[Streamline, ...]:
     """Streamlines of the dominant current bundle from source to destination.
@@ -304,8 +304,6 @@ def trace_route_streamline(
     end of the consensus, and one streamline per branch is returned, the
     heaviest vote first; without a tie the tuple holds one streamline.
     """
-    if seg is None:
-        seg = segment_corridors(maze)
     channel = maze.channel_mask()
     pos_cells = maze.electrode_cells(Polarity.POSITIVE)
     neg_cells = maze.electrode_cells(Polarity.NEGATIVE)
@@ -760,15 +758,6 @@ def region_sequence(
             cand = -1
             count = 0
     return tuple(seq)
-
-
-def region_cell_overlap(
-    cells_a: Iterable[tuple[int, int]],
-    cells_b: Iterable[tuple[int, int]],
-    seg: CorridorSegmentation,
-) -> float:
-    """Jaccard overlap of the corridor-region cells two routes visit."""
-    return seg.cell_overlap(region_sequence(cells_a, seg), region_sequence(cells_b, seg))
 
 
 # A region carries current when it scores at least this share of the

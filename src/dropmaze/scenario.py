@@ -129,6 +129,11 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown artifact {a!r}")
         if self.start not in ("auto", "axis"):
             _start_point(self.start)
+        for name in ("cell_size_mm", "tol"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        if self.max_iter < 0:
+            raise ConfigError("max_iter must be >= 0")
 
 
 def _finite(value: str) -> float:
@@ -208,9 +213,9 @@ def parse_config(text: str) -> ScenarioConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-    if dyn:
-        kwargs["dynamics"] = DynamicsParams(**dyn)
     try:
+        if dyn:
+            kwargs["dynamics"] = DynamicsParams(**dyn)
         return ScenarioConfig(**kwargs)
     except ConfigError:
         raise
@@ -257,23 +262,28 @@ def build_maze(cfg: ScenarioConfig) -> MazeSpec:
 
 
 def resolve_start(
-    cfg: ScenarioConfig, maze: MazeSpec, seg: CorridorSegmentation, labels: LeeLabels
-) -> tuple[tuple[float, float], tuple[int, int]]:
-    """The start point (mm) the config's `start` names, and the cell
-    holding it: auto -> the centre of the default placement (find_start);
-    axis -> that cell's x, vertically centred (the mirror axis of the
-    built-in symmetric mazes); "x,y" -> the given point.
+    start: str,
+    params: DynamicsParams,
+    maze: MazeSpec,
+    seg: CorridorSegmentation,
+    labels: LeeLabels,
+) -> tuple[tuple[float, float], float, OraclePath]:
+    """A run's start point (mm), droplet radius (mm) and the Lee path from
+    the cell holding the start, for a config's `start` spec: auto -> the
+    centre of the default placement (find_start); axis -> that cell's x,
+    vertically centred (the mirror axis of the built-in symmetric mazes);
+    "x,y" -> the given point.
 
     seg and labels are the maze's segment_corridors and lee_label results."""
     h = maze.cell_size
-    if cfg.start in ("auto", "axis"):
-        cell = find_start(maze, droplet_radius_mm(cfg.dynamics, seg, h), labels)
-        x, y = maze.cell_center_mm(*cell)
-        if cfg.start == "axis":
+    radius = droplet_radius_mm(params, seg, h)
+    if start in ("auto", "axis"):
+        x, y = maze.cell_center_mm(*find_start(maze, radius, labels))
+        if start == "axis":
             y = maze.ny * h / 2.0
     else:
-        x, y = _start_point(cfg.start)
-    return (x, y), (int(x // h), int(y // h))
+        x, y = _start_point(start)
+    return (x, y), radius, extract_path(labels, (int(x // h), int(y // h)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,7 +388,8 @@ class ScenarioResult:
 class _MazeRoute:
     """The route of a solved maze, whatever the droplet and its start:
     its segmentation, Lee labels, the fan's route streamlines (more than
-    one when the fan is tied) and their corridor sequences."""
+    one when the fan is tied) and their corridor sequences, in sequence
+    order."""
 
     seg: CorridorSegmentation
     labels: LeeLabels
@@ -406,9 +417,14 @@ class SolvedMaze:
             streams = trace_route_streamline(
                 self.fields.j, self.maze, seg=seg, tol=self.fields.report.tol
             )
+            # Tied branches in corridor-sequence order, so the report does
+            # not depend on which branch rounding made heavier.
+            tied = sorted(
+                ((region_sequence(s.cells(self.maze.cell_size), seg), s) for s in streams),
+                key=lambda pair: pair[0],
+            )
             route = _MazeRoute(
-                seg, lee_label(self.maze), streams,
-                tuple(region_sequence(s.cells(self.maze.cell_size), seg) for s in streams),
+                seg, lee_label(self.maze), tuple(s for _, s in tied), tuple(q for q, _ in tied)
             )
             self._route = route
         return route
@@ -500,17 +516,19 @@ def _write_json(path: Path, data: dict) -> None:
 
 def _route(cfg: ScenarioConfig, solved: SolvedMaze):
     """The route stage of `oracle` and `simulate`: the solved maze's
-    route, the configured start (point, mm), the Lee path from its cell,
-    the fan streamline reported, and the oracle read-outs report.json and
-    oracle.json share.
+    route, the configured start (point, mm), the droplet radius, the Lee
+    path from the start's cell, the fan streamline reported, and the
+    oracle read-outs report.json and oracle.json share.
 
     When the fan is tied, the streamline reported is the tied branch that
     follows the Lee path, if one does (the Lee descent's fixed order makes
-    that pick reproducible), else the heaviest; `streamline_tie` lists
-    every tied branch's sequence, and is empty without a tie."""
+    that pick reproducible), else the first in sequence order;
+    `streamline_tie` lists every tied branch's sequence in that order, and
+    is empty without a tie."""
     route = solved.route()
-    start_mm, start_cell = resolve_start(cfg, solved.maze, route.seg, route.labels)
-    path = extract_path(route.labels, start_cell)
+    start_mm, radius, path = resolve_start(
+        cfg.start, cfg.dynamics, solved.maze, route.seg, route.labels
+    )
     p_seq = region_sequence(path.cells, route.seg)
     seqs = route.stream_sequences
     pick = seqs.index(p_seq) if p_seq in seqs else 0
@@ -523,7 +541,7 @@ def _route(cfg: ScenarioConfig, solved: SolvedMaze):
         "streamline_matches_path": s_seq == p_seq,
         "streamline_tie": [list(seq) for seq in seqs] if len(seqs) > 1 else [],
     }
-    return route, start_mm, path, route.streams[pick], oracle
+    return route, start_mm, radius, path, route.streams[pick], oracle
 
 
 def run_fields_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> dict:
@@ -547,7 +565,7 @@ def run_oracle_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> d
     The route is the one a simulate run of the same config gets compared
     against: the same start, path and streamline."""
     solved = prepare_fields(cfg)
-    route, _, path, stream, oracle = _route(cfg, solved)
+    route, _, _, path, stream, oracle = _route(cfg, solved)
     s_seq, p_seq = oracle["streamline_sequence"], oracle["path_sequence"]
     report = _report_head(cfg, solved)
     report["oracle"] = dict(
@@ -567,11 +585,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """solve -> fields -> simulate -> oracle -> compare, all in memory."""
     solved = prepare_fields(cfg)
     maze, fields = solved.maze, solved.fields
-    route, start_mm, path, _, oracle = _route(cfg, solved)
+    route, start_mm, radius, path, _, oracle = _route(cfg, solved)
     seg = route.seg
-    traj = simulate(
-        maze, cfg.dynamics, fields, start_mm=start_mm, seg=seg, labels=route.labels, path=path
-    )
+    traj = simulate(maze, cfg.dynamics, fields, start_mm, radius, path)
     comparison = compare_trajectory(traj, path, seg)
     corner = corner_force_stats(maze, fields, cfg.dynamics, seg)
 

@@ -321,13 +321,6 @@ def maze_dirichlet(spec: MazeSpec) -> dict[tuple[int, int], float]:
     return out
 
 
-def solve_maze(
-    spec: MazeSpec, tol: float = 1e-9, max_iter: int | None = None
-) -> tuple[ScalarField, SolveReport]:
-    sigma = conductivity_grid(spec)
-    return solve_potential(sigma, maze_dirichlet(spec), spec.cell_size, tol, max_iter)
-
-
 def _masked_ddx(v: np.ndarray, valid: np.ndarray, h_m: float) -> np.ndarray:
     """d/dx along rows: central differences where both neighbours are
     valid, one-sided at a valid/invalid interface, zero with no valid

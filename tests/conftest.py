@@ -25,8 +25,8 @@ from dropmaze import scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 _RUN_CLI = "import sys; from dropmaze.cli import main; sys.exit(main(sys.argv[1:]))"
-from dropmaze.dynamics import DynamicsParams
-from dropmaze.scenario import ScenarioConfig, run_scenario
+from dropmaze.dynamics import DynamicsParams, simulate
+from dropmaze.scenario import ScenarioConfig, resolve_start, run_scenario
 
 
 @pytest.fixture(autouse=True)
@@ -92,6 +92,13 @@ def straight_channel_text(length_cells: int = 60, rows: int = 8, voltage: float 
 @pytest.fixture(scope="session")
 def straight_maze():
     return dm.parse_maze(straight_channel_text())
+
+
+def run_droplet(maze, params, fields, start="auto"):
+    """simulate from the start point, radius and Lee path that the route
+    stage resolves for the `start` spec (auto, axis or "x,y" in mm)."""
+    seg, labels = dm.segment_corridors(maze), dm.lee_label(maze)
+    return simulate(maze, params, fields, *resolve_start(start, params, maze, seg, labels))
 
 
 def count_calls(monkeypatch, *functions) -> Counter:

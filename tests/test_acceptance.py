@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dropmaze as dm
-from dropmaze.dynamics import DynamicsParams, Termination, disk_integrate, simulate, velocity_profile
+from dropmaze.dynamics import DynamicsParams, Termination, disk_integrate, velocity_profile
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze, generate_ring_maze
 from dropmaze.maze import conductivity_grid, convex_corner_cells, parse_maze
 from dropmaze.oracle import (
@@ -19,7 +19,6 @@ from dropmaze.oracle import (
     extract_path,
     hot_region_route,
     lee_label,
-    region_cell_overlap,
     region_sequence,
     segment_corridors,
     trace_route_streamline,
@@ -31,11 +30,11 @@ from dropmaze.solver import (
     compute_fields,
     conservation,
     current_density,
-    solve_maze,
+    maze_dirichlet,
     solve_potential,
 )
 
-from conftest import CONFIGS, bundle_bytes, ring_config, run_cli
+from conftest import CONFIGS, bundle_bytes, ring_config, run_cli, run_droplet
 from oracles import dense_solve_potential, two_branch_current_ratio
 
 
@@ -121,7 +120,7 @@ def test_criterion_2_conservation(ring_maze, ring_fields):
 def test_criterion_3_analytic_strip():
     t0 = time.monotonic()
     spec = parse_maze("voltage = 1.0\ncell_size_mm = 0.5\n\n" + "\n".join(["S" + "." * 18 + "T"] * 3))
-    phi, rep = solve_maze(spec)
+    phi, rep = solve_potential(conductivity_grid(spec), maze_dirichlet(spec), spec.cell_size)
     assert rep.converged
     expected = np.linspace(1.0, 0.0, spec.nx)
     assert np.abs(phi.values - expected[None, :]).max() < 1e-6
@@ -161,7 +160,7 @@ def test_criterion_5_shortest_path_readout(ring_maze, ring_fields, ring_segmenta
         assert hot == p_seq, f"hot ridge {hot} != path {p_seq}"
         assert s_seq == p_seq, f"streamline {s_seq} != path {p_seq}"
         overlap_hot = seg.cell_overlap(hot, p_seq)
-        overlap_stream = region_cell_overlap(stream.cells(maze.cell_size), path.cells, seg)
+        overlap_stream = seg.cell_overlap(s_seq, p_seq)
         assert overlap_hot >= 0.9
         assert overlap_stream >= 0.9
 
@@ -184,7 +183,7 @@ def test_criterion_5_shortest_path_readout(ring_maze, ring_fields, ring_segmenta
 def test_criterion_6_droplet_solves_maze(ring_maze, ring_fields, ring_segmentation, ring_labels):
     params = DynamicsParams(static_threshold=1.9e-3, radius_mm=1.0, max_steps=100_000)
     assert params.static_threshold > 0
-    traj = simulate(ring_maze, params, ring_fields)
+    traj = run_droplet(ring_maze, params, ring_fields)
     assert traj.termination is Termination.REACHED_TARGET
     path = extract_path(ring_labels, traj.start_cell)
     m = dm.compare_trajectory(traj, path, ring_segmentation)
@@ -209,12 +208,12 @@ def test_criterion_7_bifurcation_lock():
     sym = generate_bifurcation_maze(40.0, 40.0, 4.0)
     sym_fields = compute_fields(sym)
     h = sym.cell_size
-    axis = ((2 + 6) * h, sym.ny * h / 2)
+    axis = f"{(2 + 6) * h},{sym.ny * h / 2}"
     params = DynamicsParams(lock_window=500, max_steps=8000)
     # With noise_amplitude 0 the run is deterministic: the noise seed must
     # not change a single sample, so one locking run stands for every seed.
     runs = [
-        simulate(sym, dataclasses.replace(params, noise_seed=seed), sym_fields, start_mm=axis)
+        run_droplet(sym, dataclasses.replace(params, noise_seed=seed), sym_fields, axis)
         for seed in (0, 1)
     ]
     for name in ("times", "xs", "ys", "speeds", "forces"):
@@ -233,7 +232,7 @@ def test_criterion_7_bifurcation_lock():
     assert result.trajectory.termination is Termination.LOCKED
     assert result.report["trajectory"]["lock_parameter_sensitive"] is True
     # ... while the symmetric lock is geometric, not parameter-tuned
-    sym_traj = simulate(sym, DynamicsParams(), sym_fields, start_mm=axis)
+    sym_traj = run_droplet(sym, DynamicsParams(), sym_fields, axis)
     assert sym_traj.termination is Termination.LOCKED
     assert sym_traj.final_effective_force <= 1e-4 * DynamicsParams().static_threshold
 

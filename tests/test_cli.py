@@ -128,6 +128,29 @@ def test_non_finite_config_value_exit_four(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "mobility = -1", "lock_window = 0", "stall_fraction = 2", "dt = -1",
+        "static_threshold = -1", "tol = 0", "tol = -1", "cell_size_mm = 0", "max_steps = -1",
+        "max_iter = -3", "radius_mm = -1", "noise_amplitude = -0.001", "lock_epsilon_mm = -1",
+        "release_time = -1",
+    ],
+)
+def test_out_of_range_config_value_exit_four(tmp_path, capsys, line):
+    """Finite values outside a key's range are config errors too, not a
+    traceback or a run that quietly reads them as something else."""
+    key = line.split(" = ")[0]
+    kept = [
+        kept for kept in (CONFIGS / "bifurcation_lock.cfg").read_text().splitlines()
+        if kept.partition("=")[0].strip() not in (key, "out")
+    ]
+    cfg = _write(tmp_path, "bad.cfg", "\n".join(kept + [line]) + "\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("header", ["cell_size_mm = nan", "voltage = inf"])
 def test_non_finite_maze_header_exit_four(tmp_path, capsys, header):
     maze = _write(tmp_path, "bad.maze", straight_channel_text().replace("voltage = 5.0", header))

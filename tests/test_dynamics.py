@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dropmaze as dm
-from dropmaze import dynamics, oracle
+from dropmaze import dynamics
 from dropmaze.dynamics import (
-    DropletState,
     DynamicsError,
     DynamicsParams,
     ForceSource,
@@ -22,17 +21,16 @@ from dropmaze.dynamics import (
     disk_integrate,
     droplet_radius_mm,
     find_start,
-    select_force_field,
     simulate,
-    step,
     velocity_profile,
 )
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze
 from dropmaze.maze import Polarity, convex_corner_cells, parse_maze
 from dropmaze.oracle import extract_path, lee_label, segment_corridors
-from dropmaze.scenario import build_maze, load_config
+from dropmaze.scenario import build_maze, load_config, resolve_start
 from dropmaze.solver import VectorField, VectorQuantity, compute_fields
 
+from conftest import run_droplet
 from oracles import (
     arange_disk_integrate,
     bfs_order_find_start,
@@ -125,16 +123,26 @@ def _open_box(n=40, h=0.5):
     return parse_maze("\n".join(rows))
 
 
+def _uniform_run(maze, ux, uy, params, start_mm):
+    """A max_steps run of simulate in the uniform field (ux, uy)."""
+    fields = replace(
+        compute_fields(maze),
+        j=uniform_field(nx=maze.nx, ny=maze.ny, h=maze.cell_size, ux=ux, uy=uy),
+    )
+    return run_droplet(maze, params, fields, f"{start_mm[0]},{start_mm[1]}")
+
+
 def test_step_uniform_force_displacement():
     maze = _open_box()
     f = uniform_field(nx=maze.nx, ny=maze.ny, h=maze.cell_size, ux=2.0, uy=0.0)
-    params = DynamicsParams(mobility=10.0, static_threshold=0.0, dt=0.001)
-    s0 = DropletState(x=5.0, y=10.0, radius=1.0)
-    s1 = step(s0, params, maze, f)
+    params = DynamicsParams(
+        mobility=10.0, static_threshold=0.0, dt=0.001, max_steps=1, radius_mm=1.0
+    )
+    traj = _uniform_run(maze, 2.0, 0.0, params, (5.0, 10.0))
     force = disk_integrate(f, (5.0, 10.0), 1.0, wall_mask=maze.wall_mask())
-    assert s1.x - s0.x == pytest.approx(10.0 * force[0] * 0.001)
-    assert s1.y == s0.y
-    assert s1.t == pytest.approx(0.001)
+    assert traj.xs[1] - traj.xs[0] == pytest.approx(10.0 * force[0] * 0.001)
+    assert traj.ys[1] == traj.ys[0]
+    assert traj.times[1] == pytest.approx(0.001)
 
 
 def test_step_below_threshold_stays_put():
@@ -143,32 +151,31 @@ def test_step_below_threshold_stays_put():
     force = disk_integrate(f, (5.0, 10.0), 1.0, wall_mask=maze.wall_mask())
     params = DynamicsParams(
         mobility=10.0, static_threshold=2.0 * float(np.hypot(*force)), dt=0.001,
-        stall_fraction=0.9,
+        stall_fraction=0.9, max_steps=1, radius_mm=1.0,
     )
-    s0 = DropletState(x=5.0, y=10.0, radius=1.0)
-    s1 = step(s0, params, maze, f)
-    assert (s1.x, s1.y) == (s0.x, s0.y)
-    assert s1.speed == 0.0
+    traj = _uniform_run(maze, 2.0, 0.0, params, (5.0, 10.0))
+    assert (traj.xs[1], traj.ys[1]) == (traj.xs[0], traj.ys[0])
+    assert traj.speeds[1] == 0.0
 
 
 def test_step_force_into_wall_slides_tangentially():
     maze = _open_box()
     h = maze.cell_size
-    # force pointing 45 degrees into the top wall
-    f = uniform_field(nx=maze.nx, ny=maze.ny, h=h, ux=2.0, uy=-2.0)
-    params = DynamicsParams(mobility=50.0, static_threshold=0.0, dt=0.002)
     radius = 1.0
-    # disk already touching the top wall (wall rows end at y = h)
-    s = DropletState(x=5.0, y=h + radius, radius=radius)
-    for _ in range(40):
-        s = step(s, params, maze, f)
-    assert s.y == pytest.approx(h + radius, abs=1e-6)  # never penetrates
-    assert s.x > 5.0  # slid along the wall
+    params = DynamicsParams(
+        mobility=50.0, static_threshold=0.0, dt=0.002, max_steps=40, radius_mm=radius
+    )
+    # force pointing 45 degrees into the top wall, on a disk already
+    # touching it (wall rows end at y = h)
+    traj = _uniform_run(maze, 2.0, -2.0, params, (5.0, h + radius))
+    assert len(traj) == 41
+    assert traj.ys[-1] == pytest.approx(h + radius, abs=1e-6)  # never penetrates
+    assert traj.xs[-1] > 5.0  # slid along the wall
 
 
 def test_wall_exclusion_holds_all_run(ring_maze, ring_fields):
     params = DynamicsParams(static_threshold=0.0, radius_mm=1.0, max_steps=20_000)
-    traj = simulate(ring_maze, params, ring_fields)
+    traj = run_droplet(ring_maze, params, ring_fields)
     wall = ring_maze.wall_mask()
     h = ring_maze.cell_size
     # sample every 10th position: closest wall distance >= radius - h/2
@@ -187,7 +194,7 @@ def test_wall_exclusion_holds_all_run(ring_maze, ring_fields):
 
 def test_simulate_straight_channel_monotone(straight_maze):
     fields = compute_fields(straight_maze)
-    traj = simulate(straight_maze, DynamicsParams(static_threshold=0.0), fields)
+    traj = run_droplet(straight_maze, DynamicsParams(static_threshold=0.0), fields)
     assert traj.termination is Termination.REACHED_TARGET
     assert np.all(np.diff(traj.xs) >= -1e-9)
     dt = np.diff(traj.times)
@@ -209,19 +216,19 @@ def test_simulate_symmetric_bifurcation_locks():
     spec = generate_bifurcation_maze(40.0, 40.0, 4.0)
     fields = compute_fields(spec)
     h = spec.cell_size
-    start = ((2 + 6) * h, spec.ny * h / 2)
-    traj = simulate(spec, DynamicsParams(), fields, start_mm=start)
+    start = f"{(2 + 6) * h},{spec.ny * h / 2}"
+    traj = run_droplet(spec, DynamicsParams(), fields, start)
     assert traj.termination is Termination.LOCKED
     # lateral symmetry cannot break: the lock is geometric, not tuned
     assert traj.final_effective_force <= 1e-4 * DynamicsParams().static_threshold
     # also locks with the pin disabled entirely (zero force -> zero motion)
-    traj0 = simulate(spec, DynamicsParams(static_threshold=0.0), fields, start_mm=start)
+    traj0 = run_droplet(spec, DynamicsParams(static_threshold=0.0), fields, start)
     assert traj0.termination is Termination.LOCKED
 
 
 def test_simulate_ring_follows_lee_path(ring_maze, ring_fields, ring_segmentation, ring_labels):
     params = DynamicsParams(static_threshold=1.9e-3, radius_mm=1.0, max_steps=100_000)
-    traj = simulate(ring_maze, params, ring_fields)
+    traj = run_droplet(ring_maze, params, ring_fields)
     assert traj.termination is Termination.REACHED_TARGET
     path = extract_path(ring_labels, traj.start_cell)
     m = dm.compare_trajectory(traj, path, ring_segmentation)
@@ -232,8 +239,8 @@ def test_simulate_ring_follows_lee_path(ring_maze, ring_fields, ring_segmentatio
 
 def test_simulate_trajectories_are_deterministic(ring_maze, ring_fields):
     params = DynamicsParams(static_threshold=1.9e-3, radius_mm=1.0, max_steps=50_000)
-    a = simulate(ring_maze, params, ring_fields)
-    b = simulate(ring_maze, params, ring_fields)
+    a = run_droplet(ring_maze, params, ring_fields)
+    b = run_droplet(ring_maze, params, ring_fields)
     assert a.termination == b.termination
     assert a.xs.tobytes() == b.xs.tobytes()
     assert a.ys.tobytes() == b.ys.tobytes()
@@ -253,8 +260,8 @@ def test_voltage_scaling_preserves_route(straight_maze):
     )
     seg = segment_corridors(straight_maze)
     params = DynamicsParams(static_threshold=0.0, radius_mm=1.0)
-    t1 = simulate(straight_maze, params, compute_fields(straight_maze))
-    t2 = simulate(double, params, compute_fields(double))
+    t1 = run_droplet(straight_maze, params, compute_fields(straight_maze))
+    t2 = run_droplet(double, params, compute_fields(double))
     c1 = [(int(x // 0.5), int(y // 0.5)) for x, y in t1.positions_mm()]
     c2 = [(int(x // 0.5), int(y // 0.5)) for x, y in t2.positions_mm()]
     from dropmaze.oracle import region_sequence
@@ -267,7 +274,7 @@ def test_voltage_scaling_preserves_route(straight_maze):
 def test_progress_along_labels_with_zero_threshold(straight_maze):
     fields = compute_fields(straight_maze)
     labels = lee_label(straight_maze)
-    traj = simulate(straight_maze, DynamicsParams(static_threshold=0.0), fields)
+    traj = run_droplet(straight_maze, DynamicsParams(static_threshold=0.0), fields)
     h = straight_maze.cell_size
     lab = [labels.label(int(x // h), int(y // h)) for x, y in traj.positions_mm()]
     assert all(b <= a for a, b in zip(lab, lab[1:]))
@@ -277,12 +284,12 @@ def test_no_start_position_in_too_narrow_maze():
     spec = parse_maze("S.T")
     fields = compute_fields(spec)
     with pytest.raises(DynamicsError, match="no start position"):
-        simulate(spec, DynamicsParams(radius_mm=5.0), fields)
+        run_droplet(spec, DynamicsParams(radius_mm=5.0), fields)
 
 
 def test_velocity_profile_constant_speed(straight_maze):
     fields = compute_fields(straight_maze)
-    traj = simulate(straight_maze, DynamicsParams(static_threshold=0.0), fields)
+    traj = run_droplet(straight_maze, DynamicsParams(static_threshold=0.0), fields)
     vp = velocity_profile(traj)
     mid = vp.speeds[len(vp.speeds) // 4 : -len(vp.speeds) // 4]
     assert np.ptp(mid) / vp.peak_speed < 0.4
@@ -308,10 +315,10 @@ def test_velocity_profile_dwell_near_corner():
         rows[iy][37] = "T"
     spec = parse_maze("\n".join("".join(r) for r in rows))
     fields = compute_fields(spec)
-    probe = simulate(spec, DynamicsParams(static_threshold=0.0, radius_mm=0.5), fields)
+    probe = run_droplet(spec, DynamicsParams(static_threshold=0.0, radius_mm=0.5), fields)
     med = float(np.median(probe.forces))
     params = DynamicsParams(static_threshold=0.8 * med, radius_mm=0.5, max_steps=100_000)
-    traj = simulate(spec, params, fields)
+    traj = run_droplet(spec, params, fields)
     assert traj.termination is Termination.REACHED_TARGET
     vp = velocity_profile(traj)
     corners = convex_corner_cells(spec)
@@ -334,7 +341,7 @@ def test_lock_dwell_spans_window():
     fields = compute_fields(spec)
     h = spec.cell_size
     params = DynamicsParams(lock_window=800, max_steps=20_000)
-    traj = simulate(spec, params, fields, start_mm=((2 + 6) * h, spec.ny * h / 2))
+    traj = run_droplet(spec, params, fields, f"{(2 + 6) * h},{spec.ny * h / 2}")
     assert traj.termination is Termination.LOCKED
     vp = velocity_profile(traj)
     i0, i1 = vp.dwell_segments[-1]
@@ -348,7 +355,10 @@ def test_lock_dwell_spans_window():
 def test_pinned_droplet_locks_after_exactly_lock_window_steps(straight_maze):
     """The lock check compares each position with the one lock_window
     steps before it, from the first step that has one."""
-    traj = simulate(straight_maze, DynamicsParams(static_threshold=1e3, lock_window=50))
+    traj = run_droplet(
+        straight_maze, DynamicsParams(static_threshold=1e3, lock_window=50),
+        compute_fields(straight_maze),
+    )
     assert traj.termination is Termination.LOCKED
     assert len(traj) == 50 + 1
     assert traj.path_length_mm == 0.0
@@ -357,9 +367,9 @@ def test_pinned_droplet_locks_after_exactly_lock_window_steps(straight_maze):
 def test_noise_hook_deterministic_per_seed(straight_maze):
     fields = compute_fields(straight_maze)
     noisy = DynamicsParams(static_threshold=0.0, noise_amplitude=2e-4, noise_seed=1)
-    a = simulate(straight_maze, noisy, fields)
-    b = simulate(straight_maze, noisy, fields)
-    c = simulate(
+    a = run_droplet(straight_maze, noisy, fields)
+    b = run_droplet(straight_maze, noisy, fields)
+    c = run_droplet(
         straight_maze,
         DynamicsParams(static_threshold=0.0, noise_amplitude=2e-4, noise_seed=2),
         fields,
@@ -375,7 +385,7 @@ def test_grad_speed_force_source_runs(ring_maze, ring_fields):
         force_source=ForceSource.DISK_MEAN_GRAD_SPEED_J,
         max_steps=4000,
     )
-    traj = simulate(ring_maze, params, ring_fields)
+    traj = run_droplet(ring_maze, params, ring_fields)
     assert len(traj) > 1  # the alternative force field drives motion too
 
 
@@ -478,7 +488,7 @@ def test_one_wall_query_per_droplet_position(name, monkeypatch):
     cfg = load_config(CONFIGS / f"{name}.cfg")
     maze = build_maze(cfg)
     fields = compute_fields(maze)
-    dt = simulate(maze, replace(cfg.dynamics, max_steps=0), fields).dt
+    dt = run_droplet(maze, replace(cfg.dynamics, max_steps=0), fields).dt
     steps_queries = [[]]  # wall queries (x, y, inside the push) per step
     pushing = False
     real_near = _Geometry.cells_near
@@ -500,7 +510,7 @@ def test_one_wall_query_per_droplet_position(name, monkeypatch):
 
     monkeypatch.setattr(_Geometry, "cells_near", cells_near)
     monkeypatch.setattr(dynamics, "_resolve_overlap", resolve)
-    traj = simulate(maze, replace(cfg.dynamics, dt=dt), fields)
+    traj = run_droplet(maze, replace(cfg.dynamics, dt=dt), fields)
     steps = len(traj) - 1
     assert steps > 500 and len(steps_queries) == steps + 1
     pushes = 0
@@ -577,33 +587,11 @@ def test_disk_integrate_matches_arange_windows(
         assert np.array_equal(disk_integrate(field, center, radius, wall_mask=mask, gain=gain), want)
 
 
-@pytest.mark.parametrize("name", ["ring_m2", "bifurcation_lock"])
-def test_step_reproduces_simulate_bit_for_bit(name):
-    """step and simulate share one integrator: steps chained from
-    simulate's start land on simulate's samples exactly, through free
-    runs, pins released by the impulse the state carries, and pushes out
-    of walls."""
-    cfg = load_config(CONFIGS / f"{name}.cfg")
-    maze = build_maze(cfg)
-    fields = compute_fields(maze)
-    dt = simulate(maze, replace(cfg.dynamics, max_steps=0), fields).dt
-    params = replace(cfg.dynamics, dt=dt)
-    assert params.noise_amplitude == 0
-    traj = simulate(maze, params, fields)
-    assert len(traj) > 500
-    assert 0.0 in traj.speeds[1:] and traj.speeds.max() > 0  # it pins and it runs
-    field = select_force_field(fields, params.force_source)
-    state = DropletState(x=traj.xs[0], y=traj.ys[0], radius=traj.radius_mm)
-    for k in range(1, len(traj)):
-        state = step(state, params, maze, field)
-        assert (state.x, state.y, state.t, state.speed) == (
-            traj.xs[k], traj.ys[k], traj.times[k], traj.speeds[k]
-        )
-
-
 def test_simulate_started_at_the_target_takes_no_step(straight_maze):
     # The negative electrode is the column of cells from x = 30 to 30.5 mm.
-    traj = simulate(straight_maze, DynamicsParams(radius_mm=1.0), start_mm=(29.1, 2.5))
+    traj = run_droplet(
+        straight_maze, DynamicsParams(radius_mm=1.0), compute_fields(straight_maze), "29.1,2.5"
+    )
     assert traj.termination is Termination.REACHED_TARGET
     assert len(traj) == 1
     assert (traj.xs[0], traj.ys[0], traj.path_length_mm) == (29.1, 2.5, 0.0)
@@ -611,7 +599,7 @@ def test_simulate_started_at_the_target_takes_no_step(straight_maze):
 
 def test_simulate_evaluates_force_once_per_position(straight_maze, monkeypatch):
     fields = compute_fields(straight_maze)
-    auto = simulate(straight_maze, DynamicsParams(static_threshold=0.0), fields)
+    auto = run_droplet(straight_maze, DynamicsParams(static_threshold=0.0), fields)
     params = DynamicsParams(static_threshold=0.0, dt=auto.dt, noise_amplitude=2e-4, noise_seed=3)
     calls = 0
     integrate = dynamics.disk_integrate
@@ -622,15 +610,19 @@ def test_simulate_evaluates_force_once_per_position(straight_maze, monkeypatch):
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "disk_integrate", counting)
-    traj = simulate(straight_maze, params, fields)
+    traj = run_droplet(straight_maze, params, fields)
     steps = len(traj) - 1
     assert steps > 50
     assert calls == steps + 1
 
 
 def test_simulate_builds_one_wall_geometry(straight_maze, monkeypatch):
-    """A run that places its own start shares one _Geometry with the start
-    search instead of building a second."""
+    """A run builds the maze's _Geometry once, for all its wall queries."""
+    params = DynamicsParams(static_threshold=0.0, max_steps=5)
+    fields = compute_fields(straight_maze)
+    route = resolve_start(
+        "auto", params, straight_maze, segment_corridors(straight_maze), lee_label(straight_maze)
+    )
     built = []
 
     class Counted(_Geometry):
@@ -639,17 +631,8 @@ def test_simulate_builds_one_wall_geometry(straight_maze, monkeypatch):
             super().__init__(maze)
 
     monkeypatch.setattr(dynamics, "_Geometry", Counted)
-    simulate(straight_maze, DynamicsParams(static_threshold=0.0, max_steps=5))
+    assert len(simulate(straight_maze, params, fields, *route)) == 6
     assert len(built) == 1
-
-
-def test_auto_dt_propagates_unexpected_errors(straight_maze, monkeypatch):
-    def broken(*args, **kwargs):
-        raise RuntimeError("broken path extraction")
-
-    monkeypatch.setattr(dynamics, "extract_path", broken)
-    with pytest.raises(RuntimeError, match="broken path extraction"):
-        simulate(straight_maze, DynamicsParams(static_threshold=0.0))
 
 
 # An open room whose negative electrode is walled off: every Lee label is
@@ -694,20 +677,3 @@ def test_find_start_matches_bfs_order_scan(placement_mazes, name):
         else:
             assert find_start(maze, radius, labels) == want
     assert wants[0] is not None and wants[-1] is None
-
-
-def test_simulate_with_precomputed_analyses_is_unchanged(placement_mazes):
-    maze = placement_mazes["bifurcation"]
-    fields = compute_fields(maze)
-    params = DynamicsParams()
-    plain = simulate(maze, params, fields)
-    given = simulate(
-        maze, params, fields, seg=segment_corridors(maze), labels=lee_label(maze)
-    )
-    assert len(plain) > 500
-    for a, b in ((plain.times, given.times), (plain.xs, given.xs), (plain.ys, given.ys),
-                 (plain.speeds, given.speeds), (plain.forces, given.forces)):
-        assert np.array_equal(a, b)
-    assert (plain.start_cell, plain.radius_mm, plain.dt, plain.termination) == (
-        given.start_cell, given.radius_mm, given.dt, given.termination
-    )

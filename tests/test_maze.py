@@ -148,7 +148,7 @@ def test_components_sealed_wall():
     rep = validate_and_components(spec)
     assert rep.n_components == 2
     assert not rep.solvable
-    assert rep.component_of(0, 0) != rep.component_of(2, 2)
+    assert rep.labels[0, 0] != rep.labels[2, 2]
 
 
 def test_components_match_flood_fill_on_ring(ring_maze):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dropmaze as dm
-from dropmaze import oracle
+from dropmaze import oracle, scenario
 from dropmaze.maze import Polarity, parse_maze
 from dropmaze.oracle import (
     StreamTermination,
@@ -17,7 +17,6 @@ from dropmaze.oracle import (
     hot_region_route,
     lee_label,
     prune_spurs,
-    region_cell_overlap,
     region_sequence,
     segment_corridors,
     streamline,
@@ -25,7 +24,7 @@ from dropmaze.oracle import (
     trace_route_streamline,
 )
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze
-from dropmaze.scenario import build_maze, load_config, run_scenario
+from dropmaze.scenario import build_maze, load_config, run_oracle_only, run_scenario
 from dropmaze.solver import VectorField, VectorQuantity, compute_fields
 
 from conftest import ring_config
@@ -223,7 +222,7 @@ def test_ring_streamline_matches_lee_path(ring_maze, ring_fields, ring_segmentat
     s_seq = region_sequence(sl.cells(ring_maze.cell_size), seg)
     p_seq = region_sequence(path.cells, seg)
     assert s_seq == p_seq
-    assert region_cell_overlap(sl.cells(ring_maze.cell_size), path.cells, seg) >= 0.9
+    assert seg.cell_overlap(s_seq, p_seq) >= 0.9
 
 
 def test_hot_regions_match_lee_path(ring_maze, ring_fields, ring_segmentation, ring_labels):
@@ -397,7 +396,8 @@ def test_list_backed_streamlines_match_array_sampler(ring_maze, ring_fields, mon
     bif = generate_bifurcation_maze(38.0, 42.0, 4.0)
     for j, maze in ((ring_fields.j, ring_maze), (compute_fields(bif).j, bif)):
         traced.clear()
-        (chosen,) = trace_route_streamline(j, maze)
+        seg = segment_corridors(maze)
+        (chosen,) = trace_route_streamline(j, maze, seg)
         fan = list(traced)
         traced.clear()
         samples = 0
@@ -409,7 +409,7 @@ def test_list_backed_streamlines_match_array_sampler(ring_maze, ring_fields, mon
 
         with monkeypatch.context() as m:
             m.setattr(oracle, "_bilinear", sampler)
-            (reference,) = trace_route_streamline(j, maze)
+            (reference,) = trace_route_streamline(j, maze, seg)
         assert len(fan) == len(traced) >= 8
         assert sum(len(points) for points in fan) > 1000
         # A weight sample per seed and four samples per fourth-order step.
@@ -540,7 +540,7 @@ def test_fan_step_budget(name, monkeypatch):
         return result
 
     monkeypatch.setattr(oracle, "streamline", recording)
-    trace_route_streamline(j, maze)
+    trace_route_streamline(j, maze, segment_corridors(maze))
     reached = [n for n, end in fan if end is StreamTermination.REACHED]
     ran_out = [n for n, end in fan if end is StreamTermination.MAX_STEPS]
     assert reached and max(reached) < budget / 5
@@ -581,6 +581,28 @@ def test_route_reports_a_tie_only_where_the_branches_are_equal(name):
         assert report["streamline_tie"] == []
 
 
+@pytest.mark.parametrize("start", ["axis", "21.25,23.25"])
+def test_route_report_does_not_depend_on_the_fan_order(start, tmp_path, monkeypatch):
+    """The route stage lists the symmetric maze's tied branches in
+    corridor-sequence order, and reports the tied branch on the Lee path
+    or, from a start inside one branch whose path follows neither, the
+    first in that order, whichever order the fan returns them in."""
+    cfg = dataclasses.replace(load_config(CONFIGS / "bifurcation_symmetric.cfg"), start=start)
+    want = run_oracle_only(cfg, tmp_path / "fan")["oracle"]
+    scenario._forget_solved_maze()
+    fan = scenario.trace_route_streamline
+    monkeypatch.setattr(
+        scenario, "trace_route_streamline", lambda *args, **kwargs: fan(*args, **kwargs)[::-1]
+    )
+    assert run_oracle_only(cfg, tmp_path / "reversed")["oracle"] == want
+    assert want["streamline_tie"] == [[4, 5, 6, 7, 11], [4, 8, 9, 10, 11]]
+    if start == "axis":
+        assert want["streamline_sequence"] == want["path_sequence"] == [4, 8, 9, 10, 11]
+    else:
+        assert want["path_sequence"] == [9, 10, 11]
+        assert want["streamline_sequence"] == [4, 5, 6, 7, 11]
+
+
 @pytest.mark.parametrize("name", ["ring_m2", "bifurcation_lock"])
 def test_cell_overlap_equals_region_scan(name):
     """Every overlap of the pipeline is the float that comparing the
@@ -594,7 +616,7 @@ def test_cell_overlap_equals_region_scan(name):
     for a in routes:
         for b in routes:
             want = region_overlap_by_scan(region_sequence(a, seg), region_sequence(b, seg), seg.region)
-            assert region_cell_overlap(a, b, seg) == want
+            assert seg.cell_overlap(region_sequence(a, seg), region_sequence(b, seg)) == want
             overlaps.add(want)
     assert 0.0 in overlaps and 1.0 in overlaps and len(overlaps) > 2
     assert result.comparison.cell_overlap == region_overlap_by_scan(

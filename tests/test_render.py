@@ -115,9 +115,10 @@ def test_joule_image_ridge_follows_lee_path(tmp_path, ring_maze, ring_fields, ri
 
 
 def test_trajectory_overlay_has_red_dots(tmp_path, ring_maze, ring_fields):
-    from dropmaze.dynamics import DynamicsParams, simulate
+    from dropmaze.dynamics import DynamicsParams
+    from conftest import run_droplet
 
-    traj = simulate(
+    traj = run_droplet(
         ring_maze,
         DynamicsParams(static_threshold=0.0, radius_mm=1.0, max_steps=20_000),
         ring_fields,

@@ -16,7 +16,6 @@ from dropmaze.dynamics import (
     Termination,
     disk_force_screen,
     select_force_field,
-    simulate,
 )
 from dropmaze.scenario import (
     ConfigError,
@@ -207,29 +206,24 @@ def test_scenario_echoes_config(ring_scenario):
     assert echo["dynamics"]["static_threshold"] == pytest.approx(1.9e-3)
 
 
-def test_run_scenario_computes_each_analysis_once(monkeypatch):
-    """An axis-start run with the default radius and time step labels the
-    maze, segments it, thins its channel and extracts the Lee path once
-    each. simulate called alone extracts the path itself, for the same
-    time step."""
+@pytest.mark.parametrize("start", ["auto", "axis", "6.0,13.25"])
+def test_run_scenario_computes_each_analysis_once(start, monkeypatch):
+    """A run with the default radius and time step labels the maze,
+    segments it, thins its channel and extracts the Lee path once each,
+    whichever way its start is given."""
     calls = count_calls(
         monkeypatch, oracle.lee_label, oracle.segment_corridors, oracle.thin_mask,
         oracle.extract_path,
     )
     cfg = ScenarioConfig(
-        generator="bifurcation", len_a_mm=40.0, len_b_mm=40.0, start="axis",
+        generator="bifurcation", len_a_mm=40.0, len_b_mm=40.0, start=start,
         dynamics=DynamicsParams(max_steps=200),
     )
     result = run_scenario(cfg)
     assert cfg.dynamics.radius_mm == 0 and cfg.dynamics.dt == 0
     assert result.trajectory.radius_mm == 0.375 * result.segmentation.width_cells * 0.5
+    assert len(result.trajectory) > 1
     assert calls == {"lee_label": 1, "segment_corridors": 1, "thin_mask": 1, "extract_path": 1}
-    alone = simulate(
-        result.maze, cfg.dynamics, result.fields, result.trajectory.positions_mm()[0],
-        seg=result.segmentation,
-    )
-    assert calls["extract_path"] == 2
-    assert alone.dt == result.trajectory.dt
 
 
 def _corner_case(name):

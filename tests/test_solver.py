@@ -11,7 +11,6 @@ from dropmaze.solver import (
     conservation,
     current_density,
     maze_dirichlet,
-    solve_maze,
     solve_potential,
 )
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze
@@ -26,7 +25,7 @@ def _strip(nx=20, ny=3, v=1.0):
 
 def test_strip_linear_potential_and_uniform_j():
     spec = _strip()
-    phi, rep = solve_maze(spec)
+    phi, rep = solve_potential(conductivity_grid(spec), maze_dirichlet(spec), spec.cell_size)
     assert rep.converged
     # exact discrete solution is linear in x
     expected = np.linspace(1.0, 0.0, spec.nx)
@@ -132,7 +131,7 @@ def test_unconverged_solve_fails_conservation():
 def test_disconnected_electrodes_detected():
     spec = parse_maze("S.#.T")
     with pytest.raises(FieldSolveError, match="disconnected"):
-        solve_maze(spec)
+        solve_potential(conductivity_grid(spec), maze_dirichlet(spec), spec.cell_size)
 
 
 def test_branch_currents_follow_kirchhoff_ratio():
@@ -254,7 +253,9 @@ def test_linearity_in_voltage(ring_maze, ring_fields):
         sigma_coating=ring_maze.sigma_coating,
         applied_voltage=2 * ring_maze.applied_voltage,
     )
-    phi2, rep2 = solve_maze(double)
+    phi2, rep2 = solve_potential(
+        conductivity_grid(double), maze_dirichlet(double), double.cell_size
+    )
     assert rep2.converged
     scale = np.abs(phi2.values - 2.0 * ring_fields.phi.values).max()
     assert scale < 10 * 1e-9 * 2 * ring_maze.applied_voltage
@@ -262,22 +263,23 @@ def test_linearity_in_voltage(ring_maze, ring_fields):
 
 def test_mirror_symmetry_of_potential():
     spec = generate_bifurcation_maze(40.0, 40.0, 4.0)
-    phi, rep = solve_maze(spec)
+    phi, rep = solve_potential(conductivity_grid(spec), maze_dirichlet(spec), spec.cell_size)
     assert rep.converged
     mirrored = np.flipud(phi.values)
     assert np.abs(phi.values - mirrored).max() < 10 * 1e-9 * spec.applied_voltage
 
 
 def test_solver_deterministic(ring_maze):
-    a, ra = solve_maze(ring_maze)
-    b, rb = solve_maze(ring_maze)
+    sigma, pins = conductivity_grid(ring_maze), maze_dirichlet(ring_maze)
+    a, ra = solve_potential(sigma, pins, ring_maze.cell_size)
+    b, rb = solve_potential(sigma, pins, ring_maze.cell_size)
     assert a.values.tobytes() == b.values.tobytes()
     assert ra == rb
 
 
 def test_coated_maze_solve_converges(ring_maze):
     coated = coat_sharp_corners(ring_maze)
-    phi, rep = solve_maze(coated)
+    phi, rep = solve_potential(conductivity_grid(coated), maze_dirichlet(coated), coated.cell_size)
     assert rep.converged
     assert rep.current_imbalance() < 1e-4
 
