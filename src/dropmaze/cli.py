@@ -9,7 +9,6 @@ Exit codes for `simulate`: 0 = droplet reached the target electrode,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import sys
@@ -85,17 +84,14 @@ def _run_one(config_path: str, seed: int | None, out: str | None) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    """Run the configs one after another in this process, so configs that
+    share a maze solve it once; the highest exit code wins."""
     if len(args.config) == 1:
         return _run_one(args.config[0], args.seed, args.out)
-    outs: list[str | None] = []
-    for path in args.config:
-        outs.append(str(Path(args.out) / Path(path).stem) if args.out else None)
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            codes = list(ex.map(_run_one, args.config, [args.seed] * len(args.config), outs))
-    else:
-        codes = [_run_one(p, args.seed, o) for p, o in zip(args.config, outs)]
-    return max(codes)
+    return max(
+        _run_one(path, args.seed, str(Path(args.out) / Path(path).stem) if args.out else None)
+        for path in args.config
+    )
 
 
 def _cmd_oracle(args) -> int:
@@ -155,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="full pipeline: solve, drive the droplet, compare")
     add_common(p, multi_config=True)
-    p.add_argument("--jobs", type=int, default=1, help="run configs concurrently")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("oracle", help="shortest-path and streamline read-outs only")

@@ -18,7 +18,7 @@ import enum
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -68,8 +68,9 @@ class DynamicsParams:
     noise_seed: int = 0
 
     def __post_init__(self):
-        if self.mobility <= 0:
-            raise ValueError("mobility must be positive")
+        for name in ("mobility", "force_gain"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.lock_window < 1:
             raise ValueError("lock_window must be >= 1")
         for name in (
@@ -209,6 +210,9 @@ def disk_force_screen(
 # ---------------------------------------------------------------------------
 # Wall geometry
 
+# (ix, iy, dx, dy, d) per wall or electrode cell near a disk; see _Geometry.gaps.
+Gaps = list[tuple[int, int, float, float, float]]
+
 
 class _Geometry:
     """Per-maze cached wall data for contact queries."""
@@ -232,17 +236,17 @@ class _Geometry:
         self.positive_cells = sorted(maze.electrode_cells(Polarity.POSITIVE))
         self._edges = np.arange(max(self.nx, self.ny) + 1) * self.h  # cell boundaries, mm
 
-    def cells_near(
-        self, mask: np.ndarray, x: float, y: float, radius: float
-    ) -> list[tuple[int, int]]:
-        """Cells of mask that may lie within contact distance (radius +
-        contact_eps) of (x, y), in row-major order.
+    def gaps(self, mask: np.ndarray, x: float, y: float, radius: float) -> Gaps:
+        """(ix, iy, dx, dy, d) for each cell of mask that may lie within
+        contact distance (radius + contact_eps) of (x, y), in row-major
+        order. (dx, dy) is (x, y) minus the cell's closest point to it and
+        d is math.hypot(dx, dy).
 
-        The clamped distances are computed in bulk and compared against a
-        slightly widened limit, so the result is a superset of the cells
-        within contact distance: callers re-check each one exactly with
-        closest_point_on_cell. Only the window radius + h around the centre
-        is searched; it holds every cell within contact distance.
+        The screen compares the clamped distances of the window radius + h
+        around the centre, which holds every cell within contact distance,
+        against a slightly widened limit. So the result is a superset of
+        the cells within contact distance, and callers compare each d with
+        their own limit.
         """
         h = self.h
         reach = radius + h
@@ -259,33 +263,21 @@ class _Geometry:
         limit = (radius + self.contact_eps) * (1.0 + 1e-6)
         near = (dy[:, None] ** 2 + dx[None, :] ** 2 <= limit * limit) & window
         iys, ixs = np.nonzero(near)
-        return list(zip((ixs + ix0).tolist(), (iys + iy0).tolist()))
-
-    def closest_point_on_cell(self, ix: int, iy: int, x: float, y: float) -> tuple[float, float]:
-        h = self.h
-        px = min(max(x, ix * h), (ix + 1) * h)
-        py = min(max(y, iy * h), (iy + 1) * h)
-        return px, py
+        return [
+            (ix, iy, gx, gy, math.hypot(gx, gy))
+            for ix, iy, gx, gy in zip(
+                (ixs + ix0).tolist(), (iys + iy0).tolist(), dx[ixs].tolist(), dy[iys].tolist()
+            )
+        ]
 
 
 def _contact_normals(
-    geom: _Geometry,
-    x: float,
-    y: float,
-    radius: float,
-    near: list[tuple[int, int]] | None = None,
+    geom: _Geometry, x: float, y: float, radius: float, gaps: Gaps
 ) -> list[tuple[float, float]]:
-    """Unit normals of the walls and grid rim the disk touches. near is
-    geom.cells_near(geom.wall, x, y, radius) when the caller has it."""
+    """Unit normals of the walls and grid rim the disk touches; gaps is
+    geom.gaps(geom.wall, x, y, radius)."""
     eps = geom.contact_eps
-    normals: list[tuple[float, float]] = []
-    if near is None:
-        near = geom.cells_near(geom.wall, x, y, radius)
-    for ix, iy in near:
-        px, py = geom.closest_point_on_cell(ix, iy, x, y)
-        d = math.hypot(x - px, y - py)
-        if 1e-12 < d <= radius + eps:
-            normals.append(((x - px) / d, (y - py) / d))
+    normals = [(dx / d, dy / d) for _, _, dx, dy, d in gaps if 1e-12 < d <= radius + eps]
     # Grid rim behaves like a wall.
     if x - radius <= eps:
         normals.append((1.0, 0.0))
@@ -315,40 +307,37 @@ def _project_out(fx: float, fy: float, normals: list[tuple[float, float]]) -> tu
 
 def _resolve_overlap(
     geom: _Geometry, x: float, y: float, radius: float
-) -> tuple[float, float, list[tuple[int, int]] | None]:
-    """Push the disk centre out of any wall overlap; clamp to the grid.
+) -> tuple[float, float, Gaps]:
+    """Push the disk centre out of any wall overlap, at most 16 times;
+    clamp to the grid.
 
-    Also returns the wall cells near the final position, as cells_near
-    gives them, so the contact normals there need no second query; None
-    when the last of the 16 pushes moved the disk past its last query."""
+    Also returns geom.gaps of the wall at the final position, so the
+    contact normals there need no second query."""
     h = geom.h
     x = min(max(x, radius), geom.nx * h - radius)
     y = min(max(y, radius), geom.ny * h - radius)
     for _ in range(16):
         worst_pen = 0.0
         worst_n: tuple[float, float] | None = None
-        near = geom.cells_near(geom.wall, x, y, radius)
-        for ix, iy in near:
-            px, py = geom.closest_point_on_cell(ix, iy, x, y)
-            d = math.hypot(x - px, y - py)
+        gaps = geom.gaps(geom.wall, x, y, radius)
+        for ix, iy, dx, dy, d in gaps:
             if d <= 1e-12:
                 # Centre inside the wall cell: push away from its centre.
-                ccx, ccy = (ix + 0.5) * h, (iy + 0.5) * h
-                dx, dy = x - ccx, y - ccy
-                n = math.hypot(dx, dy)
-                nx_, ny_ = (dx / n, dy / n) if n > 1e-12 else (1.0, 0.0)
+                cx, cy = x - (ix + 0.5) * h, y - (iy + 0.5) * h
+                n = math.hypot(cx, cy)
+                nx_, ny_ = (cx / n, cy / n) if n > 1e-12 else (1.0, 0.0)
                 pen = radius
             else:
                 pen = radius - d
-                nx_, ny_ = (x - px) / d, (y - py) / d
+                nx_, ny_ = dx / d, dy / d
             if pen > worst_pen:
                 worst_pen = pen
                 worst_n = (nx_, ny_)
         if worst_n is None or worst_pen <= 1e-9 * h:
-            return x, y, near
+            return x, y, gaps
         x += worst_n[0] * (worst_pen + 1e-9 * h)
         y += worst_n[1] * (worst_pen + 1e-9 * h)
-    return x, y, None
+    return x, y, geom.gaps(geom.wall, x, y, radius)
 
 
 def _disk_fits(geom: _Geometry, x: float, y: float, radius: float) -> bool:
@@ -357,66 +346,20 @@ def _disk_fits(geom: _Geometry, x: float, y: float, radius: float) -> bool:
         return False
     if x + radius > geom.nx * h + 1e-9 or y + radius > geom.ny * h + 1e-9:
         return False
-    for ix, iy in geom.cells_near(geom.wall, x, y, radius):
-        px, py = geom.closest_point_on_cell(ix, iy, x, y)
-        if math.hypot(x - px, y - py) < radius - 1e-9:
-            return False
-    return True
+    return not any(d < radius - 1e-9 for *_, d in geom.gaps(geom.wall, x, y, radius))
 
 
 def _disk_overlaps_negative(geom: _Geometry, x: float, y: float, radius: float) -> bool:
-    # cells_near searches no further than radius + h from the centre.
+    # gaps searches no further than radius + h from the centre.
     reach = radius + geom.h
     x0, y0, x1, y1 = geom.negative_box
     if x + reach < x0 or x - reach > x1 or y + reach < y0 or y - reach > y1:
         return False
-    for ix, iy in geom.cells_near(geom.negative, x, y, radius):
-        px, py = geom.closest_point_on_cell(ix, iy, x, y)
-        if math.hypot(x - px, y - py) <= radius:
-            return True
-    return False
+    return any(d <= radius for *_, d in geom.gaps(geom.negative, x, y, radius))
 
 
 # ---------------------------------------------------------------------------
-# Stepping
-
-
-def _advance(
-    x: float, y: float, radius: float, impulse: float,
-    params: DynamicsParams, geom: _Geometry, fx: float, fy: float,
-) -> tuple[float, float, list[tuple[int, int]] | None, float]:
-    """One stick-slip update of the disk at (x, y) under the effective
-    (wall-projected) force (fx, fy); impulse is what it has built up while
-    pinned. Returns the new position, the wall cells near it (see
-    _resolve_overlap) and the new impulse."""
-    dt = params.dt
-    fmag = math.hypot(fx, fy)
-
-    thr = params.static_threshold
-    if fmag >= thr:
-        vx, vy = params.mobility * fx, params.mobility * fy
-        impulse = 0.0
-    elif thr > 0 and fmag >= params.stall_fraction * thr and fmag > 0:
-        impulse += fmag * dt
-        if impulse >= thr * params.release_time:
-            scale = params.mobility * thr / fmag
-            vx, vy = scale * fx, scale * fy
-            impulse = 0.0
-        else:
-            vx = vy = 0.0
-    else:
-        vx = vy = 0.0
-
-    # Cap one step at half a cell so the disk cannot tunnel through walls.
-    speed = math.hypot(vx, vy)
-    limit = geom.h / 2.0
-    if speed * dt > limit:
-        f = limit / (speed * dt)
-        vx *= f
-        vy *= f
-
-    x, y, near = _resolve_overlap(geom, x + vx * dt, y + vy * dt, radius)
-    return x, y, near, impulse
+# Running the droplet
 
 
 def droplet_radius_mm(params: DynamicsParams, seg: CorridorSegmentation, cell_size: float) -> float:
@@ -498,16 +441,19 @@ def simulate(
     dt = params.dt
     if dt <= 0:
         dt = _auto_dt(field, geom, params, radius, path)
-    run = replace(params, dt=dt)
-
-    rng = random.Random(run.noise_seed) if run.noise_amplitude > 0 else None
-    gain, noise, lock_window = run.force_gain, run.noise_amplitude, run.lock_window
+    rng = random.Random(params.noise_seed) if params.noise_amplitude > 0 else None
+    gain, noise, lock_window = params.force_gain, params.noise_amplitude, params.lock_window
+    mobility, thr = params.mobility, params.static_threshold
+    stall = params.stall_fraction * thr  # below this force no impulse builds up
+    release = thr * params.release_time  # impulse that unpins the disk
+    kick = mobility * thr  # speed of a released disk
+    limit = geom.h / 2.0  # longest step, so the disk cannot tunnel through walls
 
     # Each position's disk sum and contact normals serve twice: projected
     # as they are for the recorded force, and with noise added for the
     # step taken from there.
     fx, fy = disk_integrate(field, (x0, y0), radius, wall_mask=geom.wall, gain=gain).tolist()
-    normals = _contact_normals(geom, x0, y0, radius)
+    normals = _contact_normals(geom, x0, y0, radius, geom.gaps(geom.wall, x0, y0, radius))
     times = [0.0]
     xs = [x0]
     ys = [y0]
@@ -521,19 +467,40 @@ def simulate(
     if _disk_overlaps_negative(geom, x0, y0, radius):
         termination = Termination.REACHED_TARGET
     else:
-        while steps < run.max_steps:
+        while steps < params.max_steps:
             if rng is not None:
                 fx += rng.gauss(0.0, noise)
                 fy += rng.gauss(0.0, noise)
+            # Stick-slip: a force at the threshold moves the disk; a weaker
+            # one above the stall level builds up impulse while it stays
+            # pinned, until a threshold-speed kick releases it.
+            fx, fy = _project_out(fx, fy, normals)
+            fmag = math.hypot(fx, fy)
+            if fmag >= thr:
+                vx, vy = mobility * fx, mobility * fy
+                impulse = 0.0
+            elif thr > 0 and fmag >= stall and fmag > 0:
+                impulse += fmag * dt
+                if impulse >= release:
+                    scale = kick / fmag
+                    vx, vy = scale * fx, scale * fy
+                    impulse = 0.0
+                else:
+                    vx = vy = 0.0
+            else:
+                vx = vy = 0.0
+            speed = math.hypot(vx, vy)
+            if speed * dt > limit:
+                f = limit / (speed * dt)
+                vx *= f
+                vy *= f
             px, py = x, y
-            x, y, near, impulse = _advance(
-                x, y, radius, impulse, run, geom, *_project_out(fx, fy, normals)
-            )
+            x, y, gaps = _resolve_overlap(geom, x + vx * dt, y + vy * dt, radius)
             steps += 1
             t += dt
             path_length += math.hypot(x - px, y - py)
             fx, fy = disk_integrate(field, (x, y), radius, wall_mask=geom.wall, gain=gain).tolist()
-            normals = _contact_normals(geom, x, y, radius, near)
+            normals = _contact_normals(geom, x, y, radius, gaps)
             times.append(t)
             xs.append(x)
             ys.append(y)
@@ -546,7 +513,7 @@ def simulate(
             # was lock_window steps ago.
             if steps >= lock_window and (
                 math.hypot(x - xs[-1 - lock_window], y - ys[-1 - lock_window])
-                < run.lock_epsilon_mm
+                < params.lock_epsilon_mm
             ):
                 termination = Termination.LOCKED
                 break

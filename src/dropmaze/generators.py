@@ -66,6 +66,8 @@ def generate_ring_maze(
     w = channel_width_mm
     if w < 3 * h:
         raise GeometryError("channel_width must span at least 3 cells")
+    if wall_mm is not None and wall_mm <= 0:
+        raise GeometryError("wall_mm must be positive")
     t = wall_mm if wall_mm is not None else max(2 * h, w / 2)
     r_chamber = 1.25 * w
 

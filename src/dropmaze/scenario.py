@@ -170,10 +170,26 @@ _SCENARIO_KEYS = {
     ),
 }
 
+# Keys each maze source never reads. A maze file's header sets the cell
+# size, the conductivities and the voltage; each generator reads only its
+# own geometry, and the bifurcation draws nothing at random.
+_UNREAD_KEYS = {
+    "maze_file": (
+        "rings", "gaps_per_ring", "diameter_mm", "channel_width_mm", "wall_mm", "exit_angle_deg",
+        "len_a_mm", "len_b_mm", "seed", "cell_size_mm", "sigma_electrolyte", "sigma_wall",
+        "sigma_coating", "voltage",
+    ),
+    "generator = ring": ("len_a_mm", "len_b_mm"),
+    "generator = bifurcation": (
+        "rings", "gaps_per_ring", "diameter_mm", "wall_mm", "exit_angle_deg", "seed"
+    ),
+}
+
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse the flat `key = value` scenario format (same shape as the maze
-    header). Unknown keys are rejected with their line number."""
+    header). Unknown keys are rejected, and so are keys that the config's
+    maze source does not read."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -216,11 +232,16 @@ def parse_config(text: str) -> ScenarioConfig:
     try:
         if dyn:
             kwargs["dynamics"] = DynamicsParams(**dyn)
-        return ScenarioConfig(**kwargs)
+        cfg = ScenarioConfig(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    source = "maze_file" if cfg.maze_file is not None else f"generator = {cfg.generator}"
+    for key in raw:
+        if key in _UNREAD_KEYS[source]:
+            raise ConfigError(f"{key!r} is not read with {source}")
+    return cfg
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -134,20 +134,58 @@ def test_non_finite_config_value_exit_four(tmp_path, capsys, line):
         "mobility = -1", "lock_window = 0", "stall_fraction = 2", "dt = -1",
         "static_threshold = -1", "tol = 0", "tol = -1", "cell_size_mm = 0", "max_steps = -1",
         "max_iter = -3", "radius_mm = -1", "noise_amplitude = -0.001", "lock_epsilon_mm = -1",
-        "release_time = -1",
+        "release_time = -1", "force_gain = 0", "force_gain = -1", "wall_mm = 0", "wall_mm = -1",
     ],
 )
 def test_out_of_range_config_value_exit_four(tmp_path, capsys, line):
     """Finite values outside a key's range are config errors too, not a
-    traceback or a run that quietly reads them as something else."""
+    traceback or a run that quietly reads them as something else. The
+    ring config is the one whose maze source reads wall_mm."""
     key = line.split(" = ")[0]
+    base = "ring_m2.cfg" if key == "wall_mm" else "bifurcation_lock.cfg"
     kept = [
-        kept for kept in (CONFIGS / "bifurcation_lock.cfg").read_text().splitlines()
+        kept for kept in (CONFIGS / base).read_text().splitlines()
         if kept.partition("=")[0].strip() not in (key, "out")
     ]
     cfg = _write(tmp_path, "bad.cfg", "\n".join(kept + [line]) + "\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+_SOURCES = {"maze_file": "maze_file = {maze}\n", "ring": RING_CFG, "bifurcation": SYM_CFG}
+_UNREAD_KEYS = {
+    "maze_file": (
+        "rings = 7", "gaps_per_ring = 1,1", "diameter_mm = 70", "channel_width_mm = 4",
+        "wall_mm = 2", "exit_angle_deg = 30", "len_a_mm = 38", "len_b_mm = 42", "seed = 3",
+        "cell_size_mm = 0.5", "sigma_electrolyte = 10", "sigma_wall = 0", "sigma_coating = 1e5",
+        "voltage = 2.0",
+    ),
+    "ring": ("len_a_mm = 38", "len_b_mm = 42"),
+    "bifurcation": (
+        "rings = 2", "gaps_per_ring = 1,1", "diameter_mm = 70", "wall_mm = 2",
+        "exit_angle_deg = 30", "seed = 1",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "source, line",
+    [
+        pytest.param(source, line, id=f"{source}-{line}")
+        for source, lines in _UNREAD_KEYS.items()
+        for line in lines
+    ],
+)
+def test_key_the_maze_source_does_not_read_exit_four(tmp_path, capsys, source, line):
+    """A key that the config's maze source never reads is a config error,
+    not a run that echoes a value it did not use."""
+    maze = _write(tmp_path, "straight.maze", straight_channel_text())
+    cfg = _write(tmp_path, "unread.cfg", _SOURCES[source].format(maze=maze) + line + "\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    key = line.split(" = ")[0]
+    assert f"config error: {key!r} is not read with" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -247,13 +285,11 @@ def test_compare_subcommand(tmp_path):
     assert diff["corner_force_reduced"] is True
 
 
-def test_simulate_multiple_configs_with_jobs(tmp_path):
+def test_simulate_multiple_configs(tmp_path):
     maze = _write(tmp_path, "straight.maze", straight_channel_text(length_cells=120))
     cfg1 = _write(tmp_path, "one.cfg", f"maze_file = {maze}\nstatic_threshold = 0\n")
     cfg2 = _write(tmp_path, "two.cfg", SYM_CFG)
-    code = main(
-        ["simulate", "--config", cfg1, cfg2, "--out", str(tmp_path / "batch"), "--jobs", "2"]
-    )
+    code = main(["simulate", "--config", cfg1, cfg2, "--out", str(tmp_path / "batch")])
     assert code == 2  # worst outcome wins: one run locked
     assert (tmp_path / "batch" / "one" / "report.json").exists()
     assert (tmp_path / "batch" / "two" / "report.json").exists()

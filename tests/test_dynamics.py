@@ -451,14 +451,22 @@ def test_wall_queries_match_cell_scan(query_mazes, name, radius, kind, u, v, k, 
         x, y = px + reach * direction[0], py + reach * direction[1]
 
     wall = geom.wall
-    assert _contact_normals(geom, x, y, radius) == scan_contact_normals(wall, h, x, y, radius)
-    rx, ry, near = _resolve_overlap(geom, x, y, radius)
+    gaps = geom.gaps(wall, x, y, radius)
+    # Each gap runs from the cell's closest point to the disk centre.
+    assert [gap[2:] for gap in gaps] == [
+        (x - px, y - py, math.hypot(x - px, y - py))
+        for ix, iy, *_ in gaps
+        for px, py in [closest_point_on_cell(h, ix, iy, x, y)]
+    ]
+    assert _contact_normals(geom, x, y, radius, gaps) == scan_contact_normals(wall, h, x, y, radius)
+    rx, ry, end_gaps = _resolve_overlap(geom, x, y, radius)
     assert (rx, ry) == scan_resolve_overlap(wall, h, x, y, radius)
-    # The push's last query, when it was made where the push stopped,
-    # gives the contact normals there.
-    if near is not None:
-        assert near == geom.cells_near(wall, rx, ry, radius)
-    assert _contact_normals(geom, rx, ry, radius, near) == scan_contact_normals(wall, h, rx, ry, radius)
+    # The push hands on the gaps where it stopped, which give the contact
+    # normals there.
+    assert end_gaps == geom.gaps(wall, rx, ry, radius)
+    assert _contact_normals(geom, rx, ry, radius, end_gaps) == scan_contact_normals(
+        wall, h, rx, ry, radius
+    )
     assert _disk_fits(geom, x, y, radius) == scan_disk_fits(wall, h, x, y, radius)
     assert _disk_overlaps_negative(geom, x, y, radius) == scan_disk_overlaps_cells(
         h, x, y, radius, cells["negative"]
@@ -467,16 +475,17 @@ def test_wall_queries_match_cell_scan(query_mazes, name, radius, kind, u, v, k, 
 
 def test_overlap_push_cap_leaves_normals_to_their_own_query(query_mazes):
     """Deep inside a wall block the 16 pushes run out before the disk is
-    free: the last query then lies behind the last move, so none is
-    handed on."""
+    free: the last push's query then lies behind the last move, so the
+    push queries once more where it stopped and hands that on."""
     geom, cells = query_mazes["bifurcation"]
     h = geom.h
     x, y = (geom.nx - 0.5) * h, (geom.ny - 0.5) * h
     assert geom.wall[geom.ny - 1, geom.nx - 1]
-    rx, ry, near = _resolve_overlap(geom, x, y, 1.0)
-    assert near is None
+    rx, ry, gaps = _resolve_overlap(geom, x, y, 1.0)
     assert (rx, ry) == scan_resolve_overlap(geom.wall, h, x, y, 1.0)
-    assert _contact_normals(geom, rx, ry, 1.0, near) == scan_contact_normals(geom.wall, h, rx, ry, 1.0)
+    assert any(d < 1.0 - 1e-9 * h for *_, d in gaps)  # still overlapping: the cap stopped it
+    assert gaps == geom.gaps(geom.wall, rx, ry, 1.0)
+    assert _contact_normals(geom, rx, ry, 1.0, gaps) == scan_contact_normals(geom.wall, h, rx, ry, 1.0)
 
 
 @pytest.mark.parametrize("name", ["ring_m2", "bifurcation_lock"])
@@ -491,13 +500,13 @@ def test_one_wall_query_per_droplet_position(name, monkeypatch):
     dt = run_droplet(maze, replace(cfg.dynamics, max_steps=0), fields).dt
     steps_queries = [[]]  # wall queries (x, y, inside the push) per step
     pushing = False
-    real_near = _Geometry.cells_near
+    real_gaps = _Geometry.gaps
     real_resolve = dynamics._resolve_overlap
 
-    def cells_near(self, mask, x, y, radius):
+    def gaps(self, mask, x, y, radius):
         if mask is self.wall:
             steps_queries[-1].append((x, y, pushing))
-        return real_near(self, mask, x, y, radius)
+        return real_gaps(self, mask, x, y, radius)
 
     def resolve(*args):
         nonlocal pushing
@@ -508,7 +517,7 @@ def test_one_wall_query_per_droplet_position(name, monkeypatch):
         finally:
             pushing = False
 
-    monkeypatch.setattr(_Geometry, "cells_near", cells_near)
+    monkeypatch.setattr(_Geometry, "gaps", gaps)
     monkeypatch.setattr(dynamics, "_resolve_overlap", resolve)
     traj = run_droplet(maze, replace(cfg.dynamics, dt=dt), fields)
     steps = len(traj) - 1
@@ -529,13 +538,13 @@ def test_far_target_check_makes_no_wall_query(straight_maze, monkeypatch):
     search window reaches the electrode's bounding box."""
     geom = _Geometry(straight_maze)
     calls = []
-    real_near = _Geometry.cells_near
+    real_gaps = _Geometry.gaps
 
-    def cells_near(self, *args):
+    def gaps(self, *args):
         calls.append(args)
-        return real_near(self, *args)
+        return real_gaps(self, *args)
 
-    monkeypatch.setattr(_Geometry, "cells_near", cells_near)
+    monkeypatch.setattr(_Geometry, "gaps", gaps)
     # The negative electrode is the column of cells from x = 30 to 30.5 mm.
     assert sorted({ix for ix, _ in straight_maze.electrode_cells(Polarity.NEGATIVE)}) == [60]
     assert not _disk_overlaps_negative(geom, 10.0, 2.5, 1.0)

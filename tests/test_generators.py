@@ -45,6 +45,12 @@ def test_ring_needs_three_cells_of_width():
         generate_ring_maze(1, [1], channel_width_mm=1.0, cell_size_mm=0.5)
 
 
+@pytest.mark.parametrize("wall_mm", [0.0, -1.0])
+def test_ring_wall_must_be_positive(wall_mm):
+    with pytest.raises(GeometryError, match="wall_mm"):
+        generate_ring_maze(2, [1, 1], diameter_mm=70.0, wall_mm=wall_mm)
+
+
 def test_ring_gap_count_validation():
     with pytest.raises(GeometryError, match="entries"):
         generate_ring_maze(2, [1], diameter_mm=70.0)

@@ -1,4 +1,4 @@
-"""Golden bundles: three committed example configs must keep producing the
+"""Golden bundles: five committed example configs must keep producing the
 same bytes in every artifact of `dropmaze simulate` and `dropmaze oracle`.
 
 The simulate digests of `bifurcation_lock` and `ring_m2` were recorded
@@ -11,15 +11,18 @@ own: its path.csv is byte for byte the one `simulate` writes. The
 `ring_coated` digests were recorded while the streamline fan still had a
 fixed budget of 200 000 steps, which three of its seeds used up; the
 chosen streamline reaches the target within a few hundred steps, so the
-budget derived from the field changes no byte. All six were re-recorded
+budget derived from the field changes no byte. Those six were re-recorded
 once when the solver began to iterate on the unknown cells only and to
 sum with numpy: the potential's last bits moved (by at most 1e-12 V on
 these three configs), and report.json and oracle.json gained
 `streamline_tie`; every termination, step count and corridor sequence
-stayed the same. report.json and oracle.json are hashed after dropping
-their timestamp, serialised the way the pipelines write them. A change
-that alters any number on purpose updates these digests and says so in
-CHANGES.md.
+stayed the same. The `ring_m1` digests (1 mm cells) and the
+`bifurcation_symmetric` digests (a tied streamline fan) were recorded
+before the droplet's wall tests were folded into one gap query.
+`ring_insulated` is left out: it makes the same run as `ring_m2`.
+report.json and oracle.json are hashed after dropping their timestamp,
+serialised the way the pipelines write them. A change that alters any
+number on purpose updates these digests and says so in CHANGES.md.
 
 The run goes through `dropmaze simulate` in a child interpreter with one
 BLAS thread, as the benchmark runs it. No output depends on that count:
@@ -41,6 +44,10 @@ EXIT_CODES = {
     ("oracle", "ring_m2"): 0,
     ("simulate", "ring_coated"): 0,
     ("oracle", "ring_coated"): 0,
+    ("simulate", "ring_m1"): 0,
+    ("oracle", "ring_m1"): 0,
+    ("simulate", "bifurcation_symmetric"): 2,
+    ("oracle", "bifurcation_symmetric"): 0,
 }
 
 GOLDEN = {
@@ -85,6 +92,34 @@ GOLDEN = {
     ("oracle", "ring_coated"): {
         "oracle.json": "0d469e2f5b8c359a43014e6feadc109511098f26f3c9e52760baae6b493ad85b",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
+    },
+    ("simulate", "ring_m1"): {
+        "comparison.json": "afd11dbf3fc3397edd1345a610fe97cdddbbbab121c92095883e571a50e71716",
+        "current.csv": "74de304cfb0824ef624db77aa6fae7ae997686e6eb03c96974f82f2b18c26e63",
+        "joule.pgm": "8b34b9d50f29eb74476e388a355b35ba8ba534947f683b9fc7ba6e523de1f8f4",
+        "path.csv": "a5eb3a1fd31315426995a09be7650bcb1161c360571607a289e1b07d4656dbca",
+        "potential.csv": "b5d7373617e90aed129e139824978f56cee9e556b6d2c0c262c63412190167c5",
+        "potential.pgm": "2ea8650616336868f164c386263403d9915118aa7f3a757c5044d83606f2616d",
+        "report.json": "ac70cb0a02337b0341b93c2f91a17feea4a470323b27343c4eea6d303ea798f6",
+        "trajectory.csv": "1230455cb0bc047fb46dba5770096debce384c4ed5c4d5fe0d8232c8497b4dd9",
+    },
+    ("oracle", "ring_m1"): {
+        "oracle.json": "f1785d46f4dbc22c4446999ddb7683811e37c7a1b40f38855e6595124741d5ea",
+        "path.csv": "a5eb3a1fd31315426995a09be7650bcb1161c360571607a289e1b07d4656dbca",
+    },
+    ("simulate", "bifurcation_symmetric"): {
+        "comparison.json": "295e7c47ca31a23d3f09fc541bbdb47e02653099b1eb1cc1f216d109d4bfb050",
+        "current.csv": "3349e11a6c6a4923386655b2653b03c321a1413ed21623ddfb288037a667e4eb",
+        "joule.pgm": "ea55328b4c360f6aa30c6a44039acb4c9eee093d7fece57dfd599b57210e8127",
+        "path.csv": "693abb2fbfcec868e248bd1a87c1646d0e2e5d656cfd1c373db961246edc7045",
+        "potential.csv": "daf0d61729fbd018e4f864c8c7e2c71510bbd445feb794de077409981d07f7bc",
+        "potential.pgm": "e2ed608881a3990219fe6dec9684964769720263b449496de65f7ab4d0bba4a8",
+        "report.json": "f26d2e3b619727410ee6129831d4728cae1e5a34f7350b1ed9d2222788144a90",
+        "trajectory.csv": "7b68f6a24eaace228c56846b56abce7a6f24239452151f12ca4feeca2b40c644",
+    },
+    ("oracle", "bifurcation_symmetric"): {
+        "oracle.json": "fc2766315d0f97120801a4ae7e83ed645f48acfcd32169ea4bcca0550f2e59a4",
+        "path.csv": "693abb2fbfcec868e248bd1a87c1646d0e2e5d656cfd1c373db961246edc7045",
     },
 }
 
