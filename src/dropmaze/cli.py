@@ -29,6 +29,7 @@ from .scenario import (
     build_maze,
     compare_bundles,
     load_config,
+    reject_unread_keys,
     run_and_export,
     run_fields_only,
     run_oracle_only,
@@ -39,6 +40,7 @@ from .solver import FieldSolveError
 def _load(config_path: str, seed: int | None) -> ScenarioConfig:
     cfg = load_config(config_path)
     if seed is not None:
+        reject_unread_keys(cfg, ["seed"])
         cfg = dataclasses.replace(cfg, seed=seed)
     return cfg
 

@@ -6,7 +6,9 @@ static threshold pins the disk when the effective force is too weak;
 while pinned it accumulates impulse and breaks free with a threshold-speed
 kick once enough has built up, which reproduces dwell-then-dash behaviour
 at corners. Below `stall_fraction` of the threshold nothing accumulates
-and the disk stays put for good; that is the bifurcation lock.
+and the disk stays put for good; that is the bifurcation lock. A pinned
+step that lands on the settled position it started from reuses that
+position's disk sum, contact normals and target test.
 
 All positions are in mm, times in seconds, forces in the units produced by
 disk_integrate (field value times square metres times force_gain).
@@ -307,15 +309,19 @@ def _project_out(fx: float, fy: float, normals: list[tuple[float, float]]) -> tu
 
 def _resolve_overlap(
     geom: _Geometry, x: float, y: float, radius: float
-) -> tuple[float, float, Gaps]:
+) -> tuple[float, float, Gaps, bool]:
     """Push the disk centre out of any wall overlap, at most 16 times;
     clamp to the grid.
 
     Also returns geom.gaps of the wall at the final position, so the
-    contact normals there need no second query."""
+    contact normals there need no second query, and whether the push
+    settled: True when it stopped at a position inside the grid clamp
+    that needs no push, which it would return again, with the same gaps;
+    False when the 16 pushes ran out or a push left the clamp."""
     h = geom.h
-    x = min(max(x, radius), geom.nx * h - radius)
-    y = min(max(y, radius), geom.ny * h - radius)
+    x_max, y_max = geom.nx * h - radius, geom.ny * h - radius
+    x = min(max(x, radius), x_max)
+    y = min(max(y, radius), y_max)
     for _ in range(16):
         worst_pen = 0.0
         worst_n: tuple[float, float] | None = None
@@ -334,10 +340,10 @@ def _resolve_overlap(
                 worst_pen = pen
                 worst_n = (nx_, ny_)
         if worst_n is None or worst_pen <= 1e-9 * h:
-            return x, y, gaps
+            return x, y, gaps, radius <= x <= x_max and radius <= y <= y_max
         x += worst_n[0] * (worst_pen + 1e-9 * h)
         y += worst_n[1] * (worst_pen + 1e-9 * h)
-    return x, y, geom.gaps(geom.wall, x, y, radius)
+    return x, y, geom.gaps(geom.wall, x, y, radius), False
 
 
 def _disk_fits(geom: _Geometry, x: float, y: float, radius: float) -> bool:
@@ -452,14 +458,15 @@ def simulate(
     # Each position's disk sum and contact normals serve twice: projected
     # as they are for the recorded force, and with noise added for the
     # step taken from there.
-    fx, fy = disk_integrate(field, (x0, y0), radius, wall_mask=geom.wall, gain=gain).tolist()
+    sx, sy = disk_integrate(field, (x0, y0), radius, wall_mask=geom.wall, gain=gain).tolist()
     normals = _contact_normals(geom, x0, y0, radius, geom.gaps(geom.wall, x0, y0, radius))
     times = [0.0]
     xs = [x0]
     ys = [y0]
     speeds = [0.0]
-    forces = [math.hypot(*_project_out(fx, fy, normals))]
+    forces = [math.hypot(*_project_out(sx, sy, normals))]
     x, y, t, impulse = x0, y0, 0.0, 0.0
+    settled = False  # the start has not been through _resolve_overlap
     termination = Termination.MAX_STEPS
     path_length = 0.0
     steps = 0
@@ -468,6 +475,7 @@ def simulate(
         termination = Termination.REACHED_TARGET
     else:
         while steps < params.max_steps:
+            fx, fy = sx, sy
             if rng is not None:
                 fx += rng.gauss(0.0, noise)
                 fy += rng.gauss(0.0, noise)
@@ -494,21 +502,32 @@ def simulate(
                 f = limit / (speed * dt)
                 vx *= f
                 vy *= f
-            px, py = x, y
-            x, y, gaps = _resolve_overlap(geom, x + vx * dt, y + vy * dt, radius)
+            qx, qy = x + vx * dt, y + vy * dt
             steps += 1
             t += dt
-            path_length += math.hypot(x - px, y - py)
-            fx, fy = disk_integrate(field, (x, y), radius, wall_mask=geom.wall, gain=gain).tolist()
-            normals = _contact_normals(geom, x, y, radius, gaps)
             times.append(t)
-            xs.append(x)
-            ys.append(y)
-            speeds.append(math.hypot((x - px) / dt, (y - py) / dt))
-            forces.append(math.hypot(*_project_out(fx, fy, normals)))
-            if _disk_overlaps_negative(geom, x, y, radius):
-                termination = Termination.REACHED_TARGET
-                break
+            if settled and qx == x and qy == y:
+                # Pinned where the last push settled: pushing, summing and
+                # testing this position again would give what it gave.
+                xs.append(x)
+                ys.append(y)
+                speeds.append(0.0)
+                forces.append(forces[-1])
+            else:
+                px, py = x, y
+                x, y, gaps, settled = _resolve_overlap(geom, qx, qy, radius)
+                path_length += math.hypot(x - px, y - py)
+                sx, sy = disk_integrate(
+                    field, (x, y), radius, wall_mask=geom.wall, gain=gain
+                ).tolist()
+                normals = _contact_normals(geom, x, y, radius, gaps)
+                xs.append(x)
+                ys.append(y)
+                speeds.append(math.hypot((x - px) / dt, (y - py) / dt))
+                forces.append(math.hypot(*_project_out(sx, sy, normals)))
+                if _disk_overlaps_negative(geom, x, y, radius):
+                    termination = Termination.REACHED_TARGET
+                    break
             # Locked: no further than lock_epsilon_mm from where the disk
             # was lock_window steps ago.
             if steps >= lock_window and (

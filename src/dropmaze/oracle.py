@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -102,6 +102,7 @@ class StreamTermination(enum.Enum):
     REACHED = "reached"
     FIELD_VANISHED = "field_vanished"
     LEFT_DOMAIN = "left_domain"
+    STALLED = "stalled"
     MAX_STEPS = "max_steps"
 
 
@@ -128,22 +129,23 @@ _MIN_SPEED_REL = 1e-9
 # Its budget is this many steps for each cell above the speed floor: a
 # trace as long as all those cells laid end to end. A trace that reaches
 # the target uses a small share of it (under a tenth on the example
-# configs); one that ping-pongs at a wall runs into it.
+# configs).
 _STEPS_PER_CELL = 4
+# A trace that enters no new cell in this many cells of travel has stopped
+# exploring: it slides back and forth at a wall instead of running out its
+# budget there. Traces on the example configs enter a new cell at least
+# every 7 steps (under two cells of travel).
+_STALL_CELLS = 16
+_STALL_STEPS = _STALL_CELLS * _STEPS_PER_CELL
 
 
 class _ListField(NamedTuple):
-    """A vector field's components as nested lists, for per-point sampling:
-    element reads give Python floats, which are cheaper to read and to
-    compute with than numpy scalars and round the same way. Also holds the
-    speed floor and the step budget, which every streamline through the
-    field shares."""
+    """A vector field sampled from Python lists. sample(x_mm, y_mm) gives
+    the bilinear field's unit direction and magnitude there, (0, 0, s) at
+    or below the speed floor. Also holds that floor and the step budget,
+    which every streamline through the field shares."""
 
-    vx: list[list[float]]
-    vy: list[list[float]]
-    cell_size: float
-    nx: int
-    ny: int
+    sample: Callable[[float, float], tuple[float, float, float]]
     floor: float
     max_steps: int
 
@@ -152,28 +154,60 @@ class _ListField(NamedTuple):
         magnitude = j.magnitude()
         floor = _MIN_SPEED_REL * float(np.max(magnitude))
         max_steps = _STEPS_PER_CELL * int(np.count_nonzero(magnitude > floor))
-        return cls(j.vx.tolist(), j.vy.tolist(), j.cell_size, j.nx, j.ny, floor, max_steps)
+        return cls(_unit_sampler(j, floor), floor, max_steps)
 
 
-def _bilinear(j: _ListField, x_mm: float, y_mm: float) -> tuple[float, float]:
-    vx, vy, h, nx, ny = j[:5]
-    u = x_mm / h - 0.5
-    v = y_mm / h - 0.5
-    i0 = min(max(math.floor(u), 0), nx - 2) if nx > 1 else 0
-    k0 = min(max(math.floor(v), 0), ny - 2) if ny > 1 else 0
-    tu = min(max(u - i0, 0.0), 1.0)
-    tv = min(max(v - k0, 0.0), 1.0)
-    i1 = min(i0 + 1, nx - 1)
-    k1 = min(k0 + 1, ny - 1)
-    su = 1 - tu
-    sv = 1 - tv
-    # Each term is (value * weight) * weight: a precomputed product of the
-    # two weights would round differently.
-    vx0, vx1, vy0, vy1 = vx[k0], vx[k1], vy[k0], vy[k1]
-    return (
-        vx0[i0] * su * sv + vx0[i1] * tu * sv + vx1[i0] * su * tv + vx1[i1] * tu * tv,
-        vy0[i0] * su * sv + vy0[i1] * tu * sv + vy1[i0] * su * tv + vy1[i1] * tu * tv,
-    )
+def _unit_sampler(
+    j: VectorField, floor: float
+) -> Callable[[float, float], tuple[float, float, float]]:
+    """The sampler of _ListField. Rows are lists because element reads
+    give Python floats, which are cheaper to read and to compute with
+    than numpy scalars and round the same way."""
+    vx, vy = j.vx.tolist(), j.vy.tolist()
+    h = j.cell_size
+    # The lower corner's index is clamped into the grid; on a grid one
+    # cell wide both corners are its one column (row).
+    i_max, di = (j.nx - 2, 1) if j.nx > 1 else (0, 0)
+    k_max, dk = (j.ny - 2, 1) if j.ny > 1 else (0, 0)
+    math_floor, hypot = math.floor, math.hypot
+
+    def sample(x_mm: float, y_mm: float) -> tuple[float, float, float]:
+        u = x_mm / h - 0.5
+        v = y_mm / h - 0.5
+        i0 = math_floor(u)
+        if i0 < 0:
+            i0 = 0
+        elif i0 > i_max:
+            i0 = i_max
+        k0 = math_floor(v)
+        if k0 < 0:
+            k0 = 0
+        elif k0 > k_max:
+            k0 = k_max
+        tu = u - i0
+        if tu < 0.0:
+            tu = 0.0
+        elif tu > 1.0:
+            tu = 1.0
+        tv = v - k0
+        if tv < 0.0:
+            tv = 0.0
+        elif tv > 1.0:
+            tv = 1.0
+        su = 1 - tu
+        sv = 1 - tv
+        i1 = i0 + di
+        # Each term is (value * weight) * weight: a precomputed product of
+        # the two weights would round differently.
+        vx0, vx1, vy0, vy1 = vx[k0], vx[k0 + dk], vy[k0], vy[k0 + dk]
+        ax = vx0[i0] * su * sv + vx0[i1] * tu * sv + vx1[i0] * su * tv + vx1[i1] * tu * tv
+        ay = vy0[i0] * su * sv + vy0[i1] * tu * sv + vy1[i0] * su * tv + vy1[i1] * tu * tv
+        s = hypot(ax, ay)
+        if s <= floor:
+            return 0.0, 0.0, s
+        return ax / s, ay / s, s
+
+    return sample
 
 
 def streamline(
@@ -187,48 +221,53 @@ def streamline(
     """Integrate along the normalized field from start_mm.
 
     Stops on reaching a target cell, on the local field magnitude falling
-    to the speed floor, on leaving the grid, or when the step budget is
-    spent (see _MIN_SPEED_REL and _STEPS_PER_CELL). _lists is j as a
-    _ListField, for callers tracing many streamlines through one field.
+    to the speed floor, on leaving the grid, on entering no new cell for
+    _STALL_STEPS steps, or when the step budget is spent (see
+    _MIN_SPEED_REL and _STEPS_PER_CELL). _lists is j as a _ListField, for
+    callers tracing many streamlines through one field.
     """
     grid = _lists if _lists is not None else _ListField.of(j)
-    h = j.cell_size
+    sample, floor = grid.sample, grid.floor
+    h, nx, ny = j.cell_size, j.nx, j.ny
     step_mm = h / _STEPS_PER_CELL
+    half_mm = 0.5 * step_mm
     targets = frozenset(target_cells) if target_cells is not None else frozenset()
     x, y = float(start_mm[0]), float(start_mm[1])
     if channel_mask is not None:
         cx, cy = int(x // h), int(y // h)
-        if not (0 <= cx < j.nx and 0 <= cy < j.ny) or not channel_mask[cy, cx]:
+        if not (0 <= cx < nx and 0 <= cy < ny) or not channel_mask[cy, cx]:
             raise ValueError(f"streamline start {start_mm} lies inside a wall")
-    floor = grid.floor
-
-    def direction(px: float, py: float) -> tuple[float, float, float]:
-        vx, vy = _bilinear(grid, px, py)
-        s = math.hypot(vx, vy)
-        if s <= floor:
-            return 0.0, 0.0, s
-        return vx / s, vy / s, s
+        open_cells = np.asarray(channel_mask, dtype=bool).tobytes()  # iy * nx + ix
 
     pts = [(x, y)]
+    seen: set[tuple[int, int]] = set()
+    fresh = 0  # step at which the trace last entered a new cell
     termination = StreamTermination.MAX_STEPS
-    for _ in range(grid.max_steps):
+    for n in range(grid.max_steps):
         cx, cy = int(x // h), int(y // h)
-        if not (0 <= cx < j.nx and 0 <= cy < j.ny):
+        if not (0 <= cx < nx and 0 <= cy < ny):
             termination = StreamTermination.LEFT_DOMAIN
             break
-        if (cx, cy) in targets:
+        cell = (cx, cy)
+        if cell in targets:
             termination = StreamTermination.REACHED
+            break
+        if cell not in seen:
+            seen.add(cell)
+            fresh = n
+        elif n - fresh >= _STALL_STEPS:
+            termination = StreamTermination.STALLED
             break
         # Fourth-order step on the normalized field keeps the trace from
         # drifting into walls on curved corridors.
-        d1x, d1y, speed = direction(x, y)
+        d1x, d1y, speed = sample(x, y)
         if speed <= floor:
             termination = StreamTermination.FIELD_VANISHED
             break
-        d2x, d2y, s2 = direction(x + 0.5 * step_mm * d1x, y + 0.5 * step_mm * d1y)
-        d3x, d3y, s3 = direction(x + 0.5 * step_mm * d2x, y + 0.5 * step_mm * d2y)
-        d4x, d4y, s4 = direction(x + step_mm * d3x, y + step_mm * d3y)
-        if min(s2, s3, s4) > floor:
+        d2x, d2y, s2 = sample(x + half_mm * d1x, y + half_mm * d1y)
+        d3x, d3y, s3 = sample(x + half_mm * d2x, y + half_mm * d2y)
+        d4x, d4y, s4 = sample(x + step_mm * d3x, y + step_mm * d3y)
+        if s2 > floor and s3 > floor and s4 > floor:
             dx = (d1x + 2 * d2x + 2 * d3x + d4x) / 6.0
             dy = (d1y + 2 * d2y + 2 * d3y + d4y) / 6.0
         else:
@@ -240,24 +279,24 @@ def streamline(
         dx, dy = dx / mag, dy / mag
         # Interpolation near jagged walls can point slightly into them;
         # slide along the wall instead of marching in.
-        stalled = False
+        blocked = False
         if channel_mask is not None:
             for _attempt in range(3):
                 qx, qy = x + step_mm * dx, y + step_mm * dy
                 qcx, qcy = int(qx // h), int(qy // h)
-                if not (0 <= qcx < j.nx and 0 <= qcy < j.ny) or channel_mask[qcy, qcx]:
+                if not (0 <= qcx < nx and 0 <= qcy < ny) or open_cells[qcy * nx + qcx]:
                     break
                 nx_, ny_ = float(qcx - cx), float(qcy - cy)
                 norm = math.hypot(nx_, ny_)
                 if norm == 0:
-                    stalled = True
+                    blocked = True
                     break
                 nx_, ny_ = nx_ / norm, ny_ / norm
                 dot = dx * nx_ + dy * ny_
                 dx, dy = dx - dot * nx_, dy - dot * ny_
                 mag = math.hypot(dx, dy)
                 if mag < 1e-12:
-                    stalled = True
+                    blocked = True
                     break
                 dx, dy = dx / mag, dy / mag
                 # Back off the wall a little so the trace does not stay
@@ -265,8 +304,8 @@ def streamline(
                 x -= 0.2 * h * nx_
                 y -= 0.2 * h * ny_
             else:
-                stalled = True
-        if stalled:
+                blocked = True
+        if blocked:
             termination = StreamTermination.FIELD_VANISHED
             break
         x += step_mm * dx
@@ -323,8 +362,7 @@ def trace_route_streamline(
     traces: list[tuple[tuple[int, ...], float, Streamline]] = []
     for ix, iy in seeds:
         start = ((ix + 0.5) * h, (iy + 0.5) * h)
-        vx, vy = _bilinear(grid, *start)
-        weight = math.hypot(vx, vy)
+        weight = grid.sample(*start)[2]
         if weight <= 0:
             continue
         tr = streamline(j, start, target_cells=neg_cells, channel_mask=channel, _lists=grid)

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -237,11 +238,17 @@ def parse_config(text: str) -> ScenarioConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    reject_unread_keys(cfg, raw)
+    return cfg
+
+
+def reject_unread_keys(cfg: ScenarioConfig, keys: Iterable[str]) -> None:
+    """Raise ConfigError on the first of keys that cfg's maze source never
+    reads, so no run echoes a value it did not use."""
     source = "maze_file" if cfg.maze_file is not None else f"generator = {cfg.generator}"
-    for key in raw:
+    for key in keys:
         if key in _UNREAD_KEYS[source]:
             raise ConfigError(f"{key!r} is not read with {source}")
-    return cfg
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -5,14 +5,15 @@ code with the package internals: dense Gaussian elimination for the
 potential, exhaustive BFS for shortest distances, a two-resistor
 Kirchhoff split for branch currents, cell-by-cell scans for the droplet's
 wall queries and start cell, the droplet's disk sum over np.arange
-windows, element-wise numpy sampling for streamlines, a row-major deque
-flood fill for channel components, and per-region cell scans for the
-corridor overlap.
+windows, a droplet run that recomputes every step, element-wise numpy
+sampling for streamlines, a row-major deque flood fill for channel
+components, and per-region cell scans for the corridor overlap.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 
 import numpy as np
@@ -242,6 +243,7 @@ def scan_contact_normals(wall, h, x, y, radius):
 
 
 def scan_resolve_overlap(wall, h, x, y, radius):
+    """The pushed-out centre, and whether the 16 pushes ran out."""
     ny, nx = wall.shape
     x = min(max(x, radius), nx * h - radius)
     y = min(max(y, radius), ny * h - radius)
@@ -263,10 +265,10 @@ def scan_resolve_overlap(wall, h, x, y, radius):
                 worst_pen = pen
                 worst_n = (nx_, ny_)
         if worst_n is None or worst_pen <= 1e-9 * h:
-            break
+            return x, y, False
         x += worst_n[0] * (worst_pen + 1e-9 * h)
         y += worst_n[1] * (worst_pen + 1e-9 * h)
-    return x, y
+    return x, y, True
 
 
 def scan_disk_fits(wall, h, x, y, radius):
@@ -357,6 +359,81 @@ def scan_disk_overlaps_cells(h, x, y, radius, cells):
     return False
 
 
+def stepwise_simulate(wall, negative_cells, field, params, start, radius, dt):
+    """dynamics.simulate at an explicit dt, without reuse: every step
+    pushes, sums and tests its end position afresh, with the cell scans
+    above. Returns the trajectory's times, xs, ys, speeds and forces as
+    lists, the termination's value, the path length and the number of
+    steps whose overlap push ran out of pushes."""
+    h = field.cell_size
+    gain, noise, thr = params.force_gain, params.noise_amplitude, params.static_threshold
+    rng = random.Random(params.noise_seed) if noise > 0 else None
+
+    def force(x, y):
+        fx, fy = arange_disk_integrate(field, (x, y), radius, wall, gain).tolist()
+        return fx, fy
+
+    def project(fx, fy, normals):
+        for _ in range(3):
+            moved = False
+            for nx_, ny_ in normals:
+                s = fx * nx_ + fy * ny_
+                if s < -1e-300:
+                    fx -= s * nx_
+                    fy -= s * ny_
+                    moved = True
+            if not moved:
+                break
+        return fx, fy
+
+    x, y = start
+    fx, fy = force(x, y)
+    normals = scan_contact_normals(wall, h, x, y, radius)
+    times, xs, ys, speeds = [0.0], [x], [y], [0.0]
+    forces = [math.hypot(*project(fx, fy, normals))]
+    t = impulse = path_length = 0.0
+    capped = 0
+    if scan_disk_overlaps_cells(h, x, y, radius, negative_cells):
+        return times, xs, ys, speeds, forces, "reached_target", path_length, capped
+    for steps in range(1, params.max_steps + 1):
+        if rng is not None:
+            fx += rng.gauss(0.0, noise)
+            fy += rng.gauss(0.0, noise)
+        fx, fy = project(fx, fy, normals)
+        fmag = math.hypot(fx, fy)
+        vx = vy = 0.0
+        if fmag >= thr:
+            vx, vy = params.mobility * fx, params.mobility * fy
+            impulse = 0.0
+        elif thr > 0 and fmag >= params.stall_fraction * thr and fmag > 0:
+            impulse += fmag * dt
+            if impulse >= thr * params.release_time:
+                vx, vy = params.mobility * thr / fmag * fx, params.mobility * thr / fmag * fy
+                impulse = 0.0
+        speed = math.hypot(vx, vy)
+        if speed * dt > h / 2.0:
+            vx *= h / 2.0 / (speed * dt)
+            vy *= h / 2.0 / (speed * dt)
+        px, py = x, y
+        x, y, ran_out = scan_resolve_overlap(wall, h, x + vx * dt, y + vy * dt, radius)
+        capped += ran_out
+        t += dt
+        path_length += math.hypot(x - px, y - py)
+        fx, fy = force(x, y)
+        normals = scan_contact_normals(wall, h, x, y, radius)
+        times.append(t)
+        xs.append(x)
+        ys.append(y)
+        speeds.append(math.hypot((x - px) / dt, (y - py) / dt))
+        forces.append(math.hypot(*project(fx, fy, normals)))
+        if scan_disk_overlaps_cells(h, x, y, radius, negative_cells):
+            return times, xs, ys, speeds, forces, "reached_target", path_length, capped
+        back = steps - params.lock_window
+        if back >= 0 and math.hypot(x - xs[back], y - ys[back]) < params.lock_epsilon_mm:
+            return times, xs, ys, speeds, forces, "locked", path_length, capped
+    return times, xs, ys, speeds, forces, "max_steps", path_length, capped
+
+
 def array_bilinear(j, x_mm, y_mm):
     """Bilinear sample of a VectorField read element by element from its
     numpy arrays."""
@@ -379,6 +456,78 @@ def array_bilinear(j, x_mm, y_mm):
         )
 
     return sample(j.vx), sample(j.vy)
+
+
+def array_streamline(j, start_mm, target_cells, channel_mask):
+    """oracle.streamline's trace, sampling with array_bilinear: its points
+    as an (n, 2) array and its termination's value. The budget is 4 steps
+    per cell above 1e-9 of the peak |j|, and a trace that enters no new
+    cell for 64 steps (16 cells of travel) has stalled."""
+    h = j.cell_size
+    magnitude = np.hypot(j.vx, j.vy)
+    floor = 1e-9 * float(magnitude.max())
+    step_mm = h / 4
+
+    def direction(px, py):
+        vx, vy = array_bilinear(j, px, py)
+        s = math.hypot(vx, vy)
+        return (0.0, 0.0, s) if s <= floor else (vx / s, vy / s, s)
+
+    x, y = start_mm
+    pts = [(x, y)]
+    seen = set()
+    fresh = 0  # step of the last new cell
+    for n in range(4 * int(np.count_nonzero(magnitude > floor))):
+        cx, cy = int(x // h), int(y // h)
+        if not (0 <= cx < j.nx and 0 <= cy < j.ny):
+            return np.array(pts), "left_domain"
+        if (cx, cy) in target_cells:
+            return np.array(pts), "reached"
+        if (cx, cy) not in seen:
+            seen.add((cx, cy))
+            fresh = n
+        elif n - fresh >= 64:
+            return np.array(pts), "stalled"
+        d1x, d1y, speed = direction(x, y)
+        if speed <= floor:
+            return np.array(pts), "field_vanished"
+        d2x, d2y, s2 = direction(x + 0.5 * step_mm * d1x, y + 0.5 * step_mm * d1y)
+        d3x, d3y, s3 = direction(x + 0.5 * step_mm * d2x, y + 0.5 * step_mm * d2y)
+        d4x, d4y, s4 = direction(x + step_mm * d3x, y + step_mm * d3y)
+        if min(s2, s3, s4) > floor:
+            dx = (d1x + 2 * d2x + 2 * d3x + d4x) / 6.0
+            dy = (d1y + 2 * d2y + 2 * d3y + d4y) / 6.0
+        else:
+            dx, dy = d1x, d1y
+        mag = math.hypot(dx, dy)
+        if mag < 1e-12:
+            return np.array(pts), "field_vanished"
+        dx, dy = dx / mag, dy / mag
+        # Slide along a wall the step would enter, backing off it.
+        for _attempt in range(3):
+            qcx = int((x + step_mm * dx) // h)
+            qcy = int((y + step_mm * dy) // h)
+            if not (0 <= qcx < j.nx and 0 <= qcy < j.ny) or channel_mask[qcy, qcx]:
+                break
+            nx_, ny_ = float(qcx - cx), float(qcy - cy)
+            norm = math.hypot(nx_, ny_)
+            if norm == 0:
+                return np.array(pts), "field_vanished"
+            nx_, ny_ = nx_ / norm, ny_ / norm
+            dot = dx * nx_ + dy * ny_
+            dx, dy = dx - dot * nx_, dy - dot * ny_
+            mag = math.hypot(dx, dy)
+            if mag < 1e-12:
+                return np.array(pts), "field_vanished"
+            dx, dy = dx / mag, dy / mag
+            x -= 0.2 * h * nx_
+            y -= 0.2 * h * ny_
+        else:
+            return np.array(pts), "field_vanished"
+        x += step_mm * dx
+        y += step_mm * dy
+        pts.append((x, y))
+    return np.array(pts), "max_steps"
 
 
 def _pcg_system(sigma, dirichlet):

@@ -189,6 +189,20 @@ def test_key_the_maze_source_does_not_read_exit_four(tmp_path, capsys, source, l
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source", ["maze_file", "bifurcation"])
+def test_seed_flag_the_maze_source_does_not_read_exit_four(tmp_path, capsys, source):
+    """--seed is held to the config's own rule: on a maze source that
+    never reads the seed, every command that loads a config refuses it
+    instead of echoing a seed the run did not use."""
+    maze = _write(tmp_path, "straight.maze", straight_channel_text())
+    cfg = _write(tmp_path, "seedless.cfg", _SOURCES[source].format(maze=maze))
+    for command in ("generate", "solve", "simulate", "oracle"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--seed", "5", "--out", str(out)]) == 4
+        assert "config error: 'seed' is not read with" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("header", ["cell_size_mm = nan", "voltage = inf"])
 def test_non_finite_maze_header_exit_four(tmp_path, capsys, header):
     maze = _write(tmp_path, "bad.maze", straight_channel_text().replace("voltage = 5.0", header))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dropmaze as dm
 from dropmaze import dynamics
@@ -30,7 +30,7 @@ from dropmaze.oracle import extract_path, lee_label, segment_corridors
 from dropmaze.scenario import build_maze, load_config, resolve_start
 from dropmaze.solver import VectorField, VectorQuantity, compute_fields
 
-from conftest import run_droplet
+from conftest import count_calls, run_droplet
 from oracles import (
     arange_disk_integrate,
     bfs_order_find_start,
@@ -40,6 +40,7 @@ from oracles import (
     scan_disk_overlaps_cells,
     scan_resolve_overlap,
     scan_wall_cells,
+    stepwise_simulate,
 )
 
 
@@ -459,11 +460,17 @@ def test_wall_queries_match_cell_scan(query_mazes, name, radius, kind, u, v, k, 
         for px, py in [closest_point_on_cell(h, ix, iy, x, y)]
     ]
     assert _contact_normals(geom, x, y, radius, gaps) == scan_contact_normals(wall, h, x, y, radius)
-    rx, ry, end_gaps = _resolve_overlap(geom, x, y, radius)
-    assert (rx, ry) == scan_resolve_overlap(wall, h, x, y, radius)
+    rx, ry, end_gaps, settled = _resolve_overlap(geom, x, y, radius)
+    *want, capped = scan_resolve_overlap(wall, h, x, y, radius)
+    assert [rx, ry] == want
     # The push hands on the gaps where it stopped, which give the contact
-    # normals there.
+    # normals there. It settled unless its pushes ran out or left the
+    # grid clamp, and a settled position pushes to itself.
     assert end_gaps == geom.gaps(wall, rx, ry, radius)
+    inside = radius <= rx <= width - radius and radius <= ry <= height - radius
+    assert settled == (not capped and inside)
+    if settled:
+        assert _resolve_overlap(geom, rx, ry, radius) == (rx, ry, end_gaps, True)
     assert _contact_normals(geom, rx, ry, radius, end_gaps) == scan_contact_normals(
         wall, h, rx, ry, radius
     )
@@ -481,8 +488,9 @@ def test_overlap_push_cap_leaves_normals_to_their_own_query(query_mazes):
     h = geom.h
     x, y = (geom.nx - 0.5) * h, (geom.ny - 0.5) * h
     assert geom.wall[geom.ny - 1, geom.nx - 1]
-    rx, ry, gaps = _resolve_overlap(geom, x, y, 1.0)
-    assert (rx, ry) == scan_resolve_overlap(geom.wall, h, x, y, 1.0)
+    rx, ry, gaps, settled = _resolve_overlap(geom, x, y, 1.0)
+    assert (rx, ry, True) == scan_resolve_overlap(geom.wall, h, x, y, 1.0)
+    assert not settled
     assert any(d < 1.0 - 1e-9 * h for *_, d in gaps)  # still overlapping: the cap stopped it
     assert gaps == geom.gaps(geom.wall, rx, ry, 1.0)
     assert _contact_normals(geom, rx, ry, 1.0, gaps) == scan_contact_normals(geom.wall, h, rx, ry, 1.0)
@@ -490,47 +498,176 @@ def test_overlap_push_cap_leaves_normals_to_their_own_query(query_mazes):
 
 @pytest.mark.parametrize("name", ["ring_m2", "bifurcation_lock"])
 def test_one_wall_query_per_droplet_position(name, monkeypatch):
-    """At an explicit dt, each step queries the wall cells at the position
-    it ends on once, inside the overlap push; that query also gives the
-    contact normals there. Every other query is at a position an overlap
-    push then moved from."""
+    """At an explicit dt, a step that moves queries the wall cells once at
+    the position it ends on, inside the overlap push (that query also
+    gives the contact normals there), plus once per push, at each position
+    the push moved from. A step that stays at a settled position queries
+    nothing: it does not push at all."""
     cfg = load_config(CONFIGS / f"{name}.cfg")
     maze = build_maze(cfg)
     fields = compute_fields(maze)
-    dt = run_droplet(maze, replace(cfg.dynamics, max_steps=0), fields).dt
-    steps_queries = [[]]  # wall queries (x, y, inside the push) per step
+    dt = run_droplet(maze, replace(cfg.dynamics, max_steps=0), fields, cfg.start).dt
+    pushes = []  # [candidate, wall queries, result] per overlap push
+    early = []  # wall queries outside a push, by how many pushes preceded them
     pushing = False
     real_gaps = _Geometry.gaps
     real_resolve = dynamics._resolve_overlap
 
     def gaps(self, mask, x, y, radius):
         if mask is self.wall:
-            steps_queries[-1].append((x, y, pushing))
+            if pushing:
+                pushes[-1][1].append((x, y))
+            else:
+                early.append(len(pushes))
         return real_gaps(self, mask, x, y, radius)
 
-    def resolve(*args):
+    def resolve(geom, x, y, radius):
         nonlocal pushing
-        steps_queries.append([])
+        pushes.append([(x, y), [], None])
         pushing = True
         try:
-            return real_resolve(*args)
+            pushes[-1][2] = real_resolve(geom, x, y, radius)
         finally:
             pushing = False
+        return pushes[-1][2]
 
     monkeypatch.setattr(_Geometry, "gaps", gaps)
     monkeypatch.setattr(dynamics, "_resolve_overlap", resolve)
-    traj = run_droplet(maze, replace(cfg.dynamics, dt=dt), fields)
+    traj = run_droplet(maze, replace(cfg.dynamics, dt=dt), fields, cfg.start)
     steps = len(traj) - 1
-    assert steps > 500 and len(steps_queries) == steps + 1
-    pushes = 0
-    for k, queries in enumerate(steps_queries[1:], start=1):
+    assert steps > 500 and early and set(early) == {0}  # the start's queries only
+    pending = iter(pushes)
+    settled, here = False, (traj.xs[0], traj.ys[0])
+    stays = extra = 0
+    for k in range(1, steps + 1):
         end = (traj.xs[k], traj.ys[k])
-        assert all(inside for _, _, inside in queries)
-        assert queries[-1][:2] == end
-        assert all((qx, qy) != end for qx, qy, _ in queries[:-1])
-        pushes += len(queries) - 1
-    assert sum(len(queries) for queries in steps_queries[1:]) == steps + pushes
-    assert pushes > 0
+        if settled and end == here:
+            stays += 1
+            continue
+        candidate, queries, (rx, ry, _, now_settled) = next(pending)
+        assert not (settled and candidate == here)
+        assert (rx, ry) == end
+        assert queries[-1] == end
+        assert all(q != end for q in queries[:-1])
+        extra += len(queries) - 1
+        settled, here = now_settled, end
+    assert next(pending, None) is None
+    assert extra > 0 and stays > steps / 2
+
+
+def test_disk_sum_once_per_position_a_move_reaches(monkeypatch):
+    """simulate sums the disk along the Lee path to size dt, at the start,
+    and at the end of each step that moves; a pinned step at a settled
+    position reuses its sum. On bifurcation_lock that is 76 moves of 2575
+    steps."""
+    cfg = load_config(CONFIGS / "bifurcation_lock.cfg")
+    maze = build_maze(cfg)
+    fields = compute_fields(maze)
+    route = resolve_start(
+        cfg.start, cfg.dynamics, maze, segment_corridors(maze), lee_label(maze)
+    )
+    calls = count_calls(monkeypatch, disk_integrate)
+    traj = simulate(maze, cfg.dynamics, fields, *route)
+    moves = int(np.count_nonzero((np.diff(traj.xs) != 0) | (np.diff(traj.ys) != 0)))
+    assert calls["disk_integrate"] == len(route[2].cells) + 1 + moves
+    assert traj.termination is Termination.LOCKED and 30 * moves < len(traj) - 1
+
+
+def _wedge_text(n=24):
+    """A room that narrows to the right into a lopsided wedge a wide disk
+    sticks in, with the negative electrode in a corner pocket. The 16
+    pushes of a disk there can run out short of a settled position."""
+    rows = []
+    for iy in range(n):
+        rows.append("".join(
+            "#" if min(ix, iy, n - 1 - ix, n - 1 - iy) == 0
+            or abs(iy - n / 2 + 0.3) > (n - ix) * 0.4 + 0.6 else "."
+            for ix in range(n)
+        ))
+    rows[n // 2] = "#S" + rows[n // 2][2:]
+    rows[1] = "#T" + rows[1][2:]
+    return "cell_size_mm = 0.5\n" + "\n".join(rows)
+
+
+@pytest.fixture(scope="module")
+def wedge():
+    maze = parse_maze(_wedge_text())
+    return maze, compute_fields(maze), lee_label(maze)
+
+
+def _run_both(wedge, seed, radius, slope, start_gap, thr, noise, release, lock_window):
+    """simulate and stepwise_simulate in a noisy rightward field on the
+    wedge, from a start touching its left wall. start_gap is the start's
+    overlap with that wall in mm: one the fit check allows but the push
+    does not leaves the start unsettled. thr, noise and release scale
+    with the start's force and the time step."""
+    maze, fields, labels = wedge
+    h = maze.cell_size
+    rng = np.random.default_rng(seed)
+    vx = 3.0 + rng.normal(0.0, 1.0, (maze.ny, maze.nx))
+    vy = slope * 3.0 + rng.normal(0.0, 1.0, (maze.ny, maze.nx))
+    fields = replace(fields, j=VectorField(vx, vy, h, VectorQuantity.CURRENT_DENSITY))
+    start = (h + radius - start_gap, 6.0 + 0.37 * slope)
+    wall = maze.wall_mask()
+    f0 = float(np.hypot(*disk_integrate(fields.j, start, radius, wall_mask=wall)))
+    mobility = 6000.0
+    dt = h / (4.0 * mobility * f0)
+    params = DynamicsParams(
+        mobility=mobility, static_threshold=thr * f0, dt=dt, max_steps=150,
+        lock_window=lock_window, radius_mm=radius, release_time=release * dt,
+        noise_amplitude=noise * f0, noise_seed=seed,
+    )
+    path = extract_path(labels, (int(start[0] // h), int(start[1] // h)))
+    traj = simulate(maze, params, fields, start, radius, path)
+    want = stepwise_simulate(
+        wall, sorted(maze.electrode_cells(Polarity.NEGATIVE)), fields.j, params, start, radius, dt
+    )
+    return traj, want
+
+
+_WEDGE_CASE = dict(
+    seed=3, radius=1.0, slope=0.0, start_gap=0.75e-9, thr=1.2, noise=0.3, release=1.0,
+    lock_window=400,
+)
+
+
+@settings(max_examples=30)
+@example(**_WEDGE_CASE)
+@given(
+    seed=st.integers(0, 10_000),
+    radius=st.sampled_from((0.3, 0.5, 0.7, 1.0)),
+    slope=st.sampled_from((0.0, 0.2, -0.4)),
+    start_gap=st.sampled_from((0.0, 0.75e-9, -0.1)),
+    thr=st.sampled_from((0.0, 0.8, 1.5, 4.0)),
+    noise=st.sampled_from((0.0, 0.1, 0.5)),
+    release=st.sampled_from((1.0, 4.0, 30.0)),
+    lock_window=st.sampled_from((15, 400)),
+)
+def test_simulate_matches_stepwise_reference(
+    wedge, seed, radius, slope, start_gap, thr, noise, release, lock_window
+):
+    """Bit for bit, the run of a droplet that pushes, sums and tests every
+    step's end afresh: with and without noise and pinning, from settled
+    and unsettled starts, and wedged where the 16 pushes run out."""
+    traj, want = _run_both(
+        wedge, seed, radius, slope, start_gap, thr, noise, release, lock_window
+    )
+    times, xs, ys, speeds, forces, termination, path_length, _ = want
+    for got, ref in zip(
+        (traj.times, traj.xs, traj.ys, traj.speeds, traj.forces), (times, xs, ys, speeds, forces)
+    ):
+        assert got.tolist() == ref
+    assert (traj.termination.value, traj.path_length_mm) == (termination, path_length)
+
+
+def test_stepwise_reference_case_pins_wedges_and_unsettles_its_start(wedge):
+    """The explicit example above exercises what the reuse must get right:
+    noisy pinned steps, a start the first push moves, and steps whose
+    pushes run out."""
+    traj, (*_, capped) = _run_both(wedge, **_WEDGE_CASE)
+    moved = (np.diff(traj.xs) != 0) | (np.diff(traj.ys) != 0)
+    assert 0 < traj.xs[1] - traj.xs[0] < 1e-8  # pinned, but pushed out of the wall
+    assert np.count_nonzero(~moved) > 20 and capped > 20
 
 
 def test_far_target_check_makes_no_wall_query(straight_maze, monkeypatch):

@@ -19,7 +19,10 @@ these three configs), and report.json and oracle.json gained
 stayed the same. The `ring_m1` digests (1 mm cells) and the
 `bifurcation_symmetric` digests (a tied streamline fan) were recorded
 before the droplet's wall tests were folded into one gap query.
-`ring_insulated` is left out: it makes the same run as `ring_m2`.
+`ring_insulated` is left out: it makes the same run as `ring_m2`. The
+noisy run on a mirror-symmetric bifurcation (`NOISE_CFG`, 346 of its 875
+steps pinned in place) was recorded before a pinned step began to reuse
+its position's disk sum, so it pins noise and pinning together.
 report.json and oracle.json are hashed after dropping their timestamp,
 serialised the way the pipelines write them. A change that alters any
 number on purpose updates these digests and says so in CHANGES.md.
@@ -141,3 +144,35 @@ def test_bundle_matches_golden_digests(command, name, tmp_path):
     assert done.returncode == EXIT_CODES[command, name], done.stderr
     digests = {p.name: _digest(p) for p in sorted(tmp_path.iterdir())}
     assert digests == GOLDEN[command, name]
+
+
+# The benchmark's pair1_noise_b case.
+NOISE_CFG = """\
+generator = bifurcation
+len_a_mm = 40.0
+len_b_mm = 40.0
+channel_width_mm = 4
+start = axis
+noise_amplitude = 0.0009
+noise_seed = 7
+"""
+
+NOISE_GOLDEN = {
+    "comparison.json": "be06dccffa46cf9cf099c9a69cfa52496494f47d902839e96fc9d7d7f12a24a8",
+    "current.csv": "3349e11a6c6a4923386655b2653b03c321a1413ed21623ddfb288037a667e4eb",
+    "joule.pgm": "ea55328b4c360f6aa30c6a44039acb4c9eee093d7fece57dfd599b57210e8127",
+    "path.csv": "693abb2fbfcec868e248bd1a87c1646d0e2e5d656cfd1c373db961246edc7045",
+    "potential.csv": "daf0d61729fbd018e4f864c8c7e2c71510bbd445feb794de077409981d07f7bc",
+    "potential.pgm": "e2ed608881a3990219fe6dec9684964769720263b449496de65f7ab4d0bba4a8",
+    "report.json": "20c1df57a411a6cdd2001803e2e886b0f57ff196c745219358713372feae4638",
+    "trajectory.csv": "f1e600e4513e8bfe04780f65e2f7eb091e62114f082da7547e225d53f1326813",
+}
+
+
+def test_noisy_pinned_run_matches_golden_digests(tmp_path):
+    config = tmp_path / "noise.cfg"
+    config.write_text(NOISE_CFG)
+    out = tmp_path / "out"
+    done = run_cli(["simulate", "--config", str(config), "--out", str(out)], blas_threads=1)
+    assert done.returncode == 0, done.stderr
+    assert {p.name: _digest(p) for p in sorted(out.iterdir())} == NOISE_GOLDEN

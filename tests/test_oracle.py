@@ -30,6 +30,7 @@ from dropmaze.solver import VectorField, VectorQuantity, compute_fields
 from conftest import ring_config
 from oracles import (
     array_bilinear,
+    array_streamline,
     bfs_distances,
     bfs_wall_distance,
     flood_fill_components,
@@ -379,43 +380,34 @@ def test_bfs_matches_reference_on_random_masks(seed):
     assert np.array_equal(owner, np.where(want <= depth, want_owner, -1))
 
 
-def test_list_backed_streamlines_match_array_sampler(ring_maze, ring_fields, monkeypatch):
-    """Every fan streamline is point-for-point the one the numpy-element
-    sampler traces. The second fan counts its samples, so the comparison
-    fails rather than passes if streamline stops sampling through
-    _bilinear."""
+def test_list_backed_streamlines_match_array_sampler(monkeypatch):
+    """Every fan streamline is point for point, and in its termination,
+    the one the numpy-element sampler traces, on the ring, the
+    bifurcation and the coated ring, whose seeds slide along walls and
+    stall."""
     traced = []
     real_streamline = oracle.streamline
 
-    def recording(*args, **kwargs):
-        result = real_streamline(*args, **kwargs)
-        traced.append(result.points)
+    def recording(j, start, target_cells, channel_mask, **kwargs):
+        result = real_streamline(j, start, target_cells, channel_mask, **kwargs)
+        traced.append((start, frozenset(target_cells), channel_mask, result))
         return result
 
     monkeypatch.setattr(oracle, "streamline", recording)
-    bif = generate_bifurcation_maze(38.0, 42.0, 4.0)
-    for j, maze in ((ring_fields.j, ring_maze), (compute_fields(bif).j, bif)):
+    ends = set()
+    for name in ("ring_m2", "bifurcation_lock", "ring_coated"):
+        maze = corpus_maze(name)
+        j = compute_fields(maze).j
         traced.clear()
-        seg = segment_corridors(maze)
-        (chosen,) = trace_route_streamline(j, maze, seg)
-        fan = list(traced)
-        traced.clear()
-        samples = 0
-
-        def sampler(grid, x, y, j=j):
-            nonlocal samples
-            samples += 1
-            return array_bilinear(j, x, y)
-
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_bilinear", sampler)
-            (reference,) = trace_route_streamline(j, maze, seg)
-        assert len(fan) == len(traced) >= 8
-        assert sum(len(points) for points in fan) > 1000
-        # A weight sample per seed and four samples per fourth-order step.
-        assert samples >= len(traced) + 4 * sum(len(points) - 1 for points in traced)
-        assert all(np.array_equal(a, b) for a, b in zip(fan, traced))
-        assert np.array_equal(chosen.points, reference.points)
+        trace_route_streamline(j, maze, segment_corridors(maze))
+        assert len(traced) >= 8
+        assert sum(len(result.points) for *_, result in traced) > 1000
+        for start, targets, channel, result in traced:
+            points, end = array_streamline(j, start, targets, channel)
+            assert np.array_equal(result.points, points)
+            assert result.termination.value == end
+            ends.add(end)
+    assert {"reached", "stalled", "field_vanished"} <= ends
 
 
 @given(
@@ -424,16 +416,38 @@ def test_list_backed_streamlines_match_array_sampler(ring_maze, ring_fields, mon
     seed=st.integers(0, 10_000),
     u=st.floats(-0.3, 1.3),
     v=st.floats(-0.3, 1.3),
+    quiet=st.booleans(),
 )
-def test_list_sampler_matches_array_sampler_bit_for_bit(shape, h, seed, u, v):
-    """Inside the grid, on its rim and beyond it (clamped), and on grids
-    one cell wide."""
+def test_list_sampler_matches_array_sampler_bit_for_bit(shape, h, seed, u, v, quiet):
+    """The sampler's unit direction and magnitude are those of the
+    element-wise numpy sample: inside the grid, on its rim and beyond it
+    (clamped), on grids one cell wide, and at or below the speed floor,
+    where the direction is zero."""
     rng = np.random.default_rng(seed)
-    j = dm.VectorField(
-        rng.normal(size=shape), rng.normal(size=shape), h, dm.VectorQuantity.CURRENT_DENSITY
-    )
+    vx, vy = rng.normal(size=shape), rng.normal(size=shape)
+    if quiet:  # all but one cell far below the floor of 1e-9 of the peak
+        vx[1:] *= 1e-12
+        vy[1:] *= 1e-12
+    j = dm.VectorField(vx, vy, h, dm.VectorQuantity.CURRENT_DENSITY)
     x, y = u * shape[1] * h, v * shape[0] * h
-    assert oracle._bilinear(oracle._ListField.of(j), x, y) == array_bilinear(j, x, y)
+    ax, ay = array_bilinear(j, x, y)
+    s = float(np.hypot(ax, ay))
+    floor = 1e-9 * float(np.hypot(vx, vy).max())
+    want = (0.0, 0.0, s) if s <= floor else (ax / s, ay / s, s)
+    assert oracle._ListField.of(j).sample(x, y) == want
+
+
+def test_streamline_that_keeps_exploring_stops_at_its_budget():
+    """An outward spiral enters a new cell every few steps, so it never
+    stalls; it stops at the budget, 4 steps per cell above the floor."""
+    n = 40
+    c = np.arange(n) + 0.5 - n / 2
+    rx, ry = np.meshgrid(c, c)
+    j = VectorField(-ry + 0.005 * rx, rx + 0.005 * ry, 1.0, VectorQuantity.CURRENT_DENSITY)
+    sl = streamline(j, (n / 2 + 10.0, n / 2))
+    assert sl.termination is StreamTermination.MAX_STEPS
+    assert len(sl.points) - 1 == 4 * n * n
+    assert np.hypot(*(sl.points[-1] - n / 2)) > 12.0
 
 
 # A closed corridor loop cut off from the electrodes' corridor: its
@@ -525,8 +539,10 @@ def test_segmentation_matches_recorded_digests(name):
 @pytest.mark.parametrize("name", CORPUS)
 def test_fan_step_budget(name, monkeypatch):
     """The fan's budget is 4 steps per cell whose |J| exceeds 1e-9 of the
-    peak. A seed that runs out stops at exactly that many steps, and every
-    seed that reaches the target uses under a fifth of it."""
+    peak, and every seed that reaches the target uses under a fifth of it.
+    A seed that enters no new cell for 64 steps stalls instead of running
+    the budget out: the coated ring's three wall-sliding seeds, after a
+    few hundred steps."""
     maze = corpus_maze(name)
     j = compute_fields(maze).j
     magnitude = j.magnitude()
@@ -542,11 +558,12 @@ def test_fan_step_budget(name, monkeypatch):
     monkeypatch.setattr(oracle, "streamline", recording)
     trace_route_streamline(j, maze, segment_corridors(maze))
     reached = [n for n, end in fan if end is StreamTermination.REACHED]
-    ran_out = [n for n, end in fan if end is StreamTermination.MAX_STEPS]
+    stalled = [n for n, end in fan if end is StreamTermination.STALLED]
     assert reached and max(reached) < budget / 5
-    assert ran_out == [budget] * len(ran_out)
+    assert not any(end is StreamTermination.MAX_STEPS for _, end in fan)
     # The coated ring's three wall ping-pong seeds, and no other.
-    assert len(ran_out) == (3 if name == "ring_coated" else 0)
+    assert len(stalled) == (3 if name == "ring_coated" else 0)
+    assert all(300 < n < 600 for n in stalled)
 
 
 def test_fan_reports_both_branches_of_a_mirrored_field():
