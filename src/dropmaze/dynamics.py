@@ -387,19 +387,26 @@ def find_start(maze: MazeSpec, radius: float, labels: LeeLabels) -> tuple[int, i
     remaining ties go to the lowest row, then the lowest column."""
     geom = _Geometry(maze)
     pos = geom.positive_cells
-    dist, _ = bfs(maze.channel_mask(), pos)
-    iys, ixs = np.nonzero(dist > 0)
-    lab = np.maximum(labels.labels[iys, ixs], 0)
+    channel = maze.channel_mask()
     h = geom.h
-    for k in np.lexsort((ixs, iys, lab, dist[iys, ixs])).tolist():
-        ix, iy = int(ixs[k]), int(iys[k])
-        x, y = (ix + 0.5) * h, (iy + 0.5) * h
-        if not _disk_fits(geom, x, y, radius):
-            continue
-        if any(math.hypot((jx + 0.5) * h - x, (jy + 0.5) * h - y) <= radius for jx, jy in pos):
-            continue
-        return ix, iy
-    raise DynamicsError("no start position: channels are narrower than the droplet")
+    # The search widens, doubling its depth, until a ring it adds holds a
+    # cell that fits; within the rings, the order is the one given above.
+    searched, depth = 0, 1
+    while True:
+        dist, _ = bfs(channel, pos, max_depth=depth)
+        iys, ixs = np.nonzero(dist > searched)
+        lab = np.maximum(labels.labels[iys, ixs], 0)
+        for k in np.lexsort((ixs, iys, lab, dist[iys, ixs])).tolist():
+            ix, iy = int(ixs[k]), int(iys[k])
+            x, y = (ix + 0.5) * h, (iy + 0.5) * h
+            if not _disk_fits(geom, x, y, radius):
+                continue
+            if any(math.hypot((jx + 0.5) * h - x, (jy + 0.5) * h - y) <= radius for jx, jy in pos):
+                continue
+            return ix, iy
+        if not (dist == depth).any():  # the search reached every channel cell
+            raise DynamicsError("no start position: channels are narrower than the droplet")
+        searched, depth = depth, 2 * depth
 
 
 def _auto_dt(

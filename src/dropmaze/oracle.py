@@ -61,6 +61,13 @@ class Path:
         )
 
 
+# A solve stopped at relative residual tol leaves errors of a few tol in
+# the fan's votes, and the multigrid cycle is not mirror-symmetric, so a
+# symmetric maze's branches differ by that much: up to 1e-8 at tol 1e-9
+# on the benchmark's symmetric bifurcations (seeds 0-11, 0.5 and 0.25 mm
+# cells). Votes within this many tol of each other are a tie.
+_TIE_SLACK = 1e3
+
 # Fixed tie-break order for descent: east, north, west, south.
 _DESCENT_ORDER = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
@@ -337,11 +344,12 @@ def trace_route_streamline(
     over different wrong sequences, so the modal sequence is the dominant
     bundle's route.
 
-    Branches whose votes at a junction agree within relative tol (the
-    solve's own tolerance) are a tie that rounding alone would settle, as
-    on a mirror-symmetric maze. Each tied branch is then followed to the
-    end of the consensus, and one streamline per branch is returned, the
-    heaviest vote first; without a tie the tuple holds one streamline.
+    Branches whose votes at a junction agree within relative
+    _TIE_SLACK * tol (tol being the solve's own tolerance) are a tie that
+    the solve's error alone would settle, as on a mirror-symmetric maze.
+    Each tied branch is then followed to the end of the consensus, and
+    one streamline per branch is returned, the heaviest vote first;
+    without a tie the tuple holds one streamline.
     """
     channel = maze.channel_mask()
     pos_cells = maze.electrode_cells(Polarity.POSITIVE)
@@ -391,7 +399,7 @@ def trace_route_streamline(
             continue
         ranked = sorted(votes, key=lambda rid: (-votes[rid], rid))
         top = votes[ranked[0]]
-        tied = [rid for rid in ranked if top - votes[rid] <= tol * top]
+        tied = [rid for rid in ranked if top - votes[rid] <= _TIE_SLACK * tol * top]
         # Pushed in reverse, so the heaviest branch is finished first.
         for pick in reversed(tied):
             kept = [t for t in alive if len(t[0]) > position and t[0][position] == pick]

@@ -242,10 +242,15 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
+def _maze_source(cfg: ScenarioConfig) -> str:
+    """cfg's key into _UNREAD_KEYS."""
+    return "maze_file" if cfg.maze_file is not None else f"generator = {cfg.generator}"
+
+
 def reject_unread_keys(cfg: ScenarioConfig, keys: Iterable[str]) -> None:
     """Raise ConfigError on the first of keys that cfg's maze source never
     reads, so no run echoes a value it did not use."""
-    source = "maze_file" if cfg.maze_file is not None else f"generator = {cfg.generator}"
+    source = _maze_source(cfg)
     for key in keys:
         if key in _UNREAD_KEYS[source]:
             raise ConfigError(f"{key!r} is not read with {source}")
@@ -529,6 +534,7 @@ def _report_head(cfg: ScenarioConfig, solved: SolvedMaze) -> dict:
         },
         "solve": {
             "iterations": fields.report.iterations,
+            "unknowns": fields.report.unknowns,
             "final_residual": fields.report.final_residual,
             "converged": fields.report.converged,
             "current_in": fields.report.current_in,
@@ -674,9 +680,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _echo_config(cfg: ScenarioConfig) -> dict:
+    """The config fields a run reads, with their values: the maze source
+    in use, and none of the keys that source never reads."""
+    unread = _UNREAD_KEYS[_maze_source(cfg)]
     out = {}
     for f in dataclasses.fields(cfg):
         v = getattr(cfg, f.name)
+        if f.name in unread or (f.name in ("maze_file", "generator") and v is None):
+            continue
         if isinstance(v, DynamicsParams):
             dv = dataclasses.asdict(v)
             dv["force_source"] = v.force_source.value

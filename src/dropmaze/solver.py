@@ -5,9 +5,12 @@ between two adjacent cells is g * (phi_a - phi_b) with g the harmonic mean
 of the two cell conductivities, so sigma = 0 cells are perfectly
 insulating and material jumps are handled like series resistors. Electrode
 cells are Dirichlet-pinned; the reduced symmetric system is solved with
-Jacobi-preconditioned conjugate gradients over the unknown cells only, in
-a fixed evaluation order and with numpy's own sums, so repeated solves are
-bit-identical whatever the BLAS thread count.
+conjugate gradients over the unknown cells only (conductive cells linked
+to a pinned cell), preconditioned by one V-cycle of unsmoothed 2x2
+aggregation multigrid (D. Braess, Computing 55, 1995; Y. Notay, ETNA 37,
+2010), so the iteration count does not grow with the grid. Everything
+runs in a fixed evaluation order with numpy's own sums and no BLAS call,
+so repeated solves are bit-identical whatever the BLAS thread count.
 
 Currents are reported per unit depth of the 2D sheet (A per metre of
 depth); current density is in A/m^2 with the cell size converted from mm.
@@ -21,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .maze import MazeSpec, Polarity, conductivity_grid
+from .maze import MazeSpec, Polarity, bfs, conductivity_grid
 
 MM_TO_M = 1e-3
 
@@ -104,6 +107,7 @@ class VectorField:
 @dataclass(frozen=True)
 class SolveReport:
     iterations: int
+    unknowns: int  # cells the solve iterates over: not pinned, not floating
     final_residual: float  # relative L2 residual of the reduced system
     current_in: float  # A per unit depth, injected at the high side
     current_out: float  # A per unit depth, collected at the low side
@@ -138,47 +142,177 @@ def _neighbor_sum(gx: np.ndarray, gy: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-class _CompactOperator:
-    """The reduced operator diag * u - _neighbor_sum(u) on the unknown
-    cells only. A vector holds one entry per unknown cell, in row-major
-    order, plus a trailing 0.0 that every wall, pinned or off-grid
-    neighbour reads; the pinned neighbours' share is in b instead."""
+# Coarsening stops at a level of at most this many unknowns; that level
+# is solved with its dense inverse.
+_COARSEST_UNKNOWNS = 64
+# Braess's scale on the coarse correction: a piecewise-constant
+# prolongation undershoots smooth error, so each correction is stretched.
+_COARSE_SCALE = 1.8
 
-    def __init__(self, gx: np.ndarray, gy: np.ndarray, diag: np.ndarray, unknown: np.ndarray):
-        ny, nx = unknown.shape
-        self.cells = np.flatnonzero(unknown)
-        n = len(self.cells)
-        slot = np.full(ny * nx, n)
-        slot[self.cells] = np.arange(n)
-        iy, ix = np.divmod(self.cells, nx)
-        # (neighbour inside the grid, face conductances, face row, face
-        # column, flat offset of the neighbour) for east, west, south, north
-        sides = (
-            (ix < nx - 1, gx, iy, ix, 1),
-            (ix > 0, gx, iy, ix - 1, -1),
-            (iy < ny - 1, gy, iy, ix, nx),
-            (iy > 0, gy, iy - 1, ix, -nx),
-        )
-        self.terms = []
-        for inside, faces, fy, fx, shift in sides:
-            g = np.zeros(n)
-            g[inside] = faces[fy[inside], fx[inside]]
-            neighbor = np.full(n, n)
-            neighbor[inside] = slot[self.cells[inside] + shift]
-            self.terms.append((g, neighbor))
-        self.diag = diag.ravel()[self.cells]
-        self._sum, self._term = np.empty(n), np.empty(n)
+
+class _Level:
+    """One level of the multigrid hierarchy: the 5-point operator
+    diag * u - sum_s g[s] * u[nb[s]] on its n unknowns, which are in
+    row-major order of the level's grid; the sides s are east, west,
+    south and north. A vector the operator reads carries a trailing 0.0
+    slot at index n, where nb points when a side has no unknown
+    neighbour (g is 0.0 there). Faces to pinned cells (anchor) count in
+    diag only.
+
+    Each 2x2 block of the grid is one unknown of the next level: the
+    faces between two blocks add up to their coupling, and a block's
+    diag is the sum of the faces that leave it, to other blocks and to
+    pinned cells. (Summing the diagonals and subtracting twice the
+    inner faces would cancel under large conductivity contrasts.) A level
+    of at most _COARSEST_UNKNOWNS unknowns keeps its dense inverse
+    instead."""
+
+    def __init__(
+        self, iy: np.ndarray, ix: np.ndarray, g: np.ndarray, nb: np.ndarray, anchor: np.ndarray
+    ):
+        self.n = n = len(iy)
+        self.diag = diag = anchor + g[0] + g[1] + g[2] + g[3]
+        # Red-black colour sets: a red cell's neighbours are all black.
+        # Each holds (cells, their nb, their g, 1 / their diag, a buffer
+        # for their four neighbour terms).
+        red = (iy + ix) % 2 == 0
+        self.colours = [
+            (idx, nb[:, idx], g[:, idx], 1.0 / diag[idx], np.empty((4, len(idx))))
+            for idx in (np.flatnonzero(red), np.flatnonzero(~red))
+        ]
+        self.inverse = self.coarse = None
+        if n <= _COARSEST_UNKNOWNS:
+            self.inverse = _dense_inverse(diag, g, nb)
+        else:
+            ncx = int(ix.max()) // 2 + 1
+            key = (iy // 2) * ncx + ix // 2
+            slot = np.zeros((int(iy.max()) // 2 + 1) * ncx, dtype=np.int64)
+            slot[key] = 1
+            blocks = np.flatnonzero(slot)
+            nc = len(blocks)
+            slot[blocks] = np.arange(nc)
+            agg = slot[key]
+            agg_slot = np.append(agg, -1)
+            gc = np.zeros((4, nc))
+            nbc = np.full((4, nc), nc)
+            for s in range(4):
+                other = agg_slot[nb[s]]
+                cross = (other >= 0) & (other != agg)
+                gc[s] = np.bincount(agg[cross], g[s][cross], minlength=nc)
+                nbc[s][agg[cross]] = other[cross]
+            del key, slot, agg_slot, other, cross  # before the coarser levels come
+            cy, cx = np.divmod(blocks, ncx)
+            self.coarse = _Level(cy, cx, gc, nbc, np.bincount(agg, anchor, minlength=nc))
+            self.agg, self.agg_red = agg, agg[self.colours[0][0]]
+
+    @staticmethod
+    def _neighbour_sum(colour, u: np.ndarray) -> np.ndarray:
+        """sum_s g[s] * u[nb[s]] on one colour's cells, sides in order."""
+        _, nb, g, _, terms = colour
+        np.take(u, nb, out=terms, mode="clip")  # every index is valid; "clip" is unbuffered
+        terms *= g
+        return terms.sum(axis=0)
 
     def apply(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = A u, where u has the trailing 0.0 slot and out does not."""
-        acc, term = self._sum, self._term
-        (g, neighbor), *rest = self.terms
-        np.multiply(g, np.take(u, neighbor, out=acc), out=acc)
-        for g, neighbor in rest:
-            acc += np.multiply(g, np.take(u, neighbor, out=term), out=term)
         np.multiply(self.diag, u[:-1], out=out)
-        out -= acc
+        for colour in self.colours:
+            out[colour[0]] -= self._neighbour_sum(colour, u)
         return out
+
+    def cycle(self, r: np.ndarray) -> np.ndarray:
+        """z = M r, with the trailing 0.0 slot, for M one V-cycle from
+        zero: a Gauss-Seidel sweep red then black, the scaled coarse
+        correction, and a sweep black then red, so M is symmetric."""
+        z = np.zeros(self.n + 1)
+        if self.inverse is not None:
+            z[:-1] = np.sum(self.inverse * r, axis=1)
+            return z
+        red, black = self.colours
+        r_red, r_black = r[red[0]], r[black[0]]
+        z[red[0]] = r_red * red[3]
+        z[black[0]] = (r_black + self._neighbour_sum(black, z)) * black[3]
+        # The black cells' residual is now zero, and on red cells their
+        # own terms cancel r, which leaves the neighbour sums.
+        restricted = np.bincount(
+            self.agg_red, self._neighbour_sum(red, z), minlength=self.coarse.n
+        )
+        z[:-1] += _COARSE_SCALE * self.coarse.cycle(restricted)[self.agg]
+        z[black[0]] = (r_black + self._neighbour_sum(black, z)) * black[3]
+        z[red[0]] = (r_red + self._neighbour_sum(red, z)) * red[3]
+        return z
+
+
+def _dense_inverse(diag: np.ndarray, g: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """Inverse of a level's operator by Gauss-Jordan elimination in a
+    fixed order, without pivoting (the operator is symmetric positive
+    definite), in elementwise numpy: no BLAS call rounds by thread count.
+    Should round-off under extreme conductivity contrast leave a pivot
+    that is not positive, the diagonal's inverse stands in."""
+    m = len(diag)
+    rows = np.arange(m)
+    aug = np.zeros((m, 2 * m))
+    aug[rows, rows] = diag
+    aug[rows, m + rows] = 1.0
+    for s in range(4):
+        linked = nb[s] < m
+        aug[rows[linked], nb[s][linked]] = -g[s][linked]
+    for k in range(m):
+        if not aug[k, k] > 0.0:
+            return np.diag(1.0 / diag)
+        aug[k] /= aug[k, k]
+        col = aug[:, k].copy()
+        col[k] = 0.0
+        aug -= col[:, None] * aug[k]
+    return aug[:, m:].copy()
+
+
+def _faces(gx: np.ndarray, gy: np.ndarray, cells: np.ndarray):
+    """For the east, west, south and north side of the flat cells in
+    turn: which of them have a neighbour there inside the grid, the
+    conductances of those faces, and those neighbours' flat indices."""
+    ny, nx = gy.shape[0] + 1, gx.shape[1] + 1
+    iy, ix = np.divmod(cells, nx)
+    for inside, faces, fy, fx, shift in (
+        (ix < nx - 1, gx, iy, ix, 1),
+        (ix > 0, gx, iy, ix - 1, -1),
+        (iy < ny - 1, gy, iy, ix, nx),
+        (iy > 0, gy, iy - 1, ix, -nx),
+    ):
+        yield inside, faces[fy[inside], fx[inside]], cells[inside] + shift
+
+
+def _finest_level(
+    gx: np.ndarray,
+    gy: np.ndarray,
+    unknown: np.ndarray,
+    pinned: np.ndarray,
+    pinned_value: np.ndarray,
+) -> tuple[_Level, np.ndarray, np.ndarray]:
+    """The grid level over the unknown cells, those cells' flat indices,
+    and the right-hand side b: the current the pinned neighbours drive
+    into each unknown."""
+    cells = np.flatnonzero(unknown)
+    n = len(cells)
+    slot = np.full(unknown.size, n)
+    slot[cells] = np.arange(n)
+    g = np.zeros((4, n))
+    nb = np.full((4, n), n)
+    anchor = np.zeros(n)
+    b = np.zeros(n)
+    pinned, pinned_value = pinned.ravel(), pinned_value.ravel()
+    for s, (inside, face, other) in enumerate(_faces(gx, gy, cells)):
+        neighbour = slot[other]
+        g[s][inside] = np.where(neighbour < n, face, 0.0)
+        nb[s][inside] = neighbour
+        at_pin = np.zeros(n)
+        at_pin[inside] = np.where(pinned[other], face, 0.0)
+        anchor += at_pin
+        at_pin[inside] *= pinned_value[other]
+        b += at_pin
+    del slot
+    iy, ix = np.divmod(cells, unknown.shape[1])
+    return _Level(iy, ix, g, nb, anchor), cells, b
 
 
 def solve_potential(
@@ -191,8 +325,9 @@ def solve_potential(
     """Solve div(sigma grad phi) = 0 with pinned cells.
 
     `dirichlet` maps (ix, iy) cells to potentials; every pinned cell must be
-    conductive. Cells with sigma = 0 (and conductive cells fully enclosed by
-    them) are excluded from the unknown set and report phi = 0.
+    conductive. Cells with sigma = 0, and conductive cells that no
+    conductive route links to a pinned cell, are excluded from the unknown
+    set and report phi = 0.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if (sigma < 0).any():
@@ -215,17 +350,17 @@ def solve_potential(
     if not dir_mask.any():
         raise ValueError("at least one dirichlet cell is required")
 
+    # Floating pockets, conductive cells that no conductive route links to
+    # a pinned cell, would make a singular row: they stay at phi = 0.
+    unknown = bfs(sigma > 0, list(dirichlet))[0] >= 0
     gx, gy = face_conductances(sigma)
-    diag = _neighbor_sum(gx, gy, np.ones_like(sigma))
-    unknown = (sigma > 0) & ~dir_mask & (diag > 0)
+    unknown &= ~dir_mask & (_neighbor_sum(gx, gy, np.ones_like(sigma)) > 0)
 
-    operator = _CompactOperator(gx, gy, diag, unknown)
-    cells = operator.cells
+    level, cells, b = _finest_level(gx, gy, unknown, dir_mask, dir_val)
     n = len(cells)
-    b = _neighbor_sum(gx, gy, np.where(dir_mask, dir_val, 0.0)).ravel()[cells]
-    # The iteration runs on preallocated buffers of the unknowns. x_slot
-    # and p_slot carry the operator's trailing zero slot; x and p are
-    # their views without it. Inner products are numpy's pairwise sums,
+    # The iteration runs on buffers of the unknowns. x_slot and p_slot
+    # carry the operator's trailing zero slot; x and p are their views
+    # without it, as z is of the cycle's result. Inner products are numpy's pairwise sums,
     # not np.dot, whose OpenBLAS reduction rounds by thread count.
     prod = np.empty(n)
 
@@ -240,10 +375,9 @@ def solve_potential(
         converged = True
         final_residual = 0.0
     else:
-        inv_diag = 1.0 / operator.diag
         ap = np.empty(n)
         r = b.copy()
-        z = inv_diag * r
+        z = level.cycle(r)[:-1]
         p_slot = np.zeros(n + 1)
         p = p_slot[:-1]
         np.copyto(p, z)
@@ -252,7 +386,7 @@ def solve_potential(
         converged = False
         restarts = 0
         while iterations < max_iter:
-            operator.apply(p_slot, ap)  # ap = A p
+            level.apply(p_slot, ap)  # ap = A p
             pap = dot(p, ap)
             if pap <= 0.0:
                 # Round-off breakdown under extreme conductivity contrast:
@@ -260,8 +394,8 @@ def solve_potential(
                 if restarts >= 8:
                     break
                 restarts += 1
-                np.subtract(b, operator.apply(x_slot, ap), out=r)  # r = b - A x
-                np.multiply(inv_diag, r, out=z)  # z = inv_diag * r
+                np.subtract(b, level.apply(x_slot, ap), out=r)  # r = b - A x
+                z = level.cycle(r)[:-1]
                 np.copyto(p, z)
                 rz = dot(r, z)
                 if rz <= 0.0:
@@ -274,19 +408,23 @@ def solve_potential(
             if np.sqrt(dot(r, r)) / bnorm <= tol:
                 converged = True
                 break
-            np.multiply(inv_diag, r, out=z)  # z = inv_diag * r
+            z = level.cycle(r)[:-1]
             rz_new = dot(r, z)
             p *= rz_new / rz  # p = z + (rz_new / rz) * p
             p += z
             rz = rz_new
-        true_r = np.subtract(b, operator.apply(x_slot, ap), out=ap)  # b - A x
+        true_r = np.subtract(b, level.apply(x_slot, ap), out=ap)  # b - A x
         final_residual = float(np.sqrt(dot(true_r, true_r)) / bnorm)
         converged = converged and final_residual <= tol
 
     phi = np.where(dir_mask, dir_val, 0.0)
     phi.ravel()[cells] = x
-    net_out = diag * phi - _neighbor_sum(gx, gy, phi)
-    injections = net_out[dir_mask]
+    # Current leaving each pinned cell, in row-major order.
+    pins = np.flatnonzero(dir_mask)
+    at = phi.ravel()
+    injections = np.zeros(len(pins))
+    for inside, face, other in _faces(gx, gy, pins):
+        injections[inside] += face * (at[pins[inside]] - at[other])
     current_in = float(injections[injections > 0].sum())
     current_out = float(-injections[injections < 0].sum())
 
@@ -302,6 +440,7 @@ def solve_potential(
     field = ScalarField(phi, cell_size_mm, Quantity.POTENTIAL)
     report = SolveReport(
         iterations=iterations,
+        unknowns=n,
         final_residual=float(final_residual),
         current_in=current_in,
         current_out=current_out,
@@ -333,12 +472,14 @@ def _masked_ddx(v: np.ndarray, valid: np.ndarray, h_m: float) -> np.ndarray:
     vl[:, 1:] = v[:, :-1]
     vr = np.zeros_like(v)
     vr[:, :-1] = v[:, 1:]
-    ddx = np.where(
-        has_l & has_r,
-        (vr - vl) / (2.0 * h_m),
-        np.where(has_r, (vr - v) / h_m, np.where(has_l, (v - vl) / h_m, 0.0)),
-    )
-    return np.where(valid, ddx, 0.0)
+    ddx = np.zeros_like(v)
+    both = valid & has_l & has_r
+    ddx[both] = (vr[both] - vl[both]) / (2.0 * h_m)
+    right = valid & has_r & ~has_l
+    ddx[right] = (vr[right] - v[right]) / h_m
+    left = valid & has_l & ~has_r
+    ddx[left] = (v[left] - vl[left]) / h_m
+    return ddx
 
 
 def _masked_gradient(

@@ -2,12 +2,14 @@
 
 Everything here is deliberately written the slow, obvious way and shares no
 code with the package internals: dense Gaussian elimination for the
-potential, exhaustive BFS for shortest distances, a two-resistor
-Kirchhoff split for branch currents, cell-by-cell scans for the droplet's
-wall queries and start cell, the droplet's disk sum over np.arange
-windows, a droplet run that recomputes every step, element-wise numpy
-sampling for streamlines, a row-major deque flood fill for channel
-components, and per-region cell scans for the corridor overlap.
+potential, the solver's multigrid hierarchy built cell by cell and its
+preconditioned CG with every intermediate a new array, exhaustive BFS
+for shortest distances, a two-resistor Kirchhoff split for branch
+currents, cell-by-cell scans for the droplet's wall queries and start
+cell, the droplet's disk sum over np.arange windows, a droplet run that
+recomputes every step, element-wise numpy sampling for streamlines, a
+row-major deque flood fill for channel components, and per-region cell
+scans for the corridor overlap.
 """
 
 from __future__ import annotations
@@ -564,8 +566,8 @@ def _pcg_system(sigma, dirichlet):
     return gx, gy, neighbor_sum, diag, unknown, b, dir_mask, dir_val
 
 
-def _jacobi_pcg(matvec, dot, b, inv_diag, tol, max_iter):
-    """Jacobi-preconditioned CG with solve_potential's restart branch and
+def _pcg(matvec, dot, b, precondition, tol, max_iter):
+    """Preconditioned CG with solve_potential's restart branch and
     residual rule: (x, iterations, final_residual, restarts)."""
     x = np.zeros_like(b)
     bnorm = np.sqrt(dot(b, b))
@@ -574,7 +576,7 @@ def _jacobi_pcg(matvec, dot, b, inv_diag, tol, max_iter):
     final_residual = 0.0
     if bnorm != 0.0:
         r = b.copy()
-        z = inv_diag * r
+        z = precondition(r)
         p = z.copy()
         rz = dot(r, z)
         while iterations < max_iter:
@@ -585,7 +587,7 @@ def _jacobi_pcg(matvec, dot, b, inv_diag, tol, max_iter):
                     break
                 restarts += 1
                 r = b - matvec(x)
-                z = inv_diag * r
+                z = precondition(r)
                 p = z.copy()
                 rz = dot(r, z)
                 if rz <= 0.0:
@@ -597,7 +599,7 @@ def _jacobi_pcg(matvec, dot, b, inv_diag, tol, max_iter):
             iterations += 1
             if np.sqrt(dot(r, r)) / bnorm <= tol:
                 break
-            z = inv_diag * r
+            z = precondition(r)
             rz_new = dot(r, z)
             p = z + (rz_new / rz) * p
             rz = rz_new
@@ -624,7 +626,9 @@ def allocating_pcg(sigma, dirichlet, tol=1e-9, max_iter=None):
         return float(np.dot(u.ravel(), v.ravel()))
 
     inv_diag = np.where(unknown, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
-    x, iterations, final_residual, restarts = _jacobi_pcg(matvec, dot, b, inv_diag, tol, max_iter)
+    x, iterations, final_residual, restarts = _pcg(
+        matvec, dot, b, lambda r: inv_diag * r, tol, max_iter
+    )
     phi = np.where(dir_mask, dir_val, np.where(unknown, x, 0.0))
     return phi, iterations, final_residual, restarts
 
@@ -661,11 +665,165 @@ def compact_pcg(sigma, dirichlet, tol=1e-9, max_iter=None):
     def dot(u, v):
         return float(np.sum(u * v))
 
-    x, iterations, final_residual, restarts = _jacobi_pcg(
-        matvec, dot, b[unknown], 1.0 / d, tol, max_iter
+    inv_d = 1.0 / d
+    x, iterations, final_residual, restarts = _pcg(
+        matvec, dot, b[unknown], lambda r: inv_d * r, tol, max_iter
     )
     phi = np.where(dir_mask, dir_val, 0.0)
     phi[unknown] = x
+    return phi, iterations, final_residual, restarts
+
+
+# East, west, south, north as (dx, dy): the side order of every level.
+_MG_SIDES = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def mg_levels(sigma, dirichlet, coarsest=64):
+    """The levels of solve_potential's multigrid preconditioner, built
+    cell by cell with dicts and lists. Each level is a dict: `cells` (its
+    grid's (iy, ix), row-major), `g` and `nb` (per side, the coupling to
+    each cell's unknown neighbour and that neighbour's index, n where
+    there is none), `diag`, and `agg` (each cell's block on the next
+    level) on every level but the last. The unknowns are the conductive,
+    unpinned cells that a conductive route links to a pinned cell; the
+    first level also carries `b` and the `unknown` mask."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    ny, nx = sigma.shape
+    gx, gy, _, _, unknown, _, dir_mask, dir_val = _pcg_system(sigma, dirichlet)
+    unknown = unknown & (bfs_distances(sigma > 0, list(dirichlet)) >= 0)
+    cells = [(iy, ix) for iy in range(ny) for ix in range(nx) if unknown[iy, ix]]
+    index = {cell: k for k, cell in enumerate(cells)}
+    n = len(cells)
+    g = [[0.0] * n for _ in range(4)]
+    nb = [[n] * n for _ in range(4)]
+    anchor = [0.0] * n
+    b = [0.0] * n
+    for k, (iy, ix) in enumerate(cells):
+        for side, (dx, dy) in enumerate(_MG_SIDES):
+            jy, jx = iy + dy, ix + dx
+            if not (0 <= jy < ny and 0 <= jx < nx):
+                continue
+            face = float(gx[iy, min(ix, jx)] if dy == 0 else gy[min(iy, jy), ix])
+            if (jy, jx) in index:
+                g[side][k] = face
+                nb[side][k] = index[(jy, jx)]
+            elif dir_mask[jy, jx]:
+                anchor[k] += face
+                b[k] += face * float(dir_val[jy, jx])
+    levels = [{"b": np.array(b), "unknown": unknown}]
+    while True:
+        level = levels[-1]
+        level.update(cells=cells, g=g, nb=nb)
+        level["diag"] = [anchor[k] + g[0][k] + g[1][k] + g[2][k] + g[3][k] for k in range(n)]
+        if n <= coarsest:
+            return levels
+        blocks = sorted({(iy // 2, ix // 2) for iy, ix in cells})
+        block_index = {block: a for a, block in enumerate(blocks)}
+        agg = [block_index[(iy // 2, ix // 2)] for iy, ix in cells]
+        nc = len(blocks)
+        gc = [[0.0] * nc for _ in range(4)]
+        nbc = [[nc] * nc for _ in range(4)]
+        for side in range(4):
+            for k in range(n):
+                j = nb[side][k]
+                if j < n and agg[j] != agg[k]:
+                    gc[side][agg[k]] += g[side][k]
+                    nbc[side][agg[k]] = agg[j]
+        anchor_c = [0.0] * nc
+        for k in range(n):
+            anchor_c[agg[k]] += anchor[k]
+        level["agg"] = agg
+        levels.append({})
+        cells, g, nb, anchor, n = blocks, gc, nbc, anchor_c, nc
+
+
+def _gauss_jordan_inverse(level):
+    """The inverse of a level's operator, eliminating row by row in order
+    without pivoting, on lists of floats."""
+    m = len(level["cells"])
+    rows = [[0.0] * (2 * m) for _ in range(m)]
+    for k in range(m):
+        rows[k][k] = level["diag"][k]
+        rows[k][m + k] = 1.0
+        for side in range(4):
+            if level["nb"][side][k] < m:
+                rows[k][level["nb"][side][k]] = -level["g"][side][k]
+    for k in range(m):
+        pivot = rows[k][k]
+        if not pivot > 0.0:  # round-off broke positive definiteness
+            return np.array([[1.0 / d if i == k else 0.0 for i in range(m)]
+                             for k, d in enumerate(level["diag"])])
+        rows[k] = [v / pivot for v in rows[k]]
+        for i in range(m):
+            if i != k:
+                c = rows[i][k]
+                rows[i] = [v - c * w for v, w in zip(rows[i], rows[k])]
+    return np.array([row[m:] for row in rows])
+
+
+def mg_pcg(sigma, dirichlet, tol=1e-9, max_iter=None, coarsest=64, scale=1.8):
+    """solve_potential's CG, preconditioned by one multigrid V-cycle over
+    mg_levels, with every intermediate a new array. The cycle, from zero:
+    a Gauss-Seidel sweep over the red cells ((iy + ix) even), then the
+    black ones; the red cells' neighbour sums summed into their blocks
+    (the residual left by that sweep); the next level's cycle, times
+    scale, added to each cell of its block; a sweep over black, then red.
+    The last level applies its Gauss-Jordan inverse, one np.sum per row.
+    A cell's neighbour sum adds its east, west, south and north terms in
+    that order. Returns (phi, iterations, final_residual, restarts)."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if max_iter is None:
+        max_iter = 50 * max(sigma.shape)
+    levels = mg_levels(sigma, dirichlet, coarsest)
+    inverse = _gauss_jordan_inverse(levels[-1])
+    for level in levels:
+        level["g"] = np.array(level["g"]).reshape(4, -1)
+        level["nb"] = np.array(level["nb"], dtype=np.int64).reshape(4, -1)
+        level["diag"] = np.array(level["diag"])
+        parity = [(iy + ix) % 2 for iy, ix in level["cells"]]
+        level["red"] = np.array([k for k, c in enumerate(parity) if c == 0], dtype=np.int64)
+        level["black"] = np.array([k for k, c in enumerate(parity) if c == 1], dtype=np.int64)
+    levels[-1]["inverse"] = inverse
+
+    def neighbour_sum(level, u, cells):
+        padded = np.append(u, 0.0)
+        t = [level["g"][side][cells] * padded[level["nb"][side][cells]] for side in range(4)]
+        return t[0] + t[1] + t[2] + t[3]
+
+    def relax(level, z, r, cells):
+        z = z.copy()
+        z[cells] = (r[cells] + neighbour_sum(level, z, cells)) * (1.0 / level["diag"][cells])
+        return z
+
+    def cycle(depth, r):
+        level = levels[depth]
+        if "inverse" in level:
+            return np.array([np.sum(row * r) for row in level["inverse"]])
+        red, black = level["red"], level["black"]
+        z = np.zeros(len(r))
+        z[red] = r[red] * (1.0 / level["diag"][red])
+        z = relax(level, z, r, black)
+        residual = neighbour_sum(level, z, red)
+        restricted = [0.0] * len(levels[depth + 1]["cells"])
+        for i, k in enumerate(red.tolist()):
+            restricted[level["agg"][k]] += residual[i]
+        z = z + scale * cycle(depth + 1, np.array(restricted))[level["agg"]]
+        return relax(level, relax(level, z, r, black), r, red)
+
+    top = levels[0]
+
+    def matvec(u):
+        return top["diag"] * u - neighbour_sum(top, u, np.arange(len(u)))
+
+    def dot(u, v):
+        return float(np.sum(u * v))
+
+    x, iterations, final_residual, restarts = _pcg(
+        matvec, dot, top["b"], lambda r: cycle(0, r), tol, max_iter
+    )
+    _, _, _, _, _, _, dir_mask, dir_val = _pcg_system(sigma, dirichlet)
+    phi = np.where(dir_mask, dir_val, 0.0)
+    phi[top["unknown"]] = x
     return phi, iterations, final_residual, restarts
 
 

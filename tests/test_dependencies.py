@@ -2,6 +2,7 @@
 and close to half a second to every run, so a stray import anywhere on
 the simulate path fails here."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +37,25 @@ def test_simulate_path_does_not_import_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0"
     assert len(list((tmp_path / "out").iterdir())) == 8
+
+
+def test_solver_makes_no_blas_call():
+    """The solver's sums come from numpy's own loops, never from BLAS,
+    whose reductions round differently with the thread count: no matrix
+    product, dot, einsum or np.linalg call appears in its source."""
+    source = (Path(dropmaze.__file__).parent / "solver.py").read_text()
+    tree = ast.parse(source)
+    banned = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot", "linalg"}
+    found = [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in banned
+    ]
+    found += [
+        "@" for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", "") or ""]
+            found += [name for name in names if banned & set(name.split("."))]
+    assert not found, found

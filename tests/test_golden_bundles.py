@@ -19,6 +19,11 @@ these three configs), and report.json and oracle.json gained
 stayed the same. The `ring_m1` digests (1 mm cells) and the
 `bifurcation_symmetric` digests (a tied streamline fan) were recorded
 before the droplet's wall tests were folded into one gap query.
+All eleven were re-recorded once more when a multigrid V-cycle took
+over from the Jacobi preconditioner and the report echoed only the
+config keys a run reads and gained `solve.unknowns`: the potential moved
+by at most 4e-9 V, and every termination, step count, corridor sequence
+and `streamline_tie` stayed the same.
 `ring_insulated` is left out: it makes the same run as `ring_m2`. The
 noisy run on a mirror-symmetric bifurcation (`NOISE_CFG`, 346 of its 875
 steps pinned in place) was recorded before a pinned step began to reuse
@@ -55,73 +60,73 @@ EXIT_CODES = {
 
 GOLDEN = {
     ("simulate", "bifurcation_lock"): {
-        "comparison.json": "df1085a5e0be95f3ae7373f3f380e5c72556d5a88a8db50dae6d2486a0791c1d",
-        "current.csv": "c3fb4eb3090553d51b9ba566426d12ed6250852d48cc6f0e5c9d9c43f40cc92d",
+        "comparison.json": "f9a959bcf3d9eb7edebdc1b06e9d33f04744776703a44b8abdb91d4497d13f32",
+        "current.csv": "23601e23e8c9fda48de74b763e6b44b039cf37a0c14329f273843a5c2cfebe59",
         "joule.pgm": "e7741d68330462f8353d955bd175882e877e2a053abc20ad2e1e1bc7e8390977",
         "path.csv": "19d450d4a427acfa00bc9cc0ca80e222630af11154ade9bac4148002b8b85d73",
-        "potential.csv": "2c0da97d3170e1a05ff3d34e1f4079d996408bb29035ecc3c16d9fc34f603a26",
+        "potential.csv": "eaa751c990a249b7b59f7dd0b339618e177d5fb2f9d768d7dd95cdcccacf8da8",
         "potential.pgm": "8e23517a71d32e24552a48e4b0ed570b936643e6558952d542471ab11c9d672f",
-        "report.json": "8dadfd93216f99081dc4e96464eb274b03856f49504b608a5270f9220444f2ba",
-        "trajectory.csv": "39ed973c3bc1e6d05696e4d2c590784da96b216709ef5097805de369f3f0b330",
+        "report.json": "889fa3bd9f97b1065eb56815be4cbcad2c7e046c423861fb8145025683a35840",
+        "trajectory.csv": "767db959d608ab1b84d99af9e4d3ca776c900f918cf61ffa9464ced9b0904572",
     },
     ("simulate", "ring_m2"): {
-        "comparison.json": "dac34d567dc3f03ddb65a3f5ed544eb107efeea893ff9ca70e061e48fd3a5fa6",
-        "current.csv": "5533537bb42f22251179645150bb1b2b48b20405f56bddde795163b338d81f9e",
+        "comparison.json": "e0fbea21769edb34c5953d5ab99dbfecf6c46ae01f9bbcd83b083d7fcedc6239",
+        "current.csv": "d8897ec76a2d5dbc9585b9fb811d07fdf387718df2f0b86ab940abbe762593fd",
         "joule.pgm": "db99568128f4041fa4aec36fa578586ff0248726f9af5b44166268ad08323c45",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
-        "potential.csv": "1c8617d89e351fc6b35a356ba4052f3be276cb07ffa9a86ca3bcbf3779129ef3",
+        "potential.csv": "f41db498f0cc43a83abf340e8a079db7842f1522a54d0bdd77ee35960981e3cd",
         "potential.pgm": "e01b83fa94d79d1f3144caf7b2472cae2ddf37179eac82a28deaece887fa1fba",
-        "report.json": "3e15a2c900261f0de033864091e0199b51af87bb84478c7db40eff1628e84ea1",
-        "trajectory.csv": "f77687cfa8f88b0d5c15d417a8920a4a040aaccff284a5e0caca7c68e69ba222",
+        "report.json": "aa6dd42f509dcd8694d0508b4bc6c1c24cf2f9464bca1c5e5d75e668f0d15396",
+        "trajectory.csv": "2b309ea909fcd9a9b3b04369f04038e531b7af2ad573dca421fd0e9c9adf07ce",
     },
     ("oracle", "bifurcation_lock"): {
-        "oracle.json": "0deff45602936c054143474f9e95c564e9e5d65076caea5bf50ba2a0fc63c528",
+        "oracle.json": "b375820475d49d94131ed10a52ad8c5c252a2426684493a86c8c675b84bf01fe",
         "path.csv": "19d450d4a427acfa00bc9cc0ca80e222630af11154ade9bac4148002b8b85d73",
     },
     ("oracle", "ring_m2"): {
-        "oracle.json": "b71cb8ee66aa91310076bf694591aa3aed771104f230b0cf12af3b5ee1ee59c3",
+        "oracle.json": "8774e1322ba8486ae093c6955051c7eca874e0ca704a530a23006842b8bc906b",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
     },
     ("simulate", "ring_coated"): {
-        "comparison.json": "c63a0cba8d07d216a79f84d8dd34a4444716a4c15120ce5cb2157289a1888583",
-        "current.csv": "c99e38598e905c7316f16e9b1818592609250958c9529a20e771a99f7ea7e06f",
+        "comparison.json": "d1c623cfbc8bf7aaa51d645fdc84084a69f1c76f8493540fe0e7144bd8a0909b",
+        "current.csv": "a2a2352d372072edb83f717343961fc8b09c82bb1e0f99a3721af8f12d8b59ea",
         "joule.pgm": "2376f390dff05cd96a50f870fc31271b6cdcb5270e19b0a76e261909e6580acf",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
-        "potential.csv": "265ef233191de76d711ed89b35b58aef0e90d7ea680f618cecbae81b3524c592",
+        "potential.csv": "7e7e995410480f438b63878d93f51845a53d825d73bd78d6d0edd5743c120055",
         "potential.pgm": "50762467b317a38559553d44dc04e701a4d3d28c11b2cbb00d6313ea72802a40",
-        "report.json": "b1ad71429367df79d54f12fd569c33744560a622d2e5fb0bfeda7dc1a1b1fc4d",
-        "trajectory.csv": "3c7208a253f5f50fc3160b251b9a097046e6d4692edc66c3f7c7102a839b573f",
+        "report.json": "693fe8ec8e1d79a79b3a27abefbff7c105175b97923e6e9e8fbbbcfd8af984d7",
+        "trajectory.csv": "35c492e020f70a2866ab5374d615976ac808c566d2df048866bbd13c574d93fe",
     },
     ("oracle", "ring_coated"): {
-        "oracle.json": "0d469e2f5b8c359a43014e6feadc109511098f26f3c9e52760baae6b493ad85b",
+        "oracle.json": "57b85bd938c9fcc9b455b33374ea343156c9d8b600b1377597ca51a397a7168d",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
     },
     ("simulate", "ring_m1"): {
-        "comparison.json": "afd11dbf3fc3397edd1345a610fe97cdddbbbab121c92095883e571a50e71716",
-        "current.csv": "74de304cfb0824ef624db77aa6fae7ae997686e6eb03c96974f82f2b18c26e63",
+        "comparison.json": "c4fef47bfd02a3cda151a92a798f5c73abe225cd1ffa3ff8071d1eab3333ca5a",
+        "current.csv": "1239c2ff95d79b7d151b12ad7a83dc79121ac8b0b9bb412f99577d39a0586047",
         "joule.pgm": "8b34b9d50f29eb74476e388a355b35ba8ba534947f683b9fc7ba6e523de1f8f4",
         "path.csv": "a5eb3a1fd31315426995a09be7650bcb1161c360571607a289e1b07d4656dbca",
-        "potential.csv": "b5d7373617e90aed129e139824978f56cee9e556b6d2c0c262c63412190167c5",
+        "potential.csv": "b1ca196139f8c66e2e7131a69bc369e634277286a4f1cc5136342b00d8694e9a",
         "potential.pgm": "2ea8650616336868f164c386263403d9915118aa7f3a757c5044d83606f2616d",
-        "report.json": "ac70cb0a02337b0341b93c2f91a17feea4a470323b27343c4eea6d303ea798f6",
-        "trajectory.csv": "1230455cb0bc047fb46dba5770096debce384c4ed5c4d5fe0d8232c8497b4dd9",
+        "report.json": "225d9896dad28910a4f1c6295f8b57e427a1740e81151e96cfc8471d0d15426f",
+        "trajectory.csv": "345300c8588ececb443a42eb62fcebbc241515c937a6cb866a60a6c2d160666a",
     },
     ("oracle", "ring_m1"): {
-        "oracle.json": "f1785d46f4dbc22c4446999ddb7683811e37c7a1b40f38855e6595124741d5ea",
+        "oracle.json": "b0de411381b6b40a8ee890d32d9840ce342811852be029ce5ef5ec1062b1648f",
         "path.csv": "a5eb3a1fd31315426995a09be7650bcb1161c360571607a289e1b07d4656dbca",
     },
     ("simulate", "bifurcation_symmetric"): {
-        "comparison.json": "295e7c47ca31a23d3f09fc541bbdb47e02653099b1eb1cc1f216d109d4bfb050",
-        "current.csv": "3349e11a6c6a4923386655b2653b03c321a1413ed21623ddfb288037a667e4eb",
+        "comparison.json": "705e09217c5642340a6cc0935b3e5d61540f1f3c78c167fc713106cdd5b3c50b",
+        "current.csv": "35de26db00d6a84ff2ec11d7fb68642ea1361e3d61c223fd7dbdcbddcd9e2464",
         "joule.pgm": "ea55328b4c360f6aa30c6a44039acb4c9eee093d7fece57dfd599b57210e8127",
         "path.csv": "693abb2fbfcec868e248bd1a87c1646d0e2e5d656cfd1c373db961246edc7045",
-        "potential.csv": "daf0d61729fbd018e4f864c8c7e2c71510bbd445feb794de077409981d07f7bc",
+        "potential.csv": "906f6118d10bf17bff20a47d6c88c37d5a4c3d017c2663055ddf41e8785d8551",
         "potential.pgm": "e2ed608881a3990219fe6dec9684964769720263b449496de65f7ab4d0bba4a8",
-        "report.json": "f26d2e3b619727410ee6129831d4728cae1e5a34f7350b1ed9d2222788144a90",
-        "trajectory.csv": "7b68f6a24eaace228c56846b56abce7a6f24239452151f12ca4feeca2b40c644",
+        "report.json": "197115f9462b72a7ea6fda9a6a63067ec5b4c1ab941cf7c55b816cca2f8f848b",
+        "trajectory.csv": "630d66b7963e823efa25cd274dda47f91597afd3c636e8e555f7f90e8bb0a0e9",
     },
     ("oracle", "bifurcation_symmetric"): {
-        "oracle.json": "fc2766315d0f97120801a4ae7e83ed645f48acfcd32169ea4bcca0550f2e59a4",
+        "oracle.json": "48479680531726451b8f6e782984076d0a0a12d74c7391bcc4c9fa24d45f6bfe",
         "path.csv": "693abb2fbfcec868e248bd1a87c1646d0e2e5d656cfd1c373db961246edc7045",
     },
 }
@@ -158,14 +163,14 @@ noise_seed = 7
 """
 
 NOISE_GOLDEN = {
-    "comparison.json": "be06dccffa46cf9cf099c9a69cfa52496494f47d902839e96fc9d7d7f12a24a8",
-    "current.csv": "3349e11a6c6a4923386655b2653b03c321a1413ed21623ddfb288037a667e4eb",
+    "comparison.json": "0778c7acfe17699612e296a6e03de9332b51bd9502f3d3294f4334f2ae55e883",
+    "current.csv": "35de26db00d6a84ff2ec11d7fb68642ea1361e3d61c223fd7dbdcbddcd9e2464",
     "joule.pgm": "ea55328b4c360f6aa30c6a44039acb4c9eee093d7fece57dfd599b57210e8127",
     "path.csv": "693abb2fbfcec868e248bd1a87c1646d0e2e5d656cfd1c373db961246edc7045",
-    "potential.csv": "daf0d61729fbd018e4f864c8c7e2c71510bbd445feb794de077409981d07f7bc",
+    "potential.csv": "906f6118d10bf17bff20a47d6c88c37d5a4c3d017c2663055ddf41e8785d8551",
     "potential.pgm": "e2ed608881a3990219fe6dec9684964769720263b449496de65f7ab4d0bba4a8",
-    "report.json": "20c1df57a411a6cdd2001803e2e886b0f57ff196c745219358713372feae4638",
-    "trajectory.csv": "f1e600e4513e8bfe04780f65e2f7eb091e62114f082da7547e225d53f1326813",
+    "report.json": "b8b1e1c919f321f44738c89374d78c4539073a5287a0d2ff5dae063519e61595",
+    "trajectory.csv": "77bac84d294875d3c833504595dd29298eb978afeb8414b578de79ac083b72c9",
 }
 
 

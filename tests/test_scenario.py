@@ -204,6 +204,29 @@ def test_scenario_echoes_config(ring_scenario):
     assert echo["generator"] == "ring"
     assert echo["seed"] == ring_scenario.config.seed
     assert echo["dynamics"]["static_threshold"] == pytest.approx(1.9e-3)
+    assert not {"maze_file", "len_a_mm", "len_b_mm"} & set(echo)
+
+
+def test_maze_file_echo_leaves_out_the_keys_its_header_sets(tmp_path):
+    """A maze file's header sets the voltage and the cell size, so the
+    echo of a run on it shows neither, nor any generator key: a 10 V
+    maze does not report the 5 V default."""
+    maze = tmp_path / "straight.maze"
+    maze.write_text(straight_channel_text(length_cells=30, voltage=10.0))
+    report = run_scenario(ScenarioConfig(maze_file=str(maze))).report
+    echo = report["config"]
+    assert echo["maze_file"] == str(maze)
+    unread = {"generator", "rings", "seed", "voltage", "cell_size_mm", "sigma_electrolyte"}
+    assert not unread & set(echo)
+    assert {"tol", "max_iter", "dynamics", "start"} <= set(echo)
+
+
+def test_report_counts_the_unknowns_the_solve_iterates_over(ring_scenario):
+    """Every channel cell of the ring is linked to an electrode, so the
+    unknowns are the channel cells less the pinned ones."""
+    maze = ring_scenario.maze
+    pinned = sum(len(e.cells) for e in maze.electrodes)
+    assert ring_scenario.report["solve"]["unknowns"] == int(maze.channel_mask().sum()) - pinned
 
 
 @pytest.mark.parametrize("start", ["auto", "axis", "6.0,13.25"])
