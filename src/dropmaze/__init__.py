@@ -38,7 +38,6 @@ from .solver import (
     compute_fields,
     conservation,
     current_density,
-    grad_speed_of_j,
     joule_heating,
     maze_dirichlet,
     solve_potential,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 from .dynamics import (  # noqa: E402
     DynamicsError,
     DynamicsParams,
-    ForceSource,
     Termination,
     Trajectory,
     VelocityProfile,

@@ -2,8 +2,8 @@
 
 Exit codes for `simulate`: 0 = droplet reached the target electrode,
 2 = locked at a bifurcation, 3 = step budget exhausted. Error classes:
-4 = bad config / maze file, 5 = unsolvable maze (or droplet cannot start),
-6 = solver did not converge.
+4 = bad config, maze file, or input file of render or compare,
+5 = unsolvable maze (or droplet cannot start), 6 = solver did not converge.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .scenario import (
     run_fields_only,
     run_oracle_only,
 )
-from .solver import FieldSolveError
+from .solver import FieldSolveError, VectorField
 
 
 def _load(config_path: str, seed: int | None) -> ScenarioConfig:
@@ -108,17 +108,38 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    field = read_field_csv(args.field)
+    if args.style == "overlay" and not args.maze:
+        raise ConfigError("render --style overlay needs --maze")
+    try:
+        field = read_field_csv(args.field)
+    except ValueError as exc:
+        raise ConfigError(f"{args.field} is not a field CSV: {exc}") from None
+    if args.style == "strokes" and not isinstance(field, VectorField):
+        raise ConfigError(f"{args.field} holds a scalar field; --style strokes needs a vector one")
     maze = parse_maze(Path(args.maze).read_text()) if args.maze else None
+    if maze is not None and (maze.nx, maze.ny) != (field.nx, field.ny):
+        raise ConfigError(
+            f"{args.maze} is {maze.nx}x{maze.ny} cells, {args.field} {field.nx}x{field.ny}"
+        )
     render_field(field, args.out, style=args.style, maze=maze)
     print(f"wrote {args.out}")
     return 0
 
 
+def _read_report(bundle: str) -> dict:
+    """The report.json of a simulate bundle, which compare reads."""
+    path = Path(bundle) / "report.json"
+    try:
+        report = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(report, dict) or not {"corner_force", "trajectory"} <= report.keys():
+        raise ConfigError(f"{path} is not a simulate report (no corner_force or trajectory)")
+    return report
+
+
 def _cmd_compare(args) -> int:
-    rep_a = json.loads((Path(args.a) / "report.json").read_text())
-    rep_b = json.loads((Path(args.b) / "report.json").read_text())
-    diff = compare_bundles(rep_a, rep_b)
+    diff = compare_bundles(_read_report(args.a), _read_report(args.b))
     text = json.dumps(diff, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

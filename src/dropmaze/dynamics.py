@@ -1,4 +1,4 @@
-"""Rigid-disk droplet driven by the disk-integrated field.
+"""Rigid-disk droplet driven by the disk-integrated current density J.
 
 The droplet is overdamped: velocity is mobility times the driving force,
 with the force components pointing into wall contacts projected out. A
@@ -34,11 +34,6 @@ class DynamicsError(RuntimeError):
     """Simulation cannot start (e.g. no channel wide enough for the disk)."""
 
 
-class ForceSource(enum.Enum):
-    DISK_MEAN_J = "disk_mean_j"
-    DISK_MEAN_GRAD_SPEED_J = "disk_mean_grad_speed_j"
-
-
 class Termination(enum.Enum):
     REACHED_TARGET = "reached_target"
     LOCKED = "locked"
@@ -61,7 +56,6 @@ class DynamicsParams:
     max_steps: int = 60_000
     lock_window: int = 2500  # steps
     lock_epsilon_mm: float = 0.05
-    force_source: ForceSource = ForceSource.DISK_MEAN_J
     force_gain: float = 1.0
     radius_mm: float = 0.0  # 0 = 0.375x the estimated channel width
     release_time: float = 0.25  # s of threshold-level impulse needed to unpin
@@ -425,12 +419,6 @@ def _auto_dt(
     return h / (2.0 * params.mobility * fmax * 1.25)
 
 
-def select_force_field(bundle: FieldBundle, source: ForceSource) -> VectorField:
-    if source is ForceSource.DISK_MEAN_J:
-        return bundle.j
-    return bundle.grad_j
-
-
 def simulate(
     maze: MazeSpec,
     params: DynamicsParams,
@@ -445,7 +433,7 @@ def simulate(
     path is the Lee path from the cell holding start_mm; its first cell
     is the trajectory's start_cell, and with params.dt = 0 the time step
     is sized along it. scenario.resolve_start gives all three."""
-    field = select_force_field(fields, params.force_source)
+    field = fields.j
     geom = _Geometry(maze)
     x0, y0 = float(start_mm[0]), float(start_mm[1])
     if not _disk_fits(geom, x0, y0, radius):

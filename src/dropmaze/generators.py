@@ -65,7 +65,7 @@ def generate_ring_maze(
     h = cell_size_mm
     w = channel_width_mm
     if w < 3 * h:
-        raise GeometryError("channel_width must span at least 3 cells")
+        raise GeometryError("channel_width_mm must span at least 3 cells")
     if wall_mm is not None and wall_mm <= 0:
         raise GeometryError("wall_mm must be positive")
     t = wall_mm if wall_mm is not None else max(2 * h, w / 2)
@@ -176,9 +176,13 @@ def bifurcation_layout(
 ) -> BifurcationLayout:
     """Compute the discrete layout for generate_bifurcation_maze."""
     h = cell_size_mm
+    w = round(channel_width_mm / h)
+    if w < 1:
+        raise GeometryError(
+            f"channel_width_mm = {channel_width_mm} rounds to less than one {h} mm cell"
+        )
     if len_a_mm <= 2 * channel_width_mm or len_b_mm <= 2 * channel_width_mm:
         raise GeometryError("branch lengths must exceed twice the channel width")
-    w = max(1, round(channel_width_mm / h))
     la = round(len_a_mm / h)
     lb = round(len_b_mm / h)
     wall_min = max(1, w // 2)

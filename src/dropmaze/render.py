@@ -151,7 +151,7 @@ def write_field_csv(path: str | Path, field: ScalarField | VectorField) -> None:
 
 def read_field_csv(path: str | Path) -> ScalarField | VectorField:
     """Rebuild a field from its CSV export (face currents are not stored)."""
-    text = Path(path).read_text().strip().splitlines()
+    text = Path(path).read_text().strip().splitlines() or [""]
     header = text[0].split(",")
     if header[:2] != ["x_mm", "y_mm"] or len(header) not in (3, 5):
         raise ValueError(f"unrecognized field CSV header: {text[0]!r}")
@@ -160,7 +160,7 @@ def read_field_csv(path: str | Path) -> ScalarField | VectorField:
     xs = sorted({r[0] for r in rows})
     ys = sorted({r[1] for r in rows})
     nx, ny = len(xs), len(ys)
-    if nx * ny != len(rows):
+    if not rows or nx * ny != len(rows):
         raise ValueError("field CSV is not a full grid")
     h = 2.0 * xs[0] if nx == 1 else xs[1] - xs[0]
     x_index = {x: i for i, x in enumerate(xs)}

@@ -20,14 +20,12 @@ import numpy as np
 from . import __version__ as _VERSION
 from .dynamics import (
     DynamicsParams,
-    ForceSource,
     Termination,
     Trajectory,
     disk_force_screen,
     disk_integrate,
     droplet_radius_mm,
     find_start,
-    select_force_field,
     simulate,
     velocity_profile,
 )
@@ -152,13 +150,10 @@ def _start_point(start: str) -> tuple[float, float]:
     return x, y
 
 
+# Every droplet parameter is an int or a float; f.type is the annotation's
+# text, as dynamics postpones annotations.
 _DYNAMICS_KEYS = {
-    **dict.fromkeys(("max_steps", "lock_window", "noise_seed"), int),
-    **dict.fromkeys(
-        ("mobility", "static_threshold", "dt", "lock_epsilon_mm", "force_gain", "radius_mm",
-         "release_time", "stall_fraction", "noise_amplitude"),
-        _finite,
-    ),
+    f.name: {"int": int, "float": _finite}[f.type] for f in dataclasses.fields(DynamicsParams)
 }
 
 _SCENARIO_KEYS = {
@@ -211,8 +206,6 @@ def parse_config(text: str) -> ScenarioConfig:
         try:
             if key in _DYNAMICS_KEYS:
                 dyn[key] = _DYNAMICS_KEYS[key](value)
-            elif key == "force_source":
-                dyn["force_source"] = ForceSource(value)
             elif key in _SCENARIO_KEYS:
                 name = "out_dir" if key == "out" else key
                 kwargs[name] = _SCENARIO_KEYS[key](value)
@@ -378,17 +371,16 @@ def corner_force_stats(
     corners = convex_corner_cells(maze)
     width_mm = seg.width_cells * maze.cell_size
     radius = width_mm / 4.0
-    field_arr = select_force_field(fields, params.force_source)
     wall = maze.wall_mask()
     h = maze.cell_size
     iys, ixs = np.nonzero(_near_corners(maze.channel_mask(), corners, h, width_mm))
     best = 0.0
     if len(ixs):
-        screened, bound = disk_force_screen(field_arr, (iys, ixs), radius, wall, params.force_gain)
+        screened, bound = disk_force_screen(fields.j, (iys, ixs), radius, wall, params.force_gain)
         keep = screened + bound >= (screened - bound).max()
         for ix, iy in zip(ixs[keep].tolist(), iys[keep].tolist()):
             x, y = (ix + 0.5) * h, (iy + 0.5) * h
-            f = disk_integrate(field_arr, (x, y), radius, wall_mask=wall, gain=params.force_gain)
+            f = disk_integrate(fields.j, (x, y), radius, wall_mask=wall, gain=params.force_gain)
             best = max(best, math.hypot(f[0], f[1]))
     current = fields.report.current_in
     return CornerForceStats(
@@ -689,9 +681,7 @@ def _echo_config(cfg: ScenarioConfig) -> dict:
         if f.name in unread or (f.name in ("maze_file", "generator") and v is None):
             continue
         if isinstance(v, DynamicsParams):
-            dv = dataclasses.asdict(v)
-            dv["force_source"] = v.force_source.value
-            out[f.name] = dv
+            out[f.name] = dataclasses.asdict(v)
         elif isinstance(v, tuple):
             out[f.name] = list(v)
         else:

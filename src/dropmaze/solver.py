@@ -36,13 +36,11 @@ class FieldSolveError(RuntimeError):
 class Quantity(enum.Enum):
     POTENTIAL = "potential_V"
     JOULE_POWER = "joule_W_per_m3"
-    SPEED_OF_J = "current_density_A_per_m2"
     DIVERGENCE = "div_J_A_per_m3"
 
 
 class VectorQuantity(enum.Enum):
     CURRENT_DENSITY = "current_density_A_per_m2"
-    GRAD_SPEED_OF_J = "grad_J_A_per_m3"
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,14 +480,6 @@ def _masked_ddx(v: np.ndarray, valid: np.ndarray, h_m: float) -> np.ndarray:
     return ddx
 
 
-def _masked_gradient(
-    values: np.ndarray, valid: np.ndarray, h_m: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dx, d/dy) by _masked_ddx; d/dy is d/dx of the transposed grid."""
-    ddy = _masked_ddx(values.T, valid.T, h_m).T
-    return _masked_ddx(values, valid, h_m), np.ascontiguousarray(ddy)
-
-
 def current_density(phi: ScalarField, sigma: np.ndarray) -> VectorField:
     """J = -sigma grad(phi); zero inside non-conductive cells.
 
@@ -500,9 +490,9 @@ def current_density(phi: ScalarField, sigma: np.ndarray) -> VectorField:
         raise ValueError("sigma and potential dimensions differ")
     h_m = phi.cell_size * MM_TO_M
     valid = sigma > 0
-    ddx, ddy = _masked_gradient(phi.values, valid, h_m)
-    jx = -sigma * ddx
-    jy = -sigma * ddy
+    jx = -sigma * _masked_ddx(phi.values, valid, h_m)
+    # d/dy is d/dx of the transposed grid.
+    jy = -sigma * np.ascontiguousarray(_masked_ddx(phi.values.T, valid.T, h_m).T)
 
     gx, gy = face_conductances(sigma)
     fx = gx * (phi.values[:, :-1] - phi.values[:, 1:])
@@ -549,25 +539,6 @@ def joule_heating(j: VectorField, sigma: np.ndarray) -> ScalarField:
     return ScalarField(p, j.cell_size, Quantity.JOULE_POWER)
 
 
-def grad_speed_of_j(
-    j: VectorField, sigma: np.ndarray, valid_mask: np.ndarray | None = None
-) -> VectorField:
-    """Gradient of |J|, zero inside non-conductive cells.
-
-    Pass valid_mask (e.g. the channel mask) on heterogeneous media:
-    differencing |J| across a conductivity jump manufactures huge fake
-    gradients, and the droplet only ever samples the electrolyte anyway.
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.shape != j.vx.shape:
-        raise ValueError("sigma and field dimensions differ")
-    h_m = j.cell_size * MM_TO_M
-    valid = (sigma > 0) if valid_mask is None else np.asarray(valid_mask, dtype=bool)
-    speed = j.magnitude()
-    ddx, ddy = _masked_gradient(speed, valid, h_m)
-    return VectorField(ddx, ddy, j.cell_size, VectorQuantity.GRAD_SPEED_OF_J)
-
-
 @dataclass(frozen=True, eq=False)
 class FieldBundle:
     """Everything derived from one converged solve of a maze."""
@@ -575,12 +546,7 @@ class FieldBundle:
     phi: ScalarField
     report: SolveReport
     j: VectorField
-    grad_j: VectorField
     joule: ScalarField
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        self.sigma.setflags(write=False)
 
 
 def compute_fields(
@@ -589,11 +555,4 @@ def compute_fields(
     sigma = conductivity_grid(spec)
     phi, report = solve_potential(sigma, maze_dirichlet(spec), spec.cell_size, tol, max_iter)
     j = current_density(phi, sigma)
-    return FieldBundle(
-        phi=phi,
-        report=report,
-        j=j,
-        grad_j=grad_speed_of_j(j, sigma, valid_mask=spec.channel_mask()),
-        joule=joule_heating(j, sigma),
-        sigma=sigma,
-    )
+    return FieldBundle(phi=phi, report=report, j=j, joule=joule_heating(j, sigma))

@@ -135,6 +135,7 @@ def test_non_finite_config_value_exit_four(tmp_path, capsys, line):
         "static_threshold = -1", "tol = 0", "tol = -1", "cell_size_mm = 0", "max_steps = -1",
         "max_iter = -3", "radius_mm = -1", "noise_amplitude = -0.001", "lock_epsilon_mm = -1",
         "release_time = -1", "force_gain = 0", "force_gain = -1", "wall_mm = 0", "wall_mm = -1",
+        "channel_width_mm = 0", "channel_width_mm = -4",
     ],
 )
 def test_out_of_range_config_value_exit_four(tmp_path, capsys, line):
@@ -297,6 +298,70 @@ def test_compare_subcommand(tmp_path):
                  "--out", str(diff_file)]) == 0
     diff = json.loads(diff_file.read_text())
     assert diff["corner_force_reduced"] is True
+
+
+@pytest.mark.parametrize("bundle", ["solve", "truncated"])
+def test_compare_on_a_bundle_without_a_simulate_report_exit_four(tmp_path, capsys, bundle):
+    out = tmp_path / "bundle"
+    if bundle == "solve":
+        maze = _write(tmp_path, "straight.maze", straight_channel_text())
+        cfg = _write(tmp_path, "s.cfg", f"maze_file = {maze}\n")
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    else:
+        out.mkdir()
+        (out / "report.json").write_text('{"corner_force": {"max": 1.0,')
+    assert main(["compare", "--a", str(out), "--b", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and str(out / "report.json") in err
+
+
+@pytest.mark.parametrize(
+    "text, style",
+    [
+        pytest.param("x,y,potential_V\n0.25,0.25,1\n", "gray", id="header"),
+        # The tag of a force field dropmaze no longer derives.
+        pytest.param(
+            "x_mm,y_mm,grad_J_A_per_m3,vx,vy\n0.25,0.25,1,1,1\n", "gray", id="vector-tag"
+        ),
+        pytest.param("x_mm,y_mm,speed\n0.25,0.25,1\n", "gray", id="scalar-tag"),
+        pytest.param("", "gray", id="empty"),
+        pytest.param("x_mm,y_mm,potential_V\n", "gray", id="no-rows"),
+        pytest.param("x_mm,y_mm,potential_V\n0.25,0.25,1\n", "strokes", id="strokes-of-scalar"),
+    ],
+)
+def test_render_an_unreadable_field_csv_exit_four(tmp_path, capsys, text, style):
+    csv = _write(tmp_path, "f.csv", text)
+    code = main(["render", "--field", csv, "--out", str(tmp_path / "f.pgm"), "--style", style])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and csv in err
+    assert not (tmp_path / "f.pgm").exists()
+
+
+@pytest.mark.parametrize("maze_cells", [None, 50], ids=["no-maze", "other-grid"])
+def test_render_overlay_needs_the_field_s_maze_exit_four(tmp_path, capsys, maze_cells):
+    maze = _write(tmp_path, "straight.maze", straight_channel_text())
+    cfg = _write(tmp_path, "s.cfg", f"maze_file = {maze}\n")
+    out = tmp_path / "fields"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    args = ["render", "--field", str(out / "current.csv"), "--out", str(tmp_path / "o.pgm"),
+            "--style", "overlay"]
+    if maze_cells is not None:
+        other = _write(tmp_path, "other.maze", straight_channel_text(length_cells=maze_cells))
+        args += ["--maze", other]
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and ("--maze" if maze_cells is None else "other.maze") in err
+    assert not (tmp_path / "o.pgm").exists()
+
+
+def test_force_source_key_is_unknown_exit_four(tmp_path, capsys):
+    """The droplet has one force, the disk mean of J; the key that once
+    chose another is an unknown key like any other."""
+    cfg = _write(tmp_path, "f.cfg", SYM_CFG + "force_source = disk_mean_j\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert "unknown config key 'force_source'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_multiple_configs(tmp_path):

@@ -11,7 +11,6 @@ from dropmaze import dynamics
 from dropmaze.dynamics import (
     DynamicsError,
     DynamicsParams,
-    ForceSource,
     Termination,
     _contact_normals,
     _disk_fits,
@@ -380,17 +379,6 @@ def test_noise_hook_deterministic_per_seed(straight_maze):
     )
     assert a.ys.tobytes() == b.ys.tobytes()  # same seed, same perturbed run
     assert a.ys.tobytes() != c.ys.tobytes()  # different seed, different run
-
-
-def test_grad_speed_force_source_runs(ring_maze, ring_fields):
-    params = DynamicsParams(
-        static_threshold=0.0,
-        radius_mm=1.0,
-        force_source=ForceSource.DISK_MEAN_GRAD_SPEED_J,
-        max_steps=4000,
-    )
-    traj = run_droplet(ring_maze, params, ring_fields)
-    assert len(traj) > 1  # the alternative force field drives motion too
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,10 @@ All eleven were re-recorded once more when a multigrid V-cycle took
 over from the Jacobi preconditioner and the report echoed only the
 config keys a run reads and gained `solve.unknowns`: the potential moved
 by at most 4e-9 V, and every termination, step count, corridor sequence
-and `streamline_tie` stayed the same.
+and `streamline_tie` stayed the same. The eleven report.json and
+oracle.json digests were re-recorded once more when the droplet lost its
+force-source option: the config echo dropped its `force_source` line,
+and no other byte of any bundle changed.
 `ring_insulated` is left out: it makes the same run as `ring_m2`. The
 noisy run on a mirror-symmetric bifurcation (`NOISE_CFG`, 346 of its 875
 steps pinned in place) was recorded before a pinned step began to reuse
@@ -66,7 +69,7 @@ GOLDEN = {
         "path.csv": "19d450d4a427acfa00bc9cc0ca80e222630af11154ade9bac4148002b8b85d73",
         "potential.csv": "eaa751c990a249b7b59f7dd0b339618e177d5fb2f9d768d7dd95cdcccacf8da8",
         "potential.pgm": "8e23517a71d32e24552a48e4b0ed570b936643e6558952d542471ab11c9d672f",
-        "report.json": "889fa3bd9f97b1065eb56815be4cbcad2c7e046c423861fb8145025683a35840",
+        "report.json": "d33de99500c6260de55d7367a620f32a9232dd9dbecb107e030679ba88b1f95c",
         "trajectory.csv": "767db959d608ab1b84d99af9e4d3ca776c900f918cf61ffa9464ced9b0904572",
     },
     ("simulate", "ring_m2"): {
@@ -76,15 +79,15 @@ GOLDEN = {
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
         "potential.csv": "f41db498f0cc43a83abf340e8a079db7842f1522a54d0bdd77ee35960981e3cd",
         "potential.pgm": "e01b83fa94d79d1f3144caf7b2472cae2ddf37179eac82a28deaece887fa1fba",
-        "report.json": "aa6dd42f509dcd8694d0508b4bc6c1c24cf2f9464bca1c5e5d75e668f0d15396",
+        "report.json": "427fe6e4ecc3842fdbf207d7819c8d13b37bd221351a6d24a12ce5ff73ff978e",
         "trajectory.csv": "2b309ea909fcd9a9b3b04369f04038e531b7af2ad573dca421fd0e9c9adf07ce",
     },
     ("oracle", "bifurcation_lock"): {
-        "oracle.json": "b375820475d49d94131ed10a52ad8c5c252a2426684493a86c8c675b84bf01fe",
+        "oracle.json": "43e05a7a23768216b604c02ff5f48c1a096c8088baf2fb190959db5f1a9acfc8",
         "path.csv": "19d450d4a427acfa00bc9cc0ca80e222630af11154ade9bac4148002b8b85d73",
     },
     ("oracle", "ring_m2"): {
-        "oracle.json": "8774e1322ba8486ae093c6955051c7eca874e0ca704a530a23006842b8bc906b",
+        "oracle.json": "e20fe64339f4c712b08095ba08dd87b54f3c6a946c2697cc2496d8c5ef640314",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
     },
     ("simulate", "ring_coated"): {
@@ -94,11 +97,11 @@ GOLDEN = {
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
         "potential.csv": "7e7e995410480f438b63878d93f51845a53d825d73bd78d6d0edd5743c120055",
         "potential.pgm": "50762467b317a38559553d44dc04e701a4d3d28c11b2cbb00d6313ea72802a40",
-        "report.json": "693fe8ec8e1d79a79b3a27abefbff7c105175b97923e6e9e8fbbbcfd8af984d7",
+        "report.json": "3cccac95dcaab3a0b2506a6e3620e36407827ecbed1cfe340f48c40f2a8fccb7",
         "trajectory.csv": "35c492e020f70a2866ab5374d615976ac808c566d2df048866bbd13c574d93fe",
     },
     ("oracle", "ring_coated"): {
-        "oracle.json": "57b85bd938c9fcc9b455b33374ea343156c9d8b600b1377597ca51a397a7168d",
+        "oracle.json": "53b9ba26c3fd50f293582015ce6c4faf8c68a29add56d4e86c333f15a40834e9",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
     },
     ("simulate", "ring_m1"): {
@@ -108,11 +111,11 @@ GOLDEN = {
         "path.csv": "a5eb3a1fd31315426995a09be7650bcb1161c360571607a289e1b07d4656dbca",
         "potential.csv": "b1ca196139f8c66e2e7131a69bc369e634277286a4f1cc5136342b00d8694e9a",
         "potential.pgm": "2ea8650616336868f164c386263403d9915118aa7f3a757c5044d83606f2616d",
-        "report.json": "225d9896dad28910a4f1c6295f8b57e427a1740e81151e96cfc8471d0d15426f",
+        "report.json": "4d4c0dba776dae12d322f214a7bc3f0a7cc7db614db785ff76cb7492232f4b9e",
         "trajectory.csv": "345300c8588ececb443a42eb62fcebbc241515c937a6cb866a60a6c2d160666a",
     },
     ("oracle", "ring_m1"): {
-        "oracle.json": "b0de411381b6b40a8ee890d32d9840ce342811852be029ce5ef5ec1062b1648f",
+        "oracle.json": "3f2eedc064d8844cadab0b0caff8ba68d116d29ec3b342458f6362de7d428498",
         "path.csv": "a5eb3a1fd31315426995a09be7650bcb1161c360571607a289e1b07d4656dbca",
     },
     ("simulate", "bifurcation_symmetric"): {
@@ -122,11 +125,11 @@ GOLDEN = {
         "path.csv": "693abb2fbfcec868e248bd1a87c1646d0e2e5d656cfd1c373db961246edc7045",
         "potential.csv": "906f6118d10bf17bff20a47d6c88c37d5a4c3d017c2663055ddf41e8785d8551",
         "potential.pgm": "e2ed608881a3990219fe6dec9684964769720263b449496de65f7ab4d0bba4a8",
-        "report.json": "197115f9462b72a7ea6fda9a6a63067ec5b4c1ab941cf7c55b816cca2f8f848b",
+        "report.json": "98d087ff216ff8347459577ac957d346ce2733679f375b14ec1055389223703a",
         "trajectory.csv": "630d66b7963e823efa25cd274dda47f91597afd3c636e8e555f7f90e8bb0a0e9",
     },
     ("oracle", "bifurcation_symmetric"): {
-        "oracle.json": "48479680531726451b8f6e782984076d0a0a12d74c7391bcc4c9fa24d45f6bfe",
+        "oracle.json": "f4ff80d6bff259d24dbe27869884f08e70b373542198dee26876c860617585f2",
         "path.csv": "693abb2fbfcec868e248bd1a87c1646d0e2e5d656cfd1c373db961246edc7045",
     },
 }
@@ -169,7 +172,7 @@ NOISE_GOLDEN = {
     "path.csv": "693abb2fbfcec868e248bd1a87c1646d0e2e5d656cfd1c373db961246edc7045",
     "potential.csv": "906f6118d10bf17bff20a47d6c88c37d5a4c3d017c2663055ddf41e8785d8551",
     "potential.pgm": "e2ed608881a3990219fe6dec9684964769720263b449496de65f7ab4d0bba4a8",
-    "report.json": "b8b1e1c919f321f44738c89374d78c4539073a5287a0d2ff5dae063519e61595",
+    "report.json": "550becd08626ed838f920f686ee7dd66500982b23e128181841d3b325b189582",
     "trajectory.csv": "77bac84d294875d3c833504595dd29298eb978afeb8414b578de79ac083b72c9",
 }
 

@@ -151,7 +151,7 @@ def test_field_csv_bytes_match_cell_by_cell_writer(tmp_path, ring_fields, kind):
         field = ScalarField(_edge_values((7, 9), 1), 0.3, Quantity.POTENTIAL)
     elif kind == "vector":
         vx, vy = _edge_values((6, 11), 2), _edge_values((6, 11), 3)
-        field = VectorField(vx, vy, 0.25, VectorQuantity.GRAD_SPEED_OF_J)
+        field = VectorField(vx, vy, 0.25, VectorQuantity.CURRENT_DENSITY)
     else:
         field = ring_fields.phi if kind == "ring_phi" else ring_fields.j
     write_field_csv(tmp_path / "new.csv", field)

@@ -1,22 +1,18 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dropmaze as dm
 from dropmaze import oracle, scenario, solver
-from dropmaze.dynamics import (
-    DynamicsParams,
-    ForceSource,
-    Termination,
-    disk_force_screen,
-    select_force_field,
-)
+from dropmaze.dynamics import DynamicsParams, Termination, disk_force_screen
 from dropmaze.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -57,7 +53,7 @@ def test_parse_config_full():
         tol = 1e-10
         mobility = 5000
         static_threshold = 1.5e-3
-        force_source = disk_mean_grad_speed_j
+        noise_seed = 7
         artifacts = report,fields
         out = somewhere
         """
@@ -66,9 +62,26 @@ def test_parse_config_full():
     assert cfg.seed == 3
     assert cfg.tol == 1e-10
     assert cfg.dynamics.mobility == 5000
-    assert cfg.dynamics.force_source is dm.ForceSource.DISK_MEAN_GRAD_SPEED_J
+    assert cfg.dynamics.noise_seed == 7
     assert cfg.artifacts == ("report", "fields")
     assert cfg.out_dir == "somewhere"
+
+
+def _readme_config_keys():
+    """The key names in README's "Scenario configs" bullet list: each
+    backquoted item up to its `=`."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Scenario configs\n", 1)[1]
+    bullets = section[section.index("\n* "):].split("\n\n", 1)[0]
+    return {item.split("=")[0].strip() for item in re.findall(r"`([^`]+)`", bullets)}
+
+
+def test_readme_lists_exactly_the_config_keys():
+    accepted = {
+        "out" if f.name == "out_dir" else f.name
+        for f in dataclasses.fields(ScenarioConfig) if f.name != "dynamics"
+    } | {f.name for f in dataclasses.fields(DynamicsParams)}
+    assert _readme_config_keys() == accepted
 
 
 def test_parse_config_unknown_key():
@@ -258,15 +271,12 @@ def _corner_case(name):
     maze = dm.generate_ring_maze(2, [1, 1], 70.0, 4.0, 1, cell_size_mm=cell)
     if name == "ring_coated":
         maze = dm.coat_sharp_corners(maze)
-    params = RING_DYNAMICS
-    if name == "ring_grad_j":
-        params = DynamicsParams(force_source=ForceSource.DISK_MEAN_GRAD_SPEED_J)
-    return maze, params
+    return maze, RING_DYNAMICS
 
 
 @pytest.mark.parametrize(
     "name",
-    ["ring_m2", "ring_coated", "straight", "bifurcation_symmetric", "ring_grad_j", "ring_0.3mm"],
+    ["ring_m2", "ring_coated", "straight", "bifurcation_symmetric", "ring_rough", "ring_0.3mm"],
 )
 def test_corner_force_stats_equals_probe_by_probe_scan(name, monkeypatch):
     """The screened scan finds the same float as integrating every probe,
@@ -279,6 +289,13 @@ def test_corner_force_stats_equals_probe_by_probe_scan(name, monkeypatch):
         j = fields.j
         mirrored = dm.VectorField(j.vx + j.vx[::-1], j.vy - j.vy[::-1], j.cell_size, j.quantity)
         fields = dataclasses.replace(fields, j=mirrored)
+    if name == "ring_rough":
+        # J times a seeded per-cell factor over six decades: neighbouring
+        # terms of a disk sum differ by up to 1e6, far from a smooth field.
+        j = fields.j
+        scale = 10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, j.vx.shape)
+        rough = dm.VectorField(j.vx * scale, j.vy * scale, j.cell_size, j.quantity)
+        fields = dataclasses.replace(fields, j=rough)
     seg = dm.segment_corridors(maze)
     evaluated = []
 
@@ -288,10 +305,9 @@ def test_corner_force_stats_equals_probe_by_probe_scan(name, monkeypatch):
 
     monkeypatch.setattr(scenario, "disk_integrate", counted)
     stats = corner_force_stats(maze, fields, params, seg)
-    field = select_force_field(fields, params.force_source)
     width_mm = seg.width_cells * maze.cell_size
     want, probes = brute_force_corner_force(
-        maze, field, width_mm, params.force_gain, dm.disk_integrate
+        maze, fields.j, width_mm, params.force_gain, dm.disk_integrate
     )
     assert stats.max_force == want
     corners = dm.convex_corner_cells(maze)
@@ -418,13 +434,11 @@ def _stage_arrays(result):
     (stream,) = oracle.trace_route_streamline(fields.j, result.maze, seg=seg)
     return {
         "maze.cells": result.maze.cells,
-        "fields.sigma": fields.sigma,
         "fields.phi": fields.phi.values,
         "fields.j.vx": fields.j.vx,
         "fields.j.vy": fields.j.vy,
         "fields.j.face_flux_x": fields.j.face_flux_x,
         "fields.j.face_flux_y": fields.j.face_flux_y,
-        "fields.grad_j.vx": fields.grad_j.vx,
         "fields.joule": fields.joule.values,
         "segmentation.region": seg.region,
         "segmentation.is_node": seg.is_node,

@@ -185,65 +185,6 @@ def test_joule_uniform_strip():
     assert np.abs(fields.joule.values / p_exp - 1.0).max() < 1e-6
 
 
-def test_grad_speed_zero_for_uniform_j():
-    spec = _strip()
-    fields = compute_fields(spec)
-    g = fields.grad_j
-    assert np.abs(g.vx).max() < 1e-3 * fields.j.magnitude().max()
-    assert np.abs(g.vy).max() < 1e-3 * fields.j.magnitude().max()
-
-
-def test_grad_speed_points_into_constriction():
-    # straight channel narrowing from 8 rows to 4 rows halfway along
-    nx, ny = 40, 10
-    grid = np.full((ny, nx), "#", dtype="<U1")
-    grid[1:9, 1 : nx - 1] = "."  # wide section
-    grid[5:9, nx // 2 : nx - 1] = "#"  # right half narrows to rows 1..4
-    grid[1:9, 1] = "S"
-    grid[1:5, nx - 2] = "T"
-    spec = parse_maze("\n".join("".join(r) for r in grid))
-    fields = compute_fields(spec)
-    # in the wide half upstream of the constriction, |J| grows towards it
-    gx = fields.grad_j.vx
-    upstream = gx[2:4, nx // 4 : nx // 2 - 4]
-    assert upstream.mean() > 0
-
-
-def test_grad_speed_reduced_at_coated_corner():
-    W, H, wch = 40, 40, 6
-    rows = [["#"] * W for _ in range(H)]
-    for iy in range(2, 30):
-        for ix in range(2, 2 + wch):
-            rows[iy][ix] = "."
-    for ix in range(2, 36):
-        for iy in range(24, 24 + wch):
-            rows[iy][ix] = "."
-    for ix in range(2, 2 + wch):
-        rows[2][ix] = "S"
-    for iy in range(24, 24 + wch):
-        rows[iy][35] = "T"
-    spec = parse_maze("\n".join("".join(r) for r in rows))
-    coated = coat_sharp_corners(spec)
-    fi, fc = compute_fields(spec), compute_fields(coated)
-    assert fc.report.converged
-
-    corners = dm.convex_corner_cells(spec)
-    assert corners
-
-    def corner_adjacent_max(s, fields):
-        g = fields.grad_j.magnitude()
-        best = 0.0
-        for cx, cy in corners:
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    x, y = cx + dx, cy + dy
-                    if 0 <= x < s.nx and 0 <= y < s.ny and s.cells[y, x] == 0:
-                        best = max(best, g[y, x])
-        return best
-
-    assert corner_adjacent_max(coated, fc) < corner_adjacent_max(spec, fi)
-
-
 def test_maximum_principle_on_ring(ring_maze, ring_fields):
     phi = ring_fields.phi.values
     channel = ring_maze.channel_mask()
