@@ -194,8 +194,15 @@ def bifurcation_layout(
             f" channel at {h} mm cells"
         )
     m = min(max(m_lo, min(la, lb) // 2), m_hi)
-    u = round((la - m) / 2)
-    v = round((lb - m) / 2)
+    # Each branch rises (drops) half of what it has beyond the shared run.
+    # An odd remainder rounds the shorter branch's rise down and the longer
+    # one's up, so unequal branches stay unequal in cells.
+    if la == lb:
+        u = v = round((la - m) / 2)
+    elif la < lb:
+        u, v = (la - m) // 2, (lb - m + 1) // 2
+    else:
+        u, v = (la - m + 1) // 2, (lb - m) // 2
 
     border = 2
     stem = 3 * w
@@ -233,9 +240,10 @@ def generate_bifurcation_maze(
     """Inlet corridor splitting into two branches that rejoin before the exit.
 
     Branch centerline lengths match len_a_mm (upper) and len_b_mm (lower)
-    to within one cell. Equal lengths give a grid that is invariant under
-    reflection across the inlet axis. Solvability is the caller's check
-    (validate_and_components).
+    to within one cell, and lengths that differ in cells give branches
+    that differ the same way. Equal lengths give a grid that is invariant
+    under reflection across the inlet axis. Solvability is the caller's
+    check (validate_and_components).
     """
     lay = bifurcation_layout(len_a_mm, len_b_mm, channel_width_mm, cell_size_mm)
     w = lay.width_cells

@@ -182,6 +182,12 @@ class MazeSpec:
         return hash((self.cells.tobytes(), self.cells.shape))
 
 
+def cell_index(mm: np.ndarray, cell_size: float) -> np.ndarray:
+    """The cell index of each coordinate in mm, as int64: numpy's floor
+    division, which gives the cell `int(x // cell_size)` gives."""
+    return np.floor_divide(mm, cell_size).astype(np.int64)
+
+
 def parse_maze(text: str) -> MazeSpec:
     """Parse maze text: optional `key = value` header, blank line, glyph grid.
 

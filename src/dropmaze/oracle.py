@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .maze import MazeSpec, Polarity, bfs
+from .maze import MazeSpec, Polarity, bfs, cell_index
 from .solver import ScalarField, VectorField
 
 if TYPE_CHECKING:
@@ -119,12 +119,12 @@ class Streamline:
     termination: StreamTermination
 
     def cells(self, cell_size: float) -> list[tuple[int, int]]:
-        out: list[tuple[int, int]] = []
-        for x, y in self.points:
-            c = (int(x // cell_size), int(y // cell_size))
-            if not out or out[-1] != c:
-                out.append(c)
-        return out
+        """The cells the points visit, consecutive repeats collapsed."""
+        cells = cell_index(self.points, cell_size)
+        new = np.ones(len(cells), dtype=bool)
+        new[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+        ix, iy = cells[new].T.tolist()
+        return list(zip(ix, iy))
 
 
 # Field magnitudes at or below this share of the grid maximum count as no
@@ -852,21 +852,31 @@ class ComparisonMetrics:
     cell_overlap: float
 
 
-def _max_distance_to_polyline(points: np.ndarray, poly: np.ndarray) -> float:
-    """Max over points of the distance to the nearest polyline segment."""
-    if len(poly) == 1:
-        return float(np.max(np.hypot(points[:, 0] - poly[0, 0], points[:, 1] - poly[0, 1])))
+def _max_distance_to_path(points: np.ndarray, path: Path) -> float:
+    """Max over points of the distance to the polyline through the path's
+    cell centres.
+
+    The path steps between 4-neighbour cells, so the polyline is a chain
+    of axis-parallel straight runs; the cells inside a run are dropped. A
+    point's nearest point on a run is the point clipped to the run's box.
+    A run's far end is taken as its last one-cell step reaches it,
+    b + (c - b), so every distance is the float a one-cell segment gives,
+    except within rounding of the polyline, where this one is exact."""
+    pts = path.points_mm()
+    if len(pts) == 1:
+        starts = stops = pts
+    else:
+        steps = np.diff(np.array(path.cells), axis=0)
+        turns = 1 + np.flatnonzero((steps[1:] != steps[:-1]).any(axis=1))
+        ends = np.concatenate(([0], turns, [len(pts) - 1]))
+        starts = pts[ends[:-1]]
+        before = pts[ends[1:] - 1]
+        stops = before + (pts[ends[1:]] - before)
+    xs, ys = points[:, 0], points[:, 1]
     best = np.full(len(points), np.inf)
-    for a, b in zip(poly[:-1], poly[1:]):
-        ab = b - a
-        denom = float(ab @ ab)
-        if denom == 0:
-            d = np.hypot(points[:, 0] - a[0], points[:, 1] - a[1])
-        else:
-            t = np.clip(((points - a) @ ab) / denom, 0.0, 1.0)
-            proj = a + t[:, None] * ab
-            d = np.hypot(points[:, 0] - proj[:, 0], points[:, 1] - proj[:, 1])
-        best = np.minimum(best, d)
+    lo, hi = np.minimum(starts, stops).tolist(), np.maximum(starts, stops).tolist()
+    for (x0, y0), (x1, y1) in zip(lo, hi):
+        np.minimum(best, np.hypot(xs - np.clip(xs, x0, x1), ys - np.clip(ys, y0, y1)), out=best)
     return float(best.max())
 
 
@@ -877,13 +887,11 @@ def compare_trajectory(
     points = traj.positions_mm()
     if len(points) == 0 or len(path.cells) == 0:
         raise ValueError("empty trajectory or path")
-    poly = path.points_mm()
-    deviation = _max_distance_to_polyline(points, poly)
+    deviation = _max_distance_to_path(points, path)
     ratio = traj.path_length_mm / path.length_mm if path.length_mm > 0 else math.inf
 
-    h = path.cell_size
-    traj_cells = [(int(x // h), int(y // h)) for x, y in points]
-    t_seq = region_sequence(traj_cells, seg)
+    ix, iy = cell_index(points, path.cell_size).T.tolist()
+    t_seq = region_sequence(zip(ix, iy), seg)
     p_seq = region_sequence(path.cells, seg)
     return ComparisonMetrics(
         max_lateral_deviation_mm=deviation,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import Trajectory
-from .maze import MazeSpec
+from .maze import MazeSpec, cell_index
 from .solver import Quantity, ScalarField, VectorField, VectorQuantity
 
 
@@ -111,13 +111,11 @@ def render_trajectory_overlay(maze: MazeSpec, traj: Trajectory, out_path: str | 
     """Maze raster with the droplet centre positions as red dots."""
     base = np.where(maze.wall_mask(), 40, 220).astype(np.uint8)
     rgb = np.stack([base, base, base], axis=-1)
-    h = maze.cell_size
     stride = max(1, len(traj) // _MAX_DOTS)
-    for i in range(0, len(traj), stride):
-        ix = int(traj.xs[i] // h)
-        iy = int(traj.ys[i] // h)
-        if 0 <= iy < maze.ny and 0 <= ix < maze.nx:
-            rgb[iy, ix] = (220, 30, 30)
+    ix = cell_index(traj.xs[::stride], maze.cell_size)
+    iy = cell_index(traj.ys[::stride], maze.cell_size)
+    inside = (0 <= ix) & (ix < maze.nx) & (0 <= iy) & (iy < maze.ny)
+    rgb[iy[inside], ix[inside]] = (220, 30, 30)
     write_ppm(out_path, rgb)
 
 

@@ -11,6 +11,7 @@ import dataclasses
 import datetime
 import json
 import math
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -394,8 +395,7 @@ def corner_force_stats(
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
     config: ScenarioConfig
-    maze: MazeSpec
-    fields: FieldBundle
+    solved: SolvedMaze
     segmentation: CorridorSegmentation
     path: OraclePath
     trajectory: Trajectory
@@ -403,6 +403,14 @@ class ScenarioResult:
     corner_stats: CornerForceStats
     lock_parameter_sensitive: bool
     report: dict
+
+    @property
+    def maze(self) -> MazeSpec:
+        return self.solved.maze
+
+    @property
+    def fields(self) -> FieldBundle:
+        return self.solved.fields
 
     @property
     def exit_code(self) -> int:
@@ -422,17 +430,36 @@ class _MazeRoute:
     stream_sequences: tuple[tuple[int, ...], ...]
 
 
+# The field files of a solved maze, in bundle order: the artifact that
+# asks for each, and its writer. The writers look up the render functions
+# when they run, so a wrapper bound to the module's name sees each write.
+_FIELD_FILES = {
+    "potential.csv": ("fields", lambda solved, p: write_field_csv(p, solved.fields.phi)),
+    "potential.pgm": (
+        "fields", lambda solved, p: write_pgm(p, normalize_u8(solved.fields.phi.values))
+    ),
+    "current.csv": ("fields", lambda solved, p: write_field_csv(p, solved.fields.j)),
+    "joule.pgm": (
+        "heatmap",
+        lambda solved, p: render_field(solved.fields.joule, p, style="overlay", maze=solved.maze),
+    ),
+}
+
+
 @dataclass(eq=False)
 class SolvedMaze:
     """One entry of the maze stage: a built maze, its number of channel
-    components, its converged fields, and its route once a pipeline has
-    asked for it."""
+    components, its converged fields, and what pipelines have asked of it
+    since: its route, its corner statistics for each force gain, and the
+    field files it has written (name -> path, st_size, st_mtime_ns)."""
 
     key: tuple
     maze: MazeSpec
     n_components: int
     fields: FieldBundle
     _route: _MazeRoute | None = None
+    _corner_stats: dict[float, CornerForceStats] = field(default_factory=dict)
+    _written: dict[str, tuple[Path, int, int]] = field(default_factory=dict)
 
     def route(self) -> _MazeRoute:
         """The maze's route, computed the first time it is asked for."""
@@ -453,6 +480,52 @@ class SolvedMaze:
             )
             self._route = route
         return route
+
+    def corner_stats(self, params: DynamicsParams) -> CornerForceStats:
+        """corner_force_stats of the maze, computed once per force gain,
+        the one droplet parameter it reads."""
+        stats = self._corner_stats.get(params.force_gain)
+        if stats is None:
+            stats = corner_force_stats(self.maze, self.fields, params, self.route().seg)
+            self._corner_stats[params.force_gain] = stats
+        return stats
+
+    def write_field_files(
+        self, out: Path, artifacts: Iterable[str] = ("fields", "heatmap")
+    ) -> list[Path]:
+        """Write into out the field files that artifacts ask for; returns
+        their paths.
+
+        The first write of each file is recorded, and later calls copy it
+        file to file while it keeps its size and mtime, so no file's bytes
+        stay in memory. A recorded file that is gone, changed, or is the
+        destination itself is written afresh, and that write is recorded
+        instead."""
+        written = []
+        for name, (artifact, write) in _FIELD_FILES.items():
+            if artifact not in artifacts:
+                continue
+            path = out / name
+            if not self._copy_written(name, path):
+                write(self, path)
+                st = path.stat()
+                self._written[name] = (path.absolute(), st.st_size, st.st_mtime_ns)
+            written.append(path)
+        return written
+
+    def _copy_written(self, name: str, path: Path) -> bool:
+        """Copy this maze's recorded write of name to path, if unchanged."""
+        if name not in self._written:
+            return False
+        source, size, mtime_ns = self._written[name]
+        try:
+            st = source.stat()
+            if (st.st_size, st.st_mtime_ns) != (size, mtime_ns):
+                return False
+            shutil.copyfile(source, path)
+        except (FileNotFoundError, shutil.SameFileError):
+            return False
+        return True
 
 
 def _content(value) -> tuple:
@@ -573,15 +646,11 @@ def _route(cfg: ScenarioConfig, solved: SolvedMaze):
 def run_fields_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> dict:
     """The `solve` pipeline: fields and their exports, no droplet, no oracle."""
     solved = prepare_fields(cfg)
-    maze, fields = solved.maze, solved.fields
     report = _report_head(cfg, solved)
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", report)
-    write_field_csv(out / "potential.csv", fields.phi)
-    write_pgm(out / "potential.pgm", normalize_u8(fields.phi.values))
-    write_field_csv(out / "current.csv", fields.j)
-    render_field(fields.joule, out / "joule.pgm", style="overlay", maze=maze)
+    solved.write_field_files(out)
     return report
 
 
@@ -615,7 +684,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     seg = route.seg
     traj = simulate(maze, cfg.dynamics, fields, start_mm, radius, path)
     comparison = compare_trajectory(traj, path, seg)
-    corner = corner_force_stats(maze, fields, cfg.dynamics, seg)
+    corner = solved.corner_stats(cfg.dynamics)
 
     thr = cfg.dynamics.static_threshold
     sensitive = (
@@ -659,8 +728,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     })
     return ScenarioResult(
         config=cfg,
-        maze=maze,
-        fields=fields,
+        solved=solved,
         segmentation=seg,
         path=path,
         trajectory=traj,
@@ -724,15 +792,7 @@ def export_bundle(result: ScenarioResult, out_dir: str | Path | None = None) -> 
 
     if "report" in wanted:
         emit("report.json", lambda p: _write_json(p, result.report))
-    if "fields" in wanted:
-        emit("potential.csv", lambda p: write_field_csv(p, result.fields.phi))
-        emit("potential.pgm", lambda p: write_pgm(p, normalize_u8(result.fields.phi.values)))
-        emit("current.csv", lambda p: write_field_csv(p, result.fields.j))
-    if "heatmap" in wanted:
-        emit(
-            "joule.pgm",
-            lambda p: render_field(result.fields.joule, p, style="overlay", maze=result.maze),
-        )
+    written += result.solved.write_field_files(out, wanted)
     if "trajectory" in wanted:
         emit("trajectory.csv", lambda p: write_trajectory_csv(p, result.trajectory))
     if "oracle" in wanted:

@@ -8,8 +8,9 @@ for shortest distances, a two-resistor Kirchhoff split for branch
 currents, cell-by-cell scans for the droplet's wall queries and start
 cell, the droplet's disk sum over np.arange windows, a droplet run that
 recomputes every step, element-wise numpy sampling for streamlines, a
-row-major deque flood fill for channel components, and per-region cell
-scans for the corridor overlap.
+row-major deque flood fill for channel components, per-region cell
+scans for the corridor overlap, and the distance to a polyline segment by
+segment.
 """
 
 from __future__ import annotations
@@ -892,3 +893,22 @@ def brute_force_corner_force(maze, field, width_mm, gain, disk_integrate):
         f = disk_integrate(field, (x, y), width_mm / 4.0, wall_mask=wall, gain=gain)
         best = max(best, math.hypot(f[0], f[1]))
     return best, probes
+
+
+def max_distance_to_unit_segments(points, poly):
+    """Max over points of the distance to the nearest polyline segment,
+    every segment between consecutive vertices taken on its own."""
+    if len(poly) == 1:
+        return float(np.max(np.hypot(points[:, 0] - poly[0, 0], points[:, 1] - poly[0, 1])))
+    best = np.full(len(points), np.inf)
+    for a, b in zip(poly[:-1], poly[1:]):
+        ab = b - a
+        denom = float(ab @ ab)
+        if denom == 0:
+            d = np.hypot(points[:, 0] - a[0], points[:, 1] - a[1])
+        else:
+            t = np.clip(((points - a) @ ab) / denom, 0.0, 1.0)
+            proj = a + t[:, None] * ab
+            d = np.hypot(points[:, 0] - proj[:, 0], points[:, 1] - proj[:, 1])
+        best = np.minimum(best, d)
+    return float(best.max())

@@ -1,10 +1,12 @@
 import json
+import os
+import shutil
 from pathlib import Path
 
 import pytest
 
 import dropmaze as dm
-from dropmaze import cli, oracle, scenario, solver
+from dropmaze import cli, oracle, render, scenario, solver
 from dropmaze.cli import main
 from dropmaze.maze import parse_maze
 
@@ -375,6 +377,10 @@ def test_simulate_multiple_configs(tmp_path):
 
 
 ROUTE_FUNCTIONS = (oracle.segment_corridors, oracle.lee_label, oracle.trace_route_streamline)
+FIELD_WRITERS = (render.write_field_csv, render.render_field)
+# potential.csv and current.csv, and joule.pgm.
+ONE_MAZE_S_FIELD_WRITES = {"write_field_csv": 2, "render_field": 1}
+FIELD_FILES = ("potential.csv", "potential.pgm", "current.csv", "joule.pgm")
 
 
 def _bundle(directory: Path) -> dict:
@@ -387,7 +393,8 @@ def _bundle(directory: Path) -> dict:
 
 def test_simulate_batch_sharing_a_maze_solves_and_routes_it_once(tmp_path, monkeypatch):
     """Four configs on one maze, differing in the droplet and its start, solve
-    and route the maze once, and write the bytes each writes alone."""
+    and route the maze once, scan its corners and write its field files
+    once, and write the bytes each writes alone."""
     droplets = [
         "start = axis",
         "start = axis\ndt = 0.003",
@@ -399,10 +406,13 @@ def test_simulate_batch_sharing_a_maze_solves_and_routes_it_once(tmp_path, monke
         _write(tmp_path, f"case{i}.cfg", f"{maze.replace('start = axis', d)}max_steps = 800\n")
         for i, d in enumerate(droplets)
     ]
-    calls = count_calls(monkeypatch, solver.compute_fields, *ROUTE_FUNCTIONS)
+    calls = count_calls(monkeypatch, solver.compute_fields, *ROUTE_FUNCTIONS,
+                        scenario.corner_force_stats, *FIELD_WRITERS)
     batch_code = main(["simulate", "--config", *configs, "--out", str(tmp_path / "batch")])
-    assert calls == {name: 1 for name in
-                     ("compute_fields", "segment_corridors", "lee_label", "trace_route_streamline")}
+    assert calls == {**{name: 1 for name in
+                        ("compute_fields", "segment_corridors", "lee_label",
+                         "trace_route_streamline", "corner_force_stats")},
+                     **ONE_MAZE_S_FIELD_WRITES}
     codes = []
     for cfg in configs:
         scenario._forget_solved_maze()
@@ -425,3 +435,56 @@ def test_solve_runs_no_route_function(tmp_path, monkeypatch):
     assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "oracle")]) == 0
     assert calls == {"compute_fields": 1, "segment_corridors": 1, "lee_label": 1,
                      "trace_route_streamline": 1}
+
+
+# A bifurcation maze no other test solves, with a short droplet run.
+_FILES_CFG = SYM_CFG.replace("len_b_mm = 40", "len_b_mm = 44") + "max_steps = 800\n"
+
+
+@pytest.mark.parametrize("source", ["changed", "touched", "deleted", "same-path"])
+def test_a_field_file_source_not_intact_is_written_afresh(tmp_path, monkeypatch, source):
+    """A later bundle on a maze copies the field files of the first only
+    while each keeps its size and mtime. One that changed, was touched or
+    deleted, or is the destination itself is written afresh, with the bytes
+    of a cold run."""
+    first = _write(tmp_path, "first.cfg", _FILES_CFG)
+    second = _write(tmp_path, "second.cfg", _FILES_CFG.replace("start = axis", "start = auto"))
+    scenario._forget_solved_maze()
+    calls = count_calls(monkeypatch, *FIELD_WRITERS)
+    src = tmp_path / "first"
+    main(["simulate", "--config", first, "--out", str(src)])
+    assert calls == ONE_MAZE_S_FIELD_WRITES
+    dest = tmp_path / "second"
+    for name in FIELD_FILES:
+        st = (src / name).stat()
+        if source == "changed":  # other bytes and size, the same mtime
+            (src / name).write_bytes(b"not a field file")
+            os.utime(src / name, ns=(st.st_atime_ns, st.st_mtime_ns))
+        elif source == "touched":  # the same bytes, another mtime
+            os.utime(src / name, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))
+    if source == "deleted":
+        shutil.rmtree(src)
+    elif source == "same-path":
+        dest = src
+    main(["simulate", "--config", second, "--out", str(dest)])
+    assert calls == {name: 2 * n for name, n in ONE_MAZE_S_FIELD_WRITES.items()}
+    scenario._forget_solved_maze()
+    main(["simulate", "--config", second, "--out", str(tmp_path / "cold")])
+    for name in FIELD_FILES:
+        assert (dest / name).read_bytes() == (tmp_path / "cold" / name).read_bytes(), name
+
+
+def test_solve_then_simulate_on_one_maze_copies_the_field_files(tmp_path, monkeypatch):
+    """`simulate` after `solve` in one process copies the field files solve
+    wrote, and its bundle has the bytes of a cold run."""
+    cfg = _write(tmp_path, "sym.cfg", _FILES_CFG)
+    scenario._forget_solved_maze()
+    calls = count_calls(monkeypatch, *FIELD_WRITERS)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == 0
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")])
+    assert calls == ONE_MAZE_S_FIELD_WRITES
+    scenario._forget_solved_maze()
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "cold")]) == code
+    assert _bundle(tmp_path / "sim") == _bundle(tmp_path / "cold")
+    for name in FIELD_FILES:
+        assert (tmp_path / "sim" / name).read_bytes() == (tmp_path / "solve" / name).read_bytes()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dropmaze as dm
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze, generate_ring_maze
@@ -72,6 +73,30 @@ def test_bifurcation_paper_lengths_within_one_cell():
     assert abs(lay.branch_b_cells * 0.5 - 42.0) <= 0.5
     spec = generate_bifurcation_maze(38.0, 42.0, 4.0)
     assert validate_and_components(spec).solvable
+
+
+def test_bifurcation_35_36_mm_branches_do_not_tie():
+    """35 and 36 mm at 0.5 mm cells leave each branch an odd 35 cells and
+    37 cells beyond the shared run; halving rounds the shorter's rise down
+    and the longer's up instead of both to the even 18."""
+    lay = bifurcation_layout(35.0, 36.0, 4.0)
+    assert (lay.branch_a_cells, lay.branch_b_cells) == (69, 73)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(40, 160),
+    st.integers(40, 160),
+    st.sampled_from([(4.0, 0.5), (2.0, 0.5), (4.0, 1.0), (2.0, 0.25)]),
+)
+def test_bifurcation_shorter_branch_stays_strictly_shorter(la, lb, width_and_cell):
+    """Branches of la and lb cells keep their order, ties included, and each
+    is within one cell of its length."""
+    width_mm, h = width_and_cell
+    lay = bifurcation_layout(la * h, lb * h, width_mm, h)
+    a, b = lay.branch_a_cells, lay.branch_b_cells
+    assert (a < b, a == b) == (la < lb, la == lb)
+    assert abs(a - la) <= 1 and abs(b - lb) <= 1
 
 
 def test_bifurcation_short_branch_carries_lee_path():

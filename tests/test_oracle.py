@@ -1,14 +1,15 @@
 import dataclasses
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dropmaze as dm
 from dropmaze import oracle, scenario
-from dropmaze.maze import Polarity, parse_maze
+from dropmaze.maze import Polarity, cell_index, parse_maze
 from dropmaze.oracle import (
     StreamTermination,
     UnreachableError,
@@ -34,6 +35,7 @@ from oracles import (
     bfs_distances,
     bfs_wall_distance,
     flood_fill_components,
+    max_distance_to_unit_segments,
     region_overlap_by_scan,
 )
 
@@ -311,6 +313,63 @@ def test_compare_trajectory_bounded_by_channel_width(straight_maze):
     seg = segment_corridors(straight_maze)
     m = dm.compare_trajectory(traj, path, seg)
     assert m.max_lateral_deviation_mm <= 4 * straight_maze.cell_size
+
+
+@st.composite
+def _path_and_points(draw):
+    """A walk between 4-neighbour cells that never steps straight back
+    (as a Lee path never does), in runs of 1 to 12 steps, and a cloud of
+    points around it, some of them on its cell centres."""
+    h = draw(st.one_of(st.sampled_from([0.1, 0.125, 0.25, 0.3, 0.5, 1.0]), st.floats(0.01, 3.0)))
+    steps = ((1, 0), (0, -1), (-1, 0), (0, 1))
+    ix, iy = draw(st.integers(0, 200)), draw(st.integers(0, 200))
+    cells = [(ix, iy)]
+    last = None
+    for _ in range(draw(st.integers(0, 12))):
+        way = draw(st.sampled_from([s for s in steps if last is None or s != (-last[0], -last[1])]))
+        for _ in range(draw(st.integers(1, 12))):
+            ix, iy = ix + way[0], iy + way[1]
+            cells.append((ix, iy))
+        last = way
+    path = oracle.Path(tuple(cells), h)
+    centres = [tuple(p) for p in path.points_mm().tolist()]
+    lo = [min(c) - 3 * h for c in zip(*centres)]
+    hi = [max(c) + 3 * h for c in zip(*centres)]
+    near = st.tuples(st.floats(lo[0], hi[0]), st.floats(lo[1], hi[1]))
+    points = draw(st.lists(st.one_of(near, st.sampled_from(centres)), min_size=1, max_size=40))
+    return np.array(points, dtype=np.float64), path
+
+
+@settings(max_examples=1000)
+@given(_path_and_points())
+# At 0.3 mm cells the one-cell step from cell 1 to cell 0 lands one ulp
+# off cell 0's centre (b + (c - b) != c), and a point beyond the path's
+# end measures from there.
+@example((np.array([[0.039, 3.213]]), oracle.Path(tuple((ix, 10) for ix in range(6, -1, -1)), 0.3)))
+def test_path_distance_over_straight_runs_equals_every_segment(case):
+    """One segment per straight run gives the float that every one-cell
+    segment measured on its own gives. Near the path the one-cell
+    projection is off by a few ulps of the coordinates (under 1e-12 mm
+    here), which a hypot with an offset of 1e-4 mm or more rounds away; a
+    cloud whose farthest point lies closer than that may differ by that
+    rounding, where the straight runs' distance is the exact one."""
+    points, path = case
+    got = oracle._max_distance_to_path(points, path)
+    want = max_distance_to_unit_segments(points, path.points_mm())
+    if want >= 1e-4:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [0.1, 0.25, 0.5, 1.0, 0.3])
+def test_numpy_floor_division_gives_python_s_cell(h):
+    """cell_index's floor division takes the cell int(x // h) takes, for
+    negative coordinates, exact multiples of h and their neighbours."""
+    xs = [k * h for k in range(-40, 41)]
+    xs += [math.nextafter(x, math.inf) for x in xs] + [math.nextafter(x, -math.inf) for x in xs]
+    xs += [x + 0.5 * h for x in xs] + [-0.0, 1e-300, -1e-300]
+    assert cell_index(np.array(xs), h).tolist() == [int(x // h) for x in xs]
 
 
 @pytest.mark.parametrize(

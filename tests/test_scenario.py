@@ -382,6 +382,29 @@ def test_maze_stage_solves_again_when_the_maze_or_solve_changes(monkeypatch, cha
         assert math.copysign(1.0, changed.maze.sigma_wall) == math.copysign(1.0, want)
 
 
+def test_corner_statistics_run_once_per_maze_and_force_gain(monkeypatch):
+    """Runs on one maze share its corner statistics while their force gain
+    is the same; another gain scans again, and reports what a cold run of
+    its config reports."""
+    base = ScenarioConfig(**_STAGE_BASE, start="axis", dynamics=DynamicsParams(max_steps=300))
+    other_droplet = dataclasses.replace(
+        base, dynamics=dataclasses.replace(base.dynamics, static_threshold=1.6e-3)
+    )
+    other_gain = dataclasses.replace(
+        base, dynamics=dataclasses.replace(base.dynamics, force_gain=2.0)
+    )
+    scenario._forget_solved_maze()
+    calls = count_calls(monkeypatch, corner_force_stats)
+    first = run_scenario(base)
+    assert run_scenario(other_droplet).corner_stats is first.corner_stats
+    assert calls == {"corner_force_stats": 1}
+    gained = run_scenario(other_gain)
+    assert calls == {"corner_force_stats": 2}
+    assert gained.report["corner_force"]["max"] != first.report["corner_force"]["max"]
+    scenario._forget_solved_maze()
+    assert run_scenario(other_gain).report["corner_force"] == gained.report["corner_force"]
+
+
 def _walled_cell(text: str) -> str:
     """The maze text with one channel cell in the middle turned to wall."""
     lines = text.splitlines()
