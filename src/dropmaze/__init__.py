@@ -48,6 +48,7 @@ __version__ = "0.1.0"
 from .dynamics import (  # noqa: E402
     DynamicsError,
     DynamicsParams,
+    RowSums,
     Termination,
     Trajectory,
     VelocityProfile,

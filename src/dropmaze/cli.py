@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -149,6 +150,8 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+# Parsing leaves the parser as it was, so one serves every call of main.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dropmaze",

@@ -17,11 +17,9 @@ disk_integrate (field value times square metres times force_gain).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -96,10 +94,6 @@ class Trajectory:
     def positions_mm(self) -> np.ndarray:
         return np.column_stack([self.xs, self.ys])
 
-    def samples(self) -> Iterator[tuple[float, tuple[float, float], float, float]]:
-        for t, x, y, s, f in zip(self.times, self.xs, self.ys, self.speeds, self.forces):
-            yield (float(t), (float(x), float(y)), float(s), float(f))
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -108,99 +102,103 @@ class Trajectory:
 # Disk integration
 
 
-@functools.lru_cache(maxsize=8)
-def _cell_centres(n: int, h: float) -> np.ndarray:
-    """(i + 0.5) * h for i in range(n): the same floats an np.arange
-    window of cell indices gives, element for element."""
-    centres = (np.arange(n) + 0.5) * h
-    centres.setflags(write=False)
-    return centres
+class RowSums:
+    """Per-row prefix sums of a vector field whose wall cells count as 0:
+    x[iy, k] sums vx[iy, :k] and y[iy, k] sums vy[iy, :k], so a row's sum
+    over the columns a..b is x[iy, b + 1] - x[iy, a]. These are Crow's
+    summed-area tables (SIGGRAPH 1984), taken one row at a time."""
+
+    def __init__(self, field: VectorField, wall_mask: np.ndarray):
+        self.x, self.y = (  # each (ny, nx + 1)
+            np.cumsum(np.pad(np.where(wall_mask, 0.0, v), ((0, 0), (1, 0))), axis=1)
+            for v in (field.vx, field.vy)
+        )
+        self.cell_size = field.cell_size
 
 
 def disk_integrate(
-    field: VectorField,
-    center_mm: tuple[float, float],
-    radius_mm: float,
-    wall_mask: np.ndarray | None = None,
-    gain: float = 1.0,
-) -> np.ndarray:
+    sums: RowSums, center_mm: tuple[float, float], radius_mm: float, gain: float = 1.0
+) -> tuple[float, float]:
     """Sum of the field over cells whose centres fall inside the disk,
     weighted by cell area (m^2) and scaled by gain. Wall cells contribute
-    nothing."""
-    h = field.cell_size
+    nothing.
+
+    A cell is inside when ((ix + 0.5) * h - x) ** 2 + ((iy + 0.5) * h - y)
+    ** 2 <= radius ** 2 in floats, each square taken as a product. Those
+    cells of a row form an interval, which adds one difference of the
+    row's prefix sums; the rows are added from the lowest iy up."""
+    h = sums.cell_size
+    ny, nx = sums.x.shape[0], sums.x.shape[1] - 1
     x, y = center_mm
-    if x + radius_mm < 0 or y + radius_mm < 0 or x - radius_mm > field.nx * h or y - radius_mm > field.ny * h:
+    if x + radius_mm < 0 or y + radius_mm < 0 or x - radius_mm > nx * h or y - radius_mm > ny * h:
         raise ValueError("disk lies entirely outside the grid")
-    ix0 = max(int(math.floor((x - radius_mm) / h)) - 1, 0)
-    ix1 = min(int(math.ceil((x + radius_mm) / h)) + 1, field.nx - 1)
     iy0 = max(int(math.floor((y - radius_mm) / h)) - 1, 0)
-    iy1 = min(int(math.ceil((y + radius_mm) / h)) + 1, field.ny - 1)
-    if ix1 < ix0 or iy1 < iy0:
-        raise ValueError("disk lies entirely outside the grid")
-    rows, cols = slice(iy0, iy1 + 1), slice(ix0, ix1 + 1)
-    centres = _cell_centres(max(field.nx, field.ny), h)
-    cx = centres[cols]
-    cy = centres[rows]
-    inside = (cx[None, :] - x) ** 2 + (cy[:, None] - y) ** 2 <= radius_mm**2
-    if wall_mask is not None:
-        inside &= ~wall_mask[rows, cols]
-    area = (h * MM_TO_M) ** 2
-    fx = float(field.vx[rows, cols][inside].sum()) * area * gain
-    fy = float(field.vy[rows, cols][inside].sum()) * area * gain
-    return np.array([fx, fy])
-
-
-def disk_force_screen(
-    field: VectorField,
-    cells: tuple[np.ndarray, np.ndarray],
-    radius_mm: float,
-    wall_mask: np.ndarray,
-    gain: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """hypot of disk_integrate at many cell centres at once, with a bound
-    on how far each value may lie from the one disk_integrate gives.
-
-    cells is (iys, ixs). Each disk keeps exactly the cells disk_integrate
-    keeps (the same float membership test), but its sum runs in another
-    order. Summing n terms in any order errs by at most (n - 1) u times
-    the sum of their magnitudes (u the unit roundoff). The bound covers
-    that error in both sums plus the roundings of the scaling and of
-    hypot, with more than a factor of two to spare."""
-    iys, ixs = cells
-    h = field.cell_size
-    x = (ixs + 0.5) * h
-    y = (iys + 0.5) * h
+    iy1 = min(int(math.ceil((y + radius_mm) / h)) + 1, ny - 1)
     r2 = radius_mm**2
-    sx = np.zeros(len(ixs))
-    sy = np.zeros(len(ixs))
-    size = np.zeros(len(ixs))  # sum of |vx| + |vy| over each disk
-    n = 0  # stencil offsets visited: at most n terms per sum
-    # Only a cell whose centre lies within radius + h of the disk centre
-    # can pass the membership test.
+    xc = x / h - 0.5  # the centre in column units
+    sx, sy = sums.x.item, sums.y.item
+    fx = fy = 0.0
+    for iy in range(iy0, iy1 + 1):
+        d = (iy + 0.5) * h - y
+        dy2 = d * d
+        if dy2 > r2:
+            continue
+        # The chord's ends round to within a cell of the interval's; the
+        # float test decides the cells there.
+        w = math.sqrt(r2 - dy2) / h
+        lo, hi = math.ceil(xc - w) - 1, math.floor(xc + w) + 1
+        while lo <= hi and (t := (lo + 0.5) * h - x) * t + dy2 > r2:
+            lo += 1
+        while hi >= lo and (t := (hi + 0.5) * h - x) * t + dy2 > r2:
+            hi -= 1
+        lo, hi = max(lo, 0), min(hi, nx - 1)
+        if lo <= hi:
+            fx += sx(iy, hi + 1) - sx(iy, lo)
+            fy += sy(iy, hi + 1) - sy(iy, lo)
+    area = (h * MM_TO_M) ** 2
+    return fx * area * gain, fy * area * gain
+
+
+def disk_integrate_cells(
+    sums: RowSums, cells: tuple[np.ndarray, np.ndarray], radius_mm: float, gain: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """disk_integrate at the centres of many cells at once; cells is
+    (iys, ixs). Each disk keeps the same row intervals and adds their
+    differences in the same row order, so each sum is the float
+    disk_integrate gives at that centre."""
+    iys, ixs = cells
+    h = sums.cell_size
+    ny, nx = sums.x.shape[0], sums.x.shape[1] - 1
+    x, y = (ixs + 0.5) * h, (iys + 0.5) * h
+    r2 = radius_mm**2
+    xc = x / h - 0.5
+    flat_x, flat_y = sums.x.ravel(), sums.y.ravel()
+    fx, fy = np.zeros(len(ixs)), np.zeros(len(ixs))
+    # No row further than radius from the centre row holds a disk cell.
     reach = int(math.ceil(radius_mm / h)) + 1
     for dy in range(-reach, reach + 1):
-        ty = iys + dy
-        cy = (ty + 0.5) * h
-        for dx in range(-reach, reach + 1):
-            if (dx * dx + dy * dy) * h * h > (radius_mm + h) ** 2:
-                continue
-            n += 1
-            tx = ixs + dx
-            cx = (tx + 0.5) * h
-            inside = (cx - x) ** 2 + (cy - y) ** 2 <= r2
-            inside &= (tx >= 0) & (tx < field.nx) & (ty >= 0) & (ty < field.ny)
-            k = np.flatnonzero(inside)
-            k = k[~wall_mask[ty[k], tx[k]]]
-            vx = field.vx[ty[k], tx[k]]
-            vy = field.vy[ty[k], tx[k]]
-            sx[k] += vx
-            sy[k] += vy
-            size[k] += np.abs(vx) + np.abs(vy)
+        iy = iys + dy
+        d = (iy + 0.5) * h - y
+        dy2 = d * d
+        live = (dy2 <= r2) & (iy >= 0) & (iy < ny)
+        if not live.any():
+            continue
+        w = np.sqrt(np.maximum(r2 - dy2, 0.0)) / h
+        lo, hi = np.ceil(xc - w) - 1, np.floor(xc + w) + 1  # whole numbers
+        while (m := (lo <= hi) & ((t := (lo + 0.5) * h - x) * t + dy2 > r2)).any():
+            lo += m
+        while (m := (hi >= lo) & ((t := (hi + 0.5) * h - x) * t + dy2 > r2)).any():
+            hi -= m
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, nx - 1)
+        # A row that holds no cell of a disk adds x[0, 0] - x[0, 0] = 0.0
+        # to its sum, which leaves the sum as it is.
+        live &= lo <= hi
+        a = np.where(live, iy * (nx + 1) + lo, 0).astype(np.int64)
+        b = np.where(live, iy * (nx + 1) + hi + 1, 0).astype(np.int64)
+        fx += flat_x[b] - flat_x[a]
+        fy += flat_y[b] - flat_y[a]
     area = (h * MM_TO_M) ** 2
-    magnitude = np.hypot(sx * area * gain, sy * area * gain)
-    eps = np.finfo(np.float64).eps  # 2 u
-    bound = 4.0 * eps * ((n + 2) * size * area * abs(gain) + magnitude)
-    return magnitude, bound
+    return fx * area * gain, fy * area * gain
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +401,15 @@ def find_start(maze: MazeSpec, radius: float, labels: LeeLabels) -> tuple[int, i
         searched, depth = depth, 2 * depth
 
 
-def _auto_dt(
-    field: VectorField, geom: _Geometry, params: DynamicsParams, radius: float, path: OraclePath
-) -> float:
+def _auto_dt(sums: RowSums, params: DynamicsParams, radius: float, path: OraclePath) -> float:
     """dt such that the fastest force sample along the oracle route (the
     Lee path from the start) moves the disk at most half a cell per step."""
-    h = geom.h
-    fmax = 0.0
-    for ix, iy in path.cells:
-        x, y = (ix + 0.5) * h, (iy + 0.5) * h
-        f = disk_integrate(field, (x, y), radius, wall_mask=geom.wall, gain=params.force_gain)
-        fmax = max(fmax, math.hypot(f[0], f[1]))
+    ixs, iys = np.array(path.cells).T
+    fx, fy = disk_integrate_cells(sums, (iys, ixs), radius, params.force_gain)
+    fmax = max(0.0, *map(math.hypot, fx.tolist(), fy.tolist()))
     if fmax <= 0:
         return 1.0
-    return h / (2.0 * params.mobility * fmax * 1.25)
+    return sums.cell_size / (2.0 * params.mobility * fmax * 1.25)
 
 
 def simulate(
@@ -433,15 +426,15 @@ def simulate(
     path is the Lee path from the cell holding start_mm; its first cell
     is the trajectory's start_cell, and with params.dt = 0 the time step
     is sized along it. scenario.resolve_start gives all three."""
-    field = fields.j
     geom = _Geometry(maze)
     x0, y0 = float(start_mm[0]), float(start_mm[1])
     if not _disk_fits(geom, x0, y0, radius):
         raise DynamicsError(f"droplet of radius {radius} mm does not fit at {start_mm}")
 
+    sums = RowSums(fields.j, geom.wall)
     dt = params.dt
     if dt <= 0:
-        dt = _auto_dt(field, geom, params, radius, path)
+        dt = _auto_dt(sums, params, radius, path)
     rng = random.Random(params.noise_seed) if params.noise_amplitude > 0 else None
     gain, noise, lock_window = params.force_gain, params.noise_amplitude, params.lock_window
     mobility, thr = params.mobility, params.static_threshold
@@ -453,7 +446,7 @@ def simulate(
     # Each position's disk sum and contact normals serve twice: projected
     # as they are for the recorded force, and with noise added for the
     # step taken from there.
-    sx, sy = disk_integrate(field, (x0, y0), radius, wall_mask=geom.wall, gain=gain).tolist()
+    sx, sy = disk_integrate(sums, (x0, y0), radius, gain)
     normals = _contact_normals(geom, x0, y0, radius, geom.gaps(geom.wall, x0, y0, radius))
     times = [0.0]
     xs = [x0]
@@ -512,9 +505,7 @@ def simulate(
                 px, py = x, y
                 x, y, gaps, settled = _resolve_overlap(geom, qx, qy, radius)
                 path_length += math.hypot(x - px, y - py)
-                sx, sy = disk_integrate(
-                    field, (x, y), radius, wall_mask=geom.wall, gain=gain
-                ).tolist()
+                sx, sy = disk_integrate(sums, (x, y), radius, gain)
                 normals = _contact_normals(geom, x, y, radius, gaps)
                 xs.append(x)
                 ys.append(y)

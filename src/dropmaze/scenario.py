@@ -21,10 +21,11 @@ import numpy as np
 from . import __version__ as _VERSION
 from .dynamics import (
     DynamicsParams,
+    RowSums,
     Termination,
     Trajectory,
-    disk_force_screen,
     disk_integrate,
+    disk_integrate_cells,
     droplet_radius_mm,
     find_start,
     simulate,
@@ -365,24 +366,22 @@ def corner_force_stats(
     channel width (seg.width_cells) of a convex wall corner; the probe disk
     has half the channel width (radius = width/4).
 
-    All probes are screened at once (disk_force_screen); only those whose
-    screened force, widened by its rounding bound, can reach the largest
-    screened lower bound are evaluated with disk_integrate, so the maximum
-    is the same float a probe-by-probe scan finds."""
+    All probes are summed at once (disk_integrate_cells), which gives
+    each the float disk_integrate gives; the largest probe goes through
+    disk_integrate once more for its value."""
     corners = convex_corner_cells(maze)
     width_mm = seg.width_cells * maze.cell_size
     radius = width_mm / 4.0
-    wall = maze.wall_mask()
     h = maze.cell_size
     iys, ixs = np.nonzero(_near_corners(maze.channel_mask(), corners, h, width_mm))
     best = 0.0
     if len(ixs):
-        screened, bound = disk_force_screen(fields.j, (iys, ixs), radius, wall, params.force_gain)
-        keep = screened + bound >= (screened - bound).max()
-        for ix, iy in zip(ixs[keep].tolist(), iys[keep].tolist()):
-            x, y = (ix + 0.5) * h, (iy + 0.5) * h
-            f = disk_integrate(fields.j, (x, y), radius, wall_mask=wall, gain=params.force_gain)
-            best = max(best, math.hypot(f[0], f[1]))
+        sums = RowSums(fields.j, maze.wall_mask())
+        fx, fy = disk_integrate_cells(sums, (iys, ixs), radius, params.force_gain)
+        forces = list(map(math.hypot, fx.tolist(), fy.tolist()))
+        k = forces.index(max(forces))
+        x, y = (ixs.item(k) + 0.5) * h, (iys.item(k) + 0.5) * h
+        best = math.hypot(*disk_integrate(sums, (x, y), radius, params.force_gain))
     current = fields.report.current_in
     return CornerForceStats(
         max_force=best,
@@ -759,8 +758,10 @@ def _echo_config(cfg: ScenarioConfig) -> dict:
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
     lines = ["t_s,x_mm,y_mm,speed_mm_s,force_mag"]
-    for t, (x, y), s, fm in traj.samples():
-        lines.append(f"{t!r},{x!r},{y!r},{s!r},{fm!r}")
+    columns = (traj.times, traj.xs, traj.ys, traj.speeds, traj.forces)
+    for k in range(0, len(traj), 1024):  # 1024 samples' floats alive at a time
+        for t, x, y, s, fm in zip(*(c[k : k + 1024].tolist() for c in columns)):
+            lines.append(f"{t!r},{x!r},{y!r},{s!r},{fm!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -7,10 +7,10 @@ preconditioned CG with every intermediate a new array, exhaustive BFS
 for shortest distances, a two-resistor Kirchhoff split for branch
 currents, cell-by-cell scans for the droplet's wall queries and start
 cell, the droplet's disk sum over np.arange windows, a droplet run that
-recomputes every step, element-wise numpy sampling for streamlines, a
-row-major deque flood fill for channel components, per-region cell
-scans for the corridor overlap, and the distance to a polyline segment by
-segment.
+recomputes every step (with the disk sum it is given), element-wise
+numpy sampling for streamlines, a row-major deque flood fill for channel
+components, per-region cell scans for the corridor overlap, and the
+distance to a polyline segment by segment.
 """
 
 from __future__ import annotations
@@ -328,8 +328,10 @@ def bfs_order_find_start(channel, wall, h, positive_cells, radius, labels):
 
 
 def arange_disk_integrate(field, center_mm, radius_mm, wall_mask=None, gain=1.0):
-    """`dynamics.disk_integrate` as it was before it sliced cached cell
-    centres: the window's centres come from np.arange on every call."""
+    """`dynamics.disk_integrate` as it was before it summed rows from
+    prefix sums: every cell of an np.arange window is tested, and the
+    cells inside are summed in one numpy sum. It keeps the same cells; its
+    floats differ from the prefix-sum kernel's only in rounding."""
     h = field.cell_size
     x, y = center_mm
     if x + radius_mm < 0 or y + radius_mm < 0 or x - radius_mm > field.nx * h or y - radius_mm > field.ny * h:
@@ -362,19 +364,15 @@ def scan_disk_overlaps_cells(h, x, y, radius, cells):
     return False
 
 
-def stepwise_simulate(wall, negative_cells, field, params, start, radius, dt):
+def stepwise_simulate(wall, negative_cells, h, force, params, start, radius, dt):
     """dynamics.simulate at an explicit dt, without reuse: every step
     pushes, sums and tests its end position afresh, with the cell scans
-    above. Returns the trajectory's times, xs, ys, speeds and forces as
-    lists, the termination's value, the path length and the number of
-    steps whose overlap push ran out of pushes."""
-    h = field.cell_size
-    gain, noise, thr = params.force_gain, params.noise_amplitude, params.static_threshold
+    above. force(x, y) is the disk sum at a centre, gain included, as a
+    pair of floats. Returns the trajectory's times, xs, ys, speeds and
+    forces as lists, the termination's value, the path length and the
+    number of steps whose overlap push ran out of pushes."""
+    noise, thr = params.noise_amplitude, params.static_threshold
     rng = random.Random(params.noise_seed) if noise > 0 else None
-
-    def force(x, y):
-        fx, fy = arange_disk_integrate(field, (x, y), radius, wall, gain).tolist()
-        return fx, fy
 
     def project(fx, fy, normals):
         for _ in range(3):
@@ -872,13 +870,13 @@ def convex_corner_cells_by_loop(channel):
     return out
 
 
-def brute_force_corner_force(maze, field, width_mm, gain, disk_integrate):
+def brute_force_corner_force(maze, sums, width_mm, gain, disk_integrate):
     """Largest disk force magnitude over every channel cell within width_mm
     of a convex corner, each probe integrated on its own with the given
-    disk_integrate (disk radius width_mm / 4). Returns the maximum and the
-    probe cells as (ix, iy) in row-major order."""
+    disk_integrate over the row sums sums (disk radius width_mm / 4).
+    Returns the maximum and the probe cells as (ix, iy) in row-major
+    order."""
     h = maze.cell_size
-    wall = maze.wall_mask()
     corners = [
         ((cx + 0.5) * h, (cy + 0.5) * h)
         for cx, cy in convex_corner_cells_by_loop(maze.channel_mask())
@@ -890,8 +888,7 @@ def brute_force_corner_force(maze, field, width_mm, gain, disk_integrate):
         if not any(math.hypot(x - cx, y - cy) <= width_mm for cx, cy in corners):
             continue
         probes.append((int(ix), int(iy)))
-        f = disk_integrate(field, (x, y), width_mm / 4.0, wall_mask=wall, gain=gain)
-        best = max(best, math.hypot(f[0], f[1]))
+        best = max(best, math.hypot(*disk_integrate(sums, (x, y), width_mm / 4.0, gain)))
     return best, probes
 
 

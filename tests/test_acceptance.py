@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 import dropmaze as dm
-from dropmaze.dynamics import DynamicsParams, Termination, disk_integrate, velocity_profile
+from dropmaze.dynamics import (
+    DynamicsParams,
+    RowSums,
+    Termination,
+    disk_integrate,
+    velocity_profile,
+)
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze, generate_ring_maze
 from dropmaze.maze import conductivity_grid, convex_corner_cells, parse_maze
 from dropmaze.oracle import (
@@ -256,8 +262,9 @@ def test_criterion_9_disk_proportionality():
         VectorQuantity.CURRENT_DENSITY,
     )
     center = (50.0, 50.0)
-    big = disk_integrate(f, center, 20.0)
-    small = disk_integrate(f, center, 10.0)
+    sums = RowSums(f, np.zeros((400, 400), dtype=bool))
+    big = disk_integrate(sums, center, 20.0)
+    small = disk_integrate(sums, center, 10.0)
     ratio = np.linalg.norm(big) / np.linalg.norm(small)
     assert ratio == pytest.approx(4.0, rel=0.01)
 

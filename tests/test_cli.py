@@ -10,7 +10,7 @@ from dropmaze import cli, oracle, render, scenario, solver
 from dropmaze.cli import main
 from dropmaze.maze import parse_maze
 
-from conftest import count_calls, straight_channel_text
+from conftest import bundle_bytes, count_calls, run_cli, straight_channel_text
 
 RING_CFG = """\
 generator = ring
@@ -488,3 +488,24 @@ def test_solve_then_simulate_on_one_maze_copies_the_field_files(tmp_path, monkey
     assert _bundle(tmp_path / "sim") == _bundle(tmp_path / "cold")
     for name in FIELD_FILES:
         assert (tmp_path / "sim" / name).read_bytes() == (tmp_path / "solve" / name).read_bytes()
+
+
+def test_one_process_running_solve_then_simulate_matches_separate_processes(tmp_path):
+    """main builds its parser once per process and reuses it: solve then
+    simulate in one process exit with the codes, and write the bytes, that
+    each command gives in an interpreter of its own."""
+    cfg = _write(tmp_path, "sym.cfg", _FILES_CFG)
+    commands = [["solve", "--config", cfg], ["simulate", "--config", cfg]]
+    scenario._forget_solved_maze()
+    together = [main([*c, "--out", str(tmp_path / "one" / c[0])]) for c in commands]
+    assert cli.build_parser() is cli.build_parser()
+    apart = [
+        run_cli([*c, "--out", str(tmp_path / "apart" / c[0])], blas_threads=1).returncode
+        for c in commands
+    ]
+    assert together == apart == [0, 3]  # the run stops at max_steps
+    for command, _, _ in commands:
+        one, own = tmp_path / "one" / command, tmp_path / "apart" / command
+        assert sorted(p.name for p in one.iterdir()) == sorted(p.name for p in own.iterdir())
+        for p in one.iterdir():
+            assert bundle_bytes(p) == bundle_bytes(own / p.name), p.name

@@ -17,7 +17,9 @@ from dropmaze.dynamics import (
     _disk_overlaps_negative,
     _Geometry,
     _resolve_overlap,
+    RowSums,
     disk_integrate,
+    disk_integrate_cells,
     droplet_radius_mm,
     find_start,
     simulate,
@@ -52,12 +54,17 @@ def uniform_field(nx=60, ny=60, h=0.5, ux=3.0, uy=0.0):
     )
 
 
+def open_sums(field):
+    """The row sums of a field with no wall cells."""
+    return RowSums(field, np.zeros(field.vx.shape, dtype=bool))
+
+
 def test_disk_integrate_uniform_field_area_sum():
     f = uniform_field()
     h = f.cell_size
     center = (15.0, 15.0)
     radius = 5.0
-    force = disk_integrate(f, center, radius)
+    force = disk_integrate(open_sums(f), center, radius)
     # sum over covered cell centres times cell area
     xs = (np.arange(f.nx) + 0.5) * h
     ys = (np.arange(f.ny) + 0.5) * h
@@ -69,8 +76,8 @@ def test_disk_integrate_uniform_field_area_sum():
 
 def test_disk_integrate_gain_scales_linearly():
     f = uniform_field()
-    f1 = disk_integrate(f, (15.0, 15.0), 5.0, gain=1.0)
-    f2 = disk_integrate(f, (15.0, 15.0), 5.0, gain=2.5)
+    f1 = disk_integrate(open_sums(f), (15.0, 15.0), 5.0, gain=1.0)
+    f2 = disk_integrate(open_sums(f), (15.0, 15.0), 5.0, gain=2.5)
     assert f2[0] == pytest.approx(2.5 * f1[0])
 
 
@@ -78,27 +85,27 @@ def test_disk_integrate_half_radius_quarters_force():
     # fine grid so the lattice disk is a good circle
     f = uniform_field(nx=400, ny=400, h=0.25)
     center = (50.0, 50.0)
-    big = disk_integrate(f, center, 20.0)
-    small = disk_integrate(f, center, 10.0)
+    big = disk_integrate(open_sums(f), center, 20.0)
+    small = disk_integrate(open_sums(f), center, 10.0)
     assert big[0] / small[0] == pytest.approx(4.0, rel=0.01)
 
 
 def test_disk_integrate_outside_grid_rejected():
     f = uniform_field()
     with pytest.raises(ValueError, match="outside"):
-        disk_integrate(f, (1000.0, 1000.0), 2.0)
+        disk_integrate(open_sums(f), (1000.0, 1000.0), 2.0)
 
 
 def test_disk_integrate_wall_cells_contribute_zero():
     f = uniform_field()
     wall = np.zeros((f.ny, f.nx), dtype=bool)
     wall[:, 41:] = True  # wall starts at x = 20.5 mm
-    full = disk_integrate(f, (15.0, 15.0), 5.0)
-    clipped = disk_integrate(f, (15.0, 15.0), 5.0, wall_mask=wall)
+    full = disk_integrate(open_sums(f), (15.0, 15.0), 5.0)
+    clipped = disk_integrate(RowSums(f, wall), (15.0, 15.0), 5.0)
     assert clipped[0] == pytest.approx(full[0])  # disk does not reach the wall
-    half = disk_integrate(f, (20.5, 15.0), 3.0, wall_mask=wall)
-    assert 0 < half[0] < disk_integrate(f, (20.5, 15.0), 3.0)[0]
-    buried = disk_integrate(f, (15.5, 15.0), 0.6, wall_mask=np.ones_like(wall))
+    half = disk_integrate(RowSums(f, wall), (20.5, 15.0), 3.0)
+    assert 0 < half[0] < disk_integrate(open_sums(f), (20.5, 15.0), 3.0)[0]
+    buried = disk_integrate(RowSums(f, np.ones_like(wall)), (15.5, 15.0), 0.6)
     assert buried[0] == 0.0
 
 
@@ -112,7 +119,7 @@ def test_disk_lateral_force_zero_on_symmetry_axis():
     h = spec.cell_size
     axis_y = spec.ny * h / 2
     x = (lay.riser_col - 2) * h
-    force = disk_integrate(fields.j, (x, axis_y), 1.5, wall_mask=spec.wall_mask())
+    force = disk_integrate(RowSums(fields.j, spec.wall_mask()), (x, axis_y), 1.5)
     assert abs(force[1]) <= 1e-9 * np.linalg.norm(force)
 
 
@@ -142,7 +149,7 @@ def test_step_uniform_force_displacement():
         mobility=10.0, static_threshold=0.0, dt=0.001, max_steps=1, radius_mm=1.0
     )
     traj = _uniform_run(maze, 2.0, 0.0, params, (5.0, 10.0))
-    force = disk_integrate(f, (5.0, 10.0), 1.0, wall_mask=maze.wall_mask())
+    force = disk_integrate(RowSums(f, maze.wall_mask()), (5.0, 10.0), 1.0)
     assert traj.xs[1] - traj.xs[0] == pytest.approx(10.0 * force[0] * 0.001)
     assert traj.ys[1] == traj.ys[0]
     assert traj.times[1] == pytest.approx(0.001)
@@ -151,7 +158,7 @@ def test_step_uniform_force_displacement():
 def test_step_below_threshold_stays_put():
     maze = _open_box()
     f = uniform_field(nx=maze.nx, ny=maze.ny, h=maze.cell_size, ux=2.0, uy=0.0)
-    force = disk_integrate(f, (5.0, 10.0), 1.0, wall_mask=maze.wall_mask())
+    force = disk_integrate(RowSums(f, maze.wall_mask()), (5.0, 10.0), 1.0)
     params = DynamicsParams(
         mobility=10.0, static_threshold=2.0 * float(np.hypot(*force)), dt=0.001,
         stall_fraction=0.9, max_steps=1, radius_mm=1.0,
@@ -547,10 +554,10 @@ def test_one_wall_query_per_droplet_position(name, monkeypatch):
 
 
 def test_disk_sum_once_per_position_a_move_reaches(monkeypatch):
-    """simulate sums the disk along the Lee path to size dt, at the start,
-    and at the end of each step that moves; a pinned step at a settled
-    position reuses its sum. On bifurcation_lock that is 76 moves of 2575
-    steps."""
+    """simulate sums the disk at the start and at the end of each step
+    that moves; a pinned step at a settled position reuses its sum. On
+    bifurcation_lock that is 76 moves of 2575 steps. The sums along the
+    Lee path that size dt go through disk_integrate_cells."""
     cfg = load_config(CONFIGS / "bifurcation_lock.cfg")
     maze = build_maze(cfg)
     fields = compute_fields(maze)
@@ -560,7 +567,7 @@ def test_disk_sum_once_per_position_a_move_reaches(monkeypatch):
     calls = count_calls(monkeypatch, disk_integrate)
     traj = simulate(maze, cfg.dynamics, fields, *route)
     moves = int(np.count_nonzero((np.diff(traj.xs) != 0) | (np.diff(traj.ys) != 0)))
-    assert calls["disk_integrate"] == len(route[2].cells) + 1 + moves
+    assert calls["disk_integrate"] == 1 + moves
     assert traj.termination is Termination.LOCKED and 30 * moves < len(traj) - 1
 
 
@@ -600,7 +607,8 @@ def _run_both(wedge, seed, radius, slope, start_gap, thr, noise, release, lock_w
     fields = replace(fields, j=VectorField(vx, vy, h, VectorQuantity.CURRENT_DENSITY))
     start = (h + radius - start_gap, 6.0 + 0.37 * slope)
     wall = maze.wall_mask()
-    f0 = float(np.hypot(*disk_integrate(fields.j, start, radius, wall_mask=wall)))
+    sums = RowSums(fields.j, wall)
+    f0 = float(np.hypot(*disk_integrate(sums, start, radius)))
     mobility = 6000.0
     dt = h / (4.0 * mobility * f0)
     params = DynamicsParams(
@@ -611,7 +619,9 @@ def _run_both(wedge, seed, radius, slope, start_gap, thr, noise, release, lock_w
     path = extract_path(labels, (int(start[0] // h), int(start[1] // h)))
     traj = simulate(maze, params, fields, start, radius, path)
     want = stepwise_simulate(
-        wall, sorted(maze.electrode_cells(Polarity.NEGATIVE)), fields.j, params, start, radius, dt
+        wall, sorted(maze.electrode_cells(Polarity.NEGATIVE)), h,
+        lambda x, y: disk_integrate(sums, (x, y), radius, params.force_gain),
+        params, start, radius, dt,
     )
     return traj, want
 
@@ -684,8 +694,11 @@ def test_far_target_check_makes_no_wall_query(straight_maze, monkeypatch):
     assert len(calls) == 2
 
 
-@settings(max_examples=400)
-@given(
+# Disks on grids of many sizes and cell sizes: inside the grid, clipped at
+# its rim or off it, with and without wall cells. A snapped disk sits on a
+# cell centre with a radius of whole cells, so other cell centres lie on
+# its rim, where the last bit of a centre decides membership.
+_DISK_CASES = dict(
     shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
     h=st.sampled_from((0.1, 0.25, 0.3, 0.37, 0.5, 1.0)),
     seed=st.integers(0, 10_000),
@@ -696,14 +709,10 @@ def test_far_target_check_makes_no_wall_query(straight_maze, monkeypatch):
     gain=st.sampled_from((1.0, 2.5)),
     snap=st.booleans(),
 )
-def test_disk_integrate_matches_arange_windows(
-    shape, h, seed, u, v, radius_cells, wall_share, gain, snap
-):
-    """Bit for bit, on grids of many sizes (the cell centres are cached
-    per size), for disks inside the grid, clipped at its rim or off it,
-    with and without wall cells in the window. A snapped disk sits on a
-    cell centre with a radius of whole cells, so other cell centres lie
-    on its rim, where the last bit of a centre decides membership."""
+
+
+def _disk_case(shape, h, seed, u, v, radius_cells, wall_share, snap):
+    """A random field, a wall mask and a disk (centre, radius) on it."""
     rng = np.random.default_rng(seed)
     field = VectorField(
         rng.normal(size=shape), rng.normal(size=shape), h, VectorQuantity.CURRENT_DENSITY
@@ -714,14 +723,90 @@ def test_disk_integrate_matches_arange_windows(
     if snap:
         center = tuple((math.floor(c / h) + 0.5) * h for c in center)
         radius = max(round(radius_cells), 1) * h
-    for mask in (None, wall):
+    return field, wall, center, radius
+
+
+def _in_disk(shape, h, center, radius):
+    """The cells the window kernel counted: its float test, over every cell."""
+    x, y = center
+    cx = (np.arange(shape[1]) + 0.5) * h
+    cy = (np.arange(shape[0]) + 0.5) * h
+    return (cx[None, :] - x) ** 2 + (cy[:, None] - y) ** 2 <= radius**2
+
+
+@settings(max_examples=400)
+@given(**_DISK_CASES)
+def test_disk_integrate_keeps_exactly_the_cells_of_the_window_test(
+    shape, h, seed, u, v, radius_cells, wall_share, gain, snap
+):
+    """On a field of ones (and twos) every prefix sum is a whole number,
+    so the disk sum is exact: the count of non-wall cells that pass the
+    float test, times the cell area and the gain."""
+    _, wall, center, radius = _disk_case(shape, h, seed, u, v, radius_cells, wall_share, snap)
+    ones = VectorField(np.ones(shape), np.full(shape, 2.0), h, VectorQuantity.CURRENT_DENSITY)
+    for mask in (np.zeros(shape, dtype=bool), wall):
+        sums = RowSums(ones, mask)
+        try:
+            arange_disk_integrate(ones, center, radius, mask, gain)
+        except ValueError:
+            with pytest.raises(ValueError):
+                disk_integrate(sums, center, radius, gain)
+            continue
+        count = int(np.count_nonzero(_in_disk(shape, h, center, radius) & ~mask))
+        area = (h * 1e-3) ** 2
+        assert disk_integrate(sums, center, radius, gain) == (
+            count * area * gain, 2 * count * area * gain
+        )
+
+
+@settings(max_examples=400)
+@given(**_DISK_CASES)
+def test_disk_integrate_matches_arange_windows(
+    shape, h, seed, u, v, radius_cells, wall_share, gain, snap
+):
+    """The window kernel's sum, to rounding: both sum the same cells, in
+    another order. Take u the unit roundoff and S the sum of |vx| + |vy|
+    over the rows the disk touches. A prefix sum errs by at most nx u S,
+    a row difference takes two, and adding the rows rounds at most ny
+    more times. The window kernel's one sum over its n cells errs by at
+    most (n - 1) u S, and n <= min(nx, 13) min(ny, 13) for these disks of
+    at most 13 cells across. 4 eps (nx + ny + 2) S = 8 u (nx + ny + 2) S,
+    scaled like the force, covers the sum of those bounds on every grid
+    drawn here."""
+    field, wall, center, radius = _disk_case(
+        shape, h, seed, u, v, radius_cells, wall_share, snap
+    )
+    for mask in (np.zeros(shape, dtype=bool), wall):
+        sums = RowSums(field, mask)
         try:
             want = arange_disk_integrate(field, center, radius, mask, gain)
         except ValueError:
             with pytest.raises(ValueError):
-                disk_integrate(field, center, radius, wall_mask=mask, gain=gain)
+                disk_integrate(sums, center, radius, gain)
             continue
-        assert np.array_equal(disk_integrate(field, center, radius, wall_mask=mask, gain=gain), want)
+        rows = _in_disk(shape, h, center, radius).any(axis=1)
+        size = float((np.abs(field.vx) + np.abs(field.vy))[rows][~mask[rows]].sum())
+        bound = 4 * np.finfo(float).eps * (shape[0] + shape[1] + 2) * size * (h * 1e-3) ** 2 * gain
+        got = disk_integrate(sums, center, radius, gain)
+        assert abs(got[0] - want[0]) <= bound and abs(got[1] - want[1]) <= bound
+
+
+@settings(max_examples=150)
+@given(**{k: s for k, s in _DISK_CASES.items() if k not in ("u", "v")})
+def test_disk_integrate_cells_equals_the_scalar_kernel(
+    shape, h, seed, radius_cells, wall_share, gain, snap
+):
+    """At every cell centre of the grid, the many-disk sum is the float
+    disk_integrate gives there."""
+    field, wall, _, radius = _disk_case(shape, h, seed, 0.5, 0.5, radius_cells, wall_share, snap)
+    sums = RowSums(field, wall)
+    iys, ixs = np.nonzero(np.ones(shape, dtype=bool))
+    fx, fy = disk_integrate_cells(sums, (iys, ixs), radius, gain)
+    want = [
+        disk_integrate(sums, ((ix + 0.5) * h, (iy + 0.5) * h), radius, gain)
+        for iy, ix in zip(iys.tolist(), ixs.tolist())
+    ]
+    assert list(zip(fx.tolist(), fy.tolist())) == want
 
 
 def test_simulate_started_at_the_target_takes_no_step(straight_maze):

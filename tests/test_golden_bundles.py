@@ -26,7 +26,16 @@ by at most 4e-9 V, and every termination, step count, corridor sequence
 and `streamline_tie` stayed the same. The eleven report.json and
 oracle.json digests were re-recorded once more when the droplet lost its
 force-source option: the config echo dropped its `force_source` line,
-and no other byte of any bundle changed.
+and no other byte of any bundle changed. The simulate digests (the
+five configs and the noisy run below) were re-recorded once more when
+the droplet's disk sums began to come from per-row prefix sums: each
+sum keeps the same cells but adds them in another order, so only
+trajectory.csv, report.json and, for `ring_m2` and `ring_m1`,
+comparison.json changed. Over the six configs and seeds 0-3 of both
+benchmark workloads, positions moved by at most 2.9e-14 mm, dt by at
+most 4.5e-16 and the corner force maximum by at most 6.7e-16 relative;
+every exit code, termination, step count, path and streamline sequence
+stayed the same, and no field file or oracle bundle changed.
 `ring_insulated` is left out: it makes the same run as `ring_m2`. The
 noisy run on a mirror-symmetric bifurcation (`NOISE_CFG`, 346 of its 875
 steps pinned in place) was recorded before a pinned step began to reuse
@@ -69,18 +78,18 @@ GOLDEN = {
         "path.csv": "19d450d4a427acfa00bc9cc0ca80e222630af11154ade9bac4148002b8b85d73",
         "potential.csv": "eaa751c990a249b7b59f7dd0b339618e177d5fb2f9d768d7dd95cdcccacf8da8",
         "potential.pgm": "8e23517a71d32e24552a48e4b0ed570b936643e6558952d542471ab11c9d672f",
-        "report.json": "d33de99500c6260de55d7367a620f32a9232dd9dbecb107e030679ba88b1f95c",
-        "trajectory.csv": "767db959d608ab1b84d99af9e4d3ca776c900f918cf61ffa9464ced9b0904572",
+        "report.json": "2a1c7e9d227406446f42cd45903b06754995757d1f09f8edcbf7211f1e8ee630",
+        "trajectory.csv": "8fa018d2dc23141bd23f618968e222bd6ef7e63b71c2a8ebf7f6795629e2c968",
     },
     ("simulate", "ring_m2"): {
-        "comparison.json": "e0fbea21769edb34c5953d5ab99dbfecf6c46ae01f9bbcd83b083d7fcedc6239",
+        "comparison.json": "fdc7003492a3f69ed91e111ca1e7dc2628a6d0c4f2ad40b041f4e38dc0a81d0c",
         "current.csv": "d8897ec76a2d5dbc9585b9fb811d07fdf387718df2f0b86ab940abbe762593fd",
         "joule.pgm": "db99568128f4041fa4aec36fa578586ff0248726f9af5b44166268ad08323c45",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
         "potential.csv": "f41db498f0cc43a83abf340e8a079db7842f1522a54d0bdd77ee35960981e3cd",
         "potential.pgm": "e01b83fa94d79d1f3144caf7b2472cae2ddf37179eac82a28deaece887fa1fba",
-        "report.json": "427fe6e4ecc3842fdbf207d7819c8d13b37bd221351a6d24a12ce5ff73ff978e",
-        "trajectory.csv": "2b309ea909fcd9a9b3b04369f04038e531b7af2ad573dca421fd0e9c9adf07ce",
+        "report.json": "c18a24711f6b37554988b7616c9d2c8f3a6625ce1351069b9ce87e4fa99b9a01",
+        "trajectory.csv": "2375ce696a4e3b0f60e38aa696edfeb27f91d3dd4b9e79d3b80ac7f5e430ec42",
     },
     ("oracle", "bifurcation_lock"): {
         "oracle.json": "43e05a7a23768216b604c02ff5f48c1a096c8088baf2fb190959db5f1a9acfc8",
@@ -97,22 +106,22 @@ GOLDEN = {
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
         "potential.csv": "7e7e995410480f438b63878d93f51845a53d825d73bd78d6d0edd5743c120055",
         "potential.pgm": "50762467b317a38559553d44dc04e701a4d3d28c11b2cbb00d6313ea72802a40",
-        "report.json": "3cccac95dcaab3a0b2506a6e3620e36407827ecbed1cfe340f48c40f2a8fccb7",
-        "trajectory.csv": "35c492e020f70a2866ab5374d615976ac808c566d2df048866bbd13c574d93fe",
+        "report.json": "0c0deab64df9e486649054cae3963fc5db2f916c7fa154e4f7239d082b5c456b",
+        "trajectory.csv": "8caf2d6a1c692a293f13d609f49df1d95dfdc6c6709c1ea863552416607262d2",
     },
     ("oracle", "ring_coated"): {
         "oracle.json": "53b9ba26c3fd50f293582015ce6c4faf8c68a29add56d4e86c333f15a40834e9",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
     },
     ("simulate", "ring_m1"): {
-        "comparison.json": "c4fef47bfd02a3cda151a92a798f5c73abe225cd1ffa3ff8071d1eab3333ca5a",
+        "comparison.json": "98ec26814f0564d603393172d1e8c0086ebf01859d7b61d7d5661adbf8c072f0",
         "current.csv": "1239c2ff95d79b7d151b12ad7a83dc79121ac8b0b9bb412f99577d39a0586047",
         "joule.pgm": "8b34b9d50f29eb74476e388a355b35ba8ba534947f683b9fc7ba6e523de1f8f4",
         "path.csv": "a5eb3a1fd31315426995a09be7650bcb1161c360571607a289e1b07d4656dbca",
         "potential.csv": "b1ca196139f8c66e2e7131a69bc369e634277286a4f1cc5136342b00d8694e9a",
         "potential.pgm": "2ea8650616336868f164c386263403d9915118aa7f3a757c5044d83606f2616d",
-        "report.json": "4d4c0dba776dae12d322f214a7bc3f0a7cc7db614db785ff76cb7492232f4b9e",
-        "trajectory.csv": "345300c8588ececb443a42eb62fcebbc241515c937a6cb866a60a6c2d160666a",
+        "report.json": "8bbe77325e39b3919da6963351dad61fa3032e9467f4e1c26eb26189245ab211",
+        "trajectory.csv": "6130f8fce28be0a966babe4f14afaf483f705efcaa70dca08a846ac10015da06",
     },
     ("oracle", "ring_m1"): {
         "oracle.json": "3f2eedc064d8844cadab0b0caff8ba68d116d29ec3b342458f6362de7d428498",
@@ -125,8 +134,8 @@ GOLDEN = {
         "path.csv": "693abb2fbfcec868e248bd1a87c1646d0e2e5d656cfd1c373db961246edc7045",
         "potential.csv": "906f6118d10bf17bff20a47d6c88c37d5a4c3d017c2663055ddf41e8785d8551",
         "potential.pgm": "e2ed608881a3990219fe6dec9684964769720263b449496de65f7ab4d0bba4a8",
-        "report.json": "98d087ff216ff8347459577ac957d346ce2733679f375b14ec1055389223703a",
-        "trajectory.csv": "630d66b7963e823efa25cd274dda47f91597afd3c636e8e555f7f90e8bb0a0e9",
+        "report.json": "d6cf6101697227f1096f4523375ddfc590692d46bad5d5f6787fc5450125de24",
+        "trajectory.csv": "2dd93de589beb03741a37310c9f6bfc3c7a5dc522b0deb83ebf6622e5ae041cd",
     },
     ("oracle", "bifurcation_symmetric"): {
         "oracle.json": "f4ff80d6bff259d24dbe27869884f08e70b373542198dee26876c860617585f2",
@@ -172,8 +181,8 @@ NOISE_GOLDEN = {
     "path.csv": "693abb2fbfcec868e248bd1a87c1646d0e2e5d656cfd1c373db961246edc7045",
     "potential.csv": "906f6118d10bf17bff20a47d6c88c37d5a4c3d017c2663055ddf41e8785d8551",
     "potential.pgm": "e2ed608881a3990219fe6dec9684964769720263b449496de65f7ab4d0bba4a8",
-    "report.json": "550becd08626ed838f920f686ee7dd66500982b23e128181841d3b325b189582",
-    "trajectory.csv": "77bac84d294875d3c833504595dd29298eb978afeb8414b578de79ac083b72c9",
+    "report.json": "10a8823d526f60d20667de279d157c968cecf5689485d8c33b68f237ba2160cd",
+    "trajectory.csv": "7b5bf468133765f9be187bd405ed415dbb27be2d0fdd08a85c1ce89faa4e304f",
 }
 
 

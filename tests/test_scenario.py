@@ -12,7 +12,7 @@ import pytest
 
 import dropmaze as dm
 from dropmaze import oracle, scenario, solver
-from dropmaze.dynamics import DynamicsParams, Termination, disk_force_screen
+from dropmaze.dynamics import DynamicsParams, Termination
 from dropmaze.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -279,8 +279,9 @@ def _corner_case(name):
     ["ring_m2", "ring_coated", "straight", "bifurcation_symmetric", "ring_rough", "ring_0.3mm"],
 )
 def test_corner_force_stats_equals_probe_by_probe_scan(name, monkeypatch):
-    """The screened scan finds the same float as integrating every probe,
-    and integrates only the probes that can hold the maximum."""
+    """Summing all probes at once finds the same float as integrating
+    every probe on its own with disk_integrate, which corner_force_stats
+    then calls once, on the first probe that holds the maximum."""
     maze, params = _corner_case(name)
     fields = dm.compute_fields(maze)
     if name == "bifurcation_symmetric":
@@ -306,8 +307,9 @@ def test_corner_force_stats_equals_probe_by_probe_scan(name, monkeypatch):
     monkeypatch.setattr(scenario, "disk_integrate", counted)
     stats = corner_force_stats(maze, fields, params, seg)
     width_mm = seg.width_cells * maze.cell_size
+    sums = dm.RowSums(fields.j, maze.wall_mask())
     want, probes = brute_force_corner_force(
-        maze, fields.j, width_mm, params.force_gain, dm.disk_integrate
+        maze, sums, width_mm, params.force_gain, dm.disk_integrate
     )
     assert stats.max_force == want
     corners = dm.convex_corner_cells(maze)
@@ -317,33 +319,17 @@ def test_corner_force_stats_equals_probe_by_probe_scan(name, monkeypatch):
     if name == "straight":
         assert (stats.n_corners, len(probes), stats.max_force) == (0, 0, 0.0)
     else:
-        assert 1 <= len(evaluated) < len(probes) / 100
+        assert len(evaluated) == 1
+        (x, y), h = evaluated[0], maze.cell_size
+        assert (int(x // h), int(y // h)) in probes
+
+        def force(center):
+            return math.hypot(*dm.disk_integrate(sums, center, width_mm / 4, params.force_gain))
+
+        assert force((x, y)) == want
     if name == "bifurcation_symmetric":
-        assert len(evaluated) > 1  # mirror images tie within the rounding bound
-        assert {round(y, 9) for _, y in evaluated} != {round(evaluated[0][1], 9)}
-
-
-@pytest.mark.parametrize("cell_size_mm", [0.5, 0.3])
-def test_disk_force_screen_is_within_its_bound(cell_size_mm):
-    """Every screened probe lies within its bound of disk_integrate's value,
-    and the bound is a rounding margin, far below the forces themselves.
-
-    The radius is three cells, so the cells three columns or rows away sit
-    on the disk's rim. Whether one counts is decided by the rounding of
-    its centre's distance, which at 0.3 mm differs from probe to probe."""
-    maze = dm.generate_ring_maze(2, [1, 1], 70.0, 4.0, 1, cell_size_mm=cell_size_mm)
-    field = dm.compute_fields(maze).j
-    wall = maze.wall_mask()
-    h = maze.cell_size
-    iys, ixs = np.nonzero(maze.channel_mask())
-    radius = 3 * h
-    screened, bound = disk_force_screen(field, (iys, ixs), radius, wall, 7.0)
-    exact = np.array([
-        math.hypot(*dm.disk_integrate(field, ((ix + 0.5) * h, (iy + 0.5) * h), radius, wall, 7.0))
-        for iy, ix in zip(iys.tolist(), ixs.tolist())
-    ])
-    assert (np.abs(screened - exact) <= bound).all()
-    assert (bound <= 1e-12 * screened.max()).all()
+        # The mirror image of the probe, in a later row, ties with it.
+        assert maze.ny * h - y > y and force((x, maze.ny * h - y)) == want
 
 
 # A bifurcation maze small enough for the maze stage's tests to solve it
