@@ -91,9 +91,12 @@ def _cmd_simulate(args) -> int:
     share a maze solve it once; the highest exit code wins."""
     if len(args.config) == 1:
         return _run_one(args.config[0], args.seed, args.out)
+    stems = [Path(path).stem for path in args.config]
+    if args.out and len(set(stems)) < len(stems):
+        raise ConfigError(f"configs {stems} share a file stem: --out needs one directory each")
     return max(
-        _run_one(path, args.seed, str(Path(args.out) / Path(path).stem) if args.out else None)
-        for path in args.config
+        _run_one(path, args.seed, str(Path(args.out) / stem) if args.out else None)
+        for path, stem in zip(args.config, stems)
     )
 
 

@@ -372,7 +372,8 @@ def droplet_radius_mm(params: DynamicsParams, seg: CorridorSegmentation, cell_si
 
 def find_start(maze: MazeSpec, radius: float, labels: LeeLabels) -> tuple[int, int]:
     """Nearest channel cell to the positive electrode whose disk fits
-    without covering the pinned electrode cells.
+    without covering the pinned electrode cells, among the cells the
+    negative electrode's wavefront reaches.
 
     Among equally near candidates the downstream one (smallest wavefront
     label) wins: the droplet detaches on the side the current pulls it;
@@ -386,9 +387,8 @@ def find_start(maze: MazeSpec, radius: float, labels: LeeLabels) -> tuple[int, i
     searched, depth = 0, 1
     while True:
         dist, _ = bfs(channel, pos, max_depth=depth)
-        iys, ixs = np.nonzero(dist > searched)
-        lab = np.maximum(labels.labels[iys, ixs], 0)
-        for k in np.lexsort((ixs, iys, lab, dist[iys, ixs])).tolist():
+        iys, ixs = np.nonzero((dist > searched) & (labels.labels >= 0))
+        for k in np.lexsort((ixs, iys, labels.labels[iys, ixs], dist[iys, ixs])).tolist():
             ix, iy = int(ixs[k]), int(iys[k])
             x, y = (ix + 0.5) * h, (iy + 0.5) * h
             if not _disk_fits(geom, x, y, radius):

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .maze import MazeSpec, Polarity, bfs, cell_index
+from .maze import MazeSpec, Polarity, bfs, cell_index, label_components
 from .solver import ScalarField, VectorField
 
 if TYPE_CHECKING:
@@ -656,26 +656,13 @@ def segment_corridors(maze: MazeSpec) -> CorridorSegmentation:
             electrode[iy, ix] = True
     node_mask |= skel & electrode
 
-    region = np.full(channel.shape, -1, dtype=np.int32)
-    is_node: list[bool] = []
-    next_id = 0
-    # Junction / endpoint blobs first (8-connected groups of node cells).
-    node_cells = sorted((int(x), int(y)) for y, x in zip(*np.nonzero(node_mask)))
-    for ix0, iy0 in node_cells:
-        if region[iy0, ix0] >= 0:
-            continue
-        rid = next_id
-        next_id += 1
-        is_node.append(True)
-        stack = [(ix0, iy0)]
-        region[iy0, ix0] = rid
-        while stack:
-            ix, iy = stack.pop()
-            for dx, dy in _NBR8:
-                jx, jy = ix + dx, iy + dy
-                if 0 <= jx < nx and 0 <= jy < ny and node_mask[jy, jx] and region[jy, jx] < 0:
-                    region[jy, jx] = rid
-                    stack.append((jx, jy))
+    # Junction / endpoint blobs first (8-connected groups of node cells),
+    # numbered in (ix, iy) order of their first cell: the transpose's
+    # row-major order.
+    blobs, next_id = label_components(node_mask.T, diagonal=True)
+    region = np.ascontiguousarray(blobs.T)
+    is_node = [True] * next_id
+    node_cells = np.argwhere(node_mask.T).tolist()  # (ix, iy), sorted
 
     # Walk chains between node blobs (or around pure cycles).
     visited = node_mask.copy()

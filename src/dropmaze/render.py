@@ -160,7 +160,7 @@ def read_field_csv(path: str | Path) -> ScalarField | VectorField:
     nx, ny = len(xs), len(ys)
     if not rows or nx * ny != len(rows):
         raise ValueError("field CSV is not a full grid")
-    h = 2.0 * xs[0] if nx == 1 else xs[1] - xs[0]
+    h = 2.0 * xs[0]  # the first centre is 0.5 * h, so this is h exactly
     x_index = {x: i for i, x in enumerate(xs)}
     y_index = {y: i for i, y in enumerate(ys)}
 

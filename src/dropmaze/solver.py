@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .maze import MazeSpec, Polarity, bfs, conductivity_grid
+from .maze import MazeSpec, Polarity, conductivity_grid, label_components
 
 MM_TO_M = 1e-3
 
@@ -350,7 +350,9 @@ def solve_potential(
 
     # Floating pockets, conductive cells that no conductive route links to
     # a pinned cell, would make a singular row: they stay at phi = 0.
-    unknown = bfs(sigma > 0, list(dirichlet))[0] >= 0
+    labels, _ = label_components(sigma > 0)
+    unknown = np.isin(labels, labels[dir_mask])
+    del labels  # not held through the iteration, the solve's memory peak
     gx, gy = face_conductances(sigma)
     unknown &= ~dir_mask & (_neighbor_sum(gx, gy, np.ones_like(sigma)) > 0)
 

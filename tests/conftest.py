@@ -89,6 +89,16 @@ def straight_channel_text(length_cells: int = 60, rows: int = 8, voltage: float 
     return f"voltage = {voltage}\ncell_size_mm = 0.5\n\n" + "\n".join([wall] + body + [wall]) + "\n"
 
 
+def sealed_source_pocket_text(length_cells: int = 40, rows: int = 8) -> str:
+    """A straight channel from `S` to `T` below a walled-off room that
+    holds more `S` cells: the maze is solvable, but no route starts in
+    the room, which is nearer the top of the grid."""
+    wall = "#" * (length_cells + 2)
+    room = ["#S" + "." * 10 + "#" * (length_cells - 10)] * rows
+    channel = ["#S" + "." * (length_cells - 2) + "T#"] * rows
+    return "cell_size_mm = 0.5\n\n" + "\n".join([wall, *room, wall, *channel, wall]) + "\n"
+
+
 @pytest.fixture(scope="session")
 def straight_maze():
     return dm.parse_maze(straight_channel_text())

@@ -291,8 +291,8 @@ def bfs_order_find_start(channel, wall, h, positive_cells, radius, labels):
     """The droplet's default start cell, scanning channel cells in
     breadth-first order out from the positive electrode: among the nearest
     cells whose disk fits without covering an electrode cell, the smallest
-    (label, iy, ix), with unreachable labels counting as 0. None when no
-    cell qualifies."""
+    (label, iy, ix), skipping cells the labels never reached (-1). None
+    when no cell qualifies."""
     channel = np.asarray(channel, dtype=bool)
     ny, nx = channel.shape
     pos = set(positive_cells)
@@ -314,14 +314,14 @@ def bfs_order_find_start(channel, wall, h, positive_cells, radius, labels):
     for ix, iy in order:
         if best is not None and dist[iy, ix] > best[0]:
             break
-        if (ix, iy) in pos:
+        if (ix, iy) in pos or labels[iy, ix] < 0:
             continue
         x, y = (ix + 0.5) * h, (iy + 0.5) * h
         if not scan_disk_fits(wall, h, x, y, radius):
             continue
         if any(math.hypot((jx + 0.5) * h - x, (jy + 0.5) * h - y) <= radius for jx, jy in pos):
             continue
-        key = (int(dist[iy, ix]), max(int(labels[iy, ix]), 0), iy, ix)
+        key = (int(dist[iy, ix]), int(labels[iy, ix]), iy, ix)
         if best is None or key < best:
             best = key
     return None if best is None else (best[3], best[2])

@@ -10,7 +10,13 @@ from dropmaze import cli, oracle, render, scenario, solver
 from dropmaze.cli import main
 from dropmaze.maze import parse_maze
 
-from conftest import bundle_bytes, count_calls, run_cli, straight_channel_text
+from conftest import (
+    bundle_bytes,
+    count_calls,
+    run_cli,
+    sealed_source_pocket_text,
+    straight_channel_text,
+)
 
 RING_CFG = """\
 generator = ring
@@ -363,6 +369,30 @@ def test_force_source_key_is_unknown_exit_four(tmp_path, capsys):
     cfg = _write(tmp_path, "f.cfg", SYM_CFG + "force_source = disk_mean_j\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
     assert "unknown config key 'force_source'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_starts_outside_a_sealed_source_pocket(tmp_path):
+    """Positive cells in a room that no route leaves do not stop a
+    solvable maze: the droplet starts in the channel to the target."""
+    maze = _write(tmp_path, "pockets.maze", sealed_source_pocket_text())
+    cfg = _write(tmp_path, "pockets.cfg", f"maze_file = {maze}\nstatic_threshold = 0\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["trajectory"]["termination"] == "reached_target"
+
+
+def test_simulate_configs_sharing_a_stem_exit_four(tmp_path, capsys):
+    """Under --out, two configs named x.cfg would both write out/x, the
+    second bundle over the first: nothing runs."""
+    maze = _write(tmp_path, "straight.maze", straight_channel_text())
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    cfg_a = _write(tmp_path / "a", "x.cfg", f"maze_file = {maze}\n")
+    cfg_b = _write(tmp_path / "b", "x.cfg", SYM_CFG)
+    code = main(["simulate", "--config", cfg_a, cfg_b, "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert "['x', 'x'] share a file stem" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -31,7 +31,7 @@ from dropmaze.oracle import extract_path, lee_label, segment_corridors
 from dropmaze.scenario import build_maze, load_config, resolve_start
 from dropmaze.solver import VectorField, VectorQuantity, compute_fields
 
-from conftest import count_calls, run_droplet
+from conftest import count_calls, run_droplet, sealed_source_pocket_text
 from oracles import (
     arange_disk_integrate,
     bfs_order_find_start,
@@ -857,12 +857,14 @@ def test_simulate_builds_one_wall_geometry(straight_maze, monkeypatch):
     assert len(built) == 1
 
 
-# An open room whose negative electrode is walled off: every Lee label is
-# -1, so start cells equally near the positive electrode tie on the label
-# and the row, then the column, decides.
+# An open room whose negative electrode sits in the top wall straight
+# above the positive one. The room is mirror-symmetric about their column,
+# so start cells equally near the positive electrode can tie on the label,
+# as (2, 4) and (3, 5) do; then the row, and for mirror images the column,
+# decides.
 ROOM_TEXT = """cell_size_mm = 0.5
 
-#########
+####T####
 #.......#
 #.......#
 #.......#
@@ -871,17 +873,21 @@ ROOM_TEXT = """cell_size_mm = 0.5
 #.......#
 #.......#
 #########
-#T#######
 """
 
 
 @pytest.fixture(scope="module")
 def placement_mazes(ring_maze):
     bifurcation = generate_bifurcation_maze(38.0, 42.0, 4.0)
-    return {"ring": ring_maze, "bifurcation": bifurcation, "room": parse_maze(ROOM_TEXT)}
+    return {
+        "ring": ring_maze,
+        "bifurcation": bifurcation,
+        "room": parse_maze(ROOM_TEXT),
+        "sealed_source_pocket": parse_maze(sealed_source_pocket_text()),
+    }
 
 
-@pytest.mark.parametrize("name", ["ring", "bifurcation", "room"])
+@pytest.mark.parametrize("name", ["ring", "bifurcation", "room", "sealed_source_pocket"])
 def test_find_start_matches_bfs_order_scan(placement_mazes, name):
     maze = placement_mazes[name]
     labels = lee_label(maze)
@@ -899,6 +905,19 @@ def test_find_start_matches_bfs_order_scan(placement_mazes, name):
         else:
             assert find_start(maze, radius, labels) == want
     assert wants[0] is not None and wants[-1] is None
+
+
+def test_find_start_skips_cells_the_target_does_not_reach(placement_mazes):
+    """A cell without a Lee label lies in a pocket sealed off from the
+    negative electrode: no start is taken there, however near, and a maze
+    whose every label is -1 has no start at all."""
+    maze = placement_mazes["sealed_source_pocket"]
+    labels = lee_label(maze)
+    ix, iy = find_start(maze, 1.0, labels)
+    assert iy > 9 and labels.labels[iy, ix] >= 0
+    sealed = parse_maze(ROOM_TEXT.replace("####T####", "#########") + "#T#######\n")
+    with pytest.raises(DynamicsError):
+        find_start(sealed, 0.3, lee_label(sealed))
 
 
 # The six example configs, and the two seed-0 benchmark mazes they do not

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import dropmaze as dm
 from dropmaze.maze import (
@@ -11,6 +12,7 @@ from dropmaze.maze import (
     conductivity_grid,
     convex_corner_cells,
     emit_maze,
+    label_components,
     parse_maze,
     validate_and_components,
 )
@@ -195,6 +197,36 @@ def test_component_labels_match_deque_flood_fill_on_random_masks(seed):
     assert np.array_equal(rep.labels, labels)
     assert rep.n_components == count
     assert rep.solvable == (labels.flat[pos] == labels.flat[neg])
+
+
+@settings(max_examples=300)
+@given(arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)))
+@example(np.ones((1, 9), dtype=bool))
+@example(np.ones((9, 1), dtype=bool))
+@example(np.array([[True, False, True, True, False, True]]))
+@example(np.array([[True], [False], [True], [True]]))
+@example(np.ones((6, 7), dtype=bool))
+@example(np.zeros((6, 7), dtype=bool))
+@example(np.indices((7, 8)).sum(axis=0) % 2 == 0)
+def test_label_components_matches_the_flood_fills(mask):
+    """Row runs with union-find give the deque flood fill's labels at
+    4-connectivity, numbering included, and the plain flood fill's count
+    at 8-connectivity. The examples add single rows and columns, all-open
+    and all-wall grids, and a checkerboard, whose cells touch only at
+    corners."""
+    labels, count = label_components(mask)
+    want, want_count = deque_components(mask)
+    assert labels.dtype == np.int32
+    assert np.array_equal(labels, want)
+    assert count == want_count
+    labels8, count8 = label_components(mask, diagonal=True)
+    assert count8 == flood_fill_components(mask, diagonal=True)
+    assert labels8.dtype == np.int32
+    assert np.array_equal(labels8 < 0, ~mask)
+    # Numbered in row-major order of each component's first cell.
+    in_order = labels8[mask]
+    assert np.array_equal(np.unique(in_order), np.arange(count8))
+    assert np.all(np.diff(np.maximum.accumulate(in_order), prepend=-1) <= 1)
 
 
 def test_component_labels_match_deque_flood_fill_with_thousands_of_pockets():

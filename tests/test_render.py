@@ -68,7 +68,7 @@ def test_scalar_csv_round_trip(tmp_path, ring_fields):
     back = read_field_csv(p)
     assert isinstance(back, ScalarField)
     assert back.quantity is Quantity.POTENTIAL
-    assert back.cell_size == pytest.approx(ring_fields.phi.cell_size)
+    assert back.cell_size == ring_fields.phi.cell_size
     assert np.array_equal(back.values, ring_fields.phi.values)
 
 
@@ -80,6 +80,22 @@ def test_vector_csv_round_trip(tmp_path, ring_fields):
     assert back.quantity is VectorQuantity.CURRENT_DENSITY
     assert np.array_equal(back.vx, ring_fields.j.vx)
     assert np.array_equal(back.vy, ring_fields.j.vy)
+    assert back.cell_size == ring_fields.j.cell_size
+
+
+@pytest.mark.parametrize("nx", [1, 5])
+@pytest.mark.parametrize("h", [0.3, 0.1, 0.125, 0.7])
+def test_csv_round_trip_keeps_the_cell_size_exactly(tmp_path, h, nx):
+    """The spacing of the x column rounds (0.3 mm cells gave
+    0.29999999999999993); twice the first centre does not."""
+    rng = np.random.default_rng(3)
+    p, pv = tmp_path / "phi.csv", tmp_path / "j.csv"
+    write_field_csv(p, ScalarField(rng.random((4, nx)), h, Quantity.POTENTIAL))
+    write_field_csv(
+        pv, VectorField(rng.random((4, nx)), rng.random((4, nx)), h, VectorQuantity.CURRENT_DENSITY)
+    )
+    assert read_field_csv(p).cell_size == h
+    assert read_field_csv(pv).cell_size == h
 
 
 def test_csv_schema_columns(tmp_path, ring_fields):
