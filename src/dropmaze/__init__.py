@@ -8,12 +8,10 @@ the emergent route against wavefront shortest paths.
 from .maze import (
     CellKind,
     ComponentReport,
-    Electrode,
     GeometryError,
     MazeError,
     MazeFormatError,
     MazeSpec,
-    Polarity,
     coat_sharp_corners,
     conductivity_grid,
     convex_corner_cells,

@@ -74,8 +74,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _run_one(config_path: str, seed: int | None, out: str | None) -> int:
-    cfg = _load(config_path, seed)
+def _run_one(config_path: str, cfg: ScenarioConfig, out: str | None) -> int:
     result = run_and_export(cfg, out)
     traj = result.report["trajectory"]
     print(
@@ -88,16 +87,25 @@ def _run_one(config_path: str, seed: int | None, out: str | None) -> int:
 
 def _cmd_simulate(args) -> int:
     """Run the configs one after another in this process, so configs that
-    share a maze solve it once; the highest exit code wins."""
+    share a maze solve it once; the highest exit code wins. Nothing runs
+    unless every config has an output directory of its own."""
     if len(args.config) == 1:
-        return _run_one(args.config[0], args.seed, args.out)
+        return _run_one(args.config[0], _load(args.config[0], args.seed), args.out)
     stems = [Path(path).stem for path in args.config]
     if args.out and len(set(stems)) < len(stems):
         raise ConfigError(f"configs {stems} share a file stem: --out needs one directory each")
-    return max(
-        _run_one(path, args.seed, str(Path(args.out) / stem) if args.out else None)
-        for path, stem in zip(args.config, stems)
-    )
+    cfgs = [_load(path, args.seed) for path in args.config]
+    outs = [
+        str(Path(args.out) / stem) if args.out else cfg.out_dir for cfg, stem in zip(cfgs, stems)
+    ]
+    dests = [Path(out).resolve() for out in outs]
+    for k, dest in enumerate(dests):
+        if dest in dests[:k]:
+            first = args.config[dests.index(dest)]
+            raise ConfigError(
+                f"configs {first} and {args.config[k]} share the output directory {outs[k]}"
+            )
+    return max(_run_one(path, cfg, out) for path, cfg, out in zip(args.config, cfgs, outs))
 
 
 def _cmd_oracle(args) -> int:

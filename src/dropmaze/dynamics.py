@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maze import MazeSpec, Polarity, bfs
+from .maze import MazeSpec, bfs
 from .oracle import CorridorSegmentation, LeeLabels, Path as OraclePath
 from .solver import MM_TO_M, FieldBundle, VectorField
 
@@ -218,16 +218,15 @@ class _Geometry:
         self.contact_eps = 1e-3 * self.h
         self.wall = maze.wall_mask()
         self.negative = np.zeros_like(self.wall)
-        negative_cells = maze.electrode_cells(Polarity.NEGATIVE)
-        for ix, iy in negative_cells:
+        for ix, iy in maze.negative:
             self.negative[iy, ix] = True
         # Bounding box of the negative electrode, mm: (x0, y0, x1, y1).
-        ixs = [ix for ix, _ in negative_cells]
-        iys = [iy for _, iy in negative_cells]
+        ixs = [ix for ix, _ in maze.negative]
+        iys = [iy for _, iy in maze.negative]
         self.negative_box = (
             min(ixs) * self.h, min(iys) * self.h, (max(ixs) + 1) * self.h, (max(iys) + 1) * self.h
         )
-        self.positive_cells = sorted(maze.electrode_cells(Polarity.POSITIVE))
+        self.positive_cells = sorted(maze.positive)
         self._edges = np.arange(max(self.nx, self.ny) + 1) * self.h  # cell boundaries, mm
 
     def gaps(self, mask: np.ndarray, x: float, y: float, radius: float) -> Gaps:

@@ -8,17 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maze import (
-    DEFAULT_CELL_SIZE_MM,
-    DEFAULT_VOLTAGE,
-    SIGMA_COATING_DEFAULT,
-    SIGMA_NAOH_05M,
-    CellKind,
-    Electrode,
-    GeometryError,
-    MazeSpec,
-    Polarity,
-)
+from .maze import DEFAULT_CELL_SIZE_MM, CellKind, GeometryError, MazeSpec
 
 
 def _angle_offset_deg(ang, theta):
@@ -36,10 +26,6 @@ def generate_ring_maze(
     cell_size_mm: float = DEFAULT_CELL_SIZE_MM,
     wall_mm: float | None = None,
     exit_angle_deg: float | None = None,
-    sigma_electrolyte: float = SIGMA_NAOH_05M,
-    sigma_wall: float = 0.0,
-    sigma_coating: float = SIGMA_COATING_DEFAULT,
-    applied_voltage: float = DEFAULT_VOLTAGE,
 ) -> MazeSpec:
     """Concentric annular channels around a central chamber.
 
@@ -48,8 +34,8 @@ def generate_ring_maze(
     pins it) are kept 45..100 degrees apart so the shortest route is
     unambiguous and carries a dominant share of the current. The positive
     electrode sits in the central chamber, the negative electrode spans
-    the outermost channel. Solvability is the caller's check
-    (validate_and_components).
+    the outermost channel. The maze has MazeSpec's default conductivities
+    and voltage. Solvability is the caller's check (validate_and_components).
     """
     if rings < 1:
         raise GeometryError("rings must be >= 1")
@@ -129,18 +115,7 @@ def generate_ring_maze(
     if not neg:
         raise GeometryError("failed to place exit electrode in the outer channel")
 
-    return MazeSpec(
-        cells=cells,
-        electrodes=(
-            Electrode("E1", Polarity.POSITIVE, frozenset(pos)),
-            Electrode("E2", Polarity.NEGATIVE, frozenset(neg)),
-        ),
-        cell_size=h,
-        sigma_electrolyte=sigma_electrolyte,
-        sigma_wall=sigma_wall,
-        sigma_coating=sigma_coating,
-        applied_voltage=applied_voltage,
-    )
+    return MazeSpec(cells, pos, neg, cell_size=h)
 
 
 @dataclass(frozen=True)
@@ -232,18 +207,15 @@ def generate_bifurcation_maze(
     channel_width_mm: float,
     *,
     cell_size_mm: float = DEFAULT_CELL_SIZE_MM,
-    sigma_electrolyte: float = SIGMA_NAOH_05M,
-    sigma_wall: float = 0.0,
-    sigma_coating: float = SIGMA_COATING_DEFAULT,
-    applied_voltage: float = DEFAULT_VOLTAGE,
 ) -> MazeSpec:
     """Inlet corridor splitting into two branches that rejoin before the exit.
 
     Branch centerline lengths match len_a_mm (upper) and len_b_mm (lower)
     to within one cell, and lengths that differ in cells give branches
     that differ the same way. Equal lengths give a grid that is invariant
-    under reflection across the inlet axis. Solvability is the caller's
-    check (validate_and_components).
+    under reflection across the inlet axis. The maze has MazeSpec's
+    default conductivities and voltage. Solvability is the caller's check
+    (validate_and_components).
     """
     lay = bifurcation_layout(len_a_mm, len_b_mm, channel_width_mm, cell_size_mm)
     w = lay.width_cells
@@ -262,17 +234,6 @@ def generate_bifurcation_maze(
     carve((r0, lay.bottom_row + w), (lay.downcomer_col, lay.downcomer_col + w))
     carve((r0, r0 + w), (lay.downcomer_col, lay.nx - 2))  # outlet
 
-    pos = frozenset((2, iy) for iy in range(r0, r0 + w))
-    neg = frozenset((lay.nx - 3, iy) for iy in range(r0, r0 + w))
-    return MazeSpec(
-        cells=cells,
-        electrodes=(
-            Electrode("E1", Polarity.POSITIVE, pos),
-            Electrode("E2", Polarity.NEGATIVE, neg),
-        ),
-        cell_size=cell_size_mm,
-        sigma_electrolyte=sigma_electrolyte,
-        sigma_wall=sigma_wall,
-        sigma_coating=sigma_coating,
-        applied_voltage=applied_voltage,
-    )
+    pos = {(2, iy) for iy in range(r0, r0 + w)}
+    neg = {(lay.nx - 3, iy) for iy in range(r0, r0 + w)}
+    return MazeSpec(cells, pos, neg, cell_size=cell_size_mm)

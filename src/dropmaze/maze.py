@@ -1,4 +1,4 @@
-"""Discrete maze geometry: cell grid, electrodes, physical parameters.
+"""Discrete maze geometry: cell grid, electrode cells, physical parameters.
 
 Cells are addressed as (ix, iy) with ix the column (x, growing right) and
 iy the row (y, growing down); row 0 is the top of the maze file. Arrays
@@ -32,24 +32,21 @@ DEFAULT_VOLTAGE = 5.0
 
 GLYPHS = {".": 0, "#": 1, "+": 2, "S": 0, "T": 0}
 
-HEADER_KEYS = (
-    "cell_size_mm",
-    "sigma_electrolyte",
-    "sigma_wall",
-    "sigma_coating",
-    "voltage",
-)
+# The physical constants, each as its maze-file header and scenario config
+# key mapped to its MazeSpec field, in the order emit_maze writes them.
+HEADER_FIELDS = {
+    "cell_size_mm": "cell_size",
+    "sigma_electrolyte": "sigma_electrolyte",
+    "sigma_wall": "sigma_wall",
+    "sigma_coating": "sigma_coating",
+    "voltage": "applied_voltage",
+}
 
 
 class CellKind(enum.IntEnum):
     CHANNEL = 0
     WALL = 1
     COATED_WALL = 2
-
-
-class Polarity(enum.Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
 
 
 class MazeError(ValueError):
@@ -72,23 +69,14 @@ class GeometryError(MazeError):
     """Requested generator geometry does not fit the grid."""
 
 
-@dataclass(frozen=True)
-class Electrode:
-    id: str
-    polarity: Polarity
-    cells: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        if not self.cells:
-            raise MazeError(f"electrode {self.id!r} has no cells")
-
-
 @dataclass(frozen=True, eq=False)
 class MazeSpec:
-    """Immutable maze: cell kinds, electrodes and physical constants."""
+    """Immutable maze: cell kinds, the positive and negative electrode
+    cells as (ix, iy) sets, and physical constants."""
 
     cells: np.ndarray  # (ny, nx) int8 of CellKind values
-    electrodes: tuple[Electrode, ...]
+    positive: frozenset[tuple[int, int]]
+    negative: frozenset[tuple[int, int]]
     cell_size: float = DEFAULT_CELL_SIZE_MM  # mm
     sigma_electrolyte: float = SIGMA_NAOH_05M
     sigma_wall: float = 0.0
@@ -99,7 +87,8 @@ class MazeSpec:
         cells = np.asarray(self.cells, dtype=np.int8)
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "electrodes", tuple(self.electrodes))
+        object.__setattr__(self, "positive", frozenset(self.positive))
+        object.__setattr__(self, "negative", frozenset(self.negative))
         self._validate()
 
     def _validate(self) -> None:
@@ -121,20 +110,16 @@ class MazeSpec:
             raise MazeError(
                 "sigma_coating must exceed sigma_electrolyte when coated cells exist"
             )
-        if not any(e.polarity is Polarity.POSITIVE for e in self.electrodes):
-            raise MazeError("no positive electrode")
-        if not any(e.polarity is Polarity.NEGATIVE for e in self.electrodes):
-            raise MazeError("no negative electrode")
-        seen: set[tuple[int, int]] = set()
-        for e in self.electrodes:
-            for ix, iy in e.cells:
+        for name, cells in (("positive", self.positive), ("negative", self.negative)):
+            if not cells:
+                raise MazeError(f"no {name} electrode")
+            for ix, iy in cells:
                 if not (0 <= ix < self.nx and 0 <= iy < self.ny):
-                    raise MazeError(f"electrode {e.id!r} cell {(ix, iy)} out of bounds")
+                    raise MazeError(f"{name} electrode cell {(ix, iy)} out of bounds")
                 if self.cells[iy, ix] != CellKind.CHANNEL:
-                    raise MazeError(f"electrode {e.id!r} cell {(ix, iy)} is not a channel cell")
-                if (ix, iy) in seen:
-                    raise MazeError(f"electrode cell {(ix, iy)} belongs to two electrodes")
-                seen.add((ix, iy))
+                    raise MazeError(f"{name} electrode cell {(ix, iy)} is not a channel cell")
+        if shared := self.positive & self.negative:
+            raise MazeError(f"electrode cell {min(shared)} belongs to two electrodes")
 
     @property
     def nx(self) -> int:
@@ -155,31 +140,15 @@ class MazeSpec:
         """Cells the droplet cannot enter (insulating and coated walls)."""
         return self.cells != CellKind.CHANNEL
 
-    def electrode_cells(self, polarity: Polarity) -> frozenset[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for e in self.electrodes:
-            if e.polarity is polarity:
-                out |= e.cells
-        return frozenset(out)
-
     def cell_center_mm(self, ix: int, iy: int) -> tuple[float, float]:
         return ((ix + 0.5) * self.cell_size, (iy + 0.5) * self.cell_size)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MazeSpec):
             return NotImplemented
-        return (
-            np.array_equal(self.cells, other.cells)
-            and set(self.electrodes) == set(other.electrodes)
-            and self.cell_size == other.cell_size
-            and self.sigma_electrolyte == other.sigma_electrolyte
-            and self.sigma_wall == other.sigma_wall
-            and self.sigma_coating == other.sigma_coating
-            and self.applied_voltage == other.applied_voltage
+        return np.array_equal(self.cells, other.cells) and all(
+            getattr(self, f.name) == getattr(other, f.name) for f in dataclasses.fields(self)[1:]
         )
-
-    def __hash__(self):
-        return hash((self.cells.tobytes(), self.cells.shape))
 
 
 def cell_index(mm: np.ndarray, cell_size: float) -> np.ndarray:
@@ -192,17 +161,12 @@ def parse_maze(text: str) -> MazeSpec:
     """Parse maze text: optional `key = value` header, blank line, glyph grid.
 
     Glyphs: `#` wall, `+` coated wall, `.` channel, `S` positive electrode,
-    `T` negative electrode. All `S` cells aggregate into electrode E1 and
-    all `T` cells into E2.
+    `T` negative electrode. The `S` cells form the positive set and the
+    `T` cells the negative set. A header key left out takes MazeSpec's
+    default.
     """
     lines = text.splitlines()
-    params = {
-        "cell_size_mm": DEFAULT_CELL_SIZE_MM,
-        "sigma_electrolyte": SIGMA_NAOH_05M,
-        "sigma_wall": 0.0,
-        "sigma_coating": SIGMA_COATING_DEFAULT,
-        "voltage": DEFAULT_VOLTAGE,
-    }
+    params: dict[str, float] = {}
 
     i = 0
     while i < len(lines):
@@ -213,14 +177,15 @@ def parse_maze(text: str) -> MazeSpec:
         if stripped and "=" in stripped:
             key, _, value = stripped.partition("=")
             key = key.strip()
-            if key not in HEADER_KEYS:
+            if key not in HEADER_FIELDS:
                 raise MazeFormatError(f"unknown header key {key!r}", i + 1)
             try:
-                params[key] = float(value.strip())
-                if not math.isfinite(params[key]):
+                number = float(value.strip())
+                if not math.isfinite(number):
                     raise ValueError(value)
             except ValueError:
                 raise MazeFormatError(f"bad numeric value for {key!r}", i + 1) from None
+            params[HEADER_FIELDS[key]] = number
             i += 1
         else:
             break
@@ -266,40 +231,20 @@ def parse_maze(text: str) -> MazeSpec:
     if not neg_cells:
         raise MazeError("no negative electrode ('T' glyph) in maze")
 
-    electrodes = (
-        Electrode("E1", Polarity.POSITIVE, frozenset(pos_cells)),
-        Electrode("E2", Polarity.NEGATIVE, frozenset(neg_cells)),
-    )
-    return MazeSpec(
-        cells=cells,
-        electrodes=electrodes,
-        cell_size=params["cell_size_mm"],
-        sigma_electrolyte=params["sigma_electrolyte"],
-        sigma_wall=params["sigma_wall"],
-        sigma_coating=params["sigma_coating"],
-        applied_voltage=params["voltage"],
-    )
+    return MazeSpec(cells, pos_cells, neg_cells, **params)
 
 
 def emit_maze(spec: MazeSpec) -> str:
     """Serialize a maze to the canonical text form; parse(emit(s)) == s."""
-    header = [
-        f"cell_size_mm = {spec.cell_size!r}",
-        f"sigma_electrolyte = {spec.sigma_electrolyte!r}",
-        f"sigma_wall = {spec.sigma_wall!r}",
-        f"sigma_coating = {spec.sigma_coating!r}",
-        f"voltage = {spec.applied_voltage!r}",
-    ]
-    pos = spec.electrode_cells(Polarity.POSITIVE)
-    neg = spec.electrode_cells(Polarity.NEGATIVE)
+    header = [f"{key} = {getattr(spec, name)!r}" for key, name in HEADER_FIELDS.items()]
     glyph_for = {0: ".", 1: "#", 2: "+"}
     rows = []
     for iy in range(spec.ny):
         row = []
         for ix in range(spec.nx):
-            if (ix, iy) in pos:
+            if (ix, iy) in spec.positive:
                 row.append("S")
-            elif (ix, iy) in neg:
+            elif (ix, iy) in spec.negative:
                 row.append("T")
             else:
                 row.append(glyph_for[int(spec.cells[iy, ix])])
@@ -399,8 +344,8 @@ def validate_and_components(spec: MazeSpec) -> ComponentReport:
     """Label 4-connected channel components; solvable iff some positive and
     negative electrode cells share a component."""
     labels, count = label_components(spec.channel_mask())
-    pos_comps = {int(labels[iy, ix]) for ix, iy in spec.electrode_cells(Polarity.POSITIVE)}
-    neg_comps = {int(labels[iy, ix]) for ix, iy in spec.electrode_cells(Polarity.NEGATIVE)}
+    pos_comps = {int(labels[iy, ix]) for ix, iy in spec.positive}
+    neg_comps = {int(labels[iy, ix]) for ix, iy in spec.negative}
     labels.setflags(write=False)
     return ComponentReport(labels, count, bool(pos_comps & neg_comps))
 

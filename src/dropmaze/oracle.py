@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .maze import MazeSpec, Polarity, bfs, cell_index, label_components
+from .maze import MazeSpec, bfs, cell_index, label_components
 from .solver import ScalarField, VectorField
 
 if TYPE_CHECKING:
@@ -75,7 +75,7 @@ _DESCENT_ORDER = ((1, 0), (0, -1), (-1, 0), (0, 1))
 def lee_label(maze: MazeSpec) -> LeeLabels:
     """Breadth-first wavefront labels over 4-connected channel cells,
     counted from the negative electrode cells."""
-    labels, _ = bfs(maze.channel_mask(), sorted(maze.electrode_cells(Polarity.NEGATIVE)))
+    labels, _ = bfs(maze.channel_mask(), sorted(maze.negative))
     labels.setflags(write=False)
     return LeeLabels(labels, maze.cell_size)
 
@@ -352,11 +352,9 @@ def trace_route_streamline(
     without a tie the tuple holds one streamline.
     """
     channel = maze.channel_mask()
-    pos_cells = maze.electrode_cells(Polarity.POSITIVE)
-    neg_cells = maze.electrode_cells(Polarity.NEGATIVE)
 
     # Ring of seed cells two steps out from the positive electrode.
-    dist, _ = bfs(channel, sorted(pos_cells), max_depth=2)
+    dist, _ = bfs(channel, sorted(maze.positive), max_depth=2)
     ring = sorted((int(x), int(y)) for y, x in zip(*np.nonzero(dist == 2)))
     if not ring:
         ring = sorted((int(x), int(y)) for y, x in zip(*np.nonzero(dist == 1)))
@@ -373,7 +371,7 @@ def trace_route_streamline(
         weight = grid.sample(*start)[2]
         if weight <= 0:
             continue
-        tr = streamline(j, start, target_cells=neg_cells, channel_mask=channel, _lists=grid)
+        tr = streamline(j, start, target_cells=maze.negative, channel_mask=channel, _lists=grid)
         traces.append((region_sequence(tr.cells(h), seg), weight, tr))
     if not traces:
         raise ValueError("no usable streamline seeds around the positive electrode")
@@ -651,9 +649,8 @@ def segment_corridors(maze: MazeSpec) -> CorridorSegmentation:
     # keeps a ring with an electrode on it from becoming one giant loop
     # region spanning both its live and its dead side.
     electrode = np.zeros_like(node_mask)
-    for e in maze.electrodes:
-        for ix, iy in e.cells:
-            electrode[iy, ix] = True
+    for ix, iy in maze.positive | maze.negative:
+        electrode[iy, ix] = True
     node_mask |= skel & electrode
 
     # Junction / endpoint blobs first (8-connected groups of node cells),

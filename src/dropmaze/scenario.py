@@ -33,6 +33,7 @@ from .dynamics import (
 )
 from .generators import generate_bifurcation_maze, generate_ring_maze
 from .maze import (
+    HEADER_FIELDS,
     MazeSpec,
     coat_sharp_corners,
     convex_corner_cells,
@@ -174,8 +175,7 @@ _SCENARIO_KEYS = {
 _UNREAD_KEYS = {
     "maze_file": (
         "rings", "gaps_per_ring", "diameter_mm", "channel_width_mm", "wall_mm", "exit_angle_deg",
-        "len_a_mm", "len_b_mm", "seed", "cell_size_mm", "sigma_electrolyte", "sigma_wall",
-        "sigma_coating", "voltage",
+        "len_a_mm", "len_b_mm", "seed", *HEADER_FIELDS,
     ),
     "generator = ring": ("len_a_mm", "len_b_mm"),
     "generator = bifurcation": (
@@ -268,22 +268,14 @@ def build_maze(cfg: ScenarioConfig) -> MazeSpec:
             cell_size_mm=cfg.cell_size_mm,
             wall_mm=cfg.wall_mm,
             exit_angle_deg=cfg.exit_angle_deg,
-            sigma_electrolyte=cfg.sigma_electrolyte,
-            sigma_wall=cfg.sigma_wall,
-            sigma_coating=cfg.sigma_coating,
-            applied_voltage=cfg.voltage,
         )
     else:
         spec = generate_bifurcation_maze(
-            cfg.len_a_mm,
-            cfg.len_b_mm,
-            cfg.channel_width_mm,
-            cell_size_mm=cfg.cell_size_mm,
-            sigma_electrolyte=cfg.sigma_electrolyte,
-            sigma_wall=cfg.sigma_wall,
-            sigma_coating=cfg.sigma_coating,
-            applied_voltage=cfg.voltage,
+            cfg.len_a_mm, cfg.len_b_mm, cfg.channel_width_mm, cell_size_mm=cfg.cell_size_mm
         )
+    if cfg.generator is not None:  # a generator builds geometry; the config sets the physics
+        physics = {name: getattr(cfg, key) for key, name in HEADER_FIELDS.items()}
+        spec = dataclasses.replace(spec, **physics)
     if cfg.coat_corners:
         spec = coat_sharp_corners(spec)
     return spec

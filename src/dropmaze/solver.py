@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .maze import MazeSpec, Polarity, conductivity_grid, label_components
+from .maze import MazeSpec, conductivity_grid, label_components
 
 MM_TO_M = 1e-3
 
@@ -452,12 +452,8 @@ def solve_potential(
 
 def maze_dirichlet(spec: MazeSpec) -> dict[tuple[int, int], float]:
     """Electrode pinning for a maze: positive at applied_voltage, negative at 0."""
-    out: dict[tuple[int, int], float] = {}
-    for cell in spec.electrode_cells(Polarity.POSITIVE):
-        out[cell] = spec.applied_voltage
-    for cell in spec.electrode_cells(Polarity.NEGATIVE):
-        out[cell] = 0.0
-    return out
+    pinned = dict.fromkeys(spec.positive, spec.applied_voltage)
+    return pinned | dict.fromkeys(spec.negative, 0.0)
 
 
 def _masked_ddx(v: np.ndarray, valid: np.ndarray, h_m: float) -> np.ndarray:

@@ -107,15 +107,14 @@ def test_criterion_2_conservation(ring_maze, ring_fields):
         assert fields.report.converged
         div, i_in, i_out = conservation(
             fields.j,
-            maze.electrode_cells(dm.Polarity.POSITIVE),
-            maze.electrode_cells(dm.Polarity.NEGATIVE),
+            maze.positive,
+            maze.negative,
         )
         assert abs(i_in - i_out) / i_in < 1e-4
         assert abs(fields.report.current_imbalance()) < 1e-4
         electrode = np.zeros((maze.ny, maze.nx), dtype=bool)
-        for e in maze.electrodes:
-            for ix, iy in e.cells:
-                electrode[iy, ix] = True
+        for ix, iy in maze.positive | maze.negative:
+            electrode[iy, ix] = True
         off = div.values[maze.channel_mask() & ~electrode]
         h_m = maze.cell_size * 1e-3
         j_mean = fields.j.magnitude()[maze.channel_mask()].mean()
@@ -156,7 +155,7 @@ def test_criterion_4_branch_ratio():
 @criterion(5, "Joule ridge and streamline both match the Lee path on the ring maze (<60 s at 256x256)")
 def test_criterion_5_shortest_path_readout(ring_maze, ring_fields, ring_segmentation, ring_labels):
     def readout(maze, fields, seg, labels):
-        start = sorted(maze.electrode_cells(dm.Polarity.POSITIVE))[0]
+        start = sorted(maze.positive)[0]
         path = extract_path(labels, start)
         p_seq = region_sequence(path.cells, seg)
         hot = hot_region_route(fields.joule, seg, labels)

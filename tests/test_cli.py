@@ -56,12 +56,34 @@ def _write(tmp_path, name, text):
     return str(p)
 
 
+# Every physical constant away from its default.
+PHYSICS = {
+    "cell_size_mm": 1.0,
+    "sigma_electrolyte": 2.5,
+    "sigma_wall": 0.01,
+    "sigma_coating": 1.0e4,
+    "voltage": 3.0,
+}
+PHYSICS_CFG = "".join(f"{key} = {value!r}\n" for key, value in PHYSICS.items())
+
+
 def test_generate_round_trips(tmp_path, capsys):
-    cfg = _write(tmp_path, "ring.cfg", RING_CFG)
-    out = tmp_path / "ring.maze"
-    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
-    spec = parse_maze(out.read_text())
-    assert dm.validate_and_components(spec).solvable
+    """The written maze file parses back to the maze the config builds,
+    with the config's physics; a ring and a bifurcation also with every
+    physical constant set."""
+    inputs = {"ring": RING_CFG, "ring_physics": RING_CFG + PHYSICS_CFG}
+    inputs["bifurcation_physics"] = SYM_CFG + PHYSICS_CFG
+    for label, text in inputs.items():
+        cfg = _write(tmp_path, f"{label}.cfg", text)
+        out = tmp_path / f"{label}.maze"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        spec = parse_maze(out.read_text())
+        assert dm.validate_and_components(spec).solvable
+        assert spec == scenario.build_maze(dm.load_config(cfg))
+        if label.endswith("_physics"):
+            got = (spec.cell_size, spec.sigma_electrolyte, spec.sigma_wall, spec.sigma_coating,
+                   spec.applied_voltage)
+            assert got == tuple(PHYSICS.values())
 
 
 def test_generate_rejects_an_unsolvable_maze(tmp_path, monkeypatch, capsys):
@@ -394,6 +416,18 @@ def test_simulate_configs_sharing_a_stem_exit_four(tmp_path, capsys):
     assert code == 4
     assert "['x', 'x'] share a file stem" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_configs_sharing_an_out_key_exit_four(tmp_path, capsys):
+    """Without --out, two configs whose `out` keys name one directory
+    would write the second bundle over the first: nothing runs."""
+    shared = tmp_path / "same"
+    cfg_a = _write(tmp_path, "p1.cfg", SYM_CFG + f"out = {shared}\n")
+    cfg_b = _write(tmp_path, "p2.cfg", SYM_CFG.replace("len_b_mm = 40", "len_b_mm = 42")
+                   + f"out = {tmp_path}/./same\n")
+    assert main(["simulate", "--config", cfg_a, cfg_b]) == 4
+    assert f"{cfg_a} and {cfg_b} share the output directory" in capsys.readouterr().err
+    assert not shared.exists()
 
 
 def test_simulate_multiple_configs(tmp_path):

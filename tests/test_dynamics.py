@@ -26,7 +26,7 @@ from dropmaze.dynamics import (
     velocity_profile,
 )
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze
-from dropmaze.maze import Polarity, convex_corner_cells, parse_maze
+from dropmaze.maze import convex_corner_cells, parse_maze
 from dropmaze.oracle import extract_path, lee_label, segment_corridors
 from dropmaze.scenario import build_maze, load_config, resolve_start
 from dropmaze.solver import VectorField, VectorQuantity, compute_fields
@@ -218,7 +218,7 @@ def test_simulate_straight_channel_monotone(straight_maze):
             y - min(max(y, iy * h), (iy + 1) * h),
         )
         <= traj.radius_mm
-        for ix, iy in straight_maze.electrode_cells(dm.Polarity.NEGATIVE)
+        for ix, iy in straight_maze.negative
     )
 
 
@@ -261,7 +261,8 @@ def test_voltage_scaling_preserves_route(straight_maze):
     # same maze at double voltage: direction field unchanged, route identical
     double = dm.MazeSpec(
         cells=np.array(straight_maze.cells),
-        electrodes=straight_maze.electrodes,
+        positive=straight_maze.positive,
+        negative=straight_maze.negative,
         cell_size=straight_maze.cell_size,
         sigma_electrolyte=straight_maze.sigma_electrolyte,
         sigma_wall=straight_maze.sigma_wall,
@@ -398,7 +399,7 @@ def query_mazes(ring_maze):
     bifurcation = generate_bifurcation_maze(38.0, 42.0, 4.0)
     for name, maze in (("ring", ring_maze), ("bifurcation", bifurcation)):
         cells = {
-            "negative": sorted(maze.electrode_cells(Polarity.NEGATIVE)),
+            "negative": sorted(maze.negative),
             "wall": [(int(x), int(y)) for y, x in zip(*np.nonzero(maze.wall_mask()))],
             "channel": [(int(x), int(y)) for y, x in zip(*np.nonzero(maze.channel_mask()))],
         }
@@ -619,7 +620,7 @@ def _run_both(wedge, seed, radius, slope, start_gap, thr, noise, release, lock_w
     path = extract_path(labels, (int(start[0] // h), int(start[1] // h)))
     traj = simulate(maze, params, fields, start, radius, path)
     want = stepwise_simulate(
-        wall, sorted(maze.electrode_cells(Polarity.NEGATIVE)), h,
+        wall, sorted(maze.negative), h,
         lambda x, y: disk_integrate(sums, (x, y), radius, params.force_gain),
         params, start, radius, dt,
     )
@@ -684,7 +685,7 @@ def test_far_target_check_makes_no_wall_query(straight_maze, monkeypatch):
 
     monkeypatch.setattr(_Geometry, "gaps", gaps)
     # The negative electrode is the column of cells from x = 30 to 30.5 mm.
-    assert sorted({ix for ix, _ in straight_maze.electrode_cells(Polarity.NEGATIVE)}) == [60]
+    assert sorted({ix for ix, _ in straight_maze.negative}) == [60]
     assert not _disk_overlaps_negative(geom, 10.0, 2.5, 1.0)
     assert not _disk_overlaps_negative(geom, 28.4, 2.5, 1.0)
     assert calls == []
@@ -892,7 +893,7 @@ def test_find_start_matches_bfs_order_scan(placement_mazes, name):
     maze = placement_mazes[name]
     labels = lee_label(maze)
     default = droplet_radius_mm(DynamicsParams(), segment_corridors(maze), maze.cell_size)
-    pos = sorted(maze.electrode_cells(Polarity.POSITIVE))
+    pos = sorted(maze.positive)
     wants = []
     for radius in (0.3, 0.5, 1.0, 1.25, default, 1.9, 3.0):
         want = bfs_order_find_start(
@@ -938,7 +939,7 @@ def test_find_start_equals_the_full_search_on_the_configs(name):
     maze = build_maze(cfg)
     labels = lee_label(maze)
     radius = droplet_radius_mm(cfg.dynamics, segment_corridors(maze), maze.cell_size)
-    pos = sorted(maze.electrode_cells(Polarity.POSITIVE))
+    pos = sorted(maze.positive)
     want = bfs_order_find_start(
         maze.channel_mask(), maze.wall_mask(), maze.cell_size, pos, radius, labels.labels
     )

@@ -17,7 +17,7 @@ def test_four_ring_maze_has_route_to_e1():
     spec = generate_ring_maze(4, [1, 1, 1, 1], diameter_mm=120.0, channel_width_mm=6.0, seed=7)
     assert validate_and_components(spec).solvable
     labels = lee_label(spec)
-    for ix, iy in spec.electrode_cells(dm.Polarity.POSITIVE):
+    for ix, iy in spec.positive:
         assert labels.label(ix, iy) >= 0
 
 
@@ -61,8 +61,7 @@ def test_bifurcation_symmetric_grid_is_mirror_invariant():
     spec = generate_bifurcation_maze(40.0, 40.0, 4.0)
     assert np.array_equal(spec.cells, np.flipud(spec.cells))
     # electrodes mirror onto themselves as cell sets
-    for pol in (dm.Polarity.POSITIVE, dm.Polarity.NEGATIVE):
-        cells = spec.electrode_cells(pol)
+    for cells in (spec.positive, spec.negative):
         mirrored = {(ix, spec.ny - 1 - iy) for ix, iy in cells}
         assert mirrored == cells
 
@@ -102,7 +101,7 @@ def test_bifurcation_shorter_branch_stays_strictly_shorter(la, lb, width_and_cel
 def test_bifurcation_short_branch_carries_lee_path():
     spec = generate_bifurcation_maze(20.0, 60.0, 2.0)
     labels = lee_label(spec)
-    start = sorted(spec.electrode_cells(dm.Polarity.POSITIVE))[0]
+    start = sorted(spec.positive)[0]
     path = extract_path(labels, start)
     lay = bifurcation_layout(20.0, 60.0, 2.0)
     axis_row = lay.inlet_row + lay.width_cells // 2

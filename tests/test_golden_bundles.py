@@ -48,12 +48,20 @@ The run goes through `dropmaze simulate` in a child interpreter with one
 BLAS thread, as the benchmark runs it. No output depends on that count:
 the solver sums with numpy, not BLAS, and criterion 10 checks that
 `ring_m2` writes the same bundle at one and at two threads.
+
+The maze files that `dropmaze generate` writes for all six configs are
+pinned too, header and grid: parse_maze(emit_maze(s)) == s holds for any
+header order or number format, so no round trip would notice a change.
+They were recorded before the maze model took its two electrode sets and
+the header its one table of physical constants.
 """
 
 import hashlib
 from pathlib import Path
 
 import pytest
+
+from dropmaze.cli import main
 
 from conftest import CONFIGS, bundle_bytes, run_cli
 
@@ -193,3 +201,21 @@ def test_noisy_pinned_run_matches_golden_digests(tmp_path):
     done = run_cli(["simulate", "--config", str(config), "--out", str(out)], blas_threads=1)
     assert done.returncode == 0, done.stderr
     assert {p.name: _digest(p) for p in sorted(out.iterdir())} == NOISE_GOLDEN
+
+
+# ring_m2 and ring_insulated make the same maze; ring_coated has `+` cells.
+GENERATE_GOLDEN = {
+    "bifurcation_lock": "bd8566ad8e569fd6a25b768698e8e047e78a2b6a3d39919cdf029aeab73d3e76",
+    "bifurcation_symmetric": "7bf1b1a585c4fb08103c30d798d73b451b41f6f7bbdde30b53f90e6f20405095",
+    "ring_coated": "94376c572748ecb0f13fe06834031c1e3003b1273b892a4ee317e7397c35158e",
+    "ring_insulated": "0a752af3a740836ed36e9cbfa6254a0d4f22ec7a6d82c2f1beb6f1dcbcf01472",
+    "ring_m1": "babbe87794582b102ed6809f27687b40b7a66223066a1327c8b7556e03a491df",
+    "ring_m2": "0a752af3a740836ed36e9cbfa6254a0d4f22ec7a6d82c2f1beb6f1dcbcf01472",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATE_GOLDEN))
+def test_generated_maze_file_matches_golden_digest(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.maze"
+    assert main(["generate", "--config", str(CONFIGS / f"{name}.cfg"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_GOLDEN[name]

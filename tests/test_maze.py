@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,8 +30,8 @@ def test_parse_minimal_strip():
     spec = parse_maze("S.T")
     assert (spec.nx, spec.ny) == (3, 1)
     assert spec.cells.tolist() == [[0, 0, 0]]
-    assert spec.electrode_cells(dm.Polarity.POSITIVE) == {(0, 0)}
-    assert spec.electrode_cells(dm.Polarity.NEGATIVE) == {(2, 0)}
+    assert spec.positive == {(0, 0)}
+    assert spec.negative == {(2, 0)}
     # defaults applied
     assert spec.cell_size == 0.5
     assert spec.sigma_electrolyte == 10.0
@@ -188,10 +190,7 @@ def test_component_labels_match_deque_flood_fill_on_random_masks(seed):
     pos, neg = rng.choice(flat.size, size=2, replace=False)
     flat[[pos, neg]] = CellKind.CHANNEL
     nx = shape[1]
-    spec = dm.MazeSpec(cells, (
-        dm.Electrode("E1", dm.Polarity.POSITIVE, frozenset({(int(pos % nx), int(pos // nx))})),
-        dm.Electrode("E2", dm.Polarity.NEGATIVE, frozenset({(int(neg % nx), int(neg // nx))})),
-    ))
+    spec = dm.MazeSpec(cells, {(int(pos % nx), int(pos // nx))}, {(int(neg % nx), int(neg // nx))})
     rep = validate_and_components(spec)
     labels, count = deque_components(spec.channel_mask())
     assert np.array_equal(rep.labels, labels)
@@ -236,10 +235,7 @@ def test_component_labels_match_deque_flood_fill_with_thousands_of_pockets():
     cells = np.where(rng.random((180, 240)) < 0.45, 0, 1).astype(np.int8)
     cells[::4, :] = CellKind.WALL
     cells[1, :] = cells[-2, :] = CellKind.CHANNEL
-    spec = dm.MazeSpec(cells, (
-        dm.Electrode("E1", dm.Polarity.POSITIVE, frozenset({(0, 1)})),
-        dm.Electrode("E2", dm.Polarity.NEGATIVE, frozenset({(239, 178)})),
-    ))
+    spec = dm.MazeSpec(cells, {(0, 1)}, {(239, 178)})
     rep = validate_and_components(spec)
     labels, count = deque_components(spec.channel_mask())
     assert count > 3000
@@ -275,17 +271,33 @@ def test_conductivity_is_pure(ring_maze):
     assert a.tobytes() == b.tobytes()
 
 
+def _electrodes(name: str, cells: set) -> dict:
+    """MazeSpec's electrode keywords on a 3x2 channel grid: cells as the
+    `name` set, and the channel cell (2, 1) as the other set."""
+    other = "negative" if name == "positive" else "positive"
+    return {name: cells, other: {(2, 1)}}
+
+
 def test_invariant_electrode_on_wall_rejected():
+    """Either set on a wall cell is rejected."""
     cells = np.zeros((2, 3), dtype=np.int8)
     cells[0, 0] = CellKind.WALL
-    with pytest.raises(MazeError, match="not a channel"):
-        dm.MazeSpec(
-            cells=cells,
-            electrodes=(
-                dm.Electrode("E1", dm.Polarity.POSITIVE, frozenset({(0, 0)})),
-                dm.Electrode("E2", dm.Polarity.NEGATIVE, frozenset({(2, 0)})),
-            ),
-        )
+    for name in ("positive", "negative"):
+        with pytest.raises(MazeError, match="not a channel"):
+            dm.MazeSpec(cells, **_electrodes(name, {(0, 0)}))
+
+
+@pytest.mark.parametrize(
+    "cells", [set(), {(3, 0)}, {(0, 2)}, {(-1, 0)}, {(0, -1)}],
+    ids=["empty", "x=3", "y=2", "x=-1", "y=-1"],
+)
+@pytest.mark.parametrize("name", ["positive", "negative"])
+def test_invariant_electrode_set_empty_or_out_of_bounds_rejected(name, cells):
+    """Either set empty, or holding a cell past any edge of the 3x2 grid,
+    is rejected; negative indices too, which numpy would wrap."""
+    message = f"{name} electrode cell {min(cells)} out of bounds" if cells else f"no {name} electrode"
+    with pytest.raises(MazeError, match=re.escape(message)):
+        dm.MazeSpec(np.zeros((2, 3), dtype=np.int8), **_electrodes(name, cells))
 
 
 def test_invariant_sigma_ordering_with_coating():
@@ -294,10 +306,8 @@ def test_invariant_sigma_ordering_with_coating():
     with pytest.raises(MazeError, match="sigma_coating"):
         dm.MazeSpec(
             cells=cells,
-            electrodes=(
-                dm.Electrode("E1", dm.Polarity.POSITIVE, frozenset({(0, 0)})),
-                dm.Electrode("E2", dm.Polarity.NEGATIVE, frozenset({(3, 0)})),
-            ),
+            positive={(0, 0)},
+            negative={(3, 0)},
             sigma_coating=1.0,
         )
 
@@ -307,10 +317,8 @@ def test_invariant_overlapping_electrodes_rejected():
     with pytest.raises(MazeError, match="two electrodes"):
         dm.MazeSpec(
             cells=cells,
-            electrodes=(
-                dm.Electrode("E1", dm.Polarity.POSITIVE, frozenset({(0, 0)})),
-                dm.Electrode("E2", dm.Polarity.NEGATIVE, frozenset({(0, 0)})),
-            ),
+            positive={(0, 0)},
+            negative={(0, 0)},
         )
 
 
@@ -343,7 +351,7 @@ def test_coat_sharp_corners_only_changes_corners():
     for iy, ix in changed:
         assert coated.cells[iy, ix] == CellKind.COATED_WALL
     # the electrodes and physics are untouched
-    assert coated.electrodes == spec.electrodes
+    assert (coated.positive, coated.negative) == (spec.positive, spec.negative)
     assert coated.applied_voltage == spec.applied_voltage
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dropmaze as dm
 from dropmaze import oracle, scenario
-from dropmaze.maze import Polarity, cell_index, parse_maze
+from dropmaze.maze import cell_index, parse_maze
 from dropmaze.oracle import (
     StreamTermination,
     UnreachableError,
@@ -78,7 +78,7 @@ def test_lee_matches_exhaustive_bfs(seed):
     glyphs[t[1], t[0]] = "T"
     spec = parse_maze("\n".join("".join(r) for r in glyphs))
     labels = lee_label(spec)
-    expected = bfs_distances(spec.channel_mask(), spec.electrode_cells(dm.Polarity.NEGATIVE))
+    expected = bfs_distances(spec.channel_mask(), spec.negative)
     assert np.array_equal(labels.labels, expected)
 
 
@@ -97,7 +97,7 @@ def test_extract_path_unreachable():
 
 
 def test_extract_path_descends_by_one(ring_maze, ring_labels):
-    start = sorted(ring_maze.electrode_cells(dm.Polarity.POSITIVE))[0]
+    start = sorted(ring_maze.positive)[0]
     path = extract_path(ring_labels, start)
     values = [ring_labels.label(ix, iy) for ix, iy in path.cells]
     assert values == list(range(values[0], -1, -1))
@@ -112,7 +112,7 @@ def test_extract_path_uses_short_branch_38_42():
     spec = generate_bifurcation_maze(38.0, 42.0, 4.0)
     lay = bifurcation_layout(38.0, 42.0, 4.0)
     labels = lee_label(spec)
-    start = sorted(spec.electrode_cells(dm.Polarity.POSITIVE))[0]
+    start = sorted(spec.positive)[0]
     path = extract_path(labels, start)
     assert path.length_cells == labels.label(*start)
     assert min(iy for _, iy in path.cells) < lay.inlet_row  # rises into branch a
@@ -124,7 +124,7 @@ def test_streamline_straight_strip():
     sl = streamline(
         fields.j,
         spec.cell_center_mm(1, 2),
-        target_cells=spec.electrode_cells(dm.Polarity.NEGATIVE),
+        target_cells=spec.negative,
         channel_mask=spec.channel_mask(),
     )
     assert sl.termination is StreamTermination.REACHED
@@ -218,7 +218,7 @@ def test_prune_spurs_removes_short_branches_only():
 
 def test_ring_streamline_matches_lee_path(ring_maze, ring_fields, ring_segmentation, ring_labels):
     seg = ring_segmentation
-    start = sorted(ring_maze.electrode_cells(dm.Polarity.POSITIVE))[0]
+    start = sorted(ring_maze.positive)[0]
     path = extract_path(ring_labels, start)
     (sl,) = trace_route_streamline(ring_fields.j, ring_maze, seg=seg)
     assert sl.termination is StreamTermination.REACHED
@@ -229,7 +229,7 @@ def test_ring_streamline_matches_lee_path(ring_maze, ring_fields, ring_segmentat
 
 
 def test_hot_regions_match_lee_path(ring_maze, ring_fields, ring_segmentation, ring_labels):
-    start = sorted(ring_maze.electrode_cells(dm.Polarity.POSITIVE))[0]
+    start = sorted(ring_maze.positive)[0]
     path = extract_path(ring_labels, start)
     p_seq = region_sequence(path.cells, ring_segmentation)
     hot = hot_region_route(ring_fields.joule, ring_segmentation, ring_labels)
@@ -242,7 +242,7 @@ def test_streamline_lee_agreement_over_corpus():
         fields = compute_fields(spec)
         seg = segment_corridors(spec)
         labels = lee_label(spec)
-        start = sorted(spec.electrode_cells(dm.Polarity.POSITIVE))[0]
+        start = sorted(spec.positive)[0]
         path = extract_path(labels, start)
         (sl,) = trace_route_streamline(fields.j, spec, seg=seg)
         assert region_sequence(sl.cells(spec.cell_size), seg) == region_sequence(path.cells, seg)
@@ -264,7 +264,7 @@ def test_segmentation_covers_all_channel_cells(ring_maze, ring_segmentation):
 def test_compare_trajectory_on_itself(ring_maze, ring_segmentation, ring_labels):
     from dropmaze.dynamics import Trajectory, Termination
 
-    start = sorted(ring_maze.electrode_cells(dm.Polarity.POSITIVE))[0]
+    start = sorted(ring_maze.positive)[0]
     path = extract_path(ring_labels, start)
     pts = path.points_mm()
     traj = Trajectory(
@@ -405,8 +405,8 @@ def test_wall_distance_matches_bfs_on_random_masks(seed):
 def test_bfs_distances_match_reference(maze):
     maze = maze()
     channel = maze.channel_mask()
-    for polarity in (Polarity.NEGATIVE, Polarity.POSITIVE):
-        sources = sorted(maze.electrode_cells(polarity))
+    for electrode in (maze.negative, maze.positive):
+        sources = sorted(electrode)
         dist, owner = bfs(channel, sources)
         want = bfs_distances(channel, sources)
         assert dist.dtype == np.int32

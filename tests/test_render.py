@@ -112,7 +112,6 @@ def test_csv_schema_columns(tmp_path, ring_fields):
 
 
 def test_joule_image_ridge_follows_lee_path(tmp_path, ring_maze, ring_fields, ring_labels):
-    from dropmaze.maze import Polarity
     from dropmaze.oracle import extract_path
 
     out = tmp_path / "joule.pgm"
@@ -120,7 +119,7 @@ def test_joule_image_ridge_follows_lee_path(tmp_path, ring_maze, ring_fields, ri
     body = out.read_bytes().split(b"255\n", 1)[1]
     img = np.frombuffer(body, dtype=np.uint8).reshape(ring_maze.ny, ring_maze.nx)
 
-    start = sorted(ring_maze.electrode_cells(Polarity.POSITIVE))[0]
+    start = sorted(ring_maze.positive)[0]
     path = extract_path(ring_labels, start)
     path_arr = np.array(path.cells)
     thr = np.percentile(img[ring_maze.channel_mask()], 90)

@@ -238,7 +238,7 @@ def test_report_counts_the_unknowns_the_solve_iterates_over(ring_scenario):
     """Every channel cell of the ring is linked to an electrode, so the
     unknowns are the channel cells less the pinned ones."""
     maze = ring_scenario.maze
-    pinned = sum(len(e.cells) for e in maze.electrodes)
+    pinned = len(maze.positive) + len(maze.negative)
     assert ring_scenario.report["solve"]["unknowns"] == int(maze.channel_mask().sum()) - pinned
 
 

@@ -100,8 +100,8 @@ def test_conservation_on_strip():
     fields = compute_fields(spec)
     div, i_in, i_out = conservation(
         fields.j,
-        spec.electrode_cells(dm.Polarity.POSITIVE),
-        spec.electrode_cells(dm.Polarity.NEGATIVE),
+        spec.positive,
+        spec.negative,
     )
     assert abs(i_in - i_out) / i_in < 1e-4
     off = div.values[:, 1:-1]  # off-electrode columns
@@ -113,14 +113,13 @@ def test_conservation_on_strip():
 def test_conservation_on_ring(ring_maze, ring_fields):
     div, i_in, i_out = conservation(
         ring_fields.j,
-        ring_maze.electrode_cells(dm.Polarity.POSITIVE),
-        ring_maze.electrode_cells(dm.Polarity.NEGATIVE),
+        ring_maze.positive,
+        ring_maze.negative,
     )
     assert abs(i_in - i_out) / i_in < 1e-4
     electrode = np.zeros((ring_maze.ny, ring_maze.nx), dtype=bool)
-    for e in ring_maze.electrodes:
-        for ix, iy in e.cells:
-            electrode[iy, ix] = True
+    for ix, iy in ring_maze.positive | ring_maze.negative:
+        electrode[iy, ix] = True
     off = div.values[ring_maze.channel_mask() & ~electrode]
     h_m = ring_maze.cell_size * 1e-3
     j_on = ring_fields.j.magnitude()[ring_maze.channel_mask()]
@@ -135,8 +134,8 @@ def test_unconverged_solve_fails_conservation():
     j = current_density(phi, sigma)
     div, i_in, i_out = conservation(
         j,
-        spec.electrode_cells(dm.Polarity.POSITIVE),
-        spec.electrode_cells(dm.Polarity.NEGATIVE),
+        spec.positive,
+        spec.negative,
     )
     h_m = spec.cell_size * 1e-3
     j_scale = np.abs(j.magnitude()).mean()
@@ -192,9 +191,8 @@ def test_maximum_principle_on_ring(ring_maze, ring_fields):
     assert phi[channel].max() <= v + 1e-9
     assert phi[channel].min() >= -1e-9
     electrode = np.zeros_like(channel)
-    for e in ring_maze.electrodes:
-        for ix, iy in e.cells:
-            electrode[iy, ix] = True
+    for ix, iy in ring_maze.positive | ring_maze.negative:
+        electrode[iy, ix] = True
     interior = channel & ~electrode
     assert phi[interior].max() < v - 1e-12
     assert phi[interior].min() > 1e-12
@@ -203,7 +201,8 @@ def test_maximum_principle_on_ring(ring_maze, ring_fields):
 def test_linearity_in_voltage(ring_maze, ring_fields):
     double = dm.MazeSpec(
         cells=np.array(ring_maze.cells),
-        electrodes=ring_maze.electrodes,
+        positive=ring_maze.positive,
+        negative=ring_maze.negative,
         cell_size=ring_maze.cell_size,
         sigma_electrolyte=ring_maze.sigma_electrolyte,
         sigma_wall=ring_maze.sigma_wall,
@@ -389,10 +388,7 @@ def test_sealed_pockets_stay_at_zero():
     cells = np.where(rng.random((180, 240)) < 0.45, 0, 1).astype(np.int8)
     cells[::4, :] = CellKind.WALL
     cells[1, :] = cells[-2, :] = CellKind.CHANNEL
-    spec = dm.MazeSpec(cells, (
-        dm.Electrode("E1", dm.Polarity.POSITIVE, frozenset({(0, 1)})),
-        dm.Electrode("E2", dm.Polarity.NEGATIVE, frozenset({(239, 1)})),
-    ))
+    spec = dm.MazeSpec(cells, {(0, 1)}, {(239, 1)})
     assert validate_and_components(spec).n_components > 3000
     sigma, dirichlet = conductivity_grid(spec), maze_dirichlet(spec)
     phi, report = solve_potential(sigma, dirichlet, spec.cell_size)
