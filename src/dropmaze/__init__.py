@@ -49,13 +49,11 @@ from .dynamics import (  # noqa: E402
     RowSums,
     Termination,
     Trajectory,
-    VelocityProfile,
     disk_integrate,
+    dwell_segments,
     simulate,
-    velocity_profile,
 )
 from .oracle import (  # noqa: E402
-    ComparisonMetrics,
     CorridorSegmentation,
     LeeLabels,
     Path,
@@ -64,7 +62,6 @@ from .oracle import (  # noqa: E402
     UnreachableError,
     compare_trajectory,
     extract_path,
-    hot_region_route,
     lee_label,
     region_sequence,
     segment_corridors,

@@ -89,7 +89,6 @@ class Trajectory:
     dt: float
     radius_mm: float
     start_cell: tuple[int, int]
-    final_effective_force: float
 
     def positions_mm(self) -> np.ndarray:
         return np.column_stack([self.xs, self.ys])
@@ -533,16 +532,7 @@ def simulate(
         dt=dt,
         radius_mm=radius,
         start_cell=path.cells[0],
-        final_effective_force=forces[-1],
     )
-
-
-@dataclass(frozen=True, eq=False)
-class VelocityProfile:
-    times: np.ndarray
-    speeds: np.ndarray
-    peak_speed: float
-    dwell_segments: tuple[tuple[int, int], ...]  # inclusive sample index ranges
 
 
 # A sample dwells when the droplet moves slower than this share of its
@@ -552,26 +542,14 @@ class VelocityProfile:
 _DWELL_FRACTION = 0.01
 
 
-def velocity_profile(traj: Trajectory) -> VelocityProfile:
-    """Per-sample speed plus maximal runs slower than _DWELL_FRACTION of
-    the peak (the pinning dwells)."""
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
+def dwell_segments(traj: Trajectory) -> list[tuple[int, int]]:
+    """The maximal runs of samples slower than _DWELL_FRACTION of the peak
+    speed (the pinning dwells), as inclusive sample index ranges. A run
+    that never moves is one dwell."""
     speeds = traj.speeds
-    peak = float(speeds.max())
-    slow = speeds < _DWELL_FRACTION * peak if peak > 0 else np.ones_like(speeds, dtype=bool)
-    segments: list[tuple[int, int]] = []
-    i = 0
-    n = len(speeds)
-    while i < n:
-        if slow[i]:
-            j = i
-            while j + 1 < n and slow[j + 1]:
-                j += 1
-            segments.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return VelocityProfile(
-        times=traj.times, speeds=speeds, peak_speed=peak, dwell_segments=tuple(segments)
-    )
+    peak = speeds.max()
+    slow = speeds < _DWELL_FRACTION * peak if peak > 0 else np.ones(len(speeds), dtype=bool)
+    # The padded mask rises where a run starts and falls one past its end.
+    padded = np.concatenate(([False], slow, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return [(i0, i1 - 1) for i0, i1 in zip(edges[::2], edges[1::2])]

@@ -179,6 +179,8 @@ def parse_maze(text: str) -> MazeSpec:
             key = key.strip()
             if key not in HEADER_FIELDS:
                 raise MazeFormatError(f"unknown header key {key!r}", i + 1)
+            if HEADER_FIELDS[key] in params:
+                raise MazeFormatError(f"duplicate header key {key!r}", i + 1)
             try:
                 number = float(value.strip())
                 if not math.isfinite(number):

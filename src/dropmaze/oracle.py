@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 import numpy as np
 
 from .maze import MazeSpec, bfs, cell_index, label_components
-from .solver import ScalarField, VectorField
+from .solver import VectorField
 
 if TYPE_CHECKING:
     from .dynamics import Trajectory
@@ -790,52 +790,6 @@ def region_sequence(
     return tuple(seq)
 
 
-# A region carries current when it scores at least this share of the
-# brightest region's score. On the example ring mazes the regions on the
-# route score at least 0.83 of the brightest, those off it at most 0.11.
-_HOT_FRACTION = 0.25
-
-
-def hot_region_route(
-    power: ScalarField, seg: CorridorSegmentation, labels: LeeLabels
-) -> tuple[int, ...]:
-    """Corridor regions bright enough to be current carriers, ordered from
-    the source side to the destination.
-
-    A region scores its 90th-percentile power density, so a wide chamber
-    with one strong filament through it still registers while corridors
-    off the conducting route (near-zero everywhere) do not.
-    """
-    scores: dict[int, float] = {}
-    lab_means: dict[int, float] = {}
-    for rid in range(seg.n_regions):
-        if seg.is_node[rid]:
-            continue
-        mask = seg.region == rid
-        if not mask.any():
-            continue
-        scores[rid] = float(np.percentile(power.values[mask], 90))
-        lab = labels.labels[mask]
-        lab = lab[lab >= 0]
-        lab_means[rid] = float(lab.mean()) if lab.size else -1.0
-    if not scores:
-        return ()
-    peak = max(scores.values())
-    hot = [rid for rid, m in scores.items() if m >= _HOT_FRACTION * peak]
-    hot.sort(key=lambda rid: (-lab_means[rid], rid))
-    return tuple(hot)
-
-
-@dataclass(frozen=True)
-class ComparisonMetrics:
-    max_lateral_deviation_mm: float
-    length_ratio: float
-    corridor_sequence_equal: bool
-    trajectory_sequence: tuple[int, ...]
-    path_sequence: tuple[int, ...]
-    cell_overlap: float
-
-
 def _max_distance_to_path(points: np.ndarray, path: Path) -> float:
     """Max over points of the distance to the polyline through the path's
     cell centres.
@@ -864,10 +818,9 @@ def _max_distance_to_path(points: np.ndarray, path: Path) -> float:
     return float(best.max())
 
 
-def compare_trajectory(
-    traj: "Trajectory", path: Path, seg: CorridorSegmentation
-) -> ComparisonMetrics:
-    """Quantify how closely a droplet run reproduces an oracle path."""
+def compare_trajectory(traj: "Trajectory", path: Path, seg: CorridorSegmentation) -> dict:
+    """How closely a droplet run reproduces an oracle path: the
+    `comparison` section of report.json."""
     points = traj.positions_mm()
     if len(points) == 0 or len(path.cells) == 0:
         raise ValueError("empty trajectory or path")
@@ -877,11 +830,10 @@ def compare_trajectory(
     ix, iy = cell_index(points, path.cell_size).T.tolist()
     t_seq = region_sequence(zip(ix, iy), seg)
     p_seq = region_sequence(path.cells, seg)
-    return ComparisonMetrics(
-        max_lateral_deviation_mm=deviation,
-        length_ratio=ratio,
-        corridor_sequence_equal=t_seq == p_seq,
-        trajectory_sequence=t_seq,
-        path_sequence=p_seq,
-        cell_overlap=seg.cell_overlap(t_seq, p_seq),
-    )
+    return {
+        "max_lateral_deviation_mm": deviation,
+        "length_ratio": ratio,
+        "corridor_sequence_equal": t_seq == p_seq,
+        "cell_overlap": seg.cell_overlap(t_seq, p_seq),
+        "trajectory_sequence": list(t_seq),
+    }

@@ -27,9 +27,9 @@ from .dynamics import (
     disk_integrate,
     disk_integrate_cells,
     droplet_radius_mm,
+    dwell_segments,
     find_start,
     simulate,
-    velocity_profile,
 )
 from .generators import generate_bifurcation_maze, generate_ring_maze
 from .maze import (
@@ -41,7 +41,6 @@ from .maze import (
     validate_and_components,
 )
 from .oracle import (
-    ComparisonMetrics,
     CorridorSegmentation,
     LeeLabels,
     Path as OraclePath,
@@ -107,12 +106,12 @@ class ScenarioConfig:
     exit_angle_deg: float | None = None
     len_a_mm: float = 38.0
     len_b_mm: float = 42.0
-    cell_size_mm: float = 0.5
+    cell_size_mm: float = MazeSpec.cell_size
     seed: int = 1
-    sigma_electrolyte: float = 10.0
-    sigma_wall: float = 0.0
-    sigma_coating: float = 1.0e5
-    voltage: float = 5.0
+    sigma_electrolyte: float = MazeSpec.sigma_electrolyte
+    sigma_wall: float = MazeSpec.sigma_wall
+    sigma_coating: float = MazeSpec.sigma_coating
+    voltage: float = MazeSpec.applied_voltage
     coat_corners: bool = False
     tol: float = 1e-9
     max_iter: int = 0  # 0 = solver default
@@ -306,15 +305,6 @@ def resolve_start(
     return (x, y), radius, extract_path(labels, (int(x // h), int(y // h)))
 
 
-@dataclass(frozen=True, eq=False)
-class CornerForceStats:
-    max_force: float
-    max_force_per_ampere: float  # normalized by the total current; compares
-    # field shape between runs whose overall conductance differs
-    n_corners: int
-    disk_radius_mm: float
-
-
 def _near_corners(
     channel: np.ndarray, corners: list[tuple[int, int]], h: float, reach_mm: float
 ) -> np.ndarray:
@@ -353,10 +343,13 @@ def _near_corners(
 
 def corner_force_stats(
     maze: MazeSpec, fields: FieldBundle, params: DynamicsParams, seg: CorridorSegmentation
-) -> CornerForceStats:
-    """Max disk-integrated force magnitude over channel cells within one
-    channel width (seg.width_cells) of a convex wall corner; the probe disk
-    has half the channel width (radius = width/4).
+) -> dict:
+    """The `corner_force` section of report.json: the max disk-integrated
+    force magnitude over channel cells within one channel width
+    (seg.width_cells) of a convex wall corner, and that max per ampere of
+    total current, which compares field shape between runs whose overall
+    conductance differs. The probe disk has half the channel width
+    (radius = width/4).
 
     All probes are summed at once (disk_integrate_cells), which gives
     each the float disk_integrate gives; the largest probe goes through
@@ -375,24 +368,20 @@ def corner_force_stats(
         x, y = (ixs.item(k) + 0.5) * h, (iys.item(k) + 0.5) * h
         best = math.hypot(*disk_integrate(sums, (x, y), radius, params.force_gain))
     current = fields.report.current_in
-    return CornerForceStats(
-        max_force=best,
-        max_force_per_ampere=best / current if current > 0 else math.inf,
-        n_corners=len(corners),
-        disk_radius_mm=radius,
-    )
+    return {
+        "max": best,
+        "max_per_ampere": best / current if current > 0 else math.inf,
+        "n_corners": len(corners),
+        "disk_radius_mm": radius,
+    }
 
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
     config: ScenarioConfig
     solved: SolvedMaze
-    segmentation: CorridorSegmentation
     path: OraclePath
     trajectory: Trajectory
-    comparison: ComparisonMetrics
-    corner_stats: CornerForceStats
-    lock_parameter_sensitive: bool
     report: dict
 
     @property
@@ -449,7 +438,7 @@ class SolvedMaze:
     n_components: int
     fields: FieldBundle
     _route: _MazeRoute | None = None
-    _corner_stats: dict[float, CornerForceStats] = field(default_factory=dict)
+    _corner_stats: dict[float, dict] = field(default_factory=dict)
     _written: dict[str, tuple[Path, int, int]] = field(default_factory=dict)
 
     def route(self) -> _MazeRoute:
@@ -472,14 +461,14 @@ class SolvedMaze:
             self._route = route
         return route
 
-    def corner_stats(self, params: DynamicsParams) -> CornerForceStats:
-        """corner_force_stats of the maze, computed once per force gain,
-        the one droplet parameter it reads."""
+    def corner_stats(self, params: DynamicsParams) -> dict:
+        """A copy of corner_force_stats of the maze, computed once per force
+        gain, the one droplet parameter it reads."""
         stats = self._corner_stats.get(params.force_gain)
         if stats is None:
             stats = corner_force_stats(self.maze, self.fields, params, self.route().seg)
             self._corner_stats[params.force_gain] = stats
-        return stats
+        return dict(stats)
 
     def write_field_files(
         self, out: Path, artifacts: Iterable[str] = ("fields", "heatmap")
@@ -670,21 +659,10 @@ def run_oracle_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> d
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """solve -> fields -> simulate -> oracle -> compare, all in memory."""
     solved = prepare_fields(cfg)
-    maze, fields = solved.maze, solved.fields
     route, start_mm, radius, path, _, oracle = _route(cfg, solved)
-    seg = route.seg
-    traj = simulate(maze, cfg.dynamics, fields, start_mm, radius, path)
-    comparison = compare_trajectory(traj, path, seg)
-    corner = solved.corner_stats(cfg.dynamics)
-
+    traj = simulate(solved.maze, cfg.dynamics, solved.fields, start_mm, radius, path)
+    final_force = float(traj.forces[-1])
     thr = cfg.dynamics.static_threshold
-    sensitive = (
-        traj.termination is Termination.LOCKED
-        and thr > 0
-        and traj.final_effective_force > 1e-4 * thr
-    )
-
-    vp = velocity_profile(traj)
     report = _report_head(cfg, solved)
     report.update({
         "trajectory": {
@@ -695,39 +673,20 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             "path_length_mm": traj.path_length_mm,
             "radius_mm": traj.radius_mm,
             "start_cell": list(traj.start_cell),
-            "final_effective_force": traj.final_effective_force,
-            "lock_parameter_sensitive": sensitive,
+            "final_effective_force": final_force,
+            "lock_parameter_sensitive": (
+                traj.termination is Termination.LOCKED and thr > 0 and final_force > 1e-4 * thr
+            ),
             "dwell_segments": [
                 {"t0_s": float(traj.times[i0]), "t1_s": float(traj.times[i1])}
-                for i0, i1 in vp.dwell_segments
+                for i0, i1 in dwell_segments(traj)
             ],
         },
         "oracle": oracle,
-        "comparison": {
-            "max_lateral_deviation_mm": comparison.max_lateral_deviation_mm,
-            "length_ratio": comparison.length_ratio,
-            "corridor_sequence_equal": comparison.corridor_sequence_equal,
-            "cell_overlap": comparison.cell_overlap,
-            "trajectory_sequence": list(comparison.trajectory_sequence),
-        },
-        "corner_force": {
-            "max": corner.max_force,
-            "max_per_ampere": corner.max_force_per_ampere,
-            "n_corners": corner.n_corners,
-            "disk_radius_mm": corner.disk_radius_mm,
-        },
+        "comparison": compare_trajectory(traj, path, route.seg),
+        "corner_force": solved.corner_stats(cfg.dynamics),
     })
-    return ScenarioResult(
-        config=cfg,
-        solved=solved,
-        segmentation=seg,
-        path=path,
-        trajectory=traj,
-        comparison=comparison,
-        corner_stats=corner,
-        lock_parameter_sensitive=sensitive,
-        report=report,
-    )
+    return ScenarioResult(config=cfg, solved=solved, path=path, trajectory=traj, report=report)
 
 
 def _echo_config(cfg: ScenarioConfig) -> dict:

@@ -9,8 +9,9 @@ currents, cell-by-cell scans for the droplet's wall queries and start
 cell, the droplet's disk sum over np.arange windows, a droplet run that
 recomputes every step (with the disk sum it is given), element-wise
 numpy sampling for streamlines, a row-major deque flood fill for channel
-components, per-region cell scans for the corridor overlap, and the
-distance to a polyline segment by segment.
+components, per-region cell scans for the corridor overlap, the
+distance to a polyline segment by segment, and the Joule ridge's corridor
+regions by a per-region percentile.
 """
 
 from __future__ import annotations
@@ -909,3 +910,56 @@ def max_distance_to_unit_segments(points, poly):
             d = np.hypot(points[:, 0] - proj[:, 0], points[:, 1] - proj[:, 1])
         best = np.minimum(best, d)
     return float(best.max())
+
+
+# A region carries current when it scores at least this share of the
+# brightest region's score. On the example ring mazes the regions on the
+# route score at least 0.83 of the brightest, those off it at most 0.11.
+_HOT_FRACTION = 0.25
+
+
+def hot_region_route(
+    power: ScalarField, seg: CorridorSegmentation, labels: LeeLabels
+) -> tuple[int, ...]:
+    """Corridor regions bright enough to be current carriers, ordered from
+    the source side to the destination.
+
+    A region scores its 90th-percentile power density, so a wide chamber
+    with one strong filament through it still registers while corridors
+    off the conducting route (near-zero everywhere) do not.
+    """
+    scores: dict[int, float] = {}
+    lab_means: dict[int, float] = {}
+    for rid in range(seg.n_regions):
+        if seg.is_node[rid]:
+            continue
+        mask = seg.region == rid
+        if not mask.any():
+            continue
+        scores[rid] = float(np.percentile(power.values[mask], 90))
+        lab = labels.labels[mask]
+        lab = lab[lab >= 0]
+        lab_means[rid] = float(lab.mean()) if lab.size else -1.0
+    if not scores:
+        return ()
+    peak = max(scores.values())
+    hot = [rid for rid, m in scores.items() if m >= _HOT_FRACTION * peak]
+    hot.sort(key=lambda rid: (-lab_means[rid], rid))
+    return tuple(hot)
+
+
+def scan_dwell_segments(speeds, fraction):
+    """Maximal runs of samples slower than fraction of the peak speed,
+    every sample when the peak is 0, found by walking the samples."""
+    peak = max(speeds)
+    segments, start = [], None
+    for i, speed in enumerate(speeds):
+        slow = speed < fraction * peak if peak > 0 else True
+        if slow and start is None:
+            start = i
+        elif not slow and start is not None:
+            segments.append((start, i - 1))
+            start = None
+    if start is not None:
+        segments.append((start, len(speeds) - 1))
+    return segments

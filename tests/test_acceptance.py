@@ -16,14 +16,13 @@ from dropmaze.dynamics import (
     RowSums,
     Termination,
     disk_integrate,
-    velocity_profile,
+    dwell_segments,
 )
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze, generate_ring_maze
 from dropmaze.maze import conductivity_grid, convex_corner_cells, parse_maze
 from dropmaze.oracle import (
     StreamTermination,
     extract_path,
-    hot_region_route,
     lee_label,
     region_sequence,
     segment_corridors,
@@ -41,7 +40,7 @@ from dropmaze.solver import (
 )
 
 from conftest import CONFIGS, bundle_bytes, ring_config, run_cli, run_droplet
-from oracles import dense_solve_potential, two_branch_current_ratio
+from oracles import dense_solve_potential, hot_region_route, two_branch_current_ratio
 
 
 def criterion(num, desc):
@@ -192,14 +191,13 @@ def test_criterion_6_droplet_solves_maze(ring_maze, ring_fields, ring_segmentati
     assert traj.termination is Termination.REACHED_TARGET
     path = extract_path(ring_labels, traj.start_cell)
     m = dm.compare_trajectory(traj, path, ring_segmentation)
-    assert m.corridor_sequence_equal
-    assert m.cell_overlap >= 0.9
-    vp = velocity_profile(traj)
+    assert m["corridor_sequence_equal"]
+    assert m["cell_overlap"] >= 0.9
     corners = convex_corner_cells(ring_maze)
     width_mm = 4.0
     h = ring_maze.cell_size
     near = []
-    for i0, i1 in vp.dwell_segments:
+    for i0, i1 in dwell_segments(traj):
         if i0 == 0:
             continue
         xm, ym = traj.xs[(i0 + i1) // 2], traj.ys[(i0 + i1) // 2]
@@ -239,7 +237,7 @@ def test_criterion_7_bifurcation_lock():
     # ... while the symmetric lock is geometric, not parameter-tuned
     sym_traj = run_droplet(sym, DynamicsParams(), sym_fields, axis)
     assert sym_traj.termination is Termination.LOCKED
-    assert sym_traj.final_effective_force <= 1e-4 * DynamicsParams().static_threshold
+    assert sym_traj.forces[-1] <= 1e-4 * DynamicsParams().static_threshold
 
 
 @criterion(8, "coating the sharp corners strictly lowers the corner-force maximum")
@@ -247,8 +245,8 @@ def test_criterion_8_coated_edges(ring_scenario):
     coated = run_scenario(ring_config(coat_corners=True))
     assert coated.fields.report.converged
     assert (
-        coated.corner_stats.max_force_per_ampere
-        < ring_scenario.corner_stats.max_force_per_ampere
+        coated.report["corner_force"]["max_per_ampere"]
+        < ring_scenario.report["corner_force"]["max_per_ampere"]
     )
 
 

@@ -18,12 +18,13 @@ from dropmaze.dynamics import (
     _Geometry,
     _resolve_overlap,
     RowSums,
+    Trajectory,
     disk_integrate,
     disk_integrate_cells,
     droplet_radius_mm,
+    dwell_segments,
     find_start,
     simulate,
-    velocity_profile,
 )
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze
 from dropmaze.maze import convex_corner_cells, parse_maze
@@ -39,6 +40,7 @@ from oracles import (
     scan_contact_normals,
     scan_disk_fits,
     scan_disk_overlaps_cells,
+    scan_dwell_segments,
     scan_resolve_overlap,
     scan_wall_cells,
     stepwise_simulate,
@@ -230,7 +232,7 @@ def test_simulate_symmetric_bifurcation_locks():
     traj = run_droplet(spec, DynamicsParams(), fields, start)
     assert traj.termination is Termination.LOCKED
     # lateral symmetry cannot break: the lock is geometric, not tuned
-    assert traj.final_effective_force <= 1e-4 * DynamicsParams().static_threshold
+    assert traj.forces[-1] <= 1e-4 * DynamicsParams().static_threshold
     # also locks with the pin disabled entirely (zero force -> zero motion)
     traj0 = run_droplet(spec, DynamicsParams(static_threshold=0.0), fields, start)
     assert traj0.termination is Termination.LOCKED
@@ -242,9 +244,9 @@ def test_simulate_ring_follows_lee_path(ring_maze, ring_fields, ring_segmentatio
     assert traj.termination is Termination.REACHED_TARGET
     path = extract_path(ring_labels, traj.start_cell)
     m = dm.compare_trajectory(traj, path, ring_segmentation)
-    assert m.corridor_sequence_equal
-    assert m.cell_overlap >= 0.9
-    assert m.max_lateral_deviation_mm <= 4.0  # within one channel width
+    assert m["corridor_sequence_equal"]
+    assert m["cell_overlap"] >= 0.9
+    assert m["max_lateral_deviation_mm"] <= 4.0  # within one channel width
 
 
 def test_simulate_trajectories_are_deterministic(ring_maze, ring_fields):
@@ -301,12 +303,33 @@ def test_no_start_position_in_too_narrow_maze():
 def test_velocity_profile_constant_speed(straight_maze):
     fields = compute_fields(straight_maze)
     traj = run_droplet(straight_maze, DynamicsParams(static_threshold=0.0), fields)
-    vp = velocity_profile(traj)
-    mid = vp.speeds[len(vp.speeds) // 4 : -len(vp.speeds) // 4]
-    assert np.ptp(mid) / vp.peak_speed < 0.4
+    speeds = traj.speeds
+    mid = speeds[len(speeds) // 4 : -len(speeds) // 4]
+    assert np.ptp(mid) / speeds.max() < 0.4
     # the only sub-1% samples are at the resting start
-    for i0, i1 in vp.dwell_segments:
+    for i0, i1 in dwell_segments(traj):
         assert i0 == 0
+    # a run that starts on the target never moves: its one sample dwells
+    h = straight_maze.cell_size
+    on_target = run_droplet(
+        straight_maze, DynamicsParams(static_threshold=0.0, radius_mm=h), fields,
+        f"{(straight_maze.nx - 2.5) * h},{straight_maze.ny * h / 2}",
+    )
+    assert len(on_target) == 1 and on_target.speeds.max() == 0.0
+    assert dwell_segments(on_target) == [(0, 0)]
+
+
+@given(st.lists(st.sampled_from([0.0, 0.005, 0.01, 0.0101, 1.0]), min_size=1, max_size=40))
+def test_dwell_segments_equal_a_sample_scan(speeds):
+    """The runs found from the mask's edges are the runs a walk over the
+    samples finds, at the 1% threshold itself too."""
+    n = len(speeds)
+    traj = Trajectory(
+        times=np.arange(n, dtype=float), xs=np.zeros(n), ys=np.zeros(n),
+        speeds=np.array(speeds), forces=np.zeros(n), termination=Termination.MAX_STEPS,
+        path_length_mm=0.0, dt=1.0, radius_mm=1.0, start_cell=(0, 0),
+    )
+    assert dwell_segments(traj) == scan_dwell_segments(speeds, dynamics._DWELL_FRACTION)
 
 
 def test_velocity_profile_dwell_near_corner():
@@ -331,11 +354,10 @@ def test_velocity_profile_dwell_near_corner():
     params = DynamicsParams(static_threshold=0.8 * med, radius_mm=0.5, max_steps=100_000)
     traj = run_droplet(spec, params, fields)
     assert traj.termination is Termination.REACHED_TARGET
-    vp = velocity_profile(traj)
     corners = convex_corner_cells(spec)
     width_mm = wch * spec.cell_size
     hits = []
-    for i0, i1 in vp.dwell_segments:
+    for i0, i1 in dwell_segments(traj):
         if i0 == 0:
             continue  # resting start
         xm, ym = traj.xs[(i0 + i1) // 2], traj.ys[(i0 + i1) // 2]
@@ -354,8 +376,7 @@ def test_lock_dwell_spans_window():
     params = DynamicsParams(lock_window=800, max_steps=20_000)
     traj = run_droplet(spec, params, fields, f"{(2 + 6) * h},{spec.ny * h / 2}")
     assert traj.termination is Termination.LOCKED
-    vp = velocity_profile(traj)
-    i0, i1 = vp.dwell_segments[-1]
+    i0, i1 = dwell_segments(traj)[-1]
     assert i1 == len(traj) - 1
     # the run ends as soon as a full window shows no displacement, so the
     # terminal dwell spans the window up to the couple of samples it took

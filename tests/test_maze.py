@@ -65,6 +65,8 @@ def test_parse_rejects_ragged_grid():
 def test_parse_rejects_unknown_header_key():
     with pytest.raises(MazeFormatError, match="unknown header key"):
         parse_maze("cell_size = 1\n\nS.T")
+    with pytest.raises(MazeFormatError, match=r"duplicate header key 'voltage' \(line 2\)"):
+        parse_maze("voltage = 1\nvoltage = 2\n\nS.T")
 
 
 def test_parse_rejects_bad_header_value():

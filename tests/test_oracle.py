@@ -15,7 +15,6 @@ from dropmaze.oracle import (
     UnreachableError,
     bfs,
     extract_path,
-    hot_region_route,
     lee_label,
     prune_spurs,
     region_sequence,
@@ -35,6 +34,7 @@ from oracles import (
     bfs_distances,
     bfs_wall_distance,
     flood_fill_components,
+    hot_region_route,
     max_distance_to_unit_segments,
     region_overlap_by_scan,
 )
@@ -278,13 +278,12 @@ def test_compare_trajectory_on_itself(ring_maze, ring_segmentation, ring_labels)
         dt=1.0,
         radius_mm=1.0,
         start_cell=start,
-        final_effective_force=0.0,
     )
     m = dm.compare_trajectory(traj, path, ring_segmentation)
-    assert m.max_lateral_deviation_mm == pytest.approx(0.0, abs=1e-12)
-    assert m.length_ratio == pytest.approx(1.0)
-    assert m.corridor_sequence_equal
-    assert m.cell_overlap == 1.0
+    assert m["max_lateral_deviation_mm"] == pytest.approx(0.0, abs=1e-12)
+    assert m["length_ratio"] == pytest.approx(1.0)
+    assert m["corridor_sequence_equal"]
+    assert m["cell_overlap"] == 1.0
 
 
 def test_compare_trajectory_bounded_by_channel_width(straight_maze):
@@ -308,11 +307,10 @@ def test_compare_trajectory_bounded_by_channel_width(straight_maze):
         dt=1.0,
         radius_mm=1.0,
         start_cell=start,
-        final_effective_force=0.0,
     )
     seg = segment_corridors(straight_maze)
     m = dm.compare_trajectory(traj, path, seg)
-    assert m.max_lateral_deviation_mm <= 4 * straight_maze.cell_size
+    assert m["max_lateral_deviation_mm"] <= 4 * straight_maze.cell_size
 
 
 @st.composite
@@ -684,7 +682,7 @@ def test_cell_overlap_equals_region_scan(name):
     """Every overlap of the pipeline is the float that comparing the
     visited regions' cell sets gives."""
     result = run_scenario(load_config(CONFIGS / f"{name}.cfg"))
-    seg, path, h = result.segmentation, result.path, result.maze.cell_size
+    seg, path, h = result.solved.route().seg, result.path, result.maze.cell_size
     traj_cells = [(int(x // h), int(y // h)) for x, y in result.trajectory.positions_mm()]
     (stream,) = trace_route_streamline(result.fields.j, result.maze, seg=seg)
     routes = [traj_cells, stream.cells(h), path.cells, [], path.cells[: len(path.cells) // 3]]
@@ -695,6 +693,7 @@ def test_cell_overlap_equals_region_scan(name):
             assert seg.cell_overlap(region_sequence(a, seg), region_sequence(b, seg)) == want
             overlaps.add(want)
     assert 0.0 in overlaps and 1.0 in overlaps and len(overlaps) > 2
-    assert result.comparison.cell_overlap == region_overlap_by_scan(
-        result.comparison.trajectory_sequence, result.comparison.path_sequence, seg.region
+    comparison, p_seq = result.report["comparison"], result.report["oracle"]["path_sequence"]
+    assert comparison["cell_overlap"] == region_overlap_by_scan(
+        comparison["trajectory_sequence"], p_seq, seg.region
     )

@@ -13,6 +13,7 @@ import pytest
 import dropmaze as dm
 from dropmaze import oracle, scenario, solver
 from dropmaze.dynamics import DynamicsParams, Termination
+from dropmaze.maze import HEADER_FIELDS
 from dropmaze.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -122,8 +123,8 @@ def test_straight_channel_scenario(tmp_path):
     result = run_scenario(cfg)
     assert result.exit_code == 0
     assert result.trajectory.termination is Termination.REACHED_TARGET
-    assert result.comparison.length_ratio == pytest.approx(1.0, abs=0.05)
-    assert result.comparison.corridor_sequence_equal
+    assert result.report["comparison"]["length_ratio"] == pytest.approx(1.0, abs=0.05)
+    assert result.report["comparison"]["corridor_sequence_equal"]
 
 
 def test_symmetric_bifurcation_scenario_locks():
@@ -134,7 +135,7 @@ def test_symmetric_bifurcation_scenario_locks():
     result = run_scenario(cfg)
     assert result.exit_code == 2
     assert result.trajectory.termination is Termination.LOCKED
-    assert not result.lock_parameter_sensitive  # geometric lock
+    assert result.report["trajectory"]["lock_parameter_sensitive"] is False  # geometric lock
 
 
 def test_paper_lengths_lock_is_parameter_sensitive():
@@ -144,7 +145,6 @@ def test_paper_lengths_lock_is_parameter_sensitive():
     )
     result = run_scenario(cfg)
     assert result.trajectory.termination is Termination.LOCKED
-    assert result.lock_parameter_sensitive
     assert result.report["trajectory"]["lock_parameter_sensitive"] is True
 
 
@@ -174,8 +174,10 @@ def test_rerun_reports_identical_except_timestamp(tmp_path):
 
 
 def test_report_is_json_serializable(ring_scenario):
-    text = json.dumps(ring_scenario.report, sort_keys=True)
-    assert "trajectory" in text
+    """The report holds JSON types alone, so it reads back as itself."""
+    report = ring_scenario.report
+    assert json.loads(json.dumps(report, sort_keys=True)) == report
+    assert "trajectory" in report
 
 
 def test_trajectory_csv_schema(tmp_path, ring_scenario):
@@ -206,7 +208,10 @@ def test_exported_maze_round_trips_through_parser(tmp_path, ring_maze):
 def test_corner_stats_reduced_when_coated():
     ins = run_scenario(ring_config())
     coat = run_scenario(ring_config(coat_corners=True))
-    assert coat.corner_stats.max_force_per_ampere < ins.corner_stats.max_force_per_ampere
+    assert (
+        coat.report["corner_force"]["max_per_ampere"]
+        < ins.report["corner_force"]["max_per_ampere"]
+    )
     diff = compare_bundles(ins.report, coat.report)
     assert diff["corner_force_reduced"] is True
     assert diff["reduction_factor"] > 1.0
@@ -234,6 +239,21 @@ def test_maze_file_echo_leaves_out_the_keys_its_header_sets(tmp_path):
     assert {"tol", "max_iter", "dynamics", "start"} <= set(echo)
 
 
+def test_default_physics_agree_between_maze_files_and_generators(tmp_path):
+    """A maze file without a header and a generator config without physics
+    keys build mazes with the same cell size, conductivities and voltage."""
+    maze = tmp_path / "bare.maze"
+    maze.write_text("S.T\n")
+    built = [
+        scenario.build_maze(ScenarioConfig(maze_file=str(maze))),
+        scenario.build_maze(ScenarioConfig(generator="bifurcation")),
+    ]
+    file_physics, generated_physics = (
+        [(name, repr(getattr(m, name))) for name in HEADER_FIELDS.values()] for m in built
+    )
+    assert file_physics == generated_physics
+
+
 def test_report_counts_the_unknowns_the_solve_iterates_over(ring_scenario):
     """Every channel cell of the ring is linked to an electrode, so the
     unknowns are the channel cells less the pinned ones."""
@@ -257,7 +277,7 @@ def test_run_scenario_computes_each_analysis_once(start, monkeypatch):
     )
     result = run_scenario(cfg)
     assert cfg.dynamics.radius_mm == 0 and cfg.dynamics.dt == 0
-    assert result.trajectory.radius_mm == 0.375 * result.segmentation.width_cells * 0.5
+    assert result.trajectory.radius_mm == 0.375 * result.solved.route().seg.width_cells * 0.5
     assert len(result.trajectory) > 1
     assert calls == {"lee_label": 1, "segment_corridors": 1, "thin_mask": 1, "extract_path": 1}
 
@@ -311,13 +331,13 @@ def test_corner_force_stats_equals_probe_by_probe_scan(name, monkeypatch):
     want, probes = brute_force_corner_force(
         maze, sums, width_mm, params.force_gain, dm.disk_integrate
     )
-    assert stats.max_force == want
+    assert stats["max"] == want
     corners = dm.convex_corner_cells(maze)
     near = scenario._near_corners(maze.channel_mask(), corners, maze.cell_size, width_mm)
     iys, ixs = np.nonzero(near)
     assert list(zip(ixs.tolist(), iys.tolist())) == probes
     if name == "straight":
-        assert (stats.n_corners, len(probes), stats.max_force) == (0, 0, 0.0)
+        assert (stats["n_corners"], len(probes), stats["max"]) == (0, 0, 0.0)
     else:
         assert len(evaluated) == 1
         (x, y), h = evaluated[0], maze.cell_size
@@ -381,12 +401,13 @@ def test_corner_statistics_run_once_per_maze_and_force_gain(monkeypatch):
     )
     scenario._forget_solved_maze()
     calls = count_calls(monkeypatch, corner_force_stats)
-    first = run_scenario(base)
-    assert run_scenario(other_droplet).corner_stats is first.corner_stats
+    first = run_scenario(base).report["corner_force"]
+    second = run_scenario(other_droplet).report["corner_force"]
+    assert second == first and second is not first
     assert calls == {"corner_force_stats": 1}
     gained = run_scenario(other_gain)
     assert calls == {"corner_force_stats": 2}
-    assert gained.report["corner_force"]["max"] != first.report["corner_force"]["max"]
+    assert gained.report["corner_force"]["max"] != first["max"]
     scenario._forget_solved_maze()
     assert run_scenario(other_gain).report["corner_force"] == gained.report["corner_force"]
 
@@ -439,7 +460,7 @@ def test_maze_stage_drops_the_old_maze_before_solving_a_new_one(tmp_path, monkey
 
 
 def _stage_arrays(result):
-    fields, seg = result.fields, result.segmentation
+    fields, seg = result.fields, result.solved.route().seg
     (stream,) = oracle.trace_route_streamline(fields.j, result.maze, seg=seg)
     return {
         "maze.cells": result.maze.cells,
