@@ -239,18 +239,11 @@ def parse_maze(text: str) -> MazeSpec:
 def emit_maze(spec: MazeSpec) -> str:
     """Serialize a maze to the canonical text form; parse(emit(s)) == s."""
     header = [f"{key} = {getattr(spec, name)!r}" for key, name in HEADER_FIELDS.items()]
-    glyph_for = {0: ".", 1: "#", 2: "+"}
-    rows = []
-    for iy in range(spec.ny):
-        row = []
-        for ix in range(spec.nx):
-            if (ix, iy) in spec.positive:
-                row.append("S")
-            elif (ix, iy) in spec.negative:
-                row.append("T")
-            else:
-                row.append(glyph_for[int(spec.cells[iy, ix])])
-        rows.append("".join(row))
+    glyphs = np.frombuffer(b".#+", dtype=np.uint8)[spec.cells]
+    for cells, glyph in ((spec.positive, "S"), (spec.negative, "T")):
+        for ix, iy in cells:
+            glyphs[iy, ix] = ord(glyph)
+    rows = [row.tobytes().decode() for row in glyphs]
     return "\n".join(header) + "\n\n" + "\n".join(rows) + "\n"
 
 

@@ -8,6 +8,11 @@ assigned to its nearest skeleton piece. Two routes "agree" when they visit
 the same corridor regions in the same order; cell overlap is measured on
 the union of visited regions, which makes the metric robust to where in a
 wide corridor a route happens to run.
+
+The skeleton code reads one thing of a cell: which of its 8 neighbours
+are set, as the bits of a byte (_neighbour_codes). Thinning, the
+redundancy of a skeleton cell and its degree each look that byte up in
+a 256-entry table.
 """
 
 from __future__ import annotations
@@ -409,48 +414,65 @@ def trace_route_streamline(
 # Corridor segmentation
 
 
-def _shift(a: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    out = np.zeros_like(a)
-    ys = slice(max(dy, 0), a.shape[0] + min(dy, 0))
-    xs = slice(max(dx, 0), a.shape[1] + min(dx, 0))
-    yd = slice(max(-dy, 0), a.shape[0] + min(-dy, 0))
-    xd = slice(max(-dx, 0), a.shape[1] + min(-dx, 0))
-    out[ys, xs] = a[yd, xd]
-    return out
+# The 8 neighbours (dx, dy) counterclockwise from east (y grows down, so
+# dy = -1 is north). Bit k of a cell's neighbour code is set when its
+# neighbour _NBR8[k] is set: edge neighbours are the even bits, corners
+# the odd ones.
+_NBR8 = ((1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1))
+
+
+def _neighbour_codes(mask: np.ndarray) -> np.ndarray:
+    """Each cell's neighbour code (uint8); cells past the rim are clear."""
+    ny, nx = mask.shape
+    padded = np.zeros((ny + 2, nx + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = mask
+    codes = np.zeros((ny, nx), dtype=np.uint8)
+    for k, (dx, dy) in enumerate(_NBR8):
+        codes |= padded[1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx] << k
+    return codes
+
+
+def _code_tables() -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """The 256-entry tables of the skeleton, indexed by neighbour code:
+    the two Zhang-Suen subpasses' deletions (Zhang & Suen, CACM 27(3),
+    1984), the number of set neighbours, and redundancy: the set
+    neighbours, two to six of them, form one 8-connected group. That is
+    Hilditch's crossing number being 1 (Machine Intelligence 4, 1969), or
+    all four edge neighbours being set."""
+    ring = (np.arange(256) >> np.arange(8)[:, None]) & 1  # row k: bit k
+    e, ne, n, nw, w, sw, s, se = ring
+    count = ring.sum(axis=0)
+    two_to_six = (count >= 2) & (count <= 6)
+    # Clear-to-set steps once round the ring.
+    transitions = ((ring == 0) & (np.roll(ring, -1, axis=0) == 1)).sum(axis=0)
+    thinnable = two_to_six & (transitions == 1)
+    subpasses = (
+        thinnable & (n * e * s == 0) & (e * s * w == 0),
+        thinnable & (n * e * w == 0) & (n * s * w == 0),
+    )
+    edges = ring[0::2]
+    after = ring[1::2] | np.roll(edges, -1, axis=0)
+    crossings = ((edges == 0) & (after == 1)).sum(axis=0)
+    redundant = two_to_six & ((crossings == 1) | (e & n & w & s).astype(bool))
+    return subpasses, count.astype(np.int8), redundant
+
+
+_ZHANG_SUEN, _SET_COUNT, _REDUNDANT = _code_tables()
 
 
 def thin_mask(mask: np.ndarray) -> np.ndarray:
     """Morphological thinning to a one-cell skeleton (two-subpass scheme,
     8-connectivity preserved)."""
-    img = mask.astype(np.uint8)
-    while True:
+    img = mask.astype(bool)
+    changed = True
+    while changed:
         changed = False
-        for pass_id in (0, 1):
-            # Neighbours clockwise from north.
-            p2 = _shift(img, 1, 0)
-            p3 = _shift(img, 1, -1)
-            p4 = _shift(img, 0, -1)
-            p5 = _shift(img, -1, -1)
-            p6 = _shift(img, -1, 0)
-            p7 = _shift(img, -1, 1)
-            p8 = _shift(img, 0, 1)
-            p9 = _shift(img, 1, 1)
-            ring = [p2, p3, p4, p5, p6, p7, p8, p9, p2]
-            transitions = np.zeros_like(img, dtype=np.int32)
-            for a, b in zip(ring[:-1], ring[1:]):
-                transitions += ((a == 0) & (b == 1)).astype(np.int32)
-            bsum = p2 + p3 + p4 + p5 + p6 + p7 + p8 + p9
-            cond = (img == 1) & (bsum >= 2) & (bsum <= 6) & (transitions == 1)
-            if pass_id == 0:
-                cond &= (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
-            else:
-                cond &= (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
-            if cond.any():
-                img[cond] = 0
+        for deletable in _ZHANG_SUEN:
+            gone = img & deletable[_neighbour_codes(img)]
+            if gone.any():
+                img &= ~gone
                 changed = True
-        if not changed:
-            break
-    return _minimal_skeleton(img.astype(bool))
+    return _minimal_skeleton(img)
 
 
 def _minimal_skeleton(skel: np.ndarray) -> np.ndarray:
@@ -458,48 +480,41 @@ def _minimal_skeleton(skel: np.ndarray) -> np.ndarray:
     parallel passes leave behind, keeping endpoints and connectivity.
 
     A cell is removable when its skeleton neighbours stay 8-connected
-    through each other once it is gone.
+    through each other once it is gone (_REDUNDANT).
     """
-    skel = skel.copy()
-    ny, nx = skel.shape
+    # One clear cell all round, so every neighbour has a flat index.
+    skel = np.pad(skel, 1)
+    offsets = np.array([dy * skel.shape[1] + dx for dx, dy in _NBR8])
+    # Deleting a cell clears, in each neighbour's code, the opposite bit.
+    keep = ~(1 << np.roll(np.arange(8, dtype=np.uint8), 4))
+    redundant = _REDUNDANT.tolist()
+    flat = skel.reshape(-1)
     changed = True
     while changed:
         changed = False
+        codes = _neighbour_codes(skel).reshape(-1)
         # Row-major over the pass's starting skeleton: a pass deletes
         # only the cell it is visiting.
-        for iy, ix in np.argwhere(skel).tolist():
-            nbrs = [
-                (dx, dy)
-                for dx, dy in _NBR8
-                if 0 <= ix + dx < nx and 0 <= iy + dy < ny and skel[iy + dy, ix + dx]
-            ]
-            if not 2 <= len(nbrs) <= 6:
-                continue
-            frontier = [nbrs[0]]
-            rest = set(nbrs[1:])
-            while frontier:
-                ax, ay = frontier.pop()
-                found = {
-                    (bx, by)
-                    for bx, by in rest
-                    if abs(ax - bx) <= 1 and abs(ay - by) <= 1
-                }
-                rest -= found
-                frontier.extend(found)
-            if not rest:
-                skel[iy, ix] = False
+        for i in np.flatnonzero(flat).tolist():
+            if redundant[codes[i]]:
+                flat[i] = False
+                codes[i + offsets] &= keep
                 changed = True
-    return skel
-
-
-_NBR8 = ((1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1))
+    return skel[1:-1, 1:-1].copy()
 
 
 def _skeleton_degree(skel: np.ndarray) -> np.ndarray:
-    deg = np.zeros(skel.shape, dtype=np.int8)
-    for dx, dy in _NBR8:
-        deg += (_shift(skel, dy, dx) & skel).astype(np.int8)
-    return deg
+    return _SET_COUNT[_neighbour_codes(skel)] * skel
+
+
+def _skeleton_neighbours(skel: np.ndarray, ix: int, iy: int) -> list[tuple[int, int]]:
+    """The set neighbours of (ix, iy), in _NBR8 order."""
+    ny, nx = skel.shape
+    return [
+        (jx, jy)
+        for jx, jy in ((ix + dx, iy + dy) for dx, dy in _NBR8)
+        if 0 <= jx < nx and 0 <= jy < ny and skel[jy, jx]
+    ]
 
 
 def prune_spurs(skel: np.ndarray, max_len: int) -> np.ndarray:
@@ -507,7 +522,6 @@ def prune_spurs(skel: np.ndarray, max_len: int) -> np.ndarray:
     off a junction; genuine dead-end corridors (longer, or with no junction
     behind them) survive."""
     skel = skel.copy()
-    ny, nx = skel.shape
     while True:
         deg = _skeleton_degree(skel)
         endpoints = sorted(
@@ -522,14 +536,7 @@ def prune_spurs(skel: np.ndarray, max_len: int) -> np.ndarray:
             cur = (ex, ey)
             hit_junction = False
             while len(chain) <= max_len:
-                nbrs = [
-                    (cur[0] + dx, cur[1] + dy)
-                    for dx, dy in _NBR8
-                    if 0 <= cur[0] + dx < nx
-                    and 0 <= cur[1] + dy < ny
-                    and skel[cur[1] + dy, cur[0] + dx]
-                    and (cur[0] + dx, cur[1] + dy) != prev
-                ]
+                nbrs = [c for c in _skeleton_neighbours(skel, *cur) if c != prev]
                 if len(nbrs) != 1:
                     hit_junction = len(nbrs) > 1
                     break
@@ -630,7 +637,6 @@ def segment_corridors(maze: MazeSpec) -> CorridorSegmentation:
     """Partition channel cells into corridor regions and junction regions."""
     channel = maze.channel_mask()
     skel = thin_mask(channel)
-    ny, nx = channel.shape
 
     dist = _wall_distance(channel)
     on_skel = dist[skel]
@@ -664,21 +670,13 @@ def segment_corridors(maze: MazeSpec) -> CorridorSegmentation:
     # Walk chains between node blobs (or around pure cycles).
     visited = node_mask.copy()
 
-    def neighbours(ix: int, iy: int) -> list[tuple[int, int]]:
-        out = []
-        for dx, dy in _NBR8:
-            jx, jy = ix + dx, iy + dy
-            if 0 <= jx < nx and 0 <= jy < ny and skel[jy, jx]:
-                out.append((jx, jy))
-        return out
-
     chains: list[list[tuple[int, int]]] = []
 
     def walk(ix: int, iy: int) -> None:
         chain = [(ix, iy)]
         visited[iy, ix] = True
         while True:
-            nxts = [(jx, jy) for jx, jy in neighbours(*chain[-1]) if not visited[jy, jx]]
+            nxts = [c for c in _skeleton_neighbours(skel, *chain[-1]) if not visited[c[1], c[0]]]
             if not nxts:
                 break
             visited[nxts[0][1], nxts[0][0]] = True
@@ -686,7 +684,7 @@ def segment_corridors(maze: MazeSpec) -> CorridorSegmentation:
         chains.append(chain)
 
     for ix0, iy0 in node_cells:
-        for sx, sy in neighbours(ix0, iy0):
+        for sx, sy in _skeleton_neighbours(skel, ix0, iy0):
             if not visited[sy, sx]:
                 walk(sx, sy)
     # Leftover cycles with no junction at all.
@@ -713,26 +711,24 @@ def segment_corridors(maze: MazeSpec) -> CorridorSegmentation:
 
     is_node_arr = np.array(is_node, dtype=bool)
 
-    def _grow(seeds: list[tuple[int, int]], depth_limit: int | None) -> None:
+    def _grow(node: bool, depth_limit: int | None) -> None:
+        """Grow the node (or corridor) regions into unassigned channel
+        cells, seeded from their cells in (region, iy, ix) order."""
+        iy, ix = np.nonzero(region >= 0)
+        rid = region[iy, ix]
+        pick = is_node_arr[rid] == node
+        ix, iy, rid = ix[pick], iy[pick], rid[pick]
+        order = np.lexsort((ix, iy, rid))
+        seeds = list(zip(ix[order].tolist(), iy[order].tolist()))
         dist, owner = bfs(channel & (region < 0), seeds, depth_limit)
         grown = dist > 0
-        seed_rid = np.array([region[iy, ix] for ix, iy in seeds], dtype=np.int32)
-        region[grown] = seed_rid[owner[grown]]
-
-    def _seeds(want_node: bool) -> list[tuple[int, int]]:
-        out = [
-            (int(x), int(y))
-            for y, x in zip(*np.nonzero(region >= 0))
-            if bool(is_node_arr[region[y, x]]) == want_node
-        ]
-        out.sort(key=lambda c: (region[c[1], c[0]], c[1], c[0]))
-        return out
+        region[grown] = rid[order][owner[grown]]
 
     # Junction areas first, out to half a channel width: routes crossing a
     # junction stay "between corridors" there. Corridors then fill the rest.
-    _grow(_seeds(True), max(2, int(round(width / 2)) + 1))
-    _grow(_seeds(False), None)
-    _grow(_seeds(True), None)  # leftover pockets (dead ends off junctions)
+    _grow(True, max(2, int(round(width / 2)) + 1))
+    _grow(False, None)
+    _grow(True, None)  # leftover pockets (dead ends off junctions)
 
     for arr in (region, is_node_arr, skel):
         arr.setflags(write=False)

@@ -10,8 +10,9 @@ cell, the droplet's disk sum over np.arange windows, a droplet run that
 recomputes every step (with the disk sum it is given), element-wise
 numpy sampling for streamlines, a row-major deque flood fill for channel
 components, per-region cell scans for the corridor overlap, the
-distance to a polyline segment by segment, and the Joule ridge's corridor
-regions by a per-region percentile.
+distance to a polyline segment by segment, the Joule ridge's corridor
+regions by a per-region percentile, and the corridor skeleton's thinning,
+degrees and spur pruning from shifted grid copies and neighbour loops.
 """
 
 from __future__ import annotations
@@ -963,3 +964,137 @@ def scan_dwell_segments(speeds, fraction):
     if start is not None:
         segments.append((start, len(speeds) - 1))
     return segments
+
+
+# The corridor skeleton as written before it read neighbour codes: eight
+# shifted copies of the grid per subpass, a frontier flood per cell for
+# redundancy, and bounds-checked neighbour loops.
+
+_NBR8 = ((1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1))
+
+
+def _shift(a, dy, dx):
+    out = np.zeros_like(a)
+    ys = slice(max(dy, 0), a.shape[0] + min(dy, 0))
+    xs = slice(max(dx, 0), a.shape[1] + min(dx, 0))
+    yd = slice(max(-dy, 0), a.shape[0] + min(-dy, 0))
+    xd = slice(max(-dx, 0), a.shape[1] + min(-dx, 0))
+    out[ys, xs] = a[yd, xd]
+    return out
+
+
+def shifted_thin_mask(mask):
+    """Zhang-Suen thinning from shifted copies, then the sequential
+    redundancy pass."""
+    img = mask.astype(np.uint8)
+    while True:
+        changed = False
+        for pass_id in (0, 1):
+            # Neighbours clockwise from north.
+            p2 = _shift(img, 1, 0)
+            p3 = _shift(img, 1, -1)
+            p4 = _shift(img, 0, -1)
+            p5 = _shift(img, -1, -1)
+            p6 = _shift(img, -1, 0)
+            p7 = _shift(img, -1, 1)
+            p8 = _shift(img, 0, 1)
+            p9 = _shift(img, 1, 1)
+            ring = [p2, p3, p4, p5, p6, p7, p8, p9, p2]
+            transitions = np.zeros_like(img, dtype=np.int32)
+            for a, b in zip(ring[:-1], ring[1:]):
+                transitions += ((a == 0) & (b == 1)).astype(np.int32)
+            bsum = p2 + p3 + p4 + p5 + p6 + p7 + p8 + p9
+            cond = (img == 1) & (bsum >= 2) & (bsum <= 6) & (transitions == 1)
+            if pass_id == 0:
+                cond &= (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
+            else:
+                cond &= (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
+            if cond.any():
+                img[cond] = 0
+                changed = True
+        if not changed:
+            break
+    return flood_minimal_skeleton(img.astype(bool))
+
+
+def neighbours_stay_connected(nbrs):
+    """Whether the (dx, dy) offsets, 2 to 6 of them, form one group of
+    8-adjacent cells, found by a frontier flood."""
+    if not 2 <= len(nbrs) <= 6:
+        return False
+    frontier = [nbrs[0]]
+    rest = set(nbrs[1:])
+    while frontier:
+        ax, ay = frontier.pop()
+        found = {(bx, by) for bx, by in rest if abs(ax - bx) <= 1 and abs(ay - by) <= 1}
+        rest -= found
+        frontier.extend(found)
+    return not rest
+
+
+def flood_minimal_skeleton(skel):
+    """Delete, row-major and one pass after another, every cell whose set
+    neighbours stay connected without it."""
+    skel = skel.copy()
+    ny, nx = skel.shape
+    changed = True
+    while changed:
+        changed = False
+        for iy, ix in np.argwhere(skel).tolist():
+            nbrs = [
+                (dx, dy)
+                for dx, dy in _NBR8
+                if 0 <= ix + dx < nx and 0 <= iy + dy < ny and skel[iy + dy, ix + dx]
+            ]
+            if neighbours_stay_connected(nbrs):
+                skel[iy, ix] = False
+                changed = True
+    return skel
+
+
+def shifted_skeleton_degree(skel):
+    deg = np.zeros(skel.shape, dtype=np.int8)
+    for dx, dy in _NBR8:
+        deg += (_shift(skel, dy, dx) & skel).astype(np.int8)
+    return deg
+
+
+def loop_prune_spurs(skel, max_len):
+    """Spur pruning with its own bounds-checked neighbour loop."""
+    skel = skel.copy()
+    ny, nx = skel.shape
+    while True:
+        deg = shifted_skeleton_degree(skel)
+        endpoints = sorted((int(x), int(y)) for y, x in zip(*np.nonzero(skel & (deg == 1))))
+        removed = False
+        for ex, ey in endpoints:
+            if not skel[ey, ex]:
+                continue
+            chain = [(ex, ey)]
+            prev = None
+            cur = (ex, ey)
+            hit_junction = False
+            while len(chain) <= max_len:
+                nbrs = [
+                    (cur[0] + dx, cur[1] + dy)
+                    for dx, dy in _NBR8
+                    if 0 <= cur[0] + dx < nx
+                    and 0 <= cur[1] + dy < ny
+                    and skel[cur[1] + dy, cur[0] + dx]
+                    and (cur[0] + dx, cur[1] + dy) != prev
+                ]
+                if len(nbrs) != 1:
+                    hit_junction = len(nbrs) > 1
+                    break
+                nxt = nbrs[0]
+                if deg[nxt[1], nxt[0]] >= 3:
+                    hit_junction = True
+                    break
+                prev, cur = cur, nxt
+                chain.append(cur)
+            if hit_junction and len(chain) <= max_len:
+                for ix, iy in chain:
+                    skel[iy, ix] = False
+                removed = True
+        if not removed:
+            return skel

@@ -35,18 +35,25 @@ from oracles import (
     bfs_wall_distance,
     flood_fill_components,
     hot_region_route,
+    loop_prune_spurs,
     max_distance_to_unit_segments,
+    neighbours_stay_connected,
     region_overlap_by_scan,
+    shifted_skeleton_degree,
+    shifted_thin_mask,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # The six example configs and ring_m2 at 0.25 mm cells (280 x 280).
 CORPUS = sorted(p.stem for p in CONFIGS.glob("*.cfg")) + ["ring_m2_0.25mm"]
+# ring_m2 at finer cells (280 x 280 and 560 x 560), by name.
+FINE_RINGS = {"ring_m2_0.25mm": 0.25, "ring_m2_0.125mm": 0.125}
 
 
 def corpus_maze(name):
-    if name == "ring_m2_0.25mm":
-        return build_maze(dataclasses.replace(load_config(CONFIGS / "ring_m2.cfg"), cell_size_mm=0.25))
+    if name in FINE_RINGS:
+        config = load_config(CONFIGS / "ring_m2.cfg")
+        return build_maze(dataclasses.replace(config, cell_size_mm=FINE_RINGS[name]))
     return build_maze(load_config(CONFIGS / f"{name}.cfg"))
 
 
@@ -214,6 +221,66 @@ def test_prune_spurs_removes_short_branches_only():
     assert int(skel.sum()) - int(pruned.sum()) == 6
     assert flood_fill_components(skel, True) == flood_fill_components(pruned, True) == 2
     assert (_endpoints(skel), _endpoints(pruned)) == (5, 4)
+
+
+def _random_mask(ny, nx, seed, kind):
+    """Noise of a random density, a union of random rectangles (wide
+    corridors with junctions and spurs), or every cell set."""
+    rng = np.random.default_rng(seed)
+    if kind == "full":
+        return np.ones((ny, nx), dtype=bool)
+    if kind == "noise":
+        return rng.random((ny, nx)) < rng.uniform(0.3, 0.9)
+    mask = np.zeros((ny, nx), dtype=bool)
+    for _ in range(int(rng.integers(1, 6))):
+        x0, y0 = int(rng.integers(nx)), int(rng.integers(ny))
+        mask[y0 : y0 + int(rng.integers(1, 9)), x0 : x0 + int(rng.integers(1, 9))] = True
+    return mask
+
+
+@given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**32 - 1),
+       st.sampled_from(["noise", "rectangles", "full"]), st.integers(1, 8))
+@example(1, 17, 0, "full", 3)
+@example(17, 1, 0, "full", 3)
+@settings(max_examples=300)
+def test_skeleton_matches_shifted_copy_reference(ny, nx, seed, kind, max_len):
+    """Thinning, degrees and spur pruning equal the reference built from
+    shifted grid copies and neighbour loops, on any grid shape: a 1 x n or
+    n x 1 grid is all rim, and random masks set cells on the rim."""
+    mask = _random_mask(ny, nx, seed, kind)
+    skel = thin_mask(mask)
+    want = shifted_thin_mask(mask)
+    assert skel.dtype == bool and np.array_equal(skel, want)
+    for grid in (mask, skel):
+        deg = oracle._skeleton_degree(grid)
+        assert np.array_equal(deg, shifted_skeleton_degree(grid)) and deg.dtype == np.int8
+    assert np.array_equal(prune_spurs(skel, max_len), loop_prune_spurs(want, max_len))
+
+
+def test_neighbour_code_tables_hold_the_spelled_out_predicates():
+    """Every one of the 256 neighbour codes: the Zhang-Suen subpass
+    conditions on p2..p9 (clockwise from north), the set-neighbour count,
+    and redundancy as a flood over the set neighbours."""
+    centre = np.zeros((3, 3), dtype=bool)
+    centre[1, 1] = True
+    codes = oracle._neighbour_codes(centre)
+    nbr8 = oracle._NBR8
+    for k, (dx, dy) in enumerate(nbr8):
+        # The centre is neighbour (dx, dy) of the cell at (1 - dx, 1 - dy).
+        assert codes[1 - dy, 1 - dx] == 1 << k
+    clockwise_from_north = ((0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1))
+    subpass_0, subpass_1 = oracle._ZHANG_SUEN
+    for code in range(256):
+        nbrs = [offset for k, offset in enumerate(nbr8) if code >> k & 1]
+        p2, p3, p4, p5, p6, p7, p8, p9 = (int(o in nbrs) for o in clockwise_from_north)
+        ring = [p2, p3, p4, p5, p6, p7, p8, p9, p2]
+        a = sum(ring[i] == 0 and ring[i + 1] == 1 for i in range(8))
+        b = len(nbrs)
+        thinnable = 2 <= b <= 6 and a == 1
+        assert subpass_0[code] == (thinnable and p2 * p4 * p6 == 0 and p4 * p6 * p8 == 0)
+        assert subpass_1[code] == (thinnable and p2 * p4 * p8 == 0 and p2 * p6 * p8 == 0)
+        assert oracle._SET_COUNT[code] == b
+        assert oracle._REDUNDANT[code] == neighbours_stay_connected(nbrs)
 
 
 def test_ring_streamline_matches_lee_path(ring_maze, ring_fields, ring_segmentation, ring_labels):
@@ -523,7 +590,8 @@ LOOP_MAZE = "\n".join([
 ])
 
 # SHA-256 of each array's dtype, shape and bytes, recorded before the two
-# chain walks of segment_corridors were merged into one.
+# chain walks of segment_corridors were merged into one; ring_m2_0.125mm's
+# before the skeleton read neighbour codes.
 SEGMENTATION_DIGESTS = {
     "bifurcation_lock": {
         "region": "6916953c6cebb657f4d0c4217244aa1a69a90386e417f9efb8bead8cd719abe1",
@@ -572,6 +640,12 @@ SEGMENTATION_DIGESTS = {
         "is_node": "a8bd9df6f2ef4371c7b7161501e474128853f2be2eb1efea4c076d480420d41d",
         "skeleton": "6b0bc2f9a26bfc0b333f46ff61869f8b340bfd0abaf5e643ac1699489459f0d0",
         "width_cells": 18.0,
+    },
+    "ring_m2_0.125mm": {
+        "region": "b015e8631b41cb802672e089ec455d373a667bdcbef92d8198606b27846326c3",
+        "is_node": "a8bd9df6f2ef4371c7b7161501e474128853f2be2eb1efea4c076d480420d41d",
+        "skeleton": "2c5d93161ce730cab9b4fbd8e76b39c5949c29cf78b45e79f973e462c32af3f4",
+        "width_cells": 36.0,
     },
 }
 
