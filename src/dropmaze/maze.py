@@ -49,6 +49,16 @@ class CellKind(enum.IntEnum):
     COATED_WALL = 2
 
 
+# GLYPHS as lookups: each byte's cell kind (-1 for a byte that is no
+# glyph), and the glyph emit_maze writes for each kind, its first in GLYPHS.
+_KIND_OF_BYTE = np.full(256, -1, dtype=np.int8)
+_KIND_OF_BYTE[[ord(glyph) for glyph in GLYPHS]] = list(GLYPHS.values())
+_GLYPH_OF_KIND = np.array(
+    [ord(next(glyph for glyph in GLYPHS if GLYPHS[glyph] == kind)) for kind in CellKind],
+    dtype=np.uint8,
+)
+
+
 class MazeError(ValueError):
     """A maze violates a structural invariant."""
 
@@ -211,22 +221,23 @@ def parse_maze(text: str) -> MazeSpec:
         raise MazeFormatError("no grid block found", len(lines) or 1)
 
     width = len(grid_lines[0][1])
-    cells = np.zeros((len(grid_lines), width), dtype=np.int8)
-    pos_cells: set[tuple[int, int]] = set()
-    neg_cells: set[tuple[int, int]] = set()
+    glyphs = np.empty((len(grid_lines), width), dtype=np.uint8)
     for iy, (lineno, row) in enumerate(grid_lines):
         if len(row) != width:
             raise MazeFormatError(
                 f"grid line length {len(row)} != {width}", lineno, len(row) + 1
             )
-        for ix, ch in enumerate(row):
-            if ch not in GLYPHS:
-                raise MazeFormatError(f"unknown glyph {ch!r}", lineno, ix + 1)
-            cells[iy, ix] = GLYPHS[ch]
-            if ch == "S":
-                pos_cells.add((ix, iy))
-            elif ch == "T":
-                neg_cells.add((ix, iy))
+        # A non-ASCII character reads as "?", which is no glyph either.
+        glyphs[iy] = np.frombuffer(row.encode("ascii", "replace"), dtype=np.uint8)
+        bad = np.flatnonzero(_KIND_OF_BYTE[glyphs[iy]] < 0)
+        if len(bad):
+            ix = int(bad[0])
+            raise MazeFormatError(f"unknown glyph {row[ix]!r}", lineno, ix + 1)
+    cells = _KIND_OF_BYTE[glyphs]
+    pos_cells, neg_cells = (
+        set(zip(ixs.tolist(), iys.tolist()))
+        for iys, ixs in (np.nonzero(glyphs == ord(glyph)) for glyph in "ST")
+    )
 
     if not pos_cells:
         raise MazeError("no positive electrode ('S' glyph) in maze")
@@ -239,7 +250,7 @@ def parse_maze(text: str) -> MazeSpec:
 def emit_maze(spec: MazeSpec) -> str:
     """Serialize a maze to the canonical text form; parse(emit(s)) == s."""
     header = [f"{key} = {getattr(spec, name)!r}" for key, name in HEADER_FIELDS.items()]
-    glyphs = np.frombuffer(b".#+", dtype=np.uint8)[spec.cells]
+    glyphs = _GLYPH_OF_KIND[spec.cells]
     for cells, glyph in ((spec.positive, "S"), (spec.negative, "T")):
         for ix, iy in cells:
             glyphs[iy, ix] = ord(glyph)

@@ -365,7 +365,7 @@ def trace_route_streamline(
         ring = sorted((int(x), int(y)) for y, x in zip(*np.nonzero(dist == 1)))
     if not ring:
         raise ValueError("no channel cells around the positive electrode")
-    stride = max(1, len(ring) // _MAX_SEEDS)
+    stride = math.ceil(len(ring) / _MAX_SEEDS)
     seeds = ring[::stride]
 
     h = maze.cell_size

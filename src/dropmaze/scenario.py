@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import inspect
 import json
 import math
 import shutil
@@ -37,6 +38,7 @@ from .maze import (
     MazeSpec,
     coat_sharp_corners,
     convex_corner_cells,
+    emit_maze,
     parse_maze,
     validate_and_components,
 )
@@ -91,7 +93,13 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-_BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+# Each generator's keyword parameters, which are the config keys it reads.
+# build_maze looks the generator up by its module name when it runs, so a
+# wrapper bound to that name sees each call.
+_GENERATOR_KEYS = {
+    name: tuple(inspect.signature(globals()[f"generate_{name}_maze"]).parameters)
+    for name in ("ring", "bifurcation")
+}
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if (self.maze_file is None) == (self.generator is None):
             raise ConfigError("exactly one maze source required: maze_file or generator")
-        if self.generator is not None and self.generator not in ("ring", "bifurcation"):
+        if self.generator is not None and self.generator not in _GENERATOR_KEYS:
             raise ConfigError(f"unknown generator {self.generator!r}")
         for a in self.artifacts:
             if a not in KNOWN_ARTIFACTS:
@@ -152,35 +160,42 @@ def _start_point(start: str) -> tuple[float, float]:
     return x, y
 
 
-# Every droplet parameter is an int or a float; f.type is the annotation's
-# text, as dynamics postpones annotations.
-_DYNAMICS_KEYS = {
-    f.name: {"int": int, "float": _finite}[f.type] for f in dataclasses.fields(DynamicsParams)
+_BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _bool(value: str) -> bool:
+    if value.lower() not in _BOOL:
+        raise ValueError(value)
+    return _BOOL[value.lower()]
+
+
+def _list(parse):
+    """A parser of comma-separated items, each read by parse; empty items
+    are dropped."""
+    return lambda value: tuple(parse(v.strip()) for v in value.split(",") if v.strip())
+
+
+# The parser of each field's annotation text (f.type, as this module and
+# dynamics postpone annotations).
+_PARSERS = {
+    "int": int,
+    "float": _finite,
+    "float | None": _finite,
+    "str": str,
+    "str | None": str,
+    "bool": _bool,
+    "tuple[int, ...]": _list(int),
+    "tuple[str, ...]": _list(str),
 }
 
-_SCENARIO_KEYS = {
-    **dict.fromkeys(("maze_file", "generator", "start", "out"), str),
-    **dict.fromkeys(("rings", "seed", "max_iter"), int),
-    **dict.fromkeys(
-        ("diameter_mm", "channel_width_mm", "wall_mm", "exit_angle_deg", "len_a_mm", "len_b_mm",
-         "cell_size_mm", "sigma_electrolyte", "sigma_wall", "sigma_coating", "voltage", "tol"),
-        _finite,
-    ),
+# Config key -> (field name, parser). A key is its field's name, except
+# `out` for out_dir; the droplet's keys set the fields of `dynamics`.
+_CONFIG_KEYS = {
+    "out" if f.name == "out_dir" else f.name: (f.name, _PARSERS[f.type])
+    for f in dataclasses.fields(ScenarioConfig)
+    if f.name != "dynamics"
 }
-
-# Keys each maze source never reads. A maze file's header sets the cell
-# size, the conductivities and the voltage; each generator reads only its
-# own geometry, and the bifurcation draws nothing at random.
-_UNREAD_KEYS = {
-    "maze_file": (
-        "rings", "gaps_per_ring", "diameter_mm", "channel_width_mm", "wall_mm", "exit_angle_deg",
-        "len_a_mm", "len_b_mm", "seed", *HEADER_FIELDS,
-    ),
-    "generator = ring": ("len_a_mm", "len_b_mm"),
-    "generator = bifurcation": (
-        "rings", "gaps_per_ring", "diameter_mm", "wall_mm", "exit_angle_deg", "seed"
-    ),
-}
+_DYNAMICS_KEYS = {f.name: (f.name, _PARSERS[f.type]) for f in dataclasses.fields(DynamicsParams)}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -204,24 +219,12 @@ def parse_config(text: str) -> ScenarioConfig:
     kwargs: dict = {}
     dyn: dict = {}
     for key, value in raw.items():
+        into, table = (dyn, _DYNAMICS_KEYS) if key in _DYNAMICS_KEYS else (kwargs, _CONFIG_KEYS)
+        if key not in table:
+            raise ConfigError(f"unknown config key {key!r}")
+        name, parse = table[key]
         try:
-            if key in _DYNAMICS_KEYS:
-                dyn[key] = _DYNAMICS_KEYS[key](value)
-            elif key in _SCENARIO_KEYS:
-                name = "out_dir" if key == "out" else key
-                kwargs[name] = _SCENARIO_KEYS[key](value)
-            elif key == "gaps_per_ring":
-                kwargs["gaps_per_ring"] = tuple(int(v) for v in value.split(",") if v.strip())
-            elif key == "coat_corners":
-                if value.lower() not in _BOOL:
-                    raise ValueError(value)
-                kwargs["coat_corners"] = _BOOL[value.lower()]
-            elif key == "artifacts":
-                kwargs["artifacts"] = tuple(v.strip() for v in value.split(",") if v.strip())
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-        except ConfigError:
-            raise
+            into[name] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
     try:
@@ -236,17 +239,23 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
-def _maze_source(cfg: ScenarioConfig) -> str:
-    """cfg's key into _UNREAD_KEYS."""
-    return "maze_file" if cfg.maze_file is not None else f"generator = {cfg.generator}"
+def _unread_keys(cfg: ScenarioConfig) -> tuple[str, set[str]]:
+    """cfg's maze source, as config errors name it, and the keys that
+    source never reads. A maze file's header sets the cell size, the
+    conductivities and the voltage; each generator reads only its own
+    geometry keys, and the other generator's are unread."""
+    every = set().union(*_GENERATOR_KEYS.values())
+    if cfg.maze_file is not None:
+        return "maze_file", every | set(HEADER_FIELDS)
+    return f"generator = {cfg.generator}", every - set(_GENERATOR_KEYS[cfg.generator])
 
 
 def reject_unread_keys(cfg: ScenarioConfig, keys: Iterable[str]) -> None:
     """Raise ConfigError on the first of keys that cfg's maze source never
     reads, so no run echoes a value it did not use."""
-    source = _maze_source(cfg)
+    source, unread = _unread_keys(cfg)
     for key in keys:
-        if key in _UNREAD_KEYS[source]:
+        if key in unread:
             raise ConfigError(f"{key!r} is not read with {source}")
 
 
@@ -257,22 +266,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
 def build_maze(cfg: ScenarioConfig) -> MazeSpec:
     if cfg.maze_file is not None:
         spec = parse_maze(Path(cfg.maze_file).read_text())
-    elif cfg.generator == "ring":
-        spec = generate_ring_maze(
-            rings=cfg.rings,
-            gaps_per_ring=list(cfg.gaps_per_ring),
-            diameter_mm=cfg.diameter_mm,
-            channel_width_mm=cfg.channel_width_mm,
-            seed=cfg.seed,
-            cell_size_mm=cfg.cell_size_mm,
-            wall_mm=cfg.wall_mm,
-            exit_angle_deg=cfg.exit_angle_deg,
-        )
     else:
-        spec = generate_bifurcation_maze(
-            cfg.len_a_mm, cfg.len_b_mm, cfg.channel_width_mm, cell_size_mm=cfg.cell_size_mm
-        )
-    if cfg.generator is not None:  # a generator builds geometry; the config sets the physics
+        generate = globals()[f"generate_{cfg.generator}_maze"]
+        spec = generate(**{key: getattr(cfg, key) for key in _GENERATOR_KEYS[cfg.generator]})
+        # A generator builds geometry; the config sets the physics.
         physics = {name: getattr(cfg, key) for key, name in HEADER_FIELDS.items()}
         spec = dataclasses.replace(spec, **physics)
     if cfg.coat_corners:
@@ -508,21 +505,6 @@ class SolvedMaze:
         return True
 
 
-def _content(value) -> tuple:
-    """value in a form that compares equal only for the same bits: arrays
-    by dtype, shape and bytes, dataclasses field by field, other scalars
-    by type and repr (so -0.0 differs from 0.0)."""
-    if isinstance(value, np.ndarray):
-        return (value.dtype.str, value.shape, value.tobytes())
-    if dataclasses.is_dataclass(value):
-        return tuple(_content(getattr(value, f.name)) for f in dataclasses.fields(value))
-    if isinstance(value, tuple):
-        return tuple(_content(v) for v in value)
-    if isinstance(value, frozenset):
-        return tuple(sorted(_content(v) for v in value))
-    return (type(value).__name__, repr(value))
-
-
 # The maze stage's one entry: the last maze solved in this process.
 _solved: SolvedMaze | None = None
 
@@ -545,7 +527,7 @@ def prepare_fields(cfg: ScenarioConfig) -> SolvedMaze:
     is read-only."""
     global _solved
     maze = build_maze(cfg)
-    key = _content((maze, cfg.tol, cfg.max_iter))
+    key = (emit_maze(maze), cfg.tol, cfg.max_iter)
     solved = _solved
     if solved is not None and solved.key == key:
         return solved
@@ -692,7 +674,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 def _echo_config(cfg: ScenarioConfig) -> dict:
     """The config fields a run reads, with their values: the maze source
     in use, and none of the keys that source never reads."""
-    unread = _UNREAD_KEYS[_maze_source(cfg)]
+    _, unread = _unread_keys(cfg)
     out = {}
     for f in dataclasses.fields(cfg):
         v = getattr(cfg, f.name)

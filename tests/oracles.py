@@ -11,8 +11,9 @@ recomputes every step (with the disk sum it is given), element-wise
 numpy sampling for streamlines, a row-major deque flood fill for channel
 components, per-region cell scans for the corridor overlap, the
 distance to a polyline segment by segment, the Joule ridge's corridor
-regions by a per-region percentile, and the corridor skeleton's thinning,
-degrees and spur pruning from shifted grid copies and neighbour loops.
+regions by a per-region percentile, the corridor skeleton's thinning,
+degrees and spur pruning from shifted grid copies and neighbour loops,
+and a maze text's grid read glyph by glyph.
 """
 
 from __future__ import annotations
@@ -1098,3 +1099,25 @@ def loop_prune_spurs(skel, max_len):
                 removed = True
         if not removed:
             return skel
+
+
+def scan_glyph_grid(rows):
+    """A maze text's grid rows read glyph by glyph, top to bottom: (cells,
+    S cells, T cells), cells a list of rows of cell kinds, or the first
+    fault as (message, row index, 1-based column)."""
+    kinds = {".": 0, "#": 1, "+": 2, "S": 0, "T": 0}
+    width = len(rows[0])
+    cells, pos, neg = [], set(), set()
+    for iy, row in enumerate(rows):
+        if len(row) != width:
+            return f"grid line length {len(row)} != {width}", iy, len(row) + 1
+        cells.append([])
+        for ix, ch in enumerate(row):
+            if ch not in kinds:
+                return f"unknown glyph {ch!r}", iy, ix + 1
+            cells[-1].append(kinds[ch])
+            if ch == "S":
+                pos.add((ix, iy))
+            elif ch == "T":
+                neg.add((ix, iy))
+    return cells, pos, neg

@@ -23,7 +23,12 @@ from dropmaze.generators import generate_bifurcation_maze
 from dropmaze.scenario import build_maze
 
 from conftest import ring_config
-from oracles import convex_corner_cells_by_loop, deque_components, flood_fill_components
+from oracles import (
+    convex_corner_cells_by_loop,
+    deque_components,
+    flood_fill_components,
+    scan_glyph_grid,
+)
 
 
 def test_parse_minimal_strip():
@@ -47,9 +52,26 @@ def test_parse_missing_positive_electrode():
         parse_maze("..T")
 
 
+# Maze texts with a fault, and its message, line and column.
+_GRID_FAULTS = [
+    ("S.T\n.?.\n...", "unknown glyph '?'", 2, 2),
+    # A non-ASCII glyph, after one that is not a glyph either.
+    ("S.T\n.\u00e9\u2603", "unknown glyph '\u00e9'", 2, 2),
+    ("S.T\n..\u00e9", "unknown glyph '\u00e9'", 2, 3),
+    # A bad glyph on a row after good rows, below a header.
+    ("voltage = 2\n\nS.T\n...\n#+#\n..x", "unknown glyph 'x'", 6, 3),
+    # The first bad row decides, whichever its fault.
+    ("S.T\n.?.\n.....", "unknown glyph '?'", 2, 2),
+    ("S.T\n.....\n.?.", "grid line length 5 != 3", 2, 6),
+]
+
+
 def test_parse_reports_line_and_column():
-    with pytest.raises(MazeFormatError, match=r"line 2, col 2"):
-        parse_maze("S.T\n.?.\n...")
+    for text, message, line, col in _GRID_FAULTS:
+        with pytest.raises(MazeFormatError) as err:
+            parse_maze(text)
+        assert str(err.value) == f"{message} (line {line}, col {col})"
+        assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_parse_rejects_tabs():
@@ -140,6 +162,41 @@ def test_round_trip_property(grid, cell, sig, volt, data):
     )
     spec = parse_maze(text)
     assert parse_maze(emit_maze(spec)) == spec
+
+
+def _grid_row(min_size, max_size):
+    return st.text(st.sampled_from(".#+ST"), min_size=min_size, max_size=max_size)
+
+
+@settings(max_examples=300)
+@given(width=st.integers(1, 6), data=st.data())
+def test_grid_read_matches_a_glyph_by_glyph_scan(width, data):
+    """parse_maze reads a grid as the glyph-by-glyph scan does: the same
+    cells and electrode sets, or the same first fault at the same line
+    and column."""
+    rows = data.draw(st.lists(_grid_row(width, width), min_size=1, max_size=6))
+    if data.draw(st.integers(0, 3)) == 0:  # one row of any length
+        rows.insert(data.draw(st.integers(0, len(rows))), data.draw(_grid_row(1, 7)))
+    for _ in range(data.draw(st.integers(0, 2))):  # characters that are no glyph
+        iy = data.draw(st.integers(0, len(rows) - 1))
+        ix = data.draw(st.integers(0, len(rows[iy]) - 1))
+        bad = data.draw(st.sampled_from(["x", "?", " ", "\u00e9", "\u2603"]))
+        rows[iy] = rows[iy][:ix] + bad + rows[iy][ix + 1 :]
+    rows = [row if row.strip() else "#" * len(row) for row in rows]
+    text = "voltage = 2.0\n\n" + "\n".join(rows) + "\n"
+    found = scan_glyph_grid(rows)
+    if isinstance(found[0], str):
+        message, iy, col = found
+        with pytest.raises(MazeFormatError) as err:
+            parse_maze(text)
+        assert str(err.value) == f"{message} (line {iy + 3}, col {col})"
+    elif not found[1] or not found[2]:
+        with pytest.raises(MazeError, match="electrode"):
+            parse_maze(text)
+    else:
+        spec = parse_maze(text)
+        assert spec.cells.tolist() == found[0]
+        assert (spec.positive, spec.negative) == found[1:]
 
 
 def test_components_single_corridor():

@@ -27,7 +27,7 @@ from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze
 from dropmaze.scenario import build_maze, load_config, run_oracle_only, run_scenario
 from dropmaze.solver import VectorField, VectorQuantity, compute_fields
 
-from conftest import ring_config
+from conftest import count_calls, ring_config, straight_channel_text
 from oracles import (
     array_bilinear,
     array_streamline,
@@ -695,6 +695,20 @@ def test_fan_step_budget(name, monkeypatch):
     # The coated ring's three wall ping-pong seeds, and no other.
     assert len(stalled) == (3 if name == "ring_coated" else 0)
     assert all(300 < n < 600 for n in stalled)
+
+
+@pytest.mark.parametrize("rows, seeds", [(24, 24), (25, 13), (32, 16), (47, 24), (49, 17)])
+def test_fan_traces_at_most_max_seeds_streamlines(rows, seeds, monkeypatch):
+    """A straight channel `rows` cells tall has an electrode as tall, and
+    its seed ring (the column two cells out) holds `rows` cells. The ring
+    is thinned at the smallest stride that leaves at most _MAX_SEEDS
+    seeds, so a ring of 25 to 47 cells is thinned too."""
+    maze = parse_maze(straight_channel_text(length_cells=12, rows=rows))
+    j = compute_fields(maze).j
+    calls = count_calls(monkeypatch, oracle.streamline)
+    trace_route_streamline(j, maze, segment_corridors(maze))
+    assert calls == {"streamline": seeds}
+    assert seeds <= oracle._MAX_SEEDS
 
 
 def test_fan_reports_both_branches_of_a_mirrored_field():

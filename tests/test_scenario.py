@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import dropmaze as dm
-from dropmaze import oracle, scenario, solver
+from dropmaze import generators, oracle, scenario, solver
 from dropmaze.dynamics import DynamicsParams, Termination
 from dropmaze.maze import HEADER_FIELDS
 from dropmaze.scenario import (
@@ -78,10 +79,7 @@ def _readme_config_keys():
 
 
 def test_readme_lists_exactly_the_config_keys():
-    accepted = {
-        "out" if f.name == "out_dir" else f.name
-        for f in dataclasses.fields(ScenarioConfig) if f.name != "dynamics"
-    } | {f.name for f in dataclasses.fields(DynamicsParams)}
+    accepted = set(scenario._CONFIG_KEYS) | set(scenario._DYNAMICS_KEYS)
     assert _readme_config_keys() == accepted
 
 
@@ -105,6 +103,54 @@ def test_parse_config_requires_one_source(tmp_path):
 def test_parse_config_duplicate_key():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("generator = ring\ngenerator = ring")
+
+
+@pytest.mark.parametrize("name", ["ring", "bifurcation"])
+def test_generator_keys_are_its_keyword_parameters(name):
+    """A generator reads the config keys named as its keyword parameters,
+    each a config field."""
+    parameters = inspect.signature(getattr(generators, f"generate_{name}_maze")).parameters
+    keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    assert all(p.kind in keyword for p in parameters.values())
+    assert scenario._GENERATOR_KEYS[name] == tuple(parameters)
+    assert set(parameters) <= {f.name for f in dataclasses.fields(ScenarioConfig)}
+
+
+# A value other than the default for every accepted key.
+_NON_DEFAULT = {
+    "rings": "3", "gaps_per_ring": "2, 1,1", "diameter_mm": "90", "channel_width_mm": "5",
+    "wall_mm": "2.5", "exit_angle_deg": "30", "seed": "7", "len_a_mm": "30", "len_b_mm": "50",
+    "cell_size_mm": "0.25", "sigma_electrolyte": "20", "sigma_wall": "0.5",
+    "sigma_coating": "2e5", "voltage": "3", "coat_corners": "yes", "tol": "1e-8",
+    "max_iter": "500", "start": "axis", "artifacts": "report, trace", "out": "elsewhere",
+    "mobility": "5000", "static_threshold": "1e-3", "dt": "1e-4", "max_steps": "1000",
+    "lock_window": "100", "lock_epsilon_mm": "0.1", "force_gain": "2", "radius_mm": "1",
+    "release_time": "0.5", "stall_fraction": "0.5", "noise_amplitude": "0.1",
+    "noise_seed": "3",
+}
+
+
+def _default(f: dataclasses.Field):
+    return f.default_factory() if f.default is dataclasses.MISSING else f.default
+
+
+def test_every_config_field_has_a_key():
+    """Configs that set every key their maze source reads to a non-default
+    value parse into configs that, between them, differ from the defaults
+    in every field, the droplet's included."""
+    changed = set()
+    for source in ("maze_file = a.maze", "generator = ring", "generator = bifurcation"):
+        unread = scenario._unread_keys(parse_config(source))[1]
+        lines = [source] + [f"{k} = {v}" for k, v in _NON_DEFAULT.items() if k not in unread]
+        cfg = parse_config("\n".join(lines))
+        for obj in (cfg, cfg.dynamics):
+            changed |= {
+                f.name for f in dataclasses.fields(obj) if getattr(obj, f.name) != _default(f)
+            }
+    every = {f.name for cls in (ScenarioConfig, DynamicsParams) for f in dataclasses.fields(cls)}
+    assert changed == every
+    accepted = set(scenario._CONFIG_KEYS) | set(scenario._DYNAMICS_KEYS)
+    assert set(_NON_DEFAULT) | {"maze_file", "generator"} == accepted
 
 
 def test_unsolvable_maze_raises(tmp_path):
@@ -420,13 +466,26 @@ def _walled_cell(text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("edit", ["voltage", "cell"])
+def _moved_electrode(text: str) -> str:
+    """The maze text with one `S` cell moved a cell to the right: the same
+    cell grid and header, another positive electrode."""
+    lines = text.splitlines()
+    row = len(lines) - 5
+    assert lines[row].startswith("#S.")
+    lines[row] = "#.S" + lines[row][3:]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("edit", ["voltage", "cell", "electrode"])
 def test_maze_stage_reads_the_maze_file_again(tmp_path, monkeypatch, edit):
     """New bytes in the same maze file are a new maze: a new header value,
-    or a new cell grid of the same shape."""
+    a new cell grid of the same shape, or an electrode cell moved."""
     text = straight_channel_text(length_cells=40)
-    edited = straight_channel_text(length_cells=40, voltage=4.0) if edit == "voltage" else (
-        _walled_cell(text))
+    edited = {
+        "voltage": straight_channel_text(length_cells=40, voltage=4.0),
+        "cell": _walled_cell(text),
+        "electrode": _moved_electrode(text),
+    }[edit]
     maze_file = tmp_path / "straight.maze"
     maze_file.write_text(text)
     cfg = ScenarioConfig(maze_file=str(maze_file))
@@ -438,6 +497,8 @@ def test_maze_stage_reads_the_maze_file_again(tmp_path, monkeypatch, edit):
     assert calls == {"compute_fields": 2}
     assert solved.maze == dm.parse_maze(edited)
     assert solved.maze != dm.parse_maze(text)
+    if edit == "electrode":
+        assert np.array_equal(solved.maze.cells, dm.parse_maze(text).cells)
 
 
 def test_maze_stage_drops_the_old_maze_before_solving_a_new_one(tmp_path, monkeypatch):
