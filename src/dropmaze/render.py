@@ -123,28 +123,59 @@ def render_trajectory_overlay(maze: MazeSpec, traj: Trajectory, out_path: str | 
 # Field CSV round-trip
 
 
+def _blank_keys(columns: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Per cell, -1 when any of its values is nonzero, else the sign bits
+    of its zeros (bit i for column i): cells with the same key >= 0 write
+    the same text after their coordinates."""
+    key = np.zeros(columns[0].shape, dtype=np.int8)
+    nonzero = np.zeros(columns[0].shape, dtype=bool)
+    for bit, values in enumerate(columns):
+        key[np.signbit(values)] += 1 << bit
+        nonzero |= values != 0
+    key[nonzero] = -1
+    return key
+
+
 def write_field_csv(path: str | Path, field: ScalarField | VectorField) -> None:
     """Scalar: x_mm,y_mm,<quantity>. Vector: x_mm,y_mm,<quantity>,vx,vy
     (third column is the magnitude). Rows run left-to-right, top-to-bottom.
 
-    Values are written with repr, one grid row at a time, so only one
-    row's Python floats and strings exist at once."""
+    Values are written as repr writes them, one grid row at a time, so only
+    one row's Python floats and strings exist at once. Each row splits into
+    runs of equal _blank_keys: a run of zeros (the walls) is one join of the
+    x strings, and only the other runs format their values."""
     h = field.cell_size
     xs = [repr((ix + 0.5) * h) for ix in range(field.nx)]
+    if isinstance(field, VectorField):
+        header = f"x_mm,y_mm,{field.quantity.value},vx,vy\n"
+        columns = (field.magnitude(), field.vx, field.vy)
+
+        def lines(xs, y, mag, vx, vy):
+            return [f"{x},{y},{m!r},{a!r},{b!r}\n" for x, m, a, b in zip(xs, mag, vx, vy)]
+    else:
+        header = f"x_mm,y_mm,{field.quantity.value}\n"
+        columns = (field.values,)
+
+        def lines(xs, y, values):
+            return [f"{x},{y},{v!r}\n" for x, v in zip(xs, values)]
+
+    key = _blank_keys(columns)
+    zeros = [",".join("-0.0" if k >> i & 1 else "0.0" for i in range(len(columns)))
+             for k in range(1 << len(columns))]
+    run_starts = np.diff(key, axis=1, prepend=np.int8(-2))  # -2 is no key
     with open(path, "w") as f:
-        if isinstance(field, VectorField):
-            f.write(f"x_mm,y_mm,{field.quantity.value},vx,vy\n")
-            mag = field.magnitude()
-            for iy in range(field.ny):
-                y = repr((iy + 0.5) * h)
-                rows = zip(xs, mag[iy].tolist(), field.vx[iy].tolist(), field.vy[iy].tolist())
-                f.write("".join([f"{x},{y},{m!r},{vx!r},{vy!r}\n" for x, m, vx, vy in rows]))
-        else:
-            f.write(f"x_mm,y_mm,{field.quantity.value}\n")
-            for iy in range(field.ny):
-                y = repr((iy + 0.5) * h)
-                rows = zip(xs, field.values[iy].tolist())
-                f.write("".join([f"{x},{y},{v!r}\n" for x, v in rows]))
+        f.write(header)
+        for iy in range(field.ny):
+            y = repr((iy + 0.5) * h)
+            starts = np.flatnonzero(run_starts[iy]).tolist()
+            row = []
+            for a, b, k in zip(starts, starts[1:] + [field.nx], key[iy, starts].tolist()):
+                if k < 0:
+                    row += lines(xs[a:b], y, *(c[iy, a:b].tolist() for c in columns))
+                else:
+                    end = f",{y},{zeros[k]}\n"
+                    row.append(end.join(xs[a:b]) + end)
+            f.write("".join(row))
 
 
 def read_field_csv(path: str | Path) -> ScalarField | VectorField:

@@ -139,8 +139,9 @@ class ScenarioConfig:
         if self.start not in ("auto", "axis"):
             _start_point(self.start)
         for name in ("cell_size_mm", "tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):  # NaN fails both
+                raise ConfigError(f"{name} must be a finite positive number")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be >= 0")
 
@@ -690,11 +691,22 @@ def _echo_config(cfg: ScenarioConfig) -> dict:
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
+    """One row per sample, values as repr writes them. A sample whose x, y,
+    speed and force equal the previous one's bit for bit (a pinned droplet)
+    formats only its time and reuses the rest of the row before."""
+    state = [np.asarray(c, dtype=np.float64) for c in (traj.xs, traj.ys, traj.speeds, traj.forces)]
+    repeat = np.ones(len(traj), dtype=bool)
+    repeat[:1] = False
+    for column in state:
+        bits = column.view(np.int64)  # not ==, which takes -0.0 for 0.0
+        repeat[1:] &= bits[1:] == bits[:-1]
     lines = ["t_s,x_mm,y_mm,speed_mm_s,force_mag"]
-    columns = (traj.times, traj.xs, traj.ys, traj.speeds, traj.forces)
     for k in range(0, len(traj), 1024):  # 1024 samples' floats alive at a time
-        for t, x, y, s, fm in zip(*(c[k : k + 1024].tolist() for c in columns)):
-            lines.append(f"{t!r},{x!r},{y!r},{s!r},{fm!r}")
+        chunk = (c[k : k + 1024].tolist() for c in (traj.times, repeat, *state))
+        for t, same, x, y, s, fm in zip(*chunk):
+            if not same:
+                rest = f",{x!r},{y!r},{s!r},{fm!r}"
+            lines.append(f"{t!r}{rest}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

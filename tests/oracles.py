@@ -6,8 +6,9 @@ potential, the solver's multigrid hierarchy built cell by cell and its
 preconditioned CG with every intermediate a new array, exhaustive BFS
 for shortest distances, a two-resistor Kirchhoff split for branch
 currents, cell-by-cell scans for the droplet's wall queries and start
-cell, the droplet's disk sum over np.arange windows, a droplet run that
-recomputes every step (with the disk sum it is given), element-wise
+cell, the droplet's disk sum over np.arange windows, every field and
+trajectory CSV value formatted one by one, a droplet run that recomputes
+every step (with the disk sum it is given), element-wise
 numpy sampling for streamlines, a row-major deque flood fill for channel
 components, per-region cell scans for the corridor overlap, the
 distance to a polyline segment by segment, the Joule ridge's corridor
@@ -850,6 +851,17 @@ def write_field_csv_by_cell(path, field):
             y = (iy + 0.5) * h
             for ix in range(field.nx):
                 lines.append(f"{(ix + 0.5) * h!r},{y!r},{float(field.values[iy, ix])!r}")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def write_trajectory_csv_by_row(path, traj):
+    """The trajectory CSV writer before repeated samples reused their text:
+    every value of every row formatted with repr."""
+    lines = ["t_s,x_mm,y_mm,speed_mm_s,force_mag"]
+    columns = (traj.times, traj.xs, traj.ys, traj.speeds, traj.forces)
+    for t, x, y, s, fm in zip(*(c.tolist() for c in columns)):
+        lines.append(f"{t!r},{x!r},{y!r},{s!r},{fm!r}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dropmaze as dm
 from dropmaze.render import (
     normalize_u8,
     read_field_csv,
@@ -160,15 +161,77 @@ def _edge_values(shape, seed):
     return values
 
 
-@pytest.mark.parametrize("kind", ["scalar", "vector", "ring_phi", "ring_j"])
-def test_field_csv_bytes_match_cell_by_cell_writer(tmp_path, ring_fields, kind):
-    if kind == "scalar":
-        field = ScalarField(_edge_values((7, 9), 1), 0.3, Quantity.POTENTIAL)
-    elif kind == "vector":
-        vx, vy = _edge_values((6, 11), 2), _edge_values((6, 11), 3)
-        field = VectorField(vx, vy, 0.25, VectorQuantity.CURRENT_DENSITY)
+def _zero_run_values(shape, seed):
+    """Rows that cycle through the runs the field writer splits a row into:
+    all +0.0; all -0.0; +0.0 and -0.0 alternating in runs of 1-3 cells;
+    nonzero runs at column 0 and the last column around -0.0; +0.0 at both
+    ends around nonzero values."""
+    rng = np.random.default_rng(seed)
+    ny, nx = shape
+    values = np.zeros(shape)
+    k = max(1, nx // 3)
+    for iy in range(ny):
+        row = values[iy]
+        kind = iy % 5
+        if kind == 1:
+            row[:] = -0.0
+        elif kind == 2:
+            signs = np.repeat([1.0, -1.0] * nx, rng.integers(1, 4, size=2 * nx))
+            row[:] = 0.0 * signs[:nx]
+        elif kind == 3:
+            row[:] = -0.0
+            row[:k], row[nx - k :] = rng.normal(size=k), rng.normal(size=k)
+        elif kind == 4:
+            row[1 : nx - 1] = rng.normal(size=max(0, nx - 2))
+    return values
+
+
+def _scalar(values, h=0.3):
+    return ScalarField(values, h, Quantity.POTENTIAL)
+
+
+def _vector(vx, vy, h=0.25):
+    return VectorField(vx, vy, h, VectorQuantity.CURRENT_DENSITY)
+
+
+# One-row grids are one-column ones transposed, so their one row holds
+# every kind of run.
+_STRESS_FIELDS = {
+    "scalar": lambda: _scalar(_edge_values((7, 9), 1)),
+    "vector": lambda: _vector(_edge_values((6, 11), 2), _edge_values((6, 11), 3)),
+    "zero_runs_scalar": lambda: _scalar(_zero_run_values((10, 13), 4)),
+    "zero_runs_vector": lambda: _vector(
+        _zero_run_values((10, 13), 5), _zero_run_values((10, 13), 6)[::-1]
+    ),
+    "all_zero_scalar": lambda: _scalar(np.zeros((3, 4))),
+    "all_zero_vector": lambda: _vector(np.full((3, 4), -0.0), np.zeros((3, 4))),
+    "one_column_scalar": lambda: _scalar(_zero_run_values((10, 1), 7)),
+    "one_column_vector": lambda: _vector(
+        _zero_run_values((10, 1), 8), _zero_run_values((10, 1), 9)[::-1]
+    ),
+    "one_row_scalar": lambda: _scalar(_zero_run_values((40, 1), 10).T),
+    "one_row_vector": lambda: _vector(
+        _zero_run_values((40, 1), 11).T, _zero_run_values((40, 1), 12)[::-1].T
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def ring_fine_fields():
+    """ring_m2 at 0.25 mm cells (280 x 280), the grid of the benchmark."""
+    return dm.compute_fields(dm.generate_ring_maze(2, [1, 1], 70.0, 4.0, 1, cell_size_mm=0.25))
+
+
+@pytest.mark.parametrize(
+    "kind", [*_STRESS_FIELDS, "ring_phi", "ring_j", "ring_fine_phi", "ring_fine_j"]
+)
+def test_field_csv_bytes_match_cell_by_cell_writer(tmp_path, request, kind):
+    if kind in _STRESS_FIELDS:
+        field = _STRESS_FIELDS[kind]()
     else:
-        field = ring_fields.phi if kind == "ring_phi" else ring_fields.j
+        name, _, quantity = kind.rpartition("_")
+        fields = request.getfixturevalue(f"{name}_fields")
+        field = fields.phi if quantity == "phi" else fields.j
     write_field_csv(tmp_path / "new.csv", field)
     write_field_csv_by_cell(tmp_path / "old.csv", field)
     written = (tmp_path / "new.csv").read_bytes()
@@ -176,3 +239,5 @@ def test_field_csv_bytes_match_cell_by_cell_writer(tmp_path, ring_fields, kind):
     if kind in ("scalar", "vector"):
         for text in (b",-0.0", b",5e-324", b",1e+300", b",0.3333333333333333"):
             assert text in written
+    if kind.startswith("zero_runs"):
+        assert b",-0.0\n" in written and b",0.0\n" in written

@@ -13,7 +13,7 @@ import pytest
 
 import dropmaze as dm
 from dropmaze import generators, oracle, scenario, solver
-from dropmaze.dynamics import DynamicsParams, Termination
+from dropmaze.dynamics import DynamicsParams, Termination, Trajectory
 from dropmaze.maze import HEADER_FIELDS
 from dropmaze.scenario import (
     ConfigError,
@@ -25,10 +25,11 @@ from dropmaze.scenario import (
     parse_config,
     prepare_fields,
     run_scenario,
+    write_trajectory_csv,
 )
 
-from conftest import RING_DYNAMICS, count_calls, ring_config, straight_channel_text
-from oracles import brute_force_corner_force
+from conftest import CONFIGS, RING_DYNAMICS, count_calls, ring_config, straight_channel_text
+from oracles import brute_force_corner_force, write_trajectory_csv_by_row
 
 BUNDLE_FILES = {
     "report.json",
@@ -103,6 +104,14 @@ def test_parse_config_requires_one_source(tmp_path):
 def test_parse_config_duplicate_key():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("generator = ring\ngenerator = ring")
+
+
+@pytest.mark.parametrize("name", ["cell_size_mm", "tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.0])
+def test_config_rejects_a_step_that_is_not_finite_and_positive(name, value):
+    """The Python API takes floats that parse_config never produces."""
+    with pytest.raises(ConfigError, match=f"{name} must be a finite positive number"):
+        ScenarioConfig(generator="bifurcation", len_a_mm=20.0, len_b_mm=24.0, **{name: value})
 
 
 @pytest.mark.parametrize("name", ["ring", "bifurcation"])
@@ -233,6 +242,46 @@ def test_trajectory_csv_schema(tmp_path, ring_scenario):
     assert all(len(line.split(",")) == 5 for line in lines[1:])
     t = [float(line.split(",")[0]) for line in lines[1:]]
     assert all(b > a for a, b in zip(t, t[1:]))
+
+
+# Consecutive samples that differ only in the sign of a zero speed or
+# force, or in one column (the force once by one ulp), between repeats.
+_SAMPLES = [
+    (1.0, 2.0, 0.0, 0.0),
+    (1.0, 2.0, -0.0, 0.0),
+    (1.0, 2.0, -0.0, 0.0),
+    (1.0, 2.0, -0.0, -0.0),
+    (1.0, 2.0, -0.0, -0.0),
+    (1.5, 2.0, -0.0, -0.0),
+    (1.5, 2.5, -0.0, -0.0),
+    (1.5, 2.5, 3.0, -0.0),
+    (1.5, 2.5, 3.0, 4.0),
+    (1.5, 2.5, 3.0, 4.0),
+    (1.5, 2.5, 3.0, 4.000000000000001),
+    (1.5, 2.5, 3.0, 4.0),
+]
+
+
+def _trajectory(kind) -> Trajectory:
+    if kind == "samples":
+        xs, ys, speeds, forces = (np.array(c) for c in zip(*_SAMPLES))
+        times = 0.1 * np.arange(len(xs))
+        return Trajectory(times, xs, ys, speeds, forces, Termination.LOCKED, 1.0, 0.1, 1.0, (2, 4))
+    text = (CONFIGS / "bifurcation_lock.cfg").read_text()
+    if kind == "noisy":
+        text += "noise_amplitude = 7e-4\nnoise_seed = 3\n"
+    return run_scenario(parse_config(text)).trajectory
+
+
+@pytest.mark.parametrize("kind", ["locked", "noisy", "samples"])
+def test_trajectory_csv_bytes_match_row_by_row_writer(tmp_path, kind):
+    traj = _trajectory(kind)
+    write_trajectory_csv(tmp_path / "new.csv", traj)
+    write_trajectory_csv_by_row(tmp_path / "old.csv", traj)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    if kind == "locked":  # the pinned droplet repeats its samples
+        state = np.column_stack([traj.xs, traj.ys, traj.speeds, traj.forces])
+        assert (state[1:] == state[:-1]).all(axis=1).sum() > len(traj) // 2
 
 
 def test_path_csv_schema(tmp_path, ring_scenario):
