@@ -98,10 +98,6 @@ def generate_ring_maze(
     cells = np.where(channel, CellKind.CHANNEL, CellKind.WALL).astype(np.int8)
 
     pos = {(int(j), int(i)) for i, j in zip(*np.nonzero(channel & (r <= 1.5 * h)))}
-    if not pos:
-        iy0, ix0 = int(c_mm / h), int(c_mm / h)
-        pos = {(ix0, iy0)}
-        cells[iy0, ix0] = CellKind.CHANNEL
 
     if exit_angle_deg is None:
         sign = 1.0 if rng.random() < 0.5 else -1.0

@@ -339,22 +339,24 @@ def trace_route_streamline(
     maze: MazeSpec,
     seg: CorridorSegmentation,
     tol: float = 1e-9,
-) -> tuple[Streamline, ...]:
-    """Streamlines of the dominant current bundle from source to destination.
+) -> tuple[tuple[tuple[int, ...], Streamline], ...]:
+    """The route of the dominant current bundle from source to destination,
+    as (corridor sequence, streamline) pairs.
 
     Traces a fan of forward streamlines seeded on a ring of cells around
     the positive electrode and returns one whose corridor sequence matches
-    the fan majority. At every junction where the current splits, only a
-    minority of seeds peels off the main route, and the strays scatter
-    over different wrong sequences, so the modal sequence is the dominant
-    bundle's route.
+    the fan majority, with that sequence. At every junction where the
+    current splits, only a minority of seeds peels off the main route,
+    and the strays scatter over different wrong sequences, so the modal
+    sequence is the dominant bundle's route.
 
     Branches whose votes at a junction agree within relative
     _TIE_SLACK * tol (tol being the solve's own tolerance) are a tie that
     the solve's error alone would settle, as on a mirror-symmetric maze.
     Each tied branch is then followed to the end of the consensus, and
-    one streamline per branch is returned, the heaviest vote first;
-    without a tie the tuple holds one streamline.
+    one pair per branch is returned, in sequence order, so the order does
+    not depend on which branch the solve's error made heavier; without a
+    tie the tuple holds one pair.
     """
     channel = maze.channel_mask()
 
@@ -387,7 +389,7 @@ def trace_route_streamline(
     # at its seed: follow the majority branch region by region, dropping
     # traces as they diverge. Survivors took the dominant branch at every
     # split on the way.
-    chosen: list[Streamline] = []
+    chosen: list[tuple[tuple[int, ...], Streamline]] = []
     branches = [(pool, 0)]
     while branches:
         alive, position = branches.pop()
@@ -398,16 +400,16 @@ def trace_route_streamline(
         done_w = sum(w for s, w, _ in alive if len(s) <= position)
         if not votes or done_w >= max(votes.values()):
             exact = [t for t in alive if len(t[0]) == position]
-            chosen.append(max(exact if exact else alive, key=lambda t: t[1])[2])
+            seq, _, stream = max(exact if exact else alive, key=lambda t: t[1])
+            chosen.append((seq, stream))
             continue
         ranked = sorted(votes, key=lambda rid: (-votes[rid], rid))
         top = votes[ranked[0]]
         tied = [rid for rid in ranked if top - votes[rid] <= _TIE_SLACK * tol * top]
-        # Pushed in reverse, so the heaviest branch is finished first.
-        for pick in reversed(tied):
+        for pick in tied:
             kept = [t for t in alive if len(t[0]) > position and t[0][position] == pick]
             branches.append((kept, position + 1))
-    return tuple(chosen)
+    return tuple(sorted(chosen, key=lambda pair: pair[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import functools
 import inspect
 import json
 import math
@@ -303,40 +304,17 @@ def resolve_start(
     return (x, y), radius, extract_path(labels, (int(x // h), int(y // h)))
 
 
-def _near_corners(
-    channel: np.ndarray, corners: list[tuple[int, int]], h: float, reach_mm: float
-) -> np.ndarray:
-    """Channel cells whose centre lies within reach_mm of a corner cell's
-    centre, by the test math.hypot(x - cx, y - cy) <= reach_mm.
-
-    A stencil offset whose length is clearly below or above reach_mm
-    decides every cell it reaches; the few within a rounding margin of it
-    are tested cell by cell."""
+def _near_corners(channel: np.ndarray, corners: list[tuple[int, int]], width: int) -> np.ndarray:
+    """Channel cells within width cells of a corner cell: those whose
+    offset (dx, dy) from it has dx * dx + dy * dy <= width * width."""
     ny, nx = channel.shape
-    reach = int(math.ceil(reach_mm / h)) + 1
-    offsets = np.arange(-reach, reach + 1)
-    length = h * np.hypot(offsets[None, :], offsets[:, None])  # [dy, dx]
-    margin = 1e-9 * (max(nx, ny) * h + reach_mm)
-    sure = length <= reach_mm - margin
-    unsure = np.argwhere(abs(length - reach_mm) <= margin) - reach
-    unsure = [(int(dx), int(dy)) for dy, dx in unsure]
-    span = 2 * reach + 1
-    near = np.zeros((ny + 2 * reach, nx + 2 * reach), dtype=bool)
+    offsets = np.arange(-width, width + 1)
+    disk = offsets[None, :] ** 2 + offsets[:, None] ** 2 <= width * width
+    span = 2 * width + 1
+    near = np.zeros((ny + 2 * width, nx + 2 * width), dtype=bool)
     for cx, cy in corners:
-        near[cy : cy + span, cx : cx + span] |= sure
-    near = near[reach : reach + ny, reach : reach + nx] & channel
-    for cx, cy in corners:
-        ccx, ccy = (cx + 0.5) * h, (cy + 0.5) * h
-        for dx, dy in unsure:
-            ix, iy = cx + dx, cy + dy
-            if (
-                0 <= ix < nx
-                and 0 <= iy < ny
-                and channel[iy, ix]
-                and math.hypot((ix + 0.5) * h - ccx, (iy + 0.5) * h - ccy) <= reach_mm
-            ):
-                near[iy, ix] = True
-    return near
+        near[cy : cy + span, cx : cx + span] |= disk
+    return near[width : width + ny, width : width + nx] & channel
 
 
 def corner_force_stats(
@@ -344,7 +322,8 @@ def corner_force_stats(
 ) -> dict:
     """The `corner_force` section of report.json: the max disk-integrated
     force magnitude over channel cells within one channel width
-    (seg.width_cells) of a convex wall corner, and that max per ampere of
+    (seg.width_cells, a whole number of cells: twice a median wall
+    distance) of a convex wall corner, and that max per ampere of
     total current, which compares field shape between runs whose overall
     conductance differs. The probe disk has half the channel width
     (radius = width/4).
@@ -353,10 +332,9 @@ def corner_force_stats(
     each the float disk_integrate gives; the largest probe goes through
     disk_integrate once more for its value."""
     corners = convex_corner_cells(maze)
-    width_mm = seg.width_cells * maze.cell_size
-    radius = width_mm / 4.0
     h = maze.cell_size
-    iys, ixs = np.nonzero(_near_corners(maze.channel_mask(), corners, h, width_mm))
+    radius = seg.width_cells * h / 4.0
+    iys, ixs = np.nonzero(_near_corners(maze.channel_mask(), corners, int(seg.width_cells)))
     best = 0.0
     if len(ixs):
         sums = RowSums(fields.j, maze.wall_mask())
@@ -395,19 +373,6 @@ class ScenarioResult:
         return _EXIT_FOR_TERMINATION[self.trajectory.termination]
 
 
-@dataclass(frozen=True, eq=False)
-class _MazeRoute:
-    """The route of a solved maze, whatever the droplet and its start:
-    its segmentation, Lee labels, the fan's route streamlines (more than
-    one when the fan is tied) and their corridor sequences, in sequence
-    order."""
-
-    seg: CorridorSegmentation
-    labels: LeeLabels
-    streams: tuple[Streamline, ...]
-    stream_sequences: tuple[tuple[int, ...], ...]
-
-
 # The field files of a solved maze, in bundle order: the artifact that
 # asks for each, and its writer. The writers look up the render functions
 # when they run, so a wrapper bound to the module's name sees each write.
@@ -428,43 +393,37 @@ _FIELD_FILES = {
 class SolvedMaze:
     """One entry of the maze stage: a built maze, its number of channel
     components, its converged fields, and what pipelines have asked of it
-    since: its route, its corner statistics for each force gain, and the
-    field files it has written (name -> path, st_size, st_mtime_ns)."""
+    since: its segmentation, Lee labels and route branches (each computed
+    the first time it is read), its corner statistics for each force
+    gain, and the field files it has written (name -> path, st_size,
+    st_mtime_ns)."""
 
     key: tuple
     maze: MazeSpec
     n_components: int
     fields: FieldBundle
-    _route: _MazeRoute | None = None
     _corner_stats: dict[float, dict] = field(default_factory=dict)
     _written: dict[str, tuple[Path, int, int]] = field(default_factory=dict)
 
-    def route(self) -> _MazeRoute:
-        """The maze's route, computed the first time it is asked for."""
-        route = self._route
-        if route is None:
-            seg = segment_corridors(self.maze)
-            streams = trace_route_streamline(
-                self.fields.j, self.maze, seg=seg, tol=self.fields.report.tol
-            )
-            # Tied branches in corridor-sequence order, so the report does
-            # not depend on which branch rounding made heavier.
-            tied = sorted(
-                ((region_sequence(s.cells(self.maze.cell_size), seg), s) for s in streams),
-                key=lambda pair: pair[0],
-            )
-            route = _MazeRoute(
-                seg, lee_label(self.maze), tuple(s for _, s in tied), tuple(q for q, _ in tied)
-            )
-            self._route = route
-        return route
+    @functools.cached_property
+    def seg(self) -> CorridorSegmentation:
+        return segment_corridors(self.maze)
+
+    @functools.cached_property
+    def labels(self) -> LeeLabels:
+        return lee_label(self.maze)
+
+    @functools.cached_property
+    def branches(self) -> tuple[tuple[tuple[int, ...], Streamline], ...]:
+        """The fan's route: (corridor sequence, streamline) per branch."""
+        return trace_route_streamline(self.fields.j, self.maze, self.seg, self.fields.report.tol)
 
     def corner_stats(self, params: DynamicsParams) -> dict:
         """A copy of corner_force_stats of the maze, computed once per force
         gain, the one droplet parameter it reads."""
         stats = self._corner_stats.get(params.force_gain)
         if stats is None:
-            stats = corner_force_stats(self.maze, self.fields, params, self.route().seg)
+            stats = corner_force_stats(self.maze, self.fields, params, self.seg)
             self._corner_stats[params.force_gain] = stats
         return dict(stats)
 
@@ -577,24 +536,25 @@ def _write_json(path: Path, data: dict) -> None:
 
 
 def _route(cfg: ScenarioConfig, solved: SolvedMaze):
-    """The route stage of `oracle` and `simulate`: the solved maze's
-    route, the configured start (point, mm), the droplet radius, the Lee
-    path from the start's cell, the fan streamline reported, and the
-    oracle read-outs report.json and oracle.json share.
+    """The route stage of `oracle` and `simulate`: the configured start
+    (point, mm), the droplet radius, the Lee path from the start's cell,
+    the fan streamline reported, and the oracle read-outs report.json and
+    oracle.json share.
 
     When the fan is tied, the streamline reported is the tied branch that
     follows the Lee path, if one does (the Lee descent's fixed order makes
     that pick reproducible), else the first in sequence order;
     `streamline_tie` lists every tied branch's sequence in that order, and
     is empty without a tie."""
-    route = solved.route()
+    # The fan first: its field as Python lists is the stage's largest
+    # transient, and the Lee labels are not yet held while it lives.
+    seqs = [seq for seq, _ in solved.branches]
     start_mm, radius, path = resolve_start(
-        cfg.start, cfg.dynamics, solved.maze, route.seg, route.labels
+        cfg.start, cfg.dynamics, solved.maze, solved.seg, solved.labels
     )
-    p_seq = region_sequence(path.cells, route.seg)
-    seqs = route.stream_sequences
+    p_seq = region_sequence(path.cells, solved.seg)
     pick = seqs.index(p_seq) if p_seq in seqs else 0
-    s_seq = seqs[pick]
+    s_seq, stream = solved.branches[pick]
     oracle = {
         "path_cells": len(path.cells),
         "path_length_mm": path.length_mm,
@@ -603,7 +563,7 @@ def _route(cfg: ScenarioConfig, solved: SolvedMaze):
         "streamline_matches_path": s_seq == p_seq,
         "streamline_tie": [list(seq) for seq in seqs] if len(seqs) > 1 else [],
     }
-    return route, start_mm, radius, path, route.streams[pick], oracle
+    return start_mm, radius, path, stream, oracle
 
 
 def run_fields_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> dict:
@@ -623,14 +583,14 @@ def run_oracle_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> d
     The route is the one a simulate run of the same config gets compared
     against: the same start, path and streamline."""
     solved = prepare_fields(cfg)
-    route, _, _, path, stream, oracle = _route(cfg, solved)
+    _, _, path, stream, oracle = _route(cfg, solved)
     s_seq, p_seq = oracle["streamline_sequence"], oracle["path_sequence"]
     report = _report_head(cfg, solved)
     report["oracle"] = dict(
         oracle,
         start_cell=list(path.cells[0]),
         streamline_termination=stream.termination.value,
-        streamline_path_overlap=route.seg.cell_overlap(s_seq, p_seq),
+        streamline_path_overlap=solved.seg.cell_overlap(s_seq, p_seq),
     )
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -642,7 +602,7 @@ def run_oracle_only(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> d
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """solve -> fields -> simulate -> oracle -> compare, all in memory."""
     solved = prepare_fields(cfg)
-    route, start_mm, radius, path, _, oracle = _route(cfg, solved)
+    start_mm, radius, path, _, oracle = _route(cfg, solved)
     traj = simulate(solved.maze, cfg.dynamics, solved.fields, start_mm, radius, path)
     final_force = float(traj.forces[-1])
     thr = cfg.dynamics.static_threshold
@@ -666,7 +626,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             ],
         },
         "oracle": oracle,
-        "comparison": compare_trajectory(traj, path, route.seg),
+        "comparison": compare_trajectory(traj, path, solved.seg),
         "corner_force": solved.corner_stats(cfg.dynamics),
     })
     return ScenarioResult(config=cfg, solved=solved, path=path, trajectory=traj, report=report)
@@ -691,23 +651,26 @@ def _echo_config(cfg: ScenarioConfig) -> dict:
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
-    """One row per sample, values as repr writes them. A sample whose x, y,
-    speed and force equal the previous one's bit for bit (a pinned droplet)
-    formats only its time and reuses the rest of the row before."""
+    """One row per sample, values as repr writes them, written 1024 rows
+    at a time. A sample whose x, y, speed and force equal the previous
+    one's bit for bit (a pinned droplet) formats only its time and reuses
+    the rest of the row before."""
     state = [np.asarray(c, dtype=np.float64) for c in (traj.xs, traj.ys, traj.speeds, traj.forces)]
     repeat = np.ones(len(traj), dtype=bool)
     repeat[:1] = False
     for column in state:
         bits = column.view(np.int64)  # not ==, which takes -0.0 for 0.0
         repeat[1:] &= bits[1:] == bits[:-1]
-    lines = ["t_s,x_mm,y_mm,speed_mm_s,force_mag"]
-    for k in range(0, len(traj), 1024):  # 1024 samples' floats alive at a time
-        chunk = (c[k : k + 1024].tolist() for c in (traj.times, repeat, *state))
-        for t, same, x, y, s, fm in zip(*chunk):
-            if not same:
-                rest = f",{x!r},{y!r},{s!r},{fm!r}"
-            lines.append(f"{t!r}{rest}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write("t_s,x_mm,y_mm,speed_mm_s,force_mag\n")
+        for k in range(0, len(traj), 1024):  # 1024 samples' floats alive at a time
+            chunk = (c[k : k + 1024].tolist() for c in (traj.times, repeat, *state))
+            lines = []
+            for t, same, x, y, s, fm in zip(*chunk):
+                if not same:
+                    rest = f",{x!r},{y!r},{s!r},{fm!r}\n"
+                lines.append(f"{t!r}{rest}")
+            f.write("".join(lines))
 
 
 def write_path_csv(path: str | Path, oracle_path: OraclePath) -> None:

@@ -158,7 +158,7 @@ def test_criterion_5_shortest_path_readout(ring_maze, ring_fields, ring_segmenta
         path = extract_path(labels, start)
         p_seq = region_sequence(path.cells, seg)
         hot = hot_region_route(fields.joule, seg, labels)
-        (stream,) = trace_route_streamline(fields.j, maze, seg=seg)
+        ((_, stream),) = trace_route_streamline(fields.j, maze, seg=seg)
         s_seq = region_sequence(stream.cells(maze.cell_size), seg)
         assert stream.termination is StreamTermination.REACHED
         assert hot == p_seq, f"hot ridge {hot} != path {p_seq}"

@@ -46,6 +46,23 @@ def test_ring_needs_three_cells_of_width():
         generate_ring_maze(1, [1], channel_width_mm=1.0, cell_size_mm=0.5)
 
 
+@pytest.mark.parametrize("diameter_mm, n", [(20.0, 40), (20.5, 41)])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_ring_positive_electrode_sits_at_the_centre_of_the_narrowest_maze(diameter_mm, n, seed):
+    """At the narrowest channel (3 cells) the chamber still holds the cell
+    nearest the grid centre: it lies at the centre when n is odd, half a
+    cell off in x and y when n is even."""
+    h = 0.5
+    spec = generate_ring_maze(1, [1], diameter_mm=diameter_mm, channel_width_mm=3 * h,
+                              seed=seed, cell_size_mm=h)
+    assert spec.nx == spec.ny == n
+    assert spec.positive
+    channel = spec.channel_mask()
+    for ix, iy in spec.positive:
+        assert channel[iy, ix]
+        assert np.hypot((ix + 0.5) * h - n * h / 2, (iy + 0.5) * h - n * h / 2) <= 1.5 * h
+
+
 @pytest.mark.parametrize("wall_mm", [0.0, -1.0])
 def test_ring_wall_must_be_positive(wall_mm):
     with pytest.raises(GeometryError, match="wall_mm"):

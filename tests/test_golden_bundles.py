@@ -1,5 +1,6 @@
-"""Golden bundles: five committed example configs must keep producing the
-same bytes in every artifact of `dropmaze simulate` and `dropmaze oracle`.
+"""Golden bundles: five committed example configs, and `ring_m2` at
+0.25 mm cells, must keep producing the same bytes in every artifact of
+`dropmaze simulate` and `dropmaze oracle`.
 
 The simulate digests of `bifurcation_lock` and `ring_m2` were recorded
 before the droplet and streamline integrators were optimised, so they pin
@@ -40,6 +41,11 @@ stayed the same, and no field file or oracle bundle changed.
 noisy run on a mirror-symmetric bifurcation (`NOISE_CFG`, 346 of its 875
 steps pinned in place) was recorded before a pinned step began to reuse
 its position's disk sum, so it pins noise and pinning together.
+The `ring_m2` bundles at 0.25 mm cells (`FINE_CFG`, the 280x280 grid
+the benchmark's `ring_fine` workload runs on) were recorded before the
+streamline fan began to return its branches with their corridor
+sequences and before the corner probes were picked in whole cells; they
+pin the corner statistics over 11 167 probes on that grid.
 report.json and oracle.json are hashed after dropping their timestamp,
 serialised the way the pipelines write them. A change that alters any
 number on purpose updates these digests and says so in CHANGES.md.
@@ -201,6 +207,38 @@ def test_noisy_pinned_run_matches_golden_digests(tmp_path):
     done = run_cli(["simulate", "--config", str(config), "--out", str(out)], blas_threads=1)
     assert done.returncode == 0, done.stderr
     assert {p.name: _digest(p) for p in sorted(out.iterdir())} == NOISE_GOLDEN
+
+
+# configs/ring_m2.cfg at 0.25 mm cells (280x280), the grid of the
+# benchmark's ring_fine workload.
+FINE_CFG = (CONFIGS / "ring_m2.cfg").read_text().replace("cell_size_mm = 0.5", "cell_size_mm = 0.25")
+
+FINE_GOLDEN = {
+    "simulate": {
+        "comparison.json": "bf2a650f5308a33da05c54f560eb1e21ca44cd772f75f4305599215264237165",
+        "current.csv": "3b6d32e492b8a577fd6a3b6d2c6a986cd03058469ea8a20a1075dbe348236158",
+        "joule.pgm": "1bd77f8a0e046af96c9397ebfc52bc4be67a76e598e7fe050a92b24ac69779d1",
+        "path.csv": "8372878ff9f30c05a488d4ee2ed4219f5adfa73a18f53e82fa45e834342851ee",
+        "potential.csv": "2a28e16a68acec0cd896ace4506c109331d403317ccdee05fd8f500295a526fd",
+        "potential.pgm": "d38bb1e21cbc239467da8a825e98636b5d1c95f2cb5ae981579632c6b605222a",
+        "report.json": "059b8a2f09740aeb26292079249670f9035763685defb20323a808706e1a318d",
+        "trajectory.csv": "6335d430bc0db58eae87c5d6f444f83dd8bc50a00f7441851626e223982f2013",
+    },
+    "oracle": {
+        "oracle.json": "615abd2fc1bb4f8eb804c04adc0645190a2013934b1996fd9e3b426a3b08d30a",
+        "path.csv": "8372878ff9f30c05a488d4ee2ed4219f5adfa73a18f53e82fa45e834342851ee",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(FINE_GOLDEN))
+def test_fine_ring_bundle_matches_golden_digests(command, tmp_path):
+    config = tmp_path / "ring_m2.cfg"
+    config.write_text(FINE_CFG)
+    out = tmp_path / "out"
+    done = run_cli([command, "--config", str(config), "--out", str(out)], blas_threads=1)
+    assert done.returncode == 0, done.stderr
+    assert {p.name: _digest(p) for p in sorted(out.iterdir())} == FINE_GOLDEN[command]
 
 
 # ring_m2 and ring_insulated make the same maze; ring_coated has `+` cells.

@@ -287,7 +287,7 @@ def test_ring_streamline_matches_lee_path(ring_maze, ring_fields, ring_segmentat
     seg = ring_segmentation
     start = sorted(ring_maze.positive)[0]
     path = extract_path(ring_labels, start)
-    (sl,) = trace_route_streamline(ring_fields.j, ring_maze, seg=seg)
+    ((_, sl),) = trace_route_streamline(ring_fields.j, ring_maze, seg=seg)
     assert sl.termination is StreamTermination.REACHED
     s_seq = region_sequence(sl.cells(ring_maze.cell_size), seg)
     p_seq = region_sequence(path.cells, seg)
@@ -311,7 +311,7 @@ def test_streamline_lee_agreement_over_corpus():
         labels = lee_label(spec)
         start = sorted(spec.positive)[0]
         path = extract_path(labels, start)
-        (sl,) = trace_route_streamline(fields.j, spec, seg=seg)
+        ((_, sl),) = trace_route_streamline(fields.j, spec, seg=seg)
         assert region_sequence(sl.cells(spec.cell_size), seg) == region_sequence(path.cells, seg)
 
 
@@ -714,19 +714,28 @@ def test_fan_traces_at_most_max_seeds_streamlines(rows, seeds, monkeypatch):
 def test_fan_reports_both_branches_of_a_mirrored_field():
     """On an exactly mirror-symmetric field the two branches of the
     symmetric bifurcation get votes that agree to rounding: the fan
-    returns one streamline per branch, each reaching the target. On the
-    solved field the votes differ in their last bits only, which a tol
-    below that spread lets settle the pick again."""
+    returns one streamline per branch, in sequence order, each reaching
+    the target. On the solved field the votes differ in their last bits
+    only, which a tol below that spread lets settle the pick again."""
     maze = corpus_maze("bifurcation_symmetric")
     j = compute_fields(maze).j
     mirrored = VectorField(j.vx + j.vx[::-1], j.vy - j.vy[::-1], j.cell_size, j.quantity)
     seg = segment_corridors(maze)
-    streams = trace_route_streamline(mirrored, maze, seg=seg)
-    seqs = [region_sequence(s.cells(maze.cell_size), seg) for s in streams]
-    assert sorted(seqs) == [(4, 5, 6, 7, 11), (4, 8, 9, 10, 11)]
-    assert all(s.termination is StreamTermination.REACHED for s in streams)
+    branches = trace_route_streamline(mirrored, maze, seg=seg)
+    assert [seq for seq, _ in branches] == [(4, 5, 6, 7, 11), (4, 8, 9, 10, 11)]
+    assert all(s.termination is StreamTermination.REACHED for _, s in branches)
     assert len(trace_route_streamline(j, maze, seg=seg)) == 2
     assert len(trace_route_streamline(j, maze, seg=seg, tol=1e-15)) == 1
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
+def test_fan_returns_each_branch_with_its_own_sequence(name):
+    """Each branch's corridor sequence is the one its streamline visits."""
+    solved = scenario.prepare_fields(load_config(CONFIGS / f"{name}.cfg"))
+    h = solved.maze.cell_size
+    assert solved.branches
+    for seq, stream in solved.branches:
+        assert seq == region_sequence(stream.cells(h), solved.seg)
 
 
 @pytest.mark.parametrize("name", ["bifurcation_symmetric", "bifurcation_lock"])
@@ -744,19 +753,26 @@ def test_route_reports_a_tie_only_where_the_branches_are_equal(name):
 
 
 @pytest.mark.parametrize("start", ["axis", "21.25,23.25"])
-def test_route_report_does_not_depend_on_the_fan_order(start, tmp_path, monkeypatch):
-    """The route stage lists the symmetric maze's tied branches in
-    corridor-sequence order, and reports the tied branch on the Lee path
-    or, from a start inside one branch whose path follows neither, the
-    first in that order, whichever order the fan returns them in."""
+def test_route_report_does_not_depend_on_the_fan_order(start, tmp_path):
+    """The fan returns the symmetric maze's tied branches in corridor-
+    sequence order, whichever branch the solve's error makes heavier: on
+    the mirrored field with the rows above the axis scaled by 1 + 1e-10
+    or by 1 - 1e-10, either branch gets the heavier vote, still within
+    the tie. The route stage lists them in that order, and reports the
+    tied branch on the Lee path or, from a start inside one branch whose
+    path follows neither, the first in that order."""
     cfg = dataclasses.replace(load_config(CONFIGS / "bifurcation_symmetric.cfg"), start=start)
     want = run_oracle_only(cfg, tmp_path / "fan")["oracle"]
-    scenario._forget_solved_maze()
-    fan = scenario.trace_route_streamline
-    monkeypatch.setattr(
-        scenario, "trace_route_streamline", lambda *args, **kwargs: fan(*args, **kwargs)[::-1]
-    )
-    assert run_oracle_only(cfg, tmp_path / "reversed")["oracle"] == want
+    solved = scenario.prepare_fields(cfg)
+    maze, j = solved.maze, solved.fields.j
+    above = (np.arange(maze.ny) < maze.ny // 2)[:, None]
+    orders = []
+    for factor in (1 + 1e-10, 1 - 1e-10):
+        scale = np.where(above, factor, 1.0)
+        vx, vy = (j.vx + j.vx[::-1]) * scale, (j.vy - j.vy[::-1]) * scale
+        field = VectorField(vx, vy, j.cell_size, j.quantity)
+        orders.append([seq for seq, _ in trace_route_streamline(field, maze, solved.seg)])
+    assert orders[0] == orders[1] == [(4, 5, 6, 7, 11), (4, 8, 9, 10, 11)]
     assert want["streamline_tie"] == [[4, 5, 6, 7, 11], [4, 8, 9, 10, 11]]
     if start == "axis":
         assert want["streamline_sequence"] == want["path_sequence"] == [4, 8, 9, 10, 11]
@@ -770,9 +786,9 @@ def test_cell_overlap_equals_region_scan(name):
     """Every overlap of the pipeline is the float that comparing the
     visited regions' cell sets gives."""
     result = run_scenario(load_config(CONFIGS / f"{name}.cfg"))
-    seg, path, h = result.solved.route().seg, result.path, result.maze.cell_size
+    seg, path, h = result.solved.seg, result.path, result.maze.cell_size
     traj_cells = [(int(x // h), int(y // h)) for x, y in result.trajectory.positions_mm()]
-    (stream,) = trace_route_streamline(result.fields.j, result.maze, seg=seg)
+    ((_, stream),) = result.solved.branches
     routes = [traj_cells, stream.cells(h), path.cells, [], path.cells[: len(path.cells) // 3]]
     overlaps = set()
     for a in routes:

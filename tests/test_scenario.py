@@ -372,7 +372,7 @@ def test_run_scenario_computes_each_analysis_once(start, monkeypatch):
     )
     result = run_scenario(cfg)
     assert cfg.dynamics.radius_mm == 0 and cfg.dynamics.dt == 0
-    assert result.trajectory.radius_mm == 0.375 * result.solved.route().seg.width_cells * 0.5
+    assert result.trajectory.radius_mm == 0.375 * result.solved.seg.width_cells * 0.5
     assert len(result.trajectory) > 1
     assert calls == {"lee_label": 1, "segment_corridors": 1, "thin_mask": 1, "extract_path": 1}
 
@@ -428,7 +428,7 @@ def test_corner_force_stats_equals_probe_by_probe_scan(name, monkeypatch):
     )
     assert stats["max"] == want
     corners = dm.convex_corner_cells(maze)
-    near = scenario._near_corners(maze.channel_mask(), corners, maze.cell_size, width_mm)
+    near = scenario._near_corners(maze.channel_mask(), corners, int(seg.width_cells))
     iys, ixs = np.nonzero(near)
     assert list(zip(ixs.tolist(), iys.tolist())) == probes
     if name == "straight":
@@ -570,8 +570,8 @@ def test_maze_stage_drops_the_old_maze_before_solving_a_new_one(tmp_path, monkey
 
 
 def _stage_arrays(result):
-    fields, seg = result.fields, result.solved.route().seg
-    (stream,) = oracle.trace_route_streamline(fields.j, result.maze, seg=seg)
+    fields, seg = result.fields, result.solved.seg
+    ((_, stream),) = result.solved.branches
     return {
         "maze.cells": result.maze.cells,
         "fields.phi": fields.phi.values,
@@ -610,7 +610,7 @@ def test_maze_stage_under_threads(tmp_path):
         scenario._forget_solved_maze()
         solved = prepare_fields(cfg)
         want[n] = (solved.maze, solved.fields.phi.values.tobytes(),
-                   solved.route().streams[0].points.tobytes())
+                   solved.branches[0][1].points.tobytes())
     errors = []
 
     def worker(offset):
@@ -619,7 +619,7 @@ def test_maze_stage_under_threads(tmp_path):
                 n = (30, 40)[(i + offset) % 2]
                 solved = prepare_fields(mazes[n])
                 got = (solved.maze, solved.fields.phi.values.tobytes(),
-                       solved.route().streams[0].points.tobytes())
+                       solved.branches[0][1].points.tobytes())
                 if got != want[n]:
                     errors.append((offset, i))
         except Exception as exc:  # reported below, with the thread's index
