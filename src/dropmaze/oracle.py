@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from .currents import current_route
 from .maze import MazeSpec, bfs, cell_index, label_components
 from .solver import VectorField
 
@@ -65,13 +66,6 @@ class Path:
             [((ix + 0.5) * self.cell_size, (iy + 0.5) * self.cell_size) for ix, iy in self.cells]
         )
 
-
-# A solve stopped at relative residual tol leaves errors of a few tol in
-# the fan's votes, and the multigrid cycle is not mirror-symmetric, so a
-# symmetric maze's branches differ by that much: up to 1e-8 at tol 1e-9
-# on the benchmark's symmetric bifurcations (seeds 0-11, 0.5 and 0.25 mm
-# cells). Votes within this many tol of each other are a tie.
-_TIE_SLACK = 1e3
 
 # Fixed tie-break order for descent: east, north, west, south.
 _DESCENT_ORDER = ((1, 0), (0, -1), (-1, 0), (0, 1))
@@ -151,18 +145,19 @@ _STALL_CELLS = 16
 _STALL_STEPS = _STALL_CELLS * _STEPS_PER_CELL
 
 
-class _ListField(NamedTuple):
-    """A vector field sampled from Python lists. sample(x_mm, y_mm) gives
-    the bilinear field's unit direction and magnitude there, (0, 0, s) at
-    or below the speed floor. Also holds that floor and the step budget,
-    which every streamline through the field shares."""
+class _RowField(NamedTuple):
+    """A vector field sampled through memoryviews of its rows.
+    sample(x_mm, y_mm) gives the bilinear field's unit direction and
+    magnitude there, (0, 0, s) at or below the speed floor. Also holds
+    that floor and the step budget, which every streamline through the
+    field shares."""
 
     sample: Callable[[float, float], tuple[float, float, float]]
     floor: float
     max_steps: int
 
     @classmethod
-    def of(cls, j: VectorField) -> "_ListField":
+    def of(cls, j: VectorField) -> "_RowField":
         magnitude = j.magnitude()
         floor = _MIN_SPEED_REL * float(np.max(magnitude))
         max_steps = _STEPS_PER_CELL * int(np.count_nonzero(magnitude > floor))
@@ -172,10 +167,13 @@ class _ListField(NamedTuple):
 def _unit_sampler(
     j: VectorField, floor: float
 ) -> Callable[[float, float], tuple[float, float, float]]:
-    """The sampler of _ListField. Rows are lists because element reads
-    give Python floats, which are cheaper to read and to compute with
-    than numpy scalars and round the same way."""
-    vx, vy = j.vx.tolist(), j.vy.tolist()
+    """The sampler of _RowField. It reads each row of the field through a
+    memoryview, whose element reads give Python floats: cheaper to read
+    and to compute with than numpy scalars, rounding the same way, and
+    made only for the values a sample reads, so no copy of the grid is
+    ever held."""
+    vx = [memoryview(row) for row in j.vx]
+    vy = [memoryview(row) for row in j.vy]
     h = j.cell_size
     # The lower corner's index is clamped into the grid; on a grid one
     # cell wide both corners are its one column (row).
@@ -228,17 +226,17 @@ def streamline(
     target_cells: Iterable[tuple[int, int]] | None = None,
     channel_mask: np.ndarray | None = None,
     *,
-    _lists: _ListField | None = None,
+    _rows: _RowField | None = None,
 ) -> Streamline:
     """Integrate along the normalized field from start_mm.
 
     Stops on reaching a target cell, on the local field magnitude falling
     to the speed floor, on leaving the grid, on entering no new cell for
     _STALL_STEPS steps, or when the step budget is spent (see
-    _MIN_SPEED_REL and _STEPS_PER_CELL). _lists is j as a _ListField, for
+    _MIN_SPEED_REL and _STEPS_PER_CELL). _rows is j as a _RowField, for
     callers tracing many streamlines through one field.
     """
-    grid = _lists if _lists is not None else _ListField.of(j)
+    grid = _rows if _rows is not None else _RowField.of(j)
     sample, floor = grid.sample, grid.floor
     h, nx, ny = j.cell_size, j.nx, j.ny
     step_mm = h / _STEPS_PER_CELL
@@ -328,9 +326,10 @@ def streamline(
     return Streamline(points, termination)
 
 
-# Each fan seed is a full trace, so a large electrode's seed ring is
-# thinned to at most this many seeds at an even stride. The rings of the
-# example configs have 8 to 12 cells and keep every one.
+# The cross-check traces every seed when none follows the route, so a
+# large electrode's seed ring is thinned to at most this many seeds at an
+# even stride. The rings of the example configs have 8 to 12 cells and
+# keep every one.
 _MAX_SEEDS = 24
 
 
@@ -340,24 +339,16 @@ def trace_route_streamline(
     seg: CorridorSegmentation,
     tol: float = 1e-9,
 ) -> tuple[tuple[tuple[int, ...], Streamline], ...]:
-    """The route of the dominant current bundle from source to destination,
-    as (corridor sequence, streamline) pairs.
+    """The route of current_route, as (corridor sequence, streamline)
+    pairs in sequence order: one pair per tied branch, one without a tie.
 
-    Traces a fan of forward streamlines seeded on a ring of cells around
-    the positive electrode and returns one whose corridor sequence matches
-    the fan majority, with that sequence. At every junction where the
-    current splits, only a minority of seeds peels off the main route,
-    and the strays scatter over different wrong sequences, so the modal
-    sequence is the dominant bundle's route.
-
-    Branches whose votes at a junction agree within relative
-    _TIE_SLACK * tol (tol being the solve's own tolerance) are a tie that
-    the solve's error alone would settle, as on a mirror-symmetric maze.
-    Each tied branch is then followed to the end of the consensus, and
-    one pair per branch is returned, in sequence order, so the order does
-    not depend on which branch the solve's error made heavier; without a
-    tie the tuple holds one pair.
+    Each branch's streamline cross-checks it: seeds on a ring of cells
+    around the positive electrode are traced in decreasing field
+    magnitude until every branch has a trace that reaches the negative
+    electrode through its corridor sequence. A branch no seed's trace
+    follows gets the trace of the strongest seed.
     """
+    sequences = current_route(j, maze, seg, tol).sequences
     channel = maze.channel_mask()
 
     # Ring of seed cells two steps out from the positive electrode.
@@ -368,48 +359,29 @@ def trace_route_streamline(
     if not ring:
         raise ValueError("no channel cells around the positive electrode")
     stride = math.ceil(len(ring) / _MAX_SEEDS)
-    seeds = ring[::stride]
 
     h = maze.cell_size
-    grid = _ListField.of(j)
-    traces: list[tuple[tuple[int, ...], float, Streamline]] = []
-    for ix, iy in seeds:
-        start = ((ix + 0.5) * h, (iy + 0.5) * h)
-        weight = grid.sample(*start)[2]
-        if weight <= 0:
-            continue
-        tr = streamline(j, start, target_cells=maze.negative, channel_mask=channel, _lists=grid)
-        traces.append((region_sequence(tr.cells(h), seg), weight, tr))
-    if not traces:
+    grid = _RowField.of(j)
+    starts = [((ix + 0.5) * h, (iy + 0.5) * h) for ix, iy in ring[::stride]]
+    weighted = [(grid.sample(*start)[2], start) for start in starts]
+    # Stable sort: seeds of equal weight keep their ring order.
+    seeds = [start for weight, start in sorted(weighted, key=lambda t: -t[0]) if weight > 0]
+    if not seeds:
         raise ValueError("no usable streamline seeds around the positive electrode")
 
-    reached = [t for t in traces if t[2].termination is StreamTermination.REACHED]
-    pool = reached if reached else traces
-    # Prefix consensus, each trace weighted by the current it represents
-    # at its seed: follow the majority branch region by region, dropping
-    # traces as they diverge. Survivors took the dominant branch at every
-    # split on the way.
-    chosen: list[tuple[tuple[int, ...], Streamline]] = []
-    branches = [(pool, 0)]
-    while branches:
-        alive, position = branches.pop()
-        votes: dict[int, float] = {}
-        for s, w, _ in alive:
-            if len(s) > position:
-                votes[s[position]] = votes.get(s[position], 0.0) + w
-        done_w = sum(w for s, w, _ in alive if len(s) <= position)
-        if not votes or done_w >= max(votes.values()):
-            exact = [t for t in alive if len(t[0]) == position]
-            seq, _, stream = max(exact if exact else alive, key=lambda t: t[1])
-            chosen.append((seq, stream))
-            continue
-        ranked = sorted(votes, key=lambda rid: (-votes[rid], rid))
-        top = votes[ranked[0]]
-        tied = [rid for rid in ranked if top - votes[rid] <= _TIE_SLACK * tol * top]
-        for pick in tied:
-            kept = [t for t in alive if len(t[0]) > position and t[0][position] == pick]
-            branches.append((kept, position + 1))
-    return tuple(sorted(chosen, key=lambda pair: pair[0]))
+    found: dict[tuple[int, ...], Streamline] = {}
+    strongest = None
+    for start in seeds:
+        trace = streamline(j, start, target_cells=maze.negative, channel_mask=channel, _rows=grid)
+        if strongest is None:
+            strongest = trace
+        if trace.termination is StreamTermination.REACHED:
+            seq = region_sequence(trace.cells(h), seg)
+            if seq in sequences:
+                found.setdefault(seq, trace)
+                if len(found) == len(sequences):
+                    break
+    return tuple((seq, found.get(seq, strongest)) for seq in sequences)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__ as _VERSION
+from .currents import CurrentRoute, current_route
 from .dynamics import (
     DynamicsParams,
     RowSums,
@@ -48,6 +49,7 @@ from .oracle import (
     LeeLabels,
     Path as OraclePath,
     Streamline,
+    StreamTermination,
     compare_trajectory,
     extract_path,
     lee_label,
@@ -393,10 +395,10 @@ _FIELD_FILES = {
 class SolvedMaze:
     """One entry of the maze stage: a built maze, its number of channel
     components, its converged fields, and what pipelines have asked of it
-    since: its segmentation, Lee labels and route branches (each computed
-    the first time it is read), its corner statistics for each force
-    gain, and the field files it has written (name -> path, st_size,
-    st_mtime_ns)."""
+    since: its segmentation, Lee labels, current route and the route's
+    branches with their streamlines (each computed the first time it is
+    read), its corner statistics for each force gain, and the field files
+    it has written (name -> path, st_size, st_mtime_ns)."""
 
     key: tuple
     maze: MazeSpec
@@ -414,8 +416,12 @@ class SolvedMaze:
         return lee_label(self.maze)
 
     @functools.cached_property
+    def route(self) -> CurrentRoute:
+        return current_route(self.fields.j, self.maze, self.seg, self.fields.report.tol)
+
+    @functools.cached_property
     def branches(self) -> tuple[tuple[tuple[int, ...], Streamline], ...]:
-        """The fan's route: (corridor sequence, streamline) per branch."""
+        """The route's (corridor sequence, cross-check streamline) pairs."""
         return trace_route_streamline(self.fields.j, self.maze, self.seg, self.fields.report.tol)
 
     def corner_stats(self, params: DynamicsParams) -> dict:
@@ -538,16 +544,18 @@ def _write_json(path: Path, data: dict) -> None:
 def _route(cfg: ScenarioConfig, solved: SolvedMaze):
     """The route stage of `oracle` and `simulate`: the configured start
     (point, mm), the droplet radius, the Lee path from the start's cell,
-    the fan streamline reported, and the oracle read-outs report.json and
-    oracle.json share.
+    the route streamline reported, and the oracle read-outs report.json
+    and oracle.json share.
 
-    When the fan is tied, the streamline reported is the tied branch that
-    follows the Lee path, if one does (the Lee descent's fixed order makes
-    that pick reproducible), else the first in sequence order;
+    When the route is tied, the streamline reported is the tied branch's
+    that follows the Lee path, if one does (the Lee descent's fixed order
+    makes that pick reproducible), else the first in sequence order;
     `streamline_tie` lists every tied branch's sequence in that order, and
-    is empty without a tie."""
-    # The fan first: its field as Python lists is the stage's largest
-    # transient, and the Lee labels are not yet held while it lives.
+    is empty without a tie. `streamline_follows_route` says whether every
+    branch's streamline reaches the target through its sequence.
+    `route_current_share` gives each corridor of the reported sequence its
+    current as a share of the current in, and `route_split_margin` is the
+    route's split_margin (null when no path leaves it)."""
     seqs = [seq for seq, _ in solved.branches]
     start_mm, radius, path = resolve_start(
         cfg.start, cfg.dynamics, solved.maze, solved.seg, solved.labels
@@ -555,6 +563,8 @@ def _route(cfg: ScenarioConfig, solved: SolvedMaze):
     p_seq = region_sequence(path.cells, solved.seg)
     pick = seqs.index(p_seq) if p_seq in seqs else 0
     s_seq, stream = solved.branches[pick]
+    h, current_in = solved.maze.cell_size, solved.fields.report.current_in
+    currents = solved.route.region_current.tolist()
     oracle = {
         "path_cells": len(path.cells),
         "path_length_mm": path.length_mm,
@@ -562,6 +572,13 @@ def _route(cfg: ScenarioConfig, solved: SolvedMaze):
         "streamline_sequence": list(s_seq),
         "streamline_matches_path": s_seq == p_seq,
         "streamline_tie": [list(seq) for seq in seqs] if len(seqs) > 1 else [],
+        "streamline_follows_route": all(
+            trace.termination is StreamTermination.REACHED
+            and region_sequence(trace.cells(h), solved.seg) == seq
+            for seq, trace in solved.branches
+        ),
+        "route_current_share": [currents[r] / current_in for r in s_seq],
+        "route_split_margin": solved.route.split_margin,
     }
     return start_mm, radius, path, stream, oracle
 

@@ -14,7 +14,10 @@ components, per-region cell scans for the corridor overlap, the
 distance to a polyline segment by segment, the Joule ridge's corridor
 regions by a per-region percentile, the corridor skeleton's thinning,
 degrees and spur pruning from shifted grid copies and neighbour loops,
-and a maze text's grid read glyph by glyph.
+and a maze text's grid read glyph by glyph. One reference leans on the
+package on purpose: the streamline fan that voted the route before the
+corridor currents decided it traces with the package's streamline, so
+that its votes are the traces the package makes.
 """
 
 from __future__ import annotations
@@ -1133,3 +1136,86 @@ def scan_glyph_grid(rows):
             elif ch == "T":
                 neg.add((ix, iy))
     return cells, pos, neg
+
+
+def vote_fan_route(j, maze, seg, tol=1e-9):
+    """The route as a fan of streamlines votes it, the reference for the
+    route from corridor currents: (corridor sequence, streamline) per
+    branch, in sequence order.
+
+    Seeds on the ring of channel cells two steps from the positive
+    electrode (one step if there are none), thinned at an even stride to
+    at most 24, each trace through the package's streamline, weighted by
+    the field magnitude at its seed. Traces that reach the target vote (all
+    of them if none does), region by region: the branch with the most
+    weight wins, and branches within relative 1e3 * tol of it tie and are
+    each followed on. A branch ends where its finished traces outweigh
+    every continuation, with its heaviest trace of exactly that length."""
+    from dropmaze import oracle
+
+    channel = maze.channel_mask()
+    dist = bfs_distances(channel, sorted(maze.positive))
+    ring = sorted((int(x), int(y)) for y, x in zip(*np.nonzero(dist == 2)))
+    if not ring:
+        ring = sorted((int(x), int(y)) for y, x in zip(*np.nonzero(dist == 1)))
+    seeds = ring[:: math.ceil(len(ring) / 24)]
+    h = maze.cell_size
+    grid = oracle._RowField.of(j)
+    traces = []
+    for ix, iy in seeds:
+        start = ((ix + 0.5) * h, (iy + 0.5) * h)
+        weight = grid.sample(*start)[2]
+        if weight <= 0:
+            continue
+        tr = oracle.streamline(j, start, target_cells=maze.negative, channel_mask=channel,
+                               _rows=grid)
+        traces.append((oracle.region_sequence(tr.cells(h), seg), weight, tr))
+    reached = [t for t in traces if t[2].termination.value == "reached"]
+    chosen = []
+    branches = [(reached or traces, 0)]
+    while branches:
+        alive, position = branches.pop()
+        votes = {}
+        for s, w, _ in alive:
+            if len(s) > position:
+                votes[s[position]] = votes.get(s[position], 0.0) + w
+        done_w = sum(w for s, w, _ in alive if len(s) <= position)
+        if not votes or done_w >= max(votes.values()):
+            exact = [t for t in alive if len(t[0]) == position]
+            seq, _, stream = max(exact or alive, key=lambda t: t[1])
+            chosen.append((seq, stream))
+            continue
+        top = max(votes.values())
+        for pick in sorted(votes, key=lambda rid: (-votes[rid], rid)):
+            if top - votes[pick] <= 1e3 * tol * top:
+                kept = [t for t in alive if len(t[0]) > position and t[0][position] == pick]
+                branches.append((kept, position + 1))
+    return tuple(sorted(chosen, key=lambda pair: pair[0]))
+
+
+def region_net_currents_by_scan(j, region):
+    """{(a, b): net current from region a to region b} for adjacent
+    regions, the face currents summed face by face."""
+    net = {}
+    ny, nx = region.shape
+    for iy in range(ny):
+        for ix in range(nx):
+            for flux, jx, jy in ((j.face_flux_x, ix + 1, iy), (j.face_flux_y, ix, iy + 1)):
+                if jx >= nx or jy >= ny:
+                    continue
+                a, b = int(region[iy, ix]), int(region[jy, jx])
+                if a < 0 or b < 0 or a == b:
+                    continue
+                f = float(flux[iy, ix])
+                net[a, b] = net.get((a, b), 0.0) + f
+                net[b, a] = net.get((b, a), 0.0) - f
+    return net
+
+
+def region_currents_by_scan(j, region, n_regions):
+    """Each region's current: half the absolute net current it exchanges
+    with each neighbouring region (region_net_currents_by_scan)."""
+    current = [0.0] * n_regions
+    for (a, _), f in region_net_currents_by_scan(j, region).items():
+        current[a] += 0.5 * abs(f)
+    return current

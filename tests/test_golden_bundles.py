@@ -46,6 +46,11 @@ the benchmark's `ring_fine` workload runs on) were recorded before the
 streamline fan began to return its branches with their corridor
 sequences and before the corner probes were picked in whole cells; they
 pin the corner statistics over 11 167 probes on that grid.
+All thirteen report.json and oracle.json digests were re-recorded once
+when the route began to come from corridor currents: the oracle section
+gained `streamline_follows_route`, `route_current_share` and
+`route_split_margin`, and with those three keys dropped each file hashed
+to the digest recorded before.
 report.json and oracle.json are hashed after dropping their timestamp,
 serialised the way the pipelines write them. A change that alters any
 number on purpose updates these digests and says so in CHANGES.md.
@@ -92,7 +97,7 @@ GOLDEN = {
         "path.csv": "19d450d4a427acfa00bc9cc0ca80e222630af11154ade9bac4148002b8b85d73",
         "potential.csv": "eaa751c990a249b7b59f7dd0b339618e177d5fb2f9d768d7dd95cdcccacf8da8",
         "potential.pgm": "8e23517a71d32e24552a48e4b0ed570b936643e6558952d542471ab11c9d672f",
-        "report.json": "2a1c7e9d227406446f42cd45903b06754995757d1f09f8edcbf7211f1e8ee630",
+        "report.json": "ec9a7f0d416e7bff56768a3c24d64a87a9b5df314ca82a4f72bcdd9243a8d3ee",
         "trajectory.csv": "8fa018d2dc23141bd23f618968e222bd6ef7e63b71c2a8ebf7f6795629e2c968",
     },
     ("simulate", "ring_m2"): {
@@ -102,15 +107,15 @@ GOLDEN = {
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
         "potential.csv": "f41db498f0cc43a83abf340e8a079db7842f1522a54d0bdd77ee35960981e3cd",
         "potential.pgm": "e01b83fa94d79d1f3144caf7b2472cae2ddf37179eac82a28deaece887fa1fba",
-        "report.json": "c18a24711f6b37554988b7616c9d2c8f3a6625ce1351069b9ce87e4fa99b9a01",
+        "report.json": "5cb46af75a851f0d83732544d114d6b9e01ab07009f75a035c0371af9e41afb3",
         "trajectory.csv": "2375ce696a4e3b0f60e38aa696edfeb27f91d3dd4b9e79d3b80ac7f5e430ec42",
     },
     ("oracle", "bifurcation_lock"): {
-        "oracle.json": "43e05a7a23768216b604c02ff5f48c1a096c8088baf2fb190959db5f1a9acfc8",
+        "oracle.json": "8a40af74de8135e5989372f7713c112e5d2200b156c00534cbbd774b9f41f0ee",
         "path.csv": "19d450d4a427acfa00bc9cc0ca80e222630af11154ade9bac4148002b8b85d73",
     },
     ("oracle", "ring_m2"): {
-        "oracle.json": "e20fe64339f4c712b08095ba08dd87b54f3c6a946c2697cc2496d8c5ef640314",
+        "oracle.json": "e20c53f3a7da19196519afa8faee7ea31b36cff711a06061f3dbe1beab3a3103",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
     },
     ("simulate", "ring_coated"): {
@@ -120,11 +125,11 @@ GOLDEN = {
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
         "potential.csv": "7e7e995410480f438b63878d93f51845a53d825d73bd78d6d0edd5743c120055",
         "potential.pgm": "50762467b317a38559553d44dc04e701a4d3d28c11b2cbb00d6313ea72802a40",
-        "report.json": "0c0deab64df9e486649054cae3963fc5db2f916c7fa154e4f7239d082b5c456b",
+        "report.json": "935f7c872d02c53e5f3f547948deb49c15b2b34e6add50fc933717c1a26d46b6",
         "trajectory.csv": "8caf2d6a1c692a293f13d609f49df1d95dfdc6c6709c1ea863552416607262d2",
     },
     ("oracle", "ring_coated"): {
-        "oracle.json": "53b9ba26c3fd50f293582015ce6c4faf8c68a29add56d4e86c333f15a40834e9",
+        "oracle.json": "aa2198b61ce6ca814a9939d69658702b193aa763fc9071edb36f43b447d6d2b4",
         "path.csv": "e2a7403c3afd5c55fb25bf0eee009c375ad498c112638e25f693c51612fe7f69",
     },
     ("simulate", "ring_m1"): {
@@ -134,11 +139,11 @@ GOLDEN = {
         "path.csv": "a5eb3a1fd31315426995a09be7650bcb1161c360571607a289e1b07d4656dbca",
         "potential.csv": "b1ca196139f8c66e2e7131a69bc369e634277286a4f1cc5136342b00d8694e9a",
         "potential.pgm": "2ea8650616336868f164c386263403d9915118aa7f3a757c5044d83606f2616d",
-        "report.json": "8bbe77325e39b3919da6963351dad61fa3032e9467f4e1c26eb26189245ab211",
+        "report.json": "d776255d70334fc1b219bf22166dd0d3cf09a1749aba6cbccd6607069175f200",
         "trajectory.csv": "6130f8fce28be0a966babe4f14afaf483f705efcaa70dca08a846ac10015da06",
     },
     ("oracle", "ring_m1"): {
-        "oracle.json": "3f2eedc064d8844cadab0b0caff8ba68d116d29ec3b342458f6362de7d428498",
+        "oracle.json": "220c054d409068fa48c375d83bb0af21df0c5fc24fd041f267bc8d384edf62ea",
         "path.csv": "a5eb3a1fd31315426995a09be7650bcb1161c360571607a289e1b07d4656dbca",
     },
     ("simulate", "bifurcation_symmetric"): {
@@ -148,11 +153,11 @@ GOLDEN = {
         "path.csv": "693abb2fbfcec868e248bd1a87c1646d0e2e5d656cfd1c373db961246edc7045",
         "potential.csv": "906f6118d10bf17bff20a47d6c88c37d5a4c3d017c2663055ddf41e8785d8551",
         "potential.pgm": "e2ed608881a3990219fe6dec9684964769720263b449496de65f7ab4d0bba4a8",
-        "report.json": "d6cf6101697227f1096f4523375ddfc590692d46bad5d5f6787fc5450125de24",
+        "report.json": "3ee171ee1f26143a9f4a9c052c480b1d0b4bb1e58a14fa89070e784b2a3ccb24",
         "trajectory.csv": "2dd93de589beb03741a37310c9f6bfc3c7a5dc522b0deb83ebf6622e5ae041cd",
     },
     ("oracle", "bifurcation_symmetric"): {
-        "oracle.json": "f4ff80d6bff259d24dbe27869884f08e70b373542198dee26876c860617585f2",
+        "oracle.json": "3812922d226a26655c6f9f068d259e0ea4fa4acfaa060e47ce768e6b76e4518b",
         "path.csv": "693abb2fbfcec868e248bd1a87c1646d0e2e5d656cfd1c373db961246edc7045",
     },
 }
@@ -195,7 +200,7 @@ NOISE_GOLDEN = {
     "path.csv": "693abb2fbfcec868e248bd1a87c1646d0e2e5d656cfd1c373db961246edc7045",
     "potential.csv": "906f6118d10bf17bff20a47d6c88c37d5a4c3d017c2663055ddf41e8785d8551",
     "potential.pgm": "e2ed608881a3990219fe6dec9684964769720263b449496de65f7ab4d0bba4a8",
-    "report.json": "10a8823d526f60d20667de279d157c968cecf5689485d8c33b68f237ba2160cd",
+    "report.json": "b9b60bed09d05dc3ec0d228fae6865eaacb0ff09d8a43be43594cb890742d8ef",
     "trajectory.csv": "7b5bf468133765f9be187bd405ed415dbb27be2d0fdd08a85c1ce89faa4e304f",
 }
 
@@ -221,11 +226,11 @@ FINE_GOLDEN = {
         "path.csv": "8372878ff9f30c05a488d4ee2ed4219f5adfa73a18f53e82fa45e834342851ee",
         "potential.csv": "2a28e16a68acec0cd896ace4506c109331d403317ccdee05fd8f500295a526fd",
         "potential.pgm": "d38bb1e21cbc239467da8a825e98636b5d1c95f2cb5ae981579632c6b605222a",
-        "report.json": "059b8a2f09740aeb26292079249670f9035763685defb20323a808706e1a318d",
+        "report.json": "d3ae211fa2de53b8624293a168779d3ccbf5ed981b5b1fee82fdb91d47eda5f0",
         "trajectory.csv": "6335d430bc0db58eae87c5d6f444f83dd8bc50a00f7441851626e223982f2013",
     },
     "oracle": {
-        "oracle.json": "615abd2fc1bb4f8eb804c04adc0645190a2013934b1996fd9e3b426a3b08d30a",
+        "oracle.json": "0967fef79b073a7fcd2736befb0e8b7227f61b8d65114237ccb8ffe63d19c02e",
         "path.csv": "8372878ff9f30c05a488d4ee2ed4219f5adfa73a18f53e82fa45e834342851ee",
     },
 }

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import dropmaze as dm
 from dropmaze import oracle, scenario
+from dropmaze.cli import main
+from dropmaze.currents import current_route
 from dropmaze.maze import cell_index, parse_maze
 from dropmaze.oracle import (
     StreamTermination,
@@ -38,9 +42,12 @@ from oracles import (
     loop_prune_spurs,
     max_distance_to_unit_segments,
     neighbours_stay_connected,
+    region_currents_by_scan,
+    region_net_currents_by_scan,
     region_overlap_by_scan,
     shifted_skeleton_degree,
     shifted_thin_mask,
+    vote_fan_route,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -505,7 +512,7 @@ def test_bfs_matches_reference_on_random_masks(seed):
 
 
 def test_list_backed_streamlines_match_array_sampler(monkeypatch):
-    """Every fan streamline is point for point, and in its termination,
+    """Every reference fan streamline is point for point, and in its termination,
     the one the numpy-element sampler traces, on the ring, the
     bifurcation and the coated ring, whose seeds slide along walls and
     stall."""
@@ -523,7 +530,7 @@ def test_list_backed_streamlines_match_array_sampler(monkeypatch):
         maze = corpus_maze(name)
         j = compute_fields(maze).j
         traced.clear()
-        trace_route_streamline(j, maze, segment_corridors(maze))
+        vote_fan_route(j, maze, segment_corridors(maze))
         assert len(traced) >= 8
         assert sum(len(result.points) for *_, result in traced) > 1000
         for start, targets, channel, result in traced:
@@ -558,7 +565,7 @@ def test_list_sampler_matches_array_sampler_bit_for_bit(shape, h, seed, u, v, qu
     s = float(np.hypot(ax, ay))
     floor = 1e-9 * float(np.hypot(vx, vy).max())
     want = (0.0, 0.0, s) if s <= floor else (ax / s, ay / s, s)
-    assert oracle._ListField.of(j).sample(x, y) == want
+    assert oracle._RowField.of(j).sample(x, y) == want
 
 
 def test_streamline_that_keeps_exploring_stops_at_its_budget():
@@ -669,11 +676,11 @@ def test_segmentation_matches_recorded_digests(name):
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_fan_step_budget(name, monkeypatch):
-    """The fan's budget is 4 steps per cell whose |J| exceeds 1e-9 of the
-    peak, and every seed that reaches the target uses under a fifth of it.
-    A seed that enters no new cell for 64 steps stalls instead of running
-    the budget out: the coated ring's three wall-sliding seeds, after a
-    few hundred steps."""
+    """The reference fan's budget is 4 steps per cell whose |J| exceeds
+    1e-9 of the peak, and every seed that reaches the target uses under a
+    fifth of it. A seed that enters no new cell for 64 steps stalls
+    instead of running the budget out: the coated ring's three
+    wall-sliding seeds, after a few hundred steps."""
     maze = corpus_maze(name)
     j = compute_fields(maze).j
     magnitude = j.magnitude()
@@ -687,7 +694,7 @@ def test_fan_step_budget(name, monkeypatch):
         return result
 
     monkeypatch.setattr(oracle, "streamline", recording)
-    trace_route_streamline(j, maze, segment_corridors(maze))
+    vote_fan_route(j, maze, segment_corridors(maze))
     reached = [n for n, end in fan if end is StreamTermination.REACHED]
     stalled = [n for n, end in fan if end is StreamTermination.STALLED]
     assert reached and max(reached) < budget / 5
@@ -702,28 +709,61 @@ def test_fan_traces_at_most_max_seeds_streamlines(rows, seeds, monkeypatch):
     """A straight channel `rows` cells tall has an electrode as tall, and
     its seed ring (the column two cells out) holds `rows` cells. The ring
     is thinned at the smallest stride that leaves at most _MAX_SEEDS
-    seeds, so a ring of 25 to 47 cells is thinned too."""
+    seeds, so a ring of 25 to 47 cells is thinned too: the reference fan
+    traces every seed left. The route's cross-check traces the same seeds
+    until one follows the route, before the last here; with the field
+    reversed none does, and it traces them all."""
     maze = parse_maze(straight_channel_text(length_cells=12, rows=rows))
     j = compute_fields(maze).j
+    seg = segment_corridors(maze)
     calls = count_calls(monkeypatch, oracle.streamline)
-    trace_route_streamline(j, maze, segment_corridors(maze))
+    vote_fan_route(j, maze, seg)
     assert calls == {"streamline": seeds}
     assert seeds <= oracle._MAX_SEEDS
+    calls.clear()
+    ((seq, stream),) = trace_route_streamline(j, maze, seg)
+    assert 1 <= calls["streamline"] < seeds
+    assert stream.termination is StreamTermination.REACHED
+    assert region_sequence(stream.cells(maze.cell_size), seg) == seq
+    calls.clear()
+    reversed_j = VectorField(-j.vx, -j.vy, j.cell_size, j.quantity,
+                             face_flux_x=j.face_flux_x, face_flux_y=j.face_flux_y)
+    assert trace_route_streamline(reversed_j, maze, seg)[0][0] == seq
+    assert calls == {"streamline": seeds}
+
+
+def _mirrored(j, scale=1.0):
+    """j plus its mirror image about the grid's middle row, face currents
+    too, times scale (an (ny, 1) array of row factors, or 1)."""
+    scale = np.broadcast_to(scale, (j.ny, 1))
+    return VectorField(
+        (j.vx + j.vx[::-1]) * scale,
+        (j.vy - j.vy[::-1]) * scale,
+        j.cell_size,
+        j.quantity,
+        face_flux_x=(j.face_flux_x + j.face_flux_x[::-1]) * scale,
+        face_flux_y=(j.face_flux_y - j.face_flux_y[::-1]) * scale[:-1],
+    )
 
 
 def test_fan_reports_both_branches_of_a_mirrored_field():
     """On an exactly mirror-symmetric field the two branches of the
-    symmetric bifurcation get votes that agree to rounding: the fan
+    symmetric bifurcation carry currents that agree to rounding: the route
     returns one streamline per branch, in sequence order, each reaching
-    the target. On the solved field the votes differ in their last bits
-    only, which a tol below that spread lets settle the pick again."""
+    the target through its branch, as the reference fan's votes do. On
+    the solved field the currents differ in their last bits only, which
+    a tol below that spread lets settle the pick again."""
     maze = corpus_maze("bifurcation_symmetric")
     j = compute_fields(maze).j
-    mirrored = VectorField(j.vx + j.vx[::-1], j.vy - j.vy[::-1], j.cell_size, j.quantity)
+    mirrored = _mirrored(j)
     seg = segment_corridors(maze)
     branches = trace_route_streamline(mirrored, maze, seg=seg)
-    assert [seq for seq, _ in branches] == [(4, 5, 6, 7, 11), (4, 8, 9, 10, 11)]
-    assert all(s.termination is StreamTermination.REACHED for _, s in branches)
+    want = [(4, 5, 6, 7, 11), (4, 8, 9, 10, 11)]
+    assert [seq for seq, _ in branches] == want
+    assert [seq for seq, _ in vote_fan_route(mirrored, maze, seg)] == want
+    for seq, stream in branches:
+        assert stream.termination is StreamTermination.REACHED
+        assert region_sequence(stream.cells(maze.cell_size), seg) == seq
     assert len(trace_route_streamline(j, maze, seg=seg)) == 2
     assert len(trace_route_streamline(j, maze, seg=seg, tol=1e-15)) == 1
 
@@ -740,11 +780,12 @@ def test_fan_returns_each_branch_with_its_own_sequence(name):
 
 @pytest.mark.parametrize("name", ["bifurcation_symmetric", "bifurcation_lock"])
 def test_route_reports_a_tie_only_where_the_branches_are_equal(name):
-    """The oracle reads the symmetric maze's fan as a tie and reports the
-    tied branch on the Lee path; the lock maze, whose branches differ by
-    a few cells, has none."""
+    """The oracle reads the symmetric maze's currents as a tie and reports
+    the tied branch on the Lee path; the lock maze, whose branches differ
+    by a few cells, has none."""
     report = run_scenario(load_config(CONFIGS / f"{name}.cfg")).report["oracle"]
     assert report["streamline_matches_path"]
+    assert report["streamline_follows_route"]
     if name == "bifurcation_symmetric":
         assert report["streamline_tie"] == [[4, 5, 6, 7, 11], [4, 8, 9, 10, 11]]
         assert report["streamline_sequence"] == report["path_sequence"] == [4, 8, 9, 10, 11]
@@ -754,23 +795,26 @@ def test_route_reports_a_tie_only_where_the_branches_are_equal(name):
 
 @pytest.mark.parametrize("start", ["axis", "21.25,23.25"])
 def test_route_report_does_not_depend_on_the_fan_order(start, tmp_path):
-    """The fan returns the symmetric maze's tied branches in corridor-
+    """The route returns the symmetric maze's tied branches in corridor-
     sequence order, whichever branch the solve's error makes heavier: on
-    the mirrored field with the rows above the axis scaled by 1 + 1e-10
-    or by 1 - 1e-10, either branch gets the heavier vote, still within
-    the tie. The route stage lists them in that order, and reports the
-    tied branch on the Lee path or, from a start inside one branch whose
-    path follows neither, the first in that order."""
+    the mirrored field and face currents with the rows above the axis
+    scaled by 1 + 1e-7 or by 1 - 1e-7, either branch gets the larger
+    current, still within the tie. (The mirrored currents balance only to
+    the solve's residual, so its branches differ by about 1e-9 relative
+    before the scaling.) The route stage lists them in that order, and
+    reports the tied branch on the Lee path or, from a start inside one
+    branch whose path follows neither, the first in that order."""
     cfg = dataclasses.replace(load_config(CONFIGS / "bifurcation_symmetric.cfg"), start=start)
     want = run_oracle_only(cfg, tmp_path / "fan")["oracle"]
     solved = scenario.prepare_fields(cfg)
     maze, j = solved.maze, solved.fields.j
     above = (np.arange(maze.ny) < maze.ny // 2)[:, None]
     orders = []
-    for factor in (1 + 1e-10, 1 - 1e-10):
-        scale = np.where(above, factor, 1.0)
-        vx, vy = (j.vx + j.vx[::-1]) * scale, (j.vy - j.vy[::-1]) * scale
-        field = VectorField(vx, vy, j.cell_size, j.quantity)
+    for factor in (1 + 1e-7, 1 - 1e-7):
+        field = _mirrored(j, np.where(above, factor, 1.0))
+        route = current_route(field, maze, solved.seg)
+        branch = [route.region_current[seq[1]] for seq in route.sequences]
+        assert (branch[0] > branch[1]) == (factor > 1)
         orders.append([seq for seq, _ in trace_route_streamline(field, maze, solved.seg)])
     assert orders[0] == orders[1] == [(4, 5, 6, 7, 11), (4, 8, 9, 10, 11)]
     assert want["streamline_tie"] == [[4, 5, 6, 7, 11], [4, 8, 9, 10, 11]]
@@ -779,6 +823,171 @@ def test_route_report_does_not_depend_on_the_fan_order(start, tmp_path):
     else:
         assert want["path_sequence"] == [9, 10, 11]
         assert want["streamline_sequence"] == [4, 5, 6, 7, 11]
+
+
+def _workload_configs(monkeypatch, name, seed):
+    """The configs of a benchmark workload (bench/workloads.py)."""
+    monkeypatch.syspath_prepend(str(CONFIGS.parent / "bench"))
+    from workloads import config_text, make_workload
+
+    return [scenario.parse_config(config_text(c.config)) for c in make_workload(name, seed).cases]
+
+
+@pytest.mark.parametrize(
+    "source", ["configs"] + [f"{w}:{s}" for w in ("ring_fine", "droplet_sweep") for s in (0, 1, 5)]
+)
+def test_current_route_gives_the_reference_fans_branches(source, monkeypatch):
+    """On the six configs and on both benchmark workloads' mazes at seeds
+    0, 1 and 5, the route from corridor currents has the reference fan's
+    sequences and ties, and its streamline follows every branch."""
+    if source == "configs":
+        configs = [load_config(p) for p in sorted(CONFIGS.glob("*.cfg"))]
+    else:
+        name, seed = source.split(":")
+        configs = _workload_configs(monkeypatch, name, int(seed))
+    keys = set()
+    for cfg in configs:
+        solved = scenario.prepare_fields(cfg)
+        if solved.key in keys:
+            continue
+        keys.add(solved.key)
+        j, maze, seg, h = solved.fields.j, solved.maze, solved.seg, solved.maze.cell_size
+        fan = vote_fan_route(j, maze, seg, solved.fields.report.tol)
+        assert [seq for seq, _ in solved.branches] == [seq for seq, _ in fan]
+        assert solved.route.sequences == tuple(seq for seq, _ in fan)
+        for seq, stream in solved.branches:
+            assert stream.termination is StreamTermination.REACHED
+            assert region_sequence(stream.cells(h), seg) == seq
+    assert len(keys) == (3 if source.startswith("droplet") else 5 if source == "configs" else 1)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_route_breaks_a_shared_bottleneck_by_the_next_corridor(seed):
+    """On these two-gap rings several downstream paths share the narrowest
+    corridor, so the widest-path rule alone would tie them. The next-
+    narrowest corridors tell them apart, and the route is the one the
+    reference fan votes for."""
+    cfg = scenario.parse_config(
+        f"generator = ring\nrings = 2\ngaps_per_ring = 2,2\ndiameter_mm = 70\n"
+        f"channel_width_mm = 4\nseed = {seed}\n"
+    )
+    solved = scenario.prepare_fields(cfg)
+    j, maze, seg = solved.fields.j, solved.maze, solved.seg
+    (route,) = solved.route.sequences
+    fan = vote_fan_route(j, maze, seg, solved.fields.report.tol)
+    assert [seq for seq, _ in fan] == [route]
+    currents = solved.route.region_current
+    bottleneck = min(currents[r] for r in route)
+    sharing = set()
+    for alternative in _downstream_sequences(solved):
+        if alternative != route and min(currents[r] for r in alternative) == bottleneck:
+            sharing.add(alternative)
+    assert sharing
+
+
+def _downstream_sequences(solved):
+    """Every downstream path's corridor sequence, searched over the net
+    currents the reference scan gives."""
+    seg, maze = solved.seg, solved.maze
+    net = region_net_currents_by_scan(solved.fields.j, seg.region)
+    sinks = {int(seg.region[iy, ix]) for ix, iy in maze.negative}
+    found, stack = set(), [(int(seg.region[iy, ix]),) for ix, iy in maze.positive]
+    while stack:
+        path = stack.pop()
+        if path[-1] in sinks:
+            found.add(tuple(r for r in path if not seg.is_node[r]))
+            continue
+        stack += [path + (b,) for (a, b), f in net.items()
+                  if a == path[-1] and f > 0 and b not in path]
+    return found
+
+
+def test_route_without_face_currents_raises():
+    """The route is read from the solve's face currents: a field that
+    carries none (a synthetic one) has no route."""
+    maze = corpus_maze("ring_m2")
+    j = compute_fields(maze).j
+    bare = VectorField(j.vx, j.vy, j.cell_size, j.quantity)
+    seg = segment_corridors(maze)
+    with pytest.raises(ValueError, match="no face currents"):
+        trace_route_streamline(bare, maze, seg)
+    with pytest.raises(ValueError, match="no face currents"):
+        current_route(bare, maze, seg)
+
+
+# A coated four-ring maze on which no seed's streamline follows the route
+# from the currents; the strongest seed's trace ends `field_vanished`.
+NO_FOLLOW_CFG = """\
+generator = ring
+rings = 4
+gaps_per_ring = 1,1,1,1
+diameter_mm = 110
+channel_width_mm = 4
+seed = 7
+coat_corners = true
+"""
+
+
+def test_route_no_streamline_follows_is_reported(tmp_path, monkeypatch):
+    """Where no seed's trace follows the route, every seed is traced, the
+    strongest seed's trace is reported, `streamline_follows_route` is
+    false, and `oracle` still exits 0."""
+    config = tmp_path / "no_follow.cfg"
+    config.write_text(NO_FOLLOW_CFG)
+    traced = []
+    real_streamline = oracle.streamline
+
+    def recording(j, start, **kwargs):
+        weight = oracle._RowField.of(j).sample(*start)[2]
+        traced.append((weight, real_streamline(j, start, **kwargs)))
+        return traced[-1][1]
+
+    monkeypatch.setattr(oracle, "streamline", recording)
+    scenario._forget_solved_maze()
+    assert main(["oracle", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "oracle.json").read_text())["oracle"]
+    solved = scenario.prepare_fields(load_config(config))
+    ((seq, stream),) = solved.branches
+    assert report["streamline_follows_route"] is False
+    assert report["streamline_sequence"] == list(seq) == report["path_sequence"]
+    assert len(traced) == 12
+    assert [w for w, _ in traced] == sorted((w for w, _ in traced), reverse=True)
+    assert stream is traced[0][1]
+    assert report["streamline_termination"] == stream.termination.value
+
+
+def test_route_currents_explain_the_ring():
+    """On ring_m2 the route's two corridors carry 77 % and 81 % of the
+    current in, and the closest call is a 64 % gap. Each region's current
+    is half the absolute net current it exchanges with its neighbours,
+    the face currents summed face by face."""
+    solved = scenario.prepare_fields(load_config(CONFIGS / "ring_m2.cfg"))
+    route, current_in = solved.route, solved.fields.report.current_in
+    ((seq, _),) = solved.branches
+    assert route.sequences == (seq,) == ((7, 9),)
+    shares = [route.region_current[r] / current_in for r in seq]
+    assert shares == pytest.approx([0.771, 0.806], abs=1e-3)
+    assert route.split_margin == pytest.approx(0.643, abs=1e-3)
+    want = region_currents_by_scan(solved.fields.j, solved.seg.region, solved.seg.n_regions)
+    assert route.region_current.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12 * current_in)
+
+
+def test_cross_check_holds_no_copy_of_the_grid():
+    """The sampler reads the field's rows through memoryviews, so a value
+    becomes a Python float only when a sample reads it. The route's
+    cross-check on ring_m2 at 0.25 mm cells (280 x 280) peaks below two
+    float64 copies of J (2.5 MB), where J's rows as lists of Python floats
+    alone would take 5 MB."""
+    maze = corpus_maze("ring_m2_0.25mm")
+    j = compute_fields(maze).j
+    seg = segment_corridors(maze)
+    tracemalloc.start()
+    try:
+        trace_route_streamline(j, maze, seg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (j.vx.nbytes + j.vy.nbytes)
 
 
 @pytest.mark.parametrize("name", ["ring_m2", "bifurcation_lock"])
