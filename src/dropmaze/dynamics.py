@@ -226,7 +226,18 @@ class _Geometry:
             min(ixs) * self.h, min(iys) * self.h, (max(ixs) + 1) * self.h, (max(iys) + 1) * self.h
         )
         self.positive_cells = sorted(maze.positive)
-        self._edges = np.arange(max(self.nx, self.ny) + 1) * self.h  # cell boundaries, mm
+        # Cell boundaries, mm.
+        self._edges = (np.arange(max(self.nx, self.ny) + 1) * self.h).tolist()
+
+    def reach(self, radius: float) -> tuple[float, float]:
+        """(limit, reach) of a wall query for a disk of this radius: gaps
+        keeps the cells whose squared clamped distance is at most limit²,
+        the contact distance radius + contact_eps slightly widened, and
+        looks for them no further than reach, which is limit widened
+        enough that no distance whose square rounds to limit² or below
+        lies beyond it."""
+        limit = (radius + self.contact_eps) * (1.0 + 1e-6)
+        return limit, limit * (1.0 + 1e-9)
 
     def gaps(self, mask: np.ndarray, x: float, y: float, radius: float) -> Gaps:
         """(ix, iy, dx, dy, d) for each cell of mask that may lie within
@@ -234,33 +245,34 @@ class _Geometry:
         order. (dx, dy) is (x, y) minus the cell's closest point to it and
         d is math.hypot(dx, dy).
 
-        The screen compares the clamped distances of the window radius + h
-        around the centre, which holds every cell within contact distance,
-        against a slightly widened limit. So the result is a superset of
-        the cells within contact distance, and callers compare each d with
-        their own limit.
+        Only the mask cells of the window that reaches no further than the
+        contact limit from the centre (see reach) are screened, one by
+        one, against that slightly widened limit. So the result is a
+        superset of the cells within contact distance, and callers
+        compare each d with their own limit.
         """
         h = self.h
-        reach = radius + h
-        ix0 = max(int(math.floor((x - reach) / h)), 0)
-        ix1 = min(int(math.ceil((x + reach) / h)), self.nx - 1)
-        iy0 = max(int(math.floor((y - reach) / h)), 0)
-        iy1 = min(int(math.ceil((y + reach) / h)), self.ny - 1)
-        window = mask[iy0 : iy1 + 1, ix0 : ix1 + 1]
-        if not window.any():
+        limit, reach = self.reach(radius)
+        ix0 = max(math.floor((x - reach) / h), 0)
+        ix1 = min(math.floor((x + reach) / h), self.nx - 1)
+        iy0 = max(math.floor((y - reach) / h), 0)
+        iy1 = min(math.floor((y + reach) / h), self.ny - 1)
+        iys, ixs = mask[iy0 : iy1 + 1, ix0 : ix1 + 1].nonzero()
+        if not len(iys):
             return []
         e = self._edges
-        dx = x - np.minimum(np.maximum(x, e[ix0 : ix1 + 1]), e[ix0 + 1 : ix1 + 2])
-        dy = y - np.minimum(np.maximum(y, e[iy0 : iy1 + 1]), e[iy0 + 1 : iy1 + 2])
-        limit = (radius + self.contact_eps) * (1.0 + 1e-6)
-        near = (dy[:, None] ** 2 + dx[None, :] ** 2 <= limit * limit) & window
-        iys, ixs = np.nonzero(near)
-        return [
-            (ix, iy, gx, gy, math.hypot(gx, gy))
-            for ix, iy, gx, gy in zip(
-                (ixs + ix0).tolist(), (iys + iy0).tolist(), dx[ixs].tolist(), dy[iys].tolist()
-            )
-        ]
+        limit2 = limit * limit
+        out = []
+        row = -1
+        for iy, ix in zip((iys + iy0).tolist(), (ixs + ix0).tolist()):
+            if iy != row:
+                row = iy
+                gy = y - min(max(y, e[iy]), e[iy + 1])
+                gy2 = gy * gy
+            gx = x - min(max(x, e[ix]), e[ix + 1])
+            if gy2 + gx * gx <= limit2:
+                out.append((ix, iy, gx, gy, math.hypot(gx, gy)))
+        return out
 
 
 def _contact_normals(
@@ -346,8 +358,7 @@ def _disk_fits(geom: _Geometry, x: float, y: float, radius: float) -> bool:
 
 
 def _disk_overlaps_negative(geom: _Geometry, x: float, y: float, radius: float) -> bool:
-    # gaps searches no further than radius + h from the centre.
-    reach = radius + geom.h
+    _, reach = geom.reach(radius)
     x0, y0, x1, y1 = geom.negative_box
     if x + reach < x0 or x - reach > x1 or y + reach < y0 or y - reach > y1:
         return False

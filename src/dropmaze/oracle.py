@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .currents import current_route
+from .currents import CurrentRoute
 from .maze import MazeSpec, bfs, cell_index, label_components
 from .solver import VectorField
 
@@ -337,10 +337,11 @@ def trace_route_streamline(
     j: VectorField,
     maze: MazeSpec,
     seg: CorridorSegmentation,
-    tol: float = 1e-9,
+    route: CurrentRoute,
 ) -> tuple[tuple[tuple[int, ...], Streamline], ...]:
-    """The route of current_route, as (corridor sequence, streamline)
-    pairs in sequence order: one pair per tied branch, one without a tie.
+    """The route (current_route of j, maze and seg), as (corridor
+    sequence, streamline) pairs in sequence order: one pair per tied
+    branch, one without a tie.
 
     Each branch's streamline cross-checks it: seeds on a ring of cells
     around the positive electrode are traced in decreasing field
@@ -348,7 +349,7 @@ def trace_route_streamline(
     electrode through its corridor sequence. A branch no seed's trace
     follows gets the trace of the strongest seed.
     """
-    sequences = current_route(j, maze, seg, tol).sequences
+    sequences = route.sequences
     channel = maze.channel_mask()
 
     # Ring of seed cells two steps out from the positive electrode.

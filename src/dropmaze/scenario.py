@@ -422,7 +422,7 @@ class SolvedMaze:
     @functools.cached_property
     def branches(self) -> tuple[tuple[tuple[int, ...], Streamline], ...]:
         """The route's (corridor sequence, cross-check streamline) pairs."""
-        return trace_route_streamline(self.fields.j, self.maze, self.seg, self.fields.report.tol)
+        return trace_route_streamline(self.fields.j, self.maze, self.seg, self.route)
 
     def corner_stats(self, params: DynamicsParams) -> dict:
         """A copy of corner_force_stats of the maze, computed once per force

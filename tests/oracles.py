@@ -232,6 +232,26 @@ def closest_point_on_cell(h, ix, iy, x, y):
     return min(max(x, ix * h), (ix + 1) * h), min(max(y, iy * h), (iy + 1) * h)
 
 
+def scan_gaps(mask, h, x, y, radius):
+    """Every cell of mask whose squared clamped distance from (x, y) is at
+    most the widened contact limit squared, scanned over the whole mask
+    in row-major order, as (ix, iy, dx, dy, d) with (dx, dy) the gap from
+    the cell's closest point and d its length."""
+    limit = (radius + 1e-3 * h) * (1.0 + 1e-6)
+    out = []
+    for iy in range(mask.shape[0]):
+        dy = y - min(max(y, iy * h), (iy + 1) * h)
+        if dy * dy > limit * limit:
+            continue  # adding dx * dx >= 0 cannot bring a rounded sum back
+        for ix, set_ in enumerate(mask[iy].tolist()):
+            if set_:
+                px, py = closest_point_on_cell(h, ix, iy, x, y)
+                dx, dy = x - px, y - py
+                if dy * dy + dx * dx <= limit * limit:
+                    out.append((ix, iy, dx, dy, math.hypot(dx, dy)))
+    return out
+
+
 def scan_contact_normals(wall, h, x, y, radius):
     ny, nx = wall.shape
     eps = 1e-3 * h

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dropmaze as dm
+from dropmaze.currents import current_route
 from dropmaze.dynamics import (
     DynamicsParams,
     RowSums,
@@ -158,7 +159,8 @@ def test_criterion_5_shortest_path_readout(ring_maze, ring_fields, ring_segmenta
         path = extract_path(labels, start)
         p_seq = region_sequence(path.cells, seg)
         hot = hot_region_route(fields.joule, seg, labels)
-        ((_, stream),) = trace_route_streamline(fields.j, maze, seg=seg)
+        route = current_route(fields.j, maze, seg)
+        ((_, stream),) = trace_route_streamline(fields.j, maze, seg, route)
         s_seq = region_sequence(stream.cells(maze.cell_size), seg)
         assert stream.termination is StreamTermination.REACHED
         assert hot == p_seq, f"hot ridge {hot} != path {p_seq}"

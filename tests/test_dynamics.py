@@ -41,6 +41,7 @@ from oracles import (
     scan_disk_fits,
     scan_disk_overlaps_cells,
     scan_dwell_segments,
+    scan_gaps,
     scan_resolve_overlap,
     scan_wall_cells,
     stepwise_simulate,
@@ -473,12 +474,8 @@ def test_wall_queries_match_cell_scan(query_mazes, name, radius, kind, u, v, k, 
 
     wall = geom.wall
     gaps = geom.gaps(wall, x, y, radius)
-    # Each gap runs from the cell's closest point to the disk centre.
-    assert [gap[2:] for gap in gaps] == [
-        (x - px, y - py, math.hypot(x - px, y - py))
-        for ix, iy, *_ in gaps
-        for px, py in [closest_point_on_cell(h, ix, iy, x, y)]
-    ]
+    assert gaps == scan_gaps(wall, h, x, y, radius)
+    assert geom.gaps(geom.negative, x, y, radius) == scan_gaps(geom.negative, h, x, y, radius)
     assert _contact_normals(geom, x, y, radius, gaps) == scan_contact_normals(wall, h, x, y, radius)
     rx, ry, end_gaps, settled = _resolve_overlap(geom, x, y, radius)
     *want, capped = scan_resolve_overlap(wall, h, x, y, radius)
@@ -498,6 +495,49 @@ def test_wall_queries_match_cell_scan(query_mazes, name, radius, kind, u, v, k, 
     assert _disk_overlaps_negative(geom, x, y, radius) == scan_disk_overlaps_cells(
         h, x, y, radius, cells["negative"]
     )
+
+
+def _ulps(v, k):
+    """v moved k ulp up (k > 0) or down."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+@pytest.mark.parametrize("name", ["ring", "bifurcation"])
+@pytest.mark.parametrize("radius", [0.4, 1.0, 2.25])
+def test_gaps_at_the_contact_limit(query_mazes, name, radius):
+    """Centres whose clamped distance to a wall cell's edge (along x or
+    y) or corner (along the diagonal) is the contact limit, or 1 to 4 ulp
+    of the centre's coordinates either side of it: the query's window
+    must hold every cell whose squared distance rounds to the limit
+    squared or below, and its screen must keep the cells the whole-mask
+    scan keeps."""
+    geom, cells = query_mazes[name]
+    h = geom.h
+    limit, _ = geom.reach(radius)
+    width, height = geom.nx * h, geom.ny * h
+    walls = cells["wall"]
+    probes = 0
+    diagonal = limit * math.sqrt(0.5)
+    for ix, iy in walls[:: len(walls) // 7]:
+        lo_x, hi_x, lo_y, hi_y = ix * h, (ix + 1) * h, iy * h, (iy + 1) * h
+        mid_x, mid_y = (ix + 0.5) * h, (iy + 0.5) * h
+        for k in range(-4, 5):
+            # Each centre moves k ulp away from the cell.
+            centres = [
+                (_ulps(hi_x + limit, k), mid_y), (_ulps(lo_x - limit, -k), mid_y),
+                (mid_x, _ulps(hi_y + limit, k)), (mid_x, _ulps(lo_y - limit, -k)),
+            ] + [
+                (_ulps(px + sx * diagonal, sx * k), _ulps(py + sy * diagonal, sy * k))
+                for px, sx in ((lo_x, -1), (hi_x, 1)) for py, sy in ((lo_y, -1), (hi_y, 1))
+            ]
+            for x, y in centres:
+                if 0 <= x <= width and 0 <= y <= height:
+                    probes += 1
+                    for mask in (geom.wall, geom.negative):
+                        assert geom.gaps(mask, x, y, radius) == scan_gaps(mask, h, x, y, radius)
+    assert probes > 300
 
 
 def test_overlap_push_cap_leaves_normals_to_their_own_query(query_mazes):
@@ -695,7 +735,8 @@ def test_stepwise_reference_case_pins_wedges_and_unsettles_its_start(wedge):
 
 def test_far_target_check_makes_no_wall_query(straight_maze, monkeypatch):
     """The target check queries the electrode cells only once the disk's
-    search window reaches the electrode's bounding box."""
+    search window, as far out as the contact limit, reaches the
+    electrode's bounding box."""
     geom = _Geometry(straight_maze)
     calls = []
     real_gaps = _Geometry.gaps
@@ -708,9 +749,12 @@ def test_far_target_check_makes_no_wall_query(straight_maze, monkeypatch):
     # The negative electrode is the column of cells from x = 30 to 30.5 mm.
     assert sorted({ix for ix, _ in straight_maze.negative}) == [60]
     assert not _disk_overlaps_negative(geom, 10.0, 2.5, 1.0)
-    assert not _disk_overlaps_negative(geom, 28.4, 2.5, 1.0)
+    # The window reaches 1 mm + contact_eps (0.0005 mm), a little widened.
+    _, reach = geom.reach(1.0)
+    assert 1.0005 < reach < 1.0006
+    assert not _disk_overlaps_negative(geom, 28.999, 2.5, 1.0)
     assert calls == []
-    assert not _disk_overlaps_negative(geom, 28.9, 2.5, 1.0)
+    assert not _disk_overlaps_negative(geom, 28.9996, 2.5, 1.0)
     assert len(calls) == 1
     assert _disk_overlaps_negative(geom, 29.1, 2.5, 1.0)
     assert len(calls) == 2

@@ -294,7 +294,8 @@ def test_ring_streamline_matches_lee_path(ring_maze, ring_fields, ring_segmentat
     seg = ring_segmentation
     start = sorted(ring_maze.positive)[0]
     path = extract_path(ring_labels, start)
-    ((_, sl),) = trace_route_streamline(ring_fields.j, ring_maze, seg=seg)
+    route = current_route(ring_fields.j, ring_maze, seg)
+    ((_, sl),) = trace_route_streamline(ring_fields.j, ring_maze, seg, route)
     assert sl.termination is StreamTermination.REACHED
     s_seq = region_sequence(sl.cells(ring_maze.cell_size), seg)
     p_seq = region_sequence(path.cells, seg)
@@ -318,7 +319,7 @@ def test_streamline_lee_agreement_over_corpus():
         labels = lee_label(spec)
         start = sorted(spec.positive)[0]
         path = extract_path(labels, start)
-        ((_, sl),) = trace_route_streamline(fields.j, spec, seg=seg)
+        ((_, sl),) = trace_route_streamline(fields.j, spec, seg, current_route(fields.j, spec, seg))
         assert region_sequence(sl.cells(spec.cell_size), seg) == region_sequence(path.cells, seg)
 
 
@@ -721,14 +722,15 @@ def test_fan_traces_at_most_max_seeds_streamlines(rows, seeds, monkeypatch):
     assert calls == {"streamline": seeds}
     assert seeds <= oracle._MAX_SEEDS
     calls.clear()
-    ((seq, stream),) = trace_route_streamline(j, maze, seg)
+    ((seq, stream),) = trace_route_streamline(j, maze, seg, current_route(j, maze, seg))
     assert 1 <= calls["streamline"] < seeds
     assert stream.termination is StreamTermination.REACHED
     assert region_sequence(stream.cells(maze.cell_size), seg) == seq
     calls.clear()
     reversed_j = VectorField(-j.vx, -j.vy, j.cell_size, j.quantity,
                              face_flux_x=j.face_flux_x, face_flux_y=j.face_flux_y)
-    assert trace_route_streamline(reversed_j, maze, seg)[0][0] == seq
+    reversed_route = current_route(reversed_j, maze, seg)
+    assert trace_route_streamline(reversed_j, maze, seg, reversed_route)[0][0] == seq
     assert calls == {"streamline": seeds}
 
 
@@ -757,15 +759,15 @@ def test_fan_reports_both_branches_of_a_mirrored_field():
     j = compute_fields(maze).j
     mirrored = _mirrored(j)
     seg = segment_corridors(maze)
-    branches = trace_route_streamline(mirrored, maze, seg=seg)
+    branches = trace_route_streamline(mirrored, maze, seg, current_route(mirrored, maze, seg))
     want = [(4, 5, 6, 7, 11), (4, 8, 9, 10, 11)]
     assert [seq for seq, _ in branches] == want
     assert [seq for seq, _ in vote_fan_route(mirrored, maze, seg)] == want
     for seq, stream in branches:
         assert stream.termination is StreamTermination.REACHED
         assert region_sequence(stream.cells(maze.cell_size), seg) == seq
-    assert len(trace_route_streamline(j, maze, seg=seg)) == 2
-    assert len(trace_route_streamline(j, maze, seg=seg, tol=1e-15)) == 1
+    assert len(trace_route_streamline(j, maze, seg, current_route(j, maze, seg))) == 2
+    assert len(trace_route_streamline(j, maze, seg, current_route(j, maze, seg, 1e-15))) == 1
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
@@ -815,7 +817,7 @@ def test_route_report_does_not_depend_on_the_fan_order(start, tmp_path):
         route = current_route(field, maze, solved.seg)
         branch = [route.region_current[seq[1]] for seq in route.sequences]
         assert (branch[0] > branch[1]) == (factor > 1)
-        orders.append([seq for seq, _ in trace_route_streamline(field, maze, solved.seg)])
+        orders.append([seq for seq, _ in trace_route_streamline(field, maze, solved.seg, route)])
     assert orders[0] == orders[1] == [(4, 5, 6, 7, 11), (4, 8, 9, 10, 11)]
     assert want["streamline_tie"] == [[4, 5, 6, 7, 11], [4, 8, 9, 10, 11]]
     if start == "axis":
@@ -910,7 +912,7 @@ def test_route_without_face_currents_raises():
     bare = VectorField(j.vx, j.vy, j.cell_size, j.quantity)
     seg = segment_corridors(maze)
     with pytest.raises(ValueError, match="no face currents"):
-        trace_route_streamline(bare, maze, seg)
+        trace_route_streamline(bare, maze, seg, current_route(bare, maze, seg))
     with pytest.raises(ValueError, match="no face currents"):
         current_route(bare, maze, seg)
 
@@ -983,7 +985,7 @@ def test_cross_check_holds_no_copy_of_the_grid():
     seg = segment_corridors(maze)
     tracemalloc.start()
     try:
-        trace_route_streamline(j, maze, seg)
+        trace_route_streamline(j, maze, seg, current_route(j, maze, seg))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
