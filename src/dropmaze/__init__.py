@@ -55,7 +55,6 @@ from .dynamics import (  # noqa: E402
 )
 from .oracle import (  # noqa: E402
     CorridorSegmentation,
-    LeeLabels,
     Path,
     Streamline,
     StreamTermination,

@@ -152,7 +152,7 @@ def _read_report(bundle: str) -> dict:
 
 def _cmd_compare(args) -> int:
     diff = compare_bundles(_read_report(args.a), _read_report(args.b))
-    text = json.dumps(diff, sort_keys=True, indent=2)
+    text = json.dumps(diff, sort_keys=True, indent=2, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n")
         print(f"wrote {args.out}")

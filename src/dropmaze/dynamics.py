@@ -16,6 +16,7 @@ disk_integrate (field value times square metres times force_gain).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 import random
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maze import MazeSpec, bfs
-from .oracle import CorridorSegmentation, LeeLabels, Path as OraclePath
+from .oracle import CorridorSegmentation, Path as OraclePath
 from .solver import MM_TO_M, FieldBundle, VectorField
 
 
@@ -62,6 +63,9 @@ class DynamicsParams:
     noise_seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a finite number")
         for name in ("mobility", "force_gain"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -379,10 +383,10 @@ def droplet_radius_mm(params: DynamicsParams, seg: CorridorSegmentation, cell_si
     return 0.375 * seg.width_cells * cell_size
 
 
-def find_start(maze: MazeSpec, radius: float, labels: LeeLabels) -> tuple[int, int]:
+def find_start(maze: MazeSpec, radius: float, labels: np.ndarray) -> tuple[int, int]:
     """Nearest channel cell to the positive electrode whose disk fits
     without covering the pinned electrode cells, among the cells the
-    negative electrode's wavefront reaches.
+    negative electrode's wavefront reaches (labels >= 0, of lee_label).
 
     Among equally near candidates the downstream one (smallest wavefront
     label) wins: the droplet detaches on the side the current pulls it;
@@ -396,8 +400,8 @@ def find_start(maze: MazeSpec, radius: float, labels: LeeLabels) -> tuple[int, i
     searched, depth = 0, 1
     while True:
         dist, _ = bfs(channel, pos, max_depth=depth)
-        iys, ixs = np.nonzero((dist > searched) & (labels.labels >= 0))
-        for k in np.lexsort((ixs, iys, labels.labels[iys, ixs], dist[iys, ixs])).tolist():
+        iys, ixs = np.nonzero((dist > searched) & (labels >= 0))
+        for k in np.lexsort((ixs, iys, labels[iys, ixs], dist[iys, ixs])).tolist():
             ix, iy = int(ixs[k]), int(iys[k])
             x, y = (ix + 0.5) * h, (iy + 0.5) * h
             if not _disk_fits(geom, x, y, radius):

@@ -106,6 +106,9 @@ class MazeSpec:
             raise MazeError("cell grid must be a non-empty 2D array")
         if not np.isin(self.cells, [0, 1, 2]).all():
             raise MazeError("cell grid contains unknown cell kinds")
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise MazeError(f"{f.name} must be a finite number")
         if self.cell_size <= 0:
             raise MazeError("cell_size must be positive")
         if self.applied_voltage <= 0:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -34,18 +34,6 @@ if TYPE_CHECKING:
 
 class UnreachableError(ValueError):
     """Requested source cell has no route to the destination."""
-
-
-@dataclass(frozen=True, eq=False)
-class LeeLabels:
-    """Wavefront distances in cells from the negative electrode; -1
-    unreachable."""
-
-    labels: np.ndarray  # (ny, nx) int32
-    cell_size: float  # mm
-
-    def label(self, ix: int, iy: int) -> int:
-        return int(self.labels[iy, ix])
 
 
 @dataclass(frozen=True)
@@ -71,21 +59,21 @@ class Path:
 _DESCENT_ORDER = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 
-def lee_label(maze: MazeSpec) -> LeeLabels:
+def lee_label(maze: MazeSpec) -> np.ndarray:
     """Breadth-first wavefront labels over 4-connected channel cells,
-    counted from the negative electrode cells."""
+    counted from the negative electrode cells: a read-only (ny, nx) int32
+    grid of distances in cells, -1 where unreachable."""
     labels, _ = bfs(maze.channel_mask(), sorted(maze.negative))
     labels.setflags(write=False)
-    return LeeLabels(labels, maze.cell_size)
+    return labels
 
 
-def extract_path(labels: LeeLabels, source: tuple[int, int]) -> Path:
-    """Descend the labels from source to a destination cell.
+def extract_path(grid: np.ndarray, source: tuple[int, int], cell_size: float) -> Path:
+    """Descend the lee_label grid from source to a destination cell.
 
     Neighbour ties break in fixed east/north/west/south order, so the path
     is unique for given labels.
     """
-    grid = labels.labels
     ny, nx = grid.shape
     ix, iy = source
     if not (0 <= ix < nx and 0 <= iy < ny) or grid[iy, ix] < 0:
@@ -101,7 +89,7 @@ def extract_path(labels: LeeLabels, source: tuple[int, int]) -> Path:
         else:  # pragma: no cover - labels invariant guarantees a neighbour
             raise UnreachableError(f"no descending neighbour at {(ix, iy)}")
         cells.append((ix, iy))
-    return Path(tuple(cells), labels.cell_size)
+    return Path(tuple(cells), cell_size)
 
 
 class StreamTermination(enum.Enum):
@@ -145,33 +133,15 @@ _STALL_CELLS = 16
 _STALL_STEPS = _STALL_CELLS * _STEPS_PER_CELL
 
 
-class _RowField(NamedTuple):
-    """A vector field sampled through memoryviews of its rows.
-    sample(x_mm, y_mm) gives the bilinear field's unit direction and
-    magnitude there, (0, 0, s) at or below the speed floor. Also holds
-    that floor and the step budget, which every streamline through the
-    field shares."""
-
-    sample: Callable[[float, float], tuple[float, float, float]]
-    floor: float
-    max_steps: int
-
-    @classmethod
-    def of(cls, j: VectorField) -> "_RowField":
-        magnitude = j.magnitude()
-        floor = _MIN_SPEED_REL * float(np.max(magnitude))
-        max_steps = _STEPS_PER_CELL * int(np.count_nonzero(magnitude > floor))
-        return cls(_unit_sampler(j, floor), floor, max_steps)
-
-
 def _unit_sampler(
     j: VectorField, floor: float
 ) -> Callable[[float, float], tuple[float, float, float]]:
-    """The sampler of _RowField. It reads each row of the field through a
-    memoryview, whose element reads give Python floats: cheaper to read
-    and to compute with than numpy scalars, rounding the same way, and
-    made only for the values a sample reads, so no copy of the grid is
-    ever held."""
+    """sample(x_mm, y_mm) gives the bilinear field's unit direction and
+    magnitude there, (0, 0, s) at or below floor. It reads each row of the
+    field through a memoryview, whose element reads give Python floats:
+    cheaper to read and to compute with than numpy scalars, rounding the
+    same way, and made only for the values a sample reads, so no copy of
+    the grid is ever held."""
     vx = [memoryview(row) for row in j.vx]
     vy = [memoryview(row) for row in j.vy]
     h = j.cell_size
@@ -223,37 +193,36 @@ def _unit_sampler(
 def streamline(
     j: VectorField,
     start_mm: tuple[float, float],
-    target_cells: Iterable[tuple[int, int]] | None = None,
-    channel_mask: np.ndarray | None = None,
-    *,
-    _rows: _RowField | None = None,
+    target_cells: Iterable[tuple[int, int]],
+    channel_mask: np.ndarray,
 ) -> Streamline:
-    """Integrate along the normalized field from start_mm.
+    """Integrate along the normalized field from start_mm, a point in a
+    channel_mask cell.
 
     Stops on reaching a target cell, on the local field magnitude falling
     to the speed floor, on leaving the grid, on entering no new cell for
     _STALL_STEPS steps, or when the step budget is spent (see
-    _MIN_SPEED_REL and _STEPS_PER_CELL). _rows is j as a _RowField, for
-    callers tracing many streamlines through one field.
+    _MIN_SPEED_REL and _STEPS_PER_CELL).
     """
-    grid = _rows if _rows is not None else _RowField.of(j)
-    sample, floor = grid.sample, grid.floor
+    magnitude = j.magnitude()
+    floor = _MIN_SPEED_REL * float(np.max(magnitude))
+    max_steps = _STEPS_PER_CELL * int(np.count_nonzero(magnitude > floor))
+    sample = _unit_sampler(j, floor)
     h, nx, ny = j.cell_size, j.nx, j.ny
     step_mm = h / _STEPS_PER_CELL
     half_mm = 0.5 * step_mm
-    targets = frozenset(target_cells) if target_cells is not None else frozenset()
+    targets = frozenset(target_cells)
     x, y = float(start_mm[0]), float(start_mm[1])
-    if channel_mask is not None:
-        cx, cy = int(x // h), int(y // h)
-        if not (0 <= cx < nx and 0 <= cy < ny) or not channel_mask[cy, cx]:
-            raise ValueError(f"streamline start {start_mm} lies inside a wall")
-        open_cells = np.asarray(channel_mask, dtype=bool).tobytes()  # iy * nx + ix
+    cx, cy = int(x // h), int(y // h)
+    if not (0 <= cx < nx and 0 <= cy < ny) or not channel_mask[cy, cx]:
+        raise ValueError(f"streamline start {start_mm} lies inside a wall")
+    open_cells = np.asarray(channel_mask, dtype=bool).tobytes()  # iy * nx + ix
 
     pts = [(x, y)]
     seen: set[tuple[int, int]] = set()
     fresh = 0  # step at which the trace last entered a new cell
     termination = StreamTermination.MAX_STEPS
-    for n in range(grid.max_steps):
+    for n in range(max_steps):
         cx, cy = int(x // h), int(y // h)
         if not (0 <= cx < nx and 0 <= cy < ny):
             termination = StreamTermination.LEFT_DOMAIN
@@ -290,31 +259,30 @@ def streamline(
         # Interpolation near jagged walls can point slightly into them;
         # slide along the wall instead of marching in.
         blocked = False
-        if channel_mask is not None:
-            for _attempt in range(3):
-                qx, qy = x + step_mm * dx, y + step_mm * dy
-                qcx, qcy = int(qx // h), int(qy // h)
-                if not (0 <= qcx < nx and 0 <= qcy < ny) or open_cells[qcy * nx + qcx]:
-                    break
-                nx_, ny_ = float(qcx - cx), float(qcy - cy)
-                norm = math.hypot(nx_, ny_)
-                if norm == 0:
-                    blocked = True
-                    break
-                nx_, ny_ = nx_ / norm, ny_ / norm
-                dot = dx * nx_ + dy * ny_
-                dx, dy = dx - dot * nx_, dy - dot * ny_
-                mag = math.hypot(dx, dy)
-                if mag < 1e-12:
-                    blocked = True
-                    break
-                dx, dy = dx / mag, dy / mag
-                # Back off the wall a little so the trace does not stay
-                # glued to it through the next junction.
-                x -= 0.2 * h * nx_
-                y -= 0.2 * h * ny_
-            else:
+        for _attempt in range(3):
+            qx, qy = x + step_mm * dx, y + step_mm * dy
+            qcx, qcy = int(qx // h), int(qy // h)
+            if not (0 <= qcx < nx and 0 <= qcy < ny) or open_cells[qcy * nx + qcx]:
+                break
+            nx_, ny_ = float(qcx - cx), float(qcy - cy)
+            norm = math.hypot(nx_, ny_)
+            if norm == 0:
                 blocked = True
+                break
+            nx_, ny_ = nx_ / norm, ny_ / norm
+            dot = dx * nx_ + dy * ny_
+            dx, dy = dx - dot * nx_, dy - dot * ny_
+            mag = math.hypot(dx, dy)
+            if mag < 1e-12:
+                blocked = True
+                break
+            dx, dy = dx / mag, dy / mag
+            # Back off the wall a little so the trace does not stay
+            # glued to it through the next junction.
+            x -= 0.2 * h * nx_
+            y -= 0.2 * h * ny_
+        else:
+            blocked = True
         if blocked:
             termination = StreamTermination.FIELD_VANISHED
             break
@@ -338,16 +306,17 @@ def trace_route_streamline(
     maze: MazeSpec,
     seg: CorridorSegmentation,
     route: CurrentRoute,
-) -> tuple[tuple[tuple[int, ...], Streamline], ...]:
+) -> tuple[tuple[tuple[int, ...], Streamline, bool], ...]:
     """The route (current_route of j, maze and seg), as (corridor
-    sequence, streamline) pairs in sequence order: one pair per tied
+    sequence, streamline, follows) triples in sequence order: one per tied
     branch, one without a tie.
 
     Each branch's streamline cross-checks it: seeds on a ring of cells
     around the positive electrode are traced in decreasing field
     magnitude until every branch has a trace that reaches the negative
-    electrode through its corridor sequence. A branch no seed's trace
-    follows gets the trace of the strongest seed.
+    electrode through its corridor sequence. follows says whether the
+    branch got one; a branch no seed's trace follows gets the trace of
+    the strongest seed.
     """
     sequences = route.sequences
     channel = maze.channel_mask()
@@ -362,9 +331,9 @@ def trace_route_streamline(
     stride = math.ceil(len(ring) / _MAX_SEEDS)
 
     h = maze.cell_size
-    grid = _RowField.of(j)
+    weigh = _unit_sampler(j, 0.0)
     starts = [((ix + 0.5) * h, (iy + 0.5) * h) for ix, iy in ring[::stride]]
-    weighted = [(grid.sample(*start)[2], start) for start in starts]
+    weighted = [(weigh(*start)[2], start) for start in starts]
     # Stable sort: seeds of equal weight keep their ring order.
     seeds = [start for weight, start in sorted(weighted, key=lambda t: -t[0]) if weight > 0]
     if not seeds:
@@ -373,7 +342,7 @@ def trace_route_streamline(
     found: dict[tuple[int, ...], Streamline] = {}
     strongest = None
     for start in seeds:
-        trace = streamline(j, start, target_cells=maze.negative, channel_mask=channel, _rows=grid)
+        trace = streamline(j, start, target_cells=maze.negative, channel_mask=channel)
         if strongest is None:
             strongest = trace
         if trace.termination is StreamTermination.REACHED:
@@ -382,7 +351,7 @@ def trace_route_streamline(
                 found.setdefault(seq, trace)
                 if len(found) == len(sequences):
                     break
-    return tuple((seq, found.get(seq, strongest)) for seq in sequences)
+    return tuple((seq, found.get(seq, strongest), seq in found) for seq in sequences)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +765,8 @@ def compare_trajectory(traj: "Trajectory", path: Path, seg: CorridorSegmentation
     if len(points) == 0 or len(path.cells) == 0:
         raise ValueError("empty trajectory or path")
     deviation = _max_distance_to_path(points, path)
-    ratio = traj.path_length_mm / path.length_mm if path.length_mm > 0 else math.inf
+    # A path of one cell has no length to compare with: null in the JSON.
+    ratio = traj.path_length_mm / path.length_mm if path.length_mm > 0 else None
 
     ix, iy = cell_index(points, path.cell_size).T.tolist()
     t_seq = region_sequence(zip(ix, iy), seg)

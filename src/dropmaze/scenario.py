@@ -46,10 +46,8 @@ from .maze import (
 )
 from .oracle import (
     CorridorSegmentation,
-    LeeLabels,
     Path as OraclePath,
     Streamline,
-    StreamTermination,
     compare_trajectory,
     extract_path,
     lee_label,
@@ -96,13 +94,10 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-# Each generator's keyword parameters, which are the config keys it reads.
-# build_maze looks the generator up by its module name when it runs, so a
-# wrapper bound to that name sees each call.
-_GENERATOR_KEYS = {
-    name: tuple(inspect.signature(globals()[f"generate_{name}_maze"]).parameters)
-    for name in ("ring", "bifurcation")
-}
+# Each generator, and its keyword parameters, which are the config keys it
+# reads.
+_GENERATORS = {"ring": generate_ring_maze, "bifurcation": generate_bifurcation_maze}
+_GENERATOR_KEYS = {name: tuple(inspect.signature(g).parameters) for name, g in _GENERATORS.items()}
 
 
 @dataclass(frozen=True)
@@ -141,10 +136,12 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown artifact {a!r}")
         if self.start not in ("auto", "axis"):
             _start_point(self.start)
-        for name in ("cell_size_mm", "tol"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):  # NaN fails both
-                raise ConfigError(f"{name} must be a finite positive number")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("cell_size_mm", "tol") and not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{f.name} must be a finite positive number")
+            if f.type.startswith("float") and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be >= 0")
 
@@ -271,7 +268,7 @@ def build_maze(cfg: ScenarioConfig) -> MazeSpec:
     if cfg.maze_file is not None:
         spec = parse_maze(Path(cfg.maze_file).read_text())
     else:
-        generate = globals()[f"generate_{cfg.generator}_maze"]
+        generate = _GENERATORS[cfg.generator]
         spec = generate(**{key: getattr(cfg, key) for key in _GENERATOR_KEYS[cfg.generator]})
         # A generator builds geometry; the config sets the physics.
         physics = {name: getattr(cfg, key) for key, name in HEADER_FIELDS.items()}
@@ -286,7 +283,7 @@ def resolve_start(
     params: DynamicsParams,
     maze: MazeSpec,
     seg: CorridorSegmentation,
-    labels: LeeLabels,
+    labels: np.ndarray,
 ) -> tuple[tuple[float, float], float, OraclePath]:
     """A run's start point (mm), droplet radius (mm) and the Lee path from
     the cell holding the start, for a config's `start` spec: auto -> the
@@ -294,7 +291,8 @@ def resolve_start(
     vertically centred (the mirror axis of the built-in symmetric mazes);
     "x,y" -> the given point.
 
-    seg and labels are the maze's segment_corridors and lee_label results."""
+    seg and labels are the maze's segment_corridors and lee_label results:
+    its corridor regions and its grid of wavefront labels."""
     h = maze.cell_size
     radius = droplet_radius_mm(params, seg, h)
     if start in ("auto", "axis"):
@@ -303,7 +301,7 @@ def resolve_start(
             y = maze.ny * h / 2.0
     else:
         x, y = _start_point(start)
-    return (x, y), radius, extract_path(labels, (int(x // h), int(y // h)))
+    return (x, y), radius, extract_path(labels, (int(x // h), int(y // h)), h)
 
 
 def _near_corners(channel: np.ndarray, corners: list[tuple[int, int]], width: int) -> np.ndarray:
@@ -412,7 +410,7 @@ class SolvedMaze:
         return segment_corridors(self.maze)
 
     @functools.cached_property
-    def labels(self) -> LeeLabels:
+    def labels(self) -> np.ndarray:
         return lee_label(self.maze)
 
     @functools.cached_property
@@ -420,8 +418,10 @@ class SolvedMaze:
         return current_route(self.fields.j, self.maze, self.seg, self.fields.report.tol)
 
     @functools.cached_property
-    def branches(self) -> tuple[tuple[tuple[int, ...], Streamline], ...]:
-        """The route's (corridor sequence, cross-check streamline) pairs."""
+    def branches(self) -> tuple[tuple[tuple[int, ...], Streamline, bool], ...]:
+        """The route's (corridor sequence, cross-check streamline, follows)
+        triples: follows says whether the streamline reaches the target
+        through the sequence."""
         return trace_route_streamline(self.fields.j, self.maze, self.seg, self.route)
 
     def corner_stats(self, params: DynamicsParams) -> dict:
@@ -538,7 +538,7 @@ def _report_head(cfg: ScenarioConfig, solved: SolvedMaze) -> dict:
 
 
 def _write_json(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _route(cfg: ScenarioConfig, solved: SolvedMaze):
@@ -552,18 +552,19 @@ def _route(cfg: ScenarioConfig, solved: SolvedMaze):
     makes that pick reproducible), else the first in sequence order;
     `streamline_tie` lists every tied branch's sequence in that order, and
     is empty without a tie. `streamline_follows_route` says whether every
-    branch's streamline reaches the target through its sequence.
+    branch's streamline reaches the target through its sequence: the
+    follows flag that trace_route_streamline returns with each branch.
     `route_current_share` gives each corridor of the reported sequence its
     current as a share of the current in, and `route_split_margin` is the
     route's split_margin (null when no path leaves it)."""
-    seqs = [seq for seq, _ in solved.branches]
+    seqs = [seq for seq, _, _ in solved.branches]
     start_mm, radius, path = resolve_start(
         cfg.start, cfg.dynamics, solved.maze, solved.seg, solved.labels
     )
     p_seq = region_sequence(path.cells, solved.seg)
     pick = seqs.index(p_seq) if p_seq in seqs else 0
-    s_seq, stream = solved.branches[pick]
-    h, current_in = solved.maze.cell_size, solved.fields.report.current_in
+    s_seq, stream, _ = solved.branches[pick]
+    current_in = solved.fields.report.current_in
     currents = solved.route.region_current.tolist()
     oracle = {
         "path_cells": len(path.cells),
@@ -572,11 +573,7 @@ def _route(cfg: ScenarioConfig, solved: SolvedMaze):
         "streamline_sequence": list(s_seq),
         "streamline_matches_path": s_seq == p_seq,
         "streamline_tie": [list(seq) for seq in seqs] if len(seqs) > 1 else [],
-        "streamline_follows_route": all(
-            trace.termination is StreamTermination.REACHED
-            and region_sequence(trace.cells(h), solved.seg) == seq
-            for seq, trace in solved.branches
-        ),
+        "streamline_follows_route": all(follows for _, _, follows in solved.branches),
         "route_current_share": [currents[r] / current_in for r in s_seq],
         "route_split_margin": solved.route.split_margin,
     }
@@ -761,7 +758,7 @@ def compare_bundles(report_a: dict, report_b: dict) -> dict:
         "corner_force_per_ampere_a": ca,
         "corner_force_per_ampere_b": cb,
         "corner_force_reduced": cb < ca,
-        "reduction_factor": (ca / cb) if cb > 0 else math.inf,
+        "reduction_factor": (ca / cb) if cb > 0 else None,
         "termination_a": report_a["trajectory"]["termination"],
         "termination_b": report_b["trajectory"]["termination"],
     }

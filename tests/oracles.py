@@ -956,7 +956,7 @@ _HOT_FRACTION = 0.25
 
 
 def hot_region_route(
-    power: ScalarField, seg: CorridorSegmentation, labels: LeeLabels
+    power: ScalarField, seg: CorridorSegmentation, labels: np.ndarray
 ) -> tuple[int, ...]:
     """Corridor regions bright enough to be current carriers, ordered from
     the source side to the destination.
@@ -974,7 +974,7 @@ def hot_region_route(
         if not mask.any():
             continue
         scores[rid] = float(np.percentile(power.values[mask], 90))
-        lab = labels.labels[mask]
+        lab = labels[mask]
         lab = lab[lab >= 0]
         lab_means[rid] = float(lab.mean()) if lab.size else -1.0
     if not scores:
@@ -1180,15 +1180,14 @@ def vote_fan_route(j, maze, seg, tol=1e-9):
         ring = sorted((int(x), int(y)) for y, x in zip(*np.nonzero(dist == 1)))
     seeds = ring[:: math.ceil(len(ring) / 24)]
     h = maze.cell_size
-    grid = oracle._RowField.of(j)
+    weigh = oracle._unit_sampler(j, 0.0)
     traces = []
     for ix, iy in seeds:
         start = ((ix + 0.5) * h, (iy + 0.5) * h)
-        weight = grid.sample(*start)[2]
+        weight = weigh(*start)[2]
         if weight <= 0:
             continue
-        tr = oracle.streamline(j, start, target_cells=maze.negative, channel_mask=channel,
-                               _rows=grid)
+        tr = oracle.streamline(j, start, target_cells=maze.negative, channel_mask=channel)
         traces.append((oracle.region_sequence(tr.cells(h), seg), weight, tr))
     reached = [t for t in traces if t[2].termination.value == "reached"]
     chosen = []

@@ -156,11 +156,11 @@ def test_criterion_4_branch_ratio():
 def test_criterion_5_shortest_path_readout(ring_maze, ring_fields, ring_segmentation, ring_labels):
     def readout(maze, fields, seg, labels):
         start = sorted(maze.positive)[0]
-        path = extract_path(labels, start)
+        path = extract_path(labels, start, maze.cell_size)
         p_seq = region_sequence(path.cells, seg)
         hot = hot_region_route(fields.joule, seg, labels)
         route = current_route(fields.j, maze, seg)
-        ((_, stream),) = trace_route_streamline(fields.j, maze, seg, route)
+        ((_, stream, _),) = trace_route_streamline(fields.j, maze, seg, route)
         s_seq = region_sequence(stream.cells(maze.cell_size), seg)
         assert stream.termination is StreamTermination.REACHED
         assert hot == p_seq, f"hot ridge {hot} != path {p_seq}"
@@ -191,7 +191,7 @@ def test_criterion_6_droplet_solves_maze(ring_maze, ring_fields, ring_segmentati
     assert params.static_threshold > 0
     traj = run_droplet(ring_maze, params, ring_fields)
     assert traj.termination is Termination.REACHED_TARGET
-    path = extract_path(ring_labels, traj.start_cell)
+    path = extract_path(ring_labels, traj.start_cell, ring_maze.cell_size)
     m = dm.compare_trajectory(traj, path, ring_segmentation)
     assert m["corridor_sequence_equal"]
     assert m["cell_overlap"] >= 0.9

@@ -119,6 +119,33 @@ def test_simulate_straight_channel_exit_zero(tmp_path):
     assert abs(report["comparison"]["length_ratio"] - 1.0) <= 0.05
 
 
+def _strict_json(path: Path):
+    """path's JSON, read by a parser that rejects NaN and the infinities."""
+
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_undefined_ratios_are_written_as_null(tmp_path):
+    """A run that starts in a target cell has a Lee path of length 0, and a
+    straight channel has no corner force: the length ratio, and the
+    reduction factor of a compare against such a bundle, are undefined,
+    and the files hold null for them."""
+    maze = _write(tmp_path, "straight.maze", straight_channel_text(30))
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "straight.cfg",
+                 f"maze_file = {maze}\nstart = 15.25,2.25\nradius_mm = 0.2\nout = {out}\n")
+    assert main(["simulate", "--config", cfg]) == 0
+    assert _strict_json(out / "report.json")["comparison"]["length_ratio"] is None
+    assert _strict_json(out / "comparison.json")["length_ratio"] is None
+    assert main(["compare", "--a", str(out), "--b", str(out), "--out", str(tmp_path / "d.json")]) == 0
+    diff = _strict_json(tmp_path / "d.json")
+    assert diff["corner_force_per_ampere_b"] == 0.0
+    assert diff["reduction_factor"] is None
+
+
 def test_simulate_symmetric_lock_exit_two(tmp_path):
     cfg = _write(tmp_path, "sym.cfg", SYM_CFG + f"out = {tmp_path / 'out'}\n")
     assert main(["simulate", "--config", cfg]) == 2

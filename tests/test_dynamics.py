@@ -243,7 +243,7 @@ def test_simulate_ring_follows_lee_path(ring_maze, ring_fields, ring_segmentatio
     params = DynamicsParams(static_threshold=1.9e-3, radius_mm=1.0, max_steps=100_000)
     traj = run_droplet(ring_maze, params, ring_fields)
     assert traj.termination is Termination.REACHED_TARGET
-    path = extract_path(ring_labels, traj.start_cell)
+    path = extract_path(ring_labels, traj.start_cell, ring_maze.cell_size)
     m = dm.compare_trajectory(traj, path, ring_segmentation)
     assert m["corridor_sequence_equal"]
     assert m["cell_overlap"] >= 0.9
@@ -290,7 +290,7 @@ def test_progress_along_labels_with_zero_threshold(straight_maze):
     labels = lee_label(straight_maze)
     traj = run_droplet(straight_maze, DynamicsParams(static_threshold=0.0), fields)
     h = straight_maze.cell_size
-    lab = [labels.label(int(x // h), int(y // h)) for x, y in traj.positions_mm()]
+    lab = [labels[int(y // h), int(x // h)] for x, y in traj.positions_mm()]
     assert all(b <= a for a, b in zip(lab, lab[1:]))
 
 
@@ -678,7 +678,7 @@ def _run_both(wedge, seed, radius, slope, start_gap, thr, noise, release, lock_w
         lock_window=lock_window, radius_mm=radius, release_time=release * dt,
         noise_amplitude=noise * f0, noise_seed=seed,
     )
-    path = extract_path(labels, (int(start[0] // h), int(start[1] // h)))
+    path = extract_path(labels, (int(start[0] // h), int(start[1] // h)), h)
     traj = simulate(maze, params, fields, start, radius, path)
     want = stepwise_simulate(
         wall, sorted(maze.negative), h,
@@ -962,7 +962,7 @@ def test_find_start_matches_bfs_order_scan(placement_mazes, name):
     wants = []
     for radius in (0.3, 0.5, 1.0, 1.25, default, 1.9, 3.0):
         want = bfs_order_find_start(
-            maze.channel_mask(), maze.wall_mask(), maze.cell_size, pos, radius, labels.labels
+            maze.channel_mask(), maze.wall_mask(), maze.cell_size, pos, radius, labels
         )
         wants.append(want)
         if want is None:
@@ -980,7 +980,7 @@ def test_find_start_skips_cells_the_target_does_not_reach(placement_mazes):
     maze = placement_mazes["sealed_source_pocket"]
     labels = lee_label(maze)
     ix, iy = find_start(maze, 1.0, labels)
-    assert iy > 9 and labels.labels[iy, ix] >= 0
+    assert iy > 9 and labels[iy, ix] >= 0
     sealed = parse_maze(ROOM_TEXT.replace("####T####", "#########") + "#T#######\n")
     with pytest.raises(DynamicsError):
         find_start(sealed, 0.3, lee_label(sealed))
@@ -1006,7 +1006,7 @@ def test_find_start_equals_the_full_search_on_the_configs(name):
     radius = droplet_radius_mm(cfg.dynamics, segment_corridors(maze), maze.cell_size)
     pos = sorted(maze.positive)
     want = bfs_order_find_start(
-        maze.channel_mask(), maze.wall_mask(), maze.cell_size, pos, radius, labels.labels
+        maze.channel_mask(), maze.wall_mask(), maze.cell_size, pos, radius, labels
     )
     assert want is not None
     assert find_start(maze, radius, labels) == want

@@ -18,7 +18,7 @@ def test_four_ring_maze_has_route_to_e1():
     assert validate_and_components(spec).solvable
     labels = lee_label(spec)
     for ix, iy in spec.positive:
-        assert labels.label(ix, iy) >= 0
+        assert labels[iy, ix] >= 0
 
 
 def test_m2_scale_analogue_dimensions():
@@ -119,13 +119,13 @@ def test_bifurcation_short_branch_carries_lee_path():
     spec = generate_bifurcation_maze(20.0, 60.0, 2.0)
     labels = lee_label(spec)
     start = sorted(spec.positive)[0]
-    path = extract_path(labels, start)
+    path = extract_path(labels, start, spec.cell_size)
     lay = bifurcation_layout(20.0, 60.0, 2.0)
     axis_row = lay.inlet_row + lay.width_cells // 2
     # branch a is the upper one; the shortest route must rise above the inlet
     assert min(iy for _, iy in path.cells) < lay.inlet_row
     assert max(iy for _, iy in path.cells) < lay.bottom_row + lay.width_cells
-    assert path.length_cells == labels.label(*start)
+    assert path.length_cells == labels[start[1], start[0]]
     del axis_row
 
 

@@ -67,14 +67,14 @@ def corpus_maze(name):
 def test_lee_corridor_labels():
     spec = parse_maze("S...T")
     labels = lee_label(spec)
-    assert labels.labels.tolist() == [[4, 3, 2, 1, 0]]
+    assert labels.tolist() == [[4, 3, 2, 1, 0]]
 
 
 def test_lee_unreachable_cell_unlabeled():
     spec = parse_maze("S.#.T")
     labels = lee_label(spec)
-    assert labels.label(0, 0) == -1
-    assert labels.label(3, 0) == 1
+    assert labels[0, 0] == -1
+    assert labels[0, 3] == 1
 
 
 @given(st.integers(0, 10_000))
@@ -93,12 +93,12 @@ def test_lee_matches_exhaustive_bfs(seed):
     spec = parse_maze("\n".join("".join(r) for r in glyphs))
     labels = lee_label(spec)
     expected = bfs_distances(spec.channel_mask(), spec.negative)
-    assert np.array_equal(labels.labels, expected)
+    assert np.array_equal(labels, expected)
 
 
 def test_extract_path_corridor():
     spec = parse_maze("S...T")
-    path = extract_path(lee_label(spec), (0, 0))
+    path = extract_path(lee_label(spec), (0, 0), spec.cell_size)
     assert len(path.cells) == 5
     assert path.length_cells == 4
     assert path.length_mm == pytest.approx(4 * spec.cell_size)
@@ -107,13 +107,13 @@ def test_extract_path_corridor():
 def test_extract_path_unreachable():
     spec = parse_maze("S.#.T")
     with pytest.raises(UnreachableError):
-        extract_path(lee_label(spec), (0, 0))
+        extract_path(lee_label(spec), (0, 0), spec.cell_size)
 
 
 def test_extract_path_descends_by_one(ring_maze, ring_labels):
     start = sorted(ring_maze.positive)[0]
-    path = extract_path(ring_labels, start)
-    values = [ring_labels.label(ix, iy) for ix, iy in path.cells]
+    path = extract_path(ring_labels, start, ring_maze.cell_size)
+    values = [ring_labels[iy, ix] for ix, iy in path.cells]
     assert values == list(range(values[0], -1, -1))
     assert path.length_cells == values[0]
     # consecutive cells are 4-adjacent and unique
@@ -127,8 +127,8 @@ def test_extract_path_uses_short_branch_38_42():
     lay = bifurcation_layout(38.0, 42.0, 4.0)
     labels = lee_label(spec)
     start = sorted(spec.positive)[0]
-    path = extract_path(labels, start)
-    assert path.length_cells == labels.label(*start)
+    path = extract_path(labels, start, spec.cell_size)
+    assert path.length_cells == labels[start[1], start[0]]
     assert min(iy for _, iy in path.cells) < lay.inlet_row  # rises into branch a
 
 
@@ -155,11 +155,7 @@ def test_streamline_stagnation_point_vanishes():
     h = spec.cell_size
     axis_y = spec.ny * h / 2
     wall_x = (lay.riser_col + lay.width_cells) * h
-    sl = streamline(
-        fields.j,
-        (wall_x - 0.6 * h, axis_y),
-        channel_mask=spec.channel_mask(),
-    )
+    sl = streamline(fields.j, (wall_x - 0.6 * h, axis_y), (), spec.channel_mask())
     assert sl.termination is StreamTermination.FIELD_VANISHED
     # it stalled at the junction instead of escaping into a branch
     assert abs(sl.points[-1][1] - axis_y) < lay.width_cells * h / 2
@@ -170,9 +166,7 @@ def test_streamline_start_in_wall_rejected(ring_maze, ring_fields):
     iy, ix = wall[0]
     with pytest.raises(ValueError, match="wall"):
         streamline(
-            ring_fields.j,
-            ring_maze.cell_center_mm(int(ix), int(iy)),
-            channel_mask=ring_maze.channel_mask(),
+            ring_fields.j, ring_maze.cell_center_mm(int(ix), int(iy)), (), ring_maze.channel_mask()
         )
 
 
@@ -183,14 +177,14 @@ def _field(vx):
 def test_streamline_stops_where_the_current_ends():
     vx = np.zeros((10, 20))
     vx[:, :10] = 1.0  # current in columns 0-9 only (x < 5 mm)
-    sl = streamline(_field(vx), (1.25, 2.25))
+    sl = streamline(_field(vx), (1.25, 2.25), (), np.ones(vx.shape, bool))
     assert sl.termination is StreamTermination.FIELD_VANISHED
     # the bilinear speed reaches 0 at the centre of column 10
     assert tuple(sl.points[-1]) == (5.25, 2.25)
 
 
 def test_streamline_leaves_an_unmasked_grid():
-    sl = streamline(_field(np.ones((10, 20))), (1.25, 2.25))
+    sl = streamline(_field(np.ones((10, 20))), (1.25, 2.25), (), np.ones((10, 20), bool))
     assert sl.termination is StreamTermination.LEFT_DOMAIN
     assert tuple(sl.points[-1]) == (10.0, 2.25)
 
@@ -198,7 +192,7 @@ def test_streamline_leaves_an_unmasked_grid():
 def test_streamline_stalls_against_a_wall_at_normal_incidence():
     channel = np.ones((10, 20), dtype=bool)
     channel[:, 12:14] = False  # a wall across the grid, x in [6, 7) mm
-    sl = streamline(_field(np.ones((10, 20))), (1.25, 2.25), channel_mask=channel)
+    sl = streamline(_field(np.ones((10, 20))), (1.25, 2.25), (), channel)
     # sliding along the wall leaves no direction: the trace stops short of it
     assert sl.termination is StreamTermination.FIELD_VANISHED
     assert 6.0 - 0.5 <= sl.points[-1][0] < 6.0
@@ -293,9 +287,9 @@ def test_neighbour_code_tables_hold_the_spelled_out_predicates():
 def test_ring_streamline_matches_lee_path(ring_maze, ring_fields, ring_segmentation, ring_labels):
     seg = ring_segmentation
     start = sorted(ring_maze.positive)[0]
-    path = extract_path(ring_labels, start)
+    path = extract_path(ring_labels, start, ring_maze.cell_size)
     route = current_route(ring_fields.j, ring_maze, seg)
-    ((_, sl),) = trace_route_streamline(ring_fields.j, ring_maze, seg, route)
+    ((_, sl, _),) = trace_route_streamline(ring_fields.j, ring_maze, seg, route)
     assert sl.termination is StreamTermination.REACHED
     s_seq = region_sequence(sl.cells(ring_maze.cell_size), seg)
     p_seq = region_sequence(path.cells, seg)
@@ -305,7 +299,7 @@ def test_ring_streamline_matches_lee_path(ring_maze, ring_fields, ring_segmentat
 
 def test_hot_regions_match_lee_path(ring_maze, ring_fields, ring_segmentation, ring_labels):
     start = sorted(ring_maze.positive)[0]
-    path = extract_path(ring_labels, start)
+    path = extract_path(ring_labels, start, ring_maze.cell_size)
     p_seq = region_sequence(path.cells, ring_segmentation)
     hot = hot_region_route(ring_fields.joule, ring_segmentation, ring_labels)
     assert hot == p_seq
@@ -318,8 +312,8 @@ def test_streamline_lee_agreement_over_corpus():
         seg = segment_corridors(spec)
         labels = lee_label(spec)
         start = sorted(spec.positive)[0]
-        path = extract_path(labels, start)
-        ((_, sl),) = trace_route_streamline(fields.j, spec, seg, current_route(fields.j, spec, seg))
+        path = extract_path(labels, start, spec.cell_size)
+        ((_, sl, _),) = trace_route_streamline(fields.j, spec, seg, current_route(fields.j, spec, seg))
         assert region_sequence(sl.cells(spec.cell_size), seg) == region_sequence(path.cells, seg)
 
 
@@ -340,7 +334,7 @@ def test_compare_trajectory_on_itself(ring_maze, ring_segmentation, ring_labels)
     from dropmaze.dynamics import Trajectory, Termination
 
     start = sorted(ring_maze.positive)[0]
-    path = extract_path(ring_labels, start)
+    path = extract_path(ring_labels, start, ring_maze.cell_size)
     pts = path.points_mm()
     traj = Trajectory(
         times=np.arange(len(pts), dtype=float),
@@ -366,7 +360,7 @@ def test_compare_trajectory_bounded_by_channel_width(straight_maze):
 
     labels = lee_label(straight_maze)
     start = (1, 4)
-    path = extract_path(labels, start)
+    path = extract_path(labels, start, straight_maze.cell_size)
     # a trajectory hugging the top wall of the channel
     h = straight_maze.cell_size
     xs = np.linspace((start[0] + 0.5) * h, (straight_maze.nx - 2) * h, 50)
@@ -554,7 +548,8 @@ def test_list_sampler_matches_array_sampler_bit_for_bit(shape, h, seed, u, v, qu
     """The sampler's unit direction and magnitude are those of the
     element-wise numpy sample: inside the grid, on its rim and beyond it
     (clamped), on grids one cell wide, and at or below the speed floor,
-    where the direction is zero."""
+    where the direction is zero. The magnitude is math.hypot's, as in
+    array_streamline: np.hypot can differ from it in the last bit."""
     rng = np.random.default_rng(seed)
     vx, vy = rng.normal(size=shape), rng.normal(size=shape)
     if quiet:  # all but one cell far below the floor of 1e-9 of the peak
@@ -563,10 +558,10 @@ def test_list_sampler_matches_array_sampler_bit_for_bit(shape, h, seed, u, v, qu
     j = dm.VectorField(vx, vy, h, dm.VectorQuantity.CURRENT_DENSITY)
     x, y = u * shape[1] * h, v * shape[0] * h
     ax, ay = array_bilinear(j, x, y)
-    s = float(np.hypot(ax, ay))
+    s = math.hypot(ax, ay)
     floor = 1e-9 * float(np.hypot(vx, vy).max())
     want = (0.0, 0.0, s) if s <= floor else (ax / s, ay / s, s)
-    assert oracle._RowField.of(j).sample(x, y) == want
+    assert oracle._unit_sampler(j, floor)(x, y) == want
 
 
 def test_streamline_that_keeps_exploring_stops_at_its_budget():
@@ -576,7 +571,7 @@ def test_streamline_that_keeps_exploring_stops_at_its_budget():
     c = np.arange(n) + 0.5 - n / 2
     rx, ry = np.meshgrid(c, c)
     j = VectorField(-ry + 0.005 * rx, rx + 0.005 * ry, 1.0, VectorQuantity.CURRENT_DENSITY)
-    sl = streamline(j, (n / 2 + 10.0, n / 2))
+    sl = streamline(j, (n / 2 + 10.0, n / 2), (), np.ones((n, n), bool))
     assert sl.termination is StreamTermination.MAX_STEPS
     assert len(sl.points) - 1 == 4 * n * n
     assert np.hypot(*(sl.points[-1] - n / 2)) > 12.0
@@ -722,7 +717,7 @@ def test_fan_traces_at_most_max_seeds_streamlines(rows, seeds, monkeypatch):
     assert calls == {"streamline": seeds}
     assert seeds <= oracle._MAX_SEEDS
     calls.clear()
-    ((seq, stream),) = trace_route_streamline(j, maze, seg, current_route(j, maze, seg))
+    ((seq, stream, _),) = trace_route_streamline(j, maze, seg, current_route(j, maze, seg))
     assert 1 <= calls["streamline"] < seeds
     assert stream.termination is StreamTermination.REACHED
     assert region_sequence(stream.cells(maze.cell_size), seg) == seq
@@ -761,9 +756,9 @@ def test_fan_reports_both_branches_of_a_mirrored_field():
     seg = segment_corridors(maze)
     branches = trace_route_streamline(mirrored, maze, seg, current_route(mirrored, maze, seg))
     want = [(4, 5, 6, 7, 11), (4, 8, 9, 10, 11)]
-    assert [seq for seq, _ in branches] == want
+    assert [seq for seq, _, _ in branches] == want
     assert [seq for seq, _ in vote_fan_route(mirrored, maze, seg)] == want
-    for seq, stream in branches:
+    for seq, stream, _ in branches:
         assert stream.termination is StreamTermination.REACHED
         assert region_sequence(stream.cells(maze.cell_size), seg) == seq
     assert len(trace_route_streamline(j, maze, seg, current_route(j, maze, seg))) == 2
@@ -772,12 +767,15 @@ def test_fan_reports_both_branches_of_a_mirrored_field():
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
 def test_fan_returns_each_branch_with_its_own_sequence(name):
-    """Each branch's corridor sequence is the one its streamline visits."""
+    """Each branch's corridor sequence is the one its streamline visits,
+    and its follows flag says that the streamline reaches the target
+    through that sequence."""
     solved = scenario.prepare_fields(load_config(CONFIGS / f"{name}.cfg"))
     h = solved.maze.cell_size
     assert solved.branches
-    for seq, stream in solved.branches:
+    for seq, stream, follows in solved.branches:
         assert seq == region_sequence(stream.cells(h), solved.seg)
+        assert follows == (stream.termination is StreamTermination.REACHED)
 
 
 @pytest.mark.parametrize("name", ["bifurcation_symmetric", "bifurcation_lock"])
@@ -817,7 +815,7 @@ def test_route_report_does_not_depend_on_the_fan_order(start, tmp_path):
         route = current_route(field, maze, solved.seg)
         branch = [route.region_current[seq[1]] for seq in route.sequences]
         assert (branch[0] > branch[1]) == (factor > 1)
-        orders.append([seq for seq, _ in trace_route_streamline(field, maze, solved.seg, route)])
+        orders.append([seq for seq, _, _ in trace_route_streamline(field, maze, solved.seg, route)])
     assert orders[0] == orders[1] == [(4, 5, 6, 7, 11), (4, 8, 9, 10, 11)]
     assert want["streamline_tie"] == [[4, 5, 6, 7, 11], [4, 8, 9, 10, 11]]
     if start == "axis":
@@ -855,9 +853,9 @@ def test_current_route_gives_the_reference_fans_branches(source, monkeypatch):
         keys.add(solved.key)
         j, maze, seg, h = solved.fields.j, solved.maze, solved.seg, solved.maze.cell_size
         fan = vote_fan_route(j, maze, seg, solved.fields.report.tol)
-        assert [seq for seq, _ in solved.branches] == [seq for seq, _ in fan]
+        assert [seq for seq, _, _ in solved.branches] == [seq for seq, _ in fan]
         assert solved.route.sequences == tuple(seq for seq, _ in fan)
-        for seq, stream in solved.branches:
+        for seq, stream, _ in solved.branches:
             assert stream.termination is StreamTermination.REACHED
             assert region_sequence(stream.cells(h), seg) == seq
     assert len(keys) == (3 if source.startswith("droplet") else 5 if source == "configs" else 1)
@@ -940,7 +938,7 @@ def test_route_no_streamline_follows_is_reported(tmp_path, monkeypatch):
     real_streamline = oracle.streamline
 
     def recording(j, start, **kwargs):
-        weight = oracle._RowField.of(j).sample(*start)[2]
+        weight = oracle._unit_sampler(j, 0.0)(*start)[2]
         traced.append((weight, real_streamline(j, start, **kwargs)))
         return traced[-1][1]
 
@@ -949,8 +947,8 @@ def test_route_no_streamline_follows_is_reported(tmp_path, monkeypatch):
     assert main(["oracle", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     report = json.loads((tmp_path / "out" / "oracle.json").read_text())["oracle"]
     solved = scenario.prepare_fields(load_config(config))
-    ((seq, stream),) = solved.branches
-    assert report["streamline_follows_route"] is False
+    ((seq, stream, follows),) = solved.branches
+    assert report["streamline_follows_route"] is follows is False
     assert report["streamline_sequence"] == list(seq) == report["path_sequence"]
     assert len(traced) == 12
     assert [w for w, _ in traced] == sorted((w for w, _ in traced), reverse=True)
@@ -965,7 +963,7 @@ def test_route_currents_explain_the_ring():
     the face currents summed face by face."""
     solved = scenario.prepare_fields(load_config(CONFIGS / "ring_m2.cfg"))
     route, current_in = solved.route, solved.fields.report.current_in
-    ((seq, _),) = solved.branches
+    ((seq, _, _),) = solved.branches
     assert route.sequences == (seq,) == ((7, 9),)
     shares = [route.region_current[r] / current_in for r in seq]
     assert shares == pytest.approx([0.771, 0.806], abs=1e-3)
@@ -999,7 +997,7 @@ def test_cell_overlap_equals_region_scan(name):
     result = run_scenario(load_config(CONFIGS / f"{name}.cfg"))
     seg, path, h = result.solved.seg, result.path, result.maze.cell_size
     traj_cells = [(int(x // h), int(y // h)) for x, y in result.trajectory.positions_mm()]
-    ((_, stream),) = result.solved.branches
+    ((_, stream, _),) = result.solved.branches
     routes = [traj_cells, stream.cells(h), path.cells, [], path.cells[: len(path.cells) // 3]]
     overlaps = set()
     for a in routes:

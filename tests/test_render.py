@@ -121,7 +121,7 @@ def test_joule_image_ridge_follows_lee_path(tmp_path, ring_maze, ring_fields, ri
     img = np.frombuffer(body, dtype=np.uint8).reshape(ring_maze.ny, ring_maze.nx)
 
     start = sorted(ring_maze.positive)[0]
-    path = extract_path(ring_labels, start)
+    path = extract_path(ring_labels, start, ring_maze.cell_size)
     path_arr = np.array(path.cells)
     thr = np.percentile(img[ring_maze.channel_mask()], 90)
     bright = np.argwhere(ring_maze.channel_mask() & (img >= thr))

@@ -114,6 +114,35 @@ def test_config_rejects_a_step_that_is_not_finite_and_positive(name, value):
         ScenarioConfig(generator="bifurcation", len_a_mm=20.0, len_b_mm=24.0, **{name: value})
 
 
+def _non_finite_cases():
+    """(constructor, error, field) params for every float field of the
+    droplet parameters, the maze and the scenario config."""
+    dynamics = ("mobility", "static_threshold", "dt", "lock_epsilon_mm", "force_gain",
+                "radius_mm", "release_time", "stall_fraction", "noise_amplitude")
+    maze = ("cell_size", "sigma_electrolyte", "sigma_wall", "sigma_coating", "applied_voltage")
+    config = ("diameter_mm", "channel_width_mm", "wall_mm", "exit_angle_deg", "len_a_mm",
+              "len_b_mm", "cell_size_mm", "sigma_electrolyte", "sigma_wall", "sigma_coating",
+              "voltage", "tol")
+    spec = dm.parse_maze("S...T")
+    base = dict(generator="bifurcation", len_a_mm=20.0, len_b_mm=24.0)
+    for make, error, names in (
+        (DynamicsParams, ValueError, dynamics),
+        (lambda **kw: dataclasses.replace(spec, **kw), dm.MazeError, maze),
+        (lambda **kw: ScenarioConfig(**{**base, **kw}), ConfigError, config),
+    ):
+        for name in names:
+            yield pytest.param(make, error, name, id=f"{error.__name__}-{name}")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make, error, name", _non_finite_cases())
+def test_python_api_rejects_non_finite_floats(make, error, name, value):
+    """The dataclasses refuse NaN and the infinities in every float field,
+    which config and maze files never produce: each names the field."""
+    with pytest.raises(error, match=name):
+        make(**{name: value})
+
+
 @pytest.mark.parametrize("name", ["ring", "bifurcation"])
 def test_generator_keys_are_its_keyword_parameters(name):
     """A generator reads the config keys named as its keyword parameters,
@@ -571,7 +600,7 @@ def test_maze_stage_drops_the_old_maze_before_solving_a_new_one(tmp_path, monkey
 
 def _stage_arrays(result):
     fields, seg = result.fields, result.solved.seg
-    ((_, stream),) = result.solved.branches
+    ((_, stream, _),) = result.solved.branches
     return {
         "maze.cells": result.maze.cells,
         "fields.phi": fields.phi.values,
