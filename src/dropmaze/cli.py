@@ -2,7 +2,8 @@
 
 Exit codes for `simulate`: 0 = droplet reached the target electrode,
 2 = locked at a bifurcation, 3 = step budget exhausted. Error classes:
-4 = bad config, maze file, or input file of render or compare,
+4 = bad config, maze file, or input file of render or compare, any input
+file that cannot be read or decoded, or an output that cannot be written,
 5 = unsolvable maze (or droplet cannot start), 6 = solver did not converge.
 """
 
@@ -139,14 +140,21 @@ def _cmd_render(args) -> int:
 
 
 def _read_report(bundle: str) -> dict:
-    """The report.json of a simulate bundle, which compare reads."""
+    """The report.json of a simulate bundle, with the values compare reads."""
     path = Path(bundle) / "report.json"
     try:
         report = json.loads(path.read_text())
     except ValueError as exc:
         raise ConfigError(f"{path} is not JSON: {exc}") from None
-    if not isinstance(report, dict) or not {"corner_force", "trajectory"} <= report.keys():
-        raise ConfigError(f"{path} is not a simulate report (no corner_force or trajectory)")
+    for section, key, types in (
+        ("corner_force", "max", (int, float)),
+        ("corner_force", "max_per_ampere", (int, float)),
+        ("trajectory", "termination", (str,)),
+    ):
+        # By type(), as JSON's true and false are Python ints too.
+        part = report.get(section) if isinstance(report, dict) else None
+        if not isinstance(part, dict) or type(part.get(key)) not in types:
+            raise ConfigError(f"{path} is not a simulate report: no valid {section}.{key}")
     return report
 
 
@@ -215,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MazeError, GeometryError, FileNotFoundError) as exc:
+    except (ConfigError, MazeError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (UnsolvableMazeError, FieldSolveError, DynamicsError, UnreachableError) as exc:

@@ -176,77 +176,63 @@ def parse_maze(text: str) -> MazeSpec:
     Glyphs: `#` wall, `+` coated wall, `.` channel, `S` positive electrode,
     `T` negative electrode. The `S` cells form the positive set and the
     `T` cells the negative set. A header key left out takes MazeSpec's
-    default.
+    default. No line may hold a tab.
     """
     lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        if "\t" in raw:
+            raise MazeFormatError("tabs are not allowed", lineno, raw.index("\t") + 1)
+
+    # The header is the leading lines that hold "=".
+    top = next((i for i, raw in enumerate(lines) if "=" not in raw), len(lines))
     params: dict[str, float] = {}
+    for lineno, raw in enumerate(lines[:top], start=1):
+        key, _, value = raw.partition("=")
+        key = key.strip()
+        if key not in HEADER_FIELDS:
+            raise MazeFormatError(f"unknown header key {key!r}", lineno)
+        if HEADER_FIELDS[key] in params:
+            raise MazeFormatError(f"duplicate header key {key!r}", lineno)
+        try:
+            number = float(value.strip())
+            if not math.isfinite(number):
+                raise ValueError(value)
+        except ValueError:
+            raise MazeFormatError(f"bad numeric value for {key!r}", lineno) from None
+        params[HEADER_FIELDS[key]] = number
 
-    i = 0
-    while i < len(lines):
-        raw = lines[i]
-        if "\t" in raw:
-            raise MazeFormatError("tabs are not allowed", i + 1, raw.index("\t") + 1)
-        stripped = raw.strip()
-        if stripped and "=" in stripped:
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in HEADER_FIELDS:
-                raise MazeFormatError(f"unknown header key {key!r}", i + 1)
-            if HEADER_FIELDS[key] in params:
-                raise MazeFormatError(f"duplicate header key {key!r}", i + 1)
-            try:
-                number = float(value.strip())
-                if not math.isfinite(number):
-                    raise ValueError(value)
-            except ValueError:
-                raise MazeFormatError(f"bad numeric value for {key!r}", i + 1) from None
-            params[HEADER_FIELDS[key]] = number
-            i += 1
-        else:
-            break
-
-    # Skip blank separator lines between header and grid.
-    while i < len(lines) and not lines[i].strip():
-        i += 1
-
-    grid_lines: list[tuple[int, str]] = []
-    for j in range(i, len(lines)):
-        raw = lines[j]
-        if "\t" in raw:
-            raise MazeFormatError("tabs are not allowed", j + 1, raw.index("\t") + 1)
-        if not raw.strip():
-            if any(lines[k].strip() for k in range(j + 1, len(lines))):
-                raise MazeFormatError("blank line inside grid block", j + 1)
-            break
-        grid_lines.append((j + 1, raw))
-
-    if not grid_lines:
+    # The grid runs from the first to the last non-blank line after the
+    # header and its blank separator lines.
+    filled = [i for i in range(top, len(lines)) if lines[i].strip()]
+    if not filled:
         raise MazeFormatError("no grid block found", len(lines) or 1)
+    first = filled[0]
+    for iy, i in enumerate(filled):
+        if i != first + iy:
+            raise MazeFormatError("blank line inside grid block", first + iy + 1)
+    rows = lines[first : first + len(filled)]
 
-    width = len(grid_lines[0][1])
-    glyphs = np.empty((len(grid_lines), width), dtype=np.uint8)
-    for iy, (lineno, row) in enumerate(grid_lines):
-        if len(row) != width:
-            raise MazeFormatError(
-                f"grid line length {len(row)} != {width}", lineno, len(row) + 1
-            )
-        # A non-ASCII character reads as "?", which is no glyph either.
-        glyphs[iy] = np.frombuffer(row.encode("ascii", "replace"), dtype=np.uint8)
-        bad = np.flatnonzero(_KIND_OF_BYTE[glyphs[iy]] < 0)
-        if len(bad):
-            ix = int(bad[0])
-            raise MazeFormatError(f"unknown glyph {row[ix]!r}", lineno, ix + 1)
+    # The first bad row decides, whichever its fault: the rows above the
+    # first row of another width are checked for glyphs, and then its width.
+    width = len(rows[0])
+    ragged = next((iy for iy, row in enumerate(rows) if len(row) != width), len(rows))
+    # A non-ASCII character reads as "?", which is no glyph either.
+    glyphs = np.frombuffer("".join(rows[:ragged]).encode("ascii", "replace"), dtype=np.uint8)
+    glyphs = glyphs.reshape(ragged, width)
     cells = _KIND_OF_BYTE[glyphs]
+    bad = np.flatnonzero(cells < 0)
+    if len(bad):
+        iy, ix = divmod(int(bad[0]), width)
+        raise MazeFormatError(f"unknown glyph {rows[iy][ix]!r}", first + iy + 1, ix + 1)
+    if ragged < len(rows):
+        length = len(rows[ragged])
+        raise MazeFormatError(
+            f"grid line length {length} != {width}", first + ragged + 1, length + 1
+        )
     pos_cells, neg_cells = (
         set(zip(ixs.tolist(), iys.tolist()))
         for iys, ixs in (np.nonzero(glyphs == ord(glyph)) for glyph in "ST")
     )
-
-    if not pos_cells:
-        raise MazeError("no positive electrode ('S' glyph) in maze")
-    if not neg_cells:
-        raise MazeError("no negative electrode ('T' glyph) in maze")
-
     return MazeSpec(cells, pos_cells, neg_cells, **params)
 
 

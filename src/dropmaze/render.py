@@ -179,31 +179,27 @@ def write_field_csv(path: str | Path, field: ScalarField | VectorField) -> None:
 
 
 def read_field_csv(path: str | Path) -> ScalarField | VectorField:
-    """Rebuild a field from its CSV export (face currents are not stored)."""
-    text = Path(path).read_text().strip().splitlines() or [""]
-    header = text[0].split(",")
-    if header[:2] != ["x_mm", "y_mm"] or len(header) not in (3, 5):
-        raise ValueError(f"unrecognized field CSV header: {text[0]!r}")
-    quantity_tag = header[2]
-    rows = [tuple(float(c) for c in line.split(",")) for line in text[1:]]
-    xs = sorted({r[0] for r in rows})
-    ys = sorted({r[1] for r in rows})
-    nx, ny = len(xs), len(ys)
-    if not rows or nx * ny != len(rows):
-        raise ValueError("field CSV is not a full grid")
-    h = 2.0 * xs[0]  # the first centre is 0.5 * h, so this is h exactly
-    x_index = {x: i for i, x in enumerate(xs)}
-    y_index = {y: i for i, y in enumerate(ys)}
+    """Rebuild a field from its CSV export (face currents are not stored).
 
-    if len(header) == 5:
-        vx = np.zeros((ny, nx))
-        vy = np.zeros((ny, nx))
-        for x, y, _, fx, fy in rows:
-            vx[y_index[y], x_index[x]] = fx
-            vy[y_index[y], x_index[x]] = fy
-        quantity = VectorQuantity(quantity_tag)
-        return VectorField(vx, vy, h, quantity)
-    values = np.zeros((ny, nx))
-    for x, y, v in rows:
-        values[y_index[y], x_index[x]] = v
-    return ScalarField(values, h, Quantity(quantity_tag))
+    The rows must come in the order write_field_csv writes them: the first
+    run of equal y is the grid's width, and each row's x and y are its
+    cell's centre, left to right and top to bottom."""
+    header, *lines = Path(path).read_text().strip().splitlines() or [""]
+    names = header.split(",")
+    if names[:2] != ["x_mm", "y_mm"] or len(names) not in (3, 5):
+        raise ValueError(f"unrecognized field CSV header: {header!r}")
+    if not lines:
+        raise ValueError("field CSV has no rows")
+    rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if rows.shape[1] != len(names):
+        raise ValueError(f"field CSV rows do not hold {len(names)} values")
+    h = 2.0 * rows.item(0, 0)  # the first centre is 0.5 * h, so this is h exactly
+    nx = int(np.argmin(rows[:, 1] == rows[0, 1])) or len(rows)
+    ny, rest = divmod(len(rows), nx)
+    cell = np.stack(np.divmod(np.arange(len(rows)), nx)[::-1], axis=1)
+    if rest or not 0 < h < np.inf or not np.array_equal(rows[:, :2], (cell + 0.5) * h):
+        raise ValueError("field CSV is not a full grid in writer order")
+    columns = rows.T.reshape(len(names), ny, nx)
+    if len(names) == 5:
+        return VectorField(columns[3], columns[4], h, VectorQuantity(names[2]))
+    return ScalarField(columns[2], h, Quantity(names[2]))

@@ -3,6 +3,7 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dropmaze as dm
@@ -84,6 +85,10 @@ def test_generate_round_trips(tmp_path, capsys):
             got = (spec.cell_size, spec.sigma_electrolyte, spec.sigma_wall, spec.sigma_coating,
                    spec.applied_voltage)
             assert got == tuple(PHYSICS.values())
+    # Without --out the maze goes to stdout.
+    capsys.readouterr()
+    assert main(["generate", "--config", cfg]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_generate_rejects_an_unsolvable_maze(tmp_path, monkeypatch, capsys):
@@ -345,7 +350,7 @@ def test_render_subcommand(tmp_path):
     assert code == 0
 
 
-def test_compare_subcommand(tmp_path):
+def test_compare_subcommand(tmp_path, capsys):
     cfg_a = _write(tmp_path, "a.cfg", RING_CFG + f"out = {tmp_path / 'a'}\n")
     cfg_b = _write(tmp_path, "b.cfg", RING_CFG + f"coat_corners = true\nout = {tmp_path / 'b'}\n")
     main(["simulate", "--config", cfg_a])
@@ -355,6 +360,10 @@ def test_compare_subcommand(tmp_path):
                  "--out", str(diff_file)]) == 0
     diff = json.loads(diff_file.read_text())
     assert diff["corner_force_reduced"] is True
+    # Without --out the diff goes to stdout.
+    capsys.readouterr()
+    assert main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out == diff_file.read_text()
 
 
 @pytest.mark.parametrize("bundle", ["solve", "truncated"])
@@ -410,6 +419,99 @@ def test_render_overlay_needs_the_field_s_maze_exit_four(tmp_path, capsys, maze_
     err = capsys.readouterr().err
     assert "config error" in err and ("--maze" if maze_cells is None else "other.maze") in err
     assert not (tmp_path / "o.pgm").exists()
+
+
+def _field_csv(tmp_path, edit=lambda rows: rows):
+    """render on a 3 x 4 field CSV as write_field_csv writes it, with its
+    data rows edited."""
+    path = tmp_path / "phi.csv"
+    field = solver.ScalarField(np.arange(12.0).reshape(3, 4), 0.5, solver.Quantity.POTENTIAL)
+    render.write_field_csv(path, field)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *edit(rows)]) + "\n")
+    return ["render", "--field", str(path), "--out", str(tmp_path / "f.pgm")]
+
+
+def _maze_file(tmp_path, text):
+    """simulate on a maze_file config of this maze text (or bytes)."""
+    maze = tmp_path / "bad.maze"
+    maze.write_bytes(text if isinstance(text, bytes) else text.encode())
+    cfg = _write(tmp_path, "maze.cfg", f"maze_file = {maze}\n")
+    return ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
+
+
+def _config(tmp_path, text):
+    (tmp_path / "bad.cfg").write_bytes(text)
+    return ["simulate", "--config", str(tmp_path / "bad.cfg"), "--out", str(tmp_path / "out")]
+
+
+def _report(tmp_path, report):
+    (tmp_path / "bundle").mkdir()
+    (tmp_path / "bundle" / "report.json").write_text(json.dumps(report))
+    return ["compare", "--a", str(tmp_path / "bundle"), "--b", str(tmp_path / "bundle")]
+
+
+def _overlay_on_undecodable_maze(tmp_path):
+    (tmp_path / "bad.maze").write_bytes(b"S.T\xff\n")
+    return _field_csv(tmp_path) + ["--style", "overlay", "--maze", str(tmp_path / "bad.maze")]
+
+
+def _out_under_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    cfg = _write(tmp_path, "sym.cfg", SYM_CFG)
+    return ["generate", "--config", cfg, "--out", str(tmp_path / "file" / "sym.maze")]
+
+
+# Each malformed input, as the arguments of a command that reads it, and a
+# piece of the error it gets.
+_MALFORMED = {
+    "csv-duplicated-row": (lambda t: _field_csv(t, lambda rows: rows[:1] * 2 + rows[2:]), "grid"),
+    "csv-missing-column": (
+        lambda t: _field_csv(t, lambda rows: [r for r in rows if not r.startswith("0.75,")]),
+        "grid",
+    ),
+    "csv-missing-top-row": (lambda t: _field_csv(t, lambda rows: rows[4:]), "grid"),
+    "maze-tab-on-separator": (lambda t: _maze_file(t, "voltage = 1\n\n\t\nS.T\n"), "tabs"),
+    "maze-tab-below-first-row": (lambda t: _maze_file(t, "S.T\n.\t.\n"), "tabs"),
+    "maze-blank-line-in-grid": (lambda t: _maze_file(t, "S.T\n\n...\n"), "blank line"),
+    "maze-no-grid": (lambda t: _maze_file(t, "voltage = 1\n\n"), "no grid block"),
+    "maze-not-utf8": (lambda t: _maze_file(t, b"S.T\xff\n"), "decode"),
+    "render-maze-not-utf8": (_overlay_on_undecodable_maze, "decode"),
+    "config-line-without-equals": (lambda t: _config(t, b"generator ring\n"), "key = value"),
+    "config-unknown-generator": (lambda t: _config(t, b"generator = spiral\n"), "generator"),
+    "config-unknown-artifact": (
+        lambda t: _config(t, b"generator = ring\nartifacts = report,movie\n"), "artifact"
+    ),
+    "config-not-utf8": (lambda t: _config(t, b"generator = ring\n# \xff\n"), "decode"),
+    "config-is-a-directory": (
+        lambda t: ["simulate", "--config", str(t), "--out", str(t / "out")], "directory"
+    ),
+    "report-empty-sections": (
+        lambda t: _report(t, {"corner_force": {}, "trajectory": {}}), "corner_force.max"
+    ),
+    "report-string-max-per-ampere": (
+        lambda t: _report(
+            t,
+            {"corner_force": {"max": 1.0, "max_per_ampere": "1.0"},
+             "trajectory": {"termination": "reached"}},
+        ),
+        "corner_force.max_per_ampere",
+    ),
+    "out-under-a-file": (_out_under_a_file, "exists"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_malformed_input_exit_four(tmp_path, capsys, case):
+    """Every input the commands cannot read is a config error: exit 4 and
+    one line on stderr, with no traceback and nothing written."""
+    make, piece = _MALFORMED[case]
+    args = make(tmp_path)
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert piece in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "f.pgm").exists()
 
 
 def test_force_source_key_is_unknown_exit_four(tmp_path, capsys):

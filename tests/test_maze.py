@@ -50,9 +50,13 @@ def test_parse_missing_negative_electrode():
 def test_parse_missing_positive_electrode():
     with pytest.raises(MazeError, match="no positive electrode"):
         parse_maze("..T")
+    # MazeSpec checks the header's values before the electrodes.
+    with pytest.raises(MazeError, match="applied_voltage must be positive"):
+        parse_maze("voltage = -1\n\n..T")
 
 
-# Maze texts with a fault, and its message, line and column.
+# Maze texts with a fault, and its message, line and column (None for a
+# fault of a whole line).
 _GRID_FAULTS = [
     ("S.T\n.?.\n...", "unknown glyph '?'", 2, 2),
     # A non-ASCII glyph, after one that is not a glyph either.
@@ -63,6 +67,13 @@ _GRID_FAULTS = [
     # The first bad row decides, whichever its fault.
     ("S.T\n.?.\n.....", "unknown glyph '?'", 2, 2),
     ("S.T\n.....\n.?.", "grid line length 5 != 3", 2, 6),
+    # A tab on any line is the fault reported, below the grid's first row,
+    # on a separator line, or below a line with another fault.
+    ("S.T\n...\n.\t.", "tabs are not allowed", 3, 2),
+    ("voltage = 1\n\n\t\nS.T", "tabs are not allowed", 3, 1),
+    ("voltage = x\n\nS.T\n.\t.", "tabs are not allowed", 4, 2),
+    ("voltage = 2\n\nS.T\n \n...\n\n", "blank line inside grid block", 4, None),
+    ("voltage = 2\n\n \n", "no grid block found", 3, None),
 ]
 
 
@@ -70,7 +81,8 @@ def test_parse_reports_line_and_column():
     for text, message, line, col in _GRID_FAULTS:
         with pytest.raises(MazeFormatError) as err:
             parse_maze(text)
-        assert str(err.value) == f"{message} (line {line}, col {col})"
+        where = f"line {line}" if col is None else f"line {line}, col {col}"
+        assert str(err.value) == f"{message} ({where})"
         assert (err.value.line, err.value.col) == (line, col)
 
 

@@ -54,6 +54,22 @@ def test_uniform_vector_field_strokes(tmp_path):
         assert (img[r] == 255).sum() == runs  # equal-length strokes
 
 
+@pytest.mark.parametrize(
+    "rows, style, message",
+    [
+        (0, "gray", "empty field"),
+        (2, "strokes", "needs a vector"),
+        (2, "overlay", "needs the maze"),
+        (2, "sepia", "unknown render style"),
+    ],
+)
+def test_render_field_rejects_what_it_cannot_draw(tmp_path, rows, style, message):
+    field = ScalarField(np.zeros((rows, 3)), 0.5, Quantity.POTENTIAL)
+    with pytest.raises(ValueError, match=message):
+        render_field(field, tmp_path / "f.pgm", style=style)
+    assert not (tmp_path / "f.pgm").exists()
+
+
 def test_overlay_blacks_out_walls(tmp_path, ring_maze, ring_fields):
     out = tmp_path / "joule.pgm"
     render_field(ring_fields.joule, out, style="overlay", maze=ring_maze)
@@ -226,6 +242,8 @@ def ring_fine_fields():
     "kind", [*_STRESS_FIELDS, "ring_phi", "ring_j", "ring_fine_phi", "ring_fine_j"]
 )
 def test_field_csv_bytes_match_cell_by_cell_writer(tmp_path, request, kind):
+    """The writer's bytes are the cell-by-cell writer's, and the reader
+    gives back the field's arrays bit for bit and its cell size."""
     if kind in _STRESS_FIELDS:
         field = _STRESS_FIELDS[kind]()
     else:
@@ -241,3 +259,9 @@ def test_field_csv_bytes_match_cell_by_cell_writer(tmp_path, request, kind):
             assert text in written
     if kind.startswith("zero_runs"):
         assert b",-0.0\n" in written and b",0.0\n" in written
+    back = read_field_csv(tmp_path / "new.csv")
+    assert type(back) is type(field)
+    assert (back.cell_size, back.quantity) == (field.cell_size, field.quantity)
+    for name in ("values",) if isinstance(field, ScalarField) else ("vx", "vy"):
+        got, want = getattr(back, name), getattr(field, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
