@@ -9,15 +9,15 @@ negative one that carries the most current (current_route).
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .maze import MazeSpec
-from .solver import VectorField
-
 if TYPE_CHECKING:
+    from .maze import MazeSpec
     from .oracle import CorridorSegmentation
+    from .solver import VectorField
 
 
 # A solve stopped at relative residual tol leaves errors of a few tol in
@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 # symmetric maze's branches differ by that much: their corridors' currents
 # by up to 6e-9 of the largest region current at tol 1e-9 on the
 # benchmark's symmetric bifurcations (seeds 0-11, 0.5 and 0.25 mm cells).
-# Currents within this many tol of that largest current are equal.
+# Currents on a level spanning this many tol of that largest current are equal.
 _TIE_SLACK = 1e3
 
 
@@ -53,70 +53,69 @@ def current_route(
     level of corridor regions).
 
     The net current between two adjacent regions is the sum of the solve's
-    face currents over the faces between them. A downstream path runs
-    from a region holding a positive electrode cell to one holding a
-    negative cell, each step along a positive net current, visiting no
-    region twice; its corridor sequence drops the junction regions, as
-    region_sequence does. The route is the path whose corridor currents,
-    sorted ascending, are lexicographically largest: a widest
+    face currents over the faces between them. A downstream path runs from a
+    region holding a positive electrode cell to one holding a negative cell,
+    each step along a positive net current; its corridor sequence drops the
+    junction regions, as region_sequence does. Each cycle of steps that a
+    topological sort finds loses its weakest step. The route is a widest
     (maximum-bottleneck) path (Pollack, "The maximum capacity through a
     network", Operations Research 8(5), 1960) whose ties are broken by the
-    next-narrowest corridor, and so on. Currents within _TIE_SLACK * tol
-    of the largest region current are equal (tol being the solve's own
-    tolerance), so a mirror-symmetric maze returns both branches, in
-    sequence order.
+    next-narrowest corridor, and so on. The corridor currents fall into
+    levels, each rising _TIE_SLACK * tol of the largest region current above
+    its lowest (tol being the solve's own tolerance); the fewest corridors
+    on the lowest level win, then on the next (Burkard & Rendl, Operations
+    Research Letters 10(5), 1991), and a path with another's corridors and
+    more loses to it. One pass in topological order finds the route; a
+    mirror-symmetric maze returns both branches, in sequence order.
     """
     if j.face_flux_x is None or j.face_flux_y is None:
         raise ValueError("vector field carries no face currents; solve first")
     region, n = seg.region, seg.n_regions
     across = np.zeros(n * n)  # [a * n + b]: current from a to b over their faces
-    for a, b, flux in (
-        (region[:, :-1], region[:, 1:], j.face_flux_x),
-        (region[:-1, :], region[1:, :], j.face_flux_y),
-    ):
+    for a, b, flux in ((region[:, :-1], region[:, 1:], j.face_flux_x),
+                       (region[:-1, :], region[1:, :], j.face_flux_y)):
         cross = (a != b) & (a >= 0) & (b >= 0)
         across += np.bincount(a[cross] * n + b[cross], weights=flux[cross], minlength=n * n)
     net = across.reshape(n, n)
     net = net - net.T
     current = 0.5 * np.abs(net).sum(axis=1)
     current.setflags(write=False)
-    sources = sorted({int(region[iy, ix]) for ix, iy in maze.positive} - {-1})
     sinks = {int(region[iy, ix]) for ix, iy in maze.negative} - {-1}
-    downstream = [np.flatnonzero(row > 0).tolist() for row in net]
-
-    paths: list[tuple[int, ...]] = []
-    stack = [(source,) for source in sources]
-    while stack:
-        path = stack.pop()
-        if path[-1] in sinks:
-            paths.append(path)
-            continue
-        stack += [path + (b,) for b in downstream[path[-1]] if b not in path]
-    if not paths:
-        raise ValueError("no downstream path joins the electrodes")
-
-    corridor = [not node for node in seg.is_node.tolist()]
-    currents = current.tolist()
-    seqs = [tuple(r for r in path if corridor[r]) for path in paths]
-    keys = [sorted(currents[r] for r in seq) for seq in seqs]
-    # The lexicographic maximum, with currents within slack of the best
-    # counted as equal: filter the candidates position by position.
-    slack = _TIE_SLACK * tol * float(current.max())
-    best = list(range(len(paths)))
-    for k in range(max(map(len, keys))):
-        longer = [i for i in best if len(keys[i]) > k]
-        if not longer:
+    # A path ends at its first sink. Region n is the start: it steps to the sources.
+    steps = [[] if a in sinks else np.flatnonzero(row > 0).tolist() for a, row in enumerate(net)]
+    steps.append(list({int(region[iy, ix]) for ix, iy in maze.positive} - {-1}))
+    while True:
+        try:
+            order = list(TopologicalSorter(dict(enumerate(steps))).static_order())
             break
-        top = max(keys[i][k] for i in longer)
-        best = [i for i in longer if keys[i][k] >= top - slack]
-    sequences = tuple(sorted({seqs[i] for i in best}))
-
-    margins = []
-    for alternative in set(seqs).difference(sequences):
-        for seq in sequences:
-            # None where one sequence extends the other.
-            parted = next(((r, q) for r, q in zip(seq, alternative) if r != q), None)
-            if parted is not None:
-                mine, theirs = currents[parted[0]], currents[parted[1]]
-                margins.append(abs(mine - theirs) / max(mine, theirs))
-    return CurrentRoute(sequences, current, min(margins) if margins else None)
+        except CycleError as cycle:  # each region in it a step target of the next
+            b, a = min(zip(cycle.args[1], cycle.args[1][1:]), key=lambda s: net[s[1], s[0]])
+            steps[a].remove(b)
+    corridor, currents = [not node for node in seg.is_node.tolist()], current.tolist()
+    slack, top, first, level = _TIE_SLACK * tol * float(current.max()), 0, -np.inf, [0] * (n + 1)
+    for c, r in sorted((c, r) for r, c in enumerate(currents) if corridor[r]):
+        top, first = (top + 1, c) if c > first + slack else (top, first)
+        level[r] = top  # the corridor's level, 1 the lowest; 0 for the other regions
+    # A corridor outweighs any count of corridors on the levels above its own.
+    weight, never = [(n + 1) ** (top - k) if k else 0 for k in level], (n + 1) ** top
+    # cost: the least weight on from a region to a sink, its own included;
+    # detour: a path on from it weighs more; on: the corridors one step on.
+    cost, detour, on = [never] * (n + 1), [False] * (n + 1), [()] * (n + 1)
+    for r in order:  # each region after the regions it steps to
+        rest = min((cost[b] for b in steps[r]), default=0 if r in sinks else never)
+        cost[r] = weight[r] + rest
+        detour[r] = any(cost[b] < never and (cost[b] > rest or detour[b]) for b in steps[r])
+        on[r] = {c for b in steps[r] for c in ((b,) if corridor[b] else on[b]) if cost[c] < never}
+    if cost[n] >= never:
+        raise ValueError("no downstream path joins the electrodes")
+    # Walk the tied branches. A corridor one step on that no branch takes
+    # next, or from which a path weighs more, starts a path off the route.
+    margins, walk = [], [((), n)]
+    for seq, a in walk:  # the walk grows as it is read
+        rest = cost[a] - weight[a]
+        for b in (b for b in on[a] if cost[b] == rest):
+            walk.append((seq + (b,), b))
+            margins += [abs(currents[b] - currents[c]) / max(currents[b], currents[c])
+                        for c in on[a] if c != b and (cost[c] > rest or detour[c])]
+    sequences = tuple(sorted(seq for seq, a in walk if cost[a] == weight[a]))
+    return CurrentRoute(sequences, current, min(margins, default=None))

@@ -318,7 +318,6 @@ def trace_route_streamline(
     branch got one; a branch no seed's trace follows gets the trace of
     the strongest seed.
     """
-    sequences = route.sequences
     channel = maze.channel_mask()
 
     # Ring of seed cells two steps out from the positive electrode.
@@ -347,11 +346,11 @@ def trace_route_streamline(
             strongest = trace
         if trace.termination is StreamTermination.REACHED:
             seq = region_sequence(trace.cells(h), seg)
-            if seq in sequences:
+            if seq in route.sequences:
                 found.setdefault(seq, trace)
-                if len(found) == len(sequences):
+                if len(found) == len(route.sequences):
                     break
-    return tuple((seq, found.get(seq, strongest), seq in found) for seq in sequences)
+    return tuple((seq, found.get(seq, strongest), seq in found) for seq in route.sequences)
 
 
 # ---------------------------------------------------------------------------

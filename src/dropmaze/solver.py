@@ -8,9 +8,11 @@ cells are Dirichlet-pinned; the reduced symmetric system is solved with
 conjugate gradients over the unknown cells only (conductive cells linked
 to a pinned cell), preconditioned by one V-cycle of unsmoothed 2x2
 aggregation multigrid (D. Braess, Computing 55, 1995; Y. Notay, ETNA 37,
-2010), so the iteration count does not grow with the grid. Everything
-runs in a fixed evaluation order with numpy's own sums and no BLAS call,
-so repeated solves are bit-identical whatever the BLAS thread count.
+2010). The iteration count holds for one maze at finer cells (ring_m2: 26,
+27, 25 at 140², 280², 560²) but grows with the maze (26, 58, 107, 165 for
+2, 4, 6, 8 one-gap rings; ROADMAP item 2). Everything runs in a fixed
+evaluation order with numpy's own sums and no BLAS call, so repeated
+solves are bit-identical whatever the BLAS thread count.
 
 Currents are reported per unit depth of the 2D sheet (A per metre of
 depth); current density is in A/m^2 with the cell size converted from mm.

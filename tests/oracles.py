@@ -1238,3 +1238,62 @@ def region_currents_by_scan(j, region, n_regions):
     for (a, _), f in region_net_currents_by_scan(j, region).items():
         current[a] += 0.5 * abs(f)
     return current
+
+
+def enumerated_route(j, maze, seg, tol=1e-9):
+    """The route by listing every simple downstream path: (sequences,
+    split_margin) as currents.current_route gives them on an acyclic
+    region graph. The net currents are summed by the package's bincount,
+    so that the currents compared are the package's floats bit for bit.
+    The sorted corridor currents of each path are its key, the keys are
+    filtered position by position against the best within the tie slack,
+    and every sequence left over is compared with every branch."""
+    from dropmaze.currents import _TIE_SLACK
+
+    region, n = seg.region, seg.n_regions
+    across = np.zeros(n * n)
+    for a, b, flux in (
+        (region[:, :-1], region[:, 1:], j.face_flux_x),
+        (region[:-1, :], region[1:, :], j.face_flux_y),
+    ):
+        cross = (a != b) & (a >= 0) & (b >= 0)
+        across += np.bincount(a[cross] * n + b[cross], weights=flux[cross], minlength=n * n)
+    net = across.reshape(n, n)
+    net = net - net.T
+    current = 0.5 * np.abs(net).sum(axis=1)
+    sources = sorted({int(region[iy, ix]) for ix, iy in maze.positive} - {-1})
+    sinks = {int(region[iy, ix]) for ix, iy in maze.negative} - {-1}
+    downstream = [np.flatnonzero(row > 0).tolist() for row in net]
+
+    paths = []
+    stack = [(source,) for source in sources]
+    while stack:
+        path = stack.pop()
+        if path[-1] in sinks:
+            paths.append(path)
+            continue
+        stack += [path + (b,) for b in downstream[path[-1]] if b not in path]
+    if not paths:
+        raise ValueError("no downstream path joins the electrodes")
+
+    currents = current.tolist()
+    seqs = [tuple(r for r in path if not seg.is_node[r]) for path in paths]
+    keys = [sorted(currents[r] for r in seq) for seq in seqs]
+    slack = _TIE_SLACK * tol * float(current.max())
+    best = list(range(len(paths)))
+    for k in range(max(map(len, keys))):
+        longer = [i for i in best if len(keys[i]) > k]
+        if not longer:
+            break
+        top = max(keys[i][k] for i in longer)
+        best = [i for i in longer if keys[i][k] >= top - slack]
+    sequences = tuple(sorted({seqs[i] for i in best}))
+
+    margins = []
+    for alternative in set(seqs).difference(sequences):
+        for seq in sequences:
+            parted = next(((r, q) for r, q in zip(seq, alternative) if r != q), None)
+            if parted is not None:
+                mine, theirs = currents[parted[0]], currents[parted[1]]
+                margins.append(abs(mine - theirs) / max(mine, theirs))
+    return sequences, (min(margins) if margins else None)

@@ -37,6 +37,7 @@ from oracles import (
     array_streamline,
     bfs_distances,
     bfs_wall_distance,
+    enumerated_route,
     flood_fill_components,
     hot_region_route,
     loop_prune_spurs,
@@ -900,6 +901,108 @@ def _downstream_sequences(solved):
         stack += [path + (b,) for (a, b), f in net.items()
                   if a == path[-1] and f > 0 and b not in path]
     return found
+
+
+def _rings(rings, gaps, seeds, **keys):
+    """Ring configs with 4 mm channels and a diameter of 30 + 20 mm per ring."""
+    extra = "".join(f"{key} = {value}\n" for key, value in keys.items())
+    return [
+        scenario.parse_config(
+            f"generator = ring\nrings = {rings}\ngaps_per_ring = {','.join([str(gaps)] * rings)}\n"
+            f"diameter_mm = {30 + 20 * rings}\nchannel_width_mm = 4\nseed = {seed}\n{extra}"
+        )
+        for seed in seeds
+    ]
+
+
+# The 71-maze corpus and the stress mazes with 4 and 5 rings of three
+# gaps (2 320 to 27 320 downstream paths), at 0.5 mm cells.
+ROUTE_CORPUS = {
+    "configs": lambda: [load_config(p) for p in sorted(CONFIGS.glob("*.cfg"))],
+    "one_gap_rings": lambda: [cfg for rings in (2, 3, 4) for coat in ("false", "true")
+                              for cfg in _rings(rings, 1, range(8), coat_corners=coat)],
+    "two_gap_rings": lambda: [cfg for rings in (2, 3) for cfg in _rings(rings, 2, range(6))],
+    "bifurcations": lambda: [
+        scenario.parse_config(f"generator = bifurcation\nlen_a_mm = {a}\nlen_b_mm = {b}\n"
+                              "channel_width_mm = 4\n")
+        for a, b in ((30, 50), (40, 41), (40, 40), (35, 36), (45, 30))
+    ],
+    "stress_rings": lambda: [cfg for rings in (4, 5) for cfg in _rings(rings, 3, (0, 1))],
+}
+
+
+@pytest.mark.parametrize("group", sorted(ROUTE_CORPUS))
+def test_current_route_equals_the_enumeration(group):
+    """One pass over the region graph gives the sequences, ties and split
+    margin that listing every simple downstream path gives (the reference
+    enumeration), bit for bit, on every maze of the corpus."""
+    configs = ROUTE_CORPUS[group]()
+    assert len(configs) == {"configs": 6, "one_gap_rings": 48, "two_gap_rings": 12,
+                            "bifurcations": 5, "stress_rings": 4}[group]
+    for cfg in configs:
+        maze = build_maze(cfg)
+        j, seg = compute_fields(maze, tol=cfg.tol).j, segment_corridors(maze)
+        route = current_route(j, maze, seg, cfg.tol)
+        assert (route.sequences, route.split_margin) == enumerated_route(j, maze, seg, cfg.tol)
+
+
+def test_current_route_memory_does_not_grow_with_the_paths():
+    """The seven-ring maze with three gaps per ring (340 x 340 cells, 102
+    regions) has too many downstream paths to list: the enumeration took
+    4 s and peaked at 386 MB. The pass over its regions peaks below 4 MB."""
+    (cfg,) = _rings(7, 3, (0,))
+    maze = build_maze(cfg)
+    j, seg = compute_fields(maze).j, segment_corridors(maze)
+    assert seg.n_regions == 102
+    tracemalloc.start()
+    try:
+        route = current_route(j, maze, seg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(route.sequences) == 1
+    assert peak < 4e6
+
+
+# Three rows of regions between the source column S and the sink column
+# T: corridors A and B on top, E across the middle, C at the bottom.
+CYCLE_REGIONS = [[0, 1, 2, 5], [0, 3, 3, 5], [0, 4, 4, 5]]
+S, A, B, E, C, T = range(6)
+
+
+@pytest.mark.parametrize("a_to_b, e_to_a, want", [(0.1, 0.6, ((C,),)), (0.6, 0.1, ((A, B),))])
+def test_current_route_drops_the_weakest_step_of_a_cycle(a_to_b, e_to_a, want):
+    """Face currents that step A -> B -> E -> A close a cycle. The cycle
+    loses its weakest step: A -> B leaves no way on from A, and the route
+    is the weaker corridor C; E -> A leaves A -> B -> T, whose corridors
+    carry more than C. Listing the simple paths of the cyclic graph would
+    take A -> B -> T in both cases."""
+    maze = parse_maze("S..T\nS..T\nS..T")
+    fx, fy = np.zeros((3, 3)), np.zeros((2, 4))
+    fx[0] = [1.0, a_to_b, 0.6]  # S -> A, A -> B, B -> T
+    fx[2] = [0.3, 0.0, 0.3]  # S -> C, C -> T
+    fy[0, 1], fy[0, 2] = -e_to_a, 0.5  # E -> A, B -> E
+    j = VectorField(np.zeros((3, 4)), np.zeros((3, 4)), maze.cell_size,
+                    VectorQuantity.CURRENT_DENSITY, face_flux_x=fx, face_flux_y=fy)
+    seg = oracle.CorridorSegmentation(
+        region=np.array(CYCLE_REGIONS, dtype=np.int32),
+        is_node=np.array([True, False, False, False, False, True]),
+        n_regions=6, skeleton=np.zeros((3, 4), dtype=bool), width_cells=1.0,
+    )
+    route = current_route(j, maze, seg)
+    assert route.sequences == want
+    assert enumerated_route(j, maze, seg)[0] == ((A, B),)
+
+
+def test_route_with_no_downstream_path_raises():
+    """With ring_m2's face currents reversed, no step leaves the positive
+    electrode's region: no downstream path joins the electrodes."""
+    maze = corpus_maze("ring_m2")
+    j = compute_fields(maze).j
+    reversed_j = VectorField(j.vx, j.vy, j.cell_size, j.quantity,
+                             face_flux_x=-j.face_flux_x, face_flux_y=-j.face_flux_y)
+    with pytest.raises(ValueError, match="no downstream path joins the electrodes"):
+        current_route(reversed_j, maze, segment_corridors(maze))
 
 
 def test_route_without_face_currents_raises():
