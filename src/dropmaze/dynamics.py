@@ -20,6 +20,7 @@ import dataclasses
 import enum
 import math
 import random
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,14 +110,23 @@ class RowSums:
     """Per-row prefix sums of a vector field whose wall cells count as 0:
     x[iy, k] sums vx[iy, :k] and y[iy, k] sums vy[iy, :k], so a row's sum
     over the columns a..b is x[iy, b + 1] - x[iy, a]. These are Crow's
-    summed-area tables (SIGGRAPH 1984), taken one row at a time."""
+    summed-area tables (SIGGRAPH 1984), taken one row at a time.
+
+    They hold two (ny, nx + 1) float grids and nothing else: each is
+    built in place, J copied in after a zero column, its walls zeroed,
+    then summed along the rows."""
 
     def __init__(self, field: VectorField, wall_mask: np.ndarray):
-        self.x, self.y = (  # each (ny, nx + 1)
-            np.cumsum(np.pad(np.where(wall_mask, 0.0, v), ((0, 0), (1, 0))), axis=1)
-            for v in (field.vx, field.vy)
-        )
+        self.x, self.y = (_row_prefix_sums(v, wall_mask) for v in (field.vx, field.vy))
         self.cell_size = field.cell_size
+
+
+def _row_prefix_sums(v: np.ndarray, wall_mask: np.ndarray) -> np.ndarray:
+    sums = np.empty((v.shape[0], v.shape[1] + 1))
+    sums[:, 0] = 0.0
+    sums[:, 1:] = v
+    sums[:, 1:][wall_mask] = 0.0
+    return np.cumsum(sums, axis=1, out=sums)
 
 
 def disk_integrate(
@@ -461,11 +471,12 @@ def simulate(
     # step taken from there.
     sx, sy = disk_integrate(sums, (x0, y0), radius, gain)
     normals = _contact_normals(geom, x0, y0, radius, geom.gaps(geom.wall, x0, y0, radius))
-    times = [0.0]
-    xs = [x0]
-    ys = [y0]
-    speeds = [0.0]
-    forces = [math.hypot(*_project_out(sx, sy, normals))]
+    # The samples, 8 bytes each: no Python float is kept per sample.
+    times = array("d", [0.0])
+    xs = array("d", [x0])
+    ys = array("d", [y0])
+    speeds = array("d", [0.0])
+    forces = array("d", [math.hypot(*_project_out(sx, sy, normals))])
     x, y, t, impulse = x0, y0, 0.0, 0.0
     settled = False  # the start has not been through _resolve_overlap
     termination = Termination.MAX_STEPS

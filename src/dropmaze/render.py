@@ -17,11 +17,17 @@ from .solver import Quantity, ScalarField, VectorField, VectorQuantity
 
 
 def normalize_u8(values: np.ndarray) -> np.ndarray:
+    """values scaled from their min..max to 0..255, rounded, one float
+    grid made in all."""
     v = np.asarray(values, dtype=np.float64)
     lo, hi = float(v.min()), float(v.max())
     if hi <= lo:
         return np.full(v.shape, 128, dtype=np.uint8)
-    return np.clip(np.rint((v - lo) / (hi - lo) * 255.0), 0, 255).astype(np.uint8)
+    scaled = np.subtract(v, lo)
+    scaled /= hi - lo
+    scaled *= 255.0
+    np.rint(scaled, out=scaled)
+    return np.clip(scaled, 0, 255, out=scaled).astype(np.uint8)
 
 
 def write_pgm(path: str | Path, gray: np.ndarray) -> None:
@@ -94,7 +100,10 @@ def render_field(
     if style == "overlay":
         if maze is None:
             raise ValueError("overlay rendering needs the maze")
-        gray = (normalize_u8(mag).astype(np.float64) * (191 / 255) + 64).astype(np.uint8)
+        gray = normalize_u8(mag).astype(np.float64)
+        gray *= 191 / 255
+        gray += 64
+        gray = gray.astype(np.uint8)
         gray[maze.wall_mask()] = 0
         write_pgm(out_path, gray)
         return

@@ -39,6 +39,7 @@ from .maze import (
     HEADER_FIELDS,
     MazeSpec,
     coat_sharp_corners,
+    conductivity_grid,
     convex_corner_cells,
     emit_maze,
     parse_maze,
@@ -62,7 +63,7 @@ from .render import (
     write_pgm,
     normalize_u8,
 )
-from .solver import FieldBundle, compute_fields
+from .solver import FieldBundle, compute_fields, joule_heating
 
 DEFAULT_ARTIFACTS = ("report", "fields", "heatmap", "trajectory", "oracle", "comparison")
 KNOWN_ARTIFACTS = DEFAULT_ARTIFACTS + ("trace",)
@@ -317,6 +318,11 @@ def _near_corners(channel: np.ndarray, corners: list[tuple[int, int]], width: in
     return near[width : width + ny, width : width + nx] & channel
 
 
+# How many corner probes corner_force_stats sums at once: their work
+# arrays take about 0.1 MB, whatever the probe count.
+_PROBE_CHUNK = 512
+
+
 def corner_force_stats(
     maze: MazeSpec, fields: FieldBundle, params: DynamicsParams, seg: CorridorSegmentation
 ) -> dict:
@@ -328,20 +334,27 @@ def corner_force_stats(
     conductance differs. The probe disk has half the channel width
     (radius = width/4).
 
-    All probes are summed at once (disk_integrate_cells), which gives
-    each the float disk_integrate gives; the largest probe goes through
-    disk_integrate once more for its value."""
+    The probes are summed _PROBE_CHUNK at a time (disk_integrate_cells),
+    which gives each the float disk_integrate gives; the first largest
+    probe goes through disk_integrate once more for its value. So the
+    function holds the probes' flat indices and the row sums of J, and
+    no array or list as long as the probes."""
     corners = convex_corner_cells(maze)
     h = maze.cell_size
     radius = seg.width_cells * h / 4.0
-    iys, ixs = np.nonzero(_near_corners(maze.channel_mask(), corners, int(seg.width_cells)))
+    probes = np.flatnonzero(_near_corners(maze.channel_mask(), corners, int(seg.width_cells)))
     best = 0.0
-    if len(ixs):
+    if len(probes):
         sums = RowSums(fields.j, maze.wall_mask())
-        fx, fy = disk_integrate_cells(sums, (iys, ixs), radius, params.force_gain)
-        forces = list(map(math.hypot, fx.tolist(), fy.tolist()))
-        k = forces.index(max(forces))
-        x, y = (ixs.item(k) + 0.5) * h, (iys.item(k) + 0.5) * h
+        top = -1.0
+        for k in range(0, len(probes), _PROBE_CHUNK):
+            iys, ixs = np.divmod(probes[k : k + _PROBE_CHUNK], maze.nx)
+            fx, fy = disk_integrate_cells(sums, (iys, ixs), radius, params.force_gain)
+            forces = list(map(math.hypot, fx.tolist(), fy.tolist()))
+            if max(forces) > top:
+                top = max(forces)
+                iy, ix = divmod(probes.item(k + forces.index(top)), maze.nx)
+        x, y = (ix + 0.5) * h, (iy + 0.5) * h
         best = math.hypot(*disk_integrate(sums, (x, y), radius, params.force_gain))
     current = fields.report.current_in
     return {
@@ -376,6 +389,7 @@ class ScenarioResult:
 # The field files of a solved maze, in bundle order: the artifact that
 # asks for each, and its writer. The writers look up the render functions
 # when they run, so a wrapper bound to the module's name sees each write.
+# joule.pgm's writer derives Joule power from J and the conductivities.
 _FIELD_FILES = {
     "potential.csv": ("fields", lambda solved, p: write_field_csv(p, solved.fields.phi)),
     "potential.pgm": (
@@ -384,7 +398,10 @@ _FIELD_FILES = {
     "current.csv": ("fields", lambda solved, p: write_field_csv(p, solved.fields.j)),
     "joule.pgm": (
         "heatmap",
-        lambda solved, p: render_field(solved.fields.joule, p, style="overlay", maze=solved.maze),
+        lambda solved, p: render_field(
+            joule_heating(solved.fields.j, conductivity_grid(solved.maze)),
+            p, style="overlay", maze=solved.maze,
+        ),
     ),
 }
 
@@ -501,13 +518,15 @@ def prepare_fields(cfg: ScenarioConfig) -> SolvedMaze:
     components = validate_and_components(maze)
     if not components.solvable:
         raise UnsolvableMazeError("no channel route connects the electrodes")
+    n_components = components.n_components
+    del components  # its labels are not held through the solve
     fields = compute_fields(maze, tol=cfg.tol, max_iter=cfg.max_iter or None)
     if not fields.report.converged:
         raise ConvergenceError(
             f"solver did not converge: residual {fields.report.final_residual:.3e}"
             f" after {fields.report.iterations} iterations"
         )
-    _solved = solved = SolvedMaze(key, maze, components.n_components, fields)
+    _solved = solved = SolvedMaze(key, maze, n_components, fields)
     return solved
 
 

@@ -159,51 +159,42 @@ class _Level:
     neighbour (g is 0.0 there). Faces to pinned cells (anchor) count in
     diag only.
 
-    Each 2x2 block of the grid is one unknown of the next level: the
-    faces between two blocks add up to their coupling, and a block's
-    diag is the sum of the faces that leave it, to other blocks and to
-    pinned cells. (Summing the diagonals and subtracting twice the
-    inner faces would cancel under large conductivity contrasts.) A level
-    of at most _COARSEST_UNKNOWNS unknowns keeps its dense inverse
-    instead."""
+    The level keeps g and nb split by colour only. agg maps its unknowns
+    to the next level's (_coarsen); a level without one is the coarsest,
+    and keeps its dense inverse."""
 
     def __init__(
-        self, iy: np.ndarray, ix: np.ndarray, g: np.ndarray, nb: np.ndarray, anchor: np.ndarray
+        self,
+        iy: np.ndarray,
+        ix: np.ndarray,
+        g: np.ndarray,
+        nb: np.ndarray,
+        anchor: np.ndarray,
+        terms: np.ndarray,
+        agg: np.ndarray | None,
     ):
-        self.n = n = len(iy)
+        self.n = len(iy)
         self.diag = diag = anchor + g[0] + g[1] + g[2] + g[3]
         # Red-black colour sets: a red cell's neighbours are all black.
-        # Each holds (cells, their nb, their g, 1 / their diag, a buffer
-        # for their four neighbour terms).
+        # Each holds (cells, their nb, their g, 1 / their diag, a view of
+        # the flat buffer terms for their four neighbour terms). Every
+        # level's colours share one buffer, as no two fill it at once; a
+        # colour it cannot hold gets a larger one, which the next level
+        # shares.
         red = (iy + ix) % 2 == 0
+        colours = (np.flatnonzero(red), np.flatnonzero(~red))
+        size = 4 * max(len(idx) for idx in colours)
+        self.terms = terms if terms.size >= size else np.empty(size)
         self.colours = [
-            (idx, nb[:, idx], g[:, idx], 1.0 / diag[idx], np.empty((4, len(idx))))
-            for idx in (np.flatnonzero(red), np.flatnonzero(~red))
+            (idx, nb[:, idx], g[:, idx], 1.0 / diag[idx],
+             self.terms[: 4 * len(idx)].reshape(4, len(idx)))
+            for idx in colours
         ]
         self.inverse = self.coarse = None
-        if n <= _COARSEST_UNKNOWNS:
+        if agg is None:
             self.inverse = _dense_inverse(diag, g, nb)
         else:
-            ncx = int(ix.max()) // 2 + 1
-            key = (iy // 2) * ncx + ix // 2
-            slot = np.zeros((int(iy.max()) // 2 + 1) * ncx, dtype=np.int64)
-            slot[key] = 1
-            blocks = np.flatnonzero(slot)
-            nc = len(blocks)
-            slot[blocks] = np.arange(nc)
-            agg = slot[key]
-            agg_slot = np.append(agg, -1)
-            gc = np.zeros((4, nc))
-            nbc = np.full((4, nc), nc)
-            for s in range(4):
-                other = agg_slot[nb[s]]
-                cross = (other >= 0) & (other != agg)
-                gc[s] = np.bincount(agg[cross], g[s][cross], minlength=nc)
-                nbc[s][agg[cross]] = other[cross]
-            del key, slot, agg_slot, other, cross  # before the coarser levels come
-            cy, cx = np.divmod(blocks, ncx)
-            self.coarse = _Level(cy, cx, gc, nbc, np.bincount(agg, anchor, minlength=nc))
-            self.agg, self.agg_red = agg, agg[self.colours[0][0]]
+            self.agg, self.agg_red = agg, agg[colours[0]]
 
     @staticmethod
     def _neighbour_sum(colour, u: np.ndarray) -> np.ndarray:
@@ -241,6 +232,36 @@ class _Level:
         z[black[0]] = (r_black + self._neighbour_sum(black, z)) * black[3]
         z[red[0]] = (r_red + self._neighbour_sum(red, z)) * red[3]
         return z
+
+
+def _coarsen(
+    iy: np.ndarray, ix: np.ndarray, g: np.ndarray, nb: np.ndarray, anchor: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """A level's agg, and the next level's iy, ix, g, nb and anchor.
+
+    Each 2x2 block of the grid is one unknown of the next level: the
+    faces between two blocks add up to their coupling, and a block's
+    diag is the sum of the faces that leave it, to other blocks and to
+    pinned cells. (Summing the diagonals and subtracting twice the
+    inner faces would cancel under large conductivity contrasts.)"""
+    ncx = int(ix.max()) // 2 + 1
+    key = (iy // 2) * ncx + ix // 2
+    slot = np.zeros((int(iy.max()) // 2 + 1) * ncx, dtype=np.int64)
+    slot[key] = 1
+    blocks = np.flatnonzero(slot)
+    nc = len(blocks)
+    slot[blocks] = np.arange(nc)
+    agg = slot[key]
+    agg_slot = np.append(agg, -1)
+    gc = np.zeros((4, nc))
+    nbc = np.full((4, nc), nc)
+    for s in range(4):
+        other = agg_slot[nb[s]]
+        cross = (other >= 0) & (other != agg)
+        gc[s] = np.bincount(agg[cross], g[s][cross], minlength=nc)
+        nbc[s][agg[cross]] = other[cross]
+    cy, cx = np.divmod(blocks, ncx)
+    return agg, cy, cx, gc, nbc, np.bincount(agg, anchor, minlength=nc)
 
 
 def _dense_inverse(diag: np.ndarray, g: np.ndarray, nb: np.ndarray) -> np.ndarray:
@@ -286,33 +307,53 @@ def _finest_level(
     gx: np.ndarray,
     gy: np.ndarray,
     unknown: np.ndarray,
-    pinned: np.ndarray,
-    pinned_value: np.ndarray,
+    pins: np.ndarray,
+    values: np.ndarray,
 ) -> tuple[_Level, np.ndarray, np.ndarray]:
-    """The grid level over the unknown cells, those cells' flat indices,
-    and the right-hand side b: the current the pinned neighbours drive
-    into each unknown."""
+    """The grid level over the unknown cells, with its coarser levels
+    linked below it, those cells' flat indices, and the right-hand side
+    b: the current the pinned neighbours drive into each unknown. pins
+    are the pinned cells' flat indices in ascending order, values their
+    potentials.
+
+    The levels are built finest first. Each level's next level is
+    coarsened from it before its colour copies are made, and its whole g
+    and nb go once both are, so that only the colour copies of the finer
+    levels stay."""
     cells = np.flatnonzero(unknown)
     n = len(cells)
-    slot = np.full(unknown.size, n)
+    slot = np.full(unknown.size, n, dtype=np.int32)
     slot[cells] = np.arange(n)
     g = np.zeros((4, n))
     nb = np.full((4, n), n)
     anchor = np.zeros(n)
     b = np.zeros(n)
-    pinned, pinned_value = pinned.ravel(), pinned_value.ravel()
     for s, (inside, face, other) in enumerate(_faces(gx, gy, cells)):
         neighbour = slot[other]
         g[s][inside] = np.where(neighbour < n, face, 0.0)
         nb[s][inside] = neighbour
-        at_pin = np.zeros(n)
-        at_pin[inside] = np.where(pinned[other], face, 0.0)
-        anchor += at_pin
-        at_pin[inside] *= pinned_value[other]
-        b += at_pin
+        # The neighbours that are pinned, and their pins' places in pins.
+        k = np.searchsorted(pins, other)
+        pinned = pins.take(k, mode="clip") == other
+        at_pin = np.where(pinned, face, 0.0)
+        anchor[inside] += at_pin
+        at_pin *= np.where(pinned, values.take(k, mode="clip"), 0.0)
+        b[inside] += at_pin
     del slot
     iy, ix = np.divmod(cells, unknown.shape[1])
-    return _Level(iy, ix, g, nb, anchor), cells, b
+    levels: list[_Level] = []
+    while True:
+        agg = parts = None
+        if len(iy) > _COARSEST_UNKNOWNS:
+            agg, *parts = _coarsen(iy, ix, g, nb, anchor)
+        terms = levels[-1].terms if levels else np.empty(0)
+        levels.append(_Level(iy, ix, g, nb, anchor, terms, agg))
+        if parts is None:
+            break
+        iy, ix, g, nb, anchor = parts
+    for fine, coarse in zip(levels, levels[1:]):
+        fine.coarse = coarse
+    return levels[0], cells, b
 
 
 def solve_potential(
@@ -321,13 +362,15 @@ def solve_potential(
     cell_size_mm: float,
     tol: float = 1e-9,
     max_iter: int | None = None,
+    faces: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ScalarField, SolveReport]:
     """Solve div(sigma grad phi) = 0 with pinned cells.
 
     `dirichlet` maps (ix, iy) cells to potentials; every pinned cell must be
     conductive. Cells with sigma = 0, and conductive cells that no
     conductive route links to a pinned cell, are excluded from the unknown
-    set and report phi = 0.
+    set and report phi = 0. `faces` is face_conductances(sigma), when the
+    caller has it already.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if (sigma < 0).any():
@@ -338,27 +381,29 @@ def solve_potential(
     if max_iter is None:
         max_iter = 50 * max(nx, ny)
 
-    dir_mask = np.zeros(sigma.shape, dtype=bool)
-    dir_val = np.zeros(sigma.shape)
-    for (ix, iy), v in dirichlet.items():
+    for ix, iy in dirichlet:
         if not (0 <= ix < nx and 0 <= iy < ny):
             raise ValueError(f"dirichlet cell {(ix, iy)} out of bounds")
         if sigma[iy, ix] <= 0:
             raise ValueError(f"dirichlet cell {(ix, iy)} is not conductive")
-        dir_mask[iy, ix] = True
-        dir_val[iy, ix] = v
-    if not dir_mask.any():
+    if not dirichlet:
         raise ValueError("at least one dirichlet cell is required")
+    # The pinned cells' flat indices, ascending, and their potentials.
+    pinned = sorted((iy * nx + ix, v) for (ix, iy), v in dirichlet.items())
+    pins = np.array([cell for cell, _ in pinned], dtype=np.int64)
+    values = np.array([v for _, v in pinned], dtype=np.float64)
+    dir_mask = np.zeros(sigma.shape, dtype=bool)
+    dir_mask.ravel()[pins] = True
 
     # Floating pockets, conductive cells that no conductive route links to
     # a pinned cell, would make a singular row: they stay at phi = 0.
     labels, _ = label_components(sigma > 0)
     unknown = np.isin(labels, labels[dir_mask])
-    del labels  # not held through the iteration, the solve's memory peak
-    gx, gy = face_conductances(sigma)
+    del labels  # not held through the set-up and the iteration
+    gx, gy = face_conductances(sigma) if faces is None else faces
     unknown &= ~dir_mask & (_neighbor_sum(gx, gy, np.ones_like(sigma)) > 0)
 
-    level, cells, b = _finest_level(gx, gy, unknown, dir_mask, dir_val)
+    level, cells, b = _finest_level(gx, gy, unknown, pins, values)
     n = len(cells)
     # The iteration runs on buffers of the unknowns. x_slot and p_slot
     # carry the operator's trailing zero slot; x and p are their views
@@ -419,11 +464,11 @@ def solve_potential(
         final_residual = float(np.sqrt(dot(true_r, true_r)) / bnorm)
         converged = converged and final_residual <= tol
 
-    phi = np.where(dir_mask, dir_val, 0.0)
-    phi.ravel()[cells] = x
-    # Current leaving each pinned cell, in row-major order.
-    pins = np.flatnonzero(dir_mask)
+    phi = np.zeros(sigma.shape)
     at = phi.ravel()
+    at[pins] = values
+    at[cells] = x
+    # Current leaving each pinned cell, in row-major order.
     injections = np.zeros(len(pins))
     for inside, face, other in _faces(gx, gy, pins):
         injections[inside] += face * (at[pins[inside]] - at[other])
@@ -458,45 +503,55 @@ def maze_dirichlet(spec: MazeSpec) -> dict[tuple[int, int], float]:
     return pinned | dict.fromkeys(spec.negative, 0.0)
 
 
-def _masked_ddx(v: np.ndarray, valid: np.ndarray, h_m: float) -> np.ndarray:
-    """d/dx along rows: central differences where both neighbours are
+def _masked_current(
+    v: np.ndarray, sigma: np.ndarray, valid: np.ndarray, h_m: float, axis: int
+) -> np.ndarray:
+    """-sigma * dv/d(axis), axis 1 along rows (x) and 0 down columns
+    (y): central differences where both neighbours along the axis are
     valid, one-sided at a valid/invalid interface, zero with no valid
-    neighbour or off the mask."""
-    has_l = np.zeros_like(valid)
-    has_l[:, 1:] = valid[:, :-1]
-    has_r = np.zeros_like(valid)
-    has_r[:, :-1] = valid[:, 1:]
-    vl = np.zeros_like(v)
-    vl[:, 1:] = v[:, :-1]
-    vr = np.zeros_like(v)
-    vr[:, :-1] = v[:, 1:]
-    ddx = np.zeros_like(v)
-    both = valid & has_l & has_r
-    ddx[both] = (vr[both] - vl[both]) / (2.0 * h_m)
-    right = valid & has_r & ~has_l
-    ddx[right] = (vr[right] - v[right]) / h_m
-    left = valid & has_l & ~has_r
-    ddx[left] = (v[left] - vl[left]) / h_m
-    return ddx
+    neighbour or off the mask. The differences are taken at the flat
+    indices of each case, so the result is the one full float grid made."""
+    head, tail = [slice(None)] * 2, [slice(None)] * 2
+    head[axis], tail[axis] = slice(None, -1), slice(1, None)
+    head, tail = tuple(head), tuple(tail)
+    has_prev = np.zeros_like(valid)
+    has_prev[tail] = valid[head]
+    has_next = np.zeros_like(valid)
+    has_next[head] = valid[tail]
+    step = v.shape[1] if axis == 0 else 1
+    at, out = v.ravel(), np.zeros_like(v)
+    for case, ahead, behind, span in (
+        (valid & has_prev & has_next, step, -step, 2.0 * h_m),
+        (valid & has_next & ~has_prev, step, 0, h_m),
+        (valid & has_prev & ~has_next, 0, -step, h_m),
+    ):
+        k = np.flatnonzero(case)
+        out.ravel()[k] = (at[k + ahead] - at[k + behind]) / span
+    out *= sigma
+    return np.negative(out, out=out)
 
 
-def current_density(phi: ScalarField, sigma: np.ndarray) -> VectorField:
+def current_density(
+    phi: ScalarField, sigma: np.ndarray, faces: tuple[np.ndarray, np.ndarray] | None = None
+) -> VectorField:
     """J = -sigma grad(phi); zero inside non-conductive cells.
 
-    Also attaches the conservative face currents used by conservation().
+    Also attaches the conservative face currents used by conservation(),
+    from faces = face_conductances(sigma) when the caller has it.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.shape != phi.values.shape:
         raise ValueError("sigma and potential dimensions differ")
     h_m = phi.cell_size * MM_TO_M
     valid = sigma > 0
-    jx = -sigma * _masked_ddx(phi.values, valid, h_m)
-    # d/dy is d/dx of the transposed grid.
-    jy = -sigma * np.ascontiguousarray(_masked_ddx(phi.values.T, valid.T, h_m).T)
-
-    gx, gy = face_conductances(sigma)
-    fx = gx * (phi.values[:, :-1] - phi.values[:, 1:])
-    fy = gy * (phi.values[:-1, :] - phi.values[1:, :])
+    v = phi.values
+    jx = _masked_current(v, sigma, valid, h_m, axis=1)
+    jy = _masked_current(v, sigma, valid, h_m, axis=0)
+    gx, gy = face_conductances(sigma) if faces is None else faces
+    fx = np.subtract(v[:, :-1], v[:, 1:])
+    fx *= gx
+    fy = np.subtract(v[:-1], v[1:])
+    fy *= gy
     return VectorField(
         jx, jy, phi.cell_size, VectorQuantity.CURRENT_DENSITY, face_flux_x=fx, face_flux_y=fy
     )
@@ -541,18 +596,26 @@ def joule_heating(j: VectorField, sigma: np.ndarray) -> ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class FieldBundle:
-    """Everything derived from one converged solve of a maze."""
+    """What one converged solve of a maze holds: phi, the solve report,
+    and J with its face currents, five float grids in all. Joule power is
+    not held: joule.pgm's writer derives it with joule_heating from J and
+    the maze's conductivities when it writes the file."""
 
     phi: ScalarField
     report: SolveReport
     j: VectorField
-    joule: ScalarField
 
 
 def compute_fields(
     spec: MazeSpec, tol: float = 1e-9, max_iter: int | None = None
 ) -> FieldBundle:
+    """Solve the maze and derive J. The face conductances are taken once,
+    for the solve and for J's face currents. The bundle holds phi, J and
+    its face currents; Joule power is derived when joule.pgm is written
+    (joule_heating)."""
     sigma = conductivity_grid(spec)
-    phi, report = solve_potential(sigma, maze_dirichlet(spec), spec.cell_size, tol, max_iter)
-    j = current_density(phi, sigma)
-    return FieldBundle(phi=phi, report=report, j=j, joule=joule_heating(j, sigma))
+    faces = face_conductances(sigma)
+    phi, report = solve_potential(
+        sigma, maze_dirichlet(spec), spec.cell_size, tol, max_iter, faces=faces
+    )
+    return FieldBundle(phi=phi, report=report, j=current_density(phi, sigma, faces))

@@ -158,7 +158,7 @@ def test_criterion_5_shortest_path_readout(ring_maze, ring_fields, ring_segmenta
         start = sorted(maze.positive)[0]
         path = extract_path(labels, start, maze.cell_size)
         p_seq = region_sequence(path.cells, seg)
-        hot = hot_region_route(fields.joule, seg, labels)
+        hot = hot_region_route(dm.joule_heating(fields.j, conductivity_grid(maze)), seg, labels)
         route = current_route(fields.j, maze, seg)
         ((_, stream, _),) = trace_route_streamline(fields.j, maze, seg, route)
         s_seq = region_sequence(stream.cells(maze.cell_size), seg)

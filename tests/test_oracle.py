@@ -13,7 +13,7 @@ import dropmaze as dm
 from dropmaze import oracle, scenario
 from dropmaze.cli import main
 from dropmaze.currents import current_route
-from dropmaze.maze import cell_index, parse_maze
+from dropmaze.maze import cell_index, conductivity_grid, parse_maze
 from dropmaze.oracle import (
     StreamTermination,
     UnreachableError,
@@ -302,7 +302,8 @@ def test_hot_regions_match_lee_path(ring_maze, ring_fields, ring_segmentation, r
     start = sorted(ring_maze.positive)[0]
     path = extract_path(ring_labels, start, ring_maze.cell_size)
     p_seq = region_sequence(path.cells, ring_segmentation)
-    hot = hot_region_route(ring_fields.joule, ring_segmentation, ring_labels)
+    joule = dm.joule_heating(ring_fields.j, conductivity_grid(ring_maze))
+    hot = hot_region_route(joule, ring_segmentation, ring_labels)
     assert hot == p_seq
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dropmaze as dm
+from dropmaze.maze import conductivity_grid
 from dropmaze.render import (
     normalize_u8,
     read_field_csv,
@@ -72,7 +73,8 @@ def test_render_field_rejects_what_it_cannot_draw(tmp_path, rows, style, message
 
 def test_overlay_blacks_out_walls(tmp_path, ring_maze, ring_fields):
     out = tmp_path / "joule.pgm"
-    render_field(ring_fields.joule, out, style="overlay", maze=ring_maze)
+    joule = dm.joule_heating(ring_fields.j, conductivity_grid(ring_maze))
+    render_field(joule, out, style="overlay", maze=ring_maze)
     body = out.read_bytes().split(b"255\n", 1)[1]
     img = np.frombuffer(body, dtype=np.uint8).reshape(ring_maze.ny, ring_maze.nx)
     assert (img[ring_maze.wall_mask()] == 0).all()
@@ -132,7 +134,8 @@ def test_joule_image_ridge_follows_lee_path(tmp_path, ring_maze, ring_fields, ri
     from dropmaze.oracle import extract_path
 
     out = tmp_path / "joule.pgm"
-    render_field(ring_fields.joule, out, style="overlay", maze=ring_maze)
+    joule = dm.joule_heating(ring_fields.j, conductivity_grid(ring_maze))
+    render_field(joule, out, style="overlay", maze=ring_maze)
     body = out.read_bytes().split(b"255\n", 1)[1]
     img = np.frombuffer(body, dtype=np.uint8).reshape(ring_maze.ny, ring_maze.nx)
 

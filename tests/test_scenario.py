@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -22,8 +23,10 @@ from dropmaze.scenario import (
     compare_bundles,
     corner_force_stats,
     export_bundle,
+    load_config,
     parse_config,
     prepare_fields,
+    run_and_export,
     run_scenario,
     write_trajectory_csv,
 )
@@ -427,20 +430,7 @@ def test_corner_force_stats_equals_probe_by_probe_scan(name, monkeypatch):
     every probe on its own with disk_integrate, which corner_force_stats
     then calls once, on the first probe that holds the maximum."""
     maze, params = _corner_case(name)
-    fields = dm.compute_fields(maze)
-    if name == "bifurcation_symmetric":
-        # The solve is mirror-symmetric only to about 1e-9; make the field
-        # exactly so, which ties the force maxima of mirrored probes.
-        j = fields.j
-        mirrored = dm.VectorField(j.vx + j.vx[::-1], j.vy - j.vy[::-1], j.cell_size, j.quantity)
-        fields = dataclasses.replace(fields, j=mirrored)
-    if name == "ring_rough":
-        # J times a seeded per-cell factor over six decades: neighbouring
-        # terms of a disk sum differ by up to 1e6, far from a smooth field.
-        j = fields.j
-        scale = 10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, j.vx.shape)
-        rough = dm.VectorField(j.vx * scale, j.vy * scale, j.cell_size, j.quantity)
-        fields = dataclasses.replace(fields, j=rough)
+    fields = _corner_fields(name, maze)
     seg = dm.segment_corridors(maze)
     evaluated = []
 
@@ -474,6 +464,66 @@ def test_corner_force_stats_equals_probe_by_probe_scan(name, monkeypatch):
     if name == "bifurcation_symmetric":
         # The mirror image of the probe, in a later row, ties with it.
         assert maze.ny * h - y > y and force((x, maze.ny * h - y)) == want
+
+
+def _corner_fields(name, maze):
+    """The fields of a _corner_case maze, with the case's changes to J."""
+    fields = dm.compute_fields(maze)
+    if name == "bifurcation_symmetric":
+        # The solve is mirror-symmetric only to about 1e-9; make the field
+        # exactly so, which ties the force maxima of mirrored probes.
+        j = fields.j
+        mirrored = dm.VectorField(j.vx + j.vx[::-1], j.vy - j.vy[::-1], j.cell_size, j.quantity)
+        fields = dataclasses.replace(fields, j=mirrored)
+    if name == "ring_rough":
+        # J times a seeded per-cell factor over six decades: neighbouring
+        # terms of a disk sum differ by up to 1e6, far from a smooth field.
+        j = fields.j
+        scale = 10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, j.vx.shape)
+        rough = dm.VectorField(j.vx * scale, j.vy * scale, j.cell_size, j.quantity)
+        fields = dataclasses.replace(fields, j=rough)
+    return fields
+
+
+@pytest.mark.parametrize("name", ["ring_m2", "bifurcation_symmetric", "ring_rough"])
+def test_corner_force_stats_do_not_depend_on_the_chunk(name, monkeypatch):
+    """Probes summed three at a time give the statistics, and the one
+    disk_integrate call's centre, that one chunk of every probe gives:
+    among tied maxima in different chunks the first still wins."""
+    maze, params = _corner_case(name)
+    fields, seg = _corner_fields(name, maze), dm.segment_corridors(maze)
+    runs = []
+    for chunk in (3, 10**9):
+        evaluated = []
+
+        def counted(*args, **kwargs):
+            evaluated.append(args[1])
+            return dm.disk_integrate(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "disk_integrate", counted)
+        monkeypatch.setattr(scenario, "_PROBE_CHUNK", chunk)
+        runs.append((corner_force_stats(maze, fields, params, seg), evaluated))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 1
+
+
+def test_corner_force_stats_hold_the_row_sums_and_little_more():
+    """corner_force_stats on ring_m2 at 0.25 mm cells (280 x 280, 11 167
+    probes) allocates at most 2.5 float64 grids above what it holds on
+    entry: the row sums of J take two, and the probes are summed in
+    chunks, so that no array or list grows with the probe count. All
+    probes at once took 4.8 grids."""
+    cfg = dataclasses.replace(load_config(CONFIGS / "ring_m2.cfg"), cell_size_mm=0.25)
+    solved = prepare_fields(cfg)
+    maze, seg = solved.maze, solved.seg
+    tracemalloc.start()
+    try:
+        stats = corner_force_stats(maze, solved.fields, cfg.dynamics, seg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats["max"] > 0
+    assert peak <= 2.5 * maze.ny * maze.nx * 8
 
 
 # A bifurcation maze small enough for the maze stage's tests to solve it
@@ -598,6 +648,27 @@ def test_maze_stage_drops_the_old_maze_before_solving_a_new_one(tmp_path, monkey
     assert alive_during_solve == [False, False]
 
 
+def test_a_run_peaks_below_eleven_grids(tmp_path):
+    """One run of ring_m2 at 0.25 mm cells (280 x 280) with its bundle,
+    from an empty maze stage, allocates at most 11 float64 grids (6.90
+    MB) under tracemalloc. The stage holds phi, J and its two face-current
+    grids; Joule power is derived as joule.pgm is written, the solve's
+    set-up keeps only the colour copies of its finer levels, and the
+    corner probes are summed in chunks. Before those cuts a run took
+    12.6 grids."""
+    cfg = dataclasses.replace(load_config(CONFIGS / "ring_m2.cfg"), cell_size_mm=0.25)
+    scenario._forget_solved_maze()
+    tracemalloc.start()
+    try:
+        result = run_and_export(cfg, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    assert (tmp_path / "joule.pgm").exists()
+    assert peak <= 11 * result.maze.ny * result.maze.nx * 8
+
+
 def _stage_arrays(result):
     fields, seg = result.fields, result.solved.seg
     ((_, stream, _),) = result.solved.branches
@@ -608,7 +679,6 @@ def _stage_arrays(result):
         "fields.j.vy": fields.j.vy,
         "fields.j.face_flux_x": fields.j.face_flux_x,
         "fields.j.face_flux_y": fields.j.face_flux_y,
-        "fields.joule": fields.joule.values,
         "segmentation.region": seg.region,
         "segmentation.is_node": seg.is_node,
         "segmentation.skeleton": seg.skeleton,
