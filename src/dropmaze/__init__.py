@@ -36,6 +36,7 @@ from .solver import (
     compute_fields,
     conservation,
     current_density,
+    face_currents,
     joule_heating,
     maze_dirichlet,
     solve_potential,

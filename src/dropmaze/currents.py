@@ -1,10 +1,5 @@
 """The route the current takes: Kirchhoff's current law at the level of
-the corridor regions.
-
-The solve's face currents, summed over the faces between two adjacent
-regions of a corridor segmentation, give the net current between them.
-The route is the chain of corridors from the positive electrode to the
-negative one that carries the most current (current_route).
+the corridor regions of a segmentation (region_net_currents, current_route).
 """
 
 from __future__ import annotations
@@ -14,10 +9,12 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .solver import series_conductance
+
 if TYPE_CHECKING:
     from .maze import MazeSpec
     from .oracle import CorridorSegmentation
-    from .solver import VectorField
+    from .solver import ScalarField
 
 
 # A solve stopped at relative residual tol leaves errors of a few tol in
@@ -45,22 +42,47 @@ class CurrentRoute(NamedTuple):
     split_margin: float | None
 
 
+def region_net_currents(phi: ScalarField, maze: MazeSpec, seg: CorridorSegmentation) -> np.ndarray:
+    """The (n, n) net currents (A per unit depth), [a, b] from region a to
+    b over their faces. Regions hold channel cells only, so such a face
+    carries series_conductance(sigma_electrolyte, sigma_electrolyte) times
+    phi's drop across it: no conductance or face-current grid is made."""
+    g = series_conductance(maze.sigma_electrolyte, maze.sigma_electrolyte)
+    region, n, v = seg.region, seg.n_regions, phi.values
+    across = np.zeros(n * n)  # [a * n + b]: current from a to b over their faces
+    for a, b, va, vb in ((region[:, :-1], region[:, 1:], v[:, :-1], v[:, 1:]),
+                         (region[:-1, :], region[1:, :], v[:-1, :], v[1:, :])):
+        cross = (a != b) & (a >= 0) & (b >= 0)
+        flux = (va[cross] - vb[cross]) * g
+        across += np.bincount(a[cross] * n + b[cross], weights=flux, minlength=n * n)
+    net = across.reshape(n, n)
+    return net - net.T
+
+
 def current_route(
-    j: VectorField, maze: MazeSpec, seg: CorridorSegmentation, tol: float = 1e-9
+    phi: ScalarField, maze: MazeSpec, seg: CorridorSegmentation, tol: float = 1e-9
+) -> CurrentRoute:
+    """The route by the solve's potential phi: route_of_net_currents of
+    its region_net_currents."""
+    return route_of_net_currents(region_net_currents(phi, maze, seg), maze, seg, tol)
+
+
+def route_of_net_currents(
+    net: np.ndarray, maze: MazeSpec, seg: CorridorSegmentation, tol: float = 1e-9
 ) -> CurrentRoute:
     """The chain of corridors that carries the most current from the
     positive electrode to the negative one (Kirchhoff's current law at the
-    level of corridor regions).
+    level of corridor regions), given the (n, n) net currents between the
+    regions (region_net_currents).
 
-    The net current between two adjacent regions is the sum of the solve's
-    face currents over the faces between them. A downstream path runs from a
-    region holding a positive electrode cell to one holding a negative cell,
-    each step along a positive net current; its corridor sequence drops the
-    junction regions, as region_sequence does. Each cycle of steps that a
-    topological sort finds loses its weakest step. The route is a widest
-    (maximum-bottleneck) path (Pollack, "The maximum capacity through a
-    network", Operations Research 8(5), 1960) whose ties are broken by the
-    next-narrowest corridor, and so on. The corridor currents fall into
+    A downstream path runs from a region holding a positive electrode cell
+    to one holding a negative cell, each step along a positive net current;
+    its corridor sequence drops the junction regions, as region_sequence
+    does. Each cycle of steps that a topological sort finds loses its
+    weakest step. The route is a widest (maximum-bottleneck) path
+    (Pollack, "The maximum capacity through a network", Operations
+    Research 8(5), 1960) whose ties are broken by the next-narrowest
+    corridor, and so on. The corridor currents fall into
     levels, each rising _TIE_SLACK * tol of the largest region current above
     its lowest (tol being the solve's own tolerance); the fewest corridors
     on the lowest level win, then on the next (Burkard & Rendl, Operations
@@ -68,16 +90,7 @@ def current_route(
     more loses to it. One pass in topological order finds the route; a
     mirror-symmetric maze returns both branches, in sequence order.
     """
-    if j.face_flux_x is None or j.face_flux_y is None:
-        raise ValueError("vector field carries no face currents; solve first")
     region, n = seg.region, seg.n_regions
-    across = np.zeros(n * n)  # [a * n + b]: current from a to b over their faces
-    for a, b, flux in ((region[:, :-1], region[:, 1:], j.face_flux_x),
-                       (region[:-1, :], region[1:, :], j.face_flux_y)):
-        cross = (a != b) & (a >= 0) & (b >= 0)
-        across += np.bincount(a[cross] * n + b[cross], weights=flux[cross], minlength=n * n)
-    net = across.reshape(n, n)
-    net = net - net.T
     current = 0.5 * np.abs(net).sum(axis=1)
     current.setflags(write=False)
     sinks = {int(region[iy, ix]) for ix, iy in maze.negative} - {-1}

@@ -307,9 +307,9 @@ def trace_route_streamline(
     seg: CorridorSegmentation,
     route: CurrentRoute,
 ) -> tuple[tuple[tuple[int, ...], Streamline, bool], ...]:
-    """The route (current_route of j, maze and seg), as (corridor
-    sequence, streamline, follows) triples in sequence order: one per tied
-    branch, one without a tie.
+    """The route (current_route of the potential j derives from, maze
+    and seg), as (corridor sequence, streamline, follows) triples in
+    sequence order: one per tied branch, one without a tie.
 
     Each branch's streamline cross-checks it: seeds on a ring of cells
     around the positive electrode are traced in decreasing field

@@ -188,7 +188,7 @@ def write_field_csv(path: str | Path, field: ScalarField | VectorField) -> None:
 
 
 def read_field_csv(path: str | Path) -> ScalarField | VectorField:
-    """Rebuild a field from its CSV export (face currents are not stored).
+    """Rebuild a field from its CSV export.
 
     The rows must come in the order write_field_csv writes them: the first
     run of equal y is the grid's width, and each row's x and y are its

@@ -432,7 +432,7 @@ class SolvedMaze:
 
     @functools.cached_property
     def route(self) -> CurrentRoute:
-        return current_route(self.fields.j, self.maze, self.seg, self.fields.report.tol)
+        return current_route(self.fields.phi, self.maze, self.seg, self.fields.report.tol)
 
     @functools.cached_property
     def branches(self) -> tuple[tuple[tuple[int, ...], Streamline, bool], ...]:

@@ -73,11 +73,6 @@ class VectorField:
     vy: np.ndarray  # (ny, nx)
     cell_size: float  # mm
     quantity: VectorQuantity
-    # Conservative inter-cell currents (A per unit depth) attached by
-    # current_density; face_flux_x[iy, k] flows from column k to k+1,
-    # face_flux_y[j, ix] from row j to j+1. None for synthetic fields.
-    face_flux_x: np.ndarray | None = None
-    face_flux_y: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("vx", "vy"):
@@ -88,9 +83,6 @@ class VectorField:
             object.__setattr__(self, name, arr)
         if self.vx.shape != self.vy.shape:
             raise ValueError("vx and vy shapes differ")
-        for flux in (self.face_flux_x, self.face_flux_y):
-            if flux is not None:
-                flux.setflags(write=False)
 
     @property
     def nx(self) -> int:
@@ -119,17 +111,27 @@ class SolveReport:
         return abs(self.current_in - self.current_out) / scale
 
 
+def series_conductance(a, b):
+    """Harmonic mean of conductivities a, b > 0: two half cells in series."""
+    return 2.0 * a * b / (a + b)
+
+
 def face_conductances(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Harmonic-mean conductances on vertical (gx) and horizontal (gy) faces."""
-    a, b = sigma[:, :-1], sigma[:, 1:]
-    gx = np.zeros_like(a)
-    m = (a > 0) & (b > 0)
-    gx[m] = 2.0 * a[m] * b[m] / (a[m] + b[m])
-    a, b = sigma[:-1, :], sigma[1:, :]
-    gy = np.zeros_like(a)
-    m = (a > 0) & (b > 0)
-    gy[m] = 2.0 * a[m] * b[m] / (a[m] + b[m])
-    return gx, gy
+    faces = []
+    for a, b in ((sigma[:, :-1], sigma[:, 1:]), (sigma[:-1, :], sigma[1:, :])):
+        g = np.zeros_like(a)
+        m = (a > 0) & (b > 0)
+        g[m] = series_conductance(a[m], b[m])
+        faces.append(g)
+    return faces[0], faces[1]
+
+
+def face_currents(phi: ScalarField, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The conservative inter-cell currents (A per unit depth): fx[iy, k]
+    flows from column k to k + 1, fy[j, ix] from row j to j + 1."""
+    v, (gx, gy) = phi.values, face_conductances(sigma)
+    return (v[:, :-1] - v[:, 1:]) * gx, (v[:-1] - v[1:]) * gy
 
 
 def _neighbor_sum(gx: np.ndarray, gy: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -362,15 +364,13 @@ def solve_potential(
     cell_size_mm: float,
     tol: float = 1e-9,
     max_iter: int | None = None,
-    faces: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ScalarField, SolveReport]:
     """Solve div(sigma grad phi) = 0 with pinned cells.
 
     `dirichlet` maps (ix, iy) cells to potentials; every pinned cell must be
     conductive. Cells with sigma = 0, and conductive cells that no
     conductive route links to a pinned cell, are excluded from the unknown
-    set and report phi = 0. `faces` is face_conductances(sigma), when the
-    caller has it already.
+    set and report phi = 0.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if (sigma < 0).any():
@@ -400,8 +400,12 @@ def solve_potential(
     labels, _ = label_components(sigma > 0)
     unknown = np.isin(labels, labels[dir_mask])
     del labels  # not held through the set-up and the iteration
-    gx, gy = face_conductances(sigma) if faces is None else faces
-    unknown &= ~dir_mask & (_neighbor_sum(gx, gy, np.ones_like(sigma)) > 0)
+    gx, gy = face_conductances(sigma)
+    linked = np.zeros(sigma.shape, dtype=bool)  # cells with a conductive face
+    for side, g in ((np.s_[:, :-1], gx), (np.s_[:, 1:], gx), (np.s_[:-1], gy), (np.s_[1:], gy)):
+        linked[side] |= g > 0
+    unknown &= linked & ~dir_mask
+    del linked, dir_mask  # not held through the set-up and the iteration
 
     level, cells, b = _finest_level(gx, gy, unknown, pins, values)
     n = len(cells)
@@ -531,14 +535,9 @@ def _masked_current(
     return np.negative(out, out=out)
 
 
-def current_density(
-    phi: ScalarField, sigma: np.ndarray, faces: tuple[np.ndarray, np.ndarray] | None = None
-) -> VectorField:
-    """J = -sigma grad(phi); zero inside non-conductive cells.
-
-    Also attaches the conservative face currents used by conservation(),
-    from faces = face_conductances(sigma) when the caller has it.
-    """
+def current_density(phi: ScalarField, sigma: np.ndarray) -> VectorField:
+    """J = -sigma grad(phi) at cell centres, zero inside non-conductive
+    cells; face_currents gives the conservative currents between cells."""
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.shape != phi.values.shape:
         raise ValueError("sigma and potential dimensions differ")
@@ -547,18 +546,12 @@ def current_density(
     v = phi.values
     jx = _masked_current(v, sigma, valid, h_m, axis=1)
     jy = _masked_current(v, sigma, valid, h_m, axis=0)
-    gx, gy = face_conductances(sigma) if faces is None else faces
-    fx = np.subtract(v[:, :-1], v[:, 1:])
-    fx *= gx
-    fy = np.subtract(v[:-1], v[1:])
-    fy *= gy
-    return VectorField(
-        jx, jy, phi.cell_size, VectorQuantity.CURRENT_DENSITY, face_flux_x=fx, face_flux_y=fy
-    )
+    return VectorField(jx, jy, phi.cell_size, VectorQuantity.CURRENT_DENSITY)
 
 
 def conservation(
-    j: VectorField,
+    phi: ScalarField,
+    sigma: np.ndarray,
     positive_cells: frozenset[tuple[int, int]] | set[tuple[int, int]],
     negative_cells: frozenset[tuple[int, int]] | set[tuple[int, int]],
 ) -> tuple[ScalarField, float, float]:
@@ -567,17 +560,15 @@ def conservation(
     On a converged solve the divergence vanishes on every non-electrode
     cell and current_in balances current_out.
     """
-    if j.face_flux_x is None or j.face_flux_y is None:
-        raise ValueError("vector field carries no face currents; solve first")
-    fx, fy = j.face_flux_x, j.face_flux_y
-    net = np.zeros((j.ny, j.nx))
+    fx, fy = face_currents(phi, sigma)
+    net = np.zeros((phi.ny, phi.nx))
     net[:, :-1] += fx
     net[:, 1:] -= fx
     net[:-1, :] += fy
     net[1:, :] -= fy
 
-    h_m = j.cell_size * MM_TO_M
-    div = ScalarField(net / (h_m * h_m), j.cell_size, Quantity.DIVERGENCE)
+    h_m = phi.cell_size * MM_TO_M
+    div = ScalarField(net / (h_m * h_m), phi.cell_size, Quantity.DIVERGENCE)
     current_in = float(sum(net[iy, ix] for ix, iy in sorted(positive_cells)))
     current_out = float(-sum(net[iy, ix] for ix, iy in sorted(negative_cells)))
     return div, current_in, current_out
@@ -596,10 +587,9 @@ def joule_heating(j: VectorField, sigma: np.ndarray) -> ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class FieldBundle:
-    """What one converged solve of a maze holds: phi, the solve report,
-    and J with its face currents, five float grids in all. Joule power is
-    not held: joule.pgm's writer derives it with joule_heating from J and
-    the maze's conductivities when it writes the file."""
+    """One converged solve of a maze: phi, the solve report and J, three
+    float grids in all. Face currents and Joule power (joule_heating, for
+    joule.pgm) are derived where they are read."""
 
     phi: ScalarField
     report: SolveReport
@@ -609,13 +599,7 @@ class FieldBundle:
 def compute_fields(
     spec: MazeSpec, tol: float = 1e-9, max_iter: int | None = None
 ) -> FieldBundle:
-    """Solve the maze and derive J. The face conductances are taken once,
-    for the solve and for J's face currents. The bundle holds phi, J and
-    its face currents; Joule power is derived when joule.pgm is written
-    (joule_heating)."""
+    """Solve the maze and derive J (FieldBundle)."""
     sigma = conductivity_grid(spec)
-    faces = face_conductances(sigma)
-    phi, report = solve_potential(
-        sigma, maze_dirichlet(spec), spec.cell_size, tol, max_iter, faces=faces
-    )
-    return FieldBundle(phi=phi, report=report, j=current_density(phi, sigma, faces))
+    phi, report = solve_potential(sigma, maze_dirichlet(spec), spec.cell_size, tol, max_iter)
+    return FieldBundle(phi=phi, report=report, j=current_density(phi, sigma))

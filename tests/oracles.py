@@ -1212,54 +1212,41 @@ def vote_fan_route(j, maze, seg, tol=1e-9):
     return tuple(sorted(chosen, key=lambda pair: pair[0]))
 
 
-def region_net_currents_by_scan(j, region):
-    """{(a, b): net current from region a to region b} for adjacent
-    regions, the face currents summed face by face."""
-    net = {}
-    ny, nx = region.shape
-    for iy in range(ny):
-        for ix in range(nx):
-            for flux, jx, jy in ((j.face_flux_x, ix + 1, iy), (j.face_flux_y, ix, iy + 1)):
-                if jx >= nx or jy >= ny:
-                    continue
-                a, b = int(region[iy, ix]), int(region[jy, jx])
-                if a < 0 or b < 0 or a == b:
-                    continue
-                f = float(flux[iy, ix])
-                net[a, b] = net.get((a, b), 0.0) + f
-                net[b, a] = net.get((b, a), 0.0) - f
-    return net
+def region_net_currents_by_scan(fx, fy, region, n_regions):
+    """The (n, n) net currents between adjacent regions, summed face by
+    face from the face-current grids fx and fy (solver.face_currents'):
+    [a, b] is the current from a to b over the vertical faces, in row-major
+    order, plus that over the horizontal faces, less [b, a]. That order is
+    the package's bincount's, so the sums are its floats bit for bit."""
+    across = []
+    for flux, dy, dx in ((fx, 0, 1), (fy, 1, 0)):
+        sums = [[0.0] * n_regions for _ in range(n_regions)]
+        for iy in range(flux.shape[0]):
+            for ix in range(flux.shape[1]):
+                a, b = int(region[iy, ix]), int(region[iy + dy, ix + dx])
+                if a >= 0 and b >= 0 and a != b:
+                    sums[a][b] += float(flux[iy, ix])
+        across.append(np.array(sums))
+    net = across[0] + across[1]
+    return net - net.T
 
 
-def region_currents_by_scan(j, region, n_regions):
+def region_currents_by_scan(net):
     """Each region's current: half the absolute net current it exchanges
-    with each neighbouring region (region_net_currents_by_scan)."""
-    current = [0.0] * n_regions
-    for (a, _), f in region_net_currents_by_scan(j, region).items():
-        current[a] += 0.5 * abs(f)
-    return current
+    with each neighbouring region, summed neighbour by neighbour."""
+    return [sum(0.5 * abs(f) for f in row) for row in net.tolist()]
 
 
-def enumerated_route(j, maze, seg, tol=1e-9):
-    """The route by listing every simple downstream path: (sequences,
-    split_margin) as currents.current_route gives them on an acyclic
-    region graph. The net currents are summed by the package's bincount,
-    so that the currents compared are the package's floats bit for bit.
+def enumerated_route(net, maze, seg, tol=1e-9):
+    """The route by listing every simple downstream path over the (n, n)
+    net currents between the regions: (sequences, split_margin) as
+    currents.route_of_net_currents gives them on an acyclic region graph.
     The sorted corridor currents of each path are its key, the keys are
     filtered position by position against the best within the tie slack,
     and every sequence left over is compared with every branch."""
     from dropmaze.currents import _TIE_SLACK
 
-    region, n = seg.region, seg.n_regions
-    across = np.zeros(n * n)
-    for a, b, flux in (
-        (region[:, :-1], region[:, 1:], j.face_flux_x),
-        (region[:-1, :], region[1:, :], j.face_flux_y),
-    ):
-        cross = (a != b) & (a >= 0) & (b >= 0)
-        across += np.bincount(a[cross] * n + b[cross], weights=flux[cross], minlength=n * n)
-    net = across.reshape(n, n)
-    net = net - net.T
+    region = seg.region
     current = 0.5 * np.abs(net).sum(axis=1)
     sources = sorted({int(region[iy, ix]) for ix, iy in maze.positive} - {-1})
     sinks = {int(region[iy, ix]) for ix, iy in maze.negative} - {-1}

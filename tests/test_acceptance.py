@@ -36,6 +36,7 @@ from dropmaze.solver import (
     compute_fields,
     conservation,
     current_density,
+    face_currents,
     maze_dirichlet,
     solve_potential,
 )
@@ -106,9 +107,7 @@ def test_criterion_2_conservation(ring_maze, ring_fields):
     for maze, fields in cases:
         assert fields.report.converged
         div, i_in, i_out = conservation(
-            fields.j,
-            maze.positive,
-            maze.negative,
+            fields.phi, conductivity_grid(maze), maze.positive, maze.negative
         )
         assert abs(i_in - i_out) / i_in < 1e-4
         assert abs(fields.report.current_imbalance()) < 1e-4
@@ -142,8 +141,7 @@ def test_criterion_3_analytic_strip():
 def test_criterion_4_branch_ratio():
     spec = generate_bifurcation_maze(40.0, 80.0, 2.0)
     lay = bifurcation_layout(40.0, 80.0, 2.0)
-    fields = compute_fields(spec)
-    fy = fields.j.face_flux_y
+    _, fy = face_currents(compute_fields(spec).phi, conductivity_grid(spec))
     cols = slice(lay.riser_col, lay.riser_col + lay.width_cells)
     i_a = abs(float(fy[lay.inlet_row - 2, cols].sum()))
     i_b = abs(float(fy[lay.inlet_row + lay.width_cells + 1, cols].sum()))
@@ -159,7 +157,7 @@ def test_criterion_5_shortest_path_readout(ring_maze, ring_fields, ring_segmenta
         path = extract_path(labels, start, maze.cell_size)
         p_seq = region_sequence(path.cells, seg)
         hot = hot_region_route(dm.joule_heating(fields.j, conductivity_grid(maze)), seg, labels)
-        route = current_route(fields.j, maze, seg)
+        route = current_route(fields.phi, maze, seg)
         ((_, stream, _),) = trace_route_streamline(fields.j, maze, seg, route)
         s_seq = region_sequence(stream.cells(maze.cell_size), seg)
         assert stream.termination is StreamTermination.REACHED

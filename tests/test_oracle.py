@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import dropmaze as dm
 from dropmaze import oracle, scenario
 from dropmaze.cli import main
-from dropmaze.currents import current_route
+from dropmaze.currents import current_route, region_net_currents, route_of_net_currents
 from dropmaze.maze import cell_index, conductivity_grid, parse_maze
 from dropmaze.oracle import (
     StreamTermination,
@@ -29,7 +29,7 @@ from dropmaze.oracle import (
 )
 from dropmaze.generators import bifurcation_layout, generate_bifurcation_maze
 from dropmaze.scenario import build_maze, load_config, run_oracle_only, run_scenario
-from dropmaze.solver import VectorField, VectorQuantity, compute_fields
+from dropmaze.solver import ScalarField, VectorField, VectorQuantity, compute_fields, face_currents
 
 from conftest import count_calls, ring_config, straight_channel_text
 from oracles import (
@@ -289,7 +289,7 @@ def test_ring_streamline_matches_lee_path(ring_maze, ring_fields, ring_segmentat
     seg = ring_segmentation
     start = sorted(ring_maze.positive)[0]
     path = extract_path(ring_labels, start, ring_maze.cell_size)
-    route = current_route(ring_fields.j, ring_maze, seg)
+    route = current_route(ring_fields.phi, ring_maze, seg)
     ((_, sl, _),) = trace_route_streamline(ring_fields.j, ring_maze, seg, route)
     assert sl.termination is StreamTermination.REACHED
     s_seq = region_sequence(sl.cells(ring_maze.cell_size), seg)
@@ -315,7 +315,8 @@ def test_streamline_lee_agreement_over_corpus():
         labels = lee_label(spec)
         start = sorted(spec.positive)[0]
         path = extract_path(labels, start, spec.cell_size)
-        ((_, sl, _),) = trace_route_streamline(fields.j, spec, seg, current_route(fields.j, spec, seg))
+        route = current_route(fields.phi, spec, seg)
+        ((_, sl, _),) = trace_route_streamline(fields.j, spec, seg, route)
         assert region_sequence(sl.cells(spec.cell_size), seg) == region_sequence(path.cells, seg)
 
 
@@ -712,36 +713,34 @@ def test_fan_traces_at_most_max_seeds_streamlines(rows, seeds, monkeypatch):
     until one follows the route, before the last here; with the field
     reversed none does, and it traces them all."""
     maze = parse_maze(straight_channel_text(length_cells=12, rows=rows))
-    j = compute_fields(maze).j
+    fields = compute_fields(maze)
+    j = fields.j
     seg = segment_corridors(maze)
     calls = count_calls(monkeypatch, oracle.streamline)
     vote_fan_route(j, maze, seg)
     assert calls == {"streamline": seeds}
     assert seeds <= oracle._MAX_SEEDS
     calls.clear()
-    ((seq, stream, _),) = trace_route_streamline(j, maze, seg, current_route(j, maze, seg))
+    route = current_route(fields.phi, maze, seg)
+    ((seq, stream, _),) = trace_route_streamline(j, maze, seg, route)
     assert 1 <= calls["streamline"] < seeds
     assert stream.termination is StreamTermination.REACHED
     assert region_sequence(stream.cells(maze.cell_size), seg) == seq
     calls.clear()
-    reversed_j = VectorField(-j.vx, -j.vy, j.cell_size, j.quantity,
-                             face_flux_x=j.face_flux_x, face_flux_y=j.face_flux_y)
-    reversed_route = current_route(reversed_j, maze, seg)
-    assert trace_route_streamline(reversed_j, maze, seg, reversed_route)[0][0] == seq
+    reversed_j = VectorField(-j.vx, -j.vy, j.cell_size, j.quantity)
+    assert trace_route_streamline(reversed_j, maze, seg, route)[0][0] == seq
     assert calls == {"streamline": seeds}
 
 
-def _mirrored(j, scale=1.0):
-    """j plus its mirror image about the grid's middle row, face currents
-    too, times scale (an (ny, 1) array of row factors, or 1)."""
+def _mirrored(fields, scale=1.0):
+    """phi and j, each plus its mirror image about the grid's middle row,
+    times scale (an (ny, 1) array of row factors, or 1)."""
+    phi, j = fields.phi, fields.j
     scale = np.broadcast_to(scale, (j.ny, 1))
-    return VectorField(
-        (j.vx + j.vx[::-1]) * scale,
-        (j.vy - j.vy[::-1]) * scale,
-        j.cell_size,
-        j.quantity,
-        face_flux_x=(j.face_flux_x + j.face_flux_x[::-1]) * scale,
-        face_flux_y=(j.face_flux_y - j.face_flux_y[::-1]) * scale[:-1],
+    return (
+        ScalarField((phi.values + phi.values[::-1]) * scale, phi.cell_size, phi.quantity),
+        VectorField((j.vx + j.vx[::-1]) * scale, (j.vy - j.vy[::-1]) * scale,
+                    j.cell_size, j.quantity),
     )
 
 
@@ -753,18 +752,19 @@ def test_fan_reports_both_branches_of_a_mirrored_field():
     the solved field the currents differ in their last bits only, which
     a tol below that spread lets settle the pick again."""
     maze = corpus_maze("bifurcation_symmetric")
-    j = compute_fields(maze).j
-    mirrored = _mirrored(j)
+    fields = compute_fields(maze)
+    phi, j = fields.phi, fields.j
+    mirrored_phi, mirrored = _mirrored(fields)
     seg = segment_corridors(maze)
-    branches = trace_route_streamline(mirrored, maze, seg, current_route(mirrored, maze, seg))
+    branches = trace_route_streamline(mirrored, maze, seg, current_route(mirrored_phi, maze, seg))
     want = [(4, 5, 6, 7, 11), (4, 8, 9, 10, 11)]
     assert [seq for seq, _, _ in branches] == want
     assert [seq for seq, _ in vote_fan_route(mirrored, maze, seg)] == want
     for seq, stream, _ in branches:
         assert stream.termination is StreamTermination.REACHED
         assert region_sequence(stream.cells(maze.cell_size), seg) == seq
-    assert len(trace_route_streamline(j, maze, seg, current_route(j, maze, seg))) == 2
-    assert len(trace_route_streamline(j, maze, seg, current_route(j, maze, seg, 1e-15))) == 1
+    assert len(trace_route_streamline(j, maze, seg, current_route(phi, maze, seg))) == 2
+    assert len(trace_route_streamline(j, maze, seg, current_route(phi, maze, seg, 1e-15))) == 1
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
@@ -799,24 +799,26 @@ def test_route_reports_a_tie_only_where_the_branches_are_equal(name):
 def test_route_report_does_not_depend_on_the_fan_order(start, tmp_path):
     """The route returns the symmetric maze's tied branches in corridor-
     sequence order, whichever branch the solve's error makes heavier: on
-    the mirrored field and face currents with the rows above the axis
-    scaled by 1 + 1e-7 or by 1 - 1e-7, either branch gets the larger
-    current, still within the tie. (The mirrored currents balance only to
-    the solve's residual, so its branches differ by about 1e-9 relative
-    before the scaling.) The route stage lists them in that order, and
-    reports the tied branch on the Lee path or, from a start inside one
-    branch whose path follows neither, the first in that order."""
+    the mirrored potential with the rows above the axis scaled by 1 + 1e-7
+    or by 1 - 1e-7, either branch gets the larger current, still within
+    the tie. The step the scaling leaves at the axis drives current across
+    it from the junction into the lower branch's first corridor, so the
+    lower branch, (4, 8, 9, 10, 11), is the heavier at 1 + 1e-7 (by 1.4e-6
+    relative) and the upper one at 1 - 1e-7. The route stage lists them
+    in that order, and reports the tied branch on the Lee path or, from a
+    start inside one branch whose path follows neither, the first in that
+    order."""
     cfg = dataclasses.replace(load_config(CONFIGS / "bifurcation_symmetric.cfg"), start=start)
     want = run_oracle_only(cfg, tmp_path / "fan")["oracle"]
     solved = scenario.prepare_fields(cfg)
-    maze, j = solved.maze, solved.fields.j
+    maze = solved.maze
     above = (np.arange(maze.ny) < maze.ny // 2)[:, None]
     orders = []
     for factor in (1 + 1e-7, 1 - 1e-7):
-        field = _mirrored(j, np.where(above, factor, 1.0))
-        route = current_route(field, maze, solved.seg)
+        phi, field = _mirrored(solved.fields, np.where(above, factor, 1.0))
+        route = current_route(phi, maze, solved.seg)
         branch = [route.region_current[seq[1]] for seq in route.sequences]
-        assert (branch[0] > branch[1]) == (factor > 1)
+        assert (branch[0] > branch[1]) == (factor < 1)
         orders.append([seq for seq, _, _ in trace_route_streamline(field, maze, solved.seg, route)])
     assert orders[0] == orders[1] == [(4, 5, 6, 7, 11), (4, 8, 9, 10, 11)]
     assert want["streamline_tie"] == [[4, 5, 6, 7, 11], [4, 8, 9, 10, 11]]
@@ -891,7 +893,8 @@ def _downstream_sequences(solved):
     """Every downstream path's corridor sequence, searched over the net
     currents the reference scan gives."""
     seg, maze = solved.seg, solved.maze
-    net = region_net_currents_by_scan(solved.fields.j, seg.region)
+    fx, fy = face_currents(solved.fields.phi, conductivity_grid(maze))
+    net = region_net_currents_by_scan(fx, fy, seg.region, seg.n_regions)
     sinks = {int(seg.region[iy, ix]) for ix, iy in maze.negative}
     found, stack = set(), [(int(seg.region[iy, ix]),) for ix, iy in maze.positive]
     while stack:
@@ -899,8 +902,8 @@ def _downstream_sequences(solved):
         if path[-1] in sinks:
             found.add(tuple(r for r in path if not seg.is_node[r]))
             continue
-        stack += [path + (b,) for (a, b), f in net.items()
-                  if a == path[-1] and f > 0 and b not in path]
+        stack += [path + (b,) for b in np.flatnonzero(net[path[-1]] > 0).tolist()
+                  if b not in path]
     return found
 
 
@@ -942,9 +945,33 @@ def test_current_route_equals_the_enumeration(group):
                             "bifurcations": 5, "stress_rings": 4}[group]
     for cfg in configs:
         maze = build_maze(cfg)
-        j, seg = compute_fields(maze, tol=cfg.tol).j, segment_corridors(maze)
-        route = current_route(j, maze, seg, cfg.tol)
-        assert (route.sequences, route.split_margin) == enumerated_route(j, maze, seg, cfg.tol)
+        phi, seg = compute_fields(maze, tol=cfg.tol).phi, segment_corridors(maze)
+        route = current_route(phi, maze, seg, cfg.tol)
+        net = region_net_currents(phi, maze, seg)
+        assert (route.sequences, route.split_margin) == enumerated_route(net, maze, seg, cfg.tol)
+
+
+@pytest.mark.parametrize("name", ["ring_coated", "ring_m2_conducting_walls"])
+def test_route_currents_are_the_face_currents_between_regions(name):
+    """The route takes each face current between two regions from phi and
+    the electrolyte's conductivity alone. Its region currents and sequences
+    are, bit for bit, those of the face currents of the whole grid summed
+    face by face, on the coated ring and on a ring whose walls conduct:
+    the mazes whose regions would border a face of another conductance,
+    were any region to hold a cell that is not channel."""
+    if name == "ring_coated":
+        maze = corpus_maze(name)
+    else:
+        ring = corpus_maze("ring_m2")
+        maze = dataclasses.replace(ring, sigma_wall=0.1 * ring.sigma_electrolyte)
+    fields, seg = compute_fields(maze), segment_corridors(maze)
+    fx, fy = face_currents(fields.phi, conductivity_grid(maze))
+    assert (fx != 0).sum() > 0 and (fy != 0).sum() > 0
+    net = region_net_currents_by_scan(fx, fy, seg.region, seg.n_regions)
+    route = current_route(fields.phi, maze, seg)
+    assert region_net_currents(fields.phi, maze, seg).tobytes() == net.tobytes()
+    assert route.region_current.tobytes() == (0.5 * np.abs(net).sum(axis=1)).tobytes()
+    assert route.sequences == enumerated_route(net, maze, seg)[0]
 
 
 def test_current_route_memory_does_not_grow_with_the_paths():
@@ -953,11 +980,11 @@ def test_current_route_memory_does_not_grow_with_the_paths():
     4 s and peaked at 386 MB. The pass over its regions peaks below 4 MB."""
     (cfg,) = _rings(7, 3, (0,))
     maze = build_maze(cfg)
-    j, seg = compute_fields(maze).j, segment_corridors(maze)
+    phi, seg = compute_fields(maze).phi, segment_corridors(maze)
     assert seg.n_regions == 102
     tracemalloc.start()
     try:
-        route = current_route(j, maze, seg)
+        route = current_route(phi, maze, seg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -973,50 +1000,37 @@ S, A, B, E, C, T = range(6)
 
 @pytest.mark.parametrize("a_to_b, e_to_a, want", [(0.1, 0.6, ((C,),)), (0.6, 0.1, ((A, B),))])
 def test_current_route_drops_the_weakest_step_of_a_cycle(a_to_b, e_to_a, want):
-    """Face currents that step A -> B -> E -> A close a cycle. The cycle
-    loses its weakest step: A -> B leaves no way on from A, and the route
-    is the weaker corridor C; E -> A leaves A -> B -> T, whose corridors
-    carry more than C. Listing the simple paths of the cyclic graph would
-    take A -> B -> T in both cases."""
+    """Net currents that step A -> B -> E -> A close a cycle, which no
+    potential gives: they are the sums of hand-set face currents. The
+    cycle loses its weakest step: A -> B leaves no way on from A, and the
+    route is the weaker corridor C; E -> A leaves A -> B -> T, whose
+    corridors carry more than C. Listing the simple paths of the cyclic
+    graph would take A -> B -> T in both cases."""
     maze = parse_maze("S..T\nS..T\nS..T")
     fx, fy = np.zeros((3, 3)), np.zeros((2, 4))
     fx[0] = [1.0, a_to_b, 0.6]  # S -> A, A -> B, B -> T
     fx[2] = [0.3, 0.0, 0.3]  # S -> C, C -> T
     fy[0, 1], fy[0, 2] = -e_to_a, 0.5  # E -> A, B -> E
-    j = VectorField(np.zeros((3, 4)), np.zeros((3, 4)), maze.cell_size,
-                    VectorQuantity.CURRENT_DENSITY, face_flux_x=fx, face_flux_y=fy)
     seg = oracle.CorridorSegmentation(
         region=np.array(CYCLE_REGIONS, dtype=np.int32),
         is_node=np.array([True, False, False, False, False, True]),
         n_regions=6, skeleton=np.zeros((3, 4), dtype=bool), width_cells=1.0,
     )
-    route = current_route(j, maze, seg)
+    net = region_net_currents_by_scan(fx, fy, seg.region, seg.n_regions)
+    route = route_of_net_currents(net, maze, seg)
     assert route.sequences == want
-    assert enumerated_route(j, maze, seg)[0] == ((A, B),)
+    assert enumerated_route(net, maze, seg)[0] == ((A, B),)
 
 
 def test_route_with_no_downstream_path_raises():
-    """With ring_m2's face currents reversed, no step leaves the positive
-    electrode's region: no downstream path joins the electrodes."""
+    """With ring_m2's potential negated, every current reverses and no
+    step leaves the positive electrode's region: no downstream path joins
+    the electrodes."""
     maze = corpus_maze("ring_m2")
-    j = compute_fields(maze).j
-    reversed_j = VectorField(j.vx, j.vy, j.cell_size, j.quantity,
-                             face_flux_x=-j.face_flux_x, face_flux_y=-j.face_flux_y)
+    phi = compute_fields(maze).phi
+    reversed_phi = ScalarField(-phi.values, phi.cell_size, phi.quantity)
     with pytest.raises(ValueError, match="no downstream path joins the electrodes"):
-        current_route(reversed_j, maze, segment_corridors(maze))
-
-
-def test_route_without_face_currents_raises():
-    """The route is read from the solve's face currents: a field that
-    carries none (a synthetic one) has no route."""
-    maze = corpus_maze("ring_m2")
-    j = compute_fields(maze).j
-    bare = VectorField(j.vx, j.vy, j.cell_size, j.quantity)
-    seg = segment_corridors(maze)
-    with pytest.raises(ValueError, match="no face currents"):
-        trace_route_streamline(bare, maze, seg, current_route(bare, maze, seg))
-    with pytest.raises(ValueError, match="no face currents"):
-        current_route(bare, maze, seg)
+        current_route(reversed_phi, maze, segment_corridors(maze))
 
 
 # A coated four-ring maze on which no seed's streamline follows the route
@@ -1072,7 +1086,9 @@ def test_route_currents_explain_the_ring():
     shares = [route.region_current[r] / current_in for r in seq]
     assert shares == pytest.approx([0.771, 0.806], abs=1e-3)
     assert route.split_margin == pytest.approx(0.643, abs=1e-3)
-    want = region_currents_by_scan(solved.fields.j, solved.seg.region, solved.seg.n_regions)
+    fx, fy = face_currents(solved.fields.phi, conductivity_grid(solved.maze))
+    net = region_net_currents_by_scan(fx, fy, solved.seg.region, solved.seg.n_regions)
+    want = region_currents_by_scan(net)
     assert route.region_current.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12 * current_in)
 
 
@@ -1083,11 +1099,12 @@ def test_cross_check_holds_no_copy_of_the_grid():
     float64 copies of J (2.5 MB), where J's rows as lists of Python floats
     alone would take 5 MB."""
     maze = corpus_maze("ring_m2_0.25mm")
-    j = compute_fields(maze).j
+    fields = compute_fields(maze)
+    j = fields.j
     seg = segment_corridors(maze)
     tracemalloc.start()
     try:
-        trace_route_streamline(j, maze, seg, current_route(j, maze, seg))
+        trace_route_streamline(j, maze, seg, current_route(fields.phi, maze, seg))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

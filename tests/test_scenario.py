@@ -648,14 +648,14 @@ def test_maze_stage_drops_the_old_maze_before_solving_a_new_one(tmp_path, monkey
     assert alive_during_solve == [False, False]
 
 
-def test_a_run_peaks_below_eleven_grids(tmp_path):
+def test_a_run_peaks_below_ten_grids(tmp_path):
     """One run of ring_m2 at 0.25 mm cells (280 x 280) with its bundle,
-    from an empty maze stage, allocates at most 11 float64 grids (6.90
-    MB) under tracemalloc. The stage holds phi, J and its two face-current
-    grids; Joule power is derived as joule.pgm is written, the solve's
-    set-up keeps only the colour copies of its finer levels, and the
-    corner probes are summed in chunks. Before those cuts a run took
-    12.6 grids."""
+    from an empty maze stage, allocates at most 10 float64 grids (6.27
+    MB) under tracemalloc. The stage holds phi and J, and the route reads
+    its currents from phi; Joule power is derived as joule.pgm is
+    written, the solve's set-up keeps only the colour copies of its finer
+    levels, and the corner probes are summed in chunks. Before those cuts
+    a run took 12.6 grids."""
     cfg = dataclasses.replace(load_config(CONFIGS / "ring_m2.cfg"), cell_size_mm=0.25)
     scenario._forget_solved_maze()
     tracemalloc.start()
@@ -666,7 +666,7 @@ def test_a_run_peaks_below_eleven_grids(tmp_path):
         tracemalloc.stop()
     assert result.exit_code == 0
     assert (tmp_path / "joule.pgm").exists()
-    assert peak <= 11 * result.maze.ny * result.maze.nx * 8
+    assert peak <= 10 * result.maze.ny * result.maze.nx * 8
 
 
 def _stage_arrays(result):
@@ -677,8 +677,7 @@ def _stage_arrays(result):
         "fields.phi": fields.phi.values,
         "fields.j.vx": fields.j.vx,
         "fields.j.vy": fields.j.vy,
-        "fields.j.face_flux_x": fields.j.face_flux_x,
-        "fields.j.face_flux_y": fields.j.face_flux_y,
+        "route.region_current": result.solved.route.region_current,
         "segmentation.region": seg.region,
         "segmentation.is_node": seg.is_node,
         "segmentation.skeleton": seg.skeleton,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from dropmaze.solver import (
     conservation,
     current_density,
     face_conductances,
+    face_currents,
     maze_dirichlet,
     solve_potential,
 )
@@ -98,11 +101,7 @@ def test_five_by_five_random_electrodes_against_dense():
 def test_conservation_on_strip():
     spec = _strip()
     fields = compute_fields(spec)
-    div, i_in, i_out = conservation(
-        fields.j,
-        spec.positive,
-        spec.negative,
-    )
+    div, i_in, i_out = conservation(fields.phi, conductivity_grid(spec), spec.positive, spec.negative)
     assert abs(i_in - i_out) / i_in < 1e-4
     off = div.values[:, 1:-1]  # off-electrode columns
     h_m = spec.cell_size * 1e-3
@@ -112,9 +111,7 @@ def test_conservation_on_strip():
 
 def test_conservation_on_ring(ring_maze, ring_fields):
     div, i_in, i_out = conservation(
-        ring_fields.j,
-        ring_maze.positive,
-        ring_maze.negative,
+        ring_fields.phi, conductivity_grid(ring_maze), ring_maze.positive, ring_maze.negative
     )
     assert abs(i_in - i_out) / i_in < 1e-4
     electrode = np.zeros((ring_maze.ny, ring_maze.nx), dtype=bool)
@@ -132,11 +129,7 @@ def test_unconverged_solve_fails_conservation():
     phi, rep = solve_potential(sigma, maze_dirichlet(spec), spec.cell_size, max_iter=1)
     assert not rep.converged
     j = current_density(phi, sigma)
-    div, i_in, i_out = conservation(
-        j,
-        spec.positive,
-        spec.negative,
-    )
+    div, i_in, i_out = conservation(phi, sigma, spec.positive, spec.negative)
     h_m = spec.cell_size * 1e-3
     j_scale = np.abs(j.magnitude()).mean()
     # the diagnostic must reject this solve
@@ -152,8 +145,7 @@ def test_disconnected_electrodes_detected():
 def test_branch_currents_follow_kirchhoff_ratio():
     spec = generate_bifurcation_maze(40.0, 80.0, 2.0)
     lay = bifurcation_layout(40.0, 80.0, 2.0)
-    fields = compute_fields(spec)
-    fy = fields.j.face_flux_y
+    _, fy = face_currents(compute_fields(spec).phi, conductivity_grid(spec))
     # horizontal cuts across both vertical branch legs, just off the junction
     row_top = lay.inlet_row - 2
     row_bot = lay.inlet_row + lay.width_cells + 1
@@ -162,6 +154,26 @@ def test_branch_currents_follow_kirchhoff_ratio():
     i_b = abs(float(fy[row_bot, cols].sum()))
     expected = two_branch_current_ratio(lay.branch_a_cells * 0.5, lay.branch_b_cells * 0.5)
     assert i_a / i_b == pytest.approx(expected, rel=0.05)
+
+
+def test_compute_fields_holds_phi_and_j_only(ring_maze, ring_fields):
+    """A solved maze holds three float grids, phi, Jx and Jy, and nothing
+    else: face currents are derived where they are read."""
+    assert [f.name for f in dataclasses.fields(dm.VectorField)] == [
+        "vx", "vy", "cell_size", "quantity"
+    ]
+    held, stack = [], [ring_fields]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            held.append(item)
+        elif dataclasses.is_dataclass(item):
+            stack += [getattr(item, f.name) for f in dataclasses.fields(item)]
+    shape = (ring_maze.ny, ring_maze.nx)
+    assert [(a.dtype, a.shape) for a in held] == [(np.dtype(np.float64), shape)] * 3
+    assert {id(a) for a in held} == {
+        id(ring_fields.phi.values), id(ring_fields.j.vx), id(ring_fields.j.vy)
+    }
 
 
 def test_joule_power_ratio_between_branches():
