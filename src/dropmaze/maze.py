@@ -249,9 +249,8 @@ def emit_maze(spec: MazeSpec) -> str:
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """4-connected channel components and start/target reachability."""
+    """The count of 4-connected channel components and start/target reachability."""
 
-    labels: np.ndarray  # (ny, nx) int32, -1 on walls
     n_components: int
     solvable: bool
 
@@ -341,8 +340,7 @@ def validate_and_components(spec: MazeSpec) -> ComponentReport:
     labels, count = label_components(spec.channel_mask())
     pos_comps = {int(labels[iy, ix]) for ix, iy in spec.positive}
     neg_comps = {int(labels[iy, ix]) for ix, iy in spec.negative}
-    labels.setflags(write=False)
-    return ComponentReport(labels, count, bool(pos_comps & neg_comps))
+    return ComponentReport(count, bool(pos_comps & neg_comps))
 
 
 def conductivity_grid(spec: MazeSpec) -> np.ndarray:

@@ -518,15 +518,13 @@ def prepare_fields(cfg: ScenarioConfig) -> SolvedMaze:
     components = validate_and_components(maze)
     if not components.solvable:
         raise UnsolvableMazeError("no channel route connects the electrodes")
-    n_components = components.n_components
-    del components  # its labels are not held through the solve
     fields = compute_fields(maze, tol=cfg.tol, max_iter=cfg.max_iter or None)
     if not fields.report.converged:
         raise ConvergenceError(
             f"solver did not converge: residual {fields.report.final_residual:.3e}"
             f" after {fields.report.iterations} iterations"
         )
-    _solved = solved = SolvedMaze(key, maze, n_components, fields)
+    _solved = solved = SolvedMaze(key, maze, components.n_components, fields)
     return solved
 
 

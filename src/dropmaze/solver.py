@@ -32,7 +32,8 @@ MM_TO_M = 1e-3
 
 
 class FieldSolveError(RuntimeError):
-    """Solve cannot produce a usable potential (e.g. electrodes disconnected)."""
+    """The pinned potentials differ, but no conductive component holds two
+    different ones: the electrodes are disconnected (solve_potential)."""
 
 
 class Quantity(enum.Enum):
@@ -290,24 +291,25 @@ def _dense_inverse(diag: np.ndarray, g: np.ndarray, nb: np.ndarray) -> np.ndarra
     return aug[:, m:].copy()
 
 
-def _faces(gx: np.ndarray, gy: np.ndarray, cells: np.ndarray):
-    """For the east, west, south and north side of the flat cells in
-    turn: which of them have a neighbour there inside the grid, the
-    conductances of those faces, and those neighbours' flat indices."""
-    ny, nx = gy.shape[0] + 1, gx.shape[1] + 1
+def _faces(sigma: np.ndarray, cells: np.ndarray):
+    """For the east, west, south and north side of the conductive flat
+    cells in turn: which of them have a neighbour there inside the grid,
+    the conductances of those faces (0.0 toward an insulating
+    neighbour), and those neighbours' flat indices. Each conductance is
+    the float face_conductances gives, with its operands in the same
+    order (west or north cell first)."""
+    ny, nx = sigma.shape
     iy, ix = np.divmod(cells, nx)
-    for inside, faces, fy, fx, shift in (
-        (ix < nx - 1, gx, iy, ix, 1),
-        (ix > 0, gx, iy, ix - 1, -1),
-        (iy < ny - 1, gy, iy, ix, nx),
-        (iy > 0, gy, iy - 1, ix, -nx),
-    ):
-        yield inside, faces[fy[inside], fx[inside]], cells[inside] + shift
+    at = sigma.ravel()
+    for inside, shift in ((ix < nx - 1, 1), (ix > 0, -1), (iy < ny - 1, nx), (iy > 0, -nx)):
+        here = cells[inside]
+        other = here + shift
+        a, b = (here, other) if shift > 0 else (other, here)
+        yield inside, series_conductance(at[a], at[b]), other
 
 
 def _finest_level(
-    gx: np.ndarray,
-    gy: np.ndarray,
+    sigma: np.ndarray,
     unknown: np.ndarray,
     pins: np.ndarray,
     values: np.ndarray,
@@ -316,7 +318,9 @@ def _finest_level(
     linked below it, those cells' flat indices, and the right-hand side
     b: the current the pinned neighbours drive into each unknown. pins
     are the pinned cells' flat indices in ascending order, values their
-    potentials.
+    potentials. A cell of unknown with no face > 0 (its conductivity
+    products underflow) would make a singular row: it leaves unknown,
+    which stays at phi = 0, and the level is built without it.
 
     The levels are built finest first. Each level's next level is
     coarsened from it before its colour copies are made, and its whole g
@@ -330,7 +334,7 @@ def _finest_level(
     nb = np.full((4, n), n)
     anchor = np.zeros(n)
     b = np.zeros(n)
-    for s, (inside, face, other) in enumerate(_faces(gx, gy, cells)):
+    for s, (inside, face, other) in enumerate(_faces(sigma, cells)):
         neighbour = slot[other]
         g[s][inside] = np.where(neighbour < n, face, 0.0)
         nb[s][inside] = neighbour
@@ -341,6 +345,10 @@ def _finest_level(
         anchor[inside] += at_pin
         at_pin *= np.where(pinned, values.take(k, mode="clip"), 0.0)
         b[inside] += at_pin
+    isolated = ~((g > 0).any(axis=0) | (anchor > 0))
+    if isolated.any():
+        unknown.ravel()[cells[isolated]] = False
+        return _finest_level(sigma, unknown, pins, values)
     del slot
     iy, ix = np.divmod(cells, unknown.shape[1])
     levels: list[_Level] = []
@@ -370,7 +378,9 @@ def solve_potential(
     `dirichlet` maps (ix, iy) cells to potentials; every pinned cell must be
     conductive. Cells with sigma = 0, and conductive cells that no
     conductive route links to a pinned cell, are excluded from the unknown
-    set and report phi = 0.
+    set and report phi = 0. FieldSolveError is raised, before any
+    iteration, when the pinned potentials differ but no component of
+    sigma > 0 holds two different ones: then no current can flow.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if (sigma < 0).any():
@@ -392,31 +402,31 @@ def solve_potential(
     pinned = sorted((iy * nx + ix, v) for (ix, iy), v in dirichlet.items())
     pins = np.array([cell for cell, _ in pinned], dtype=np.int64)
     values = np.array([v for _, v in pinned], dtype=np.float64)
-    dir_mask = np.zeros(sigma.shape, dtype=bool)
-    dir_mask.ravel()[pins] = True
 
+    # The lowest and highest pinned potential in each component of sigma > 0.
+    labels, count = label_components(sigma > 0)
+    held = labels.ravel()[pins]
+    low, high = np.full(count, np.inf), np.full(count, -np.inf)
+    np.minimum.at(low, held, values)
+    np.maximum.at(high, held, values)
+    if values.min() < values.max() and not (low < high).any():
+        raise FieldSolveError(
+            "no current flows between dirichlet levels; electrodes are disconnected"
+        )
     # Floating pockets, conductive cells that no conductive route links to
     # a pinned cell, would make a singular row: they stay at phi = 0.
-    labels, _ = label_components(sigma > 0)
-    unknown = np.isin(labels, labels[dir_mask])
+    unknown = np.isin(labels, held)
     del labels  # not held through the set-up and the iteration
-    gx, gy = face_conductances(sigma)
-    linked = np.zeros(sigma.shape, dtype=bool)  # cells with a conductive face
-    for side, g in ((np.s_[:, :-1], gx), (np.s_[:, 1:], gx), (np.s_[:-1], gy), (np.s_[1:], gy)):
-        linked[side] |= g > 0
-    unknown &= linked & ~dir_mask
-    del linked, dir_mask  # not held through the set-up and the iteration
+    unknown.ravel()[pins] = False
 
-    level, cells, b = _finest_level(gx, gy, unknown, pins, values)
+    level, cells, b = _finest_level(sigma, unknown, pins, values)
     n = len(cells)
     # The iteration runs on buffers of the unknowns. x_slot and p_slot
     # carry the operator's trailing zero slot; x and p are their views
     # without it, as z is of the cycle's result. Inner products are numpy's pairwise sums,
     # not np.dot, whose OpenBLAS reduction rounds by thread count.
-    prod = np.empty(n)
-
     def dot(a: np.ndarray, c: np.ndarray) -> float:
-        return float(np.multiply(a, c, out=prod).sum())
+        return float((a * c).sum())
 
     x_slot = np.zeros(n + 1)
     x = x_slot[:-1]
@@ -432,7 +442,6 @@ def solve_potential(
         p_slot = np.zeros(n + 1)
         p = p_slot[:-1]
         np.copyto(p, z)
-        step = np.empty(n)
         rz = dot(r, z)
         converged = False
         restarts = 0
@@ -453,8 +462,8 @@ def solve_potential(
                     break
                 continue
             alpha = rz / pap
-            x += np.multiply(alpha, p, out=step)  # x += alpha * p
-            r -= np.multiply(alpha, ap, out=step)  # r -= alpha * ap
+            x += alpha * p
+            r -= alpha * ap
             iterations += 1
             if np.sqrt(dot(r, r)) / bnorm <= tol:
                 converged = True
@@ -474,19 +483,10 @@ def solve_potential(
     at[cells] = x
     # Current leaving each pinned cell, in row-major order.
     injections = np.zeros(len(pins))
-    for inside, face, other in _faces(gx, gy, pins):
+    for inside, face, other in _faces(sigma, pins):
         injections[inside] += face * (at[pins[inside]] - at[other])
     current_in = float(injections[injections > 0].sum())
     current_out = float(-injections[injections < 0].sum())
-
-    if converged:
-        levels = sorted(set(dirichlet.values()))
-        spread = levels[-1] - levels[0]
-        g_max = max(gx.max() if gx.size else 0.0, gy.max() if gy.size else 0.0)
-        if spread > 0 and g_max > 0 and current_in <= 1e-10 * g_max * spread:
-            raise FieldSolveError(
-                "no current flows between dirichlet levels; electrodes are disconnected"
-            )
 
     field = ScalarField(phi, cell_size_mm, Quantity.POTENTIAL)
     report = SolveReport(

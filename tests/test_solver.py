@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from dropmaze.solver import (
     compute_fields,
     conservation,
     current_density,
-    face_conductances,
     face_currents,
     maze_dirichlet,
     solve_potential,
@@ -137,9 +137,50 @@ def test_unconverged_solve_fails_conservation():
 
 
 def test_disconnected_electrodes_detected():
-    spec = parse_maze("S.#.T")
-    with pytest.raises(FieldSolveError, match="disconnected"):
-        solve_potential(conductivity_grid(spec), maze_dirichlet(spec), spec.cell_size)
+    """A five-cell line split by a wall, and two 186-cell pockets split by
+    a wall column, where one iteration leaves the positive pocket
+    unconverged: the component labels alone show that no current can
+    flow, so the solve raises whether or not it would converge."""
+    rows = ["S" + "." * 30 + "#" + "." * 30 + "T"] + ["." * 31 + "#" + "." * 31] * 5
+    for text, max_iter in (("S.#.T", None), ("\n".join(rows), 1)):
+        spec = parse_maze(text)
+        sigma, dirichlet = conductivity_grid(spec), maze_dirichlet(spec)
+        with pytest.raises(FieldSolveError, match="disconnected"):
+            solve_potential(sigma, dirichlet, spec.cell_size, max_iter=max_iter)
+
+
+def test_electrodes_joined_by_a_leaky_wall_solve():
+    """A wall of sigma 1e-10 S/m carries a negligible current, but it is a
+    current: the solve converges and matches the dense solve."""
+    spec = parse_maze("sigma_wall = 1e-10\n\nS.....#.....T")
+    sigma, dirichlet = conductivity_grid(spec), maze_dirichlet(spec)
+    phi, report = solve_potential(sigma, dirichlet, spec.cell_size)
+    assert report.converged
+    assert report.current_in > 0
+    assert np.abs(phi.values - dense_solve_potential(sigma, dirichlet)).max() < 1e-8
+
+
+def test_cells_whose_faces_all_underflow_are_not_unknowns():
+    """bifurcation_lock with sigma_wall = 1e-200 S/m: every cell is
+    conductive, but a face between two wall cells rounds to 0.0, so the
+    walls inside the wall mass have no face and stay out of the system.
+    The 2 056 unknowns are the oracle's: the 1 648 channel cells of the
+    insulated maze and the wall cells that touch the channel. phi on the
+    channel is the insulated maze's within 1e-9 V."""
+    insulated = generate_bifurcation_maze(38.0, 42.0, 4.0)
+    maze = dataclasses.replace(insulated, sigma_wall=1e-200)
+    sigma, dirichlet = conductivity_grid(maze), maze_dirichlet(maze)
+    assert (sigma > 0).all()
+    phi, report = solve_potential(sigma, dirichlet, maze.cell_size)
+    _, insulated_report = solve_potential(
+        conductivity_grid(insulated), dirichlet, maze.cell_size
+    )
+    assert report.converged
+    assert (report.unknowns, insulated_report.unknowns) == (2056, 1648)
+    assert report.unknowns == int(mg_levels(sigma, dirichlet)[0]["unknown"].sum())
+    channel = maze.channel_mask()
+    insulated_phi = compute_fields(insulated).phi.values
+    assert np.abs(phi.values - insulated_phi)[channel].max() < 1e-9
 
 
 def test_branch_currents_follow_kirchhoff_ratio():
@@ -174,6 +215,22 @@ def test_compute_fields_holds_phi_and_j_only(ring_maze, ring_fields):
     assert {id(a) for a in held} == {
         id(ring_fields.phi.values), id(ring_fields.j.vx), id(ring_fields.j.vy)
     }
+
+
+def test_compute_fields_peaks_at_seven_grids():
+    """compute_fields of ring_m2 at 0.25 mm cells (280 x 280) allocates at
+    most 7 float64 grids under tracemalloc: the solve reads sigma only at
+    the cells it couples, with no face-conductance grids or masks. With
+    those it took 8.3 grids."""
+    maze = dm.generate_ring_maze(2, [1, 1], 70.0, 4.0, 1, cell_size_mm=0.25)
+    tracemalloc.start()
+    try:
+        fields = compute_fields(maze)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fields.report.converged
+    assert peak <= 7 * maze.ny * maze.nx * 8
 
 
 def test_joule_power_ratio_between_branches():
@@ -340,11 +397,10 @@ def test_pcg_stays_within_rounding_of_the_whole_grid_reference(
 def _levels(sigma, dirichlet):
     """The package's multigrid levels for a solve, finest first."""
     sigma = np.asarray(sigma, dtype=np.float64)
-    gx, gy = face_conductances(sigma)
     pinned = sorted((iy * sigma.shape[1] + ix, v) for (ix, iy), v in dirichlet.items())
     pins, values = (np.array(column) for column in zip(*pinned))
     unknown = mg_levels(sigma, dirichlet)[0]["unknown"]
-    level = solver._finest_level(gx, gy, unknown, pins, values)[0]
+    level = solver._finest_level(sigma, unknown, pins, values)[0]
     levels = [level]
     while level.inverse is None:
         level = level.coarse
