@@ -11,9 +11,10 @@ import numpy as np
 from .maze import DEFAULT_CELL_SIZE_MM, CellKind, GeometryError, MazeSpec
 
 
-def _angle_offset_deg(ang, theta):
-    """Absolute angular distance in degrees, wrapped to [0, 180]."""
-    return np.abs((np.asarray(ang) - theta + 180.0) % 360.0 - 180.0)
+def _arc_mm(ang, r, theta, h):
+    """Arc length in mm at radius max(r, h) from angle theta to each angle
+    ang (degrees), the angular distance wrapped to [0, 180]."""
+    return np.radians(np.abs((ang - theta + 180.0) % 360.0 - 180.0)) * np.maximum(r, h)
 
 
 def generate_ring_maze(
@@ -89,11 +90,13 @@ def generate_ring_maze(
         theta_prev = theta
         angles = [theta + j * (360.0 / gaps[k]) for j in range(gaps[k])]
         r_lo, r_hi = a_k - t - h, a_k + h
-        band = (r >= r_lo) & (r < r_hi)
+        # Arcs at the band's cells only: _arc_mm rounds an element the same
+        # in any subset, where hypot and arctan2's vector paths might not.
+        by, bx = np.nonzero((r >= r_lo) & (r < r_hi))
+        band_ang, band_r = ang[by, bx], r[by, bx]
         half_arc = max(w / 2, 1.5 * h)
         for th in angles:
-            arc = np.radians(_angle_offset_deg(ang, th)) * np.maximum(r, h)
-            channel |= band & (arc <= half_arc)
+            channel[by, bx] |= _arc_mm(band_ang, band_r, th, h) <= half_arc
 
     cells = np.where(channel, CellKind.CHANNEL, CellKind.WALL).astype(np.int8)
 
@@ -104,10 +107,9 @@ def generate_ring_maze(
         exit_angle_deg = theta_prev + sign * rng.uniform(45.0, 100.0)
 
     a_out = inner[-1]
-    out_band = (r >= a_out) & (r < a_out + w)
-    arc = np.radians(_angle_offset_deg(ang, exit_angle_deg)) * np.maximum(r, h)
-    neg_mask = out_band & (arc <= 1.0 * h) & channel
-    neg = {(int(j), int(i)) for i, j in zip(*np.nonzero(neg_mask))}
+    by, bx = np.nonzero((r >= a_out) & (r < a_out + w) & channel)
+    near = _arc_mm(ang[by, bx], r[by, bx], exit_angle_deg, h) <= 1.0 * h
+    neg = set(zip(bx[near].tolist(), by[near].tolist()))
     if not neg:
         raise GeometryError("failed to place exit electrode in the outer channel")
 

@@ -117,7 +117,7 @@ class MazeSpec:
             raise MazeError("sigma_wall must be >= 0")
         if not self.sigma_wall < self.sigma_electrolyte:
             raise MazeError("sigma_wall must be below sigma_electrolyte")
-        if self.has_coated_cells and not (
+        if (self.cells == CellKind.COATED_WALL).any() and not (
             self.sigma_electrolyte < self.sigma_coating
         ):
             raise MazeError(
@@ -141,10 +141,6 @@ class MazeSpec:
     @property
     def ny(self) -> int:
         return self.cells.shape[0]
-
-    @property
-    def has_coated_cells(self) -> bool:
-        return bool((self.cells == CellKind.COATED_WALL).any())
 
     def channel_mask(self) -> np.ndarray:
         return self.cells == CellKind.CHANNEL
@@ -266,36 +262,38 @@ def bfs(
     distance in cells from the nearest source, and the index in `sources`
     of the first-listed source at that distance. Sources are reached at
     distance 0 whether or not they are passable, and cells at max_depth
-    are not expanded.
+    are not expanded. Both are views into the interior of buffers padded
+    by one cell, not copies.
     """
     ny, nx = passable.shape
-    free = np.asarray(passable, dtype=bool).tobytes()
+    w = nx + 2  # one impassable cell all round, so the loop tests no bounds
+    free = np.pad(np.asarray(passable, dtype=bool), 1).tobytes()
     # Flat C-int buffers: element reads are plain Python ints, and numpy
     # wraps the buffers as the result without a copy.
-    dist = array("i", [-1]) * (nx * ny)
-    owner = array("i", [-1]) * (nx * ny)
+    dist = array("i", [-1]) * len(free)
+    owner = array("i", [-1]) * len(free)
     queue: deque[int] = deque()
     for k, (ix, iy) in enumerate(sources):
-        i = iy * nx + ix
-        dist[i] = 0
-        owner[i] = k
-        queue.append(i)
+        i = (iy + 1) * w + ix + 1
+        if dist[i] < 0:  # a source listed twice keeps its first index
+            dist[i] = 0
+            owner[i] = k
+            queue.append(i)
     # East, north, west, south. A cell's owner does not depend on this
     # order: each wavefront is queued in order of owner index.
-    steps = [(dx, dy, dy * nx + dx) for dx, dy in ((1, 0), (0, -1), (-1, 0), (0, 1))]
+    steps = (1, -w, -1, w)
     while queue:
         i = queue.popleft()
         d = dist[i] + 1
         if max_depth is not None and d > max_depth:
             continue
-        iy, ix = divmod(i, nx)
-        for dx, dy, di in steps:
-            j = i + di
-            if 0 <= ix + dx < nx and 0 <= iy + dy < ny and free[j] and dist[j] < 0:
+        for step in steps:
+            j = i + step
+            if free[j] and dist[j] < 0:
                 dist[j] = d
                 owner[j] = owner[i]
                 queue.append(j)
-    return tuple(np.frombuffer(buf, dtype=np.intc).reshape(ny, nx) for buf in (dist, owner))
+    return tuple(np.frombuffer(b, np.intc).reshape(-1, w)[1:-1, 1:-1] for b in (dist, owner))
 
 
 def label_components(mask: np.ndarray, diagonal: bool = False) -> tuple[np.ndarray, int]:

@@ -404,46 +404,47 @@ _ZHANG_SUEN, _SET_COUNT, _REDUNDANT = _code_tables()
 
 
 def thin_mask(mask: np.ndarray) -> np.ndarray:
-    """Morphological thinning to a one-cell skeleton (two-subpass scheme,
-    8-connectivity preserved)."""
-    img = mask.astype(bool)
+    """Morphological thinning to a one-cell skeleton: Zhang and Suen's two
+    parallel subpasses, then a sequential pass that deletes the redundant
+    cells (staircase doubles) they leave, 8-connectivity preserved.
+
+    A subpass tests only its band, the set cells with a clear neighbour
+    (one with all 8 set is never deleted). A deletion clears its bit in
+    each neighbour's code, and its set neighbours join the band."""
+    # One clear cell all round, so every neighbour has a flat index.
+    img = np.pad(mask.astype(bool), 1)
+    flat = img.reshape(-1)
+    codes = _neighbour_codes(img).reshape(-1)
+    offsets = np.array([dy * img.shape[1] + dx for dx, dy in _NBR8])
+    # Deleting a cell clears, in each neighbour's code, the opposite bit.
+    keep = ~(1 << np.roll(np.arange(8, dtype=np.uint8), 4))
+    in_band = flat & (codes != 255)
+    band = np.flatnonzero(in_band)
     changed = True
     while changed:
         changed = False
         for deletable in _ZHANG_SUEN:
-            gone = img & deletable[_neighbour_codes(img)]
-            if gone.any():
-                img &= ~gone
+            gone = band[deletable[codes[band]]]
+            if gone.size:
+                flat[gone] = in_band[gone] = False
+                for offset, bits in zip(offsets.tolist(), keep):
+                    nbrs = gone + offset
+                    codes[nbrs] &= bits
+                    in_band[nbrs] = flat[nbrs]
+                band = np.flatnonzero(in_band)
                 changed = True
-    return _minimal_skeleton(img)
-
-
-def _minimal_skeleton(skel: np.ndarray) -> np.ndarray:
-    """Sequentially delete redundant cells (staircase doubles) that the
-    parallel passes leave behind, keeping endpoints and connectivity.
-
-    A cell is removable when its skeleton neighbours stay 8-connected
-    through each other once it is gone (_REDUNDANT).
-    """
-    # One clear cell all round, so every neighbour has a flat index.
-    skel = np.pad(skel, 1)
-    offsets = np.array([dy * skel.shape[1] + dx for dx, dy in _NBR8])
-    # Deleting a cell clears, in each neighbour's code, the opposite bit.
-    keep = ~(1 << np.roll(np.arange(8, dtype=np.uint8), 4))
+    # Redundant cells (_REDUNDANT) go one at a time, each pass visiting the
+    # skeleton it starts with in row-major order.
     redundant = _REDUNDANT.tolist()
-    flat = skel.reshape(-1)
     changed = True
     while changed:
         changed = False
-        codes = _neighbour_codes(skel).reshape(-1)
-        # Row-major over the pass's starting skeleton: a pass deletes
-        # only the cell it is visiting.
         for i in np.flatnonzero(flat).tolist():
             if redundant[codes[i]]:
                 flat[i] = False
                 codes[i + offsets] &= keep
                 changed = True
-    return skel[1:-1, 1:-1].copy()
+    return img[1:-1, 1:-1].copy()
 
 
 def _skeleton_degree(skel: np.ndarray) -> np.ndarray:
@@ -597,10 +598,8 @@ def segment_corridors(maze: MazeSpec) -> CorridorSegmentation:
     # Electrode areas terminate routes, so they split chains too; this
     # keeps a ring with an electrode on it from becoming one giant loop
     # region spanning both its live and its dead side.
-    electrode = np.zeros_like(node_mask)
     for ix, iy in maze.positive | maze.negative:
-        electrode[iy, ix] = True
-    node_mask |= skel & electrode
+        node_mask[iy, ix] |= skel[iy, ix]
 
     # Junction / endpoint blobs first (8-connected groups of node cells),
     # numbered in (ix, iy) order of their first cell: the transpose's

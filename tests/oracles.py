@@ -109,6 +109,31 @@ def bfs_distances(channel, sources):
     return dist
 
 
+def deque_bfs(passable, sources, max_depth=None):
+    """(dist, owner) of a bounds-checked deque BFS over (ix, iy) pairs: a
+    source is queued once, at its first index, and wavefronts expand in
+    queue order, so a cell's owner is the first-listed nearest source."""
+    passable = np.asarray(passable, dtype=bool)
+    ny, nx = passable.shape
+    dist = np.full((ny, nx), -1, dtype=np.int32)
+    owner = np.full((ny, nx), -1, dtype=np.int32)
+    queue = deque()
+    for k, (ix, iy) in enumerate(sources):
+        if dist[iy, ix] < 0:
+            dist[iy, ix], owner[iy, ix] = 0, k
+            queue.append((ix, iy))
+    while queue:
+        ix, iy = queue.popleft()
+        d = dist[iy, ix] + 1
+        if max_depth is not None and d > max_depth:
+            continue
+        for jx, jy in ((ix + 1, iy), (ix, iy - 1), (ix - 1, iy), (ix, iy + 1)):
+            if 0 <= jx < nx and 0 <= jy < ny and passable[jy, jx] and dist[jy, jx] < 0:
+                dist[jy, jx], owner[jy, jx] = d, owner[iy, ix]
+                queue.append((jx, jy))
+    return dist, owner
+
+
 def flood_fill_components(channel, diagonal=False):
     """Component count by plain flood fill; diagonal neighbours connect
     too when diagonal is true (8-connectivity)."""

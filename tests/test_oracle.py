@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import tracemalloc
@@ -13,7 +14,7 @@ import dropmaze as dm
 from dropmaze import oracle, scenario
 from dropmaze.cli import main
 from dropmaze.currents import current_route, region_net_currents, route_of_net_currents
-from dropmaze.maze import cell_index, conductivity_grid, parse_maze
+from dropmaze.maze import CellKind, cell_index, conductivity_grid, label_components, parse_maze
 from dropmaze.oracle import (
     StreamTermination,
     UnreachableError,
@@ -37,6 +38,7 @@ from oracles import (
     array_streamline,
     bfs_distances,
     bfs_wall_distance,
+    deque_bfs,
     enumerated_route,
     flood_fill_components,
     hot_region_route,
@@ -226,29 +228,35 @@ def test_prune_spurs_removes_short_branches_only():
 
 
 def _random_mask(ny, nx, seed, kind):
-    """Noise of a random density, a union of random rectangles (wide
-    corridors with junctions and spurs), or every cell set."""
+    """Noise of a random density, a union of random rectangles up to 8
+    cells a side (corridors with junctions and spurs) or up to the grid's
+    size ("wide", which thinning peels for many layers), or every cell set."""
     rng = np.random.default_rng(seed)
     if kind == "full":
         return np.ones((ny, nx), dtype=bool)
     if kind == "noise":
         return rng.random((ny, nx)) < rng.uniform(0.3, 0.9)
+    side = 9 if kind == "rectangles" else max(ny, nx) + 1
     mask = np.zeros((ny, nx), dtype=bool)
     for _ in range(int(rng.integers(1, 6))):
         x0, y0 = int(rng.integers(nx)), int(rng.integers(ny))
-        mask[y0 : y0 + int(rng.integers(1, 9)), x0 : x0 + int(rng.integers(1, 9))] = True
+        mask[y0 : y0 + int(rng.integers(1, side)), x0 : x0 + int(rng.integers(1, side))] = True
     return mask
 
 
-@given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**32 - 1),
-       st.sampled_from(["noise", "rectangles", "full"]), st.integers(1, 8))
+@given(st.integers(1, 64), st.integers(1, 64), st.integers(0, 2**32 - 1),
+       st.sampled_from(["noise", "rectangles", "wide", "full"]), st.integers(1, 8))
 @example(1, 17, 0, "full", 3)
 @example(17, 1, 0, "full", 3)
+@example(64, 64, 0, "full", 3)
+@example(7, 64, 0, "full", 3)
+@example(64, 5, 1, "wide", 3)
 @settings(max_examples=300)
 def test_skeleton_matches_shifted_copy_reference(ny, nx, seed, kind, max_len):
     """Thinning, degrees and spur pruning equal the reference built from
     shifted grid copies and neighbour loops, on any grid shape: a 1 x n or
-    n x 1 grid is all rim, and random masks set cells on the rim."""
+    n x 1 grid is all rim, random masks set cells on the rim, and wide
+    rectangles and full grids move the thinning band in for many layers."""
     mask = _random_mask(ny, nx, seed, kind)
     skel = thin_mask(mask)
     want = shifted_thin_mask(mask)
@@ -490,23 +498,33 @@ def test_bfs_distances_match_reference(maze):
 @given(st.integers(0, 10_000))
 def test_bfs_matches_reference_on_random_masks(seed):
     """Distances equal the reference BFS, and each reached cell's owner is
-    the first-listed source among those nearest to it."""
+    the first-listed source among those nearest to it. Sources repeat
+    (one is always listed twice), sit on impassable cells and on the rim
+    (next to the padding), and the depth cap runs from 0."""
     rng = np.random.default_rng(seed)
     shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
     passable = rng.random(shape) < rng.choice([0.5, 0.8, 1.0])
     cells = [(ix, iy) for iy in range(shape[0]) for ix in range(shape[1])]
-    picks = rng.choice(len(cells), size=int(rng.integers(1, min(4, len(cells)) + 1)), replace=False)
-    sources = [cells[k] for k in picks]
+    rim = [(ix, iy) for ix, iy in cells if ix in (0, shape[1] - 1) or iy in (0, shape[0] - 1)]
+    sources = [cells[k] for k in rng.choice(len(cells), size=int(rng.integers(1, 5)))]
+    sources.append(rim[int(rng.integers(len(rim)))])
+    sources.insert(int(rng.integers(len(sources) + 1)), sources[int(rng.integers(len(sources)))])
     want = bfs_distances(passable, sources)
     per_source = np.array([bfs_distances(passable, [s]) for s in sources])
     want_owner = np.where(want >= 0, np.argmax(per_source == want, axis=0), -1)
     dist, owner = bfs(passable, sources)
     assert np.array_equal(dist, want)
     assert np.array_equal(owner, want_owner)
-    depth = int(rng.integers(0, 6))
-    dist, owner = bfs(passable, sources, max_depth=depth)
-    assert np.array_equal(dist, np.where(want <= depth, want, -1))
-    assert np.array_equal(owner, np.where(want <= depth, want_owner, -1))
+    for depth in (0, int(rng.integers(1, 6))):
+        dist, owner = bfs(passable, sources, max_depth=depth)
+        assert np.array_equal(dist, np.where(want <= depth, want, -1))
+        assert np.array_equal(owner, np.where(want <= depth, want_owner, -1))
+
+
+def test_bfs_source_listed_twice_keeps_its_first_index():
+    dist, owner = bfs(np.ones((1, 5), dtype=bool), [(0, 0), (4, 0), (0, 0)])
+    assert dist.tolist() == [[0, 1, 2, 1, 0]]
+    assert owner.tolist() == [[0, 0, 0, 1, 1]]
 
 
 def test_list_backed_streamlines_match_array_sampler(monkeypatch):
@@ -671,6 +689,53 @@ def test_segmentation_matches_recorded_digests(name):
         "skeleton": _array_digest(seg.skeleton),
         "width_cells": seg.width_cells,
     } == SEGMENTATION_DIGESTS[name]
+
+
+def _serpentine_maze():
+    """The 280 x 280 serpentine of one-cell channels that
+    tools/bench_stages.py times."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_stages.py"
+    spec = importlib.util.spec_from_file_location("bench_stages", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return parse_maze(tool.serpentine_text(280))
+
+
+def _sealed_pockets_maze():
+    """ring_m2 with four channel pockets walled off in its corners: a wide
+    room, a square loop, a one-cell line and a room on the grid's rim."""
+    maze = build_maze(ring_config())
+    cells = np.array(maze.cells)
+    for rows, cols in ((slice(3, 21), slice(3, 15)), (slice(110, 135), slice(5, 30)),
+                       (slice(125, 126), slice(100, 136)), (slice(0, 6), slice(60, 80))):
+        cells[rows, cols] = CellKind.CHANNEL
+    cells[116:129, 11:24] = CellKind.WALL  # the loop's hole
+    return dataclasses.replace(maze, cells=cells)
+
+
+@pytest.mark.parametrize(
+    "maze, components",
+    [
+        pytest.param(_serpentine_maze, 1, id="serpentine_280"),
+        pytest.param(_sealed_pockets_maze, 5, id="sealed_pockets"),
+    ],
+)
+def test_band_thinning_and_padded_bfs_match_references(maze, components, monkeypatch):
+    """On a serpentine, whose channel is all thinning band and whose Lee
+    wavefront is one cell, and on a ring with sealed pockets, which Lee
+    labels leave at -1: the skeleton, the Lee labels and the segmentation
+    equal the references' (shifted-copy thinning, deque BFS)."""
+    maze = maze()
+    channel = maze.channel_mask()
+    assert label_components(channel)[1] == components
+    assert np.array_equal(thin_mask(channel), shifted_thin_mask(channel))
+    assert np.array_equal(lee_label(maze), bfs_distances(channel, maze.negative))
+    seg = segment_corridors(maze)
+    monkeypatch.setattr(oracle, "thin_mask", shifted_thin_mask)
+    monkeypatch.setattr(oracle, "bfs", deque_bfs)
+    want = segment_corridors(maze)
+    assert np.array_equal(seg.region, want.region)
+    assert np.array_equal(seg.skeleton, want.skeleton)
 
 
 @pytest.mark.parametrize("name", CORPUS)
